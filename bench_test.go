@@ -7,7 +7,6 @@
 package repro_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -24,11 +23,9 @@ import (
 	"repro/internal/logic"
 	"repro/internal/rfu"
 	"repro/internal/span"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wakeup"
-	"repro/internal/wide"
 	"repro/internal/workload"
 )
 
@@ -587,11 +584,10 @@ func BenchmarkLogicAdderTree(b *testing.B) {
 	}
 }
 
-// --- Wide machine: lane-parallel sweep throughput ---------------------
+// --- Sweep throughput ------------------------------------------------
 
 // sweepProg is the homogeneous 64-point sweep workload: one program,
-// seeds 0..63 — the shape sweep.RunBatch groups onto wide-machine
-// lanes.
+// seeds 0..63.
 func sweepProg() repro.Program {
 	return repro.Synthesize(repro.AlternatingPhases(3000, 250), 7)
 }
@@ -604,9 +600,9 @@ func sweepOptions(seed int64) repro.Options {
 	}
 }
 
-// BenchmarkScalarSweep64 is the pre-wide baseline: 64 points simulated
-// one after another on a single goroutine, the way a naive sweep loop
-// runs a grid. Compare Mcycles/s against BenchmarkWideSweep64.
+// BenchmarkScalarSweep64 simulates 64 points one after another on a
+// single goroutine, the way a naive sweep loop runs a grid; Mcycles/s is
+// the per-core simulation throughput a sweep scales from.
 func BenchmarkScalarSweep64(b *testing.B) {
 	prog := sweepProg()
 	total := 0
@@ -619,46 +615,6 @@ func BenchmarkScalarSweep64(b *testing.B) {
 				b.Fatal(err)
 			}
 			total += st.Cycles
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
-}
-
-// BenchmarkWideSweep64 runs the same 64-point sweep through
-// sweep.RunBatch: points grouped 8 to a wide machine, groups spread
-// over GOMAXPROCS workers — the path rssd's executor and rsssim -lanes
-// take. Results are bit-identical to the scalar baseline (see
-// widemachine_test.go); only the aggregate cycles/sec changes.
-func BenchmarkWideSweep64(b *testing.B) {
-	prog := sweepProg()
-	ctx := context.Background()
-	total := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycles, err := sweep.RunBatch(ctx, 64, 0, 8,
-			func(int) string { return "homogeneous" },
-			func(ctx context.Context, idxs []int) []int {
-				lanes := make([]wide.Lane, len(idxs))
-				for j, idx := range idxs {
-					lanes[j] = wide.Lane{M: repro.NewMachine(prog, sweepOptions(int64(idx))), MaxCycles: 2_000_000}
-				}
-				w := wide.New(lanes)
-				results, _ := w.RunContext(ctx)
-				out := make([]int, len(results))
-				for j, r := range results {
-					if r.Err != nil {
-						b.Error(r.Err)
-					}
-					out[j] = r.Stats.Cycles
-				}
-				return out
-			})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cycles {
-			total += c
 		}
 	}
 	b.StopTimer()

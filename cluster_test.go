@@ -1,5 +1,5 @@
 // Tests for the multi-core reconfigurable cluster (ARCHITECTURE.md
-// §18): K=1 bit-identity with the scalar machine, the arbiter's
+// §17): K=1 bit-identity with the scalar machine, the arbiter's
 // no-double-lease safety property under randomized multi-core request
 // streams, allocation-vector structural validity every cycle, per-core
 // telemetry labelling against the schema goldens, zero-allocation

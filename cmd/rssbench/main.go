@@ -15,12 +15,8 @@
 // workload (deterministic for a given -synth-seed), so a bare rssbench
 // against a fresh rssd produces a meaningful table.
 //
-// The grid is ordered seed-innermost on purpose: points of one
-// policy × latency cell differ only by seed, which is exactly the
-// lane-compatibility rule of rssd's wide machine, so the server batches
-// each cell's seed replicas onto the lanes of one simulator pass (see
-// rssd's -batch-lanes). Results are unaffected — lane runs are
-// bit-identical to scalar runs — only throughput changes.
+// The grid is ordered seed-innermost, so each policy × latency cell's
+// seed replicas are adjacent point indexes and finish close together.
 package main
 
 import (
@@ -192,9 +188,7 @@ func run(addr, program string, synthLen, synthPer int, synthSeed int64,
 	}
 
 	// Build the grid in deterministic order: policy-major, then latency,
-	// then seed — the point index maps back through the same order, and
-	// seed-innermost keeps each cell's replicas adjacent so the server
-	// can batch them onto one wide machine.
+	// then seed — the point index maps back through the same order.
 	var grid []gridPoint
 	for _, pname := range policyNames {
 		p, err := repro.ParsePolicy(pname)
@@ -305,8 +299,7 @@ func run(addr, program string, synthLen, synthPer int, synthSeed int64,
 
 // pruneGrid ranks the whole grid with the analytic queueing model and
 // keeps the top fraction f, preserving the original (seed-innermost)
-// point order so the server's wide-machine batching still applies. It
-// returns the kept grid, the matching specs, and the model's predicted
+// point order. It returns the kept grid, the matching specs, and the model's predicted
 // IPC keyed by the new point index.
 func pruneGrid(prog repro.Program, grid []gridPoint, specs []api.RunSpec, f float64) ([]gridPoint, []api.RunSpec, map[int]float64, error) {
 	type ranked struct {

@@ -1,7 +1,6 @@
 // rssd serves the simulator as a batch HTTP/JSON service: assemble
-// programs, run single simulations, fan synchronous sweeps out over a
-// bounded worker pool, and run durable asynchronous sweep jobs sharded
-// across a worker fleet. See internal/server for the API and the
+// programs, run single simulations, and run durable asynchronous sweep
+// jobs over a bounded worker pool or sharded across a worker fleet. See internal/server for the API and the
 // README's "Server mode" and "Jobs API" sections for curl quick starts.
 //
 // Usage:
@@ -54,13 +53,11 @@ func main() {
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied deadlines")
 		maxCycles    = flag.Int("max-cycles", 50_000_000, "default cycle budget per simulation")
 		cyclesCap    = flag.Int("cycles-cap", 500_000_000, "hard cap on request cycle budgets")
-		cacheSize    = flag.Int("cache", 64, "assembled-program LRU capacity (negative disables)")
-		sweepPoints  = flag.Int("sweep-points", 256, "max grid points per sweep request")
+		cacheSize    = flag.Int("cache", 64, "loaded-program LRU capacity (negative disables)")
 		jobPoints    = flag.Int("job-points", 4096, "max grid points per asynchronous job")
 		maxJobs      = flag.Int("max-jobs", 64, "max concurrently active (non-terminal) jobs")
 		jobDir       = flag.String("job-dir", "", "durable job-store directory (empty = in-memory jobs)")
 		workerSlots  = flag.Int("worker-slots", 4, "concurrent points per remote worker")
-		batchLanes   = flag.Int("batch-lanes", 0, "wide-machine lane width for batching compatible job points in-process (0 = default 8, 1 disables)")
 		spawnWorkers = flag.Int("spawn-workers", 0, "spawn N local rssd worker processes and shard jobs across them")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests at shutdown")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -100,13 +97,11 @@ func main() {
 		DefaultMaxCycles: *maxCycles,
 		MaxCyclesCap:     *cyclesCap,
 		CacheSize:        *cacheSize,
-		MaxSweepPoints:   *sweepPoints,
 		MaxJobPoints:     *jobPoints,
 		MaxActiveJobs:    *maxJobs,
 		JobDir:           *jobDir,
 		WorkerURLs:       workerURLs,
 		WorkerSlots:      *workerSlots,
-		BatchLanes:       *batchLanes,
 		EnablePprof:      *enablePprof,
 		SpanFlightSize:   *flightSize,
 	})

@@ -27,7 +27,8 @@ type AssembleResponse struct {
 	Words []uint32 `json:"words"`
 	// Disassembly is the canonical one-instruction-per-line rendering.
 	Disassembly string `json:"disassembly"`
-	// Cached reports whether the program came from the assembly cache.
+	// Cached reports whether the assembled program came from the
+	// server's program cache.
 	Cached bool `json:"cached"`
 }
 
@@ -44,8 +45,7 @@ func (p Program) Empty() bool { return p.Source == "" && len(p.Words) == 0 }
 // RunSpec describes one simulation: the machine sizing, the
 // configuration-management policy, and the run budget. The zero value
 // selects the paper's reference machine under the steering policy. It is
-// both the core of RunRequest and the per-point element of sweeps and
-// jobs.
+// both the core of RunRequest and the per-point element of jobs.
 type RunSpec struct {
 	// Policy is the configuration-management policy name; omitted or
 	// empty selects "steering". Unknown names fail decoding.
@@ -70,7 +70,8 @@ type RunSpec struct {
 type EstimateRequest struct {
 	// Source is assembly text (assembled through the program cache).
 	Source string `json:"source,omitempty"`
-	// Words is the binary program form, for pre-assembled jobs.
+	// Words is the binary program form, for pre-assembled jobs
+	// (decoded through the program cache).
 	Words []uint32 `json:"words,omitempty"`
 
 	RunSpec
@@ -84,7 +85,8 @@ type EstimateResponse struct {
 	// ElapsedUs is the wall-clock model solve time in microseconds —
 	// the number to compare against RunResponse.ElapsedMs.
 	ElapsedUs float64 `json:"elapsedUs"`
-	// Cached reports whether the program came from the assembly cache.
+	// Cached reports whether the program came from the server's program
+	// cache: a repeat of the same source text or the same words.
 	Cached bool `json:"cached"`
 }
 
@@ -93,7 +95,8 @@ type EstimateResponse struct {
 type RunRequest struct {
 	// Source is assembly text (assembled through the program cache).
 	Source string `json:"source,omitempty"`
-	// Words is the binary program form, for pre-assembled jobs.
+	// Words is the binary program form, for pre-assembled jobs
+	// (decoded through the program cache).
 	Words []uint32 `json:"words,omitempty"`
 	// TimeoutMs overrides the server's default per-request deadline,
 	// capped at the server maximum.
@@ -109,7 +112,8 @@ type RunResponse struct {
 	Report json.RawMessage `json:"report"`
 	// ElapsedMs is the wall-clock simulation time in milliseconds.
 	ElapsedMs float64 `json:"elapsedMs"`
-	// Cached reports whether the program came from the assembly cache.
+	// Cached reports whether the program came from the server's program
+	// cache: a repeat of the same source text or the same words.
 	Cached bool `json:"cached"`
 }
 
@@ -134,40 +138,6 @@ type ClusterSummary struct {
 	Cycles       int     `json:"cycles"`
 	AggregateIPC float64 `json:"aggregateIPC"`
 	Fairness     float64 `json:"fairness"`
-}
-
-// SweepRequest is the body of POST /v1/sweep: one program fanned out
-// over a grid of run specifications. Exactly one of Source or Words
-// must be set.
-//
-// Deprecated: /v1/sweep is the synchronous legacy surface, kept as a
-// thin wrapper over the jobs path (POST /v1/jobs). New callers should
-// submit a job and stream /v1/jobs/{id}/events instead — a sweep's
-// results die with the connection, a job's survive in the store.
-type SweepRequest struct {
-	Source string   `json:"source,omitempty"`
-	Words  []uint32 `json:"words,omitempty"`
-	// Points is the grid, one RunSpec per simulation.
-	Points []RunSpec `json:"points"`
-	// TimeoutMs bounds the whole sweep, not each point.
-	TimeoutMs int `json:"timeoutMs,omitempty"`
-}
-
-// SweepResponse reports a completed sweep. Point failures (say, one
-// point exhausting its cycle budget) are data, not request failures:
-// they ride in the point's Error field while the sweep returns 200.
-type SweepResponse struct {
-	Points    []SweepPointResult `json:"points"`
-	ElapsedMs float64            `json:"elapsedMs"`
-	Cached    bool               `json:"cached"`
-}
-
-// SweepPointResult is one grid point's outcome: a report or an error.
-type SweepPointResult struct {
-	Index  int             `json:"index"`
-	Policy string          `json:"policy"`
-	Report json.RawMessage `json:"report,omitempty"`
-	Error  *Error          `json:"error,omitempty"`
 }
 
 // HealthResponse is the body of GET /v1/healthz.

@@ -177,14 +177,6 @@ func (c *Client) Estimate(ctx context.Context, req api.EstimateRequest) (api.Est
 	return out, err
 }
 
-// Sweep executes a synchronous sweep (the legacy surface; prefer
-// SubmitJob + StreamEvents for anything that should survive a restart).
-func (c *Client) Sweep(ctx context.Context, req api.SweepRequest) (api.SweepResponse, error) {
-	var out api.SweepResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sweep", req, &out)
-	return out, err
-}
-
 // Health fetches /v1/healthz. A draining server answers 503, returned
 // as an *api.Error with the decoded envelope-free body discarded.
 func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {

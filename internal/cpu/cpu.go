@@ -690,19 +690,6 @@ func (p *Processor) Cycle() {
 	p.sampleTelemetry()
 }
 
-// Advance runs up to n cycles, stopping early when HALT retires, and
-// returns the number of cycles consumed. It is the lockstep-stepping
-// primitive of the lane-parallel wide machine: the batch scheduler
-// advances each lane one chunk at a time, and a lane that halts inside
-// its chunk hands the remainder of the pass to the other lanes.
-func (p *Processor) Advance(n int) int {
-	start := p.stats.Cycles
-	for i := 0; i < n && !p.halted; i++ {
-		p.Cycle()
-	}
-	return p.stats.Cycles - start
-}
-
 // Run executes until HALT retires or maxCycles elapse. It returns the
 // stats and an error wrapping ErrCycleLimit when the cycle budget ran
 // out — which, with FFUs enabled, indicates a genuine simulator bug, and

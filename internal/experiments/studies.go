@@ -908,8 +908,9 @@ func X18() string {
 	type outcome struct {
 		st  cpu.Stats
 		err error
+		col *telemetry.Collector
 	}
-	results, series := sweep.Run2(len(policies), 0, func(i int) (outcome, *telemetry.Collector) {
+	results := sweep.Run(len(policies), 0, func(i int) outcome {
 		p, policy := buildMachinePolicy(prog, cpu.DefaultParams(), policies[i])
 		probe := telemetry.NewProbe(interval)
 		col := &telemetry.Collector{}
@@ -919,14 +920,14 @@ func X18() string {
 			ts.SetTelemetry(probe)
 		}
 		st, err := p.Run(MaxCycles)
-		return outcome{st, err}, col
+		return outcome{st, err, col}
 	})
 
 	t := stats.NewTable("per-policy time-series summary",
 		"policy", "IPC", "samples", "mean occupancy", "mean reconfiguring slots",
 		"decisions", "stall slot-cycles", "peak window reconfigs")
 	for i, name := range policies {
-		r, col := results[i], series[i]
+		r, col := results[i], results[i].col
 		if r.err != nil {
 			t.AddRow(name, "DNF", len(col.Samples), "-", "-", len(col.Decisions), "-", "-")
 			continue

@@ -53,32 +53,6 @@ type Pinger interface {
 	Ping(ctx context.Context) error
 }
 
-// BatchExecutor is an optional Executor extension for backends that can
-// run several points of one job as a single batch — the lane-parallel
-// wide machine. When a slot pulls a point whose BatchKey is non-empty,
-// it opportunistically grabs up to MaxBatch-1 further queued points of
-// the same job with the same key (no waiting: whatever is ready now)
-// and hands the group to ExecuteBatch.
-//
-// The error contract extends Executor's: ExecuteBatch returns one
-// result per point, in point order, with per-point failures (cycle
-// limit, deadline) as result data; a non-nil err is a worker-level
-// failure of the whole batch, and every point is requeued together.
-type BatchExecutor interface {
-	Executor
-	// BatchKey returns a non-empty grouping key when p may run in a
-	// batch: points with equal keys are lane-compatible (identical
-	// machine shape — Params, Policy, MinResidency — with only seed
-	// and cycle budget varying). An empty key keeps p on the scalar
-	// Execute path.
-	BatchKey(p ExecPoint) string
-	// MaxBatch is the executor's lane capacity per batch.
-	MaxBatch() int
-	// ExecuteBatch runs the points as one batch. len(results) ==
-	// len(ps) on success, results[i] for ps[i].
-	ExecuteBatch(ctx context.Context, ps []ExecPoint) ([]*api.PointResult, error)
-}
-
 // Observer receives fabric lifecycle callbacks — the hook the server
 // uses to land job progress on the telemetry registry and the span
 // flight recorder. Implementations must be cheap and non-blocking; a
@@ -310,33 +284,6 @@ func (c *Coordinator) pop() (ExecPoint, bool) {
 	}
 }
 
-// popCompatible grabs up to max additional queued points of job j whose
-// batch key matches key, without blocking — the opportunistic fill of a
-// wide-machine batch. Points of other jobs, other keys, or non-running
-// jobs stay queued (the usual pop path drops stale ones later).
-func (c *Coordinator) popCompatible(j *Job, key string, max int, keyOf func(ExecPoint) string) []ExecPoint {
-	if max <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	var out []ExecPoint
-	kept := c.queue[:0]
-	for _, t := range c.queue {
-		if len(out) < max && t.Job == j && t.Job.State() == api.JobRunning && keyOf(t) == key {
-			out = append(out, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	c.queue = kept
-	depth := len(c.queue)
-	c.mu.Unlock()
-	if len(out) > 0 {
-		c.obs.QueueDepth(depth)
-	}
-	return out
-}
-
 // purge drops queued points of j after a cancel.
 func (c *Coordinator) purge(j *Job) {
 	c.mu.Lock()
@@ -373,14 +320,6 @@ func (c *Coordinator) slotLoop(e Executor) {
 		if ms := j.Spec.PointTimeoutMs; ms > 0 {
 			pctx, cancel = context.WithTimeout(pctx, time.Duration(ms)*time.Millisecond)
 		}
-		if be, ok := e.(BatchExecutor); ok {
-			if key := be.BatchKey(t); key != "" {
-				batch := append([]ExecPoint{t}, c.popCompatible(j, key, be.MaxBatch()-1, be.BatchKey)...)
-				c.runBatch(be, j, batch, pctx)
-				cancel()
-				continue
-			}
-		}
 		res, err := e.Execute(pctx, t)
 		cancel()
 		if err != nil {
@@ -388,31 +327,6 @@ func (c *Coordinator) slotLoop(e Executor) {
 			continue
 		}
 		c.complete(j, finishResult(e, t, res))
-	}
-}
-
-// runBatch executes a lane-compatible point group on a batch-capable
-// executor and lands the outcomes: per-point results complete
-// individually; a worker-level batch failure requeues every point (one
-// health wait for the whole group, not one per point).
-func (c *Coordinator) runBatch(be BatchExecutor, j *Job, batch []ExecPoint, ctx context.Context) {
-	results, err := be.ExecuteBatch(ctx, batch)
-	if err != nil {
-		wait := false
-		for _, t := range batch {
-			wait = c.requeue(be, t, err) || wait
-		}
-		if wait {
-			c.waitHealthy(be)
-		}
-		return
-	}
-	for i, t := range batch {
-		var res *api.PointResult
-		if i < len(results) {
-			res = results[i]
-		}
-		c.complete(j, finishResult(be, t, res))
 	}
 }
 
@@ -432,21 +346,11 @@ func finishResult(e Executor, t ExecPoint, res *api.PointResult) *api.PointResul
 // handleWorkerFailure requeues a point whose worker died under it and
 // sidelines the executor until it pings healthy again.
 func (c *Coordinator) handleWorkerFailure(e Executor, t ExecPoint, err error) {
-	if c.requeue(e, t, err) {
-		c.waitHealthy(e)
-	}
-}
-
-// requeue is handleWorkerFailure without the health wait — the batch
-// failure path requeues every lane first and waits once. It reports
-// whether the point went back on the queue (so the caller health-checks
-// the executor before it pulls again).
-func (c *Coordinator) requeue(e Executor, t ExecPoint, err error) bool {
 	j := t.Job
 	if c.ctx.Err() != nil || j.State() != api.JobRunning {
 		// Shutdown or cancel: the point stays pending; a Resume after
 		// restart re-runs it. Nothing to requeue now.
-		return false
+		return
 	}
 	t.Attempt++
 	j.noteRequeue()
@@ -461,10 +365,10 @@ func (c *Coordinator) requeue(e Executor, t ExecPoint, err error) bool {
 			},
 			Attempts: t.Attempt,
 		})
-		return false
+		return
 	}
 	c.push(t)
-	return true
+	c.waitHealthy(e)
 }
 
 // waitHealthy blocks this slot until its executor answers a health

@@ -34,9 +34,9 @@ import (
 type Spec struct {
 	// Label is a free-form tag from the submitter.
 	Label string `json:"label,omitempty"`
-	// Kind tags the submitting surface ("job" for POST /v1/jobs,
-	// "sweep" for the legacy synchronous shim); it keys metrics and
-	// span lanes.
+	// Kind tags the submitting surface: "job" for POST /v1/jobs. Stores
+	// written by older servers may also hold "sweep" jobs from the
+	// retired synchronous endpoint; they resume like any other job.
 	Kind string `json:"kind"`
 	// Program is the simulation program, source or binary form.
 	Program api.Program `json:"program"`

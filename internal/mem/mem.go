@@ -5,36 +5,81 @@
 // by index; the trace cache lives in package fetch.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Memory is a flat little-endian byte-addressable memory. Addresses wrap
 // modulo the (power-of-two) size, so wild speculative addresses read and
 // write harmlessly inside the array instead of faulting — the simulator
 // equivalent of a physical address space.
+//
+// Storage is paged: a 4 KiB page is allocated on its first store, and
+// a page never written reads as zero. A machine pays only for the pages
+// its program touches, not for the whole address space.
 type Memory struct {
-	data []byte
-	mask uint32
+	pages []*[pageSize]byte
+	mask  uint32
 }
 
 // DefaultSize is the default memory size (1 MiB).
 const DefaultSize = 1 << 20
 
-// NewMemory allocates a memory of the given power-of-two size in bytes.
+// pageSize is the allocation granule of a Memory, in bytes.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// NewMemory creates a memory of the given power-of-two size in bytes.
+// No page is allocated until the first store.
 func NewMemory(size int) *Memory {
 	if size <= 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("mem: size %d is not a positive power of two", size))
 	}
-	return &Memory{data: make([]byte, size), mask: uint32(size - 1)}
+	return &Memory{pages: make([]*[pageSize]byte, (size+pageMask)>>pageShift), mask: uint32(size - 1)}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return int(m.mask) + 1 }
+
+// page returns the page holding wrapped address a and a's offset in it;
+// the page is nil if it was never written.
+func (m *Memory) page(a uint32) (*[pageSize]byte, uint32) {
+	return m.pages[a>>pageShift], a & pageMask
+}
+
+// writablePage is page, allocating the page on first use.
+func (m *Memory) writablePage(a uint32) (*[pageSize]byte, uint32) {
+	p, off := m.page(a)
+	if p == nil {
+		p = new([pageSize]byte)
+		m.pages[a>>pageShift] = p
+	}
+	return p, off
+}
+
+// inPage reports whether the n bytes at wrapped address a lie in one
+// page without wrapping past the top of memory.
+func (m *Memory) inPage(a, n uint32) bool {
+	return a&pageMask <= pageSize-n && m.mask-a >= n-1
+}
 
 // LoadByte reads one byte.
-func (m *Memory) LoadByte(addr uint32) uint8 { return m.data[addr&m.mask] }
+func (m *Memory) LoadByte(addr uint32) uint8 {
+	if p, off := m.page(addr & m.mask); p != nil {
+		return p[off]
+	}
+	return 0
+}
 
 // StoreByte writes one byte.
-func (m *Memory) StoreByte(addr uint32, v uint8) { m.data[addr&m.mask] = v }
+func (m *Memory) StoreByte(addr uint32, v uint8) {
+	p, off := m.writablePage(addr & m.mask)
+	p[off] = v
+}
 
 // LoadHalf reads a little-endian 16-bit value.
 func (m *Memory) LoadHalf(addr uint32) uint16 {
@@ -49,11 +94,22 @@ func (m *Memory) StoreHalf(addr uint32, v uint16) {
 
 // LoadWord reads a little-endian 32-bit value.
 func (m *Memory) LoadWord(addr uint32) uint32 {
+	if a := addr & m.mask; m.inPage(a, 4) {
+		if p, off := m.page(a); p != nil {
+			return binary.LittleEndian.Uint32(p[off:])
+		}
+		return 0
+	}
 	return uint32(m.LoadHalf(addr)) | uint32(m.LoadHalf(addr+2))<<16
 }
 
 // StoreWord writes a little-endian 32-bit value.
 func (m *Memory) StoreWord(addr uint32, v uint32) {
+	if a := addr & m.mask; m.inPage(a, 4) {
+		p, off := m.writablePage(a)
+		binary.LittleEndian.PutUint32(p[off:], v)
+		return
+	}
 	m.StoreHalf(addr, uint16(v))
 	m.StoreHalf(addr+2, uint16(v>>16))
 }

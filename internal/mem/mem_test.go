@@ -70,6 +70,152 @@ func TestWriteReadWords(t *testing.T) {
 	}
 }
 
+// resident counts allocated pages.
+func resident(m *Memory) int {
+	n := 0
+	for _, p := range m.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestUntouchedPagesReadZero(t *testing.T) {
+	m := NewMemory(DefaultSize)
+	for _, addr := range []uint32{0, 5, pageSize, DefaultSize - 4, 0xdeadbeef} {
+		if got := m.LoadWord(addr); got != 0 {
+			t.Errorf("LoadWord(%#x) = %#x on fresh memory", addr, got)
+		}
+		if got := m.LoadByte(addr); got != 0 {
+			t.Errorf("LoadByte(%#x) = %#x on fresh memory", addr, got)
+		}
+	}
+	if n := resident(m); n != 0 {
+		t.Errorf("reads allocated %d pages", n)
+	}
+	m.StoreByte(3*pageSize+7, 9)
+	if n := resident(m); n != 1 {
+		t.Errorf("one store allocated %d pages, want 1", n)
+	}
+	if got := m.LoadWord(3 * pageSize); got != 0 {
+		t.Errorf("untouched bytes of a written page = %#x, want 0", got)
+	}
+}
+
+func TestWordStraddlesPageBoundary(t *testing.T) {
+	m := NewMemory(1 << 16)
+	const v = uint32(0xa1b2c3d4)
+	for _, addr := range []uint32{pageSize - 1, pageSize - 2, pageSize - 3} {
+		m.StoreWord(addr, v)
+		if got := m.LoadWord(addr); got != v {
+			t.Errorf("word at %#x = %#x", addr, got)
+		}
+		if got := m.LoadByte(pageSize); got != uint8(v>>(8*(pageSize-addr))) {
+			t.Errorf("word at %#x: first byte of next page = %#x", addr, got)
+		}
+	}
+	if got := m.LoadHalf(pageSize - 1); got != uint16(m.LoadByte(pageSize-1))|uint16(m.LoadByte(pageSize))<<8 {
+		t.Errorf("straddling half = %#x", got)
+	}
+}
+
+func TestStoreAtTopWrapsToZero(t *testing.T) {
+	for _, size := range []int{1 << 10, pageSize, 1 << 20} {
+		m := NewMemory(size)
+		top := uint32(size - 2)
+		m.StoreWord(top, 0x04030201)
+		for i, want := range []uint8{1, 2, 3, 4} {
+			addr := (top + uint32(i)) % uint32(size)
+			if got := m.LoadByte(addr); got != want {
+				t.Errorf("size %d: byte at %#x = %d, want %d", size, addr, got, want)
+			}
+		}
+		if got := m.LoadWord(top); got != 0x04030201 {
+			t.Errorf("size %d: wrapped word = %#x", size, got)
+		}
+	}
+}
+
+func TestMemorySmallerThanPage(t *testing.T) {
+	for _, size := range []int{1, 2, 4, 64, pageSize / 2} {
+		m := NewMemory(size)
+		if m.Size() != size {
+			t.Errorf("Size() = %d, want %d", m.Size(), size)
+		}
+		m.StoreWord(0, 0x11223344)
+		// Every address aliases modulo size: a 1-byte memory keeps only
+		// the last byte stored, a 2-byte memory the last half.
+		for addr := uint32(0); addr < 8; addr++ {
+			if got, want := m.LoadByte(addr+uint32(size)), m.LoadByte(addr); got != want {
+				t.Errorf("size %d: byte %d does not alias modulo size (%#x vs %#x)", size, addr, got, want)
+			}
+		}
+		if size >= 4 && m.LoadWord(uint32(size)) != 0x11223344 {
+			t.Errorf("size %d: word at size = %#x, want the word at 0", size, m.LoadWord(uint32(size)))
+		}
+	}
+}
+
+func TestSize(t *testing.T) {
+	for _, size := range []int{1, 1 << 10, pageSize, DefaultSize, 1 << 24} {
+		if got := NewMemory(size).Size(); got != size {
+			t.Errorf("NewMemory(%d).Size() = %d", size, got)
+		}
+	}
+}
+
+// TestMatchesFlatReference drives random mixed-width accesses, many of
+// them unaligned or straddling pages and the top of memory, against a
+// plain byte-slice model of the same memory.
+func TestMatchesFlatReference(t *testing.T) {
+	for _, size := range []int{16, pageSize, 4 * pageSize} {
+		m := NewMemory(size)
+		ref := make([]byte, size)
+		mask := uint32(size - 1)
+		rng := rand.New(rand.NewSource(int64(size)))
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint32()
+			if rng.Intn(2) == 0 {
+				// Bias towards page and memory edges.
+				addr = uint32(rng.Intn(size/pageSize+1)*pageSize) - uint32(rng.Intn(4))
+			}
+			width := []uint32{1, 2, 4}[rng.Intn(3)]
+			if rng.Intn(2) == 0 {
+				v := rng.Uint32()
+				for b := uint32(0); b < width; b++ {
+					ref[(addr+b)&mask] = byte(v >> (8 * b))
+				}
+				switch width {
+				case 1:
+					m.StoreByte(addr, uint8(v))
+				case 2:
+					m.StoreHalf(addr, uint16(v))
+				case 4:
+					m.StoreWord(addr, v)
+				}
+				continue
+			}
+			var want uint32
+			for b := uint32(0); b < width; b++ {
+				want |= uint32(ref[(addr+b)&mask]) << (8 * b)
+			}
+			var got uint32
+			switch width {
+			case 1:
+				got = uint32(m.LoadByte(addr))
+			case 2:
+				got = uint32(m.LoadHalf(addr))
+			case 4:
+				got = m.LoadWord(addr)
+			}
+			if got != want {
+				t.Fatalf("size %d op %d: %d-byte load at %#x = %#x, want %#x", size, i, width, addr, got, want)
+			}
+		}
+	}
+}
+
 func TestCacheGeometryValidation(t *testing.T) {
 	cases := []struct{ sets, line, penalty int }{
 		{0, 32, 10}, {64, 0, 10}, {64, 33, 10}, {64, 32, -1},

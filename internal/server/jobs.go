@@ -9,14 +9,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"repro"
 	"repro/internal/api"
 	"repro/internal/job"
-	"repro/internal/wide"
 )
 
 // localExecutor runs job points in-process. Each point competes for the
@@ -39,7 +36,10 @@ func (e *localExecutor) Slots() int { return e.s.cfg.Workers }
 // leaves the point pending instead of recording a bogus result.
 func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.PointResult, error) {
 	s := e.s
-	kind := p.Job.Spec.Kind + "_point" // "sweep_point" | "job_point"
+	// One metric and span kind for every point, whatever surface
+	// submitted the job: a resumed store may hold kinds this server no
+	// longer registers histograms for.
+	const kind = "job_point"
 	res := &api.PointResult{Index: p.Index, Policy: p.Spec.Policy.String(), Worker: "local"}
 	lp, err := s.load(p.Job.Spec.Program.Source, p.Job.Spec.Program.Words)
 	if err != nil {
@@ -72,130 +72,6 @@ func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.Poin
 	}
 	res.Report = report
 	return res, nil
-}
-
-// BatchKey implements job.BatchExecutor: two points are lane-compatible
-// when their resolved specs agree on everything but seed and cycle
-// budget — the wide machine's eligibility rule (identical Params,
-// Policy, MinResidency select identical code paths; seed, workload and
-// budget may diverge per lane). The key is the spec JSON with the
-// per-lane fields zeroed. Batching off (BatchLanes 1) keys everything
-// to the scalar path.
-func (e *localExecutor) BatchKey(p job.ExecPoint) string {
-	if e.s.cfg.BatchLanes <= 1 {
-		return ""
-	}
-	// Cluster points (Cores > 1) run K full machines against one shared
-	// fabric; they cannot fold into wide-machine lanes.
-	if p.Spec.Params.Cores > 1 {
-		return ""
-	}
-	spec := p.Spec
-	spec.Seed = 0
-	spec.MaxCycles = 0
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-// MaxBatch implements job.BatchExecutor: the configured lane width.
-func (e *localExecutor) MaxBatch() int { return e.s.cfg.BatchLanes }
-
-// ExecuteBatch implements job.BatchExecutor: the point group runs as
-// lanes of one wide machine under a single worker slot, and results are
-// demuxed per lane — each point gets exactly the report the scalar
-// Execute path would have produced (lanes are full scalar machines over
-// the same bitboard substrates, so stats are bit-identical by
-// construction). The error contract matches Execute lane-wise: a cycle
-// limit or point deadline is point data; a cancellation fails the whole
-// batch so the coordinator requeues every lane together.
-func (e *localExecutor) ExecuteBatch(ctx context.Context, ps []job.ExecPoint) ([]*api.PointResult, error) {
-	s := e.s
-	if len(ps) == 1 {
-		res, err := e.Execute(ctx, ps[0])
-		if err != nil {
-			return nil, err
-		}
-		return []*api.PointResult{res}, nil
-	}
-	first := ps[0]
-	kind := first.Job.Spec.Kind + "_point"
-	out := make([]*api.PointResult, len(ps))
-	for i, p := range ps {
-		out[i] = &api.PointResult{Index: p.Index, Policy: p.Spec.Policy.String(), Worker: "local"}
-	}
-	lp, err := s.load(first.Job.Spec.Program.Source, first.Job.Spec.Program.Words)
-	if err != nil {
-		// Deterministic reassembly failure: point-level data for every
-		// lane, exactly like the scalar path.
-		for _, res := range out {
-			_, res.Error = api.Classify(err)
-		}
-		return out, nil
-	}
-	if err := s.pool.acquire(ctx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			for _, res := range out {
-				_, res.Error = api.Classify(err)
-			}
-			return out, nil
-		}
-		return nil, err
-	}
-	defer s.pool.release()
-	acquired := time.Now()
-	for _, p := range ps {
-		s.observeQueueWait(kind, acquired.Sub(p.Enqueued))
-		s.spans.Record(p.Job.SpanReq, "queue-wait", kind, p.Index, p.Enqueued, acquired)
-	}
-
-	lanes := make([]wide.Lane, len(ps))
-	for i, p := range ps {
-		lanes[i] = wide.Lane{
-			M: lp.newMachine(repro.Options{
-				Params:       p.Spec.Params,
-				Policy:       p.Spec.Policy,
-				Seed:         p.Spec.Seed,
-				MinResidency: p.Spec.MinResidency,
-			}),
-			MaxCycles: p.Spec.MaxCycles,
-		}
-	}
-	w := wide.New(lanes)
-	start := time.Now()
-	results, ctxErr := w.RunContext(ctx)
-	elapsed := time.Since(start)
-	if ctxErr != nil && errors.Is(ctxErr, context.Canceled) {
-		// Job cancelled or server shutting down: worker-level failure of
-		// the whole batch; completed lanes re-run after resume (results
-		// are deterministic, so the replay is byte-identical).
-		return nil, ctxErr
-	}
-	elapsedMs := float64(elapsed) / float64(time.Millisecond)
-	for i, p := range ps {
-		res := out[i]
-		res.ElapsedMs = elapsedMs
-		s.observeJob(kind, elapsed)
-		s.spans.Record(p.Job.SpanReq, "point", kind, p.Index, start, start.Add(elapsed))
-		lerr := results[i].Err
-		if errors.Is(lerr, context.DeadlineExceeded) {
-			s.spans.TriggerDeadline(p.Job.SpanReq, kind, p.Index, start, start.Add(elapsed))
-		}
-		s.accountMachine(w.Lane(i))
-		if lerr != nil {
-			_, res.Error = api.Classify(lerr)
-			continue
-		}
-		report, rerr := w.Lane(i).ReportJSON()
-		if rerr != nil {
-			_, res.Error = api.Classify(fmt.Errorf("rendering report: %w", rerr))
-			continue
-		}
-		res.Report = report
-	}
-	return out, nil
 }
 
 // coordObserver lands fabric lifecycle on the server's metrics and the

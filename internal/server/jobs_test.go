@@ -12,10 +12,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/api"
 	"repro/internal/client"
+	"repro/internal/job"
 )
 
 // busySource loops long enough per point (~at the default machine) that
@@ -85,46 +88,11 @@ func TestJobSubmitAndWait(t *testing.T) {
 	}
 }
 
-// TestJobBatchMatchesScalar pins the wide-machine routing invariant at
-// the service level: a job run through lane batching returns
-// byte-identical per-point reports to the same job run point by point.
-func TestJobBatchMatchesScalar(t *testing.T) {
-	ctx := context.Background()
-	run := func(lanes int) []api.PointResult {
-		_, _, c := newTestServer(t, Config{Workers: 2, BatchLanes: lanes})
-		created, err := c.SubmitJob(ctx, api.JobRequest{
-			Source: haltingSource,
-			Points: jobPoints(5), // ragged: not a multiple of the lane width
-		})
-		if err != nil {
-			t.Fatalf("submit (lanes=%d): %v", lanes, err)
-		}
-		status, err := c.WaitJob(ctx, created.ID, nil)
-		if err != nil {
-			t.Fatalf("wait (lanes=%d): %v", lanes, err)
-		}
-		if status.State != api.JobDone || status.Failed != 0 {
-			t.Fatalf("status (lanes=%d) = %+v, want done with 0 failed", lanes, status)
-		}
-		return status.Points
-	}
-	scalar := run(1)
-	batched := run(4)
-	for i := range scalar {
-		if !bytes.Equal(scalar[i].Report, batched[i].Report) {
-			t.Errorf("point %d: batched report diverges from scalar:\n  scalar:  %s\n  batched: %s",
-				i, scalar[i].Report, batched[i].Report)
-		}
-	}
-}
-
 // TestJobEventsBeforeFinish pins the streaming guarantee: with one
 // worker slot and a deliberately slow final point, the events stream
 // delivers earlier per-point results while the job is still running.
-// Lane batching is off — batched points land together by design, which
-// would let the job finish before the first event is read.
 func TestJobEventsBeforeFinish(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 1, BatchLanes: 1})
+	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
 	points := jobPoints(2)
@@ -253,6 +221,7 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"no program", api.JobRequest{Points: jobPoints(1)}, api.CodeInvalidRequest},
 		{"negative point timeout", api.JobRequest{Source: haltingSource, Points: jobPoints(1), PointTimeoutMs: -1}, api.CodeInvalidRequest},
 		{"bad point", api.JobRequest{Source: haltingSource, Points: []api.RunSpec{{MaxCycles: -1}}}, api.CodeInvalidRequest},
+		{"bad point params", api.JobRequest{Source: haltingSource, Points: []api.RunSpec{{Params: repro.Params{WindowSize: -1}}}}, api.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -426,24 +395,187 @@ func TestJobDurableAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestSweepShimRecordsJobInStore pins the satellite rewiring: the
-// legacy synchronous sweep now runs through the jobs fabric, so its
-// grid shows up as a completed job of kind "sweep".
-func TestSweepShimRecordsJobInStore(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Workers: 2})
-	resp, err := c.Sweep(context.Background(), api.SweepRequest{
-		Source: haltingSource,
-		Points: []api.RunSpec{{}, {}},
+// TestJobResumesRetiredSweepKind pins resume over a store written by an
+// older server: an incomplete job of the retired synchronous "sweep"
+// kind must run to completion like any other job, its points landing
+// on the job_point metrics.
+func TestJobResumesRetiredSweepKind(t *testing.T) {
+	dir := t.TempDir()
+	store, err := job.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	old, err := store.Create(job.Spec{
+		Label:   "sweep",
+		Kind:    "sweep",
+		Program: api.Program{Source: haltingSource},
+		Points:  jobPoints(2),
 	})
-	if err != nil || len(resp.Points) != 2 {
-		t.Fatalf("sweep: %v (%d points)", err, len(resp.Points))
+	if err != nil {
+		t.Fatalf("create: %v", err)
 	}
-	jobs := s.Coordinator().Store().Jobs()
-	if len(jobs) != 1 {
-		t.Fatalf("store holds %d jobs after a sweep, want 1", len(jobs))
+	if err := store.Close(); err != nil {
+		t.Fatalf("close store: %v", err)
 	}
-	if jobs[0].Spec.Kind != "sweep" || jobs[0].State() != api.JobDone {
-		t.Errorf("sweep job = kind %q state %s, want sweep/done", jobs[0].Spec.Kind, jobs[0].State())
+
+	s, err := New(Config{Workers: 2, JobDir: dir})
+	if err != nil {
+		t.Fatalf("New over the old store: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	url := newHTTPServer(t, s)
+	status, err := client.New(url, client.WithRetry(0, -1)).WaitJob(context.Background(), old.ID, nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || status.Done != 2 || status.Failed != 0 {
+		t.Fatalf("resumed sweep job = %+v, want done 2/0 failed", status)
+	}
+	if text := metricsText(t, url); !strings.Contains(text, `rssd_queue_wait_us_count{kind="job_point"} 2`) {
+		t.Errorf("resumed points missing from the job_point queue-wait histogram")
+	}
+}
+
+// runJob submits req and follows it to a terminal state.
+func runJob(t *testing.T, c *client.Client, req api.JobRequest) api.JobStatus {
+	t.Helper()
+	ctx := context.Background()
+	created, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	status, err := c.WaitJob(ctx, created.ID, nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || len(status.Points) != len(req.Points) {
+		t.Fatalf("job = %s with %d results, want done with %d", status.State, len(status.Points), len(req.Points))
+	}
+	return status
+}
+
+func TestJobAllPolicies(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 4})
+	policies := []string{"steering", "static-integer", "static-memory", "static-floating", "ffu-only", "full-reconfig", "oracle", "random", "demand"}
+	req := api.JobRequest{Source: haltingSource}
+	for _, p := range policies {
+		req.Points = append(req.Points, api.RunSpec{Policy: policy(t, p)})
+	}
+	for i, p := range runJob(t, c, req).Points {
+		if p.Index != i {
+			t.Errorf("point %d: index = %d", i, p.Index)
+		}
+		if p.Policy != policies[i] {
+			t.Errorf("point %d: policy = %v, want %s", i, p.Policy, policies[i])
+		}
+		if p.Error != nil {
+			t.Errorf("point %d: unexpected error %v", i, p.Error)
+		}
+		if len(p.Report) == 0 {
+			t.Errorf("point %d: missing report", i)
+		}
+	}
+}
+
+func TestJobWithFaultRates(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{Workers: 2})
+	status := runJob(t, c, api.JobRequest{Source: faultySource, Points: []api.RunSpec{
+		{},
+		{Params: repro.Params{FaultTransientRate: 0.002, FaultSeed: 11, FaultScrubInterval: 64}},
+		{Params: repro.Params{FaultTransientRate: 0.01, FaultSeed: 11, FaultScrubInterval: 64}},
+	}})
+	// The results document over raw HTTP, as a shell client reads it.
+	code, doc := getJSON(t, ts, "/v1/jobs/"+status.ID+"?results=1")
+	if code != http.StatusOK {
+		t.Fatalf("GET job results: status %d (%v)", code, doc)
+	}
+	points := doc["points"].([]any)
+	if len(points) != 3 {
+		t.Fatalf("got %d points, want 3", len(points))
+	}
+	for i, raw := range points {
+		p := raw.(map[string]any)
+		if p["error"] != nil {
+			t.Fatalf("point %d: unexpected error %v", i, p["error"])
+		}
+		_, hasFaults := p["report"].(map[string]any)["faults"]
+		if wantFaults := i > 0; hasFaults != wantFaults {
+			t.Errorf("point %d: faults block present = %v, want %v", i, hasFaults, wantFaults)
+		}
+	}
+}
+
+func TestJobPointErrorIsData(t *testing.T) {
+	_, _, c := newTestServer(t, Config{})
+	// One good point, one that exhausts its cycle budget: the job
+	// completes and the failure rides in the point's error field.
+	status := runJob(t, c, api.JobRequest{Source: haltingSource, Points: []api.RunSpec{{}, {MaxCycles: 2}}})
+	if status.Done != 2 || status.Failed != 1 {
+		t.Errorf("done/failed = %d/%d, want 2/1", status.Done, status.Failed)
+	}
+	if e := status.Points[0].Error; e != nil {
+		t.Errorf("point 0: unexpected error %v", e)
+	}
+	if e := status.Points[1].Error; e == nil || e.Code != api.CodeCycleLimit {
+		t.Errorf("point 1: error = %v, want code %s", e, api.CodeCycleLimit)
+	}
+}
+
+func TestJobsConcurrent(t *testing.T) {
+	// Several jobs in flight at once over a 2-worker pool: results must
+	// stay complete and ordered while points from different jobs
+	// interleave on the shared slots (the -race run is the real check).
+	_, _, c := newTestServer(t, Config{Workers: 2})
+	req := api.JobRequest{
+		Source: haltingSource,
+		Points: []api.RunSpec{
+			{Policy: policy(t, "steering")},
+			{Policy: policy(t, "ffu-only")},
+			{Policy: policy(t, "demand")},
+		},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			created, err := c.SubmitJob(ctx, req)
+			if err != nil {
+				t.Errorf("submit: %v", err)
+				return
+			}
+			status, err := c.WaitJob(ctx, created.ID, nil)
+			if err != nil {
+				t.Errorf("wait: %v", err)
+				return
+			}
+			if status.Done != 3 {
+				t.Errorf("job %s: %d points done, want 3", created.ID, status.Done)
+			}
+			for i, p := range status.Points {
+				if p.Index != i {
+					t.Errorf("job %s: result %d has index %d", created.ID, i, p.Index)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestJobPointDeadline checks a point that outlives pointTimeoutMs fails
+// as data with deadline_exceeded while the job itself completes.
+func TestJobPointDeadline(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 2})
+	status := runJob(t, c, api.JobRequest{
+		Source:         spinSource,
+		PointTimeoutMs: 100,
+		Points:         []api.RunSpec{{MaxCycles: 500_000_000}, {MaxCycles: 500_000_000}},
+	})
+	for i, p := range status.Points {
+		if p.Error == nil || p.Error.Code != api.CodeDeadlineExceeded {
+			t.Errorf("point %d: error = %v, want code %s", i, p.Error, api.CodeDeadlineExceeded)
+		}
 	}
 }
 

@@ -6,12 +6,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/span"
 )
 
@@ -84,38 +87,43 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepSpans checks a sweep records per-point children plus the
-// request-level sweep and encode spans, all under one request ordinal.
-func TestSweepSpans(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 2})
-	body := fmt.Sprintf(`{"source": %q, "points": [{"policy": "steering"}, {"policy": "demand"}]}`, haltingSource)
-	if code, _ := postJSON(t, ts, "/v1/sweep", body); code != http.StatusOK {
-		t.Fatalf("sweep status = %d", code)
-	}
-	doc := flightDoc(t, ts.URL)
-	var points, sweeps, encodes int
+// TestJobSpans checks a job records per-point queue-wait and execution
+// children plus the job-level span, all under one request ordinal.
+func TestJobSpans(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{Workers: 2})
+	runJob(t, c, api.JobRequest{Source: haltingSource, Points: []api.RunSpec{
+		{Policy: policy(t, "steering")}, {Policy: policy(t, "demand")},
+	}})
+	// The job span lands just after the terminal state event, so poll.
+	var points, waits, jobs int
 	reqs := map[uint64]bool{}
-	for _, s := range doc.Spans {
-		reqs[s.Req] = true
-		switch {
-		case s.Name == "point" && s.Kind == "sweep_point":
-			points++
-		case s.Name == "queue-wait" && s.Kind == "sweep_point":
-			if s.Point < 0 || s.Point > 1 {
-				t.Errorf("point queue-wait has index %d", s.Point)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		doc := flightDoc(t, ts.URL)
+		points, waits, jobs = 0, 0, 0
+		clear(reqs)
+		for _, s := range doc.Spans {
+			reqs[s.Req] = true
+			switch {
+			case s.Name == "point" && s.Kind == "job_point":
+				points++
+			case s.Name == "queue-wait" && s.Kind == "job_point":
+				waits++
+				if s.Point < 0 || s.Point > 1 {
+					t.Errorf("point queue-wait has index %d", s.Point)
+				}
+			case s.Name == "job" && s.Kind == "job":
+				jobs++
 			}
-		case s.Name == "sweep":
-			sweeps++
-		case s.Name == "encode":
-			encodes++
+		}
+		if jobs > 0 || time.Now().After(deadline) {
+			break
 		}
 	}
-	if points != 2 || sweeps != 1 || encodes != 1 {
-		t.Errorf("spans = %d points, %d sweeps, %d encodes; want 2/1/1 (all: %+v)",
-			points, sweeps, encodes, doc.Spans)
+	if points != 2 || waits != 2 || jobs != 1 {
+		t.Errorf("spans = %d points, %d queue-waits, %d jobs; want 2/2/1", points, waits, jobs)
 	}
 	if len(reqs) != 1 {
-		t.Errorf("sweep spans cover %d request ordinals, want 1", len(reqs))
+		t.Errorf("job spans cover %d request ordinals, want 1", len(reqs))
 	}
 }
 
@@ -147,17 +155,23 @@ func TestDeadlineTriggerRecorded(t *testing.T) {
 // TestLatencyHistograms checks the queue-wait and handler-duration
 // histograms appear in /metrics with observations after traffic.
 func TestLatencyHistograms(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 2})
+	_, ts, c := newTestServer(t, Config{Workers: 2})
 	postJSON(t, ts, "/v1/run", fmt.Sprintf(`{"source": %q}`, haltingSource))
-	postJSON(t, ts, "/v1/sweep",
+	code, doc := postJSON(t, ts, "/v1/jobs",
 		fmt.Sprintf(`{"source": %q, "points": [{"policy": "steering"}, {"policy": "demand"}]}`, haltingSource))
+	if code != http.StatusAccepted {
+		t.Fatalf("job submit status = %d (%v)", code, doc)
+	}
+	if _, err := c.WaitJob(context.Background(), doc["id"].(string), nil); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
 
 	text := metricsText(t, ts.URL)
 	for _, want := range []string{
 		`rssd_queue_wait_us_count{kind="run"} 1`,
-		`rssd_queue_wait_us_count{kind="sweep_point"} 2`,
+		`rssd_queue_wait_us_count{kind="job_point"} 2`,
 		`rssd_handler_duration_us_count{handler="run"} 1`,
-		`rssd_handler_duration_us_count{handler="sweep"} 1`,
+		`rssd_handler_duration_us_count{handler="jobs"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -3,10 +3,9 @@
 // once (running plus waiting — beyond it requests are rejected with 503
 // rather than piling up), and a slot semaphore capping how many admitted
 // jobs actually simulate concurrently. /v1/run holds one admission token
-// and one slot per request; /v1/sweep holds one admission token for the
-// whole grid while each point competes for a slot, so a wide sweep never
-// exceeds the worker budget and never deadlocks (the sweep itself owns
-// no slot while its points wait).
+// and one slot per request; each job point takes one slot for its
+// simulation and no admission token, so a large job never exceeds the
+// worker budget and never crowds synchronous requests out of admission.
 package server
 
 import "context"

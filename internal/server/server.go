@@ -1,8 +1,8 @@
 // Package server is the rssd batch-simulation service: an HTTP/JSON API
 // over the repro facade that assembles programs, runs single
-// simulations, and fans parameter sweeps out — synchronously over a
-// bounded worker pool, or asynchronously as durable jobs sharded across
-// a worker fleet by the internal/job coordinator. The package owns
+// simulations, and fans parameter sweeps out as durable asynchronous
+// jobs, run in-process over a bounded worker pool or sharded across a
+// worker fleet by the internal/job coordinator. The package owns
 // everything between the socket and the simulator — request validation
 // and size limits, the structured error envelope (internal/api),
 // per-request deadlines wired into Machine.RunContext, the
@@ -14,7 +14,6 @@
 //
 //	POST   /v1/assemble        source → encoded words + disassembly
 //	POST   /v1/run             source or words + RunSpec → run report
-//	POST   /v1/sweep           synchronous sweep (legacy shim over the jobs path)
 //	POST   /v1/jobs            submit a sweep as a durable asynchronous job
 //	GET    /v1/jobs            list jobs
 //	GET    /v1/jobs/{id}       job status (?results=1 adds per-point results)
@@ -45,7 +44,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/wide"
 )
 
 // Config sizes the service; zero fields take the listed defaults.
@@ -67,12 +65,9 @@ type Config struct {
 	DefaultMaxCycles int
 	// MaxCyclesCap clamps request cycle budgets (default 500M).
 	MaxCyclesCap int
-	// CacheSize is the assembled-program LRU capacity (default 64;
+	// CacheSize is the loaded-program LRU capacity (default 64;
 	// negative disables caching).
 	CacheSize int
-	// MaxSweepPoints caps the grid size of one synchronous sweep
-	// (default 256).
-	MaxSweepPoints int
 	// MaxJobPoints caps the grid size of one asynchronous job
 	// (default 4096).
 	MaxJobPoints int
@@ -89,16 +84,6 @@ type Config struct {
 	// WorkerSlots is the per-remote-worker point concurrency
 	// (default 4).
 	WorkerSlots int
-	// BatchLanes is the lane width of the in-process wide machine: how
-	// many lane-compatible job points one executor slot advances in
-	// lockstep as a single batch (default 8, capped at wide.MaxLanes;
-	// 1 disables batching). Widths near the worker count keep sweeps
-	// parallel across slots while each slot amortises scheduling over
-	// its lanes. Batched points complete together, so the events stream
-	// delivers their results in batch-sized bursts rather than one by
-	// one — set 1 when per-point streaming latency matters more than
-	// throughput.
-	BatchLanes int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. The pprof
 	// endpoints bypass the request-counting and latency middleware —
 	// profiling traffic must not pollute service metrics.
@@ -134,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 64
 	}
-	if c.MaxSweepPoints <= 0 {
-		c.MaxSweepPoints = 256
-	}
 	if c.MaxJobPoints <= 0 {
 		c.MaxJobPoints = 4096
 	}
@@ -145,15 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerSlots <= 0 {
 		c.WorkerSlots = 4
-	}
-	if c.BatchLanes == 0 {
-		c.BatchLanes = 8
-	}
-	if c.BatchLanes < 1 {
-		c.BatchLanes = 1
-	}
-	if c.BatchLanes > wide.MaxLanes {
-		c.BatchLanes = wide.MaxLanes
 	}
 	return c
 }
@@ -196,7 +169,7 @@ type Server struct {
 	estimateUs    *telemetry.Histogram          // model solve µs
 
 	// spans is the service flight recorder: request lifecycle spans
-	// (queue-wait → execute → encode, one child per sweep/job point)
+	// (queue-wait → execute → encode, one child per job point)
 	// and deadline-exceeded triggers, served by GET /debug/flightrecorder.
 	spans *span.ServiceRecorder
 }
@@ -210,7 +183,7 @@ var prefetchCounterNames = []string{
 
 // handler and job-kind names used as metric label values.
 var handlerNames = []string{
-	"assemble", "run", "estimate", "sweep", "healthz", "metrics",
+	"assemble", "run", "estimate", "healthz", "metrics",
 	"flightrecorder", "jobs", "jobs_list", "job", "job_events", "job_cancel",
 }
 
@@ -227,7 +200,7 @@ func estimateBottleneckNames() []string {
 }
 
 // jobKindNames label the simulation-latency and queue-wait histograms.
-var jobKindNames = []string{"run", "sweep_point", "job_point"}
+var jobKindNames = []string{"run", "job_point"}
 
 // jobStateNames label rssd_jobs_finished_total.
 var jobStateNames = []string{string(api.JobDone), string(api.JobCancelled)}
@@ -286,9 +259,9 @@ func New(cfg Config) (*Server, error) {
 	s.gaugeQueued = s.registry.NewGauge("rssd_jobs_admitted",
 		"Jobs admitted and not yet finished (running plus waiting).")
 	s.cacheHits = s.registry.NewCounter("rssd_program_cache_hits_total",
-		"Assembly requests served from the program cache.")
+		"Program loads (source or words) served from the program cache.")
 	s.cacheMisses = s.registry.NewCounter("rssd_program_cache_misses_total",
-		"Assembly requests that had to assemble from source.")
+		"Program loads that had to assemble the source or decode the words.")
 	s.steerHits = s.registry.NewCounter("rssd_steering_cache_hits_total",
 		"Steering-cache hits aggregated over simulations run by this server.")
 	s.steerMisses = s.registry.NewCounter("rssd_steering_cache_misses_total",
@@ -309,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 		"Analytic model solve time in microseconds (profile plus fixed point, excluding assembly).",
 		usBounds)
 	s.jobsSubmitted = s.registry.NewCounter("rssd_sweep_jobs_submitted_total",
-		"Sweep jobs accepted by the coordinator (both surfaces: /v1/jobs and the /v1/sweep shim).")
+		"Sweep jobs accepted by the coordinator through POST /v1/jobs.")
 	s.jobsFinished = map[string]*telemetry.Counter{}
 	for _, state := range jobStateNames {
 		s.jobsFinished[state] = s.registry.NewCounter("rssd_sweep_jobs_finished_total",
@@ -358,7 +331,6 @@ func New(cfg Config) (*Server, error) {
 	timed("POST /v1/assemble", "assemble", s.handleAssemble)
 	timed("POST /v1/run", "run", s.handleRun)
 	timed("POST /v1/estimate", "estimate", s.handleEstimate)
-	timed("POST /v1/sweep", "sweep", s.handleSweep)
 	timed("POST /v1/jobs", "jobs", s.handleJobSubmit)
 	timed("GET /v1/jobs", "jobs_list", s.handleJobList)
 	timed("GET /v1/jobs/{id}", "job", s.handleJobGet)
@@ -515,51 +487,56 @@ func (s *Server) timeout(ms int) (time.Duration, error) {
 	return d, nil
 }
 
-// loadedProgram is a program ready to run: an assembled unit (source
-// path, shared via the cache) or a bare program (binary words path).
+// loadedProgram is a program ready to run: a unit shared via the
+// program cache. Binary words load as a unit with no data segments.
 type loadedProgram struct {
 	unit   *repro.Unit
-	prog   repro.Program
 	cached bool
 }
 
-// newMachine builds a fresh machine for one job. Units and programs are
-// read-only at run time, so concurrent jobs share them safely — each
-// machine gets its own memory image.
+// newMachine builds a fresh machine for one job. Units are read-only at
+// run time, so concurrent jobs share them safely — each machine gets its
+// own memory image.
 func (lp loadedProgram) newMachine(opt repro.Options) *repro.Machine {
-	if lp.unit != nil {
-		return repro.NewMachineFromUnit(lp.unit, opt)
-	}
-	return repro.NewMachine(lp.prog, opt)
+	return repro.NewMachineFromUnit(lp.unit, opt)
 }
 
-// load resolves the request's program: source is assembled through the
-// cache, words are decoded directly (already cheap and canonical).
+// load resolves the request's program through the cache: source is
+// assembled, words are decoded, each at most once per cache residency.
 func (s *Server) load(source string, words []uint32) (loadedProgram, error) {
 	switch {
 	case source != "" && len(words) > 0:
 		return loadedProgram{}, api.InvalidRequestf("source and words are mutually exclusive")
 	case source != "":
-		if unit, ok := s.cache.get(source); ok {
-			s.countCache(true)
-			return loadedProgram{unit: unit, cached: true}, nil
-		}
-		unit, err := repro.AssembleUnit(source)
-		if err != nil {
-			return loadedProgram{}, err
-		}
-		s.countCache(false)
-		s.cache.put(source, unit)
-		return loadedProgram{unit: unit}, nil
+		return s.loadCached(sourceKey(source), func() (*repro.Unit, error) {
+			return repro.AssembleUnit(source)
+		})
 	case len(words) > 0:
-		prog, err := repro.DecodeProgram(words)
-		if err != nil {
-			return loadedProgram{}, api.InvalidRequestf("decoding words: %v", err)
-		}
-		return loadedProgram{prog: prog}, nil
+		return s.loadCached(wordsKey(words), func() (*repro.Unit, error) {
+			prog, err := repro.DecodeProgram(words)
+			if err != nil {
+				return nil, api.InvalidRequestf("decoding words: %v", err)
+			}
+			return &repro.Unit{Program: prog}, nil
+		})
 	default:
 		return loadedProgram{}, api.InvalidRequestf("one of source or words is required")
 	}
+}
+
+// loadCached returns the cached unit for key, or builds and caches it.
+func (s *Server) loadCached(key programKey, build func() (*repro.Unit, error)) (loadedProgram, error) {
+	if unit, ok := s.cache.get(key); ok {
+		s.countCache(true)
+		return loadedProgram{unit: unit, cached: true}, nil
+	}
+	unit, err := build()
+	if err != nil {
+		return loadedProgram{}, err
+	}
+	s.countCache(false)
+	s.cache.put(key, unit)
+	return loadedProgram{unit: unit}, nil
 }
 
 // resolveSpec validates a RunSpec and fills budget defaults in place.
@@ -589,7 +566,7 @@ func (s *Server) resolveSpec(spec *api.RunSpec) error {
 // simulate runs one job to completion under ctx and renders its report.
 // The caller must already hold a worker slot. req and point feed the
 // worker-execution span of the service flight recorder (point is -1
-// for non-sweep jobs).
+// for /v1/run).
 func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
 	if spec.Params.Cores > 1 {
 		return s.simulateCluster(ctx, lp, spec, kind, req, point)
@@ -630,20 +607,14 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 // reconfigurable fabric, and the report is the api.ClusterReport
 // document — cluster aggregates plus one scalar report per core.
 func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
-	prog := lp.prog
-	if lp.unit != nil {
-		prog = lp.unit.Program
-	}
-	c := cluster.New(prog, repro.Options{
+	c := cluster.New(lp.unit.Program, repro.Options{
 		Params:       spec.Params,
 		Policy:       spec.Policy,
 		Seed:         spec.Seed,
 		MinResidency: spec.MinResidency,
 	})
-	if lp.unit != nil {
-		for k := 0; k < c.Cores(); k++ {
-			lp.unit.Apply(c.Core(k).Processor().Memory())
-		}
+	for k := 0; k < c.Cores(); k++ {
+		lp.unit.Apply(c.Core(k).Processor().Memory())
 	}
 	start := time.Now()
 	stats, err := c.RunContext(ctx, spec.MaxCycles)
@@ -690,8 +661,8 @@ func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api
 }
 
 // accountMachine lands one finished machine's steering-cache and
-// prefetch counters on the service metrics — shared by the scalar
-// simulate path and the wide-machine batch executor's per-lane demux.
+// prefetch counters on the service metrics — shared by the scalar and
+// cluster simulate paths.
 func (s *Server) accountMachine(m *repro.Machine) {
 	if hits, misses, ok := m.SteeringCacheStats(); ok {
 		s.mmu.Lock()
@@ -839,12 +810,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave()
 
-	prog := lp.prog
-	if lp.unit != nil {
-		prog = lp.unit.Program
-	}
 	start := time.Now()
-	est, err := repro.EstimateIPC(prog, repro.Options{Params: spec.Params, Policy: spec.Policy})
+	est, err := repro.EstimateIPC(lp.unit.Program, repro.Options{Params: spec.Params, Policy: spec.Policy})
 	solve := time.Since(start)
 	if err != nil {
 		s.fail(w, "estimate", err)
@@ -869,120 +836,6 @@ func (s *Server) countEstimate(bottleneck string, solve time.Duration) {
 	s.estimateUs.Observe(solve.Microseconds())
 }
 
-// handleSweep is the legacy synchronous sweep, reimplemented as a thin
-// create-job-and-wait wrapper over the jobs path: the grid becomes a
-// coordinator job (kind "sweep"), the handler blocks on its events
-// until completion, and the response shape is unchanged — point
-// failures are data, a sweep-wide deadline or disconnect cancels the
-// job and fails the request, exactly as before.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("sweep")
-	var req api.SweepRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	d, err := s.timeout(req.TimeoutMs)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		s.fail(w, "sweep", api.InvalidRequestf("points must not be empty"))
-		return
-	}
-	if len(req.Points) > s.cfg.MaxSweepPoints {
-		s.fail(w, "sweep", api.InvalidRequestf("%d points exceed the sweep cap of %d",
-			len(req.Points), s.cfg.MaxSweepPoints))
-		return
-	}
-	lp, err := s.load(req.Source, req.Words)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	specs := make([]api.RunSpec, len(req.Points))
-	for i := range req.Points {
-		specs[i] = req.Points[i]
-		if err := s.resolveSpec(&specs[i]); err != nil {
-			s.fail(w, "sweep", fmt.Errorf("point %d: %w", i, err))
-			return
-		}
-	}
-	leave, err := s.admitJob()
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	defer leave()
-
-	reqID := s.spans.NextRequest()
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	start := time.Now()
-	j, err := s.coord.Submit(job.Spec{
-		Label:   "sweep",
-		Kind:    "sweep",
-		Program: api.Program{Source: req.Source, Words: req.Words},
-		Points:  specs,
-	}, reqID)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	runErr := s.waitJob(ctx, j)
-	// The request-level sweep span covers the whole grid; its per-point
-	// children carry their own queue-wait and execution stages.
-	s.spans.Record(reqID, "sweep", "sweep", -1, start, time.Now())
-	// A sweep-wide context error makes the whole response an error: a
-	// sweep that hit its deadline or lost its client has incomplete
-	// results, so partial reports are not served as if they were the
-	// full grid. The job is cancelled — its completed points stay in
-	// the store, the rest never run.
-	if runErr != nil {
-		s.coord.Cancel(j.ID) //nolint:errcheck // the job is known to exist
-		if errors.Is(runErr, context.DeadlineExceeded) {
-			s.spans.TriggerDeadline(reqID, "sweep", -1, start, time.Now())
-		}
-		s.fail(w, "sweep", runErr)
-		return
-	}
-	points := make([]api.SweepPointResult, 0, len(specs))
-	for _, res := range j.Results() {
-		points = append(points, api.SweepPointResult{
-			Index:  res.Index,
-			Policy: res.Policy,
-			Report: res.Report,
-			Error:  res.Error,
-		})
-	}
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, api.SweepResponse{
-		Points:    points,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-		Cached:    lp.cached,
-	})
-	s.spans.Record(reqID, "encode", "sweep", -1, encodeStart, time.Now())
-}
-
-// waitJob blocks until j reaches a terminal state or ctx ends.
-func (s *Server) waitJob(ctx context.Context, j *job.Job) error {
-	_, ch := j.Subscribe()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return nil
-			}
-			if ev.Type == api.EventState && ev.State.Terminal() {
-				return nil
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("healthz")
 	status := "ok"
@@ -1001,7 +854,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlightRecorder serves the service-span flight ring as JSON: the
-// last N request lifecycle spans (queue-wait, execute, encode, sweep
+// last N request lifecycle spans (queue-wait, execute, encode, job
 // points) plus deadline-trigger counters. It reads a snapshot under the
 // recorder's own lock, so it is safe to hit while requests are in flight.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {

@@ -64,77 +64,6 @@ submit:
 	return results, ctx.Err()
 }
 
-// RunBatch executes n points in lane-width groups for batch-capable
-// backends (the lane-parallel wide machine): consecutive points whose
-// key(i) matches are chunked into groups of up to laneWidth indices, and
-// each group is dispatched to batch as one unit on the worker pool.
-// Points with an empty key are ineligible for batching and form
-// single-point groups. batch must return one result per index, in index
-// order; results come back indexed by point in submission order, so
-// experiment tables are laid out exactly as Run would lay them out.
-// Groups a cancelled run never started hold zero values.
-//
-// The grouping is what makes the wide machine routable from sweeps: a
-// homogeneous grid (same Params/Policy, seeds varying) yields n/laneWidth
-// groups of laneWidth lanes each, while a heterogeneous grid degrades to
-// per-point groups with no behaviour change.
-func RunBatch[T any](ctx context.Context, n, workers, laneWidth int,
-	key func(i int) string, batch func(ctx context.Context, idxs []int) []T) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	if laneWidth < 1 {
-		laneWidth = 1
-	}
-	var groups [][]int
-	for i := 0; i < n; {
-		g := []int{i}
-		k := key(i)
-		j := i + 1
-		for k != "" && j < n && len(g) < laneWidth && key(j) == k {
-			g = append(g, j)
-			j++
-		}
-		groups = append(groups, g)
-		i = j
-	}
-	out := make([]T, n)
-	_, err := RunContext(ctx, len(groups), workers, func(ctx context.Context, gi int) struct{} {
-		idxs := groups[gi]
-		res := batch(ctx, idxs)
-		for j, idx := range idxs {
-			if j < len(res) {
-				out[idx] = res[j]
-			}
-		}
-		return struct{}{}
-	})
-	return out, err
-}
-
-// Run2 is Run for jobs with two outputs — typically a scalar result plus
-// a per-run time series (e.g. a telemetry sample collection). Both slices
-// are indexed by i in submission order.
-func Run2[T, U any](n, workers int, job func(i int) (T, U)) ([]T, []U) {
-	if n <= 0 {
-		return nil, nil
-	}
-	type pair struct {
-		a T
-		b U
-	}
-	flat := Run(n, workers, func(i int) pair {
-		a, b := job(i)
-		return pair{a, b}
-	})
-	as := make([]T, n)
-	bs := make([]U, n)
-	for i, p := range flat {
-		as[i], bs[i] = p.a, p.b
-	}
-	return as, bs
-}
-
 // Grid runs a two-dimensional sweep — rows x cols independent jobs — and
 // returns results[row][col], again in deterministic order.
 func Grid[T any](rows, cols, workers int, job func(row, col int) T) [][]T {

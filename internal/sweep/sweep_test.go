@@ -92,23 +92,6 @@ func TestGridDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestRun2PairsResults(t *testing.T) {
-	a, b := Run2(6, 3, func(i int) (int, string) {
-		return i * i, string(rune('a' + i))
-	})
-	if len(a) != 6 || len(b) != 6 {
-		t.Fatalf("lengths = %d, %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != i*i || b[i] != string(rune('a'+i)) {
-			t.Errorf("pair %d = (%d, %q)", i, a[i], b[i])
-		}
-	}
-	if a, b := Run2(0, 2, func(int) (int, int) { return 0, 0 }); a != nil || b != nil {
-		t.Error("Run2(0) not nil")
-	}
-}
-
 func TestRunContextCancel(t *testing.T) {
 	// The first job cancels the context: the submitter stops handing out
 	// work, in-flight jobs are waited for, and the call reports

@@ -322,14 +322,6 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) 
 // Cycle advances the machine one clock.
 func (m *Machine) Cycle() { m.proc.Cycle() }
 
-// Advance runs up to n cycles, stopping early when HALT retires, and
-// returns the number of cycles consumed — the chunked-stepping primitive
-// the lane-parallel wide machine (internal/wide) drives lanes with.
-// Unlike RunContext it neither flushes telemetry nor closes span epochs;
-// finish a chunked run with a final RunContext call to get the scalar
-// path's end-of-run behaviour (and its exact ErrCycleLimit error).
-func (m *Machine) Advance(n int) int { return m.proc.Advance(n) }
-
 // Halted reports whether the program's HALT has retired.
 func (m *Machine) Halted() bool { return m.proc.Halted() }
 
