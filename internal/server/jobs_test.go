@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -229,6 +230,33 @@ func TestJobSubmitValidation(t *testing.T) {
 			apiErr := apiError(t, err)
 			if apiErr.Code != tc.wantCode {
 				t.Errorf("code = %s, want %s (%v)", apiErr.Code, tc.wantCode, apiErr)
+			}
+		})
+	}
+}
+
+// TestSweepBadRequests posts malformed sweep grids to /v1/jobs as raw
+// JSON, bypassing the typed client, and pins the wire-level answer: a
+// 400 with the error envelope's code.
+func TestSweepBadRequests(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxJobPoints: 2})
+	cases := []struct {
+		name     string
+		body     string
+		wantCode string
+	}{
+		{"no points", fmt.Sprintf(`{"source": %q, "points": []}`, haltingSource), api.CodeInvalidRequest},
+		{"too many points", fmt.Sprintf(`{"source": %q, "points": [{}, {}, {}]}`, haltingSource), api.CodeInvalidRequest},
+		{"bad point params", fmt.Sprintf(`{"source": %q, "points": [{"maxCycles": -1}]}`, haltingSource), api.CodeInvalidRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, doc := postJSON(t, ts, "/v1/jobs", tc.body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (%v)", status, doc)
+			}
+			if code := errCode(t, doc); code != tc.wantCode {
+				t.Errorf("code = %s, want %s", code, tc.wantCode)
 			}
 		})
 	}
