@@ -20,6 +20,8 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rfu"
 	"repro/internal/span"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // fig2Demands mirrors BenchmarkFig2SelectionUnit's demand stream: 64
@@ -166,11 +168,12 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 }
 
 // TestZeroAllocMachineCycleWithSpans pins the instrumented cycle path:
-// with a span recorder attached (and faults injecting so the fault and
-// repair hooks actually fire), recording goes into preallocated storage
-// and the steady-state cycle must still not allocate. (The recorder-nil
-// path is pinned by TestZeroAllocMachineCycle above: the hooks reduce
-// to one predictable branch.)
+// with one observer carrying a span recorder and a telemetry probe (and
+// faults injecting so the fault and repair events actually fire), event
+// fan-out passes values and recording goes into preallocated storage, so
+// the steady-state cycle must still not allocate. (The unobserved path
+// is pinned by TestZeroAllocMachineCycle above: each site reduces to
+// one predictable branch.)
 func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by the race detector")
@@ -186,8 +189,12 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	mgr := predict.NewManager(p.Fabric(), predict.Config{})
 	p.SetManager(mgr)
 	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
-	p.SetSpans(rec)
-	mgr.SetSpans(rec)
+	probe := telemetry.NewProbe(100)
+	probe.SetState(p.CoreState)
+	obs := &trace.Observer{}
+	obs.Add(rec)
+	obs.Add(probe)
+	p.SetObserver(obs)
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}
@@ -199,6 +206,9 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	}
 	if len(rec.Entries()) == 0 {
 		t.Error("span recorder captured nothing; the instrumented path was not exercised")
+	}
+	if v, _ := probe.Registry().CounterValue("rsssim_cycles_total"); v == 0 {
+		t.Error("telemetry probe counted nothing; the instrumented path was not exercised")
 	}
 }
 

@@ -418,6 +418,15 @@ func BenchmarkHWCostSelectionUnit(b *testing.B) {
 	}
 }
 
+// observe attaches the given sinks to p through one observer.
+func observe(p *cpu.Processor, sinks ...trace.Sink) {
+	obs := &trace.Observer{}
+	for _, s := range sinks {
+		obs.Add(s)
+	}
+	p.SetObserver(obs)
+}
+
 // Trace overhead: the same run with and without event recording.
 func BenchmarkTraceOverhead(b *testing.B) {
 	prog := workload.Synthesize([]workload.Phase{
@@ -433,7 +442,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
 				p.SetManager(baseline.NewSteering(p.Fabric()))
 				if traced {
-					p.SetTracer(trace.NewBuffer(1 << 16))
+					observe(p, trace.NewBuffer(1<<16))
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
@@ -443,10 +452,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// Telemetry overhead: the X8 timeline workload with the probe absent
-// (the nil-sink path every production run without -metrics takes — one
-// nil check per event), and with a live probe sampling every 100 cycles
-// into an in-memory collector. The "off" case must stay within 2% of
+// Telemetry overhead: the X8 timeline workload with no observer (the
+// path every production run without -metrics takes — one nil check per
+// event site), and with a live probe sampling every 100 cycles into an
+// in-memory collector. The "off" case must stay within 2% of
 // the pre-telemetry seed (see EXPERIMENTS.md).
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	prog := workload.Synthesize([]workload.Phase{
@@ -457,13 +466,12 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				steer := baseline.NewSteering(p.Fabric())
-				p.SetManager(steer)
+				p.SetManager(baseline.NewSteering(p.Fabric()))
 				if mode == "on" {
 					probe := telemetry.NewProbe(100)
 					probe.SetExporter(&telemetry.Collector{})
-					p.SetTelemetry(probe)
-					steer.SetTelemetry(probe)
+					probe.SetState(p.CoreState)
+					observe(p, probe)
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
@@ -473,8 +481,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 }
 
-// Span-recorder overhead: the same workload with the recorder absent
-// (every hook reduces to a nil check) and attached (recording into
+// Span-recorder overhead: the same workload with no observer (every
+// event site reduces to a nil check) and with the recorder attached (recording into
 // preallocated storage plus the per-window trigger evaluation). Both
 // cases must stay within 2% of each other — the recorder is designed
 // to be cheap enough to leave on. The workload is deliberately long:
@@ -488,12 +496,9 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				steer := baseline.NewSteering(p.Fabric())
-				p.SetManager(steer)
+				p.SetManager(baseline.NewSteering(p.Fabric()))
 				if mode == "on" {
-					rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
-					p.SetSpans(rec)
-					steer.SetSpans(rec)
+					observe(p, span.NewRecorder(span.Config{}, arch.NumRFUSlots))
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)

@@ -44,7 +44,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/rfu"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // MaxCores bounds the cluster width (eight cores over eight slots is
@@ -150,8 +149,7 @@ type Machine struct {
 	demand [MaxCores]arch.Counts
 	order  [MaxCores]int // split-mode stepping order scratch
 
-	probes [MaxCores]*telemetry.Probe
-	spans  [MaxCores]*span.Recorder
+	spans [MaxCores]*span.Recorder
 }
 
 // New builds a cluster of opt.Params.Cores cores (minimum 1), each
@@ -200,6 +198,10 @@ func NewMulti(progs []repro.Program, opt repro.Options) *Machine {
 		// the caller's seed so K=1 reproduces the scalar run exactly.
 		o.Params.FaultSeed = opt.Params.FaultSeed + int64(i)
 		m := repro.NewMachine(progs[i], o)
+		// Every event the core emits carries its index, so merged
+		// telemetry and span streams stay attributable. Without sinks the
+		// observer wants no kind, and each emit site is one branch.
+		m.Observer().SetCore(i)
 		c.cores = append(c.cores, m)
 		c.procs = append(c.procs, m.Processor())
 		c.fabrics = append(c.fabrics, m.Processor().Fabric())

@@ -68,10 +68,10 @@ func (s Stats) Fairness() float64 {
 }
 
 // EnableTelemetry streams per-core telemetry into one shared exporter,
-// every record labelled with its core index. format is "jsonl" or
-// "csv" ("prom" renders one registry snapshot and cannot merge K
-// registries into one stream — enable it per core instead). Call
-// before Run.
+// every record labelled with its core index by the core's observer.
+// format is "jsonl" or "csv" ("prom" renders one registry snapshot and
+// cannot merge K registries into one stream — enable it per core
+// instead). Call before Run.
 func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) error {
 	var exp telemetry.Exporter
 	switch format {
@@ -82,25 +82,21 @@ func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) erro
 	default:
 		return fmt.Errorf("cluster: unsupported telemetry format %q (want jsonl or csv)", format)
 	}
-	for k, m := range c.cores {
-		p := m.EnableTelemetryExporter(exp, interval)
-		p.SetCore(k)
-		c.probes[k] = p
+	for _, m := range c.cores {
+		m.EnableTelemetryExporter(exp, interval)
 	}
 	return nil
 }
 
 // EnableSpans attaches one span recorder per core, each labelled with
-// its core index; RunContext finishes them for halted cores. Export a
-// combined trace afterwards with WriteChromeTrace or the recorders'
-// own writers. Call before Run.
+// its core index by the core's observer; RunContext finishes them for
+// halted cores. Export a combined trace afterwards with
+// WriteChromeTrace or the recorders' own writers. Call before Run.
 func (c *Machine) EnableSpans(cfg repro.SpanConfig) []*span.Recorder {
 	out := make([]*span.Recorder, len(c.cores))
 	for k, m := range c.cores {
-		r := m.EnableSpans(cfg)
-		r.SetCore(k)
-		c.spans[k] = r
-		out[k] = r
+		out[k] = m.EnableSpans(cfg)
+		c.spans[k] = out[k]
 	}
 	return out
 }

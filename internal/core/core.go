@@ -15,8 +15,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/logic"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // UnitDecoder is stage 1 of the selection unit: it turns one queued
@@ -265,8 +264,12 @@ type Manager struct {
 
 	sinceLoad int
 	stats     Stats
-	probe     *telemetry.Probe
-	spans     *span.Recorder
+	obs       *trace.Observer
+	// lookup is how the steering cache served the latest Select
+	// (trace.LookupHit, LookupMiss or LookupNone), for its selection
+	// event; cacheOpen records that KindCacheOpen went out.
+	lookup    int32
+	cacheOpen bool
 
 	// cache is the direct-mapped steering cache; cacheExact records the
 	// ExactCEM mode its entries were computed under, so toggling the
@@ -276,7 +279,7 @@ type Manager struct {
 	// basisUnits holds each basis configuration's placement list,
 	// computed once at NewManager so Load never rebuilds it.
 	basisUnits [3][]config.PlacedUnit
-	// classifyName memoizes classifyAllocation against the fabric's
+	// classifyName memoizes ClassifyAllocation against the fabric's
 	// allocation version: the name is recomputed only when the
 	// allocation vector actually changed, not every cycle. The empty
 	// string marks "not yet computed".
@@ -301,16 +304,10 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration) *Manager {
 // Basis returns the manager's predefined steering configurations.
 func (m *Manager) Basis() [3]config.Configuration { return m.basis }
 
-// SetTelemetry installs a telemetry probe receiving every selection pass
-// and a steering-decision record per configuration switch (nil disables).
-func (m *Manager) SetTelemetry(probe *telemetry.Probe) { m.probe = probe }
-
-// SetSpans installs a span recorder tracking steering-cache flush
-// epochs (nil disables).
-func (m *Manager) SetSpans(r *span.Recorder) {
-	m.spans = r
-	r.AttachCacheEpochs()
-}
+// SetObserver installs the event stream receiving every selection pass
+// (with its steering-cache outcome), the cache's first use and flushes,
+// and a steering decision per configuration switch (nil disables).
+func (m *Manager) SetObserver(o *trace.Observer) { m.obs = o }
 
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -341,9 +338,14 @@ func (m *Manager) errorOf(required, available arch.Counts) int {
 // Availability counts include the FFUs for every candidate ("…relative
 // to each of the four configurations including the FFUs", §3.1).
 func (m *Manager) Select(required arch.Counts) Selection {
+	if !m.cacheOpen && m.obs.Wants(trace.KindCacheOpen) {
+		m.cacheOpen = true
+		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
+	}
 	alloc := m.fabric.Allocation()
 	unavail, dead := m.fabric.HealthMasks()
 	if m.DisableCache {
+		m.lookup = trace.LookupNone
 		return m.selectUncached(required, alloc, dead)
 	}
 	if m.cacheExact != m.ExactCEM {
@@ -351,15 +353,13 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		// flush in place (no allocation — the table is an array field).
 		m.cache = [steerCacheSize]steerEntry{}
 		m.cacheExact = m.ExactCEM
-		m.spans.CacheFlush()
+		m.obs.Emit(trace.Event{Kind: trace.KindCacheFlush})
 	}
 	key := packSteerKey(required, alloc.Slots, unavail, dead)
 	e := &m.cache[steerCacheIndex(key)]
 	if e.key == key+1 {
 		m.stats.CacheHits++
-		if m.probe != nil {
-			m.probe.SteeringCacheLookup(true)
-		}
+		m.lookup = trace.LookupHit
 		var sel Selection
 		sel.Required = required
 		sel.Choice = int(e.choice)
@@ -370,9 +370,7 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		return sel
 	}
 	m.stats.CacheMisses++
-	if m.probe != nil {
-		m.probe.SteeringCacheLookup(false)
-	}
+	m.lookup = trace.LookupMiss
 	sel := m.selectUncached(required, alloc, dead)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
@@ -438,13 +436,11 @@ func (m *Manager) Load(sel Selection) int {
 	if sel.Current() {
 		return 0
 	}
-	target := m.basis[sel.Choice-1]
-	from := ""
-	diff := 0
-	if m.probe != nil {
+	from, diff := "", 0
+	if m.obs.Wants(trace.KindDecision) {
 		// Snapshot the pre-load state for the steering-decision record.
-		from = m.classifyAllocation()
-		diff = m.fabric.Allocation().Distance(target)
+		from = m.ClassifyAllocation()
+		diff = m.fabric.Allocation().Distance(m.basis[sel.Choice-1])
 	}
 	started, loading, deferred := 0, 0, 0
 	alloc := m.fabric.Allocation()
@@ -463,27 +459,36 @@ func (m *Manager) Load(sel Selection) int {
 	}
 	m.stats.Reconfigurations += started
 	m.stats.DeferredSlots += deferred
-	if m.probe != nil && started > 0 {
-		m.probe.ConfigSwitch(telemetry.Decision{
-			From:            from,
-			To:              target.Name,
-			Choice:          sel.Choice,
-			DiffSlots:       diff,
-			Spans:           started,
-			SlotsLoading:    loading,
-			DeferredSlots:   deferred,
-			StallSlotCycles: loading * m.fabric.ReconfigLatency(),
-		})
+	if started > 0 {
+		m.EmitDecision(from, sel.Choice, diff, started, loading, deferred)
 	}
 	return started
 }
 
-// classifyAllocation names the live allocation for the decision log: a
-// basis configuration's name, "(empty)", or "hybrid". The answer is a
-// pure function of the allocation vector, so it is memoized against the
-// fabric's allocation version — Step calls this every cycle but the
-// vector changes only on reconfiguration installs and salvage.
-func (m *Manager) classifyAllocation() string {
+// EmitDecision logs a configuration switch toward basis choice (1..3)
+// that the loader started: from names the allocation before the switch
+// (see ClassifyAllocation), diff counts the slot encodings that
+// differed, spans and loading the span rewrites started and the slots
+// they cover, deferred the busy slots skipped. The loading stall is
+// loading times the fabric's reconfiguration latency.
+func (m *Manager) EmitDecision(from string, choice, diff, spans, loading, deferred int) {
+	m.obs.Emit(trace.Event{Kind: trace.KindDecision, Str: from, A: int32(choice),
+		B: trace.Pack4([4]int{diff, spans, loading, deferred}),
+		C: int32(loading * m.fabric.ReconfigLatency())})
+}
+
+// EmitSelection logs one selection-unit pass and how the steering cache
+// served it.
+func (m *Manager) EmitSelection(sel *Selection) {
+	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors), C: m.lookup})
+}
+
+// ClassifyAllocation names the live allocation: a basis configuration's
+// name, "(empty)", or "hybrid". The answer is a pure function of the
+// allocation vector, so it is memoized against the fabric's allocation
+// version — Step calls this every cycle but the vector changes only on
+// reconfiguration installs and salvage.
+func (m *Manager) ClassifyAllocation() string {
 	if v := m.fabric.AllocVersion(); v != m.classifyVersion || m.classifyName == "" {
 		m.classifyName = m.classifyAllocationSlow()
 		m.classifyVersion = v
@@ -517,9 +522,7 @@ func (m *Manager) classifyAllocationSlow() string {
 func (m *Manager) Step(required arch.Counts) Selection {
 	sel := m.Select(required)
 	m.stats.Selections[sel.Choice]++
-	if m.probe != nil {
-		m.probe.Selection(sel.Errors, sel.Choice)
-	}
+	m.EmitSelection(&sel)
 	if m.isHybrid() {
 		m.stats.HybridCycles++
 	}
@@ -543,4 +546,4 @@ func (m *Manager) Step(required arch.Counts) Selection {
 
 // isHybrid reports whether the live allocation matches none of the
 // predefined layouts (and is not empty).
-func (m *Manager) isHybrid() bool { return m.classifyAllocation() == "hybrid" }
+func (m *Manager) isHybrid() bool { return m.ClassifyAllocation() == "hybrid" }

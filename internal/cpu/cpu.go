@@ -24,8 +24,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wakeup"
 )
@@ -428,10 +426,7 @@ type Processor struct {
 	fetchBuf  []fetchedEntry
 	fetchHead int
 
-	tracer        trace.Recorder
-	probe         *telemetry.Probe
-	spans         *span.Recorder
-	lastReconfigs int
+	obs *trace.Observer
 
 	// manageHook, when set, intercepts the demand vector on its way to
 	// the manager: the cluster layer uses it to substitute cross-core
@@ -454,7 +449,7 @@ type Processor struct {
 }
 
 // fetchedEntry pairs a fetched instruction with the cycle it left the
-// front end, for tracing.
+// front end, for the dispatch event.
 type fetchedEntry struct {
 	f     fetch.Fetched
 	cycle int
@@ -507,7 +502,19 @@ func (p *Processor) Fabric() *rfu.Fabric { return p.fabric }
 //
 //	p := cpu.New(prog, params, nil)
 //	p.SetManager(baseline.NewSteering(p.Fabric()))
-func (p *Processor) SetManager(manager Manager) { p.manager = manager }
+func (p *Processor) SetManager(manager Manager) {
+	p.manager = manager
+	if p.obs != nil {
+		p.observeManager()
+	}
+}
+
+// observeManager hands the observer to a manager that emits events.
+func (p *Processor) observeManager() {
+	if m, ok := p.manager.(interface{ SetObserver(*trace.Observer) }); ok {
+		m.SetObserver(p.obs)
+	}
+}
 
 // SetManageHook installs an interceptor on the demand vector fed to the
 // configuration manager each cycle (nil disables, the default). The
@@ -519,66 +526,37 @@ func (p *Processor) SetManageHook(hook func(required arch.Counts) (arch.Counts, 
 	p.manageHook = hook
 }
 
-// SetTracer installs a pipeline event recorder (nil disables tracing).
-func (p *Processor) SetTracer(t trace.Recorder) { p.tracer = t }
-
-// SetTelemetry installs a telemetry probe (nil disables instrumentation;
-// the instrumented paths then cost one branch per event). The probe also
-// reaches into the fabric for reconfiguration-start events.
-func (p *Processor) SetTelemetry(probe *telemetry.Probe) {
-	p.probe = probe
-	p.fabric.SetTelemetry(probe)
+// SetObserver installs the machine's event stream (nil disables; each
+// instrumented site then costs one branch). It reaches the fabric and,
+// when it emits events, the configuration manager. Observers are pure:
+// runs are bit-identical with or without one.
+func (p *Processor) SetObserver(o *trace.Observer) {
+	p.obs = o
+	p.fabric.SetObserver(o)
+	p.observeManager()
 }
 
-// SetSpans installs a span recorder (nil disables; the hot loop then
-// costs one branch per cycle). The recorder also reaches into the
-// fabric for reconfiguration, repair and fault spans. The recorder is
-// a pure observer: runs are bit-identical with it attached or not.
-func (p *Processor) SetSpans(r *span.Recorder) {
-	p.spans = r
-	p.fabric.SetSpans(r)
-}
-
-// telemetryState snapshots the machine for the sampler. Called only on
-// sampling boundaries, so its cost is off the per-cycle hot path.
-func (p *Processor) telemetryState() telemetry.CoreState {
+// CoreState snapshots the machine for a sampling sink. Sinks call it
+// only on sampling boundaries, so its cost is off the per-cycle hot path.
+func (p *Processor) CoreState() trace.CoreState {
 	rfuBusy, rfuUnits, ffuBusy := p.fabric.UnitStates()
-	return telemetry.CoreState{
-		Cycle:         p.stats.Cycles,
-		Retired:       p.stats.Retired,
-		Occupancy:     p.count,
-		Demand:        p.array.RequiredCounts(),
-		RFUUnits:      rfuUnits,
-		RFUBusy:       rfuBusy,
-		FFUBusy:       ffuBusy,
-		Slots:         p.fabric.Allocation().Slots,
-		ReconfigSlots: p.fabric.ReconfiguringSlots(),
-		MaskedSlots:   p.fabric.MaskedSlots(),
+	return trace.CoreState{
+		Cycle:          p.stats.Cycles,
+		Retired:        p.stats.Retired,
+		Flushed:        p.stats.Flushed,
+		Occupancy:      p.count,
+		Issued:         p.stats.IssuedByType,
+		DispatchStalls: p.stats.DispatchStallFull,
+		Demand:         p.array.RequiredCounts(),
+		RFUUnits:       rfuUnits,
+		RFUBusy:        rfuBusy,
+		FFUBusy:        ffuBusy,
+		Slots:          p.fabric.Allocation().Slots,
+		ReconfigSlots:  p.fabric.ReconfiguringSlots(),
+		MaskedSlots:    p.fabric.MaskedSlots(),
 		Buckets: [4]int{p.stats.CyclesIssued, p.stats.CyclesUnits,
 			p.stats.CyclesDeps, p.stats.CyclesFrontend},
 	}
-}
-
-// sampleTelemetry emits a sample when the probe's interval is due.
-func (p *Processor) sampleTelemetry() {
-	if p.probe != nil && p.probe.SampleDue() {
-		p.probe.EmitSample(p.telemetryState())
-	}
-}
-
-// emit records a pipeline event when tracing is enabled.
-func (p *Processor) emit(kind trace.Kind, seq uint64, pc uint32, latency int, text string) {
-	if p.tracer == nil {
-		return
-	}
-	p.tracer.Record(trace.Event{
-		Cycle:   p.stats.Cycles,
-		Kind:    kind,
-		Seq:     uint32(seq),
-		PC:      pc,
-		Latency: latency,
-		Text:    text,
-	})
 }
 
 // Memory exposes the data memory for input/output setup.
@@ -644,14 +622,7 @@ func (p *Processor) Cycle() {
 		return
 	}
 	p.stats.Cycles++
-	if p.probe != nil {
-		p.probe.BeginCycle(p.stats.Cycles)
-	}
-	if p.spans != nil {
-		// Advances the recorder clock and, at window boundaries, the
-		// flight-recorder anomaly triggers (fault storm, IPC collapse).
-		p.spans.BeginCycle(p.stats.Cycles, p.stats.Retired)
-	}
+	p.obs.SetCycle(p.stats.Cycles)
 	p.array.Tick()
 	p.fabric.Tick()
 	p.retire()
@@ -659,7 +630,7 @@ func (p *Processor) Cycle() {
 		// The final cycle retired the HALT; count it with the useful
 		// cycles so the bottleneck buckets partition the run exactly.
 		p.stats.CyclesIssued++
-		p.sampleTelemetry()
+		p.obs.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(p.stats.Retired)})
 		return
 	}
 	if p.manager != nil {
@@ -675,19 +646,12 @@ func (p *Processor) Cycle() {
 		}
 		if proceed {
 			p.manager.Manage(required)
-			if p.tracer != nil {
-				if n := p.fabric.Reconfigurations(); n > p.lastReconfigs {
-					p.emit(trace.KindReconfig, 0, 0, 0,
-						fmt.Sprintf("%d span(s) -> %v", n-p.lastReconfigs, p.fabric.Allocation().Slots))
-					p.lastReconfigs = n
-				}
-			}
 		}
 	}
 	p.issue()
 	p.dispatch()
 	p.fill()
-	p.sampleTelemetry()
+	p.obs.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(p.stats.Retired)})
 }
 
 // Run executes until HALT retires or maxCycles elapse. It returns the
@@ -750,10 +714,7 @@ func (p *Processor) retire() {
 		p.head = (p.head + 1) % len(p.rob)
 		p.count--
 		p.stats.Retired++
-		if p.probe != nil {
-			p.probe.Retire()
-		}
-		p.emit(trace.KindRetire, e.seq, e.pc, 0, "")
+		p.obs.Emit(trace.Event{Kind: trace.KindRetire, A: int32(e.seq), B: int32(e.pc)})
 		if e.halts {
 			p.halted = true
 			return
@@ -821,9 +782,6 @@ func (p *Processor) issue() {
 		e.issued = true
 		granted++
 		p.stats.IssuedByType[e.inst.Unit()]++
-		if p.probe != nil {
-			p.probe.Issue(e.inst.Unit())
-		}
 		p.execute(slot, ref)
 		if p.halted {
 			return
@@ -895,9 +853,7 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 	e.actualNext = st.PC
 	e.halts = st.Halted
 	e.executed = true
-	if p.tracer != nil {
-		p.emit(trace.KindIssue, e.seq, e.pc, latency, e.inst.String())
-	}
+	p.obs.Emit(trace.Event{Kind: trace.KindIssue, A: int32(e.seq), B: int32(e.pc), C: int32(latency)})
 
 	if e.inst.Op.IsBranch() {
 		p.resolveBranch(slot)
@@ -933,7 +889,6 @@ func (p *Processor) resolveBranch(slot int) {
 // flushYoungerThan squashes every in-flight instruction younger than seq
 // and rebuilds the register producer map from the survivors.
 func (p *Processor) flushYoungerThan(seq uint64) {
-	flushedBefore := p.stats.Flushed
 	for p.count > 0 {
 		tail := p.slotAt(p.count - 1)
 		e := &p.rob[tail]
@@ -944,12 +899,7 @@ func (p *Processor) flushYoungerThan(seq uint64) {
 		e.valid = false
 		p.count--
 		p.stats.Flushed++
-		if p.tracer != nil {
-			p.emit(trace.KindFlush, e.seq, e.pc, 0, e.inst.String())
-		}
-	}
-	if p.probe != nil {
-		p.probe.Flushed(p.stats.Flushed - flushedBefore)
+		p.obs.Emit(trace.Event{Kind: trace.KindFlush, A: int32(e.seq), B: int32(e.pc)})
 	}
 	for i := range p.regProducer {
 		p.regProducer[i] = -1
@@ -1025,9 +975,6 @@ func (p *Processor) dispatch() {
 	for n := 0; n < p.params.DispatchWidth && p.fetchHead < len(p.fetchBuf); n++ {
 		if p.count == len(p.rob) || p.array.Free() == 0 {
 			p.stats.DispatchStallFull++
-			if p.probe != nil {
-				p.probe.DispatchStall()
-			}
 			return
 		}
 		entry := p.fetchBuf[p.fetchHead]
@@ -1039,9 +986,6 @@ func (p *Processor) dispatch() {
 		row, ok := p.array.Allocate(f.Inst.Unit(), deps, latency, uint64(slot))
 		if !ok {
 			p.stats.DispatchStallFull++
-			if p.probe != nil {
-				p.probe.DispatchStall()
-			}
 			return
 		}
 		p.fetchHead++
@@ -1057,19 +1001,10 @@ func (p *Processor) dispatch() {
 			predTaken: f.PredTaken,
 		}
 		p.count++
-		if p.probe != nil {
-			p.probe.Dispatch()
-		}
 		if d, ok := f.Inst.Dest(); ok {
 			p.regProducer[d] = slot
 		}
-		if p.tracer != nil {
-			p.tracer.Record(trace.Event{
-				Cycle: entry.cycle, Kind: trace.KindFetch,
-				Seq: uint32(p.seq), PC: f.PC, Text: f.Inst.String(),
-			})
-			p.emit(trace.KindDispatch, p.seq, f.PC, 0, f.Inst.String())
-		}
+		p.obs.Emit(trace.Event{Kind: trace.KindDispatch, A: int32(p.seq), B: int32(f.PC), C: int32(entry.cycle)})
 	}
 }
 

@@ -9,6 +9,15 @@ import (
 	"repro/internal/trace"
 )
 
+// traced attaches a pipeline buffer to p through an observer.
+func traced(p *Processor, limit int) *trace.Buffer {
+	buf := trace.NewBuffer(limit)
+	o := &trace.Observer{}
+	o.Add(buf)
+	p.SetObserver(o)
+	return buf
+}
+
 // TestTraceLifecycleEvents checks every dispatched instruction leaves a
 // complete fetch->dispatch->issue->retire record, in causal order.
 func TestTraceLifecycleEvents(t *testing.T) {
@@ -19,8 +28,7 @@ func TestTraceLifecycleEvents(t *testing.T) {
 		halt
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
-	buf := trace.NewBuffer(1000)
-	p.SetTracer(buf)
+	buf := traced(p, 1000)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -28,20 +36,20 @@ func TestTraceLifecycleEvents(t *testing.T) {
 	type life struct{ fetch, dispatch, issue, retire int }
 	lives := map[uint32]*life{}
 	for _, e := range buf.Events() {
-		l, ok := lives[e.Seq]
+		l, ok := lives[e.Seq()]
 		if !ok {
 			l = &life{fetch: -1, dispatch: -1, issue: -1, retire: -1}
-			lives[e.Seq] = l
+			lives[e.Seq()] = l
 		}
 		switch e.Kind {
 		case trace.KindFetch:
-			l.fetch = e.Cycle
+			l.fetch = int(e.Cycle)
 		case trace.KindDispatch:
-			l.dispatch = e.Cycle
+			l.dispatch = int(e.Cycle)
 		case trace.KindIssue:
-			l.issue = e.Cycle
+			l.issue = int(e.Cycle)
 		case trace.KindRetire:
-			l.retire = e.Cycle
+			l.retire = int(e.Cycle)
 		}
 	}
 	if len(lives) != 4 {
@@ -76,8 +84,7 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
 	p.SetManager(baseline.NewSteering(p.Fabric()))
-	buf := trace.NewBuffer(100000)
-	p.SetTracer(buf)
+	buf := traced(p, 100000)
 	if _, err := p.Run(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +106,10 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 	if flushes != p.Stats().Flushed {
 		t.Errorf("traced %d flushes, stats say %d", flushes, p.Stats().Flushed)
 	}
+	// One reconfiguration event per span rewrite.
+	if reconfigs != p.Fabric().Reconfigurations() {
+		t.Errorf("traced %d reconfigurations, fabric says %d", reconfigs, p.Fabric().Reconfigurations())
+	}
 }
 
 // TestTraceRetireCountMatchesStats: retire events equal retired
@@ -112,8 +123,7 @@ func TestTraceRetireCountMatchesStats(t *testing.T) {
 		halt
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
-	buf := trace.NewBuffer(100000)
-	p.SetTracer(buf)
+	buf := traced(p, 100000)
 	st, err := p.Run(100000)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +148,11 @@ func TestPipeviewFromRealRun(t *testing.T) {
 		halt
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
-	buf := trace.NewBuffer(1000)
-	p.SetTracer(buf)
+	buf := traced(p, 1000)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	view := trace.Pipeview(buf.Events(), 0, p.Stats().Cycles)
+	view := trace.Pipeview(buf.Events(), prog, 0, p.Stats().Cycles)
 	if !strings.Contains(view, "mul r2, r1, r1") {
 		t.Errorf("pipeview missing instruction:\n%s", view)
 	}
@@ -167,11 +176,11 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		bne r1, r0, loop
 		halt
 	`)
-	run := func(traced bool) (uint32, int) {
+	run := func(withTrace bool) (uint32, int) {
 		p := New(prog, Params{MemBytes: 1 << 12}, nil)
 		p.SetManager(baseline.NewSteering(p.Fabric()))
-		if traced {
-			p.SetTracer(trace.NewBuffer(10))
+		if withTrace {
+			traced(p, 10)
 		}
 		st, err := p.Run(100000)
 		if err != nil {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -474,6 +475,21 @@ func classifySlots(slots [arch.NumRFUSlots]arch.Encoding, basis [3]config.Config
 	return "(empty)"
 }
 
+// collectTelemetry attaches a telemetry probe sampling p every interval
+// cycles into an in-memory collector; decisions name the default basis.
+func collectTelemetry(p *cpu.Processor, interval int) *telemetry.Collector {
+	probe := telemetry.NewProbe(interval)
+	col := &telemetry.Collector{}
+	probe.SetExporter(col)
+	probe.SetState(p.CoreState)
+	b := config.DefaultBasis()
+	probe.SetBasis([3]string{b[0].Name, b[1].Name, b[2].Name})
+	obs := &trace.Observer{}
+	obs.Add(probe)
+	p.SetObserver(obs)
+	return col
+}
+
 // X8 renders the adaptation timeline: windowed IPC, fabric state and
 // reconfiguration activity as the steering machine crosses the phase
 // boundaries of the phased workload — the paper's steering story made
@@ -491,11 +507,7 @@ func X8() string {
 	p.SetManager(steer)
 
 	const window = 250
-	probe := telemetry.NewProbe(window)
-	col := &telemetry.Collector{}
-	probe.SetExporter(col)
-	p.SetTelemetry(probe)
-	steer.SetTelemetry(probe)
+	col := collectTelemetry(p, window)
 
 	for !p.Halted() && p.Stats().Cycles < MaxCycles {
 		p.Cycle()
@@ -911,14 +923,8 @@ func X18() string {
 		col *telemetry.Collector
 	}
 	results := sweep.Run(len(policies), 0, func(i int) outcome {
-		p, policy := buildMachinePolicy(prog, cpu.DefaultParams(), policies[i])
-		probe := telemetry.NewProbe(interval)
-		col := &telemetry.Collector{}
-		probe.SetExporter(col)
-		p.SetTelemetry(probe)
-		if ts, ok := policy.(interface{ SetTelemetry(*telemetry.Probe) }); ok {
-			ts.SetTelemetry(probe)
-		}
+		p, _ := buildMachinePolicy(prog, cpu.DefaultParams(), policies[i])
+		col := collectTelemetry(p, interval)
 		st, err := p.Run(MaxCycles)
 		return outcome{st, err, col}
 	})

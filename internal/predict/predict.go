@@ -25,8 +25,8 @@
 // fairly for the configuration bus: repairs (fabric tick) go first,
 // demand steering (core.Manager.Step) second, and the prefetcher only
 // takes spans the bus has left over. Outcomes — confirm, mispredict,
-// cancel, wasted bus spans — accumulate into core.Stats and stream to
-// telemetry as record:"prefetch" events.
+// cancel, wasted bus spans — accumulate into core.Stats and go out on
+// the observer stream (telemetry renders them as record:"prefetch").
 package predict
 
 import (
@@ -34,8 +34,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Defaults and fixed tuning constants of the predictor. The fixed-point
@@ -194,8 +193,7 @@ type Manager struct {
 	// for a full reconfiguration latency).
 	specIssued [arch.NumRFUSlots]bool
 
-	probe *telemetry.Probe
-	spans *span.Recorder
+	obs *trace.Observer
 
 	// Reusable scratch buffers so Manage never allocates.
 	unitsScratch []config.PlacedUnit
@@ -227,18 +225,11 @@ func NewManagerBasis(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Conf
 // cache knobs, stats and reports).
 func (pm *Manager) Core() *core.Manager { return pm.m }
 
-// SetTelemetry installs a telemetry probe on the predictor and the
-// wrapped reactive manager (nil disables).
-func (pm *Manager) SetTelemetry(p *telemetry.Probe) {
-	pm.probe = p
-	pm.m.SetTelemetry(p)
-}
-
-// SetSpans installs a span recorder on the predictor (phase and
-// speculation spans) and the wrapped reactive manager (cache epochs).
-func (pm *Manager) SetSpans(r *span.Recorder) {
-	pm.spans = r
-	pm.m.SetSpans(r)
+// SetObserver installs the event stream on the predictor (phase and
+// speculation events) and the wrapped reactive manager (nil disables).
+func (pm *Manager) SetObserver(o *trace.Observer) {
+	pm.obs = o
+	pm.m.SetObserver(o)
 }
 
 // Manage runs one cycle of prediction-augmented configuration
@@ -345,10 +336,7 @@ func (pm *Manager) dominantClass() int {
 // fully successful speculation has.
 func (pm *Manager) phaseChange() {
 	pm.m.NotePrefetch(0, 0, 0, 0, 0, 1)
-	if pm.probe != nil {
-		pm.probe.Prefetch(telemetry.PrefetchEvent{Event: telemetry.PrefetchPhaseChange})
-	}
-	pm.spans.PhaseBoundary()
+	pm.obs.Emit(trace.Event{Kind: trace.KindPhaseChange})
 	pm.boundary()
 	if !pm.specActive {
 		return
@@ -359,7 +347,7 @@ func (pm *Manager) phaseChange() {
 	// cancelling now would mis-charge spans the shift is about to use.
 	target := pm.m.Basis()[pm.specTarget-1]
 	if pm.fabric.Allocation().Distance(target) <= 2 {
-		pm.resolveSpec(telemetry.PrefetchConfirm)
+		pm.resolveSpec(trace.SpecConfirm)
 	}
 }
 
@@ -418,9 +406,9 @@ func (pm *Manager) transition(sel core.Selection) {
 			if pm.curBasis == pm.specTarget {
 				// The reactive path settled on exactly what the
 				// prefetcher already loaded (or started loading).
-				pm.resolveSpec(telemetry.PrefetchConfirm)
+				pm.resolveSpec(trace.SpecConfirm)
 			} else {
-				pm.resolveSpec(telemetry.PrefetchMispredict)
+				pm.resolveSpec(trace.SpecMispredict)
 			}
 		}
 		if pm.settledBasis != 0 {
@@ -451,11 +439,11 @@ func (pm *Manager) transition(sel core.Selection) {
 		// again), so the hold gets proportionally more patience before
 		// the streak is ruled a mispredict.
 		if pm.specHeldStreak >= settleCycles+pm.fabric.ReconfigLatency()/2 {
-			pm.resolveSpec(telemetry.PrefetchMispredict)
+			pm.resolveSpec(trace.SpecMispredict)
 		}
 	}
 	if pm.specActive && pm.cycle-pm.specStart > pm.specTTL() {
-		pm.resolveSpec(telemetry.PrefetchCancel)
+		pm.resolveSpec(trace.SpecCancel)
 	}
 }
 
@@ -468,32 +456,23 @@ func (pm *Manager) specTTL() int {
 }
 
 // resolveSpec closes the active speculation with the given outcome
-// event, charging wasted bus spans for mispredictions and cancels.
-func (pm *Manager) resolveSpec(event string) {
+// (trace.SpecConfirm, SpecMispredict or SpecCancel), charging wasted bus
+// spans for mispredictions and cancels.
+func (pm *Manager) resolveSpec(outcome int32) {
 	confirmed, mispredicted, cancelled, wasted := 0, 0, 0, 0
-	outcome := span.OutcomeCancel
-	switch event {
-	case telemetry.PrefetchConfirm:
+	switch outcome {
+	case trace.SpecConfirm:
 		confirmed = 1
-		outcome = span.OutcomeConfirm
-	case telemetry.PrefetchMispredict:
+	case trace.SpecMispredict:
 		mispredicted = 1
 		wasted = pm.specSpans
-		outcome = span.OutcomeMispredict
-	case telemetry.PrefetchCancel:
+	case trace.SpecCancel:
 		cancelled = 1
 		wasted = pm.specSpans
 	}
-	pm.spans.SpecResolve(outcome, pm.specSpans)
 	pm.m.NotePrefetch(0, confirmed, mispredicted, cancelled, wasted, 0)
-	if pm.probe != nil {
-		pm.probe.Prefetch(telemetry.PrefetchEvent{
-			Event:         event,
-			Config:        pm.m.Basis()[pm.specTarget-1].Name,
-			Spans:         pm.specSpans,
-			ConfidencePct: pm.specConfPct,
-		})
-	}
+	pm.obs.Emit(trace.Event{Kind: trace.KindSpecResolve, Str: pm.m.Basis()[pm.specTarget-1].Name,
+		A: int32(pm.specSpans), B: int32(pm.specConfPct), C: outcome})
 	pm.specActive = false
 	pm.specSpans = 0
 	pm.m.HoldTarget = 0
@@ -526,7 +505,7 @@ func (pm *Manager) speculate(sel core.Selection) {
 		pm.specHeldStreak = 0
 		pm.specOpens++
 		pm.specIssued = [arch.NumRFUSlots]bool{}
-		pm.spans.SpecOpen(pm.m.Basis()[next-1].Name, confPct)
+		pm.obs.Emit(trace.Event{Kind: trace.KindSpecOpen, Str: pm.m.Basis()[next-1].Name, B: int32(confPct)})
 	}
 	pm.issueSpans()
 }
@@ -645,14 +624,8 @@ func (pm *Manager) issueSpans() {
 	}
 	if issued > 0 {
 		pm.m.NotePrefetch(issued, 0, 0, 0, 0, 0)
-		if pm.probe != nil {
-			pm.probe.Prefetch(telemetry.PrefetchEvent{
-				Event:         telemetry.PrefetchIssue,
-				Config:        target.Name,
-				Spans:         issued,
-				ConfidencePct: pm.specConfPct,
-			})
-		}
+		pm.obs.Emit(trace.Event{Kind: trace.KindPrefetchIssue, Str: target.Name,
+			A: int32(issued), B: int32(pm.specConfPct)})
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // SlotHealth is one slot's position in the fault state machine:
@@ -117,18 +117,23 @@ func (f *Fabric) InjectFault(s int, permanent bool) bool {
 	if f.health[s] != HealthHealthy || f.reconfig[s] > 0 {
 		return false
 	}
+	f.strike(s, permanent)
+	f.recomputeHealthOK()
+	return true
+}
+
+// strike corrupts healthy slot s with an upset.
+func (f *Fabric) strike(s int, permanent bool) {
 	f.health[s] = HealthCorrupt
+	perm := int32(0)
 	if permanent {
 		f.permanent[s] = true
 		f.fstats.InjectedPermanent++
-		f.probe.Fault(s, telemetry.FaultInjectedPermanent)
+		perm = 1
 	} else {
 		f.fstats.InjectedTransient++
-		f.probe.Fault(s, telemetry.FaultInjectedTransient)
 	}
-	f.spans.FaultInjected(s, permanent)
-	f.recomputeHealthOK()
-	return true
+	f.obs.Emit(trace.Event{Kind: trace.KindFaultInject, A: int32(s), B: perm})
 }
 
 // Health returns slot s's fault state.
@@ -257,8 +262,7 @@ func (f *Fabric) installHealth(s int) {
 		if !f.permanent[s] {
 			f.health[s] = HealthHealthy
 			f.fstats.HealedByLoad++
-			f.probe.Fault(s, telemetry.FaultRepaired)
-			f.spans.FaultHealed(s)
+			f.obs.Emit(trace.Event{Kind: trace.KindFaultHeal, A: int32(s)})
 		}
 	}
 }
@@ -266,17 +270,16 @@ func (f *Fabric) installHealth(s int) {
 // completeRepair resolves a finished repair rewrite: transient faults
 // heal; permanent stuck bits survive the rewrite and retire the slot.
 func (f *Fabric) completeRepair(s int) {
+	dead := int32(0)
 	if f.permanent[s] {
 		f.health[s] = HealthDead
 		f.fstats.DeadSlots++
-		f.probe.Fault(s, telemetry.FaultDead)
-		f.spans.RepairEnd(s, true)
-		return
+		dead = 1
+	} else {
+		f.health[s] = HealthHealthy
+		f.fstats.Repaired++
 	}
-	f.health[s] = HealthHealthy
-	f.fstats.Repaired++
-	f.probe.Fault(s, telemetry.FaultRepaired)
-	f.spans.RepairEnd(s, false)
+	f.obs.Emit(trace.Event{Kind: trace.KindRepairEnd, A: int32(s), B: dead})
 }
 
 // faultTick runs once per cycle, after the timers advanced, when the
@@ -291,13 +294,12 @@ func (f *Fabric) faultTick() {
 	if f.scrubCountdown <= 0 {
 		f.scrubCountdown = f.injector.ScrubInterval()
 		f.fstats.ScrubScans++
-		f.probe.ScrubScan()
+		f.obs.Emit(trace.Event{Kind: trace.KindScrub})
 		for s := range f.health {
 			if f.health[s] == HealthCorrupt {
 				f.health[s] = HealthDetected
 				f.fstats.Detected++
-				f.probe.Fault(s, telemetry.FaultDetected)
-				f.spans.FaultDetected(s)
+				f.obs.Emit(trace.Event{Kind: trace.KindFaultDetect, A: int32(s)})
 				changed = true
 			}
 		}
@@ -321,8 +323,7 @@ func (f *Fabric) faultTick() {
 			continue // configuration bus fully occupied
 		}
 		f.fstats.RepairsStarted++
-		f.probe.Fault(s, telemetry.FaultRepairStart)
-		f.spans.RepairStart(s)
+		f.obs.Emit(trace.Event{Kind: trace.KindRepairStart, A: int32(s)})
 		if f.latency == 0 {
 			f.completeRepair(s)
 		} else {
@@ -393,16 +394,7 @@ func (f *Fabric) faultTick() {
 		if f.extUnavail&(1<<uint(s)) != 0 {
 			continue // leased to a sibling core; its injector owns the slot
 		}
-		f.health[s] = HealthCorrupt
-		if k == fault.Permanent {
-			f.permanent[s] = true
-			f.fstats.InjectedPermanent++
-			f.probe.Fault(s, telemetry.FaultInjectedPermanent)
-		} else {
-			f.fstats.InjectedTransient++
-			f.probe.Fault(s, telemetry.FaultInjectedTransient)
-		}
-		f.spans.FaultInjected(s, k == fault.Permanent)
+		f.strike(s, k == fault.Permanent)
 		changed = true
 	}
 
@@ -411,6 +403,6 @@ func (f *Fabric) faultTick() {
 	}
 	if n := f.MaskedSlots(); n > 0 {
 		f.fstats.MaskedSlotCycles += n
-		f.probe.MaskedSlotCycles(n)
+		f.obs.Emit(trace.Event{Kind: trace.KindMasked, A: int32(n)})
 	}
 }

@@ -15,8 +15,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/span"
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // UnitRef identifies one functional-unit instance: a fixed unit (by type)
@@ -72,8 +71,7 @@ type Fabric struct {
 	healthOKMask uint16
 	allocVersion uint64
 
-	probe *telemetry.Probe
-	spans *span.Recorder
+	obs *trace.Observer
 
 	// Fault injection & degraded mode (see health.go). injector is nil
 	// unless EnableFaults armed it; healthOK starts all-true so the
@@ -515,12 +513,8 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 	f.target[lo] = arch.Encode(t)
 	f.reconfigurations++
 	f.reconfigCycles += (hi - lo) * f.latency
-	if f.probe != nil {
-		f.probe.ReconfigStart(t, hi-lo, f.latency)
-	}
-	// The bus transaction completes in exactly latency cycles, so the
-	// span is known in full at start.
-	f.spans.Reconfig(lo, hi-lo, f.latency, t.String())
+	f.obs.Emit(trace.Event{Kind: trace.KindReconfig, A: int32(lo), B: int32(hi - lo),
+		C: int32(f.latency), Str: t.String()})
 	if f.latency == 0 {
 		for s := lo; s < hi; s++ {
 			f.alloc.Slots[s] = f.target[s]
@@ -608,14 +602,9 @@ func (f *Fabric) Reconfiguring() bool {
 	return false
 }
 
-// SetTelemetry installs a telemetry probe notified when span rewrites
-// start (nil disables; the hook then costs one branch per rewrite).
-func (f *Fabric) SetTelemetry(probe *telemetry.Probe) { f.probe = probe }
-
-// SetSpans installs a span recorder capturing reconfiguration bus
-// transactions, repair windows and fault instants (nil disables; the
-// recorder's methods are nil-receiver safe).
-func (f *Fabric) SetSpans(r *span.Recorder) { f.spans = r }
+// SetObserver installs the event stream receiving span rewrites and
+// fault transitions (nil disables; each site then costs one branch).
+func (f *Fabric) SetObserver(o *trace.Observer) { f.obs = o }
 
 // ReconfiguringSlots counts slots currently mid-reconfiguration — the
 // sampler's in-flight reconfiguration gauge.

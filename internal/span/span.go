@@ -16,6 +16,8 @@
 // end of run. Entry names are static strings; recording never allocates.
 package span
 
+import "repro/internal/trace"
+
 // Kind discriminates trace entries. Span kinds carry a duration;
 // instant kinds mark a single cycle.
 type Kind uint8
@@ -134,8 +136,8 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	// Round the window up to a power of two so the boundary check in
-	// BeginCycle is a mask, not a division.
+	// Round the window up to a power of two so the window-boundary
+	// check is a mask, not a division.
 	w := 1
 	for w < c.Window {
 		w <<= 1
@@ -154,18 +156,18 @@ func (c Config) withDefaults() Config {
 // IPC baseline (windows 2..1+baselineWindows; window 1 is ramp).
 const baselineWindows = 3
 
-// Recorder captures simulator spans. It is a pure observer: its
-// methods read the values passed in and mutate only recorder state,
-// so a run is bit-identical with the recorder attached or not.
-// All methods are nil-receiver safe. Not safe for concurrent use —
-// it belongs to the machine's cycle loop.
+// Recorder captures simulator spans. It is a pure observer: it reads
+// the events it is handed and mutates only recorder state, so a run is
+// bit-identical with the recorder attached or not. The accessors and
+// exports are nil-receiver safe. Not safe for concurrent use — it
+// belongs to the machine's cycle loop.
 type Recorder struct {
 	cfg Config
 
 	// core labels exported records with the owning cluster core's
-	// index (0 for scalar machines — see SetCore). Each cluster core
-	// records into its own Recorder; the label keeps merged exports
-	// attributable.
+	// index, taken from the events (0 for scalar machines). Each
+	// cluster core records into its own Recorder; the label keeps
+	// merged exports attributable.
 	core int
 
 	trace   []Entry // bounded full trace, in record order
@@ -175,12 +177,13 @@ type Recorder struct {
 	ringPos int
 	ringLen int
 
-	now int64 // current cycle, set by BeginCycle
+	now int64 // current cycle, from the events
 
 	// Trigger-window state.
 	winMask     int64
 	winIndex    int
 	winFaults   int
+	retired     int // cumulative retired count at the last cycle end
 	lastRetired int
 	baseSum     int
 	baseline    int // mean retired per warm-up window; 0 until set
@@ -195,7 +198,7 @@ type Recorder struct {
 	phaseOpen   bool
 	phaseStart  int64
 	phaseCount  int32
-	cacheUsed   bool // a steering cache is attached; emit epochs
+	cacheUsed   bool // a steering cache is in use; emit epochs
 	cacheStart  int64
 	finished    bool
 }
@@ -217,17 +220,8 @@ func NewRecorder(cfg Config, slots int) *Recorder {
 	return r
 }
 
-// SetCore sets the cluster-core index stamped onto exported records
-// (JSONL rows carry it as "core"; the Chrome trace maps each core to
-// its own process). Scalar machines leave it at 0.
-func (r *Recorder) SetCore(core int) {
-	if r == nil {
-		return
-	}
-	r.core = core
-}
-
-// Core returns the cluster-core label (0 for a nil recorder).
+// Core returns the cluster-core label of the recorded events (0 for a
+// nil recorder or a scalar machine).
 func (r *Recorder) Core() int {
 	if r == nil {
 		return 0
@@ -253,19 +247,96 @@ func (r *Recorder) record(e Entry) {
 	}
 }
 
-// BeginCycle advances the recorder clock and, at window boundaries,
-// evaluates the anomaly triggers. cycle is the machine cycle counter
-// (1-based), retired the cumulative retired-instruction count.
-func (r *Recorder) BeginCycle(cycle, retired int) {
-	if r == nil {
-		return
+// recorderKinds are the events the recorder consumes.
+var recorderKinds = trace.Kinds(
+	trace.KindCycleEnd, trace.KindReconfig, trace.KindCacheOpen,
+	trace.KindCacheFlush, trace.KindFaultInject, trace.KindFaultDetect,
+	trace.KindFaultHeal, trace.KindRepairStart, trace.KindRepairEnd,
+	trace.KindPhaseChange, trace.KindSpecOpen, trace.KindSpecResolve)
+
+// Kinds implements trace.Sink.
+func (r *Recorder) Kinds() trace.Mask { return recorderKinds }
+
+// Observe implements trace.Sink: it records span and instant entries,
+// opens and closes the epoch spans, and at trigger-window boundaries
+// evaluates the anomaly triggers.
+func (r *Recorder) Observe(e trace.Event) {
+	if e.Cycle != r.now {
+		// The first event of a cycle (every cycle ends with one): when
+		// the cycle starts a window, evaluate the window that closed.
+		r.now = e.Cycle
+		if e.Cycle&r.winMask == 0 {
+			r.windowBoundary()
+		}
 	}
-	r.now = int64(cycle)
-	if int64(cycle)&r.winMask != 0 {
-		return
+	r.core = int(e.Core)
+	switch e.Kind {
+	case trace.KindCycleEnd:
+		r.retired = int(e.A)
+	case trace.KindReconfig:
+		// The bus transaction completes in exactly latency cycles, so
+		// the span is known in full at start.
+		r.record(Entry{Kind: KindReconfig, Slot: int16(e.A), A: e.B, B: e.C,
+			Start: r.now, Dur: int64(e.C), Name: e.Str})
+	case trace.KindCacheOpen:
+		// Emit the trailing epoch at Finish even if the cache is never
+		// flushed.
+		r.cacheUsed = true
+	case trace.KindCacheFlush:
+		r.cacheUsed = true
+		r.closeCacheEpoch()
+		r.cacheStart = r.now
+	case trace.KindFaultInject:
+		r.winFaults++
+		aux := "transient"
+		if e.B != 0 {
+			aux = "permanent"
+		}
+		r.fault(e.A, "inject", aux)
+	case trace.KindFaultDetect:
+		r.fault(e.A, "detect", "scrub")
+	case trace.KindFaultHeal:
+		r.fault(e.A, "heal", "load")
+	case trace.KindRepairStart:
+		if int(e.A) < len(r.repairStart) {
+			r.repairStart[e.A] = r.now
+		}
+	case trace.KindRepairEnd:
+		outcome := "repaired"
+		if e.B != 0 {
+			outcome = "dead"
+		}
+		r.repairEnd(int(e.A), outcome)
+	case trace.KindPhaseChange:
+		r.closePhase()
+		r.phaseOpen = true
+		r.phaseStart = r.now
+		r.phaseCount++
+	case trace.KindSpecOpen:
+		// An already-open speculation is resolved as cancelled first
+		// (defensive; the predictor resolves before reopening).
+		r.specResolve(OutcomeCancel, 0)
+		r.specOpen = true
+		r.specStart = r.now
+		r.specName = e.Str
+		r.specConf = e.B
+	case trace.KindSpecResolve:
+		r.specResolve(outcomes[e.C], e.A)
 	}
-	winRetired := retired - r.lastRetired
-	r.lastRetired = retired
+}
+
+// outcomes names the speculation outcomes by trace.Spec* code.
+var outcomes = [...]string{
+	trace.SpecConfirm:    OutcomeConfirm,
+	trace.SpecMispredict: OutcomeMispredict,
+	trace.SpecCancel:     OutcomeCancel,
+}
+
+// windowBoundary evaluates the anomaly triggers over the window ending
+// with the previous cycle.
+func (r *Recorder) windowBoundary() {
+	winRetired := r.retired - r.lastRetired
+	r.lastRetired = r.retired
 	r.winIndex++
 	if r.winFaults > r.cfg.FaultStorm {
 		r.trigger(TriggerFaultStorm, int32(r.winFaults), int32(r.cfg.FaultStorm))
@@ -295,144 +366,49 @@ func (r *Recorder) trigger(reason string, got, threshold int32) {
 	}
 }
 
-// Reconfig records one reconfiguration bus transaction: a complete
-// span on the head slot's lane, since the bus finishes in exactly
-// latency cycles. unit is the functional-unit type being installed.
-func (r *Recorder) Reconfig(headSlot, width, latency int, unit string) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindReconfig, Slot: int16(headSlot),
-		A: int32(width), B: int32(latency),
-		Start: r.now, Dur: int64(latency), Name: unit})
+// fault records a fault instant on slot.
+func (r *Recorder) fault(slot int32, name, aux string) {
+	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now, Name: name, Aux: aux})
 }
 
-// FaultInjected records a fault-injection instant on slot and feeds
-// the fault-storm window counter.
-func (r *Recorder) FaultInjected(slot int, permanent bool) {
-	if r == nil {
-		return
-	}
-	r.winFaults++
-	aux := "transient"
-	if permanent {
-		aux = "permanent"
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "inject", Aux: aux})
-}
-
-// FaultDetected records a scrub-detection instant on slot.
-func (r *Recorder) FaultDetected(slot int) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "detect", Aux: "scrub"})
-}
-
-// FaultHealed records an incidental heal (a steering reconfiguration
-// rewrote a corrupt slot before the scrubber saw it).
-func (r *Recorder) FaultHealed(slot int) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "heal", Aux: "load"})
-}
-
-// RepairStart opens a repair window on slot.
-func (r *Recorder) RepairStart(slot int) {
-	if r == nil || slot >= len(r.repairStart) {
-		return
-	}
-	r.repairStart[slot] = r.now
-}
-
-// RepairEnd closes the repair window on slot. dead marks a permanent
-// fault that survived the rewrite.
-func (r *Recorder) RepairEnd(slot int, dead bool) {
-	if r == nil || slot >= len(r.repairStart) {
+// repairEnd closes the repair window on slot, if one is open, with the
+// given outcome.
+func (r *Recorder) repairEnd(slot int, outcome string) {
+	if slot >= len(r.repairStart) || r.repairStart[slot] < 0 {
 		return
 	}
 	start := r.repairStart[slot]
-	if start < 0 {
-		return
-	}
 	r.repairStart[slot] = -1
-	aux := "repaired"
-	if dead {
-		aux = "dead"
-	}
 	r.record(Entry{Kind: KindRepair, Slot: int16(slot),
-		Start: start, Dur: r.now - start, Name: "repair", Aux: aux})
+		Start: start, Dur: r.now - start, Name: "repair", Aux: outcome})
 }
 
-// SpecOpen opens a prefetch-speculation span predicting the named
-// configuration with the given confidence (percent). An already-open
-// speculation is resolved as cancelled first (defensive; the predictor
-// resolves before reopening).
-func (r *Recorder) SpecOpen(config string, confidencePct int) {
-	if r == nil {
-		return
+// closePhase closes the current workload-phase span, if one is open.
+func (r *Recorder) closePhase() {
+	if r.phaseOpen {
+		r.phaseOpen = false
+		r.record(Entry{Kind: KindPhase, Slot: -1, A: r.phaseCount,
+			Start: r.phaseStart, Dur: r.now - r.phaseStart, Name: "phase"})
 	}
-	if r.specOpen {
-		r.SpecResolve(OutcomeCancel, 0)
-	}
-	r.specOpen = true
-	r.specStart = r.now
-	r.specName = config
-	r.specConf = int32(confidencePct)
 }
 
-// SpecResolve closes the open speculation span with the given outcome
-// (OutcomeConfirm, OutcomeMispredict or OutcomeCancel) and the number
-// of speculative bus transactions that were issued.
-func (r *Recorder) SpecResolve(outcome string, spansIssued int) {
-	if r == nil || !r.specOpen {
+// closeCacheEpoch records the steering-cache epoch ending now.
+func (r *Recorder) closeCacheEpoch() {
+	r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
+		Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
+}
+
+// specResolve closes the open speculation span (if any) with the given
+// outcome and the number of speculative bus transactions it issued.
+func (r *Recorder) specResolve(outcome string, spansIssued int32) {
+	if !r.specOpen {
 		return
 	}
 	r.specOpen = false
 	r.record(Entry{Kind: KindSpec, Slot: -1,
-		A: int32(spansIssued), B: r.specConf,
+		A: spansIssued, B: r.specConf,
 		Start: r.specStart, Dur: r.now - r.specStart,
 		Name: r.specName, Aux: outcome})
-}
-
-// PhaseBoundary closes the current workload-phase span (if one is
-// open) and opens the next. The predictor calls this on each detected
-// phase change.
-func (r *Recorder) PhaseBoundary() {
-	if r == nil {
-		return
-	}
-	if r.phaseOpen {
-		r.record(Entry{Kind: KindPhase, Slot: -1, A: r.phaseCount,
-			Start: r.phaseStart, Dur: r.now - r.phaseStart, Name: "phase"})
-	}
-	r.phaseOpen = true
-	r.phaseStart = r.now
-	r.phaseCount++
-}
-
-// AttachCacheEpochs marks that a steering cache is present, so the
-// trailing cache epoch is emitted at Finish even if no flush occurs.
-func (r *Recorder) AttachCacheEpochs() {
-	if r == nil {
-		return
-	}
-	r.cacheUsed = true
-}
-
-// CacheFlush closes the current steering-cache epoch and opens the
-// next. Called when the steering cache is flushed in place.
-func (r *Recorder) CacheFlush() {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
-		Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
-	r.cacheStart = r.now
 }
 
 // Finish closes any open epochs at the current cycle: the trailing
@@ -444,27 +420,13 @@ func (r *Recorder) Finish() {
 		return
 	}
 	r.finished = true
-	if r.phaseOpen {
-		r.phaseOpen = false
-		r.record(Entry{Kind: KindPhase, Slot: -1, A: r.phaseCount,
-			Start: r.phaseStart, Dur: r.now - r.phaseStart, Name: "phase"})
-	}
-	if r.specOpen {
-		r.specOpen = false
-		r.record(Entry{Kind: KindSpec, Slot: -1, A: 0, B: r.specConf,
-			Start: r.specStart, Dur: r.now - r.specStart,
-			Name: r.specName, Aux: OutcomeOpen})
-	}
-	for s, start := range r.repairStart {
-		if start >= 0 {
-			r.repairStart[s] = -1
-			r.record(Entry{Kind: KindRepair, Slot: int16(s),
-				Start: start, Dur: r.now - start, Name: "repair", Aux: OutcomeOpen})
-		}
+	r.closePhase()
+	r.specResolve(OutcomeOpen, 0)
+	for s := range r.repairStart {
+		r.repairEnd(s, OutcomeOpen)
 	}
 	if r.cacheUsed {
-		r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
-			Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
+		r.closeCacheEpoch()
 	}
 }
 

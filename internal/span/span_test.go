@@ -6,25 +6,59 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
-// TestNilRecorderSafe pins the nil-sink contract: every Recorder method
-// must be a no-op on a nil receiver, because instrumented call sites in
-// the fabric and predictor call through unguarded.
+// sim drives a recorder through an observer, as a machine would.
+type sim struct {
+	o *trace.Observer
+}
+
+func newSim(r *Recorder) sim {
+	o := &trace.Observer{}
+	o.Add(r)
+	return sim{o}
+}
+
+// cycle starts cycle c with retired instructions retired so far: cycle
+// c-1 ends, and an event of cycle c (here its own end, with nothing more
+// retired) reaches the recorder, as the running processor's would.
+func (s sim) cycle(c, retired int) {
+	for _, at := range []int{c - 1, c} {
+		s.o.SetCycle(at)
+		s.o.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(retired)})
+	}
+}
+
+func (s sim) reconfig(slot, width, latency int, unit string) {
+	s.o.Emit(trace.Event{Kind: trace.KindReconfig, A: int32(slot), B: int32(width), C: int32(latency), Str: unit})
+}
+
+func (s sim) inject(slot int, permanent bool) {
+	var b int32
+	if permanent {
+		b = 1
+	}
+	s.o.Emit(trace.Event{Kind: trace.KindFaultInject, A: int32(slot), B: b})
+}
+
+func (s sim) emit(kind trace.Kind, slot int) {
+	s.o.Emit(trace.Event{Kind: kind, A: int32(slot)})
+}
+
+func (s sim) specOpen(config string, conf int) {
+	s.o.Emit(trace.Event{Kind: trace.KindSpecOpen, Str: config, B: int32(conf)})
+}
+
+func (s sim) specResolve(outcome int32, spans int) {
+	s.o.Emit(trace.Event{Kind: trace.KindSpecResolve, A: int32(spans), C: outcome})
+}
+
+// TestNilRecorderSafe pins the nil-receiver contract of the accessors
+// and exports, which report paths call whether or not spans were on.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.BeginCycle(1, 0)
-	r.Reconfig(0, 2, 16, "IntAdd")
-	r.FaultInjected(1, true)
-	r.FaultDetected(1)
-	r.FaultHealed(1)
-	r.RepairStart(1)
-	r.RepairEnd(1, false)
-	r.SpecOpen("cfg", 80)
-	r.SpecResolve(OutcomeConfirm, 3)
-	r.PhaseBoundary()
-	r.AttachCacheEpochs()
-	r.CacheFlush()
 	r.Finish()
 	if got := r.Entries(); got != nil {
 		t.Errorf("nil recorder Entries() = %v, want nil", got)
@@ -62,18 +96,19 @@ func TestFaultStormTrigger(t *testing.T) {
 			}
 		},
 	}, 4)
+	s := newSim(r)
 
 	for c := 1; c < 64; c++ {
-		r.BeginCycle(c, c)
+		s.cycle(c, c)
 	}
 	// Three injections in the window, threshold 2: one over.
-	r.FaultInjected(0, false)
-	r.FaultInjected(1, false)
-	r.FaultInjected(2, true)
+	s.inject(0, false)
+	s.inject(1, false)
+	s.inject(2, true)
 	if r.Triggers() != 0 {
 		t.Fatal("trigger fired before the window boundary")
 	}
-	r.BeginCycle(64, 64)
+	s.cycle(64, 64)
 	if r.Triggers() != 1 {
 		t.Fatalf("Triggers() = %d, want 1", r.Triggers())
 	}
@@ -95,11 +130,27 @@ func TestFaultStormTrigger(t *testing.T) {
 	}
 
 	// The counter resets per window: two more injections stay under.
-	r.FaultInjected(0, false)
-	r.FaultInjected(0, false)
-	r.BeginCycle(128, 128)
+	s.inject(0, false)
+	s.inject(0, false)
+	s.cycle(128, 128)
 	if r.Triggers() != 1 {
 		t.Errorf("Triggers() = %d after an under-threshold window, want 1", r.Triggers())
+	}
+}
+
+// TestTriggerNeedsNextCycle: a run cut off at the last cycle of a
+// window never starts the next cycle, so that window is not evaluated.
+func TestTriggerNeedsNextCycle(t *testing.T) {
+	r := NewRecorder(Config{Window: 64, FaultStorm: 1}, 4)
+	s := newSim(r)
+	s.cycle(62, 62)
+	s.inject(0, false)
+	s.inject(1, false)
+	s.o.SetCycle(63)
+	s.o.Emit(trace.Event{Kind: trace.KindCycleEnd, A: 63})
+	r.Finish()
+	if r.Triggers() != 0 {
+		t.Fatalf("Triggers() = %d for a window whose next cycle never ran, want 0", r.Triggers())
 	}
 }
 
@@ -107,11 +158,12 @@ func TestFaultStormTrigger(t *testing.T) {
 // collapsed one; the trigger must fire only on the collapsed window.
 func TestIPCCollapseTrigger(t *testing.T) {
 	r := NewRecorder(Config{Window: 16, IPCCollapsePct: 50}, 4)
+	s := newSim(r)
 
 	retired := 0
 	window := func(delta int) {
 		retired += delta
-		r.BeginCycle(16*(r.winIndex+1), retired)
+		s.cycle(16*(r.winIndex+1), retired)
 	}
 	window(5)   // window 1: pipeline ramp, ignored
 	window(100) // windows 2-4: baseline
@@ -143,9 +195,10 @@ func TestIPCCollapseTrigger(t *testing.T) {
 // entries, oldest first, and the trace buffer counts drops past MaxTrace.
 func TestFlightRingBounds(t *testing.T) {
 	r := NewRecorder(Config{MaxTrace: 6, FlightSize: 4}, 4)
+	s := newSim(r)
 	for i := 1; i <= 10; i++ {
-		r.BeginCycle(i, i)
-		r.Reconfig(i%4, 1, int(i), "IntAdd")
+		s.cycle(i, i)
+		s.reconfig(i%4, 1, i, "IntAdd")
 	}
 	if got := len(r.Entries()); got != 6 {
 		t.Errorf("trace length = %d, want MaxTrace 6", got)
@@ -168,22 +221,23 @@ func TestFlightRingBounds(t *testing.T) {
 // epochs through open → close, including Finish closing trailing spans.
 func TestOpenSpanLifecycles(t *testing.T) {
 	r := NewRecorder(Config{}, 4)
-	r.AttachCacheEpochs()
+	s := newSim(r)
+	s.emit(trace.KindCacheOpen, -1)
 
-	r.BeginCycle(10, 10)
-	r.RepairStart(2)
-	r.SpecOpen("2xIntAdd", 75)
-	r.PhaseBoundary()
+	s.cycle(10, 10)
+	s.emit(trace.KindRepairStart, 2)
+	s.specOpen("2xIntAdd", 75)
+	s.emit(trace.KindPhaseChange, -1)
 
-	r.BeginCycle(50, 50)
-	r.RepairEnd(2, false)
-	r.SpecResolve(OutcomeMispredict, 2)
-	r.CacheFlush()
-	r.PhaseBoundary()
+	s.cycle(50, 50)
+	s.emit(trace.KindRepairEnd, 2)
+	s.specResolve(trace.SpecMispredict, 2)
+	s.emit(trace.KindCacheFlush, -1)
+	s.emit(trace.KindPhaseChange, -1)
 
-	r.BeginCycle(90, 90)
-	r.SpecOpen("4xFPMul", 60) // left open: Finish resolves it as "open"
-	r.RepairStart(1)          // left open: Finish closes it
+	s.cycle(90, 90)
+	s.specOpen("4xFPMul", 60)        // left open: Finish resolves it as "open"
+	s.emit(trace.KindRepairStart, 1) // left open: Finish closes it
 	r.Finish()
 	r.Finish() // idempotent
 
@@ -242,11 +296,12 @@ func TestOpenSpanLifecycles(t *testing.T) {
 // the lanes and event phases Perfetto expects.
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder(Config{Window: 64, FaultStorm: 1}, 4)
-	r.BeginCycle(5, 5)
-	r.Reconfig(2, 2, 16, "FPMul")
-	r.FaultInjected(1, false)
-	r.FaultInjected(1, false)
-	r.BeginCycle(64, 64) // fault storm → trigger instant
+	s := newSim(r)
+	s.cycle(5, 5)
+	s.reconfig(2, 2, 16, "FPMul")
+	s.inject(1, false)
+	s.inject(1, false)
+	s.cycle(64, 64) // fault storm → trigger instant
 	r.Finish()
 
 	var buf bytes.Buffer
@@ -298,9 +353,10 @@ func TestWriteChromeTrace(t *testing.T) {
 // record discriminator.
 func TestWriteJSONL(t *testing.T) {
 	r := NewRecorder(Config{}, 4)
-	r.BeginCycle(3, 3)
-	r.Reconfig(0, 1, 8, "IntAdd")
-	r.FaultInjected(0, true)
+	s := newSim(r)
+	s.cycle(3, 3)
+	s.reconfig(0, 1, 8, "IntAdd")
+	s.inject(0, true)
 	r.Finish()
 
 	var buf bytes.Buffer
@@ -326,9 +382,10 @@ func TestWriteJSONL(t *testing.T) {
 // TestDumpFlight checks the anomaly dump document shape.
 func TestDumpFlight(t *testing.T) {
 	r := NewRecorder(Config{FlightSize: 2}, 4)
+	s := newSim(r)
 	for i := 1; i <= 5; i++ {
-		r.BeginCycle(i, i)
-		r.Reconfig(0, 1, 4, "IntAdd")
+		s.cycle(i, i)
+		s.reconfig(0, 1, 4, "IntAdd")
 	}
 	var buf bytes.Buffer
 	if err := r.DumpFlight(&buf, TriggerFaultStorm); err != nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"repro/internal/arch"
+	"repro/internal/trace"
 )
 
 // Sample is one row of the per-cycle time series: the machine state at a
@@ -177,41 +178,28 @@ type PrefetchEvent struct {
 	ConfidencePct int `json:"confidencePct"`
 }
 
-// CoreState is the snapshot the processor hands the Probe at a sampling
-// boundary — the fields the Probe cannot see through its event hooks.
-type CoreState struct {
-	Cycle     int
-	Retired   int
-	Occupancy int
-	Demand    arch.Counts
-	RFUUnits  arch.Counts
-	RFUBusy   arch.Counts
-	FFUBusy   arch.Counts
-	Slots     [arch.NumRFUSlots]arch.Encoding
+// CoreState is the machine snapshot the Probe pulls at a sampling
+// boundary — the fields it cannot see through events.
+type CoreState = trace.CoreState
 
-	ReconfigSlots int
-	// MaskedSlots counts slots fault-masked away from steering and
-	// dispatch right now.
-	MaskedSlots int
-
-	// Cumulative bottleneck buckets (issued, units, deps, frontend).
-	Buckets [4]int
-}
-
-// Probe is the instrumentation hub wired into one machine: the
-// processor, configuration manager and fabric feed it events; a Sampler
-// interval drains it into an Exporter. Every method is safe on a nil
-// receiver so instrumentation call sites cost one branch when telemetry
-// is off.
+// Probe is the telemetry sink on a machine's observer stream: it counts
+// events into its registry, logs steering decisions, fault and prefetch
+// events to its Exporter as they happen, and at every interval boundary
+// pulls a CoreState snapshot and exports a Sample. The per-instruction
+// counters (cycles, dispatched, issued, retired, flushed, dispatch
+// stalls) come from the snapshot, which the processor keeps anyway, so
+// the probe consumes no per-instruction events. The accessors and Flush
+// are safe on a nil receiver.
 type Probe struct {
 	interval int
 	exp      Exporter
 	reg      *Registry
 	err      error // first exporter error; surfaced by Flush
+	state    func() CoreState
+	basis    [3]string // basis configuration names, for decision records
 
-	cycle int
 	// core stamps every emitted record with the owning cluster core's
-	// index (0 for scalar machines — see SetCore).
+	// index, taken from the events (0 for scalar machines).
 	core int
 
 	// Registry-backed cumulative metrics.
@@ -244,36 +232,33 @@ type Probe struct {
 	gCEMError       [arch.NumConfigs]*Gauge
 	hOccupancy      *Histogram
 
-	// Interval accumulators, reset at each sample.
-	ivIssued    arch.Counts
-	ivRetired   int
-	ivFlushed   int
-	ivStalls    int
-	ivReconfigs int
-	ivSteerHits int
-	ivSteerMiss int
-	ivFaultsInj int
-	ivFaultsDet int
-	ivFaultsRep int
-	ivScrubs    int
-	ivPrefIss   int
-	ivPrefConf  int
-	ivPrefMisp  int
-	ivPrefCanc  int
+	// iv accumulates event counts since the last sample.
+	iv intervalCounts
 
-	// Latest selection-unit pass (steering-family policies only).
+	// Latest selection-unit pass (steering-family policies only); the
+	// four CEM scores stay packed (trace.Pack4) until a sample or Flush
+	// reads them.
 	selSeen   bool
-	selErrors [arch.NumConfigs]int
+	selErrors int32
 	selChoice int
 
-	// Cumulative values at the previous sample, for interval deltas.
-	lastRetired int
-	lastBuckets [4]int
+	// last is the snapshot at the previous sample, for interval deltas.
+	last CoreState
+}
+
+// intervalCounts holds a Probe's per-sample event counts.
+type intervalCounts struct {
+	reconfigs                             int
+	steerHits, steerMisses                int
+	faultsInj, faultsDet, faultsRep       int
+	scrubs                                int
+	prefIss, prefConf, prefMisp, prefCanc int
 }
 
 // NewProbe builds a probe sampling every interval cycles (interval must
-// be positive). Attach an exporter with SetExporter before the run; a
-// probe without an exporter still maintains its registry.
+// be positive). Attach an exporter with SetExporter and the snapshot
+// source with SetState before the run; a probe without an exporter still
+// maintains its registry.
 func NewProbe(interval int) *Probe {
 	if interval <= 0 {
 		panic("telemetry: sampling interval must be positive")
@@ -332,16 +317,14 @@ func configLabel(i int) string {
 // SetExporter attaches the sample/decision destination.
 func (p *Probe) SetExporter(e Exporter) { p.exp = e }
 
-// SetCore sets the cluster-core index stamped onto every record this
-// probe emits. Scalar machines leave it at 0; the cluster layer gives
-// each core its own probe (often sharing one exporter) so streams stay
-// attributable after interleaving.
-func (p *Probe) SetCore(core int) {
-	if p == nil {
-		return
-	}
-	p.core = core
-}
+// SetState installs the snapshot source the probe pulls at each sampling
+// boundary (cpu.Processor.CoreState for a simulated machine). Without
+// one, samples carry only the event counts.
+func (p *Probe) SetState(state func() CoreState) { p.state = state }
+
+// SetBasis names the steering basis configurations a decision's choice
+// (1..3) selects, for the To field of decision records.
+func (p *Probe) SetBasis(names [3]string) { p.basis = names }
 
 // Registry exposes the probe's metric registry (for the Prometheus
 // exporter and report code).
@@ -360,259 +343,210 @@ func (p *Probe) Interval() int {
 	return p.interval
 }
 
-// --- Hot-path hooks (all nil-safe, allocation-free) --------------------
+// probeKinds are the events the probe consumes.
+var probeKinds = trace.Kinds(
+	trace.KindReconfig, trace.KindCycleEnd, trace.KindSelection,
+	trace.KindDecision, trace.KindFaultInject, trace.KindFaultDetect,
+	trace.KindFaultHeal, trace.KindRepairStart, trace.KindRepairEnd,
+	trace.KindScrub, trace.KindMasked, trace.KindPhaseChange,
+	trace.KindPrefetchIssue, trace.KindSpecResolve)
 
-// BeginCycle marks the start of simulated cycle c; decision and sample
-// records carry this cycle number.
-func (p *Probe) BeginCycle(c int) {
-	if p == nil {
-		return
-	}
-	p.cycle = c
-	p.cCycles.Inc()
-}
+// Kinds implements trace.Sink.
+func (p *Probe) Kinds() trace.Mask { return probeKinds }
 
-// Dispatch records one instruction entering the window.
-func (p *Probe) Dispatch() {
-	if p == nil {
-		return
-	}
-	p.cDispatched.Inc()
-}
-
-// DispatchStall records a dispatch attempt blocked by a full window.
-func (p *Probe) DispatchStall() {
-	if p == nil {
-		return
-	}
-	p.cDispatchStalls.Inc()
-	p.ivStalls++
-}
-
-// Issue records one grant to a unit of type t.
-func (p *Probe) Issue(t arch.UnitType) {
-	if p == nil {
-		return
-	}
-	p.cIssued[t].Inc()
-	p.ivIssued[t]++
-}
-
-// Retire records one instruction committing.
-func (p *Probe) Retire() {
-	if p == nil {
-		return
-	}
-	p.cRetired.Inc()
-	p.ivRetired++
-}
-
-// Flushed records n instructions squashed by a misprediction flush.
-func (p *Probe) Flushed(n int) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.cFlushed.Add(uint64(n))
-	p.ivFlushed += n
-}
-
-// Selection records one selection-unit pass: the four CEM scores and the
-// winning candidate.
-func (p *Probe) Selection(errors [arch.NumConfigs]int, choice int) {
-	if p == nil {
-		return
-	}
-	p.selSeen = true
-	p.selErrors = errors
-	p.selChoice = choice
-	p.cSelections[choice].Inc()
-	for i, e := range errors {
-		p.gCEMError[i].Set(int64(e))
-	}
-}
-
-// SteeringCacheLookup records one steering-cache probe: a hit replays a
-// memoized selection, a miss runs the CEM generators and fills the line.
-func (p *Probe) SteeringCacheLookup(hit bool) {
-	if p == nil {
-		return
-	}
-	if hit {
-		p.cSteerHits.Inc()
-		p.ivSteerHits++
-	} else {
-		p.cSteerMisses.Inc()
-		p.ivSteerMiss++
-	}
-}
-
-// ConfigSwitch logs one steering decision: the loader started rewriting
-// spans toward a new configuration. The probe stamps the cycle and
-// forwards the record to the exporter immediately (decisions are not
-// sampled — every switch is logged).
-func (p *Probe) ConfigSwitch(d Decision) {
-	if p == nil {
-		return
-	}
-	d.Cycle = p.cycle
-	d.Core = p.core
-	p.cDecisions.Inc()
-	if p.exp != nil {
-		if err := p.exp.Decision(&d); err != nil && p.err == nil {
-			p.err = err
+// Observe implements trace.Sink: it counts the event and, for decisions,
+// fault and prefetch events, exports a record immediately (those are
+// not sampled — every one is logged). A cycle-end event on an interval
+// boundary exports a sample. Allocation-free apart from the exporter.
+func (p *Probe) Observe(e trace.Event) {
+	switch e.Kind {
+	case trace.KindCycleEnd:
+		p.core = int(e.Core)
+		if e.Cycle%int64(p.interval) == 0 {
+			p.emitSample()
 		}
-	}
-}
-
-// Fault logs one fault-injection state transition for slot. The probe
-// stamps the cycle, counts the event on the registry and forwards the
-// record to the exporter immediately (fault events are not sampled).
-func (p *Probe) Fault(slot int, event string) {
-	if p == nil {
-		return
-	}
-	switch event {
-	case FaultInjectedTransient:
-		p.cFaultsTrans.Inc()
-		p.ivFaultsInj++
-	case FaultInjectedPermanent:
-		p.cFaultsPerm.Inc()
-		p.ivFaultsInj++
-	case FaultDetected:
+	case trace.KindSelection:
+		p.selSeen = true
+		p.selErrors = e.B
+		p.selChoice = int(e.A)
+		p.cSelections[e.A].Inc()
+		switch e.C {
+		case trace.LookupHit:
+			p.cSteerHits.Inc()
+			p.iv.steerHits++
+		case trace.LookupMiss:
+			p.cSteerMisses.Inc()
+			p.iv.steerMisses++
+		}
+	case trace.KindDecision:
+		p.cDecisions.Inc()
+		if p.exp != nil {
+			n := trace.Unpack4(e.B)
+			d := Decision{Cycle: int(e.Cycle), Core: int(e.Core), From: e.Str, To: p.basis[e.A-1],
+				Choice: int(e.A), DiffSlots: n[0], Spans: n[1], SlotsLoading: n[2],
+				DeferredSlots: n[3], StallSlotCycles: int(e.C)}
+			p.export(p.exp.Decision(&d))
+		}
+	case trace.KindReconfig:
+		p.cReconfigSpans.Inc()
+		p.cReconfigSlotCy.Add(uint64(e.B * e.C))
+		p.iv.reconfigs++
+	case trace.KindFaultInject:
+		if e.B != 0 {
+			p.cFaultsPerm.Inc()
+			p.fault(e, FaultInjectedPermanent)
+		} else {
+			p.cFaultsTrans.Inc()
+			p.fault(e, FaultInjectedTransient)
+		}
+		p.iv.faultsInj++
+	case trace.KindFaultDetect:
 		p.cFaultsDetected.Inc()
-		p.ivFaultsDet++
-	case FaultRepaired:
+		p.iv.faultsDet++
+		p.fault(e, FaultDetected)
+	case trace.KindFaultHeal:
 		p.cFaultsRepaired.Inc()
-		p.ivFaultsRep++
-	}
-	if p.exp != nil {
-		f := FaultEvent{Cycle: p.cycle, Core: p.core, Slot: slot, Event: event}
-		if err := p.exp.Fault(&f); err != nil && p.err == nil {
-			p.err = err
+		p.iv.faultsRep++
+		p.fault(e, FaultRepaired)
+	case trace.KindRepairStart:
+		p.fault(e, FaultRepairStart)
+	case trace.KindRepairEnd:
+		if e.B != 0 {
+			p.fault(e, FaultDead)
+		} else {
+			p.cFaultsRepaired.Inc()
+			p.iv.faultsRep++
+			p.fault(e, FaultRepaired)
 		}
-	}
-}
-
-// Prefetch logs one speculative-prefetch event. The probe stamps the
-// cycle, counts the event on the registry (mispredict/cancel events
-// also charge their spans as wasted bus bandwidth) and forwards the
-// record to the exporter immediately (prefetch events are not sampled).
-func (p *Probe) Prefetch(ev PrefetchEvent) {
-	if p == nil {
-		return
-	}
-	ev.Cycle = p.cycle
-	ev.Core = p.core
-	switch ev.Event {
-	case PrefetchIssue:
-		p.cPrefIssued.Add(uint64(ev.Spans))
-		p.ivPrefIss += ev.Spans
-	case PrefetchConfirm:
-		p.cPrefConfirmed.Inc()
-		p.ivPrefConf++
-	case PrefetchMispredict:
-		p.cPrefMispred.Inc()
-		p.cPrefWasted.Add(uint64(ev.Spans))
-		p.ivPrefMisp++
-	case PrefetchCancel:
-		p.cPrefCancelled.Inc()
-		p.cPrefWasted.Add(uint64(ev.Spans))
-		p.ivPrefCanc++
-	case PrefetchPhaseChange:
+	case trace.KindScrub:
+		p.cScrubScans.Inc()
+		p.iv.scrubs++
+	case trace.KindMasked:
+		p.cMaskedSlotCy.Add(uint64(e.A))
+	case trace.KindPhaseChange:
 		p.cPhaseChanges.Inc()
-	}
-	if p.exp != nil {
-		if err := p.exp.Prefetch(&ev); err != nil && p.err == nil {
-			p.err = err
+		p.prefetch(e, PrefetchPhaseChange)
+	case trace.KindPrefetchIssue:
+		p.cPrefIssued.Add(uint64(e.A))
+		p.iv.prefIss += int(e.A)
+		p.prefetch(e, PrefetchIssue)
+	case trace.KindSpecResolve:
+		switch e.C {
+		case trace.SpecConfirm:
+			p.cPrefConfirmed.Inc()
+			p.iv.prefConf++
+			p.prefetch(e, PrefetchConfirm)
+		case trace.SpecMispredict:
+			p.cPrefMispred.Inc()
+			p.cPrefWasted.Add(uint64(e.A))
+			p.iv.prefMisp++
+			p.prefetch(e, PrefetchMispredict)
+		default:
+			p.cPrefCancelled.Inc()
+			p.cPrefWasted.Add(uint64(e.A))
+			p.iv.prefCanc++
+			p.prefetch(e, PrefetchCancel)
 		}
 	}
 }
 
-// ScrubScan records one readback scrub pass over the fabric.
-func (p *Probe) ScrubScan() {
-	if p == nil {
-		return
+// export keeps the first exporter error for Flush, so the hot path never
+// checks errors.
+func (p *Probe) export(err error) {
+	if err != nil && p.err == nil {
+		p.err = err
 	}
-	p.cScrubScans.Inc()
-	p.ivScrubs++
 }
 
-// MaskedSlotCycles accumulates n slot-cycles lost to fault masking this
-// cycle (called once per cycle by the fabric when faults are enabled).
-func (p *Probe) MaskedSlotCycles(n int) {
-	if p == nil || n == 0 {
-		return
+// fault exports one fault-event record.
+func (p *Probe) fault(e trace.Event, event string) {
+	if p.exp != nil {
+		f := FaultEvent{Cycle: int(e.Cycle), Core: int(e.Core), Slot: int(e.A), Event: event}
+		p.export(p.exp.Fault(&f))
 	}
-	p.cMaskedSlotCy.Add(uint64(n))
 }
 
-// ReconfigStart records one span rewrite beginning: a unit of type t at
-// some head slot, covering slots slots, taking latency cycles per slot
-// span.
-func (p *Probe) ReconfigStart(t arch.UnitType, slots, latency int) {
-	if p == nil {
-		return
+// prefetch exports one prefetch-event record.
+func (p *Probe) prefetch(e trace.Event, event string) {
+	if p.exp != nil {
+		r := PrefetchEvent{Cycle: int(e.Cycle), Core: int(e.Core), Event: event,
+			Config: e.Str, Spans: int(e.A), ConfidencePct: int(e.B)}
+		p.export(p.exp.Prefetch(&r))
 	}
-	p.cReconfigSpans.Inc()
-	p.cReconfigSlotCy.Add(uint64(slots * latency))
-	p.ivReconfigs++
 }
 
-// --- Sampling path ------------------------------------------------------
-
-// SampleDue reports whether the cycle most recently begun is a sampling
-// boundary. The caller gathers a CoreState snapshot only when it is, so
-// disabled or off-boundary cycles never pay the snapshot cost.
-func (p *Probe) SampleDue() bool {
-	return p != nil && p.cycle%p.interval == 0
+// snapshot pulls the machine state (zero without a snapshot source) and
+// brings the counters the processor keeps itself, and the CEM gauges,
+// up to it.
+func (p *Probe) snapshot() CoreState {
+	var cs CoreState
+	if p.state != nil {
+		cs = p.state()
+	}
+	for i, v := range trace.Unpack4(p.selErrors) {
+		p.gCEMError[i].Set(int64(v))
+	}
+	p.cCycles.v = uint64(cs.Cycle)
+	p.cRetired.v = uint64(cs.Retired)
+	p.cFlushed.v = uint64(cs.Flushed)
+	// Every dispatched instruction has retired, been flushed or is in
+	// flight.
+	p.cDispatched.v = uint64(cs.Retired + cs.Flushed + cs.Occupancy)
+	p.cDispatchStalls.v = uint64(cs.DispatchStalls)
+	for t, n := range cs.Issued {
+		p.cIssued[t].v = uint64(n)
+	}
+	return cs
 }
 
-// EmitSample merges the core snapshot with the accumulated event counts
+// emitSample merges a core snapshot with the accumulated event counts
 // into a Sample, updates the sampled gauges/histograms, hands the sample
 // to the exporter and resets the interval accumulators.
-func (p *Probe) EmitSample(cs CoreState) {
-	if p == nil {
-		return
+func (p *Probe) emitSample() {
+	cs := p.snapshot()
+	var issued arch.Counts
+	for t := range issued {
+		issued[t] = cs.Issued[t] - p.last.Issued[t]
 	}
 	s := Sample{
 		Cycle:           cs.Cycle,
 		Core:            p.core,
 		Retired:         cs.Retired,
-		IntervalRetired: cs.Retired - p.lastRetired,
+		IntervalRetired: cs.Retired - p.last.Retired,
 		Occupancy:       cs.Occupancy,
 		Demand:          cs.Demand,
-		IntervalIssued:  p.ivIssued,
+		IntervalIssued:  issued,
 		RFUUnits:        cs.RFUUnits,
 		RFUBusy:         cs.RFUBusy,
 		FFUBusy:         cs.FFUBusy,
 		Slots:           cs.Slots,
 		CEMValid:        p.selSeen,
-		CEMErrors:       p.selErrors,
+		CEMErrors:       trace.Unpack4(p.selErrors),
 		CEMChoice:       p.selChoice,
 		ReconfigSlots:   cs.ReconfigSlots,
 
-		IntervalReconfigs:      p.ivReconfigs,
-		IntervalFlushed:        p.ivFlushed,
-		IntervalDispatchStalls: p.ivStalls,
+		IntervalReconfigs:      p.iv.reconfigs,
+		IntervalFlushed:        cs.Flushed - p.last.Flushed,
+		IntervalDispatchStalls: cs.DispatchStalls - p.last.DispatchStalls,
 
-		IntervalSteerCacheHits:   p.ivSteerHits,
-		IntervalSteerCacheMisses: p.ivSteerMiss,
+		IntervalSteerCacheHits:   p.iv.steerHits,
+		IntervalSteerCacheMisses: p.iv.steerMisses,
 
-		IntervalPrefetchIssued:       p.ivPrefIss,
-		IntervalPrefetchConfirmed:    p.ivPrefConf,
-		IntervalPrefetchMispredicted: p.ivPrefMisp,
-		IntervalPrefetchCancelled:    p.ivPrefCanc,
+		IntervalPrefetchIssued:       p.iv.prefIss,
+		IntervalPrefetchConfirmed:    p.iv.prefConf,
+		IntervalPrefetchMispredicted: p.iv.prefMisp,
+		IntervalPrefetchCancelled:    p.iv.prefCanc,
 
-		IntervalFaultsInjected: p.ivFaultsInj,
-		IntervalFaultsDetected: p.ivFaultsDet,
-		IntervalFaultsRepaired: p.ivFaultsRep,
-		IntervalScrubScans:     p.ivScrubs,
+		IntervalFaultsInjected: p.iv.faultsInj,
+		IntervalFaultsDetected: p.iv.faultsDet,
+		IntervalFaultsRepaired: p.iv.faultsRep,
+		IntervalScrubScans:     p.iv.scrubs,
 		MaskedSlots:            cs.MaskedSlots,
 
-		BucketIssued:   cs.Buckets[0] - p.lastBuckets[0],
-		BucketUnits:    cs.Buckets[1] - p.lastBuckets[1],
-		BucketDeps:     cs.Buckets[2] - p.lastBuckets[2],
-		BucketFrontend: cs.Buckets[3] - p.lastBuckets[3],
+		BucketIssued:   cs.Buckets[0] - p.last.Buckets[0],
+		BucketUnits:    cs.Buckets[1] - p.last.Buckets[1],
+		BucketDeps:     cs.Buckets[2] - p.last.Buckets[2],
+		BucketFrontend: cs.Buckets[3] - p.last.Buckets[3],
 	}
 	s.IntervalIPC = float64(s.IntervalRetired) / float64(p.interval)
 
@@ -620,42 +554,25 @@ func (p *Probe) EmitSample(cs CoreState) {
 	p.gReconfigSlots.Set(int64(cs.ReconfigSlots))
 	p.hOccupancy.Observe(int64(cs.Occupancy))
 
-	p.lastRetired = cs.Retired
-	p.lastBuckets = cs.Buckets
-	p.ivIssued = arch.Counts{}
-	p.ivRetired = 0
-	p.ivFlushed = 0
-	p.ivStalls = 0
-	p.ivReconfigs = 0
-	p.ivSteerHits = 0
-	p.ivSteerMiss = 0
-	p.ivFaultsInj = 0
-	p.ivFaultsDet = 0
-	p.ivFaultsRep = 0
-	p.ivScrubs = 0
-	p.ivPrefIss = 0
-	p.ivPrefConf = 0
-	p.ivPrefMisp = 0
-	p.ivPrefCanc = 0
+	p.last = cs
+	p.iv = intervalCounts{}
 
 	if p.exp != nil {
-		if err := p.exp.Sample(&s); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.export(p.exp.Sample(&s))
 	}
 }
 
-// Flush flushes the exporter and returns the first error the telemetry
-// pipeline encountered during the run (export errors are deferred to
-// here so the hot path never checks them).
+// Flush brings the counters up to the machine's final state, flushes the
+// exporter and returns the first error the telemetry pipeline
+// encountered during the run (export errors are deferred to here so the
+// hot path never checks them).
 func (p *Probe) Flush() error {
 	if p == nil {
 		return nil
 	}
+	p.snapshot()
 	if p.exp != nil {
-		if err := p.exp.Flush(); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.export(p.exp.Flush())
 	}
 	return p.err
 }

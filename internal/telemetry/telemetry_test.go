@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/trace"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -90,21 +91,15 @@ func TestRenderPrometheusFormat(t *testing.T) {
 	}
 }
 
+// observed attaches p to a fresh observer, as a machine would.
+func observed(p *Probe) *trace.Observer {
+	o := &trace.Observer{}
+	o.Add(p)
+	return o
+}
+
 func TestProbeNilReceiverSafe(t *testing.T) {
 	var p *Probe
-	p.BeginCycle(1)
-	p.Dispatch()
-	p.DispatchStall()
-	p.Issue(arch.IntALU)
-	p.Retire()
-	p.Flushed(3)
-	p.Selection([arch.NumConfigs]int{1, 2, 3, 4}, 2)
-	p.ConfigSwitch(Decision{})
-	p.ReconfigStart(arch.FPALU, 2, 8)
-	if p.SampleDue() {
-		t.Error("nil probe reported SampleDue")
-	}
-	p.EmitSample(CoreState{})
 	if err := p.Flush(); err != nil {
 		t.Errorf("nil probe Flush = %v", err)
 	}
@@ -117,16 +112,18 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 	p := NewProbe(10)
 	col := &Collector{}
 	p.SetExporter(col)
+	var cycle int
+	p.SetState(func() CoreState {
+		// One instruction dispatched, issued to an LSU and retired per
+		// cycle; three more in flight.
+		return CoreState{Cycle: cycle, Retired: cycle, Occupancy: 3,
+			Issued: arch.Counts{arch.LSU: cycle}, Buckets: [4]int{cycle, 0, 0, 0}}
+	})
+	o := observed(p)
 
-	for c := 1; c <= 20; c++ {
-		p.BeginCycle(c)
-		p.Dispatch()
-		p.Issue(arch.LSU)
-		p.Retire()
-		if p.SampleDue() {
-			p.EmitSample(CoreState{Cycle: c, Retired: c, Occupancy: 3,
-				Buckets: [4]int{c, 0, 0, 0}})
-		}
+	for cycle = 1; cycle <= 20; cycle++ {
+		o.SetCycle(cycle)
+		o.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(cycle)})
 	}
 	if len(col.Samples) != 2 {
 		t.Fatalf("samples = %d, want 2", len(col.Samples))
@@ -147,28 +144,81 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 	if v, _ := p.Registry().CounterValue("rsssim_issued_total", Label{"unit", "LSU"}); v != 20 {
 		t.Errorf("issued{LSU} counter = %d, want 20", v)
 	}
+	if v, _ := p.Registry().CounterValue("rsssim_dispatched_total"); v != 23 {
+		t.Errorf("dispatched counter = %d, want 23 (retired + in flight)", v)
+	}
 }
 
 func TestProbeDecisionStampedAndExported(t *testing.T) {
 	p := NewProbe(100)
 	col := &Collector{}
 	p.SetExporter(col)
-	p.BeginCycle(42)
-	p.Selection([arch.NumConfigs]int{9, 1, 5, 7}, 1)
-	p.ConfigSwitch(Decision{From: "memory", To: "floating", Choice: 1,
-		DiffSlots: 6, Spans: 2, SlotsLoading: 4, StallSlotCycles: 32})
+	p.SetBasis([3]string{"integer", "memory", "floating"})
+	o := observed(p)
+	o.SetCore(2)
+	o.SetCycle(42)
+	o.Emit(trace.Event{Kind: trace.KindSelection, A: 1, B: trace.Pack4([4]int{7, 1, 5, 7})})
+	o.Emit(trace.Event{Kind: trace.KindDecision, Str: "memory", A: 3,
+		B: trace.Pack4([4]int{6, 2, 4, 0}), C: 32})
 	if len(col.Decisions) != 1 {
 		t.Fatalf("decisions = %d, want 1", len(col.Decisions))
 	}
 	d := col.Decisions[0]
-	if d.Cycle != 42 {
-		t.Errorf("decision cycle = %d, want 42 (stamped by probe)", d.Cycle)
+	if d.Cycle != 42 || d.Core != 2 {
+		t.Errorf("decision cycle/core = %d/%d, want 42/2 (stamped by the observer)", d.Cycle, d.Core)
 	}
-	if d.From != "memory" || d.To != "floating" || d.StallSlotCycles != 32 {
+	if d.From != "memory" || d.To != "floating" || d.StallSlotCycles != 32 ||
+		d.Choice != 3 || d.DiffSlots != 6 || d.Spans != 2 || d.SlotsLoading != 4 {
 		t.Errorf("decision = %+v", d)
 	}
 	if v, _ := p.Registry().CounterValue("rsssim_steering_decisions_total"); v != 1 {
 		t.Errorf("decisions counter = %d, want 1", v)
+	}
+	if v, _ := p.Registry().CounterValue("rsssim_selections_total", Label{"config", "basis1"}); v != 1 {
+		t.Errorf("selections{basis1} counter = %d, want 1", v)
+	}
+}
+
+// TestProbeFaultAndPrefetchRecords maps fault and speculation events to
+// their exported record vocabularies.
+func TestProbeFaultAndPrefetchRecords(t *testing.T) {
+	p := NewProbe(100)
+	col := &Collector{}
+	p.SetExporter(col)
+	o := observed(p)
+	o.SetCycle(9)
+	for _, e := range []trace.Event{
+		{Kind: trace.KindFaultInject, A: 1, B: 1},
+		{Kind: trace.KindFaultInject, A: 2},
+		{Kind: trace.KindFaultDetect, A: 2},
+		{Kind: trace.KindRepairStart, A: 2},
+		{Kind: trace.KindRepairEnd, A: 2},
+		{Kind: trace.KindRepairEnd, A: 1, B: 1},
+		{Kind: trace.KindFaultHeal, A: 3},
+		{Kind: trace.KindPhaseChange},
+		{Kind: trace.KindPrefetchIssue, Str: "floating", A: 2, B: 80},
+		{Kind: trace.KindSpecResolve, Str: "floating", A: 2, B: 80, C: trace.SpecMispredict},
+	} {
+		o.Emit(e)
+	}
+	var faults []string
+	for _, f := range col.Faults {
+		faults = append(faults, f.Event)
+	}
+	want := []string{FaultInjectedPermanent, FaultInjectedTransient, FaultDetected,
+		FaultRepairStart, FaultRepaired, FaultDead, FaultRepaired}
+	if strings.Join(faults, ",") != strings.Join(want, ",") {
+		t.Errorf("fault records = %v, want %v", faults, want)
+	}
+	if len(col.Prefetches) != 3 || col.Prefetches[2].Event != PrefetchMispredict ||
+		col.Prefetches[2].Config != "floating" || col.Prefetches[2].Spans != 2 {
+		t.Errorf("prefetch records = %+v", col.Prefetches)
+	}
+	if v, _ := p.Registry().CounterValue("rsssim_faults_repaired_total"); v != 2 {
+		t.Errorf("repaired counter = %d, want 2 (repair + heal)", v)
+	}
+	if v, _ := p.Registry().CounterValue("rsssim_prefetch_wasted_spans_total"); v != 2 {
+		t.Errorf("wasted spans counter = %d, want 2", v)
 	}
 }
 
@@ -241,8 +291,7 @@ func TestPromExporterSnapshot(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewProm(&buf, p.Registry())
 	p.SetExporter(e)
-	p.BeginCycle(1)
-	p.Retire()
+	p.SetState(func() CoreState { return CoreState{Cycle: 1, Retired: 1} })
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

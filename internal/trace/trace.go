@@ -1,100 +1,323 @@
-// Package trace records cycle-by-cycle pipeline events from the
-// simulator — fetch, dispatch, issue, retire, flush and reconfiguration —
-// and renders them as an event log or as a per-instruction pipeline view
-// (one row per instruction, one column per cycle), the debugging view
-// used to inspect steering behaviour.
+// Package trace is the simulator's one observer stream. Instrumented
+// packages (cpu, core, rfu, predict, baseline) report every occurrence
+// worth observing — pipeline events, cycle boundaries, selection passes,
+// steering decisions, reconfigurations, fault transitions, prefetch
+// speculation — as one small value-typed Event, emitted once per site
+// through an Observer that fans it out to its sinks. The telemetry probe,
+// the span recorder and the pipeline Buffer defined here are all sinks;
+// a new view is one more sink, with no new hook sites.
+//
+// The Buffer sink keeps the pipeline events (fetch, dispatch, issue,
+// retire, flush and reconfiguration) and renders them as an event log or
+// as a per-instruction pipeline view (one row per instruction, one column
+// per cycle), disassembling instructions from the program at render time.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/arch"
+	"repro/internal/isa"
 )
 
-// Kind classifies a pipeline event.
-type Kind int
+// Kind classifies an event.
+type Kind uint8
 
-// Event kinds, in pipeline order.
+// Event kinds. The pipeline kinds come first, in pipeline order; the
+// argument fields each kind uses are listed with it.
 const (
+	// KindFetch is a fetch row: A the dispatch sequence number, B the PC.
+	// The processor does not emit it; Buffer derives it from the
+	// dispatch event, which carries the fetch cycle.
 	KindFetch Kind = iota
+	// KindDispatch: A sequence number, B PC, C the cycle the instruction
+	// was fetched.
 	KindDispatch
+	// KindIssue: A sequence number, B PC, C execution latency (including
+	// any cache-miss extension).
 	KindIssue
+	// KindRetire: A sequence number, B PC.
 	KindRetire
+	// KindFlush is one instruction squashed by misprediction recovery:
+	// A sequence number, B PC.
 	KindFlush
+	// KindReconfig is one span rewrite starting: A the head slot, B the
+	// span width in slots, C the bus latency in cycles, Str the name of
+	// the unit installed.
 	KindReconfig
+
+	// KindCycleEnd ends a cycle — the telemetry sampling point: A is the
+	// cumulative retired count.
+	KindCycleEnd
+	// KindSelection is one selection-unit pass: A the winning candidate,
+	// B the four CEM scores (Pack4), C how the steering cache served it
+	// (LookupHit, LookupMiss, or LookupNone with the cache disabled).
+	KindSelection
+	// KindCacheOpen is a steering cache's first use: its first epoch
+	// runs from the start of the run.
+	KindCacheOpen
+	// KindCacheFlush is a steering-cache flush in place.
+	KindCacheFlush
+	// KindDecision is a configuration switch the loader started: Str
+	// names the allocation before it ("(empty)", "hybrid" or a basis
+	// configuration), A is the selection unit's choice (1..3) of basis
+	// configuration, B packs the differing, started-span, loading and
+	// deferred slot counts (Pack4), C is the loading stall in
+	// slot-cycles.
+	KindDecision
+
+	// KindFaultInject is an upset striking slot A; B is 1 when
+	// permanent.
+	KindFaultInject
+	// KindFaultDetect is the readback scrub detecting corrupt slot A.
+	KindFaultDetect
+	// KindFaultHeal is corrupt slot A healed by a steering
+	// reconfiguration rewriting its frames.
+	KindFaultHeal
+	// KindRepairStart is a repair rewrite of slot A beginning.
+	KindRepairStart
+	// KindRepairEnd is a repair of slot A completing; B is 1 when the
+	// permanent fault survived and the slot is dead.
+	KindRepairEnd
+	// KindScrub is one readback scrub scan.
+	KindScrub
+	// KindMasked reports A slots masked by faults this cycle.
+	KindMasked
+
+	// KindPhaseChange is a workload phase boundary the prefetch
+	// predictor detected.
+	KindPhaseChange
+	// KindSpecOpen opens a speculation: Str the predicted configuration,
+	// B the confidence in percent.
+	KindSpecOpen
+	// KindPrefetchIssue is A speculative span rewrites started this
+	// cycle toward configuration Str at confidence B.
+	KindPrefetchIssue
+	// KindSpecResolve closes the speculation toward Str: A the spans it
+	// issued, B its confidence, C the outcome (SpecConfirm,
+	// SpecMispredict or SpecCancel).
+	KindSpecResolve
+
+	numKinds
 )
 
-var kindNames = map[Kind]string{
-	KindFetch:    "fetch",
-	KindDispatch: "dispatch",
-	KindIssue:    "issue",
-	KindRetire:   "retire",
-	KindFlush:    "flush",
-	KindReconfig: "reconfig",
+var kindNames = [numKinds]string{
+	"fetch", "dispatch", "issue", "retire", "flush", "reconfig",
+	"cycle-end", "selection", "cache-open", "cache-flush", "decision",
+	"fault-inject", "fault-detect", "fault-heal", "repair-start",
+	"repair-end", "scrub", "masked",
+	"phase-change", "spec-open", "prefetch-issue", "spec-resolve",
 }
 
 // String names the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Event is one pipeline occurrence.
+// Steering-cache outcomes, carried in a KindSelection event's C field.
+const (
+	LookupNone int32 = iota
+	LookupHit
+	LookupMiss
+)
+
+// Speculation outcomes, carried in a KindSpecResolve event's C field.
+const (
+	SpecConfirm int32 = iota
+	SpecMispredict
+	SpecCancel
+)
+
+// Event is one observed occurrence. It is passed by value and holds no
+// pointers besides a static string, so emitting and fanning it out never
+// allocates. The Observer stamps Cycle and Core; the rest is
+// kind-specific (see the Kind constants).
 type Event struct {
-	Cycle int
-	Kind  Kind
-	// Seq identifies the dynamic instruction (dispatch order); zero for
-	// non-instruction events such as reconfigurations.
-	Seq uint32
-	PC  uint32
-	// Latency is the execution latency recorded at issue (including any
-	// cache-miss extension), zero otherwise.
-	Latency int
-	// Text carries the disassembly or event detail.
-	Text string
+	Cycle   int64
+	Kind    Kind
+	Core    uint8
+	A, B, C int32
+	Str     string
 }
 
-// String renders the event as one log line.
-func (e Event) String() string {
-	switch e.Kind {
-	case KindReconfig:
-		return fmt.Sprintf("cycle %5d: %-8s %s", e.Cycle, e.Kind, e.Text)
-	case KindIssue:
-		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d lat=%-3d %s",
-			e.Cycle, e.Kind, e.Seq, e.PC, e.Latency, e.Text)
-	default:
-		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d %s",
-			e.Cycle, e.Kind, e.Seq, e.PC, e.Text)
+// Seq is a pipeline event's dispatch sequence number.
+func (e Event) Seq() uint32 { return uint32(e.A) }
+
+// PC is a pipeline event's program counter.
+func (e Event) PC() uint32 { return uint32(e.B) }
+
+// Pack4 packs four values in [0, 255] into one event argument.
+func Pack4(v [4]int) int32 {
+	return int32(uint32(v[0]) | uint32(v[1])<<8 | uint32(v[2])<<16 | uint32(v[3])<<24)
+}
+
+// Unpack4 reverses Pack4.
+func Unpack4(p int32) [4]int {
+	u := uint32(p)
+	return [4]int{int(u & 0xff), int(u >> 8 & 0xff), int(u >> 16 & 0xff), int(u >> 24)}
+}
+
+// Mask is a set of event kinds.
+type Mask uint64
+
+// Kinds builds the set of the given kinds.
+func Kinds(kinds ...Kind) Mask {
+	var m Mask
+	for _, k := range kinds {
+		m |= 1 << k
+	}
+	return m
+}
+
+// Sink consumes events. Kinds is read once, when the sink is added; the
+// observer hands Observe only events of those kinds.
+type Sink interface {
+	Kinds() Mask
+	Observe(Event)
+}
+
+// CoreState is the machine snapshot a sink can pull at a sampling
+// boundary: state no event carries, and the cumulative counts the
+// processor keeps itself, so per-instruction events need reach only the
+// sinks that want each one. The processor provides it
+// (cpu.Processor.CoreState).
+type CoreState struct {
+	Cycle     int
+	Retired   int
+	Flushed   int
+	Occupancy int
+	// Issued counts grants per unit type; DispatchStalls the dispatch
+	// attempts a full window blocked.
+	Issued         arch.Counts
+	DispatchStalls int
+	Demand         arch.Counts
+	RFUUnits       arch.Counts
+	RFUBusy        arch.Counts
+	FFUBusy        arch.Counts
+	Slots          [arch.NumRFUSlots]arch.Encoding
+
+	ReconfigSlots int
+	// MaskedSlots counts slots fault-masked away from steering and
+	// dispatch right now.
+	MaskedSlots int
+
+	// Cumulative bottleneck buckets (issued, units, deps, frontend).
+	Buckets [4]int
+}
+
+// Observer is one machine's event channel: it holds the current cycle
+// and the cluster-core label, stamps both onto every event and fans the
+// event out to the sinks that consume its kind. SetCore, SetCycle,
+// Wants and Emit are safe on a nil receiver, so an unobserved machine
+// pays one branch per site. Not safe for concurrent use — it belongs to
+// the machine's cycle loop.
+type Observer struct {
+	cycle int64
+	core  uint8
+	kinds Mask // union of the sinks' kinds
+	sinks []sink
+}
+
+// sink is an added Sink with the kinds it consumes.
+type sink struct {
+	kinds Mask
+	Sink
+}
+
+// Add attaches a sink.
+func (o *Observer) Add(s Sink) {
+	k := s.Kinds()
+	o.kinds |= k
+	o.sinks = append(o.sinks, sink{k, s})
+}
+
+// SetCore sets the cluster-core index stamped onto every event (0, the
+// default, for a scalar machine).
+func (o *Observer) SetCore(core int) {
+	if o != nil {
+		o.core = uint8(core)
 	}
 }
 
-// Recorder receives events; implementations must be cheap when disabled.
-type Recorder interface {
-	Record(Event)
+// SetCycle advances the clock: events emitted from now on carry cycle.
+func (o *Observer) SetCycle(cycle int) {
+	if o != nil {
+		o.cycle = int64(cycle)
+	}
 }
 
-// Buffer is a bounded in-memory Recorder: once the limit is reached the
-// oldest events are dropped.
+// Wants reports whether any sink consumes kind, so a site can skip work
+// that only feeds an event nobody reads.
+func (o *Observer) Wants(k Kind) bool { return o != nil && o.kinds&(1<<k) != 0 }
+
+// Emit stamps e and hands it to every sink consuming its kind. The check
+// stays here and the fan-out in its own function, so Emit inlines into
+// the sites as one branch.
+func (o *Observer) Emit(e Event) {
+	if o.Wants(e.Kind) {
+		o.fanOut(e)
+	}
+}
+
+func (o *Observer) fanOut(e Event) {
+	e.Cycle = o.cycle
+	e.Core = o.core
+	for _, s := range o.sinks {
+		if s.kinds&(1<<e.Kind) != 0 {
+			s.Observe(e)
+		}
+	}
+}
+
+// pipelineKinds are the events Buffer keeps.
+var pipelineKinds = Kinds(KindDispatch, KindIssue, KindRetire, KindFlush, KindReconfig)
+
+// Buffer is a bounded in-memory pipeline-event sink: once the limit is
+// reached the oldest events are dropped. Until, when non-negative, drops
+// events after that cycle, so the start of a long run survives the
+// limit.
 type Buffer struct {
+	Until int64
+
 	limit  int
 	events []Event
 	start  int // ring start when full
 	full   bool
 }
 
-// NewBuffer builds a Recorder holding at most limit events (limit must be
-// positive).
+// NewBuffer builds a sink holding at most limit events (limit must be
+// positive) with no cycle cutoff.
 func NewBuffer(limit int) *Buffer {
 	if limit <= 0 {
 		panic("trace: buffer limit must be positive")
 	}
-	return &Buffer{limit: limit, events: make([]Event, 0, limit)}
+	return &Buffer{Until: -1, limit: limit, events: make([]Event, 0, limit)}
+}
+
+// Kinds implements Sink.
+func (b *Buffer) Kinds() Mask { return pipelineKinds }
+
+// Observe implements Sink. A dispatch event is stored as a fetch row at
+// its fetch cycle followed by the dispatch row.
+func (b *Buffer) Observe(e Event) {
+	if e.Kind == KindDispatch {
+		f := e
+		f.Kind, f.Cycle, f.C = KindFetch, int64(e.C), 0
+		b.Record(f)
+	}
+	b.Record(e)
 }
 
 // Record stores the event, evicting the oldest when full.
 func (b *Buffer) Record(e Event) {
+	if b.Until >= 0 && e.Cycle > b.Until {
+		return
+	}
 	if len(b.events) < b.limit {
 		b.events = append(b.events, e)
 		return
@@ -123,26 +346,40 @@ func (b *Buffer) Len() int { return len(b.events) }
 // Dropped reports whether the buffer ever evicted events.
 func (b *Buffer) Dropped() bool { return b.full }
 
-// Until wraps a Recorder and drops events after a cycle cutoff — used to
-// trace just the start of a long run without the ring buffer evicting the
-// early events.
-type Until struct {
-	R         Recorder
-	LastCycle int
+// text renders an event's detail: the disassembly for instruction
+// events that carry one, the span for reconfigurations.
+func text(e Event, prog isa.Program) string {
+	switch e.Kind {
+	case KindReconfig:
+		return fmt.Sprintf("%s at slot %d", e.Str, e.A)
+	case KindRetire:
+		return ""
+	}
+	if pc := e.PC(); int(pc) < len(prog) {
+		return prog[pc].String()
+	}
+	return ""
 }
 
-// Record forwards events at or before the cutoff cycle.
-func (u Until) Record(e Event) {
-	if e.Cycle <= u.LastCycle {
-		u.R.Record(e)
+// format renders one event as a log line, disassembling from prog.
+func format(e Event, prog isa.Program) string {
+	switch e.Kind {
+	case KindReconfig:
+		return fmt.Sprintf("cycle %5d: %-8s %s", e.Cycle, e.Kind, text(e, prog))
+	case KindIssue:
+		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d lat=%-3d %s",
+			e.Cycle, e.Kind, e.Seq(), e.PC(), e.C, text(e, prog))
+	default:
+		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d %s",
+			e.Cycle, e.Kind, e.Seq(), e.PC(), text(e, prog))
 	}
 }
 
-// Log renders all events one per line.
-func Log(events []Event) string {
+// Log renders all events one per line, disassembling from prog.
+func Log(events []Event, prog isa.Program) string {
 	var sb strings.Builder
 	for _, e := range events {
-		sb.WriteString(e.String())
+		sb.WriteString(format(e, prog))
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -152,7 +389,6 @@ func Log(events []Event) string {
 type instRow struct {
 	seq      uint32
 	pc       uint32
-	text     string
 	fetch    int
 	dispatch int
 	issue    int
@@ -170,43 +406,38 @@ type instRow struct {
 // event cycle — interleaved chronologically with the instruction rows,
 // so steering activity is visible against the instruction stream.
 // Cycles outside [fromCycle, toCycle] are clipped; instructions and
-// events entirely outside the range are omitted.
-func Pipeview(events []Event, fromCycle, toCycle int) string {
+// events entirely outside the range are omitted. Instruction text is
+// disassembled from prog.
+func Pipeview(events []Event, prog isa.Program, fromCycle, toCycle int) string {
 	rows := map[uint32]*instRow{}
 	order := []uint32{}
 	var reconfigs []Event
-	get := func(e Event) *instRow {
-		r, ok := rows[e.Seq]
-		if !ok {
-			r = &instRow{seq: e.Seq, pc: e.PC, fetch: -1, dispatch: -1, issue: -1, retire: -1, flushed: -1}
-			rows[e.Seq] = r
-			order = append(order, e.Seq)
-		}
-		return r
-	}
 	for _, e := range events {
+		cycle := int(e.Cycle)
 		if e.Kind == KindReconfig {
-			if e.Cycle >= fromCycle && e.Cycle <= toCycle {
+			if cycle >= fromCycle && cycle <= toCycle {
 				reconfigs = append(reconfigs, e)
 			}
 			continue
 		}
-		r := get(e)
-		if e.Text != "" {
-			r.text = e.Text
+		r, ok := rows[e.Seq()]
+		if !ok {
+			r = &instRow{seq: e.Seq(), pc: e.PC(), fetch: -1, dispatch: -1, issue: -1, retire: -1, flushed: -1}
+			rows[e.Seq()] = r
+			order = append(order, e.Seq())
 		}
 		switch e.Kind {
 		case KindFetch:
-			r.fetch = e.Cycle
+			r.fetch = cycle
 		case KindDispatch:
-			r.dispatch = e.Cycle
+			r.dispatch = cycle
 		case KindIssue:
-			r.issue = e.Cycle
-			r.latency = e.Latency
+			r.issue = cycle
+			r.latency = int(e.C)
 		case KindRetire:
-			r.retire = e.Cycle
+			r.retire = cycle
 		case KindFlush:
-			r.flushed = e.Cycle
+			r.flushed = cycle
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
@@ -216,19 +447,18 @@ func Pipeview(events []Event, fromCycle, toCycle int) string {
 	if width <= 0 {
 		return ""
 	}
+	clip := func(s string) string {
+		if len(s) > 26 {
+			return s[:26]
+		}
+		return s
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-6s %-5s %-26s %s\n", "seq", "pc", "instruction", "cycles "+fmt.Sprint(fromCycle)+"..")
 	emitReconfig := func(e Event) {
-		line := make([]byte, width)
-		for i := range line {
-			line[i] = '.'
-		}
-		line[e.Cycle-fromCycle] = 'C'
-		text := e.Text
-		if len(text) > 26 {
-			text = text[:26]
-		}
-		fmt.Fprintf(&sb, "%-6s %-5s %-26s %s\n", "-", "-", text, line)
+		line := []byte(strings.Repeat(".", width))
+		line[int(e.Cycle)-fromCycle] = 'C'
+		fmt.Fprintf(&sb, "%-6s %-5s %-26s %s\n", "-", "-", clip(text(e, prog)), line)
 	}
 	nextRC := 0
 	for _, seq := range order {
@@ -246,14 +476,11 @@ func Pipeview(events []Event, fromCycle, toCycle int) string {
 		// Flush any reconfigurations that happened before this
 		// instruction entered the pipeline, so the chart reads in
 		// chronological order top to bottom.
-		for nextRC < len(reconfigs) && r.fetch >= 0 && reconfigs[nextRC].Cycle < r.fetch {
+		for nextRC < len(reconfigs) && r.fetch >= 0 && int(reconfigs[nextRC].Cycle) < r.fetch {
 			emitReconfig(reconfigs[nextRC])
 			nextRC++
 		}
-		line := make([]byte, width)
-		for i := range line {
-			line[i] = '.'
-		}
+		line := []byte(strings.Repeat(".", width))
 		mark := func(cycle int, c byte) {
 			if cycle >= fromCycle && cycle <= toCycle {
 				line[cycle-fromCycle] = c
@@ -270,11 +497,11 @@ func Pipeview(events []Event, fromCycle, toCycle int) string {
 		mark(r.issue, 'I')
 		mark(r.retire, 'R')
 		mark(r.flushed, 'x')
-		text := r.text
-		if len(text) > 26 {
-			text = text[:26]
+		var inst string
+		if int(r.pc) < len(prog) {
+			inst = prog[r.pc].String()
 		}
-		fmt.Fprintf(&sb, "%-6d %-5d %-26s %s\n", r.seq, r.pc, text, line)
+		fmt.Fprintf(&sb, "%-6d %-5d %-26s %s\n", r.seq, r.pc, clip(inst), line)
 	}
 	for ; nextRC < len(reconfigs); nextRC++ {
 		emitReconfig(reconfigs[nextRC])

@@ -201,29 +201,34 @@ type Options struct {
 
 // Machine is one simulated processor instance bound to a program.
 type Machine struct {
-	proc      *cpu.Processor
-	policy    Policy
-	policyObj cpu.Manager   // the installed manager object, for telemetry wiring
-	steering  *core.Manager // non-nil for steering-family policies
-	tracer    *trace.Buffer
-	probe     *telemetry.Probe
-	spans     *span.Recorder
+	proc     *cpu.Processor
+	prog     Program
+	policy   Policy
+	steering *core.Manager // non-nil for steering-family policies
+	basis    [3]string     // the steering basis names, for decision records
+	// obs is the machine's one event stream, created with the first
+	// sink; tracer, probe and spans are the sinks the Enable* methods
+	// added to it.
+	obs    *trace.Observer
+	tracer *trace.Buffer
+	probe  *telemetry.Probe
+	spans  *span.Recorder
 }
 
 // NewMachine builds a machine for the program under the given options.
 func NewMachine(prog Program, opt Options) *Machine {
 	p := cpu.New(prog, opt.Params, nil)
-	m := &Machine{proc: p, policy: opt.Policy}
+	m := &Machine{proc: p, prog: prog, policy: opt.Policy}
 	basis := config.DefaultBasis()
 	if opt.Basis != nil {
 		basis = *opt.Basis
 	}
+	m.basis = [3]string{basis[0].Name, basis[1].Name, basis[2].Name}
 	switch opt.Policy {
 	case PolicySteering:
 		s := baseline.NewSteeringBasis(p.Fabric(), basis)
 		s.M.MinResidency = opt.MinResidency
 		m.steering = s.M
-		m.policyObj = s
 		p.SetManager(s)
 	case PolicyStaticInteger:
 		p.Fabric().Install(basis[0])
@@ -234,21 +239,13 @@ func NewMachine(prog Program, opt Options) *Machine {
 	case PolicyNone:
 		// Empty fabric, FFUs only.
 	case PolicyFullReconfig:
-		fr := baseline.NewFullReconfigBasis(p.Fabric(), basis)
-		m.policyObj = fr
-		p.SetManager(fr)
+		p.SetManager(baseline.NewFullReconfigBasis(p.Fabric(), basis))
 	case PolicyOracle:
-		o := baseline.NewOracleBasis(p.Fabric(), basis)
-		m.policyObj = o
-		p.SetManager(o)
+		p.SetManager(baseline.NewOracleBasis(p.Fabric(), basis))
 	case PolicyRandom:
-		r := baseline.NewRandom(p.Fabric(), opt.Seed)
-		m.policyObj = r
-		p.SetManager(r)
+		p.SetManager(baseline.NewRandom(p.Fabric(), opt.Seed))
 	case PolicyDemand:
-		d := core.NewDemandManager(p.Fabric())
-		m.policyObj = d
-		p.SetManager(d)
+		p.SetManager(core.NewDemandManager(p.Fabric()))
 	case PolicyPrefetch:
 		pf := predict.NewManagerBasis(p.Fabric(), basis, predict.Config{
 			HistoryDepth: opt.Params.PrefetchHistoryDepth,
@@ -256,7 +253,6 @@ func NewMachine(prog Program, opt Options) *Machine {
 		})
 		pf.Core().MinResidency = opt.MinResidency
 		m.steering = pf.Core()
-		m.policyObj = pf
 		p.SetManager(pf)
 	default:
 		panic(fmt.Sprintf("repro: unknown policy %d", opt.Policy))
@@ -568,7 +564,7 @@ func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*te
 		return nil, fmt.Errorf("repro: unknown metrics format %q (known: jsonl, csv, prom)", format)
 	}
 	probe.SetExporter(exp)
-	m.attachProbe(probe)
+	m.addProbe(probe)
 	return probe, nil
 }
 
@@ -580,18 +576,28 @@ func (m *Machine) EnableTelemetryExporter(e telemetry.Exporter, interval int) *t
 	}
 	probe := telemetry.NewProbe(interval)
 	probe.SetExporter(e)
-	m.attachProbe(probe)
+	m.addProbe(probe)
 	return probe
 }
 
-// attachProbe wires a probe into the processor and, when the policy
-// supports it, the configuration-management stack.
-func (m *Machine) attachProbe(probe *telemetry.Probe) {
+// addProbe adds a telemetry probe to the machine's observer, with
+// the processor as its sampling snapshot source.
+func (m *Machine) addProbe(probe *telemetry.Probe) {
+	probe.SetState(m.proc.CoreState)
+	probe.SetBasis(m.basis)
 	m.probe = probe
-	m.proc.SetTelemetry(probe)
-	if ts, ok := m.policyObj.(interface{ SetTelemetry(*telemetry.Probe) }); ok {
-		ts.SetTelemetry(probe)
+	m.Observer().Add(probe)
+}
+
+// Observer returns the machine's event stream — the one channel every
+// sink (telemetry, spans, the pipeline trace) observes — attaching it on
+// first use. Add a custom trace.Sink to it before Run.
+func (m *Machine) Observer() *trace.Observer {
+	if m.obs == nil {
+		m.obs = &trace.Observer{}
+		m.proc.SetObserver(m.obs)
 	}
+	return m.obs
 }
 
 // Telemetry returns the attached probe, or nil when telemetry is off.
@@ -610,20 +616,9 @@ type SpanConfig = span.Config
 // DumpFlight. The recorder is a pure observer: runs are bit-identical
 // with it attached or not.
 func (m *Machine) EnableSpans(cfg SpanConfig) *span.Recorder {
-	r := span.NewRecorder(cfg, arch.NumRFUSlots)
-	m.attachSpans(r)
-	return r
-}
-
-// attachSpans wires a recorder into the processor (and through it the
-// fabric) and, when the policy supports it, the configuration-
-// management stack.
-func (m *Machine) attachSpans(r *span.Recorder) {
-	m.spans = r
-	m.proc.SetSpans(r)
-	if ss, ok := m.policyObj.(interface{ SetSpans(*span.Recorder) }); ok {
-		ss.SetSpans(r)
-	}
+	m.spans = span.NewRecorder(cfg, arch.NumRFUSlots)
+	m.Observer().Add(m.spans)
+	return m.spans
 }
 
 // Spans returns the attached span recorder, or nil when span tracing
@@ -638,17 +633,17 @@ func (m *Machine) FlushTelemetry() error { return m.probe.Flush() }
 // EnableTracing records up to limit pipeline events (fetch, dispatch,
 // issue, retire, flush, reconfiguration) for TraceLog and Pipeview. Call
 // before Run. When the run produces more events than the limit, the
-// oldest are dropped.
+// oldest are dropped. Each reconfiguration is one span rewrite.
 func (m *Machine) EnableTracing(limit int) {
 	m.tracer = trace.NewBuffer(limit)
-	m.proc.SetTracer(m.tracer)
+	m.Observer().Add(m.tracer)
 }
 
 // EnableTracingUntil is EnableTracing restricted to events at or before
 // lastCycle, so the beginning of a long run survives the buffer limit.
 func (m *Machine) EnableTracingUntil(limit, lastCycle int) {
-	m.tracer = trace.NewBuffer(limit)
-	m.proc.SetTracer(trace.Until{R: m.tracer, LastCycle: lastCycle})
+	m.EnableTracing(limit)
+	m.tracer.Until = int64(lastCycle)
 }
 
 // TraceLog renders the recorded pipeline events one per line. Empty when
@@ -657,7 +652,7 @@ func (m *Machine) TraceLog() string {
 	if m.tracer == nil {
 		return ""
 	}
-	return trace.Log(m.tracer.Events())
+	return trace.Log(m.tracer.Events(), m.prog)
 }
 
 // Pipeview renders the recorded events as a pipeline chart (one row per
@@ -666,7 +661,7 @@ func (m *Machine) Pipeview(fromCycle, toCycle int) string {
 	if m.tracer == nil {
 		return ""
 	}
-	return trace.Pipeview(m.tracer.Events(), fromCycle, toCycle)
+	return trace.Pipeview(m.tracer.Events(), m.prog, fromCycle, toCycle)
 }
 
 // Workload re-exports: the kernel library and synthetic generator.
