@@ -35,7 +35,6 @@ import (
 	"repro"
 	"repro/internal/api"
 	"repro/internal/client"
-	"repro/internal/cluster"
 )
 
 func main() {
@@ -83,29 +82,16 @@ type clusterDims struct {
 	arbiter  string
 }
 
-// expand parses and validates the cluster dimensions. For cores == 1 the
-// mode list collapses to the single empty mode.
+// expand parses the cluster dimensions; the grid points they span are
+// validated as run specs.
 func (d clusterDims) expand() (cores []int, modes []string, err error) {
 	cores, err = splitInts(d.coresCSV)
 	if err != nil {
 		return nil, nil, fmt.Errorf("parsing -cores: %w", err)
 	}
-	for _, c := range cores {
-		if c < 1 || c > cluster.MaxCores {
-			return nil, nil, fmt.Errorf("-cores value %d outside [1,%d]", c, cluster.MaxCores)
-		}
-	}
 	modes, err = splitNames(d.modesCSV)
 	if err != nil {
 		return nil, nil, fmt.Errorf("parsing -cluster-modes: %w", err)
-	}
-	for _, m := range modes {
-		if _, err := cluster.ParseMode(m); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := cluster.ParseArbiter(d.arbiter); err != nil {
-		return nil, nil, err
 	}
 	return cores, modes, nil
 }
@@ -205,19 +191,18 @@ func run(addr, program string, synthLen, synthPer int, synthSeed int64,
 			for _, cmode := range pointModes {
 				for _, lat := range lats {
 					for _, seed := range seeds {
-						grid = append(grid, gridPoint{policy: pname, latency: lat, seed: int64(seed), cores: nc, mode: cmode})
 						params := repro.Params{ReconfigLatency: lat}
-						if nc > 1 {
+						if nc != 1 {
 							params.Cores = nc
 							params.ClusterMode = cmode
 							params.ClusterArbiter = dims.arbiter
 						}
-						req.Points = append(req.Points, api.RunSpec{
-							Policy:    p,
-							Params:    params,
-							MaxCycles: maxCycles,
-							Seed:      int64(seed),
-						})
+						spec := api.RunSpec{Policy: p, Params: params, MaxCycles: maxCycles, Seed: int64(seed)}
+						if err := spec.Validate(); err != nil {
+							return fmt.Errorf("grid point %s cores=%d lat=%d: %w", pname, nc, lat, err)
+						}
+						grid = append(grid, gridPoint{policy: pname, latency: lat, seed: int64(seed), cores: nc, mode: cmode})
+						req.Points = append(req.Points, spec)
 					}
 				}
 			}
@@ -308,7 +293,7 @@ func pruneGrid(prog repro.Program, grid []gridPoint, specs []api.RunSpec, f floa
 	}
 	ranks := make([]ranked, len(specs))
 	for i, spec := range specs {
-		est, err := repro.EstimateIPC(prog, repro.Options{Params: spec.Params, Policy: spec.Policy})
+		est, err := repro.EstimateIPC(prog, spec)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("estimating point %d (%s lat=%d): %w",
 				i, grid[i].policy, grid[i].latency, err)

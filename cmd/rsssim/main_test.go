@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -36,5 +41,112 @@ func TestSyntheticProgramSeeded(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed, different programs")
 		}
+	}
+}
+
+// TestRunOutputPins runs rsssim in-process and compares its output with
+// files captured from a build that ran one core on repro.Machine
+// directly: cluster.Machine at K=1 must print exactly what the scalar
+// machine printed. The cluster table's wall-clock throughput line is
+// stripped.
+func TestRunOutputPins(t *testing.T) {
+	for _, tc := range []struct {
+		name, golden string
+		args         []string
+	}{
+		{"saxpy text", "saxpy.golden", []string{"-kernel", "saxpy"}},
+		{"saxpy json", "saxpy_json.golden", []string{"-kernel", "saxpy", "-json"}},
+		{"alternating prefetch metrics", "alternating_prefetch_metrics.golden",
+			[]string{"-synthetic", "alternating", "-prefetch", "-metrics", "-"}},
+		{"saxpy 2-core split", "saxpy_cores2_split.golden",
+			[]string{"-kernel", "saxpy", "-cores", "2", "-cluster-mode", "split", "-cluster-arbiter", "demand-weighted"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stripThroughput(stdout.String()); got != string(want) {
+				t.Errorf("output differs from testdata/%s:\n%s", tc.golden, got)
+			}
+			if stderr.Len() > 0 {
+				t.Errorf("unexpected stderr: %s", stderr.String())
+			}
+		})
+	}
+}
+
+func stripThroughput(s string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if !strings.HasPrefix(line, "throughput:") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
+}
+
+// TestRunInvalidSpec pins the exit status and stderr of bad specs. The
+// policy name fails as it always did; a bad spec field fails with the
+// Options.Validate message rssd and rssbench report too.
+func TestRunInvalidSpec(t *testing.T) {
+	policyErr, err := os.ReadFile(filepath.Join("testdata", "bad_policy.stderr.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args   []string
+		stderr string
+	}{
+		{[]string{"-kernel", "saxpy", "-policy", "nope"}, string(policyErr)},
+		{[]string{"-kernel", "saxpy", "-window", "-1"},
+			"rsssim: invalid machine parameters: WindowSize must be non-negative, got -1\n"},
+		{[]string{"-kernel", "saxpy", "-window", "65"},
+			"rsssim: invalid machine parameters: WindowSize must be at most 64, got 65\n"},
+		{[]string{"-kernel", "saxpy", "-fault-rate", "0.01", "-fault-scrub-interval", "0"},
+			"rsssim: invalid machine parameters: fault rates are set but FaultScrubInterval is 0 (want > 0)\n"},
+		{[]string{"-kernel", "saxpy", "-cores", "9"},
+			"rsssim: invalid machine parameters: Cores must be in [0, 8], got 9\n"},
+		{[]string{"-kernel", "saxpy", "-max-cycles", "-1"},
+			"rsssim: maxCycles must be non-negative, got -1: invalid machine parameters\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
+		}
+		if stderr.String() != tc.stderr {
+			t.Errorf("%v: stderr %q, want %q", tc.args, stderr.String(), tc.stderr)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("%v: unexpected stdout %q", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestRunClusterJSON checks -json with -cores prints the cluster
+// report: the aggregate block plus one scalar report per core.
+func TestRunClusterJSON(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-kernel", "saxpy", "-cores", "2", "-json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	var rep struct {
+		Cluster struct {
+			Cores        int     `json:"cores"`
+			AggregateIPC float64 `json:"aggregateIPC"`
+		} `json:"cluster"`
+		Cores []struct {
+			IPC float64 `json:"ipc"`
+		} `json:"cores"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("decoding %s: %v", stdout.String(), err)
+	}
+	if rep.Cluster.Cores != 2 || len(rep.Cores) != 2 || rep.Cluster.AggregateIPC <= 0 {
+		t.Errorf("cluster report = %+v", rep)
 	}
 }

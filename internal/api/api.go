@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 
 	"repro"
+	"repro/internal/cluster"
 )
 
 // AssembleRequest is the body of POST /v1/assemble.
@@ -43,24 +44,12 @@ type Program struct {
 func (p Program) Empty() bool { return p.Source == "" && len(p.Words) == 0 }
 
 // RunSpec describes one simulation: the machine sizing, the
-// configuration-management policy, and the run budget. The zero value
-// selects the paper's reference machine under the steering policy. It is
-// both the core of RunRequest and the per-point element of jobs.
-type RunSpec struct {
-	// Policy is the configuration-management policy name; omitted or
-	// empty selects "steering". Unknown names fail decoding.
-	Policy repro.Policy `json:"policy"`
-	// Params sizes the machine; zero fields take the reference values.
-	Params repro.Params `json:"params"`
-	// MaxCycles bounds the run; 0 takes the server default, and values
-	// above the server cap are clamped to it.
-	MaxCycles int `json:"maxCycles,omitempty"`
-	// Seed feeds the random policy.
-	Seed int64 `json:"seed,omitempty"`
-	// MinResidency dampens configuration thrash for the steering and
-	// oracle policies (cycles to hold a loaded configuration).
-	MinResidency int `json:"minResidency,omitempty"`
-}
+// configuration-management policy, and the run budget. It is the
+// facade's run spec itself, checked with its Validate method. MaxCycles
+// 0 takes the server default, and values above the server cap are
+// clamped to it. It is both the core of RunRequest and the per-point
+// element of jobs.
+type RunSpec = repro.Options
 
 // EstimateRequest is the body of POST /v1/estimate: the same program
 // and spec shape as a run, answered by the analytic queueing model
@@ -122,23 +111,11 @@ type RunResponse struct {
 // aggregates plus one full scalar report per core. It rides in the
 // same RunResponse.Report / PointResult.Report slot scalar reports
 // use; clients discriminate on the "cluster" key.
-type ClusterReport struct {
-	Cluster ClusterSummary `json:"cluster"`
-	// Cores holds each core's scalar run report, index = core id.
-	Cores []json.RawMessage `json:"cores"`
-}
+type ClusterReport = cluster.Report
 
 // ClusterSummary is the cluster-level aggregate block of a
 // ClusterReport.
-type ClusterSummary struct {
-	Cores        int     `json:"cores"`
-	Mode         string  `json:"mode"`
-	Arbiter      string  `json:"arbiter"`
-	ModeSwitches int     `json:"modeSwitches"`
-	Cycles       int     `json:"cycles"`
-	AggregateIPC float64 `json:"aggregateIPC"`
-	Fairness     float64 `json:"fairness"`
-}
+type ClusterSummary = cluster.Summary
 
 // HealthResponse is the body of GET /v1/healthz.
 type HealthResponse struct {

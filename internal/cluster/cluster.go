@@ -31,8 +31,10 @@
 // RFU slots, no reconfiguration in flight), so configurations never
 // change under an executing span.
 //
-// K=1 is bit-identical to the scalar repro.Machine — every hook
-// degenerates to a no-op — which TestClusterK1MatchesScalar pins.
+// A one-core cluster is the scalar repro.Machine: NewMulti installs no
+// hook on a single core and RunContext runs it directly, so K=1 is
+// bit-identical to the paper's machine (TestClusterK1MatchesScalar).
+// So cluster.Machine runs every run spec, whatever its core count.
 package cluster
 
 import (
@@ -198,13 +200,13 @@ func NewMulti(progs []repro.Program, opt repro.Options) *Machine {
 		// the caller's seed so K=1 reproduces the scalar run exactly.
 		o.Params.FaultSeed = opt.Params.FaultSeed + int64(i)
 		m := repro.NewMachine(progs[i], o)
-		// Every event the core emits carries its index, so merged
-		// telemetry and span streams stay attributable. Without sinks the
-		// observer wants no kind, and each emit site is one branch.
-		m.Observer().SetCore(i)
 		c.cores = append(c.cores, m)
 		c.procs = append(c.procs, m.Processor())
 		c.fabrics = append(c.fabrics, m.Processor().Fabric())
+	}
+	c.applyMode(mode)
+	if k == 1 {
+		return c
 	}
 	for i := range c.procs {
 		i := i
@@ -212,7 +214,6 @@ func NewMulti(progs []repro.Program, opt repro.Options) *Machine {
 			return c.manage(i, required)
 		})
 	}
-	c.applyMode(mode)
 	return c
 }
 
@@ -250,11 +251,16 @@ func (c *Machine) manage(i int, required arch.Counts) (arch.Counts, bool) {
 
 // applyMode installs the fabric-sharing contract for mode m: mirror
 // wiring and combined-demand steering for merged, leases and shared-bus
-// accounting for split. Callers ensure every fabric is quiescent.
+// accounting for split. A single core owns the whole fabric in either
+// mode and gets no wiring. Callers ensure every fabric is quiescent.
 func (c *Machine) applyMode(m Mode) {
 	k := len(c.procs)
 	c.mode, c.pending = m, m
 	c.lease = [MaxCores]uint8{}
+	if k == 1 {
+		c.lease[0] = allSlots
+		return
+	}
 	switch m {
 	case ModeMerged:
 		c.lease[0] = allSlots
@@ -460,8 +466,15 @@ func (c *Machine) Run(maxCycles int) (Stats, error) {
 // RunContext is Run with cancellation, polled every
 // cpu.CtxCheckInterval cluster cycles like the scalar machine. On
 // budget exhaustion the error wraps cpu.ErrCycleLimit; the statistics
-// so far are returned either way, and telemetry probes are flushed.
+// so far are returned either way, and telemetry probes are flushed. A
+// one-core cluster runs its machine's own RunContext, so its errors,
+// flushes and span endings are the scalar machine's.
 func (c *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
+	if len(c.cores) == 1 {
+		_, err := c.cores[0].RunContext(ctx, maxCycles)
+		c.cycle = c.procs[0].Stats().Cycles
+		return c.Stats(), err
+	}
 	var err error
 	for !c.Halted() && c.cycle < maxCycles {
 		if err = ctx.Err(); err != nil {

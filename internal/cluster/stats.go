@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -67,12 +68,65 @@ func (s Stats) Fairness() float64 {
 	return sum * sum / (float64(len(s.Cores)) * sumSq)
 }
 
+// Report is the run report of a multi-core cluster: the cluster-level
+// aggregates plus one full scalar report per core. It rides in the same
+// report slot scalar reports use; clients discriminate on the
+// "cluster" key.
+type Report struct {
+	Cluster Summary `json:"cluster"`
+	// Cores holds each core's scalar run report, index = core id.
+	Cores []json.RawMessage `json:"cores"`
+}
+
+// Summary is the cluster-level aggregate block of a Report.
+type Summary struct {
+	Cores        int     `json:"cores"`
+	Mode         string  `json:"mode"`
+	Arbiter      string  `json:"arbiter"`
+	ModeSwitches int     `json:"modeSwitches"`
+	Cycles       int     `json:"cycles"`
+	AggregateIPC float64 `json:"aggregateIPC"`
+	Fairness     float64 `json:"fairness"`
+}
+
+// ReportJSON renders the run report: a one-core cluster is the scalar
+// machine and renders its scalar document; a K-core cluster renders a
+// Report.
+func (c *Machine) ReportJSON() ([]byte, error) {
+	if len(c.cores) == 1 {
+		return c.cores[0].ReportJSON()
+	}
+	stats := c.Stats()
+	rep := Report{Cluster: Summary{
+		Cores:        len(c.cores),
+		Mode:         stats.Mode,
+		Arbiter:      stats.Arbiter,
+		ModeSwitches: stats.ModeSwitches,
+		Cycles:       stats.Cycles,
+		AggregateIPC: stats.AggregateIPC(),
+		Fairness:     stats.Fairness(),
+	}}
+	for k, m := range c.cores {
+		core, err := m.ReportJSON()
+		if err != nil {
+			return nil, fmt.Errorf("rendering core %d report: %w", k, err)
+		}
+		rep.Cores = append(rep.Cores, core)
+	}
+	return json.Marshal(rep)
+}
+
 // EnableTelemetry streams per-core telemetry into one shared exporter,
 // every record labelled with its core index by the core's observer.
 // format is "jsonl" or "csv" ("prom" renders one registry snapshot and
 // cannot merge K registries into one stream — enable it per core
-// instead). Call before Run.
+// instead). A one-core cluster is the scalar machine and takes every
+// format Machine.EnableTelemetry does. Call before Run.
 func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) error {
+	if len(c.cores) == 1 {
+		_, err := c.cores[0].EnableTelemetry(w, format, interval)
+		return err
+	}
 	var exp telemetry.Exporter
 	switch format {
 	case "jsonl":
@@ -82,8 +136,9 @@ func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) erro
 	default:
 		return fmt.Errorf("cluster: unsupported telemetry format %q (want jsonl or csv)", format)
 	}
-	for _, m := range c.cores {
+	for k, m := range c.cores {
 		m.EnableTelemetryExporter(exp, interval)
+		m.Observer().SetCore(k)
 	}
 	return nil
 }
@@ -96,6 +151,7 @@ func (c *Machine) EnableSpans(cfg repro.SpanConfig) []*span.Recorder {
 	out := make([]*span.Recorder, len(c.cores))
 	for k, m := range c.cores {
 		out[k] = m.EnableSpans(cfg)
+		m.Observer().SetCore(k)
 		c.spans[k] = out[k]
 	}
 	return out

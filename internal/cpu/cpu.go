@@ -215,11 +215,13 @@ func (p Params) withDefaults() Params {
 }
 
 // Validate checks a parameter set before machine construction: every
-// sizing field must be non-negative (zero selects the default), and the
-// memory/cache geometries must be powers of two where the substrates
-// require it. Errors wrap ErrInvalidParams; cpu.New panics on the same
-// conditions, so servers validate request-supplied parameters here
-// first and map the failure to a 4xx.
+// sizing field must be non-negative (zero selects the default), the
+// memory, cache, predictor and trace-cache geometries must be powers of
+// two where the substrates require it, the window must fit the wake-up
+// array, and a latency table is all zero or all positive. Errors wrap
+// ErrInvalidParams; cpu.New panics on the same conditions, so servers
+// validate request-supplied parameters here first and map the failure
+// to a 4xx.
 func (p Params) Validate() error {
 	bad := func(field string, v int) error {
 		return fmt.Errorf("%w: %s must be non-negative, got %d", ErrInvalidParams, field, v)
@@ -255,6 +257,25 @@ func (p Params) Validate() error {
 	}
 	if p.CacheLineBytes > 0 && !powerOfTwo(p.CacheLineBytes) {
 		return fmt.Errorf("%w: CacheLineBytes %d is not a power of two", ErrInvalidParams, p.CacheLineBytes)
+	}
+	if p.PredictorEntries > 0 && !powerOfTwo(p.PredictorEntries) {
+		return fmt.Errorf("%w: PredictorEntries %d is not a power of two", ErrInvalidParams, p.PredictorEntries)
+	}
+	if p.TraceCacheLines > 0 && !powerOfTwo(p.TraceCacheLines) {
+		return fmt.Errorf("%w: TraceCacheLines %d is not a power of two", ErrInvalidParams, p.TraceCacheLines)
+	}
+	if p.WindowSize > wakeup.MaxSize {
+		return fmt.Errorf("%w: WindowSize must be at most %d, got %d", ErrInvalidParams, wakeup.MaxSize, p.WindowSize)
+	}
+	// A partial latency table would leave the zero entries at zero,
+	// which the wake-up array cannot time: all zero selects the
+	// default table, otherwise every class needs at least one cycle.
+	if l := p.Latencies; l != (isa.Latencies{}) {
+		for _, v := range []int{l.IntALU, l.IntMul, l.IntDiv, l.Load, l.Store, l.FPALU, l.FPMul, l.FPDiv, l.FPSqrt} {
+			if v < 1 {
+				return fmt.Errorf("%w: Latencies %+v has a class below 1 cycle", ErrInvalidParams, l)
+			}
+		}
 	}
 	if p.IssueOrder < OrderOldest || p.IssueOrder > OrderRotate {
 		return fmt.Errorf("%w: unknown issue order %d", ErrInvalidParams, int(p.IssueOrder))

@@ -248,6 +248,11 @@ func TestSweepBadRequests(t *testing.T) {
 		{"no points", fmt.Sprintf(`{"source": %q, "points": []}`, haltingSource), api.CodeInvalidRequest},
 		{"too many points", fmt.Sprintf(`{"source": %q, "points": [{}, {}, {}]}`, haltingSource), api.CodeInvalidRequest},
 		{"bad point params", fmt.Sprintf(`{"source": %q, "points": [{"maxCycles": -1}]}`, haltingSource), api.CodeInvalidRequest},
+		// Each of these passed validation once and panicked in the
+		// worker's cpu.New, taking the whole process down.
+		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "points": [{"params": {"WindowSize": 65}}]}`, haltingSource), api.CodeInvalidRequest},
+		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "points": [{"params": {"PredictorEntries": 100}}]}`, haltingSource), api.CodeInvalidRequest},
+		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "points": [{"params": {"TraceCacheLines": 3}}]}`, haltingSource), api.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

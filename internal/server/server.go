@@ -494,13 +494,6 @@ type loadedProgram struct {
 	cached bool
 }
 
-// newMachine builds a fresh machine for one job. Units are read-only at
-// run time, so concurrent jobs share them safely — each machine gets its
-// own memory image.
-func (lp loadedProgram) newMachine(opt repro.Options) *repro.Machine {
-	return repro.NewMachineFromUnit(lp.unit, opt)
-}
-
 // load resolves the request's program through the cache: source is
 // assembled, words are decoded, each at most once per cache residency.
 func (s *Server) load(source string, words []uint32) (loadedProgram, error) {
@@ -541,20 +534,10 @@ func (s *Server) loadCached(key programKey, build func() (*repro.Unit, error)) (
 
 // resolveSpec validates a RunSpec and fills budget defaults in place.
 func (s *Server) resolveSpec(spec *api.RunSpec) error {
-	if !spec.Policy.Valid() {
-		return fmt.Errorf("policy %d out of range: %w", int(spec.Policy), repro.ErrUnknownPolicy)
-	}
-	if err := spec.Params.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if spec.MinResidency < 0 {
-		return fmt.Errorf("minResidency must be non-negative, got %d: %w",
-			spec.MinResidency, repro.ErrInvalidParams)
-	}
 	switch {
-	case spec.MaxCycles < 0:
-		return fmt.Errorf("maxCycles must be non-negative, got %d: %w",
-			spec.MaxCycles, repro.ErrInvalidParams)
 	case spec.MaxCycles == 0:
 		spec.MaxCycles = s.cfg.DefaultMaxCycles
 	case spec.MaxCycles > s.cfg.MaxCyclesCap:
@@ -563,22 +546,19 @@ func (s *Server) resolveSpec(spec *api.RunSpec) error {
 	return nil
 }
 
-// simulate runs one job to completion under ctx and renders its report.
-// The caller must already hold a worker slot. req and point feed the
-// worker-execution span of the service flight recorder (point is -1
-// for /v1/run).
+// simulate runs one job to completion under ctx and renders its report:
+// the scalar report for one core, the cluster report for several. The
+// caller must already hold a worker slot. Units are read-only at run
+// time, so concurrent jobs share them safely — each core gets its own
+// memory image. req and point feed the worker-execution span of the
+// service flight recorder (point is -1 for /v1/run).
 func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
-	if spec.Params.Cores > 1 {
-		return s.simulateCluster(ctx, lp, spec, kind, req, point)
+	c := cluster.New(lp.unit.Program, spec)
+	for k := 0; k < c.Cores(); k++ {
+		lp.unit.Apply(c.Core(k).Processor().Memory())
 	}
-	m := lp.newMachine(repro.Options{
-		Params:       spec.Params,
-		Policy:       spec.Policy,
-		Seed:         spec.Seed,
-		MinResidency: spec.MinResidency,
-	})
 	start := time.Now()
-	_, err := m.RunContext(ctx, spec.MaxCycles)
+	_, err := c.RunContext(ctx, spec.MaxCycles)
 	elapsed := time.Since(start)
 	s.observeJob(kind, elapsed)
 	name := "execute"
@@ -590,44 +570,6 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 		// The service-side flight-recorder anomaly trigger.
 		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
 	}
-	s.accountMachine(m)
-	elapsedMs := float64(elapsed) / float64(time.Millisecond)
-	if err != nil {
-		return nil, elapsedMs, err
-	}
-	report, err := m.ReportJSON()
-	if err != nil {
-		return nil, elapsedMs, fmt.Errorf("rendering report: %w", err)
-	}
-	return report, elapsedMs, nil
-}
-
-// simulateCluster runs one multi-core cluster job (spec.Params.Cores >
-// 1): every core executes the same program against the shared
-// reconfigurable fabric, and the report is the api.ClusterReport
-// document — cluster aggregates plus one scalar report per core.
-func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
-	c := cluster.New(lp.unit.Program, repro.Options{
-		Params:       spec.Params,
-		Policy:       spec.Policy,
-		Seed:         spec.Seed,
-		MinResidency: spec.MinResidency,
-	})
-	for k := 0; k < c.Cores(); k++ {
-		lp.unit.Apply(c.Core(k).Processor().Memory())
-	}
-	start := time.Now()
-	stats, err := c.RunContext(ctx, spec.MaxCycles)
-	elapsed := time.Since(start)
-	s.observeJob(kind, elapsed)
-	name := "execute"
-	if point >= 0 {
-		name = "point"
-	}
-	s.spans.Record(req, name, kind, point, start, start.Add(elapsed))
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
-	}
 	for k := 0; k < c.Cores(); k++ {
 		s.accountMachine(c.Core(k))
 	}
@@ -635,34 +577,15 @@ func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api
 	if err != nil {
 		return nil, elapsedMs, err
 	}
-	rep := api.ClusterReport{
-		Cluster: api.ClusterSummary{
-			Cores:        c.Cores(),
-			Mode:         stats.Mode,
-			Arbiter:      stats.Arbiter,
-			ModeSwitches: stats.ModeSwitches,
-			Cycles:       stats.Cycles,
-			AggregateIPC: stats.AggregateIPC(),
-			Fairness:     stats.Fairness(),
-		},
-	}
-	for k := 0; k < c.Cores(); k++ {
-		coreReport, rerr := c.Core(k).ReportJSON()
-		if rerr != nil {
-			return nil, elapsedMs, fmt.Errorf("rendering core %d report: %w", k, rerr)
-		}
-		rep.Cores = append(rep.Cores, coreReport)
-	}
-	report, err := json.Marshal(rep)
+	report, err := c.ReportJSON()
 	if err != nil {
-		return nil, elapsedMs, fmt.Errorf("rendering cluster report: %w", err)
+		return nil, elapsedMs, fmt.Errorf("rendering report: %w", err)
 	}
 	return report, elapsedMs, nil
 }
 
-// accountMachine lands one finished machine's steering-cache and
-// prefetch counters on the service metrics — shared by the scalar and
-// cluster simulate paths.
+// accountMachine lands one finished core's steering-cache and prefetch
+// counters on the service metrics.
 func (s *Server) accountMachine(m *repro.Machine) {
 	if hits, misses, ok := m.SteeringCacheStats(); ok {
 		s.mmu.Lock()
@@ -811,7 +734,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer leave()
 
 	start := time.Now()
-	est, err := repro.EstimateIPC(lp.unit.Program, repro.Options{Params: spec.Params, Policy: spec.Policy})
+	est, err := repro.EstimateIPC(lp.unit.Program, spec)
 	solve := time.Since(start)
 	if err != nil {
 		s.fail(w, "estimate", err)

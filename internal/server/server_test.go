@@ -310,6 +310,10 @@ func TestRunBadRequests(t *testing.T) {
 		{"negative scrub interval", fmt.Sprintf(`{"source": %q, "params": {"FaultScrubInterval": -1}}`, haltingSource), api.CodeInvalidParams},
 		{"fault rates without scrub interval", fmt.Sprintf(`{"source": %q, "params": {"FaultTransientRate": 0.002}}`, haltingSource), api.CodeInvalidParams},
 		{"negative config bus width", fmt.Sprintf(`{"source": %q, "params": {"ConfigBusWidth": -2}}`, haltingSource), api.CodeInvalidParams},
+		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "params": {"WindowSize": 65}}`, haltingSource), api.CodeInvalidParams},
+		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 100}}`, haltingSource), api.CodeInvalidParams},
+		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 3}}`, haltingSource), api.CodeInvalidParams},
+		{"partial latency table", fmt.Sprintf(`{"source": %q, "params": {"Latencies": {"IntALU": 1}}}`, haltingSource), api.CodeInvalidParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -382,6 +386,9 @@ func TestEstimateBadRequests(t *testing.T) {
 		{"unknown policy", fmt.Sprintf(`{"source": %q, "policy": "bogus"}`, haltingSource), api.CodeUnknownPolicy},
 		{"bad params", fmt.Sprintf(`{"source": %q, "params": {"WindowSize": -3}}`, haltingSource), api.CodeInvalidParams},
 		{"fault rates without scrub interval", fmt.Sprintf(`{"source": %q, "params": {"FaultTransientRate": 0.002}}`, haltingSource), api.CodeInvalidParams},
+		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "params": {"WindowSize": 65}}`, haltingSource), api.CodeInvalidParams},
+		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 100}}`, haltingSource), api.CodeInvalidParams},
+		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 3}}`, haltingSource), api.CodeInvalidParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -176,13 +176,7 @@ var slotLaneNames = [8]string{
 // WriteChromeTrace renders the full trace as Chrome Trace Format JSON
 // (loadable in Perfetto and chrome://tracing). One cycle = 1 µs.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	cw := newChromeWriter(w)
-	slots := 0
-	if r != nil {
-		slots = len(r.repairStart)
-	}
-	writeEntries(cw, r.Entries(), slots, r.Core())
-	return cw.close()
+	return WriteChromeTraceMulti(w, []*Recorder{r})
 }
 
 // WriteChromeTraceMulti renders several recorders — one per cluster

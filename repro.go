@@ -181,22 +181,50 @@ func ParseBasis(data []byte) (Basis, error) { return config.ParseBasis(data) }
 // MarshalBasis serialises a steering basis to indented JSON.
 func MarshalBasis(b Basis) ([]byte, error) { return config.MarshalBasis(b) }
 
-// Options configures a Machine beyond its sizing parameters.
+// Options is the run spec: the machine sizing, the configuration
+// policy and the run budget. The zero value selects the paper's
+// reference machine under the steering policy. It is also the wire
+// shape of a run (api.RunSpec is an alias), so the JSON tags are the
+// request schema; Basis has no wire form.
 type Options struct {
-	// Params sizes the machine; zero fields take defaults.
-	Params Params
 	// Policy selects configuration management (default PolicySteering).
-	Policy Policy
+	// On the wire it is the policy name; unknown names fail decoding.
+	Policy Policy `json:"policy"`
+	// Params sizes the machine; zero fields take defaults.
+	Params Params `json:"params"`
+	// MaxCycles bounds the run. NewMachine ignores it; whoever drives
+	// the run passes it on (rssd reads 0 as its default budget).
+	MaxCycles int `json:"maxCycles,omitempty"`
 	// Seed feeds PolicyRandom.
-	Seed int64
-	// Basis overrides the predefined steering configurations for the
-	// steering, full-reconfig, oracle and static policies (nil uses the
-	// default Table 1 basis).
-	Basis *Basis
+	Seed int64 `json:"seed,omitempty"`
 	// MinResidency suppresses configuration reloads for this many
 	// cycles after each load — the X11 thrash damper. Applies to
 	// PolicySteering and PolicyOracle.
-	MinResidency int
+	MinResidency int `json:"minResidency,omitempty"`
+	// Basis overrides the predefined steering configurations for the
+	// steering, full-reconfig, oracle and static policies (nil uses the
+	// default Table 1 basis).
+	Basis *Basis `json:"-"`
+}
+
+// Validate checks a run spec before a machine is built from it: the
+// policy must be defined, the parameters must pass Params.Validate, and
+// MinResidency and MaxCycles must be non-negative. Errors wrap
+// ErrUnknownPolicy or ErrInvalidParams.
+func (o Options) Validate() error {
+	if !o.Policy.Valid() {
+		return fmt.Errorf("policy %d out of range: %w", int(o.Policy), ErrUnknownPolicy)
+	}
+	if err := o.Params.Validate(); err != nil {
+		return err
+	}
+	if o.MinResidency < 0 {
+		return fmt.Errorf("minResidency must be non-negative, got %d: %w", o.MinResidency, ErrInvalidParams)
+	}
+	if o.MaxCycles < 0 {
+		return fmt.Errorf("maxCycles must be non-negative, got %d: %w", o.MaxCycles, ErrInvalidParams)
+	}
+	return nil
 }
 
 // Machine is one simulated processor instance bound to a program.

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -325,5 +326,88 @@ func TestSteeringVersusStaticHeadline(t *testing.T) {
 	ffuOnly := run(PolicyNone)
 	if steering <= ffuOnly {
 		t.Errorf("steering IPC %.3f not above FFU-only IPC %.3f", steering, ffuOnly)
+	}
+}
+
+// TestOptionsValidate pins the one run-spec validator rssd, rsssim and
+// rssbench share: each bad field fails with its facade sentinel, and
+// the three parameter sets that once passed validation but panicked in
+// machine construction are rejected.
+func TestOptionsValidate(t *testing.T) {
+	withParams := func(f func(*Params)) Options {
+		var o Options
+		f(&o.Params)
+		return o
+	}
+	cases := []struct {
+		name string
+		opt  Options
+		want error // nil: valid
+	}{
+		{"zero value", Options{}, nil},
+		{"reference machine", Options{Params: DefaultParams(), Policy: PolicyPrefetch, MaxCycles: 100, MinResidency: 4}, nil},
+		{"cluster", withParams(func(p *Params) { p.Cores, p.ClusterMode, p.ClusterArbiter = 8, "split", "demand-weighted" }), nil},
+		{"largest window", withParams(func(p *Params) { p.WindowSize = 64 }), nil},
+		{"policy out of range", Options{Policy: Policy(99)}, ErrUnknownPolicy},
+		{"negative policy", Options{Policy: Policy(-1)}, ErrUnknownPolicy},
+		{"negative residency", Options{MinResidency: -1}, ErrInvalidParams},
+		{"negative cycles", Options{MaxCycles: -1}, ErrInvalidParams},
+		{"negative window", withParams(func(p *Params) { p.WindowSize = -1 }), ErrInvalidParams},
+		{"window above wake-up array", withParams(func(p *Params) { p.WindowSize = 65 }), ErrInvalidParams},
+		{"predictor entries not a power of two", withParams(func(p *Params) { p.PredictorEntries = 100 }), ErrInvalidParams},
+		{"trace cache lines not a power of two", withParams(func(p *Params) { p.TraceCacheLines = 3 }), ErrInvalidParams},
+		{"partial latency table", withParams(func(p *Params) { p.Latencies.IntALU = 1 }), ErrInvalidParams},
+		{"fault rate without scrub", withParams(func(p *Params) { p.FaultTransientRate = 0.01 }), ErrInvalidParams},
+		{"too many cores", withParams(func(p *Params) { p.Cores = 9 }), ErrInvalidParams},
+		{"unknown cluster mode", withParams(func(p *Params) { p.ClusterMode = "sideways" }), ErrInvalidParams},
+		{"unknown arbiter", withParams(func(p *Params) { p.ClusterArbiter = "lottery" }), ErrInvalidParams},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.opt.Validate()
+			switch {
+			case tc.want == nil && err != nil:
+				t.Fatalf("Validate = %v, want nil", err)
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Fatalf("Validate = %v, want %v", err, tc.want)
+			}
+			if err != nil {
+				return
+			}
+			// A valid spec must build and run without panicking.
+			m := NewMachine(MustAssemble("li r1, 3\nmul r2, r1, r1\nhalt\n"), tc.opt)
+			if _, err := m.Run(10_000); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		})
+	}
+}
+
+// TestOptionsWireShape pins the run spec's JSON: the field names, order
+// and omissions of the request schema it doubles as, with no Basis.
+func TestOptionsWireShape(t *testing.T) {
+	type wire struct {
+		Policy       Policy `json:"policy"`
+		Params       Params `json:"params"`
+		MaxCycles    int    `json:"maxCycles,omitempty"`
+		Seed         int64  `json:"seed,omitempty"`
+		MinResidency int    `json:"minResidency,omitempty"`
+	}
+	basis := DefaultBasis()
+	for _, o := range []Options{
+		{},
+		{Policy: PolicyPrefetch, Params: Params{WindowSize: 5}, MaxCycles: 10, Seed: 3, MinResidency: 2, Basis: &basis},
+	} {
+		got, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(wire{o.Policy, o.Params, o.MaxCycles, o.Seed, o.MinResidency})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("wire shape changed:\n got %s\nwant %s", got, want)
+		}
 	}
 }
