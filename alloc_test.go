@@ -72,6 +72,38 @@ func TestZeroAllocManagerSelect(t *testing.T) {
 	})
 }
 
+// TestZeroAllocManagerStepMemo pins the Step memo's hit paths: with the
+// demand and the (unticked) fabric unchanged, each Step replays the
+// previous cycle — for the steering manager both a kept configuration
+// and a load whose spans are all still reconfiguring (replayed
+// deferrals), for the demand manager a synthesis that started nothing.
+func TestZeroAllocManagerStepMemo(t *testing.T) {
+	kept := core.NewManager(rfu.New(0), config.DefaultBasis())
+	fp := arch.Counts{0, 0, 1, 3, 3}
+	kept.Step(fp) // installs the floating layout at once
+	requireZeroAllocs(t, "core.Manager.Step (memo hit, current)", func() {
+		kept.Step(fp)
+	})
+
+	deferring := core.NewManager(rfu.New(8), config.DefaultBasis())
+	deferring.Step(fp) // starts the rewrites; without ticks they stay in flight
+	deferring.Step(arch.Counts{3, 1, 2, 0, 0})
+	before := deferring.Stats().DeferredSlots
+	requireZeroAllocs(t, "core.Manager.Step (memo hit, deferred load)", func() {
+		deferring.Step(arch.Counts{3, 1, 2, 0, 0})
+	})
+	if deferring.Stats().DeferredSlots == before {
+		t.Error("no deferrals replayed; the deferred-load path was not exercised")
+	}
+
+	demand := core.NewDemandManager(rfu.New(8))
+	demand.Step(fp)
+	demand.Step(arch.Counts{3, 1, 2, 0, 0})
+	requireZeroAllocs(t, "core.DemandManager.Step (memo hit)", func() {
+		demand.Step(arch.Counts{3, 1, 2, 0, 0})
+	})
+}
+
 func TestZeroAllocCEM(t *testing.T) {
 	req := arch.Counts{3, 1, 2, 0, 1}
 	av := arch.Counts{5, 2, 3, 1, 1}

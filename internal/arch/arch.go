@@ -111,16 +111,23 @@ func (e Encoding) String() string {
 
 // SlotCost returns the number of reconfigurable slots a unit of type t
 // occupies: IntALUs and LSUs fit one slot, IntMDUs span two, FP units span
-// three (§4.2 of the paper).
+// three (§4.2 of the paper). It is a table lookup small enough to inline
+// into the fabric and manager loops; invalid types panic.
 func SlotCost(t UnitType) int {
-	switch t {
-	case IntALU, LSU:
-		return 1
-	case IntMDU:
-		return 2
-	case FPALU, FPMDU:
-		return 3
+	if t >= NumUnitTypes {
+		panicSlotCost(t)
 	}
+	return slotCosts[t]
+}
+
+// slotCosts is SlotCost's table, indexed by unit type.
+var slotCosts = [NumUnitTypes]int{IntALU: 1, IntMDU: 2, LSU: 1, FPALU: 3, FPMDU: 3}
+
+// panicSlotCost is SlotCost's out-of-line failure path, kept separate so
+// SlotCost stays within the inliner's budget.
+//
+//go:noinline
+func panicSlotCost(t UnitType) {
 	panic(fmt.Sprintf("arch: SlotCost of invalid unit type %d", uint8(t)))
 }
 

@@ -285,6 +285,35 @@ type Manager struct {
 	// string marks "not yet computed".
 	classifyName    string
 	classifyVersion uint64
+
+	// sel is the selection Step fills and returns by reference; memo
+	// remembers the inputs and outcome of the Step that filled it.
+	sel  Selection
+	memo stepMemo
+}
+
+// stepMemo is Step's one-entry memo. The selection unit and loader are
+// combinational: Select's outcome is a pure function of the demand and
+// the allocation vector, and Load's of those plus the fabric's timer
+// masks. So a cycle whose demand and allocation version equal the
+// memo's would select exactly what the memo holds; Step then replays
+// the steering-cache hit (valid while the cache line still holds the
+// entry) instead of selecting. If a Load already ran on those inputs
+// and the same timer masks without starting a rewrite, Step replays its
+// deferrals too.
+type stepMemo struct {
+	valid    bool
+	required arch.Counts
+	version  uint64 // fabric allocation version
+	// line and tag locate the steering-cache entry the selection came
+	// from.
+	line int
+	tag  uint64
+	// deferred is what a Load on these inputs under fabric timer masks
+	// timers deferred without starting a rewrite, or -1 when no Load has
+	// run on them yet.
+	deferred int
+	timers   uint32
 }
 
 // NewManager binds a configuration manager to a fabric, steering with the
@@ -338,6 +367,15 @@ func (m *Manager) errorOf(required, available arch.Counts) int {
 // Availability counts include the FFUs for every candidate ("…relative
 // to each of the four configurations including the FFUs", §3.1).
 func (m *Manager) Select(required arch.Counts) Selection {
+	var sel Selection
+	m.selectInto(&sel, required)
+	return sel
+}
+
+// selectInto is Select writing into sel. With the steering cache on it
+// returns the cache line that served the selection and the tag the line
+// now holds.
+func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, tag uint64) {
 	if !m.cacheOpen && m.obs.Wants(trace.KindCacheOpen) {
 		m.cacheOpen = true
 		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
@@ -346,7 +384,8 @@ func (m *Manager) Select(required arch.Counts) Selection {
 	unavail, dead := m.fabric.HealthMasks()
 	if m.DisableCache {
 		m.lookup = trace.LookupNone
-		return m.selectUncached(required, alloc, dead)
+		m.selectUncached(sel, required, alloc, dead)
+		return 0, 0
 	}
 	if m.cacheExact != m.ExactCEM {
 		// The error metric changed out from under the cached entries;
@@ -356,29 +395,29 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		m.obs.Emit(trace.Event{Kind: trace.KindCacheFlush})
 	}
 	key := packSteerKey(required, alloc.Slots, unavail, dead)
-	e := &m.cache[steerCacheIndex(key)]
+	line = steerCacheIndex(key)
+	e := &m.cache[line]
 	if e.key == key+1 {
 		m.stats.CacheHits++
 		m.lookup = trace.LookupHit
-		var sel Selection
 		sel.Required = required
 		sel.Choice = int(e.choice)
 		for i := range sel.Errors {
 			sel.Errors[i] = int(e.errs[i])
 			sel.Distances[i] = int(e.dists[i])
 		}
-		return sel
+		return line, e.key
 	}
 	m.stats.CacheMisses++
 	m.lookup = trace.LookupMiss
-	sel := m.selectUncached(required, alloc, dead)
+	m.selectUncached(sel, required, alloc, dead)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
 	for i := range sel.Errors {
 		e.errs[i] = uint8(sel.Errors[i])
 		e.dists[i] = uint8(sel.Distances[i])
 	}
-	return sel
+	return line, e.key
 }
 
 // selectUncached runs the four CEM generators and the minimal-error
@@ -389,8 +428,7 @@ func (m *Manager) Select(required arch.Counts) Selection {
 // because their spans cross permanently dead slots. Transiently faulty
 // slots do not discount the basis candidates: loading a configuration
 // rewrites their frames, restoring them.
-func (m *Manager) selectUncached(required arch.Counts, alloc config.AllocationVector, dead uint8) Selection {
-	var sel Selection
+func (m *Manager) selectUncached(sel *Selection, required arch.Counts, alloc config.AllocationVector, dead uint8) {
 	sel.Required = required
 	sel.Errors[0] = m.errorOf(required, m.fabric.EffectiveTotalCounts())
 	sel.Distances[0] = 0
@@ -403,7 +441,6 @@ func (m *Manager) selectUncached(required arch.Counts, alloc config.AllocationVe
 		sel.Distances[i+1] = alloc.Distance(m.basis[i])
 	}
 	sel.Choice = MinimalErrorSelect(sel.Errors, sel.Distances)
-	return sel
 }
 
 // degradedBasisAvail recomputes basis configuration i's availability
@@ -431,10 +468,11 @@ func (m *Manager) degradedBasisAvail(i int, dead uint8) arch.Counts {
 // predefined configuration won, every unit span of its layout that
 // differs from the live allocation is rewritten if its slots are idle,
 // and deferred otherwise. Keeping the current configuration loads
-// nothing. It returns the number of span rewrites started.
-func (m *Manager) Load(sel Selection) int {
+// nothing. It returns the number of span rewrites started and of slots
+// deferred.
+func (m *Manager) Load(sel *Selection) (started, deferred int) {
 	if sel.Current() {
-		return 0
+		return 0, 0
 	}
 	from, diff := "", 0
 	if m.obs.Wants(trace.KindDecision) {
@@ -442,7 +480,7 @@ func (m *Manager) Load(sel Selection) int {
 		from = m.ClassifyAllocation()
 		diff = m.fabric.Allocation().Distance(m.basis[sel.Choice-1])
 	}
-	started, loading, deferred := 0, 0, 0
+	loading := 0
 	alloc := m.fabric.Allocation()
 	for _, u := range m.basisUnits[sel.Choice-1] {
 		if alloc.Slots[u.Slot] == arch.Encode(u.Type) {
@@ -462,7 +500,7 @@ func (m *Manager) Load(sel Selection) int {
 	if started > 0 {
 		m.EmitDecision(from, sel.Choice, diff, started, loading, deferred)
 	}
-	return started
+	return started, deferred
 }
 
 // EmitDecision logs a configuration switch toward basis choice (1..3)
@@ -518,28 +556,59 @@ func (m *Manager) classifyAllocationSlow() string {
 
 // Step performs one cycle of configuration management: encode the queue's
 // requirements, select, and load (subject to the residency timer). It
-// returns the selection for tracing.
-func (m *Manager) Step(required arch.Counts) Selection {
-	sel := m.Select(required)
+// returns the selection for tracing; the manager owns it, and the next
+// Step overwrites it.
+//
+// A cycle whose inputs equal the previous Step's (see stepMemo) skips
+// the selection unit and, when possible, the loader, replaying their
+// effects. The memo is off with the steering cache disabled and on a
+// fabric whose reconfiguration answers depend on more than the timer
+// masks (faults, cluster hooks), so uncached steering is its oracle.
+func (m *Manager) Step(required arch.Counts) *Selection {
+	sel := &m.sel
+	memo := &m.memo
+	timers, plain := m.fabric.TimerMasks()
+	version := m.fabric.AllocVersion()
+	hit := memo.valid && required == memo.required && version == memo.version && plain &&
+		!m.DisableCache && m.cacheExact == m.ExactCEM && m.cache[memo.line].key == memo.tag
+	if hit {
+		m.stats.CacheHits++
+		m.lookup = trace.LookupHit
+	} else {
+		memo.line, memo.tag = m.selectInto(sel, required)
+		memo.valid = plain && !m.DisableCache
+		memo.required, memo.version = required, version
+		memo.deferred = -1
+	}
 	m.stats.Selections[sel.Choice]++
-	m.EmitSelection(&sel)
+	m.EmitSelection(sel)
 	if m.isHybrid() {
 		m.stats.HybridCycles++
 	}
 	m.sinceLoad++
-	if !sel.Current() && m.sinceLoad <= m.MinResidency {
+	if sel.Current() {
+		return sel
+	}
+	if m.sinceLoad <= m.MinResidency {
 		m.stats.SuppressedLoads++
 		return sel
 	}
-	if m.HoldTarget != 0 && !sel.Current() && sel.Choice != m.HoldTarget {
+	if m.HoldTarget != 0 && sel.Choice != m.HoldTarget {
 		// An active speculative prefetch holds the configuration: a
 		// claw-back load here would revert half-converted spans and
 		// freeze them for another full reconfiguration latency.
 		m.stats.HeldLoads++
 		return sel
 	}
-	if m.Load(sel) > 0 {
+	if hit && memo.deferred >= 0 && timers == memo.timers {
+		m.stats.DeferredSlots += memo.deferred
+		return sel
+	}
+	started, deferred := m.Load(sel)
+	if started > 0 {
 		m.sinceLoad = 0
+	} else {
+		memo.deferred, memo.timers = deferred, timers
 	}
 	return sel
 }

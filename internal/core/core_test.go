@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -242,7 +243,7 @@ func TestHybridConfigurationArises(t *testing.T) {
 func TestLoadReturnsZeroForCurrent(t *testing.T) {
 	m, f := newManager(0)
 	sel := Selection{Choice: 0}
-	if n := m.Load(sel); n != 0 {
+	if n, _ := m.Load(&sel); n != 0 {
 		t.Errorf("Load(current) = %d", n)
 	}
 	if f.Reconfigurations() != 0 {
@@ -375,5 +376,72 @@ func TestConvergenceUnderConstantDemand(t *testing.T) {
 		if f.Reconfiguring() {
 			t.Errorf("latency %d: fabric still reconfiguring at steady state", lat)
 		}
+	}
+}
+
+// TestStepMemoMatchesUncached drives two managers — steering cache (and
+// so the Step memo) on and off — over twin fabrics with the same random
+// demand stream, busy units, HoldTarget and residency changes, ticking
+// every cycle. Every returned selection, the stats and the allocation
+// must agree on every cycle, and the memo must actually replay.
+func TestStepMemoMatchesUncached(t *testing.T) {
+	for _, latency := range []int{0, 4, 16} {
+		t.Run(fmt.Sprintf("lat%d", latency), func(t *testing.T) {
+			fm, fp := rfu.New(latency), rfu.New(latency)
+			fm.SetConfigBusWidth(2)
+			fp.SetConfigBusWidth(2)
+			memo := NewManager(fm, config.DefaultBasis())
+			plain := NewManager(fp, config.DefaultBasis())
+			plain.DisableCache = true
+			rng := rand.New(rand.NewSource(int64(11 + latency)))
+			var d arch.Counts
+			replays := 0
+			for cycle := 0; cycle < 20000; cycle++ {
+				if rng.Intn(5) == 0 {
+					d = arch.Counts{}
+					for i := rng.Intn(arch.QueueSize + 1); i > 0; i-- {
+						d[rng.Intn(arch.NumUnitTypes)]++
+					}
+				}
+				if rng.Intn(3) == 0 {
+					ty, busy := arch.UnitType(rng.Intn(arch.NumUnitTypes)), 1+rng.Intn(6)
+					fm.Acquire(ty, busy)
+					fp.Acquire(ty, busy)
+				}
+				if rng.Intn(300) == 0 {
+					memo.HoldTarget = rng.Intn(arch.NumConfigs)
+					plain.HoldTarget = memo.HoldTarget
+				}
+				if rng.Intn(700) == 0 {
+					memo.MinResidency = rng.Intn(3) * 8
+					plain.MinResidency = memo.MinResidency
+				}
+				if memo.memo.valid && d == memo.memo.required && fm.AllocVersion() == memo.memo.version {
+					replays++
+				}
+
+				a, b := memo.Step(d), plain.Step(d)
+				if *a != *b {
+					t.Fatalf("cycle %d, demand %v: selection %+v, uncached %+v", cycle, d, *a, *b)
+				}
+				got, want := memo.Stats(), plain.Stats()
+				got.CacheHits, got.CacheMisses = 0, 0 // only the cached side looks up
+				if got != want {
+					t.Fatalf("cycle %d: stats %+v, uncached %+v", cycle, got, want)
+				}
+				if fm.Allocation() != fp.Allocation() {
+					t.Fatalf("cycle %d: allocation %v, uncached %v", cycle, fm.Allocation().Slots, fp.Allocation().Slots)
+				}
+				fm.Tick()
+				fp.Tick()
+			}
+			st := memo.Stats()
+			if replays == 0 || st.DeferredSlots == 0 || st.HeldLoads == 0 || st.SuppressedLoads == 0 {
+				t.Errorf("stream exercised too little: %d replays, stats %+v", replays, st)
+			}
+			if lookups := st.CacheHits + st.CacheMisses; lookups != 20000 {
+				t.Errorf("cache lookups = %d, want one per Step (20000)", lookups)
+			}
+		})
 	}
 }

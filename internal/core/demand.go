@@ -38,6 +38,22 @@ type DemandManager struct {
 	// layouts.
 	kept         [arch.NumRFUSlots]bool
 	unitsScratch []config.PlacedUnit
+
+	// memo remembers the latest Step that started no rewrite: a cycle
+	// with the same demand, hysteresis, allocation version and fabric
+	// timer masks would synthesise the same target and defer the same
+	// slots, so Step replays those counts instead.
+	memo demandMemo
+}
+
+// demandMemo is DemandManager.Step's one-entry memo.
+type demandMemo struct {
+	valid      bool
+	required   arch.Counts
+	hysteresis int
+	version    uint64 // fabric allocation version
+	timers     uint32 // fabric timer masks
+	deferred   int
 }
 
 // placeOrder lists unit types largest-span first so multi-slot spans
@@ -188,26 +204,44 @@ func (m *DemandManager) Target(required arch.Counts) config.Configuration {
 }
 
 // Step performs one cycle of demand-driven management: synthesise a
-// target and partially load it (idle spans only).
+// target and partially load it (idle spans only). A cycle whose inputs
+// equal those of the latest Step that started no rewrite replays its
+// counts (see demandMemo); the memo is off on a fabric whose
+// reconfiguration answers depend on more than its timer masks.
 func (m *DemandManager) Step(required arch.Counts) {
 	if required.Total() == 0 {
 		return
 	}
+	timers, plain := m.fabric.TimerMasks()
+	version := m.fabric.AllocVersion()
+	if memo := &m.memo; memo.valid && plain && required == memo.required &&
+		m.Hysteresis == memo.hysteresis && version == memo.version && timers == memo.timers {
+		m.Syntheses++
+		m.DeferredSlots += memo.deferred
+		return
+	}
 	target := m.synthesize(m.plan(required), required)
 	m.Syntheses++
+	started, deferred := 0, 0
 	m.unitsScratch = target.AppendUnits(m.unitsScratch[:0])
 	for _, u := range m.unitsScratch {
 		if m.fabric.Allocation().Slots[u.Slot] == arch.Encode(u.Type) {
 			continue
 		}
 		if !m.fabric.CanReconfigure(u.Type, u.Slot) {
-			m.DeferredSlots += u.Span
+			deferred += u.Span
 			continue
 		}
 		if m.fabric.Reconfigure(u.Type, u.Slot) {
-			m.Reconfigurations++
+			started++
 		}
 	}
+	m.Reconfigurations += started
+	m.DeferredSlots += deferred
+	memo := &m.memo
+	memo.valid = plain && started == 0
+	memo.required, memo.hysteresis = required, m.Hysteresis
+	memo.version, memo.timers, memo.deferred = version, timers, deferred
 }
 
 // Manage adapts the manager to the cpu.Manager interface.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -191,5 +192,84 @@ func TestOccupantType(t *testing.T) {
 	}
 	if occupantType(cfg, 5) != -1 {
 		t.Error("empty slot has an occupant")
+	}
+}
+
+// TestDemandStepMatchesReference drives DemandManager.Step over a
+// random demand stream — demands held for a few cycles, units busied
+// and the hysteresis flipped at random, the fabric ticking every cycle
+// — next to a reference loop that runs Target and the
+// CanReconfigure/Reconfigure discipline on a twin fabric every cycle.
+// The counters and allocation must agree on every cycle, so the Step
+// memo replays exactly what a full synthesis would have done.
+func TestDemandStepMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ latency, busWidth, hysteresis int }{
+		{0, 0, 0}, {4, 0, 0}, {8, 2, 1}, {16, 1, 2},
+	} {
+		t.Run(fmt.Sprintf("lat%d-bus%d-hyst%d", tc.latency, tc.busWidth, tc.hysteresis), func(t *testing.T) {
+			fm, fr := rfu.New(tc.latency), rfu.New(tc.latency)
+			fm.SetConfigBusWidth(tc.busWidth)
+			fr.SetConfigBusWidth(tc.busWidth)
+			m, ref := NewDemandManager(fm), NewDemandManager(fr)
+			m.Hysteresis, ref.Hysteresis = tc.hysteresis, tc.hysteresis
+			var syntheses, reconfigs, deferred, replays int
+			rng := rand.New(rand.NewSource(int64(7 + tc.latency)))
+			var d arch.Counts
+			for cycle := 0; cycle < 20000; cycle++ {
+				if rng.Intn(4) == 0 {
+					d = arch.Counts{}
+					for i := rng.Intn(arch.QueueSize + 1); i > 0; i-- {
+						d[rng.Intn(arch.NumUnitTypes)]++
+					}
+				}
+				if rng.Intn(3) == 0 {
+					ty, busy := arch.UnitType(rng.Intn(arch.NumUnitTypes)), 1+rng.Intn(6)
+					_, okM := fm.Acquire(ty, busy)
+					_, okR := fr.Acquire(ty, busy)
+					if okM != okR {
+						t.Fatalf("cycle %d: fabrics disagree on acquiring %v", cycle, ty)
+					}
+				}
+				if rng.Intn(500) == 0 {
+					m.Hysteresis ^= 1
+					ref.Hysteresis = m.Hysteresis
+				}
+				timers, _ := fm.TimerMasks()
+				if m.memo.valid && d == m.memo.required && m.Hysteresis == m.memo.hysteresis &&
+					fm.AllocVersion() == m.memo.version && timers == m.memo.timers {
+					replays++
+				}
+
+				m.Step(d)
+				if d.Total() > 0 {
+					syntheses++
+					for _, u := range ref.Target(d).AppendUnits(nil) {
+						switch {
+						case fr.Allocation().Slots[u.Slot] == arch.Encode(u.Type):
+						case !fr.CanReconfigure(u.Type, u.Slot):
+							deferred += u.Span
+						case fr.Reconfigure(u.Type, u.Slot):
+							reconfigs++
+						}
+					}
+				}
+
+				if m.Syntheses != syntheses || m.Reconfigurations != reconfigs || m.DeferredSlots != deferred {
+					t.Fatalf("cycle %d, demand %v: syntheses/reconfigurations/deferred = %d/%d/%d, reference %d/%d/%d",
+						cycle, d, m.Syntheses, m.Reconfigurations, m.DeferredSlots, syntheses, reconfigs, deferred)
+				}
+				if fm.Allocation() != fr.Allocation() {
+					t.Fatalf("cycle %d: allocation %v, reference %v", cycle, fm.Allocation().Slots, fr.Allocation().Slots)
+				}
+				fm.Tick()
+				fr.Tick()
+			}
+			if replays == 0 {
+				t.Error("the Step memo never replayed a cycle")
+			}
+			if deferred == 0 || reconfigs == 0 {
+				t.Errorf("stream exercised too little: %d reconfigurations, %d deferred slots", reconfigs, deferred)
+			}
+		})
 	}
 }

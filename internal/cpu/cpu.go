@@ -217,8 +217,9 @@ func (p Params) withDefaults() Params {
 // Validate checks a parameter set before machine construction: every
 // sizing field must be non-negative (zero selects the default), the
 // memory, cache, predictor and trace-cache geometries must be powers of
-// two where the substrates require it, the window must fit the wake-up
-// array, and a latency table is all zero or all positive. Errors wrap
+// two where the substrates require it and within their caps (MaxMemBytes
+// and its siblings), the window must fit the wake-up array, and a
+// latency table is all zero or all positive. Errors wrap
 // ErrInvalidParams; cpu.New panics on the same conditions, so servers
 // validate request-supplied parameters here first and map the failure
 // to a 4xx.
@@ -263,6 +264,19 @@ func (p Params) Validate() error {
 	}
 	if p.TraceCacheLines > 0 && !powerOfTwo(p.TraceCacheLines) {
 		return fmt.Errorf("%w: TraceCacheLines %d is not a power of two", ErrInvalidParams, p.TraceCacheLines)
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"MemBytes", p.MemBytes, MaxMemBytes},
+		{"CacheSets", p.CacheSets, MaxCacheSets},
+		{"PredictorEntries", p.PredictorEntries, MaxPredictorEntries},
+		{"TraceCacheLines", p.TraceCacheLines, MaxTraceCacheLines},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("%w: %s must be at most %d, got %d", ErrInvalidParams, f.name, f.max, f.v)
+		}
 	}
 	if p.WindowSize > wakeup.MaxSize {
 		return fmt.Errorf("%w: WindowSize must be at most %d, got %d", ErrInvalidParams, wakeup.MaxSize, p.WindowSize)
@@ -315,6 +329,18 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Caps on the allocation-sizing parameters: the largest sizes any study
+// uses (the 1 MiB default memory, the 64-set data cache, X13's
+// 1024-entry predictor, the 64-line trace cache). Validate rejects
+// larger values, so one request cannot make the machine allocate
+// without bound — and MemBytes stays within the 32-bit address space.
+const (
+	MaxMemBytes         = mem.DefaultSize
+	MaxCacheSets        = 64
+	MaxPredictorEntries = 1024
+	MaxTraceCacheLines  = 64
+)
+
 // MaxClusterCores bounds Params.Cores: eight cores over eight slots is
 // already one slot per core in split mode, the point of diminishing
 // fabric shares.
@@ -364,6 +390,11 @@ type robEntry struct {
 	predNext  uint32
 	predTaken bool
 
+	// lat is the op's execution latency and src the in-flight producers
+	// of inst.Rs1 and inst.Rs2, both resolved at dispatch.
+	lat int
+	src [2]producer
+
 	issued   bool
 	executed bool
 
@@ -378,6 +409,15 @@ type robEntry struct {
 
 	actualNext uint32
 	halts      bool
+}
+
+// producer names the in-flight instruction a source operand comes from:
+// its ROB slot (-1 for the register file) and sequence number. Once that
+// slot holds a different instruction the producer has retired, and its
+// result is in the register file.
+type producer struct {
+	slot int
+	seq  uint64
 }
 
 // Stats accumulates machine activity over a run.
@@ -785,8 +825,7 @@ func (p *Processor) issue() {
 		if !e.valid || e.issued || reqMask>>uint(e.row)&1 == 0 {
 			continue
 		}
-		latency := p.params.Latencies.Of(e.inst.Op)
-		ref, ok := p.fabric.Acquire(e.inst.Unit(), latency)
+		ref, ok := p.fabric.Acquire(e.inst.Unit(), e.lat)
 		if !ok {
 			p.stats.IssueContention++
 			if p.params.SelectFree {
@@ -847,8 +886,8 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 	var st isa.State
 	st.PC = e.pc
 	st.Mem = shim
-	st.Reg[e.inst.Rs1] = p.operand(e.inst.Rs1, e.seq)
-	st.Reg[e.inst.Rs2] = p.operand(e.inst.Rs2, e.seq)
+	st.Reg[e.inst.Rs1] = p.operand(e.inst.Rs1, e.src[0], e.seq)
+	st.Reg[e.inst.Rs2] = p.operand(e.inst.Rs2, e.src[1], e.seq)
 	if err := isa.Exec(e.inst, &st); err != nil {
 		panic(fmt.Sprintf("cpu: execute %v at pc %d: %v", e.inst, e.pc, err))
 	}
@@ -863,7 +902,7 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 		e.storeSize = shim.storeSize
 		e.storeVal = shim.storeVal
 	}
-	latency := p.params.Latencies.Of(e.inst.Op)
+	latency := e.lat
 	if shim.loaded {
 		if extra := p.dcache.Access(shim.loadAddr); extra > 0 {
 			p.array.ExtendTimer(e.row, extra)
@@ -934,37 +973,37 @@ func (p *Processor) flushYoungerThan(seq uint64) {
 	}
 }
 
-// operand returns the value register r holds for an instruction with the
-// given sequence number: the youngest older in-flight producer's result,
-// or the architectural register file. The wake-up dependencies guarantee
-// the producer has executed by issue time; a violation panics.
-func (p *Processor) operand(r uint8, seq uint64) uint32 {
+// operand returns the value register r holds for the instruction with
+// sequence number seq, whose dispatch recorded src as r's youngest older
+// in-flight producer: that producer's result while it is in flight, else
+// the architectural register file (no instruction between the producer
+// and seq writes r, so the file holds the producer's retired result).
+// The wake-up dependencies guarantee the producer has executed by issue
+// time; a violation panics.
+func (p *Processor) operand(r uint8, src producer, seq uint64) uint32 {
 	if r == isa.RegZero {
 		return 0
 	}
-	best := -1
-	var bestSeq uint64
-	for i := 0; i < p.count; i++ {
-		slot := p.slotAt(i)
-		e := &p.rob[slot]
-		if e.seq >= seq {
-			break
-		}
-		if d, ok := e.inst.Dest(); ok && d == r {
-			if best < 0 || e.seq > bestSeq {
-				best, bestSeq = slot, e.seq
+	if src.slot >= 0 {
+		if e := &p.rob[src.slot]; e.valid && e.seq == src.seq {
+			if !e.executed {
+				panic(fmt.Sprintf("cpu: operand %s read before producer executed (seq %d -> %d)",
+					isa.RegName(r), seq, e.seq))
 			}
+			return e.value
 		}
-	}
-	if best >= 0 {
-		e := &p.rob[best]
-		if !e.executed {
-			panic(fmt.Sprintf("cpu: operand %s read before producer executed (seq %d -> %d)",
-				isa.RegName(r), seq, e.seq))
-		}
-		return e.value
 	}
 	return p.reg[r]
+}
+
+// producerOf returns register r's youngest in-flight producer.
+func (p *Processor) producerOf(r uint8) producer {
+	if r != isa.RegZero {
+		if slot := p.regProducer[r]; slot >= 0 && p.rob[slot].valid {
+			return producer{slot: slot, seq: p.rob[slot].seq}
+		}
+	}
+	return producer{slot: -1}
 }
 
 // specByte returns the value memory byte addr holds for a load with the
@@ -998,10 +1037,11 @@ func (p *Processor) dispatch() {
 			p.stats.DispatchStallFull++
 			return
 		}
-		entry := p.fetchBuf[p.fetchHead]
-		f := entry.f
+		entry := &p.fetchBuf[p.fetchHead]
+		f := &entry.f
 
-		deps := p.collectDeps(f.Inst)
+		src := [2]producer{p.producerOf(f.Inst.Rs1), p.producerOf(f.Inst.Rs2)}
+		deps := p.collectDeps(f.Inst, src)
 		latency := p.params.Latencies.Of(f.Inst.Op)
 		slot := p.slotAt(p.count)
 		row, ok := p.array.Allocate(f.Inst.Unit(), deps, latency, uint64(slot))
@@ -1012,15 +1052,22 @@ func (p *Processor) dispatch() {
 		p.fetchHead++
 
 		p.seq++
-		p.rob[slot] = robEntry{
-			valid:     true,
-			seq:       p.seq,
-			inst:      f.Inst,
-			pc:        f.PC,
-			row:       row,
-			predNext:  f.PredNext,
-			predTaken: f.PredTaken,
-		}
+		// Fill the entry in place; execute sets the remaining fields
+		// before anything reads them.
+		e := &p.rob[slot]
+		e.valid = true
+		e.seq = p.seq
+		e.inst = f.Inst
+		e.pc = f.PC
+		e.row = row
+		e.predNext = f.PredNext
+		e.predTaken = f.PredTaken
+		e.lat = latency
+		e.src = src
+		e.issued = false
+		e.executed = false
+		e.hasDest = false
+		e.isStore = false
 		p.count++
 		if d, ok := f.Inst.Dest(); ok {
 			p.regProducer[d] = slot
@@ -1030,20 +1077,17 @@ func (p *Processor) dispatch() {
 }
 
 // collectDeps returns the wake-up rows the instruction must wait for:
-// the youngest in-flight producer of each source register, plus — for
+// the in-flight producer of each source register (src holds those of
+// Rs1 and Rs2, the order SourceRegs lists sources in), plus — for
 // loads — every older in-flight store (conservative memory
 // disambiguation, so store-to-load forwarding always sees resolved
 // addresses).
-func (p *Processor) collectDeps(in isa.Inst) []int {
+func (p *Processor) collectDeps(in isa.Inst, src [2]producer) []int {
 	deps := p.depsScratch[:0]
-	regs, nsrc := in.SourceRegs()
-	for si := 0; si < nsrc; si++ {
-		r := regs[si]
-		if r == isa.RegZero {
-			continue
-		}
-		if slot := p.regProducer[r]; slot >= 0 && p.rob[slot].valid {
-			deps = appendDep(deps, p.rob[slot].row)
+	_, nsrc := in.SourceRegs()
+	for _, s := range src[:nsrc] {
+		if s.slot >= 0 {
+			deps = appendDep(deps, p.rob[s.slot].row)
 		}
 	}
 	if in.Op.IsLoad() {

@@ -386,7 +386,7 @@ func (pm *Manager) boundary() {
 // the selector names, and once a new basis has been held settleCycles,
 // record the settled transition in the Markov table, resolve the active
 // speculation against it, and tick the boundary clock.
-func (pm *Manager) transition(sel core.Selection) {
+func (pm *Manager) transition(sel *core.Selection) {
 	if !sel.Current() && sel.Choice != pm.curBasis {
 		pm.curBasis = sel.Choice
 		pm.heldSince = pm.cycle
@@ -482,7 +482,7 @@ func (pm *Manager) resolveSpec(outcome int32) {
 // the timing is right, and pushes the active speculation's remaining
 // spans through whatever configuration-bus bandwidth demand steering
 // and fault repairs left unused this cycle.
-func (pm *Manager) speculate(sel core.Selection) {
+func (pm *Manager) speculate(sel *core.Selection) {
 	if !pm.specActive {
 		// Only speculate from a steady reactive state: while the
 		// reactive loader is mid-transition the bus belongs to demand.

@@ -131,6 +131,19 @@ func (f *Fabric) refreshAlloc() {
 // vector does — the memoization key for derived views of the layout.
 func (f *Fabric) AllocVersion() uint64 { return f.allocVersion }
 
+// TimerMasks packs the slots with running execution (low half) and
+// reconfiguration (high half) timers. Together with the allocation
+// vector they decide every CanReconfigure answer, so a configuration
+// manager can key a per-cycle memo on them. plain is false when other
+// state decides those answers too — an armed fault injector, external
+// lease masks, cluster bus-load or slot-busy hooks, or a mirror — and
+// the memo must not be used.
+func (f *Fabric) TimerMasks() (masks uint32, plain bool) {
+	plain = f.injector == nil && f.extUnavail == 0 && f.extDead == 0 &&
+		f.extBusLoad == nil && f.extSlotBusy == nil && !f.mirror
+	return uint32(f.busyMask) | uint32(f.reconfigMask)<<16, plain
+}
+
 // ReconfigLatency returns the per-span reconfiguration latency.
 func (f *Fabric) ReconfigLatency() int { return f.latency }
 

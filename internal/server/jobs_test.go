@@ -253,6 +253,7 @@ func TestSweepBadRequests(t *testing.T) {
 		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "points": [{"params": {"WindowSize": 65}}]}`, haltingSource), api.CodeInvalidRequest},
 		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "points": [{"params": {"PredictorEntries": 100}}]}`, haltingSource), api.CodeInvalidRequest},
 		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "points": [{"params": {"TraceCacheLines": 3}}]}`, haltingSource), api.CodeInvalidRequest},
+		{"memory above cap", fmt.Sprintf(`{"source": %q, "points": [{"params": {"MemBytes": 1099511627776}}]}`, haltingSource), api.CodeInvalidRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

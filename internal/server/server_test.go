@@ -313,6 +313,10 @@ func TestRunBadRequests(t *testing.T) {
 		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "params": {"WindowSize": 65}}`, haltingSource), api.CodeInvalidParams},
 		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 100}}`, haltingSource), api.CodeInvalidParams},
 		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 3}}`, haltingSource), api.CodeInvalidParams},
+		{"memory above cap", fmt.Sprintf(`{"source": %q, "params": {"MemBytes": 1099511627776}}`, haltingSource), api.CodeInvalidParams},
+		{"cache sets above cap", fmt.Sprintf(`{"source": %q, "params": {"CacheSets": 128}}`, haltingSource), api.CodeInvalidParams},
+		{"predictor entries above cap", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 2048}}`, haltingSource), api.CodeInvalidParams},
+		{"trace cache lines above cap", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 128}}`, haltingSource), api.CodeInvalidParams},
 		{"partial latency table", fmt.Sprintf(`{"source": %q, "params": {"Latencies": {"IntALU": 1}}}`, haltingSource), api.CodeInvalidParams},
 	}
 	for _, tc := range cases {
@@ -389,6 +393,10 @@ func TestEstimateBadRequests(t *testing.T) {
 		{"window above wake-up array", fmt.Sprintf(`{"source": %q, "params": {"WindowSize": 65}}`, haltingSource), api.CodeInvalidParams},
 		{"predictor entries not a power of two", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 100}}`, haltingSource), api.CodeInvalidParams},
 		{"trace cache lines not a power of two", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 3}}`, haltingSource), api.CodeInvalidParams},
+		{"memory above cap", fmt.Sprintf(`{"source": %q, "params": {"MemBytes": 1099511627776}}`, haltingSource), api.CodeInvalidParams},
+		{"cache sets above cap", fmt.Sprintf(`{"source": %q, "params": {"CacheSets": 128}}`, haltingSource), api.CodeInvalidParams},
+		{"predictor entries above cap", fmt.Sprintf(`{"source": %q, "params": {"PredictorEntries": 2048}}`, haltingSource), api.CodeInvalidParams},
+		{"trace cache lines above cap", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLines": 128}}`, haltingSource), api.CodeInvalidParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

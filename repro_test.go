@@ -348,6 +348,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"reference machine", Options{Params: DefaultParams(), Policy: PolicyPrefetch, MaxCycles: 100, MinResidency: 4}, nil},
 		{"cluster", withParams(func(p *Params) { p.Cores, p.ClusterMode, p.ClusterArbiter = 8, "split", "demand-weighted" }), nil},
 		{"largest window", withParams(func(p *Params) { p.WindowSize = 64 }), nil},
+		{"largest allocation sizes", withParams(func(p *Params) {
+			p.MemBytes, p.CacheSets, p.PredictorEntries, p.TraceCacheLines = 1<<20, 64, 1024, 64
+		}), nil},
 		{"policy out of range", Options{Policy: Policy(99)}, ErrUnknownPolicy},
 		{"negative policy", Options{Policy: Policy(-1)}, ErrUnknownPolicy},
 		{"negative residency", Options{MinResidency: -1}, ErrInvalidParams},
@@ -357,6 +360,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"predictor entries not a power of two", withParams(func(p *Params) { p.PredictorEntries = 100 }), ErrInvalidParams},
 		{"trace cache lines not a power of two", withParams(func(p *Params) { p.TraceCacheLines = 3 }), ErrInvalidParams},
 		{"partial latency table", withParams(func(p *Params) { p.Latencies.IntALU = 1 }), ErrInvalidParams},
+		{"memory above cap", withParams(func(p *Params) { p.MemBytes = 1 << 40 }), ErrInvalidParams},
+		{"cache sets above cap", withParams(func(p *Params) { p.CacheSets = 128 }), ErrInvalidParams},
+		{"predictor entries above cap", withParams(func(p *Params) { p.PredictorEntries = 2048 }), ErrInvalidParams},
+		{"trace cache lines above cap", withParams(func(p *Params) { p.TraceCacheLines = 128 }), ErrInvalidParams},
 		{"fault rate without scrub", withParams(func(p *Params) { p.FaultTransientRate = 0.01 }), ErrInvalidParams},
 		{"too many cores", withParams(func(p *Params) { p.Cores = 9 }), ErrInvalidParams},
 		{"unknown cluster mode", withParams(func(p *Params) { p.ClusterMode = "sideways" }), ErrInvalidParams},

@@ -265,3 +265,66 @@ func TestPrefetchInertMatchesSteering(t *testing.T) {
 		t.Errorf("final fabric layouts diverge:\n  prefetch: %v\n  steering: %v", preAlloc.Slots, steerAlloc.Slots)
 	}
 }
+
+// TestSteeringMemoEquivalence covers the two gates core.Manager.Step
+// still evaluates live on a memo hit — the residency timer and a
+// prefetch hold — with the cache (and so the Step memo) on and off.
+// Each case must actually suppress or hold loads, or it tests nothing.
+func TestSteeringMemoEquivalence(t *testing.T) {
+	type run struct {
+		cpu   cpu.Stats
+		mgr   core.Stats
+		alloc config.AllocationVector
+	}
+	check := func(t *testing.T, cached, plain run) {
+		t.Helper()
+		if cached.cpu != plain.cpu {
+			t.Errorf("processor stats diverge:\n  cached:   %+v\n  uncached: %+v", cached.cpu, plain.cpu)
+		}
+		if got, want := stripCacheCounters(cached.mgr), stripCacheCounters(plain.mgr); got != want {
+			t.Errorf("manager stats diverge:\n  cached:   %+v\n  uncached: %+v", got, want)
+		}
+		if cached.alloc.Slots != plain.alloc.Slots {
+			t.Errorf("final fabric layouts diverge:\n  cached:   %v\n  uncached: %v", cached.alloc.Slots, plain.alloc.Slots)
+		}
+	}
+
+	t.Run("MinResidency", func(t *testing.T) {
+		// Short phases make the selection change faster than the
+		// residency timer allows.
+		prog := workload.Synthesize(workload.AlternatingPhases(3000, 60), workload.SynthParams{Seed: 7})
+		steer := func(disableCache bool) run {
+			p := cpu.New(prog, cpu.DefaultParams(), nil)
+			m := core.NewManager(p.Fabric(), config.DefaultBasis())
+			m.MinResidency = 24
+			m.DisableCache = disableCache
+			p.SetManager(&baseline.Steering{M: m})
+			st, err := p.Run(2_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run{st, m.Stats(), p.Fabric().Allocation()}
+		}
+		cached, plain := steer(false), steer(true)
+		check(t, cached, plain)
+		if cached.mgr.SuppressedLoads == 0 {
+			t.Error("no load was suppressed; the residency timer never engaged")
+		}
+	})
+
+	t.Run("PrefetchHold", func(t *testing.T) {
+		// Shorter phases and a lower latency than
+		// TestSteeringCacheEquivalenceWithPrefetch: more speculations,
+		// so more cycles under a HoldTarget.
+		prog := workload.Synthesize(workload.AlternatingPhases(6000, 300), workload.SynthParams{Seed: 5})
+		params := cpu.DefaultParams()
+		params.ReconfigLatency = 64
+		var cached, plain run
+		cached.cpu, cached.mgr, cached.alloc = runPrefetch(t, prog, params, false)
+		plain.cpu, plain.mgr, plain.alloc = runPrefetch(t, prog, params, true)
+		check(t, cached, plain)
+		if cached.mgr.HeldLoads == 0 {
+			t.Error("no load was held; no speculation committed a HoldTarget")
+		}
+	})
+}
