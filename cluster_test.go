@@ -428,7 +428,7 @@ func TestZeroAllocClusterCycle(t *testing.T) {
 
 // BenchmarkCluster2Core measures the 2-core cluster's stepping
 // throughput in each fabric-sharing mode, reporting aggregate IPC and
-// simulated Mcycles/s. CI's benchdiff gate tracks the merged variant.
+// simulated Mcycles/s. CI's benchdiff gate requires both variants.
 func BenchmarkCluster2Core(b *testing.B) {
 	progs := []repro.Program{clusterPhased(41), clusterPhased(42)}
 	for _, mode := range []string{"merged", "split"} {

@@ -45,50 +45,14 @@ func policyColumns(ps []cpu.Policy) []string {
 	return out
 }
 
-// buildMachine constructs a processor with the given typed policy.
+// buildMachine constructs a processor under the typed policy through
+// the facade, with the studies' two fixed settings: the oracle runs at
+// ReconfigLatency 1 and the random policy draws from seed 1.
 func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *cpu.Processor {
-	p, _ := buildMachinePolicy(prog, params, policy)
-	return p
-}
-
-// buildMachinePolicy is buildMachine exposing the installed manager
-// object (nil for the static policies), so studies can wire telemetry
-// into it.
-func buildMachinePolicy(prog isa.Program, params cpu.Params, policy cpu.Policy) (*cpu.Processor, cpu.Manager) {
 	if policy == cpu.PolicyOracle {
 		params.ReconfigLatency = 1
 	}
-	p := cpu.New(prog, params, nil)
-	basis := config.DefaultBasis()
-	var obj cpu.Manager
-	switch policy {
-	case cpu.PolicySteering:
-		obj = baseline.NewSteering(p.Fabric())
-	case cpu.PolicyStaticInteger:
-		p.Fabric().Install(basis[0])
-	case cpu.PolicyStaticMemory:
-		p.Fabric().Install(basis[1])
-	case cpu.PolicyStaticFloating:
-		p.Fabric().Install(basis[2])
-	case cpu.PolicyNone:
-		// empty fabric
-	case cpu.PolicyFullReconfig:
-		obj = baseline.NewFullReconfig(p.Fabric())
-	case cpu.PolicyOracle:
-		obj = baseline.NewOracle(p.Fabric())
-	case cpu.PolicyRandom:
-		obj = baseline.NewRandom(p.Fabric(), 1)
-	case cpu.PolicyDemand:
-		obj = core.NewDemandManager(p.Fabric())
-	case cpu.PolicyPrefetch:
-		obj = predict.NewManager(p.Fabric(), predict.Config{})
-	default:
-		panic("experiments: unknown policy " + policy.String())
-	}
-	if obj != nil {
-		p.SetManager(obj)
-	}
-	return p, obj
+	return repro.NewMachine(prog, repro.Options{Policy: policy, Params: params, Seed: 1}).Processor()
 }
 
 // ipcOf runs prog under the policy and returns its IPC, or -1 on DNF.
@@ -923,7 +887,7 @@ func X18() string {
 		col *telemetry.Collector
 	}
 	results := sweep.Run(len(policies), 0, func(i int) outcome {
-		p, _ := buildMachinePolicy(prog, cpu.DefaultParams(), policies[i])
+		p := buildMachine(prog, cpu.DefaultParams(), policies[i])
 		col := collectTelemetry(p, interval)
 		st, err := p.Run(MaxCycles)
 		return outcome{st, err, col}
@@ -1061,9 +1025,9 @@ func X20() string {
 		var o outcome
 		ps := buildMachine(prog, params, cpu.PolicySteering)
 		o.steer, o.steerErr = ps.Run(MaxCycles)
-		pp, mgr := buildMachinePolicy(prog, params, cpu.PolicyPrefetch)
-		o.pre, o.preErr = pp.Run(MaxCycles)
-		o.mgrStats = mgr.(*predict.Manager).Core().Stats()
+		pm := repro.NewMachine(prog, repro.Options{Policy: repro.PolicyPrefetch, Params: params})
+		o.pre, o.preErr = pm.Run(MaxCycles)
+		o.mgrStats, _ = pm.ManagerStats()
 		return o
 	})
 

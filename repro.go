@@ -379,22 +379,27 @@ func (m *Machine) Reconfigurations() int { return m.proc.Fabric().Reconfiguratio
 // configurations) and how many cycles the fabric held a hybrid layout. It
 // returns ok=false for non-steering policies.
 func (m *Machine) ConfigurationResidency() (selections [arch.NumConfigs]int, hybrid int, ok bool) {
-	if m.steering == nil {
-		return selections, 0, false
-	}
-	st := m.steering.Stats()
-	return st.Selections, st.HybridCycles, true
+	st, ok := m.ManagerStats()
+	return st.Selections, st.HybridCycles, ok
 }
 
 // SteeringCacheStats returns, for steering-family policies, the packed-
 // key steering cache's hit and miss counts over the run. It returns
 // ok=false for policies without a core.Manager.
 func (m *Machine) SteeringCacheStats() (hits, misses int, ok bool) {
+	st, ok := m.ManagerStats()
+	return st.CacheHits, st.CacheMisses, ok
+}
+
+// ManagerStats returns, for steering-family policies, the configuration
+// manager's full counters: selections, loads, held loads, the steering
+// cache and, under PolicyPrefetch, the prefetch accounting. It returns
+// ok=false for policies without a core.Manager.
+func (m *Machine) ManagerStats() (core.Stats, bool) {
 	if m.steering == nil {
-		return 0, 0, false
+		return core.Stats{}, false
 	}
-	st := m.steering.Stats()
-	return st.CacheHits, st.CacheMisses, true
+	return m.steering.Stats(), true
 }
 
 // PrefetchStats is the speculative-prefetch accounting of the prefetch
