@@ -77,7 +77,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 			t.Errorf("span %+v has negative timing", s)
 		}
 	}
-	for _, want := range []string{"queue-wait", "execute", "encode"} {
+	for _, want := range []string{"decode", "queue-wait", "execute", "encode"} {
 		if stages[want] != 1 {
 			t.Errorf("stage %q recorded %d times, want 1 (stages %v)", want, stages[want], stages)
 		}

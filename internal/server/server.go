@@ -169,7 +169,7 @@ type Server struct {
 	estimateUs    *telemetry.Histogram          // model solve µs
 
 	// spans is the service flight recorder: request lifecycle spans
-	// (queue-wait → execute → encode, one child per job point)
+	// (decode → queue-wait → execute → encode, one child per job point)
 	// and deadline-exceeded triggers, served by GET /debug/flightrecorder.
 	spans *span.ServiceRecorder
 }
@@ -432,26 +432,6 @@ func (s *Server) countCache(hit bool) {
 
 // --- request plumbing ---
 
-// decode reads a size-limited JSON body into v. Unknown fields and
-// trailing data are errors, so typos in request schemas surface as 400s
-// instead of silently selecting defaults.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxBytes *http.MaxBytesError
-		if errors.As(err, &maxBytes) || errors.Is(err, repro.ErrUnknownPolicy) {
-			return err
-		}
-		return api.InvalidRequestf("decoding body: %v", err)
-	}
-	if dec.More() {
-		return api.InvalidRequestf("trailing data after JSON body")
-	}
-	return nil
-}
-
 // writeJSON writes a 2xx JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -653,11 +633,14 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("run")
+	reqID := s.spans.NextRequest()
+	decodeStart := time.Now()
 	var req api.RunRequest
 	if err := s.decode(w, r, &req); err != nil {
 		s.fail(w, "run", err)
 		return
 	}
+	s.spans.Record(reqID, "decode", "run", -1, decodeStart, time.Now())
 	d, err := s.timeout(req.TimeoutMs)
 	if err != nil {
 		s.fail(w, "run", err)
@@ -680,7 +663,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave()
 
-	reqID := s.spans.NextRequest()
 	admitted := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
@@ -777,8 +759,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlightRecorder serves the service-span flight ring as JSON: the
-// last N request lifecycle spans (queue-wait, execute, encode, job
-// points) plus deadline-trigger counters. It reads a snapshot under the
+// last N request lifecycle spans (decode, queue-wait, execute, encode,
+// job points) plus deadline-trigger counters. It reads a snapshot under the
 // recorder's own lock, so it is safe to hit while requests are in flight.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("flightrecorder")

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// ServiceSpan is one completed stage of an rssd request: admission-queue
-// wait, worker execution, response encode, one job point, or a whole job.
+// ServiceSpan is one completed stage of an rssd request: body decode,
+// admission-queue wait, worker execution, response encode, one job
+// point, or a whole job.
 // Timestamps are microseconds since the recorder was created, so a
 // dump loads into Perfetto alongside simulator traces.
 type ServiceSpan struct {
 	Req     uint64 `json:"req"`              // request ordinal
-	Name    string `json:"name"`             // queue-wait | execute | encode | job | point
+	Name    string `json:"name"`             // decode | queue-wait | execute | encode | job | point
 	Kind    string `json:"kind"`             // handler kind: run | job | job_point
 	Point   int    `json:"point"`            // job point index; -1 otherwise
 	StartUs int64  `json:"startUs"`          // µs since recorder start
