@@ -40,9 +40,6 @@ type Program struct {
 	Words  []uint32 `json:"words,omitempty"`
 }
 
-// Empty reports whether neither form is present.
-func (p Program) Empty() bool { return p.Source == "" && len(p.Words) == 0 }
-
 // RunSpec describes one simulation: the machine sizing, the
 // configuration-management policy, and the run budget. It is the
 // facade's run spec itself, checked with its Validate method. MaxCycles

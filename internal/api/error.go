@@ -70,9 +70,6 @@ func InvalidRequestf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, errInvalidRequest)...)
 }
 
-// IsInvalidRequest reports whether err came from InvalidRequestf.
-func IsInvalidRequest(err error) bool { return errors.Is(err, errInvalidRequest) }
-
 // Classify maps an error from the load/validate/simulate path to its
 // HTTP status and structured form. The mapping leans entirely on the
 // facade's sentinel errors and errors.Is/As — no message parsing.

@@ -24,17 +24,12 @@ import (
 // Client talks to one rssd base URL.
 type Client struct {
 	base    string
-	hc      *http.Client
 	retries int
 	backoff time.Duration
 }
 
 // Option customizes a Client.
 type Option func(*Client)
-
-// WithHTTPClient substitutes the underlying http.Client (timeouts,
-// transports, test doubles).
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
 // WithRetry sets the 503 retry budget: up to retries re-sends with
 // exponential backoff starting at base (capped at 32x base). retries 0
@@ -53,7 +48,6 @@ func WithRetry(retries int, base time.Duration) Option {
 func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base:    base,
-		hc:      http.DefaultClient,
 		retries: 3,
 		backoff: 100 * time.Millisecond,
 	}
@@ -120,7 +114,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", method, path, err)
 	}
@@ -185,7 +179,7 @@ func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 	if err != nil {
 		return out, err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return out, err
 	}

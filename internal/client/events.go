@@ -33,7 +33,7 @@ func (c *Client) StreamEvents(ctx context.Context, id string) (*EventStream, err
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("opening events stream: %w", err)
 	}

@@ -98,11 +98,6 @@ func Policies() []Policy {
 	return out
 }
 
-// PolicyNames returns every policy name in declaration order.
-func PolicyNames() []string {
-	return append([]string(nil), policyNames[:]...)
-}
-
 // ParsePolicy resolves a policy name; the error wraps ErrUnknownPolicy.
 func ParsePolicy(s string) (Policy, error) {
 	for p, name := range policyNames {

@@ -1433,62 +1433,36 @@ func X23() string {
 	return b.String()
 }
 
+// artifactTable lists every artefact and study in the order All renders
+// them.
+var artifactTable = []struct {
+	name string
+	f    func() string
+}{
+	{"table1", Table1}, {"fig1", Fig1}, {"fig2", Fig2}, {"fig3", Fig3},
+	{"fig5", Fig5}, {"fig7", Fig7}, {"cost", CostTable},
+	{"x1", X1}, {"x1seeds", X1Seeds}, {"x2", X2}, {"x3", X3}, {"x4", X4}, {"x5", X5}, {"x6", X6}, {"x7", X7}, {"x8", X8}, {"x9", X9}, {"x10", X10}, {"x11", X11}, {"x12", X12}, {"x13", X13}, {"x14", X14}, {"x15", X15}, {"x16", X16}, {"x17", X17}, {"x18", X18}, {"x19", X19}, {"x20", X20}, {"x21", X21}, {"x22", X22}, {"x23", X23},
+}
+
 // All runs every artefact and study in order.
 func All() string {
-	sections := []struct {
-		name string
-		f    func() string
-	}{
-		{"table1", Table1}, {"fig1", Fig1}, {"fig2", Fig2}, {"fig3", Fig3},
-		{"fig5", Fig5}, {"fig7", Fig7}, {"cost", CostTable},
-		{"x1", X1}, {"x1seeds", X1Seeds}, {"x2", X2}, {"x3", X3}, {"x4", X4}, {"x5", X5}, {"x6", X6}, {"x7", X7}, {"x8", X8}, {"x9", X9}, {"x10", X10}, {"x11", X11}, {"x12", X12}, {"x13", X13}, {"x14", X14}, {"x15", X15}, {"x16", X16}, {"x17", X17}, {"x18", X18}, {"x19", X19}, {"x20", X20}, {"x21", X21}, {"x22", X22}, {"x23", X23},
-	}
 	var b strings.Builder
-	for i, s := range sections {
+	for i, a := range artifactTable {
 		if i > 0 {
 			b.WriteString("\n" + strings.Repeat("=", 78) + "\n\n")
 		}
-		b.WriteString(s.f())
+		b.WriteString(a.f())
 	}
 	return b.String()
 }
 
-// Artifacts maps CLI artefact names to their generators.
+// Artifacts maps CLI artefact names to their generators: the table's
+// names, plus "all" and the fig4/fig6 aliases of fig5 (figures 4-6 are
+// one worked example).
 func Artifacts() map[string]func() string {
-	return map[string]func() string{
-		"table1":  Table1,
-		"fig1":    Fig1,
-		"fig2":    Fig2,
-		"fig3":    Fig3,
-		"fig4":    Fig5, // figures 4-6 are one worked example
-		"fig5":    Fig5,
-		"fig6":    Fig5,
-		"fig7":    Fig7,
-		"cost":    CostTable,
-		"x1":      X1,
-		"x1seeds": X1Seeds,
-		"x2":      X2,
-		"x3":      X3,
-		"x4":      X4,
-		"x5":      X5,
-		"x6":      X6,
-		"x7":      X7,
-		"x8":      X8,
-		"x9":      X9,
-		"x10":     X10,
-		"x11":     X11,
-		"x12":     X12,
-		"x13":     X13,
-		"x14":     X14,
-		"x15":     X15,
-		"x16":     X16,
-		"x17":     X17,
-		"x18":     X18,
-		"x19":     X19,
-		"x20":     X20,
-		"x21":     X21,
-		"x22":     X22,
-		"x23":     X23,
-		"all":     All,
+	arts := map[string]func() string{"fig4": Fig5, "fig6": Fig5, "all": All}
+	for _, a := range artifactTable {
+		arts[a.name] = a.f
 	}
+	return arts
 }

@@ -19,24 +19,40 @@ import (
 // pseudo-instructions are:
 //
 //	li rd, const   — addi (small constants) or lui+ori (large)
+//	la rd, label   — lui+ori loading the label's instruction index
 //	mv rd, rs      — addi rd, rs, 0
 //	j label        — jal r0, label
 //	ret            — jalr r0, r31, 0
+//
+// Assemble is AssembleUnit with directives turned off: a line starting
+// with '.' is an *AsmError at that line.
 func Assemble(src string) (Program, error) {
-	lines := strings.Split(src, "\n")
+	u, err := assemble(src, false)
+	if err != nil {
+		return nil, err
+	}
+	return u.Program, nil
+}
 
-	// Pass 1: assign an instruction index to every label. Pseudo-ops
-	// may expand to more than one instruction, so widths are computed
-	// here too.
+// assemble is the one two-pass assembler behind Assemble and AssembleUnit.
+// Pass 1 gives every label its value — an instruction index, or a byte
+// address inside a .data section — and sizes every line, since pseudo-ops
+// and data directives may span more than one word; pass 2 emits code and
+// data with every label known. With directives off, a '.' line reaches
+// the instruction parser and fails as an unknown mnemonic.
+func assemble(src string, directives bool) (*Unit, error) {
 	labels := make(map[string]int)
 	type pending struct {
 		line int // 1-based source line, for errors
 		text string
-		pc   int
+		addr int  // instruction index, or data byte address
+		data bool // a data directive, emitted into Unit.Data
 	}
-	var insts []pending
-	pc := 0
-	for lineNo, raw := range lines {
+	var items []pending
+	pc, dataCursor, dataBytes := 0, 0, 0
+	dataMode := false
+	for lineNo, raw := range strings.Split(src, "\n") {
+		line := lineNo + 1
 		text := stripComment(raw)
 		for {
 			text = strings.TrimSpace(text)
@@ -46,35 +62,78 @@ func Assemble(src string) (Program, error) {
 			}
 			label := strings.TrimSpace(text[:colon])
 			if !isIdent(label) {
-				return nil, asmErrf(lineNo+1, "bad label %q", label)
+				return nil, asmErrf(line, "bad label %q", label)
 			}
 			if _, dup := labels[label]; dup {
-				return nil, asmErrf(lineNo+1, "duplicate label %q", label)
+				return nil, asmErrf(line, "duplicate label %q", label)
 			}
-			labels[label] = pc
+			if dataMode {
+				labels[label] = dataCursor
+			} else {
+				labels[label] = pc
+			}
 			text = text[colon+1:]
 		}
-		if text == "" {
-			continue
+		switch {
+		case text == "":
+		case directives && text[0] == '.':
+			size, mode, addr, err := directiveSize(text)
+			if err != nil {
+				return nil, asmErr(line, err)
+			}
+			switch mode {
+			case "data":
+				dataMode = true
+				dataCursor = addr
+			case "text":
+				dataMode = false
+			default:
+				if !dataMode {
+					return nil, asmErrf(line, "%s outside a .data section", text)
+				}
+				if dataCursor+size > MaxDataBytes {
+					return nil, asmErrf(line, "data ends at %#x, past the %#x-byte limit", dataCursor+size, MaxDataBytes)
+				}
+				if dataBytes += size; dataBytes > MaxDataBytes {
+					return nil, asmErrf(line, "data image exceeds %#x bytes", MaxDataBytes)
+				}
+				items = append(items, pending{line, text, dataCursor, true})
+				dataCursor += size
+			}
+		case dataMode:
+			return nil, asmErrf(line, "instruction inside a .data section")
+		default:
+			width, err := instWidth(text)
+			if err != nil {
+				return nil, asmErr(line, err)
+			}
+			items = append(items, pending{line, text, pc, false})
+			pc += width
 		}
-		width, err := instWidth(text)
-		if err != nil {
-			return nil, asmErr(lineNo+1, err)
-		}
-		insts = append(insts, pending{lineNo + 1, text, pc})
-		pc += width
 	}
 
-	// Pass 2: parse each instruction with labels resolved.
-	prog := make(Program, 0, pc)
-	for _, p := range insts {
-		expanded, err := parseInst(p.text, p.pc, labels)
-		if err != nil {
-			return nil, asmErr(p.line, err)
+	u := &Unit{Program: make(Program, 0, pc)}
+	var seg *DataSegment
+	for _, it := range items {
+		if it.data {
+			bytes, err := directiveBytes(it.text)
+			if err != nil {
+				return nil, asmErr(it.line, err)
+			}
+			if seg == nil || int(seg.Addr)+len(seg.Bytes) != it.addr {
+				u.Data = append(u.Data, DataSegment{Addr: uint32(it.addr)})
+				seg = &u.Data[len(u.Data)-1]
+			}
+			seg.Bytes = append(seg.Bytes, bytes...)
+			continue
 		}
-		prog = append(prog, expanded...)
+		insts, err := parseInst(it.text, it.addr, labels)
+		if err != nil {
+			return nil, asmErr(it.line, err)
+		}
+		u.Program = append(u.Program, insts...)
 	}
-	return prog, nil
+	return u, nil
 }
 
 // MustAssemble is Assemble for known-good sources (tests, examples,
@@ -152,6 +211,8 @@ func instWidth(text string) (int, error) {
 			return 0, err
 		}
 		return liWidth(c), nil
+	case "la":
+		return 2, nil
 	case "mv", "j", "ret":
 		return 1, nil
 	}
@@ -261,25 +322,36 @@ func parseInst(text string, pc int, labels map[string]int) ([]Inst, error) {
 
 	// Pseudo-instructions first.
 	switch mnem {
-	case "li":
+	case "li", "la":
 		if len(ops) != 2 {
-			return nil, fmt.Errorf("li wants 2 operands")
+			return nil, fmt.Errorf("%s wants 2 operands", mnem)
 		}
 		rd, fp, err := parseReg(ops[0])
 		if err != nil {
 			return nil, err
 		}
 		if fp {
-			return nil, fmt.Errorf("li destination must be an integer register")
+			return nil, fmt.Errorf("%s destination must be an integer register", mnem)
 		}
-		c, err := parseConst(ops[1])
-		if err != nil {
-			return nil, err
+		var u uint32
+		if mnem == "la" {
+			// A label's value: a data byte address or a code
+			// instruction index.
+			target, ok := labels[ops[1]]
+			if !ok {
+				return nil, fmt.Errorf("unknown label %q", ops[1])
+			}
+			u = uint32(target)
+		} else {
+			c, err := parseConst(ops[1])
+			if err != nil {
+				return nil, err
+			}
+			if liWidth(c) == 1 {
+				return []Inst{New(ADDI, rd, 0, 0, c)}, nil
+			}
+			u = uint32(c)
 		}
-		if liWidth(c) == 1 {
-			return []Inst{New(ADDI, rd, 0, 0, c)}, nil
-		}
-		u := uint32(c)
 		return []Inst{
 			New(LUI, rd, 0, 0, int32(u>>LUIShift)),
 			New(ORI, rd, rd, 0, int32(u&(1<<LUIShift-1))),

@@ -2,27 +2,38 @@ package isa
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
+
+	"repro/internal/mem"
 )
 
-// FuzzAssemble drives arbitrary source text through the assembler, the
-// boundary rssd's "source" requests cross. Every input must end in an
-// error or a program of valid instructions that disassemble and either
-// encode or fail to encode with an error — never a panic. The seed
+// FuzzAssemble drives arbitrary source text through AssembleUnit, the
+// assembler behind rssd's "source" requests. Every input must end in an
+// error or a unit whose instructions have valid opcodes, disassemble and
+// either encode or fail to encode with an error, and whose data segments
+// apply to a default-size memory — never a panic. A source Assemble
+// accepts must give AssembleUnit the same program and no data. The seed
 // corpus lives in testdata/fuzz/FuzzAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := Assemble(src)
+		u, err := AssembleUnit(src)
+		if prog, perr := Assemble(src); perr == nil {
+			if err != nil || len(u.Data) != 0 || !slices.Equal(u.Program, prog) {
+				t.Fatalf("Assemble and AssembleUnit disagree on %q: %v", src, err)
+			}
+		}
 		if err != nil {
 			return
 		}
-		for i, in := range prog {
+		for i, in := range u.Program {
 			if !in.Op.Valid() {
 				t.Fatalf("instruction %d has invalid opcode %d for %q", i, in.Op, src)
 			}
 		}
-		_ = Disassemble(prog)
-		_, _ = EncodeProgram(prog)
+		_ = Disassemble(u.Program)
+		_, _ = EncodeProgram(u.Program)
+		u.Apply(mem.NewMemory(mem.DefaultSize))
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Unit is a fully assembled translation unit: the instruction stream plus
@@ -46,115 +45,18 @@ func (u *Unit) Apply(m DataWriter) {
 //	.float 1.5, -2.0  emit float32 bit patterns
 //	.space 64         reserve (zero) bytes
 //
-// Labels defined in data mode name byte addresses; the two-instruction
-// pseudo `la rd, label` (lui+ori) loads such an address — or any code
-// label's instruction index — into a register. Plain Assemble rejects
-// directives; use it for code-only sources.
-func AssembleUnit(src string) (*Unit, error) {
-	lines := strings.Split(src, "\n")
+// Labels defined in data mode name byte addresses, which the la pseudo
+// loads like a code label's instruction index. Data may not reach past
+// MaxDataBytes. Plain Assemble is the same assembler with directives
+// turned off; use it for code-only sources.
+func AssembleUnit(src string) (*Unit, error) { return assemble(src, true) }
 
-	// Pass 1: walk lines tracking both the instruction counter and the
-	// data cursor; record every label with the value it names.
-	labels := make(map[string]int)
-	type pending struct {
-		line int
-		text string
-		pc   int
-		data bool // directive handled in pass 2's data walk
-	}
-	var items []pending
-	pc := 0
-	dataMode := false
-	dataCursor := 0
-	for lineNo, raw := range lines {
-		text := stripComment(raw)
-		for {
-			text = strings.TrimSpace(text)
-			colon := strings.Index(text, ":")
-			if colon < 0 {
-				break
-			}
-			label := strings.TrimSpace(text[:colon])
-			if !isIdent(label) {
-				return nil, asmErrf(lineNo+1, "bad label %q", label)
-			}
-			if _, dup := labels[label]; dup {
-				return nil, asmErrf(lineNo+1, "duplicate label %q", label)
-			}
-			if dataMode {
-				labels[label] = dataCursor
-			} else {
-				labels[label] = pc
-			}
-			text = text[colon+1:]
-		}
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, ".") {
-			size, mode, addr, err := directiveSize(text)
-			if err != nil {
-				return nil, asmErr(lineNo+1, err)
-			}
-			switch mode {
-			case "data":
-				dataMode = true
-				dataCursor = addr
-			case "text":
-				dataMode = false
-			default:
-				if !dataMode {
-					return nil, asmErrf(lineNo+1, "%s outside a .data section", text)
-				}
-				items = append(items, pending{lineNo + 1, text, dataCursor, true})
-				dataCursor += size
-			}
-			continue
-		}
-		if dataMode {
-			return nil, asmErrf(lineNo+1, "instruction inside a .data section")
-		}
-		width, err := instWidthUnit(text)
-		if err != nil {
-			return nil, asmErr(lineNo+1, err)
-		}
-		items = append(items, pending{lineNo + 1, text, pc, false})
-		pc += width
-	}
-
-	// Pass 2: emit code and data.
-	u := &Unit{}
-	var seg *DataSegment
-	for _, it := range items {
-		if it.data {
-			bytes, err := directiveBytes(it.text)
-			if err != nil {
-				return nil, asmErr(it.line, err)
-			}
-			if seg == nil || int(seg.Addr)+len(seg.Bytes) != it.pc {
-				u.Data = append(u.Data, DataSegment{Addr: uint32(it.pc)})
-				seg = &u.Data[len(u.Data)-1]
-			}
-			seg.Bytes = append(seg.Bytes, bytes...)
-			continue
-		}
-		insts, err := parseInstUnit(it.text, it.pc, labels)
-		if err != nil {
-			return nil, asmErr(it.line, err)
-		}
-		u.Program = append(u.Program, insts...)
-	}
-	return u, nil
-}
-
-// MustAssembleUnit is AssembleUnit for known-good sources.
-func MustAssembleUnit(src string) *Unit {
-	u, err := AssembleUnit(src)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
+// MaxDataBytes bounds the data image: every data directive must end at
+// or below this byte address, and the directives may emit at most this
+// many bytes in all. It is the simulated machine's memory size
+// (mem.DefaultSize, cpu.MaxMemBytes); Apply masks addresses, so bytes
+// past it would only wrap around memory.
+const MaxDataBytes = 1 << 20
 
 // directiveSize returns the byte size a directive contributes (pass 1),
 // or signals the data/text mode switches.
@@ -239,42 +141,4 @@ func directiveBytes(text string) ([]byte, error) {
 		return nil, fmt.Errorf("unknown directive %q", mnem)
 	}
 	return out, nil
-}
-
-// instWidthUnit extends instWidth with the fixed-width la pseudo.
-func instWidthUnit(text string) (int, error) {
-	mnem, _ := splitMnemonic(text)
-	if mnem == "la" {
-		return 2, nil
-	}
-	return instWidth(text)
-}
-
-// parseInstUnit extends parseInst with the la pseudo: load a label's
-// value (data byte address or code instruction index) via lui+ori.
-func parseInstUnit(text string, pc int, labels map[string]int) ([]Inst, error) {
-	mnem, rest := splitMnemonic(text)
-	if mnem != "la" {
-		return parseInst(text, pc, labels)
-	}
-	ops := splitOperands(rest)
-	if len(ops) != 2 {
-		return nil, fmt.Errorf("la wants 2 operands")
-	}
-	rd, fp, err := parseReg(ops[0])
-	if err != nil {
-		return nil, err
-	}
-	if fp {
-		return nil, fmt.Errorf("la destination must be an integer register")
-	}
-	target, ok := labels[ops[1]]
-	if !ok {
-		return nil, fmt.Errorf("unknown label %q", ops[1])
-	}
-	u := uint32(target)
-	return []Inst{
-		New(LUI, rd, 0, 0, int32(u>>LUIShift)),
-		New(ORI, rd, rd, 0, int32(u&(1<<LUIShift-1))),
-	}, nil
 }

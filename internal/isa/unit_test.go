@@ -1,8 +1,12 @@
 package isa
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 func TestAssembleUnitDataSections(t *testing.T) {
@@ -63,7 +67,7 @@ func TestAssembleUnitDataSections(t *testing.T) {
 }
 
 func TestAssembleUnitContiguousSegmentsMerge(t *testing.T) {
-	u := MustAssembleUnit(`
+	u, err := AssembleUnit(`
 		.data 0x2000
 		.word 1
 		.word 2
@@ -72,6 +76,9 @@ func TestAssembleUnitContiguousSegmentsMerge(t *testing.T) {
 		.text
 		halt
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(u.Data) != 2 {
 		t.Fatalf("segments = %d, want 2 (contiguous words merged)", len(u.Data))
 	}
@@ -102,17 +109,72 @@ func TestAssembleUnitErrors(t *testing.T) {
 }
 
 // TestAssembleRejectsDirectives: the plain code-only assembler refuses
-// directive sources rather than mis-assembling them.
+// directive sources rather than mis-assembling them, with an *AsmError
+// at the directive's line.
 func TestAssembleRejectsDirectives(t *testing.T) {
-	if _, err := Assemble(".data 0x1000\n.word 5\nhalt"); err == nil {
-		t.Error("Assemble accepted directives")
+	for src, line := range map[string]int{
+		".data 0x1000\n.word 5\nhalt":         1,
+		"start:\n  li r1, 1\n  .word 5\nhalt": 3,
+	} {
+		_, err := Assemble(src)
+		var ae *AsmError
+		if !errors.As(err, &ae) || ae.Line != line {
+			t.Errorf("Assemble(%q) = %v, want an *AsmError at line %d", src, err, line)
+		}
+	}
+}
+
+// TestAssembleLoadAddress: la loads a code label's instruction index in
+// plain Assemble too, as lui+ori.
+func TestAssembleLoadAddress(t *testing.T) {
+	prog, err := Assemble("la r4, end\nnop\nend: halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Program{New(LUI, 4, 0, 0, 0), New(ORI, 4, 4, 0, 3), New(NOP, 0, 0, 0, 0), New(HALT, 0, 0, 0, 0)}
+	if !slices.Equal(prog, want) {
+		t.Errorf("got %v, want %v", prog, want)
+	}
+}
+
+// TestAssembleUnitDataLimit: no directive may end past MaxDataBytes, and
+// the directives may not emit more than MaxDataBytes in all; either is an
+// *AsmError at the directive's line.
+func TestAssembleUnitDataLimit(t *testing.T) {
+	if MaxDataBytes != mem.DefaultSize {
+		t.Fatalf("MaxDataBytes = %d, want the memory size %d", MaxDataBytes, mem.DefaultSize)
+	}
+	for _, tc := range []struct {
+		src  string
+		line int // 0: accepted
+	}{
+		{".data 0xffffc\n.word 1", 0},
+		{".data 0\n.space 0x100000", 0},
+		{".data 0xffffd\n.word 1", 2},
+		{".data 0xfffff\n.byte 1, 2", 2},
+		{".data 0\n.space 0x100001", 2},
+		{".data 0\n.space 16777215\n.space 16777215", 2},
+		{".data 0x1000\n.word 0\n.data 0xfffffff0\n.word 1", 4},
+		{".data 0\n.space 0x80000\n.data 0\n.space 0x80000\n.data 0\n.byte 1", 6},
+	} {
+		_, err := AssembleUnit(tc.src)
+		if tc.line == 0 {
+			if err != nil {
+				t.Errorf("%q: %v", tc.src, err)
+			}
+			continue
+		}
+		var ae *AsmError
+		if !errors.As(err, &ae) || ae.Line != tc.line {
+			t.Errorf("%q: err = %v, want an *AsmError at line %d", tc.src, err, tc.line)
+		}
 	}
 }
 
 // TestAssembleUnitEndToEnd: a self-contained dot product over .data
 // arrays, functionally executed.
 func TestAssembleUnitEndToEnd(t *testing.T) {
-	u := MustAssembleUnit(`
+	u, err := AssembleUnit(`
 		.data 0x1000
 	a:	.word 1, 2, 3, 4
 	b:	.word 10, 20, 30, 40
@@ -134,6 +196,9 @@ func TestAssembleUnitEndToEnd(t *testing.T) {
 		bne r1, r12, loop
 		halt
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mem := testMem{}
 	u.Apply(mem)
 	s := &State{Mem: mem}

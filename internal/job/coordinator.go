@@ -132,9 +132,6 @@ func NewCoordinator(store *Store, execs []Executor, cfg Config) *Coordinator {
 // Store exposes the backing store (status endpoints read through it).
 func (c *Coordinator) Store() *Store { return c.store }
 
-// Executors returns the executor set (for health listings).
-func (c *Coordinator) Executors() []Executor { return c.execs }
-
 // Active counts non-terminal jobs.
 func (c *Coordinator) Active() int {
 	n := 0

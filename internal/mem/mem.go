@@ -201,6 +201,3 @@ func (c *Cache) Hits() int { return c.hits }
 
 // Misses returns the number of misses observed.
 func (c *Cache) Misses() int { return c.misses }
-
-// MissPenalty returns the configured miss penalty in cycles.
-func (c *Cache) MissPenalty() int { return c.missPenalty }

@@ -168,9 +168,6 @@ func (f *Fabric) SetExternalMasks(unavail, dead uint8) {
 	f.recomputeHealthOK()
 }
 
-// ExternalMasks returns the external lease overlay last installed.
-func (f *Fabric) ExternalMasks() (unavail, dead uint8) { return f.extUnavail, f.extDead }
-
 // MaskedSlots counts slots currently hidden from steering and dispatch
 // by a non-healthy state.
 func (f *Fabric) MaskedSlots() int {

@@ -280,9 +280,6 @@ func (f *Fabric) MirrorFrom(src *Fabric) {
 // progress. With FFUs disabled only configured RFUs execute instructions.
 func (f *Fabric) SetFFUsEnabled(enabled bool) { f.ffuDisabled = !enabled }
 
-// FFUsEnabled reports whether the fixed units are visible.
-func (f *Fabric) FFUsEnabled() bool { return !f.ffuDisabled }
-
 // Install loads a full configuration immediately, bypassing the
 // reconfiguration latency — used to preset static-baseline machines
 // before time starts. The fabric must be completely idle.

@@ -7,7 +7,6 @@
 package sweep
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -17,21 +16,8 @@ import (
 // GOMAXPROCS. The job function must be safe to call concurrently for
 // different i (each call builds its own machine).
 func Run[T any](n, workers int, job func(i int) T) []T {
-	results, _ := RunContext(context.Background(), n, workers,
-		func(_ context.Context, i int) T { return job(i) })
-	return results
-}
-
-// RunContext is Run with cancellation: once ctx is cancelled no further
-// jobs start, and the call returns the context's error together with the
-// results of the jobs that did complete (unstarted slots hold T's zero
-// value). The context is also handed to each job, so long-running jobs
-// can cut their own run short (e.g. with Machine.RunContext) — in-flight
-// jobs are always waited for, never abandoned, keeping every simulator
-// object confined to its worker goroutine.
-func RunContext[T any](ctx context.Context, n, workers int, job func(ctx context.Context, i int) T) ([]T, error) {
 	if n <= 0 {
-		return nil, ctx.Err()
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -47,21 +33,16 @@ func RunContext[T any](ctx context.Context, n, workers int, job func(ctx context
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = job(ctx, i)
+				results[i] = job(i)
 			}
 		}()
 	}
-submit:
 	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break submit
-		}
+		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return results, ctx.Err()
+	return results
 }
 
 // Grid runs a two-dimensional sweep — rows x cols independent jobs — and

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -88,45 +86,6 @@ func TestGridDeterministicAcrossRuns(t *testing.T) {
 			if a[r][c] != b[r][c] {
 				t.Fatal("grid not deterministic")
 			}
-		}
-	}
-}
-
-func TestRunContextCancel(t *testing.T) {
-	// The first job cancels the context: the submitter stops handing out
-	// work, in-flight jobs are waited for, and the call reports
-	// context.Canceled alongside the partial results.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls atomic.Int32
-	results, err := RunContext(ctx, 100, 2, func(ctx context.Context, i int) int {
-		if calls.Add(1) == 1 {
-			cancel()
-		}
-		return i + 1
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := calls.Load(); n == 0 || n == 100 {
-		t.Errorf("calls = %d, want partial execution", n)
-	}
-	for i, v := range results {
-		if v != 0 && v != i+1 {
-			t.Fatalf("results[%d] = %d, want 0 (skipped) or %d", i, v, i+1)
-		}
-	}
-}
-
-func TestRunContextNoCancelMatchesRun(t *testing.T) {
-	results, err := RunContext(context.Background(), 50, 4,
-		func(_ context.Context, i int) int { return i * 3 })
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	for i, v := range results {
-		if v != i*3 {
-			t.Fatalf("results[%d] = %d, want %d", i, v, i*3)
 		}
 	}
 }

@@ -22,7 +22,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -251,19 +250,4 @@ func renderHistogram(w io.Writer, m *metric) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, renderLabels(m.labels), m.h.Count())
 	return err
-}
-
-// Names returns the distinct metric family names, sorted — a test and
-// documentation helper.
-func (r *Registry) Names() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range r.metrics {
-		if !seen[m.name] {
-			seen[m.name] = true
-			names = append(names, m.name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

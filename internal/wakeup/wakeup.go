@@ -18,9 +18,8 @@
 // one dependency mask per row with bit j carrying "row i waits on row j",
 // and one row mask per unit type. The Fig. 6 request logic then
 // evaluates in a handful of boolean word operations instead of a loop
-// over the dependency matrix, and the board accessors (UsedMask,
-// ReadyMask, RequestMask, ...) expose the packed signals directly to the
-// scheduler.
+// over the dependency matrix, and the board accessors (RequestMask,
+// ReadyMask) expose the packed signals directly to the scheduler.
 package wakeup
 
 import (
@@ -168,20 +167,10 @@ func (a *Array) Requests(unitAvail [arch.NumUnitTypes]bool) []int {
 	return out
 }
 
-// Ready reports whether row i's data dependencies are satisfied,
-// regardless of unit availability — the condition the configuration
-// manager's "ready to be executed" queue view uses.
-func (a *Array) Ready(i int) bool {
-	bit := uint64(1) << uint(i)
-	if a.used&bit == 0 || a.scheduled&bit != 0 {
-		return false
-	}
-	return a.deps[i]&^a.resultOK == 0
-}
-
 // ReadyMask returns the rows whose data dependencies are satisfied and
-// that have not been granted execution, as a bitboard — the board form
-// of Ready.
+// that have not been granted execution, regardless of unit availability
+// — the configuration manager's "ready to be executed" queue view — as
+// a bitboard.
 func (a *Array) ReadyMask() uint64 {
 	ready := a.used &^ a.scheduled
 	for m := ready; m != 0; m &= m - 1 {
@@ -192,25 +181,6 @@ func (a *Array) ReadyMask() uint64 {
 	}
 	return ready
 }
-
-// UsedMask returns the rows holding instructions as a bitboard.
-func (a *Array) UsedMask() uint64 { return a.used }
-
-// ScheduledMask returns the granted rows as a bitboard.
-func (a *Array) ScheduledMask() uint64 { return a.scheduled }
-
-// ResultMask returns the asserted result-available lines as a bitboard.
-func (a *Array) ResultMask() uint64 { return a.resultOK }
-
-// PendingMask returns the rows holding unscheduled instructions — the
-// requirement-encoder input set — as a bitboard.
-func (a *Array) PendingMask() uint64 { return a.used &^ a.scheduled }
-
-// DepMask returns row i's dependency columns as a bitboard.
-func (a *Array) DepMask(i int) uint64 { return a.deps[i] }
-
-// TypeMask returns the rows whose instructions require unit type t.
-func (a *Array) TypeMask(t arch.UnitType) uint64 { return a.typeMask[t] }
 
 // Grant marks row i scheduled and starts its countdown timer: an
 // instruction of latency N sets the timer to N-1, asserting the

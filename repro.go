@@ -66,8 +66,9 @@ func DefaultParams() Params { return cpu.DefaultParams() }
 // Assemble translates assembly source into a Program. See internal/isa
 // for the full syntax; the quick version: RISC-style three-operand
 // mnemonics, integer registers r0-r31 (r0 reads zero), FP registers
-// f0-f31, labels, and li/mv/j/ret pseudo-instructions. Failures are
-// *AsmError values carrying the offending source line.
+// f0-f31, labels, and li/la/mv/j/ret pseudo-instructions. It is
+// AssembleUnit with directives turned off: a .data line is an error.
+// Failures are *AsmError values carrying the offending source line.
 func Assemble(src string) (Program, error) { return isa.Assemble(src) }
 
 // MustAssemble is Assemble for known-good sources; it panics on error.
@@ -88,8 +89,9 @@ func Disassemble(p Program) string { return isa.Disassemble(p) }
 type Unit = isa.Unit
 
 // AssembleUnit assembles a source file that may mix code with .data
-// sections (.word/.half/.byte/.float/.space) and the la pseudo. Use
-// NewMachineFromUnit to run the result with its data image applied.
+// sections (.word/.half/.byte/.float/.space); data may not reach past
+// 1 MiB, the machine's memory size. Use NewMachineFromUnit to run the
+// result with its data image applied.
 func AssembleUnit(src string) (*Unit, error) { return isa.AssembleUnit(src) }
 
 // NewMachineFromUnit builds a machine for the unit's program and writes
@@ -199,11 +201,11 @@ type Options struct {
 	Seed int64 `json:"seed,omitempty"`
 	// MinResidency suppresses configuration reloads for this many
 	// cycles after each load — the X11 thrash damper. Applies to
-	// PolicySteering and PolicyOracle.
+	// PolicySteering and PolicyPrefetch.
 	MinResidency int `json:"minResidency,omitempty"`
 	// Basis overrides the predefined steering configurations for the
-	// steering, full-reconfig, oracle and static policies (nil uses the
-	// default Table 1 basis).
+	// steering, prefetch, full-reconfig, oracle and static policies (nil
+	// uses the default Table 1 basis).
 	Basis *Basis `json:"-"`
 }
 
@@ -374,27 +376,29 @@ func (m *Machine) ReadWords(addr uint32, n int) []uint32 {
 // Reconfigurations returns how many RFU span rewrites occurred.
 func (m *Machine) Reconfigurations() int { return m.proc.Fabric().Reconfigurations() }
 
-// ConfigurationResidency returns, for steering-family policies, how many
-// management cycles each candidate won (current, then the three basis
-// configurations) and how many cycles the fabric held a hybrid layout. It
-// returns ok=false for non-steering policies.
+// ConfigurationResidency returns, for PolicySteering and PolicyPrefetch,
+// how many management cycles each candidate won (current, then the three
+// basis configurations) and how many cycles the fabric held a hybrid
+// layout. It returns ok=false for every other policy (see ManagerStats).
 func (m *Machine) ConfigurationResidency() (selections [arch.NumConfigs]int, hybrid int, ok bool) {
 	st, ok := m.ManagerStats()
 	return st.Selections, st.HybridCycles, ok
 }
 
-// SteeringCacheStats returns, for steering-family policies, the packed-
-// key steering cache's hit and miss counts over the run. It returns
-// ok=false for policies without a core.Manager.
+// SteeringCacheStats returns, for PolicySteering and PolicyPrefetch, the
+// packed-key steering cache's hit and miss counts over the run. It
+// returns ok=false for every other policy (see ManagerStats).
 func (m *Machine) SteeringCacheStats() (hits, misses int, ok bool) {
 	st, ok := m.ManagerStats()
 	return st.CacheHits, st.CacheMisses, ok
 }
 
-// ManagerStats returns, for steering-family policies, the configuration
-// manager's full counters: selections, loads, held loads, the steering
-// cache and, under PolicyPrefetch, the prefetch accounting. It returns
-// ok=false for policies without a core.Manager.
+// ManagerStats returns, for PolicySteering and PolicyPrefetch, the
+// configuration manager's full counters: selections, loads, held loads,
+// the steering cache and, under PolicyPrefetch, the prefetch accounting.
+// It returns ok=false for every other policy, PolicyOracle and
+// PolicyFullReconfig included: they select through a core.Manager of
+// their own, which the machine does not expose.
 func (m *Machine) ManagerStats() (core.Stats, bool) {
 	if m.steering == nil {
 		return core.Stats{}, false

@@ -243,16 +243,18 @@ func TestExampleProgramsRun(t *testing.T) {
 
 func TestMinResidencyOption(t *testing.T) {
 	k := KernelByName("saxpy")
-	base, err := RunKernel(k, Options{Policy: PolicySteering}, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	damped, err := RunKernel(k, Options{Policy: PolicySteering, MinResidency: 4}, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if damped.IPC() <= base.IPC() {
-		t.Errorf("residency damping did not help saxpy: %.3f vs %.3f", damped.IPC(), base.IPC())
+	for _, policy := range []Policy{PolicySteering, PolicyPrefetch} {
+		base, err := RunKernel(k, Options{Policy: policy}, 50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		damped, err := RunKernel(k, Options{Policy: policy, MinResidency: 4}, 50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if damped.IPC() <= base.IPC() {
+			t.Errorf("%v: residency damping did not help saxpy: %.3f vs %.3f", policy, damped.IPC(), base.IPC())
+		}
 	}
 }
 
