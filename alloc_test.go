@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/baseline"
 	"repro/internal/cem"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -154,7 +153,7 @@ func TestZeroAllocMachineCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cpu.New(prog, cpu.DefaultParams(), nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	// Warm up: fill the trace cache, grow the fetch buffer and scratch
 	// slices to their steady-state capacities, and converge the steering
 	// cache. The loop body is far longer than the measured window, so
@@ -187,7 +186,7 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
 	p := cpu.New(prog, params, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}
@@ -218,7 +217,7 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
 	p := cpu.New(prog, params, nil)
-	mgr := predict.NewManager(p.Fabric(), predict.Config{})
+	mgr := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	p.SetManager(mgr)
 	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
 	probe := telemetry.NewProbe(100)
@@ -257,7 +256,7 @@ func TestZeroAllocMachineCycleWithPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cpu.New(prog, cpu.DefaultParams(), nil)
-	p.SetManager(predict.NewManager(p.Fabric(), predict.Config{}))
+	p.SetManager(predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{}))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}

@@ -13,7 +13,6 @@ import (
 	"repro"
 	"repro/internal/arch"
 	"repro/internal/avail"
-	"repro/internal/baseline"
 	"repro/internal/cem"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -167,31 +166,14 @@ func BenchmarkFig7AvailabilityGateLevel(b *testing.B) {
 // and simulated Mcycles/s.
 func benchRun(b *testing.B, prog isa.Program, params cpu.Params, policy cpu.Policy) {
 	b.Helper()
+	if policy == cpu.PolicyOracle {
+		params.ReconfigLatency = 1
+	}
 	var lastStats cpu.Stats
 	totalCycles := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var p *cpu.Processor
-		switch policy {
-		case cpu.PolicySteering:
-			p = cpu.New(prog, params, nil)
-			p.SetManager(baseline.NewSteering(p.Fabric()))
-		case cpu.PolicyStaticInteger:
-			p = cpu.New(prog, params, nil)
-			p.Fabric().Install(config.DefaultBasis()[0])
-		case cpu.PolicyNone:
-			p = cpu.New(prog, params, nil)
-		case cpu.PolicyFullReconfig:
-			p = cpu.New(prog, params, nil)
-			p.SetManager(baseline.NewFullReconfig(p.Fabric()))
-		case cpu.PolicyOracle:
-			op := params
-			op.ReconfigLatency = 1
-			p = cpu.New(prog, op, nil)
-			p.SetManager(baseline.NewOracle(p.Fabric()))
-		default:
-			b.Fatalf("unknown policy %s", policy)
-		}
+		p := repro.NewMachine(prog, repro.Options{Policy: policy, Params: params}).Processor()
 		st, err := p.Run(50_000_000)
 		if err != nil {
 			b.Fatal(err)
@@ -266,7 +248,7 @@ func BenchmarkX1Kernels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
 				}
@@ -360,7 +342,7 @@ func BenchmarkX6Basis(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
 				m := core.NewManager(p.Fabric(), basis)
-				p.SetManager(&baseline.Steering{M: m})
+				p.SetManager(m)
 				st, err := p.Run(50_000_000)
 				if err != nil {
 					b.Fatal(err)
@@ -440,7 +422,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if traced {
 					observe(p, trace.NewBuffer(1<<16))
 				}
@@ -466,7 +448,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if mode == "on" {
 					probe := telemetry.NewProbe(100)
 					probe.SetExporter(&telemetry.Collector{})
@@ -496,7 +478,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if mode == "on" {
 					observe(p, span.NewRecorder(span.Config{}, arch.NumRFUSlots))
 				}
@@ -527,7 +509,7 @@ func BenchmarkFaultPathOverhead(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, params, nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
 				}

@@ -1,17 +1,15 @@
 // Package baseline provides the configuration-management strategies the
-// steering manager is compared against in the experiments:
+// steering manager (package core) is compared against in the
+// experiments, each loading through rfu.Fabric.Load:
 //
-//   - Steering: the paper's manager (package core) adapted to the
-//     processor's Policy interface;
-//   - Static: never reconfigures — a conventional fixed-unit superscalar
-//     whose RFU contents are installed before time starts;
 //   - FullReconfig: the predecessor approach of reference [7], which
 //     swaps whole configurations and therefore must wait for the entire
 //     fabric to drain before reconfiguring;
-//   - Oracle: an idealised upper bound that scores candidates with the
-//     exact divider and is intended to run on a zero-latency fabric;
 //   - Random: a control that loads a random steering configuration at a
 //     fixed period.
+//
+// The oracle is core.Manager with ExactCEM set, and the static machines
+// are fabrics preloaded with rfu.Fabric.Install and no manager.
 package baseline
 
 import (
@@ -23,35 +21,6 @@ import (
 	"repro/internal/rfu"
 	"repro/internal/trace"
 )
-
-// Steering adapts the paper's configuration manager to cpu.Manager.
-type Steering struct {
-	M *core.Manager
-}
-
-// NewSteering builds the paper's steering policy over a fabric with the
-// default basis.
-func NewSteering(fabric *rfu.Fabric) *Steering {
-	return NewSteeringBasis(fabric, config.DefaultBasis())
-}
-
-// NewSteeringBasis builds the steering policy with a custom basis.
-func NewSteeringBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Steering {
-	return &Steering{M: core.NewManager(fabric, basis)}
-}
-
-// Manage runs one selection/load cycle of the steering manager.
-func (s *Steering) Manage(required arch.Counts) { s.M.Step(required) }
-
-// SetObserver forwards the event stream to the manager.
-func (s *Steering) SetObserver(o *trace.Observer) { s.M.SetObserver(o) }
-
-// Static is the no-reconfiguration baseline; the machine keeps whatever
-// the fabric was preloaded with (see rfu.Fabric.Install).
-type Static struct{}
-
-// Manage does nothing.
-func (Static) Manage(arch.Counts) {}
 
 // FullReconfig models the architecture of reference [7] without partial
 // reconfiguration: a chosen configuration is loaded in one piece, which
@@ -76,15 +45,9 @@ type FullReconfig struct {
 	unitsScratch []config.PlacedUnit
 }
 
-// NewFullReconfig builds the whole-configuration-swap policy with the
-// default basis.
-func NewFullReconfig(fabric *rfu.Fabric) *FullReconfig {
-	return NewFullReconfigBasis(fabric, config.DefaultBasis())
-}
-
-// NewFullReconfigBasis builds the whole-configuration-swap policy with a
-// custom basis.
-func NewFullReconfigBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *FullReconfig {
+// NewFullReconfig builds the whole-configuration-swap policy over a
+// fabric, selecting among the given basis configurations.
+func NewFullReconfig(fabric *rfu.Fabric, basis [3]config.Configuration) *FullReconfig {
 	return &FullReconfig{fabric: fabric, m: core.NewManager(fabric, basis)}
 }
 
@@ -126,44 +89,12 @@ func (f *FullReconfig) SetObserver(o *trace.Observer) { f.m.SetObserver(o) }
 func (f *FullReconfig) stream() {
 	target := *f.pending
 	f.unitsScratch = target.AppendUnits(f.unitsScratch[:0])
-	for _, u := range f.unitsScratch {
-		if f.fabric.Allocation().Slots[u.Slot] == arch.Encode(u.Type) {
-			continue
-		}
-		if f.fabric.CanReconfigure(u.Type, u.Slot) {
-			f.fabric.Reconfigure(u.Type, u.Slot)
-		}
-	}
+	f.fabric.Load(f.unitsScratch)
 	if f.fabric.Allocation().Slots == target.Layout {
 		f.pending = nil
 		f.Swaps++
 	}
 }
-
-// Oracle is the idealised selector: exact-divider error metrics over the
-// same basis, intended for a zero-reconfiguration-latency fabric, giving
-// an upper bound on what configuration matching can achieve.
-type Oracle struct {
-	m *core.Manager
-}
-
-// NewOracle builds the oracle policy.
-func NewOracle(fabric *rfu.Fabric) *Oracle {
-	return NewOracleBasis(fabric, config.DefaultBasis())
-}
-
-// NewOracleBasis builds the oracle policy with a custom basis.
-func NewOracleBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Oracle {
-	m := core.NewManager(fabric, basis)
-	m.ExactCEM = true
-	return &Oracle{m: m}
-}
-
-// Manage runs one exact-metric selection/load cycle.
-func (o *Oracle) Manage(required arch.Counts) { o.m.Step(required) }
-
-// SetObserver forwards the event stream to the manager.
-func (o *Oracle) SetObserver(obs *trace.Observer) { o.m.SetObserver(obs) }
 
 // Random loads a random steering configuration every Period cycles — the
 // control showing that steering's wins come from matching, not from
@@ -199,12 +130,5 @@ func (r *Random) Manage(arch.Counts) {
 	}
 	target := r.basis[r.rng.Intn(len(r.basis))]
 	r.unitsScratch = target.AppendUnits(r.unitsScratch[:0])
-	for _, u := range r.unitsScratch {
-		if r.fabric.Allocation().Slots[u.Slot] == arch.Encode(u.Type) {
-			continue
-		}
-		if r.fabric.CanReconfigure(u.Type, u.Slot) {
-			r.fabric.Reconfigure(u.Type, u.Slot)
-		}
-	}
+	r.fabric.Load(r.unitsScratch)
 }

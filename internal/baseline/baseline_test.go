@@ -21,33 +21,9 @@ func intDemand() arch.Counts {
 	})
 }
 
-func TestSteeringLoadsMatchingConfiguration(t *testing.T) {
-	f := rfu.New(0)
-	s := NewSteering(f)
-	s.Manage(fpDemand())
-	if f.Allocation().Slots != config.DefaultBasis()[2].Layout {
-		t.Errorf("fabric = %v, want floating layout", f.Allocation().Slots)
-	}
-}
-
-func TestStaticNeverReconfigures(t *testing.T) {
-	f := rfu.New(0)
-	f.Install(config.DefaultBasis()[0])
-	var s Static
-	for i := 0; i < 100; i++ {
-		s.Manage(fpDemand())
-	}
-	if f.Reconfigurations() != 0 {
-		t.Error("static policy reconfigured")
-	}
-	if f.Allocation().Slots != config.DefaultBasis()[0].Layout {
-		t.Error("static layout changed")
-	}
-}
-
 func TestFullReconfigSwapsWholeFabricWhenIdle(t *testing.T) {
 	f := rfu.New(0)
-	p := NewFullReconfig(f)
+	p := NewFullReconfig(f, config.DefaultBasis())
 	p.Manage(intDemand())
 	if f.Allocation().Slots != config.DefaultBasis()[0].Layout {
 		t.Fatalf("fabric = %v, want integer layout", f.Allocation().Slots)
@@ -65,7 +41,7 @@ func TestFullReconfigSwapsWholeFabricWhenIdle(t *testing.T) {
 // single busy RFU prevents the whole swap.
 func TestFullReconfigBlocksOnBusyFabric(t *testing.T) {
 	f := rfu.New(0)
-	p := NewFullReconfig(f)
+	p := NewFullReconfig(f, config.DefaultBasis())
 	p.Manage(intDemand()) // load integer layout
 	// Busy one RFU IntALU.
 	f.Acquire(arch.IntALU, 10) // FFU
@@ -93,7 +69,7 @@ func TestFullReconfigBlocksOnBusyFabric(t *testing.T) {
 func TestFullReconfigStreamsOverNarrowBus(t *testing.T) {
 	f := rfu.New(2)
 	f.SetConfigBusWidth(1)
-	p := NewFullReconfig(f)
+	p := NewFullReconfig(f, config.DefaultBasis())
 	for cycle := 0; cycle < 100 && p.Swaps == 0; cycle++ {
 		p.Manage(intDemand())
 		f.Tick()
@@ -109,7 +85,7 @@ func TestFullReconfigStreamsOverNarrowBus(t *testing.T) {
 	// before any floating span appears.
 	g := rfu.New(4)
 	g.SetConfigBusWidth(1)
-	q := NewFullReconfig(g)
+	q := NewFullReconfig(g, config.DefaultBasis())
 	q.Manage(intDemand()) // swap begins
 	for cycle := 0; cycle < 200 && q.Swaps == 0; cycle++ {
 		q.Manage(fpDemand()) // demand flips mid-swap
@@ -120,16 +96,6 @@ func TestFullReconfigStreamsOverNarrowBus(t *testing.T) {
 	}
 	if g.Allocation().Slots != config.DefaultBasis()[0].Layout {
 		t.Errorf("mid-swap demand change corrupted the target: %v", g.Allocation().Slots)
-	}
-}
-
-func TestOracleStepsWithExactMetric(t *testing.T) {
-	f := rfu.New(1)
-	o := NewOracle(f)
-	o.Manage(fpDemand())
-	f.Tick()
-	if f.Allocation().Slots != config.DefaultBasis()[2].Layout {
-		t.Errorf("oracle fabric = %v, want floating layout", f.Allocation().Slots)
 	}
 }
 

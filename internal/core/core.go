@@ -464,12 +464,12 @@ func (m *Manager) degradedBasisAvail(i int, dead uint8) arch.Counts {
 	return c.Add(config.FFUCounts())
 }
 
-// Load steers the fabric toward the selected configuration: when a
-// predefined configuration won, every unit span of its layout that
-// differs from the live allocation is rewritten if its slots are idle,
-// and deferred otherwise. Keeping the current configuration loads
-// nothing. It returns the number of span rewrites started and of slots
-// deferred.
+// Load steers the fabric toward the selected configuration through the
+// fabric's loader (rfu.Fabric.Load): when a predefined configuration
+// won, every unit span of its layout that differs from the live
+// allocation is rewritten if its slots are idle, and deferred
+// otherwise. Keeping the current configuration loads nothing. It
+// returns the number of span rewrites started and of slots deferred.
 func (m *Manager) Load(sel *Selection) (started, deferred int) {
 	if sel.Current() {
 		return 0, 0
@@ -480,21 +480,7 @@ func (m *Manager) Load(sel *Selection) (started, deferred int) {
 		from = m.ClassifyAllocation()
 		diff = m.fabric.Allocation().Distance(m.basis[sel.Choice-1])
 	}
-	loading := 0
-	alloc := m.fabric.Allocation()
-	for _, u := range m.basisUnits[sel.Choice-1] {
-		if alloc.Slots[u.Slot] == arch.Encode(u.Type) {
-			continue // already implements the specified unit (§3.2)
-		}
-		if !m.fabric.CanReconfigure(u.Type, u.Slot) {
-			deferred += u.Span
-			continue
-		}
-		if m.fabric.Reconfigure(u.Type, u.Slot) {
-			started++
-			loading += u.Span
-		}
-	}
+	started, loading, deferred := m.fabric.Load(m.basisUnits[sel.Choice-1])
 	m.stats.Reconfigurations += started
 	m.stats.DeferredSlots += deferred
 	if started > 0 {
@@ -612,6 +598,9 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 	}
 	return sel
 }
+
+// Manage runs one Step; it makes the manager a cpu.Manager.
+func (m *Manager) Manage(required arch.Counts) { m.Step(required) }
 
 // isHybrid reports whether the live allocation matches none of the
 // predefined layouts (and is not empty).

@@ -134,6 +134,37 @@ func TestSteeringTowardIntegerConfiguration(t *testing.T) {
 	}
 }
 
+// fpDemand is an FP-heavy queue the selector answers with the floating
+// configuration.
+func fpDemand() arch.Counts {
+	return EncodeRequirements([]arch.UnitType{
+		arch.FPALU, arch.FPALU, arch.FPMDU, arch.FPMDU, arch.LSU,
+	})
+}
+
+// TestManageLoadsMatchingConfiguration: Manage is Step behind the
+// cpu.Manager interface, so one call on a zero-latency fabric loads the
+// matching configuration.
+func TestManageLoadsMatchingConfiguration(t *testing.T) {
+	m, f := newManager(0)
+	m.Manage(fpDemand())
+	if f.Allocation().Slots != config.DefaultBasis()[2].Layout {
+		t.Errorf("fabric = %v, want floating layout", f.Allocation().Slots)
+	}
+}
+
+// TestManageWithExactMetric: the oracle policy is the manager with the
+// exact CEM; it steers the same way once the span installs.
+func TestManageWithExactMetric(t *testing.T) {
+	m, f := newManager(1)
+	m.ExactCEM = true
+	m.Manage(fpDemand())
+	f.Tick()
+	if f.Allocation().Slots != config.DefaultBasis()[2].Layout {
+		t.Errorf("oracle fabric = %v, want floating layout", f.Allocation().Slots)
+	}
+}
+
 // TestStableConfigurationIsKept: once the fabric matches the demand, the
 // selection unit keeps the current configuration (choice 0) — the
 // "settled" state §3.1 calls desirable.

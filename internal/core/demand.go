@@ -12,7 +12,7 @@ import (
 // layout directly from the queue's requirement counts — a greedy packing
 // that repeatedly adds the unit type with the highest unmet demand per
 // already-provided unit until the slots are full — and then loads it with
-// the same partial, idle-only discipline as the steering loader.
+// the steering manager's partial, idle-only loader (rfu.Fabric.Load).
 //
 // To avoid thrashing on single-cycle demand noise, the manager only
 // replaces an existing unit when the incoming unit's demand benefit
@@ -222,20 +222,8 @@ func (m *DemandManager) Step(required arch.Counts) {
 	}
 	target := m.synthesize(m.plan(required), required)
 	m.Syntheses++
-	started, deferred := 0, 0
 	m.unitsScratch = target.AppendUnits(m.unitsScratch[:0])
-	for _, u := range m.unitsScratch {
-		if m.fabric.Allocation().Slots[u.Slot] == arch.Encode(u.Type) {
-			continue
-		}
-		if !m.fabric.CanReconfigure(u.Type, u.Slot) {
-			deferred += u.Span
-			continue
-		}
-		if m.fabric.Reconfigure(u.Type, u.Slot) {
-			started++
-		}
-	}
+	started, _, deferred := m.fabric.Load(m.unitsScratch)
 	m.Reconfigurations += started
 	m.DeferredSlots += deferred
 	memo := &m.memo

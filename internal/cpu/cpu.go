@@ -562,7 +562,9 @@ func (p *Processor) Fabric() *rfu.Fabric { return p.fabric }
 // the fabric, which exists only after New, so the common pattern is:
 //
 //	p := cpu.New(prog, params, nil)
-//	p.SetManager(baseline.NewSteering(p.Fabric()))
+//	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
+//
+// repro.NewMachine does this wiring for every Policy.
 func (p *Processor) SetManager(manager Manager) {
 	p.manager = manager
 	if p.obs != nil {

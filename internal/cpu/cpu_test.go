@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -157,12 +158,12 @@ func buildProcessor(prog isa.Program, params Params, policy string) *Processor {
 	p := New(prog, params, nil)
 	switch policy {
 	case "none":
-	case "steering", "no-ffu-steering":
-		p.SetManager(baseline.NewSteering(p.Fabric()))
+	case "steering", "no-ffu-steering", "oracle":
+		m := core.NewManager(p.Fabric(), config.DefaultBasis())
+		m.ExactCEM = policy == "oracle"
+		p.SetManager(m)
 	case "full-reconfig":
-		p.SetManager(baseline.NewFullReconfig(p.Fabric()))
-	case "oracle":
-		p.SetManager(baseline.NewOracle(p.Fabric()))
+		p.SetManager(baseline.NewFullReconfig(p.Fabric(), config.DefaultBasis()))
 	case "random":
 		p.SetManager(baseline.NewRandom(p.Fabric(), 1))
 	case "static-int":
@@ -333,7 +334,7 @@ func TestSteeringRescuesFFUlessMachine(t *testing.T) {
 	`)
 	params := Params{MemBytes: 1 << 12, DisableFFUs: true, ReconfigLatency: 2}
 	p := New(prog, params, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	if _, err := p.Run(10000); err != nil {
 		t.Fatalf("steering did not rescue the FFU-less machine: %v", err)
 	}

@@ -255,14 +255,13 @@ func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *co
 	case "random":
 		p.SetManager(baseline.NewRandom(p.Fabric(), 1))
 	case "full-reconfig":
-		p.SetManager(baseline.NewFullReconfig(p.Fabric()))
+		p.SetManager(baseline.NewFullReconfig(p.Fabric(), config.DefaultBasis()))
 	case "steering", "exact":
-		s := baseline.NewSteering(p.Fabric())
-		s.M.ExactCEM = m.policy == "exact"
-		mgr = s.M
-		p.SetManager(s)
+		mgr = core.NewManager(p.Fabric(), config.DefaultBasis())
+		mgr.ExactCEM = m.policy == "exact"
+		p.SetManager(mgr)
 	case "prefetch":
-		pm := predict.NewManager(p.Fabric(), predict.Config{
+		pm := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{
 			HistoryDepth: m.params.PrefetchHistoryDepth,
 			Confidence:   m.params.PrefetchConfidence,
 		})

@@ -10,9 +10,12 @@ import (
 
 // Manager is a configuration-management strategy invoked once per cycle
 // with the unit requirements of the unscheduled window instructions. The
-// paper's steering manager is one Manager; package baseline provides the
-// comparison strategies. A nil Manager never reconfigures (a purely
-// static machine).
+// paper's steering manager (core.Manager, also the oracle with its exact
+// CEM), the demand-driven core.DemandManager, the prefetch policy
+// (predict.Manager) and package baseline's comparison strategies are
+// Managers, and they load through rfu.Fabric.Load (the prefetch
+// policy's speculative spans excepted). A nil Manager never
+// reconfigures (a purely static machine).
 type Manager interface {
 	Manage(required arch.Counts)
 }

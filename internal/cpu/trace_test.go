@@ -4,7 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -83,7 +84,7 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 		halt
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	buf := traced(p, 100000)
 	if _, err := p.Run(100000); err != nil {
 		t.Fatal(err)
@@ -178,7 +179,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	`)
 	run := func(withTrace bool) (uint32, int) {
 		p := New(prog, Params{MemBytes: 1 << 12}, nil)
-		p.SetManager(baseline.NewSteering(p.Fabric()))
+		p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 		if withTrace {
 			traced(p, 10)
 		}

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/config"
-	"repro/internal/core"
+	"repro"
 	"repro/internal/cpu"
 	"repro/internal/workload"
 )
@@ -329,7 +327,7 @@ func TestStudyOutputsWellFormed(t *testing.T) {
 func TestX14SteeringRemovesUnitBoundCycles(t *testing.T) {
 	prog := PhasedWorkload(7)
 	run := func(pol cpu.Policy) cpu.Stats {
-		p := buildMachine(prog, cpu.DefaultParams(), pol)
+		p := buildMachine(prog, cpu.DefaultParams(), pol).Processor()
 		st, err := p.Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
@@ -379,7 +377,7 @@ func TestX13TraceCacheHelpsTightLoops(t *testing.T) {
 	run := func(tcWidth int) float64 {
 		params := cpu.DefaultParams()
 		params.FetchWidthTC = tcWidth
-		p := buildMachine(k.Program(), params, cpu.PolicySteering)
+		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
 		st, err := p.Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
@@ -398,7 +396,7 @@ func TestX10LookaheadFixesSaxpy(t *testing.T) {
 	run := func(lookahead bool) float64 {
 		params := cpu.DefaultParams()
 		params.ManagerLookahead = lookahead
-		p := buildMachine(k.Program(), params, cpu.PolicySteering)
+		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
 		k.Setup(p.Memory(), p.SetReg)
 		st, err := p.Run(MaxCycles)
 		if err != nil {
@@ -420,10 +418,7 @@ func TestX10LookaheadFixesSaxpy(t *testing.T) {
 func TestX11ResidencyFixesSaxpy(t *testing.T) {
 	k := workload.KernelByName("saxpy")
 	run := func(res int) (float64, int) {
-		p := cpu.New(k.Program(), cpu.DefaultParams(), nil)
-		m := core.NewManager(p.Fabric(), config.DefaultBasis())
-		m.MinResidency = res
-		p.SetManager(&baseline.Steering{M: m})
+		p := repro.NewMachine(k.Program(), repro.Options{Params: cpu.DefaultParams(), MinResidency: res}).Processor()
 		k.Setup(p.Memory(), p.SetReg)
 		st, err := p.Run(MaxCycles)
 		if err != nil {

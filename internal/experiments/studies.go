@@ -9,20 +9,17 @@ import (
 
 	"repro"
 	"repro/internal/arch"
-	"repro/internal/baseline"
 	"repro/internal/cem"
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
-	"repro/internal/predict"
 	"repro/internal/queue"
 	"repro/internal/rfu"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -45,20 +42,19 @@ func policyColumns(ps []cpu.Policy) []string {
 	return out
 }
 
-// buildMachine constructs a processor under the typed policy through
+// buildMachine constructs a machine under the typed policy through
 // the facade, with the studies' two fixed settings: the oracle runs at
 // ReconfigLatency 1 and the random policy draws from seed 1.
-func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *cpu.Processor {
+func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *repro.Machine {
 	if policy == cpu.PolicyOracle {
 		params.ReconfigLatency = 1
 	}
-	return repro.NewMachine(prog, repro.Options{Policy: policy, Params: params, Seed: 1}).Processor()
+	return repro.NewMachine(prog, repro.Options{Policy: policy, Params: params, Seed: 1})
 }
 
 // ipcOf runs prog under the policy and returns its IPC, or -1 on DNF.
 func ipcOf(prog isa.Program, params cpu.Params, policy cpu.Policy) float64 {
-	p := buildMachine(prog, params, policy)
-	st, err := p.Run(MaxCycles)
+	st, err := buildMachine(prog, params, policy).Run(MaxCycles)
 	if err != nil {
 		return -1
 	}
@@ -124,7 +120,7 @@ func X1() string {
 	kernels := workload.Kernels()
 	kernelGrid := sweep.Grid(len(kernels), len(studyPolicies), 0, func(row, col int) string {
 		k := kernels[row]
-		p := buildMachine(k.Program(), params, studyPolicies[col])
+		p := buildMachine(k.Program(), params, studyPolicies[col]).Processor()
 		if k.Setup != nil {
 			k.Setup(p.Memory(), p.SetReg)
 		}
@@ -264,18 +260,16 @@ func X3() string {
 	// End-to-end IPC cost.
 	prog := PhasedWorkload(7)
 	params := cpu.DefaultParams()
-	run := func(exact bool) float64 {
-		p := cpu.New(prog, params, nil)
-		m := core.NewManager(p.Fabric(), config.DefaultBasis())
-		m.ExactCEM = exact
-		p.SetManager(&baseline.Steering{M: m})
-		st, err := p.Run(MaxCycles)
+	// The oracle policy is steering with the exact CEM; unlike the
+	// studies' oracle (buildMachine) it keeps the reference latency.
+	run := func(policy cpu.Policy) float64 {
+		st, err := repro.NewMachine(prog, repro.Options{Policy: policy, Params: params}).Run(MaxCycles)
 		if err != nil {
 			return -1
 		}
 		return st.IPC()
 	}
-	a, x := run(false), run(true)
+	a, x := run(cpu.PolicySteering), run(cpu.PolicyOracle)
 	fmt.Fprintf(&b, "\nphased workload IPC: approximate %.3f, exact %.3f (delta %.1f%%)\n",
 		a, x, 100*(x-a)/a)
 	return b.String()
@@ -300,7 +294,7 @@ func X4() string {
 	for _, c := range cases {
 		params := cpu.DefaultParams()
 		params.DisableFFUs = c.disable
-		p := buildMachine(prog, params, c.policy)
+		p := buildMachine(prog, params, c.policy).Processor()
 		st, err := p.Run(2_000_000)
 		if err != nil {
 			t.AddRow(c.name, "-", fmt.Sprintf("starved after %d retired", st.Retired))
@@ -319,13 +313,13 @@ func X5() string {
 	for _, w := range []int{2, 4, 7, 12, 16, 24, 32} {
 		params := cpu.DefaultParams()
 		params.WindowSize = w
-		p := buildMachine(prog, params, cpu.PolicySteering)
-		st, err := p.Run(MaxCycles)
+		m := buildMachine(prog, params, cpu.PolicySteering)
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
 		}
-		t.AddRow(w, fmtIPC(ipc), p.Fabric().Reconfigurations())
+		t.AddRow(w, fmtIPC(ipc), m.Reconfigurations())
 	}
 	return t.String()
 }
@@ -360,15 +354,14 @@ func X6() string {
 	t := stats.NewTable("X6 — steering basis study (phased workload)",
 		"basis", "IPC", "reconfigs", "hybrid cycles")
 	for _, bc := range bases {
-		p := cpu.New(prog, params, nil)
-		m := core.NewManager(p.Fabric(), bc.basis)
-		p.SetManager(&baseline.Steering{M: m})
-		st, err := p.Run(MaxCycles)
+		m := repro.NewMachine(prog, repro.Options{Params: params, Basis: &bc.basis})
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
 		}
-		t.AddRow(bc.name, fmtIPC(ipc), p.Fabric().Reconfigurations(), m.Stats().HybridCycles)
+		mst, _ := m.ManagerStats()
+		t.AddRow(bc.name, fmtIPC(ipc), m.Reconfigurations(), mst.HybridCycles)
 	}
 	return t.String()
 }
@@ -412,14 +405,12 @@ func X7() string {
 
 	// Reconfiguration traffic comparison on the phased workload.
 	prog := PhasedWorkload(7)
-	ps := cpu.New(prog, params, nil)
-	ps.SetManager(baseline.NewSteering(ps.Fabric()))
-	ps.Run(MaxCycles)
-	pd := cpu.New(prog, params, nil)
-	pd.SetManager(core.NewDemandManager(pd.Fabric()))
-	pd.Run(MaxCycles)
+	steer := repro.NewMachine(prog, repro.Options{Params: params})
+	steer.Run(MaxCycles)
+	demand := repro.NewMachine(prog, repro.Options{Policy: cpu.PolicyDemand, Params: params})
+	demand.Run(MaxCycles)
 	fmt.Fprintf(&b, "\nreconfiguration spans on phased workload: steering %d, demand-driven %d\n",
-		ps.Fabric().Reconfigurations(), pd.Fabric().Reconfigurations())
+		steer.Reconfigurations(), demand.Reconfigurations())
 	return b.String()
 }
 
@@ -439,21 +430,6 @@ func classifySlots(slots [arch.NumRFUSlots]arch.Encoding, basis [3]config.Config
 	return "(empty)"
 }
 
-// collectTelemetry attaches a telemetry probe sampling p every interval
-// cycles into an in-memory collector; decisions name the default basis.
-func collectTelemetry(p *cpu.Processor, interval int) *telemetry.Collector {
-	probe := telemetry.NewProbe(interval)
-	col := &telemetry.Collector{}
-	probe.SetExporter(col)
-	probe.SetState(p.CoreState)
-	b := config.DefaultBasis()
-	probe.SetBasis([3]string{b[0].Name, b[1].Name, b[2].Name})
-	obs := &trace.Observer{}
-	obs.Add(probe)
-	p.SetObserver(obs)
-	return col
-}
-
 // X8 renders the adaptation timeline: windowed IPC, fabric state and
 // reconfiguration activity as the steering machine crosses the phase
 // boundaries of the phased workload — the paper's steering story made
@@ -464,18 +440,11 @@ func X8() string {
 	var b strings.Builder
 	b.WriteString("X8 — steering adaptation timeline (phased workload: int -> fp -> mem -> mdu -> fp)\n\n")
 
-	prog := PhasedWorkload(7)
-	params := cpu.DefaultParams()
-	p := cpu.New(prog, params, nil)
-	steer := baseline.NewSteering(p.Fabric())
-	p.SetManager(steer)
-
+	m := repro.NewMachine(PhasedWorkload(7), repro.Options{Params: cpu.DefaultParams()})
 	const window = 250
-	col := collectTelemetry(p, window)
-
-	for !p.Halted() && p.Stats().Cycles < MaxCycles {
-		p.Cycle()
-	}
+	col := &telemetry.Collector{}
+	m.EnableTelemetryExporter(col, window)
+	m.Run(MaxCycles)
 
 	basis := config.DefaultBasis()
 	ffu := config.FFUCounts()
@@ -493,7 +462,7 @@ func X8() string {
 		)
 	}
 	b.WriteString(t.String())
-	mst := steer.M.Stats()
+	mst, _ := m.ManagerStats()
 	fmt.Fprintf(&b, "\nselection totals: current=%d integer=%d memory=%d floating=%d, hybrid cycles=%d\n",
 		mst.Selections[0], mst.Selections[1], mst.Selections[2], mst.Selections[3], mst.HybridCycles)
 	if n := len(col.Decisions); n > 0 {
@@ -527,8 +496,7 @@ func X9() string {
 				params := cpu.DefaultParams()
 				params.IssueWidth = width
 				params.SelectFree = selectFree
-				p := buildMachine(w.prog, params, cpu.PolicySteering)
-				st, err := p.Run(MaxCycles)
+				st, err := buildMachine(w.prog, params, cpu.PolicySteering).Run(MaxCycles)
 				if err != nil {
 					return cpu.Stats{}
 				}
@@ -561,7 +529,7 @@ func X10() string {
 		run := func(lookahead bool) float64 {
 			params := cpu.DefaultParams()
 			params.ManagerLookahead = lookahead
-			p := buildMachine(prog, params, cpu.PolicySteering)
+			p := buildMachine(prog, params, cpu.PolicySteering).Processor()
 			if setup != nil {
 				setup(p)
 			}
@@ -610,19 +578,17 @@ func X11() string {
 		t := stats.NewTable(fmt.Sprintf("%s: IPC vs minimum residency", w.name),
 			"min residency (cycles)", "IPC", "reconfigs", "suppressed loads")
 		for _, res := range []int{0, 4, 8, 16, 32, 64, 128} {
-			p := cpu.New(w.prog, cpu.DefaultParams(), nil)
-			m := core.NewManager(p.Fabric(), config.DefaultBasis())
-			m.MinResidency = res
-			p.SetManager(&baseline.Steering{M: m})
+			m := repro.NewMachine(w.prog, repro.Options{Params: cpu.DefaultParams(), MinResidency: res})
 			if w.setup != nil {
-				w.setup(p)
+				w.setup(m.Processor())
 			}
-			st, err := p.Run(MaxCycles)
+			st, err := m.Run(MaxCycles)
 			ipc := -1.0
 			if err == nil {
 				ipc = st.IPC()
 			}
-			t.AddRow(res, fmtIPC(ipc), p.Fabric().Reconfigurations(), m.Stats().SuppressedLoads)
+			mst, _ := m.ManagerStats()
+			t.AddRow(res, fmtIPC(ipc), m.Reconfigurations(), mst.SuppressedLoads)
 		}
 		b.WriteString(t.String() + "\n")
 	}
@@ -682,7 +648,7 @@ func X13() string {
 		k := workload.KernelByName(kernelNames[r])
 		params := cpu.DefaultParams()
 		params.PredictorEntries = sizes[c]
-		p := buildMachine(k.Program(), params, cpu.PolicySteering)
+		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
 		if k.Setup != nil {
 			k.Setup(p.Memory(), p.SetReg)
 		}
@@ -710,7 +676,7 @@ func X13() string {
 		run := func(tcWidth int) float64 {
 			params := cpu.DefaultParams()
 			params.FetchWidthTC = tcWidth
-			p := buildMachine(k.Program(), params, cpu.PolicySteering)
+			p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
 			if k.Setup != nil {
 				k.Setup(p.Memory(), p.SetReg)
 			}
@@ -737,8 +703,7 @@ func X14() string {
 	t := stats.NewTable("fraction of cycles by bottleneck",
 		"policy", "issuing", "unit-bound", "dep-bound", "frontend", "IPC")
 	for _, pol := range []cpu.Policy{cpu.PolicySteering, cpu.PolicyStaticInteger, cpu.PolicyStaticFloating, cpu.PolicyNone, cpu.PolicyOracle} {
-		p := buildMachine(prog, cpu.DefaultParams(), pol)
-		st, err := p.Run(MaxCycles)
+		st, err := buildMachine(prog, cpu.DefaultParams(), pol).Run(MaxCycles)
 		if err != nil {
 			t.AddRow(pol, "DNF", "", "", "", "")
 			continue
@@ -817,10 +782,10 @@ func X16() string {
 			var p *cpu.Processor
 			if name == "branchy-synthetic" {
 				prog := workload.SynthesizeBranchy(200, workload.SynthParams{Seed: 5})
-				p = buildMachine(prog, params, cpu.PolicySteering)
+				p = buildMachine(prog, params, cpu.PolicySteering).Processor()
 			} else {
 				k := workload.KernelByName(name)
-				p = buildMachine(k.Program(), params, cpu.PolicySteering)
+				p = buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
 				}
@@ -851,8 +816,8 @@ func X17() string {
 	for _, w := range []int{1, 2, 4, 0} {
 		params := cpu.DefaultParams()
 		params.ConfigBusWidth = w
-		p := buildMachine(prog, params, cpu.PolicySteering)
-		st, err := p.Run(MaxCycles)
+		m := buildMachine(prog, params, cpu.PolicySteering)
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
@@ -861,7 +826,7 @@ func X17() string {
 		if w == 0 {
 			label = "unlimited"
 		}
-		t.AddRow(label, fmtIPC(ipc), p.Fabric().Reconfigurations())
+		t.AddRow(label, fmtIPC(ipc), m.Reconfigurations())
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nA single bus (the literal Fig. 1) costs little: steering rarely needs\nmore than one span in flight because deferrals already stagger loads.\n")
@@ -887,9 +852,10 @@ func X18() string {
 		col *telemetry.Collector
 	}
 	results := sweep.Run(len(policies), 0, func(i int) outcome {
-		p := buildMachine(prog, cpu.DefaultParams(), policies[i])
-		col := collectTelemetry(p, interval)
-		st, err := p.Run(MaxCycles)
+		m := buildMachine(prog, cpu.DefaultParams(), policies[i])
+		col := &telemetry.Collector{}
+		m.EnableTelemetryExporter(col, interval)
+		st, err := m.Run(MaxCycles)
 		return outcome{st, err, col}
 	})
 
@@ -964,7 +930,7 @@ func X19() string {
 		params.FaultTransientRate = pt.rate
 		params.FaultPermanentRate = pt.rate / 10
 		params.FaultSeed = 55
-		p := buildMachine(prog, params, pt.policy)
+		p := buildMachine(prog, params, pt.policy).Processor()
 		st, err := p.Run(MaxCycles)
 		return outcome{st, err, p.Fabric().FaultStats()}
 	})
@@ -1023,8 +989,7 @@ func X20() string {
 		params := cpu.DefaultParams()
 		params.ReconfigLatency = lats[i]
 		var o outcome
-		ps := buildMachine(prog, params, cpu.PolicySteering)
-		o.steer, o.steerErr = ps.Run(MaxCycles)
+		o.steer, o.steerErr = buildMachine(prog, params, cpu.PolicySteering).Run(MaxCycles)
 		pm := repro.NewMachine(prog, repro.Options{Policy: repro.PolicyPrefetch, Params: params})
 		o.pre, o.preErr = pm.Run(MaxCycles)
 		o.mgrStats, _ = pm.ManagerStats()
@@ -1105,20 +1070,10 @@ func x21Scenarios() []x21Scenario {
 
 // x21Sim runs one scenario under an adaptive policy in the simulator.
 func x21Sim(sc x21Scenario, pol cpu.Policy) float64 {
-	p := cpu.New(sc.prog, sc.params, nil)
-	basis := config.DefaultBasis()
-	if sc.basis != nil {
-		basis = *sc.basis
+	if pol == cpu.PolicySteering && sc.exact {
+		pol = cpu.PolicyOracle // steering with the exact CEM
 	}
-	switch pol {
-	case cpu.PolicySteering:
-		m := core.NewManager(p.Fabric(), basis)
-		m.ExactCEM = sc.exact
-		p.SetManager(&baseline.Steering{M: m})
-	case cpu.PolicyPrefetch:
-		p.SetManager(predict.NewManagerBasis(p.Fabric(), basis, predict.Config{}))
-	}
-	st, err := p.Run(MaxCycles)
+	st, err := repro.NewMachine(sc.prog, repro.Options{Policy: pol, Params: sc.params, Basis: sc.basis}).Run(MaxCycles)
 	if err != nil {
 		return -1
 	}
@@ -1237,8 +1192,7 @@ func X21() string {
 		p := pts[i]
 		params := cpu.DefaultParams()
 		params.ReconfigLatency = p.lat
-		proc := buildMachine(sc1.prog, params, p.pol)
-		if st, err := proc.Run(MaxCycles); err == nil {
+		if st, err := buildMachine(sc1.prog, params, p.pol).Run(MaxCycles); err == nil {
 			p.sim = st.IPC()
 		} else {
 			p.sim = -1

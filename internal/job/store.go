@@ -85,8 +85,9 @@ func Open(dir string) (*Store, error) {
 // Dir returns the backing directory ("" for a volatile store).
 func (st *Store) Dir() string { return st.dir }
 
-// Skipped returns the number of corrupted result records tolerated
-// while loading — torn writes from a crash, stray garbage.
+// Skipped returns the number of corrupted records tolerated while
+// loading — torn writes from a crash, stray garbage, and spec files
+// whose ID does not match their file name.
 func (st *Store) Skipped() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -100,9 +101,12 @@ func (st *Store) loadJob(specPath string) error {
 		return fmt.Errorf("job store: %w", err)
 	}
 	var doc specDoc
-	if err := json.Unmarshal(raw, &doc); err != nil || doc.ID == "" || len(doc.Spec.Points) == 0 {
+	stem := strings.TrimSuffix(filepath.Base(specPath), ".json")
+	if err := json.Unmarshal(raw, &doc); err != nil || doc.ID == "" || doc.ID != stem || len(doc.Spec.Points) == 0 {
 		// A corrupted spec is unrecoverable for that job; tolerate and
-		// move on rather than refusing to boot the whole fabric.
+		// move on rather than refusing to boot the whole fabric. The ID
+		// must name its own file: any other would read and append a
+		// results log elsewhere, or list one job twice.
 		st.skipped++
 		return nil
 	}

@@ -200,14 +200,9 @@ type Manager struct {
 	liveScratch  []config.PlacedUnit
 }
 
-// NewManager builds the prefetch policy over a fabric with the default
-// steering basis.
-func NewManager(fabric *rfu.Fabric, cfg Config) *Manager {
-	return NewManagerBasis(fabric, config.DefaultBasis(), cfg)
-}
-
-// NewManagerBasis builds the prefetch policy with a custom basis.
-func NewManagerBasis(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *Manager {
+// NewManager builds the prefetch policy over a fabric, steering with
+// the given basis configurations.
+func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	return &Manager{
 		m:            core.NewManager(fabric, basis),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/config"
 	"repro/internal/rfu"
 )
 
@@ -16,7 +17,7 @@ var (
 
 func newTestManager(latency int) (*Manager, *rfu.Fabric) {
 	f := rfu.New(latency)
-	return NewManager(f, Config{}), f
+	return NewManager(f, config.DefaultBasis(), Config{}), f
 }
 
 // run drives the manager the way cpu.Processor does: the fabric ticks
@@ -49,7 +50,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	pm2, _ := rfu.New(8), 0
 	_ = pm2
-	m := NewManager(rfu.New(8), Config{HistoryDepth: 8, Confidence: 0.9})
+	m := NewManager(rfu.New(8), config.DefaultBasis(), Config{HistoryDepth: 8, Confidence: 0.9})
 	if m.depth != 8 || m.confPct != 90 {
 		t.Errorf("custom config: depth %d confPct %d, want 8 90", m.depth, m.confPct)
 	}
@@ -60,7 +61,7 @@ func TestConfigDefaults(t *testing.T) {
 // rounds the average up.
 func TestRingAverageTracksRecentDemand(t *testing.T) {
 	f := rfu.New(8)
-	pm := NewManager(f, Config{HistoryDepth: 4})
+	pm := NewManager(f, config.DefaultBasis(), Config{HistoryDepth: 4})
 	// Fill past capacity with one vector, then overwrite with another:
 	// after depth pushes of the new vector the old one must be gone.
 	run(pm, f, arch.Counts{7, 0, 0, 0, 0}, 10)
@@ -72,7 +73,7 @@ func TestRingAverageTracksRecentDemand(t *testing.T) {
 		t.Errorf("ringN = %d, want capped at 4", pm.ringN)
 	}
 	// Rounding up: average 1.25 must ceil to 2.
-	pm2 := NewManager(rfu.New(8), Config{HistoryDepth: 4})
+	pm2 := NewManager(rfu.New(8), config.DefaultBasis(), Config{HistoryDepth: 4})
 	for _, v := range []int{1, 1, 1, 2} {
 		pm2.observe(arch.Counts{v, 0, 0, 0, 0})
 	}

@@ -540,6 +540,28 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 	return true
 }
 
+// Load is the configuration loader of §3.2: it steers the fabric toward
+// units by rewriting every span that differs from the live allocation,
+// provided CanReconfigure admits it now, and deferring it otherwise. A
+// unit already in place is skipped. It returns the span rewrites
+// started, the slots they cover, and the slots deferred.
+func (f *Fabric) Load(units []config.PlacedUnit) (started, loading, deferred int) {
+	for _, u := range units {
+		if f.alloc.Slots[u.Slot] == arch.Encode(u.Type) {
+			continue // already implements the specified unit
+		}
+		if !f.CanReconfigure(u.Type, u.Slot) {
+			deferred += u.Span
+			continue
+		}
+		if f.Reconfigure(u.Type, u.Slot) {
+			started++
+			loading += u.Span
+		}
+	}
+	return started, loading, deferred
+}
+
 // Tick advances one cycle: execution busy timers and reconfiguration
 // timers count down, spans whose reconfiguration completes install
 // their new encodings, and — when a fault injector is armed — the fault

@@ -263,6 +263,36 @@ func TestLoadFullConfiguration(t *testing.T) {
 	}
 }
 
+// TestLoadSkipsDefersAndStarts pins the loader's three outcomes: a unit
+// already in place is skipped, a busy span is deferred with its slot
+// count, and an idle differing span starts with its loading count.
+func TestLoadSkipsDefersAndStarts(t *testing.T) {
+	f := New(4)
+	f.Install(config.MustNew("live", arch.IntALU, arch.IntMDU))
+	f.Acquire(arch.IntMDU, 10) // FFU
+	if ref, _ := f.Acquire(arch.IntMDU, 10); ref.FFU {
+		t.Fatal("setup: expected the RFU IntMDU")
+	}
+	units := []config.PlacedUnit{
+		{Type: arch.IntALU, Slot: 0, Span: 1}, // present
+		{Type: arch.FPALU, Slot: 1, Span: 3},  // overlaps the busy IntMDU
+		{Type: arch.IntMDU, Slot: 4, Span: 2}, // idle, empty slots
+	}
+	started, loading, deferred := f.Load(units)
+	if started != 1 || loading != 2 || deferred != 3 {
+		t.Errorf("Load = (%d, %d, %d), want (1, 2, 3)", started, loading, deferred)
+	}
+	if f.Reconfigurations() != 1 {
+		t.Errorf("Reconfigurations = %d, want 1", f.Reconfigurations())
+	}
+	if f.ReconfiguringSlots() != 2 {
+		t.Errorf("ReconfiguringSlots = %d, want the new IntMDU's 2", f.ReconfiguringSlots())
+	}
+	if got := f.Allocation().Slots[0]; got != arch.EncIntALU {
+		t.Errorf("slot 0 = %v, want the untouched IntALU", got)
+	}
+}
+
 func TestStatisticsCounters(t *testing.T) {
 	f := New(2)
 	f.Reconfigure(arch.IntMDU, 0) // 2 slots * 2 cycles

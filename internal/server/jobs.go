@@ -41,6 +41,13 @@ func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.Poin
 	// longer registers histograms for.
 	const kind = "job_point"
 	res := &api.PointResult{Index: p.Index, Policy: p.Spec.Policy.String(), Worker: "local"}
+	// Submit validated the point, but a replayed store may hold specs
+	// this server refuses; such a point fails as data.
+	spec := p.Spec
+	if err := s.resolveSpec(&spec); err != nil {
+		_, res.Error = api.Classify(err)
+		return res, nil
+	}
 	lp, err := s.load(p.Job.Spec.Program.Source, p.Job.Spec.Program.Words)
 	if err != nil {
 		// Programs are validated at submit; hitting this means the cache
@@ -61,7 +68,7 @@ func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.Poin
 	acquired := time.Now()
 	s.observeQueueWait(kind, acquired.Sub(p.Enqueued))
 	s.spans.Record(p.Job.SpanReq, "queue-wait", kind, p.Index, p.Enqueued, acquired)
-	report, elapsedMs, err := s.simulate(ctx, lp, p.Spec, kind, p.Job.SpanReq, p.Index)
+	report, elapsedMs, err := s.simulate(ctx, lp, spec, kind, p.Job.SpanReq, p.Index)
 	res.ElapsedMs = elapsedMs
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -467,6 +469,42 @@ func TestJobResumesRetiredSweepKind(t *testing.T) {
 	}
 	if text := metricsText(t, url); !strings.Contains(text, `rssd_queue_wait_us_count{kind="job_point"} 2`) {
 		t.Errorf("resumed points missing from the job_point queue-wait histogram")
+	}
+}
+
+// TestJobReplayInvalidPointFails pins containment for replayed jobs: a
+// stored point whose spec does not validate fails as that point's data,
+// the job finishes, and the server keeps serving.
+func TestJobReplayInvalidPointFails(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"id":"j1","spec":{"kind":"job","program":{"source":"halt\n"},` +
+		`"points":[{"policy":"steering","params":{"clusterMode":"bogus"},"maxCycles":1000}]}}`
+	if err := os.WriteFile(filepath.Join(dir, "j1.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, JobDir: dir})
+	if err != nil {
+		t.Fatalf("New over the stored job: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	c := client.New(newHTTPServer(t, s), client.WithRetry(0, -1))
+	ctx := context.Background()
+	status, err := c.WaitJob(ctx, "j1", nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || status.Done != 1 || status.Failed != 1 {
+		t.Fatalf("replayed job = %+v, want done with 1 failed point", status)
+	}
+	status, err = c.Job(ctx, "j1", true)
+	if err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	if e := status.Points[0].Error; e == nil || e.Code != api.CodeInvalidParams {
+		t.Errorf("point error = %+v, want %s", e, api.CodeInvalidParams)
+	}
+	if _, err := c.Run(ctx, api.RunRequest{Source: haltingSource}); err != nil {
+		t.Errorf("server stopped serving after the replay: %v", err)
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/baseline"
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -36,7 +37,7 @@ func TestKernelsOnPipelinedSteeringMachine(t *testing.T) {
 	for _, k := range Kernels() {
 		t.Run(k.Name, func(t *testing.T) {
 			p := cpu.New(k.Program(), cpu.Params{MemBytes: 1 << 16}, nil)
-			p.SetManager(baseline.NewSteering(p.Fabric()))
+			p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 			if k.Setup != nil {
 				k.Setup(p.Memory(), p.SetReg)
 			}
@@ -143,7 +144,7 @@ func TestSynthesizeRunsToCompletion(t *testing.T) {
 	}
 
 	p := cpu.New(prog, cpu.Params{MemBytes: 1 << 16}, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	stats, err := p.Run(10_000_000)
 	if err != nil {
 		t.Fatalf("simulator: %v", err)

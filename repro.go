@@ -256,9 +256,9 @@ func NewMachine(prog Program, opt Options) *Machine {
 	m.basis = [3]string{basis[0].Name, basis[1].Name, basis[2].Name}
 	switch opt.Policy {
 	case PolicySteering:
-		s := baseline.NewSteeringBasis(p.Fabric(), basis)
-		s.M.MinResidency = opt.MinResidency
-		m.steering = s.M
+		s := core.NewManager(p.Fabric(), basis)
+		s.MinResidency = opt.MinResidency
+		m.steering = s
 		p.SetManager(s)
 	case PolicyStaticInteger:
 		p.Fabric().Install(basis[0])
@@ -269,15 +269,17 @@ func NewMachine(prog Program, opt Options) *Machine {
 	case PolicyNone:
 		// Empty fabric, FFUs only.
 	case PolicyFullReconfig:
-		p.SetManager(baseline.NewFullReconfigBasis(p.Fabric(), basis))
+		p.SetManager(baseline.NewFullReconfig(p.Fabric(), basis))
 	case PolicyOracle:
-		p.SetManager(baseline.NewOracleBasis(p.Fabric(), basis))
+		o := core.NewManager(p.Fabric(), basis)
+		o.ExactCEM = true
+		p.SetManager(o)
 	case PolicyRandom:
 		p.SetManager(baseline.NewRandom(p.Fabric(), opt.Seed))
 	case PolicyDemand:
 		p.SetManager(core.NewDemandManager(p.Fabric()))
 	case PolicyPrefetch:
-		pf := predict.NewManagerBasis(p.Fabric(), basis, predict.Config{
+		pf := predict.NewManager(p.Fabric(), basis, predict.Config{
 			HistoryDepth: opt.Params.PrefetchHistoryDepth,
 			Confidence:   opt.Params.PrefetchConfidence,
 		})
@@ -396,9 +398,11 @@ func (m *Machine) SteeringCacheStats() (hits, misses int, ok bool) {
 // ManagerStats returns, for PolicySteering and PolicyPrefetch, the
 // configuration manager's full counters: selections, loads, held loads,
 // the steering cache and, under PolicyPrefetch, the prefetch accounting.
-// It returns ok=false for every other policy, PolicyOracle and
-// PolicyFullReconfig included: they select through a core.Manager of
-// their own, which the machine does not expose.
+// It returns ok=false for every other policy. PolicyOracle (a
+// core.Manager with the exact CEM) and PolicyFullReconfig (which selects
+// through a core.Manager of its own) are included: the machine does not
+// expose their counters, so reports keep the same shape as for the
+// other non-steering policies.
 func (m *Machine) ManagerStats() (core.Stats, bool) {
 	if m.steering == nil {
 		return core.Stats{}, false

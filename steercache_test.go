@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/baseline"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -31,7 +30,7 @@ func runSteering(t *testing.T, prog isa.Program, params cpu.Params, basis [arch.
 	m := core.NewManager(p.Fabric(), basis)
 	m.ExactCEM = exact
 	m.DisableCache = disableCache
-	p.SetManager(&baseline.Steering{M: m})
+	p.SetManager(m)
 	st, err := p.Run(2_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,7 @@ func TestSteeringCacheSelectionStream(t *testing.T) {
 func runPrefetch(t *testing.T, prog isa.Program, params cpu.Params, disableCache bool) (cpu.Stats, core.Stats, config.AllocationVector) {
 	t.Helper()
 	p := cpu.New(prog, params, nil)
-	m := predict.NewManager(p.Fabric(), predict.Config{})
+	m := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	m.Core().DisableCache = disableCache
 	p.SetManager(m)
 	st, err := p.Run(2_000_000)
@@ -298,7 +297,7 @@ func TestSteeringMemoEquivalence(t *testing.T) {
 			m := core.NewManager(p.Fabric(), config.DefaultBasis())
 			m.MinResidency = 24
 			m.DisableCache = disableCache
-			p.SetManager(&baseline.Steering{M: m})
+			p.SetManager(m)
 			st, err := p.Run(2_000_000)
 			if err != nil {
 				t.Fatal(err)
