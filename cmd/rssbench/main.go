@@ -17,6 +17,9 @@
 //
 // The grid is ordered seed-innermost, so each policy × latency cell's
 // seed replicas are adjacent point indexes and finish close together.
+// Seeds feed only the random policy: for every other policy a cell's
+// replicas are the same simulation, which rssd runs once and reports
+// under each replica's index, so -seeds adds points but not runs.
 package main
 
 import (
@@ -46,7 +49,7 @@ func main() {
 		synthSeed = flag.Int64("synth-seed", 7, "synthetic workload generator seed")
 		policies  = flag.String("policies", "steering,demand,prefetch,full-reconfig,ffu-only", "comma-separated policy names")
 		latencies = flag.String("latencies", "4,8,16", "comma-separated reconfiguration latencies (cycles)")
-		seeds     = flag.String("seeds", "7", "comma-separated simulation seeds (averaged per cell)")
+		seeds     = flag.String("seeds", "7", "comma-separated seeds; only the random policy reads them, so other policies' replicas share one run (cells average over seeds)")
 		maxCycles = flag.Int("max-cycles", 0, "cycle budget per point (0: server default)")
 		pointTO   = flag.Duration("point-timeout", 30*time.Second, "per-point simulation deadline")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "overall deadline for the sweep")

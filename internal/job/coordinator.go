@@ -18,13 +18,20 @@ import (
 )
 
 // ExecPoint is one dispatched grid point: the job it belongs to, which
-// point, and the resolved spec to simulate.
+// point, the resolved spec to simulate, and the program and deadline
+// to simulate it under. Executors read the job's spec only through it.
 type ExecPoint struct {
-	Job      *Job
-	Index    int
-	Spec     api.RunSpec
-	Attempt  int // prior dispatches of this point
-	Enqueued time.Time
+	Job   *Job
+	Index int
+	// Twins are the job's other points whose specs share this one's
+	// Canonical form. They are not executed: each gets a copy of this
+	// point's result under its own index.
+	Twins     []int
+	Spec      api.RunSpec
+	Program   api.Program
+	TimeoutMs int // the point deadline; 0 means none
+	Attempt   int // prior dispatches of this point
+	Enqueued  time.Time
 }
 
 // Executor runs points — the worker transport. Implementations must be
@@ -62,6 +69,9 @@ type Observer interface {
 	JobFinished(j *Job)
 	PointDone(j *Job, res *api.PointResult)
 	PointRequeued(j *Job, index int)
+	// PointsShared reports n points answered by another point's
+	// simulation.
+	PointsShared(j *Job, n int)
 	QueueDepth(depth int)
 }
 
@@ -71,6 +81,7 @@ func (nopObserver) JobSubmitted(*Job)                {}
 func (nopObserver) JobFinished(*Job)                 {}
 func (nopObserver) PointDone(*Job, *api.PointResult) {}
 func (nopObserver) PointRequeued(*Job, int)          {}
+func (nopObserver) PointsShared(*Job, int)           {}
 func (nopObserver) QueueDepth(int)                   {}
 
 // Config tunes a Coordinator.
@@ -223,9 +234,12 @@ func allIndexes(n int) []int {
 }
 
 // enqueue marks the job running and pushes its points, attaching the
-// job's runtime cancellation context on first scheduling.
+// job's runtime cancellation context on first scheduling. Points whose
+// specs share a Canonical form run once: the first is queued, the rest
+// ride along as its Twins.
 func (c *Coordinator) enqueue(j *Job, indexes []int) {
 	jctx, jcancel := context.WithCancel(c.ctx)
+	now := time.Now()
 	j.mu.Lock()
 	if j.cancel == nil {
 		j.ctx, j.cancel = jctx, jcancel
@@ -233,22 +247,37 @@ func (c *Coordinator) enqueue(j *Job, indexes []int) {
 		jcancel()
 	}
 	j.setStateLocked(api.JobRunning)
-	j.mu.Unlock()
-
-	now := time.Now()
-	c.mu.Lock()
+	if j.state != api.JobRunning {
+		// Cancelled before scheduling: its spec is already released.
+		j.mu.Unlock()
+		return
+	}
+	var pts []ExecPoint
+	group := map[api.RunSpec]int{} // canonical spec → its ExecPoint in pts
 	for _, i := range indexes {
-		c.queue = append(c.queue, ExecPoint{
-			Job: j, Index: i, Spec: j.Spec.Points[i], Enqueued: now,
+		spec := j.Spec.Points[i]
+		key := spec.Canonical()
+		if g, ok := group[key]; ok {
+			pts[g].Twins = append(pts[g].Twins, i)
+			continue
+		}
+		group[key] = len(pts)
+		pts = append(pts, ExecPoint{
+			Job: j, Index: i, Spec: spec, Program: j.Spec.Program,
+			TimeoutMs: j.Spec.PointTimeoutMs, Enqueued: now,
 		})
 	}
+	j.mu.Unlock()
+
+	c.mu.Lock()
+	c.queue = append(c.queue, pts...)
 	depth := len(c.queue)
 	c.mu.Unlock()
 	c.obs.QueueDepth(depth)
 	c.cond.Broadcast()
 }
 
-// push requeues one point (after a worker failure).
+// push requeues one point and its twins (after a worker failure).
 func (c *Coordinator) push(t ExecPoint) {
 	c.mu.Lock()
 	c.queue = append(c.queue, t)
@@ -314,8 +343,8 @@ func (c *Coordinator) slotLoop(e Executor) {
 			continue
 		}
 		cancel := func() {}
-		if ms := j.Spec.PointTimeoutMs; ms > 0 {
-			pctx, cancel = context.WithTimeout(pctx, time.Duration(ms)*time.Millisecond)
+		if t.TimeoutMs > 0 {
+			pctx, cancel = context.WithTimeout(pctx, time.Duration(t.TimeoutMs)*time.Millisecond)
 		}
 		res, err := e.Execute(pctx, t)
 		cancel()
@@ -323,7 +352,26 @@ func (c *Coordinator) slotLoop(e Executor) {
 			c.handleWorkerFailure(e, t, err)
 			continue
 		}
-		c.complete(j, finishResult(e, t, res))
+		if len(t.Twins) > 0 {
+			// Counted before delivery, so the counter is current by the
+			// time the last twin finishes the job.
+			c.obs.PointsShared(j, len(t.Twins))
+		}
+		c.deliver(t, finishResult(e, t, res))
+	}
+}
+
+// deliver completes t's point with res, then each of its twins with a
+// copy under the twin's own index. The copies share res's report bytes.
+func (c *Coordinator) deliver(t ExecPoint, res *api.PointResult) {
+	twins := make([]api.PointResult, len(t.Twins))
+	for k, i := range t.Twins {
+		twins[k] = *res
+		twins[k].Index = i
+	}
+	c.complete(t.Job, res)
+	for k := range twins {
+		c.complete(t.Job, &twins[k])
 	}
 }
 
@@ -341,7 +389,8 @@ func finishResult(e Executor, t ExecPoint, res *api.PointResult) *api.PointResul
 }
 
 // handleWorkerFailure requeues a point whose worker died under it and
-// sidelines the executor until it pings healthy again.
+// sidelines the executor until it pings healthy again. A point out of
+// attempts fails, and its twins with it.
 func (c *Coordinator) handleWorkerFailure(e Executor, t ExecPoint, err error) {
 	j := t.Job
 	if c.ctx.Err() != nil || j.State() != api.JobRunning {
@@ -353,12 +402,12 @@ func (c *Coordinator) handleWorkerFailure(e Executor, t ExecPoint, err error) {
 	j.noteRequeue()
 	c.obs.PointRequeued(j, t.Index)
 	if t.Attempt >= c.maxAttempts {
-		c.complete(j, &api.PointResult{
+		c.deliver(t, &api.PointResult{
 			Index:  t.Index,
 			Policy: t.Spec.Policy.String(),
 			Error: &api.Error{
 				Code:    api.CodeWorkerUnavailable,
-				Message: fmt.Sprintf("point %d failed after %d dispatches, last on %s: %v", t.Index, t.Attempt, e.Name(), err),
+				Message: fmt.Sprintf("failed after %d dispatches, last on %s: %v", t.Attempt, e.Name(), err),
 			},
 			Attempts: t.Attempt,
 		})

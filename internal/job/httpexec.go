@@ -54,14 +54,12 @@ func (e *HTTPExecutor) URL() string { return e.c.Base() }
 // cycle-limit 422 — comes back as data.
 func (e *HTTPExecutor) Execute(ctx context.Context, p ExecPoint) (*api.PointResult, error) {
 	req := api.RunRequest{
-		Source:  p.Job.Spec.Program.Source,
-		Words:   p.Job.Spec.Program.Words,
+		Source:  p.Program.Source,
+		Words:   p.Program.Words,
 		RunSpec: p.Spec,
-	}
-	if ms := p.Job.Spec.PointTimeoutMs; ms > 0 {
 		// Let the worker own the point deadline too, so a network
 		// partition can't leave it simulating forever.
-		req.TimeoutMs = ms
+		TimeoutMs: p.TimeoutMs,
 	}
 	start := time.Now()
 	resp, err := e.c.Run(ctx, req)
@@ -78,7 +76,7 @@ func (e *HTTPExecutor) Execute(ctx context.Context, p ExecPoint) (*api.PointResu
 	}
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) {
-		if p.Job.Spec.PointTimeoutMs > 0 && errors.Is(err, context.DeadlineExceeded) {
+		if p.TimeoutMs > 0 && errors.Is(err, context.DeadlineExceeded) {
 			// The point deadline expired while the request was in flight —
 			// a race between the worker's own 504 and our transport
 			// context. The simulation is deterministic, so re-running it

@@ -47,8 +47,10 @@ type Spec struct {
 }
 
 // Job is one submitted sweep: the durable spec plus the runtime state
-// the coordinator tracks. All mutable state is guarded by mu; the
-// spec fields are immutable after Create/load.
+// the coordinator tracks. All mutable state is guarded by mu. The spec
+// is immutable after Create/load, except that a job reaching a
+// terminal state releases Spec.Program and Spec.Points under mu;
+// Label and Kind stay.
 type Job struct {
 	ID   string
 	Spec Spec
@@ -113,7 +115,7 @@ func (j *Job) Status(withResults bool) api.JobStatus {
 		ID:       j.ID,
 		Label:    j.Spec.Label,
 		State:    j.state,
-		Total:    len(j.Spec.Points),
+		Total:    len(j.results),
 		Done:     j.done,
 		Failed:   j.failed,
 		Requeues: j.requeues,
@@ -162,9 +164,9 @@ func (j *Job) Subscribe() (replay []api.JobEvent, ch <-chan api.JobEvent) {
 			replay = append(replay, api.JobEvent{Type: api.EventPoint, Point: r})
 		}
 	}
-	c := make(chan api.JobEvent, len(j.Spec.Points)-len(replay)+2)
+	c := make(chan api.JobEvent, len(j.results)-len(replay)+2)
 	if j.state.Terminal() {
-		c <- api.JobEvent{Type: api.EventState, State: j.state, Done: j.done, Total: len(j.Spec.Points)}
+		c <- api.JobEvent{Type: api.EventState, State: j.state, Done: j.done, Total: len(j.results)}
 		close(c)
 		return replay, c
 	}
@@ -185,15 +187,18 @@ func (j *Job) publishLocked(ev api.JobEvent) {
 }
 
 // setStateLocked moves the job to state, notifying and (on a terminal
-// state) closing subscribers. Callers hold mu.
+// state) closing subscribers and releasing the program and points: a
+// durable store already has them in the spec file, and a volatile one
+// cannot resume. Callers hold mu.
 func (j *Job) setStateLocked(state api.JobState) {
 	if j.state == state || j.state.Terminal() {
 		return
 	}
 	j.state = state
-	ev := api.JobEvent{Type: api.EventState, State: state, Done: j.done, Total: len(j.Spec.Points)}
+	ev := api.JobEvent{Type: api.EventState, State: state, Done: j.done, Total: len(j.results)}
 	j.publishLocked(ev)
 	if state.Terminal() {
+		j.Spec.Program, j.Spec.Points = api.Program{}, nil
 		for _, c := range j.subs {
 			close(c)
 		}

@@ -9,18 +9,21 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/api"
 )
 
-// testSpec builds an n-point spec (policy left zero: the job layer
-// never interprets specs, it just schedules them).
+// testSpec builds an n-point spec of distinct points (policy left
+// zero: the job layer only schedules specs). The points differ in
+// MaxCycles, a field their Canonical form keeps, so each one runs.
 func testSpec(n int) Spec {
 	spec := Spec{Kind: "job", Program: api.Program{Source: "halt\n"}}
 	for i := 0; i < n; i++ {
-		spec.Points = append(spec.Points, api.RunSpec{Seed: int64(i)})
+		spec.Points = append(spec.Points, api.RunSpec{MaxCycles: i})
 	}
 	return spec
 }
@@ -51,7 +54,7 @@ func (f *fakeExec) Ping(ctx context.Context) error {
 func okResult(p ExecPoint) *api.PointResult {
 	return &api.PointResult{
 		Index:  p.Index,
-		Report: []byte(fmt.Sprintf(`{"seed":%d}`, p.Spec.Seed)),
+		Report: []byte(fmt.Sprintf(`{"maxCycles":%d}`, p.Spec.MaxCycles)),
 	}
 }
 
@@ -98,7 +101,7 @@ func TestCoordinatorCompletesJob(t *testing.T) {
 		if r.Index != i || r.Worker != "w1" || r.Attempts != 1 {
 			t.Errorf("result %d = %+v, want index %d worker w1 attempts 1", i, r, i)
 		}
-		if want := fmt.Sprintf(`{"seed":%d}`, i); string(r.Report) != want {
+		if want := fmt.Sprintf(`{"maxCycles":%d}`, i); string(r.Report) != want {
 			t.Errorf("result %d report = %s, want %s", i, r.Report, want)
 		}
 	}
@@ -203,6 +206,180 @@ func TestMaxAttemptsFailsPointAsData(t *testing.T) {
 	}
 	if res[0].Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", res[0].Attempts)
+	}
+}
+
+// TestMaxAttemptsFailsTwins pins the backstop for a folded group: when
+// the one point that runs for a group exhausts its attempts, every twin
+// gets the same worker_unavailable result and the job finishes.
+func TestMaxAttemptsFailsTwins(t *testing.T) {
+	st := openStore(t, "")
+	var calls atomic.Int32
+	broken := &fakeExec{name: "broken", slots: 1,
+		exec: func(context.Context, ExecPoint) (*api.PointResult, error) {
+			calls.Add(1)
+			return nil, errors.New("boom")
+		},
+		health: func(context.Context) error { return nil },
+	}
+	c := NewCoordinator(st, []Executor{broken}, Config{MaxAttempts: 2})
+	defer c.Close()
+
+	spec := Spec{Kind: "job", Program: api.Program{Source: "halt\n"}}
+	for seed := int64(1); seed <= 3; seed++ {
+		spec.Points = append(spec.Points, api.RunSpec{Seed: seed})
+	}
+	j, _ := c.Submit(spec, 0)
+	waitState(t, j, api.JobDone)
+	res := j.Results()
+	if len(res) != 3 {
+		t.Fatalf("got %d results, want 3", len(res))
+	}
+	for i, r := range res {
+		if r.Index != i || r.Error == nil || r.Error.Code != api.CodeWorkerUnavailable || r.Attempts != 2 {
+			t.Errorf("result %d = %+v, want index %d, worker_unavailable after 2 attempts", i, r, i)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("Execute called %d times, want 2 (one group, two attempts)", n)
+	}
+}
+
+// countingExec answers every point from its spec, like the
+// deterministic simulator, and counts its Execute calls.
+func countingExec(calls *atomic.Int32) *fakeExec {
+	return &fakeExec{name: "w", slots: 2, exec: func(_ context.Context, p ExecPoint) (*api.PointResult, error) {
+		calls.Add(1)
+		return &api.PointResult{Index: p.Index, Report: []byte(fmt.Sprintf("%+v", p.Spec))}, nil
+	}}
+}
+
+// TestCoordinatorFoldsSeedReplicas runs the 60-point sweep grid
+// (five policies × latencies 4/8/16 × four seeds): seeds feed only the
+// random policy, so the coordinator runs 15 points and delivers 60,
+// each twin carrying its representative's report under its own index.
+func TestCoordinatorFoldsSeedReplicas(t *testing.T) {
+	st := openStore(t, "")
+	var calls atomic.Int32
+	c := NewCoordinator(st, []Executor{countingExec(&calls)}, Config{})
+	defer c.Close()
+
+	spec := Spec{Kind: "job", Program: api.Program{Source: "halt\n"}}
+	for _, pol := range []repro.Policy{repro.PolicySteering, repro.PolicyDemand, repro.PolicyPrefetch, repro.PolicyFullReconfig, repro.PolicyNone} {
+		for _, lat := range []int{4, 8, 16} {
+			for seed := int64(1); seed <= 4; seed++ {
+				spec.Points = append(spec.Points, api.RunSpec{Policy: pol, Params: repro.Params{ReconfigLatency: lat}, Seed: seed})
+			}
+		}
+	}
+	j, err := c.Submit(spec, 0)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, j, api.JobDone)
+	if n := calls.Load(); n != 15 {
+		t.Errorf("Execute called %d times, want 15", n)
+	}
+	res := j.Results()
+	if len(res) != 60 {
+		t.Fatalf("got %d results, want 60", len(res))
+	}
+	for i, r := range res {
+		rep := res[i/4*4] // the cell's seed-1 point runs; seeds 2–4 are its twins
+		if r.Index != i || r.Error != nil {
+			t.Errorf("result %d = %+v, want index %d without error", i, r, i)
+			continue
+		}
+		if !bytes.Equal(r.Report, rep.Report) || &r.Report[0] != &rep.Report[0] {
+			t.Errorf("result %d report %s, want the shared bytes of point %d (%s)", i, r.Report, rep.Index, rep.Report)
+		}
+	}
+}
+
+// TestCoordinatorRunsEachRandomSeed pins the other side of the key:
+// the random policy reads its seed, so four seeds make four runs.
+func TestCoordinatorRunsEachRandomSeed(t *testing.T) {
+	st := openStore(t, "")
+	var calls atomic.Int32
+	c := NewCoordinator(st, []Executor{countingExec(&calls)}, Config{})
+	defer c.Close()
+
+	spec := Spec{Kind: "job", Program: api.Program{Source: "halt\n"}}
+	for seed := int64(1); seed <= 4; seed++ {
+		spec.Points = append(spec.Points, api.RunSpec{Policy: repro.PolicyRandom, Seed: seed})
+	}
+	j, _ := c.Submit(spec, 0)
+	waitState(t, j, api.JobDone)
+	if n := calls.Load(); n != 4 {
+		t.Errorf("Execute called %d times, want 4", n)
+	}
+	if n := len(j.Results()); n != 4 {
+		t.Errorf("got %d results, want 4", n)
+	}
+}
+
+// TestResumeRegroupsTwins resumes a job whose first seed replica was
+// already durable: the three pending replicas regroup and run once.
+func TestResumeRegroupsTwins(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	spec := Spec{Kind: "job", Program: api.Program{Source: "halt\n"}}
+	for seed := int64(1); seed <= 4; seed++ {
+		spec.Points = append(spec.Points, api.RunSpec{Seed: seed})
+	}
+	j1, err := st1.Create(spec)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := st1.AppendPoint(j1, &api.PointResult{Index: 0, Report: []byte(`{}`)}); err != nil {
+		t.Fatalf("AppendPoint: %v", err)
+	}
+	st1.Close()
+
+	st2 := openStore(t, dir)
+	var calls atomic.Int32
+	c := NewCoordinator(st2, []Executor{countingExec(&calls)}, Config{})
+	defer c.Close()
+	if resumed := c.Resume(); resumed != 1 {
+		t.Fatalf("Resume = %d jobs, want 1", resumed)
+	}
+	j2, _ := st2.Get(j1.ID)
+	waitState(t, j2, api.JobDone)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("Execute called %d times, want 1", n)
+	}
+	if n := len(j2.Results()); n != 4 {
+		t.Errorf("got %d results, want 4", n)
+	}
+}
+
+// TestFinishedJobReleasesSpec pins what a finished job keeps in memory:
+// its results, label and kind, but not its program or point specs.
+func TestFinishedJobReleasesSpec(t *testing.T) {
+	st := openStore(t, "")
+	var calls atomic.Int32
+	c := NewCoordinator(st, []Executor{countingExec(&calls)}, Config{})
+	defer c.Close()
+
+	spec := testSpec(3)
+	spec.Label = "keep-me"
+	j, _ := c.Submit(spec, 0)
+	waitState(t, j, api.JobDone)
+	j.mu.Lock()
+	program, points := j.Spec.Program, j.Spec.Points
+	j.mu.Unlock()
+	if program.Source != "" || points != nil {
+		t.Errorf("finished job still holds program %q and %d points", program.Source, len(points))
+	}
+	if j.Spec.Kind != "job" || j.Spec.Label != "keep-me" {
+		t.Errorf("finished job lost its kind or label: %+v", j.Spec)
+	}
+	if st := j.Status(true); st.Total != 3 || len(st.Points) != 3 {
+		t.Errorf("status = %+v, want 3 of 3 points", st)
+	}
+	replay, ch := j.Subscribe()
+	if ev := <-ch; len(replay) != 3 || ev.State != api.JobDone || ev.Total != 3 {
+		t.Errorf("late subscriber got %d replayed points and %+v", len(replay), ev)
 	}
 }
 

@@ -48,7 +48,7 @@ func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.Poin
 		_, res.Error = api.Classify(err)
 		return res, nil
 	}
-	lp, err := s.load(p.Job.Spec.Program.Source, p.Job.Spec.Program.Words)
+	lp, err := s.load(p.Program.Source, p.Program.Words)
 	if err != nil {
 		// Programs are validated at submit; hitting this means the cache
 		// entry aged out and reassembly failed, which is deterministic —
@@ -119,6 +119,12 @@ func (o *coordObserver) PointDone(j *job.Job, res *api.PointResult) {
 func (o *coordObserver) PointRequeued(j *job.Job, index int) {
 	o.s.mmu.Lock()
 	o.s.jobPoints["requeued"].Inc()
+	o.s.mmu.Unlock()
+}
+
+func (o *coordObserver) PointsShared(j *job.Job, n int) {
+	o.s.mmu.Lock()
+	o.s.pointsShared.Add(uint64(n))
 	o.s.mmu.Unlock()
 }
 

@@ -8,6 +8,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,12 +36,13 @@ loop:	addi r1, r1, -1
 	halt
 `
 
-// jobPoints builds an n-point grid varying the seed (the program is
-// deterministic; distinct seeds keep the points distinguishable).
+// jobPoints builds an n-point grid of distinct points. They vary the
+// cycle budget, which the job coordinator's Canonical key keeps, so
+// each point runs its own simulation.
 func jobPoints(n int) []api.RunSpec {
 	pts := make([]api.RunSpec, n)
 	for i := range pts {
-		pts[i] = api.RunSpec{Seed: int64(i), MaxCycles: 2_000_000}
+		pts[i] = api.RunSpec{MaxCycles: 2_000_000 + i}
 	}
 	return pts
 }
@@ -99,7 +101,7 @@ func TestJobEventsBeforeFinish(t *testing.T) {
 	ctx := context.Background()
 
 	points := jobPoints(2)
-	points = append(points, api.RunSpec{Seed: 99, MaxCycles: 30_000_000}) // the slow tail
+	points = append(points, api.RunSpec{MaxCycles: 30_000_000}) // the slow tail
 	created, err := c.SubmitJob(ctx, api.JobRequest{Source: busySource, Points: points})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -505,6 +507,64 @@ func TestJobReplayInvalidPointFails(t *testing.T) {
 	}
 	if _, err := c.Run(ctx, api.RunRequest{Source: haltingSource}); err != nil {
 		t.Errorf("server stopped serving after the replay: %v", err)
+	}
+}
+
+// TestJobDedupMatchesRun is the "deduplicated ≡ individually run"
+// oracle: a job whose points repeat a canonical spec runs each distinct
+// spec once, and every point's report is byte-identical to POST /v1/run
+// of that point's own spec.
+func TestJobDedupMatchesRun(t *testing.T) {
+	_, ts, c := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	words, err := repro.EncodeProgram(repro.Synthesize(repro.AlternatingPhases(1500, 300), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.JobRequest{Words: words}
+	distinct := map[api.RunSpec]bool{}
+	for _, name := range []string{"steering", "prefetch", "random", "demand"} {
+		for _, residency := range []int{0, 32} {
+			for seed := int64(1); seed <= 3; seed++ {
+				spec := api.RunSpec{Policy: policy(t, name), Params: repro.Params{ReconfigLatency: 8},
+					MaxCycles: 2_000_000, Seed: seed, MinResidency: residency}
+				req.Points = append(req.Points, spec)
+				distinct[spec.Canonical()] = true
+			}
+		}
+	}
+	status := runJob(t, c, req)
+	for _, p := range status.Points {
+		spec := req.Points[p.Index]
+		if p.Error != nil {
+			t.Fatalf("point %d (%+v): %v", p.Index, spec, p.Error)
+		}
+		run, err := c.Run(ctx, api.RunRequest{Words: words, RunSpec: spec})
+		if err != nil {
+			t.Fatalf("run of point %d: %v", p.Index, err)
+		}
+		// The envelopes indent the report at different depths; the
+		// report's bytes are compared without that whitespace.
+		var got, want bytes.Buffer
+		if err := json.Compact(&got, p.Report); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Compact(&want, run.Report); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("point %d (%+v): job report differs from /v1/run\njob: %s\nrun: %s", p.Index, spec, p.Report, run.Report)
+		}
+	}
+	text := metricsText(t, ts.URL)
+	for _, want := range []string{
+		fmt.Sprintf(`rssd_queue_wait_us_count{kind="job_point"} %d`, len(distinct)),
+		fmt.Sprintf(`rssd_job_points_shared_total %d`, len(req.Points)-len(distinct)),
+		fmt.Sprintf(`rssd_job_points_total{outcome="done"} %d`, len(req.Points)),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 

@@ -163,6 +163,7 @@ type Server struct {
 	jobsSubmitted *telemetry.Counter
 	jobsFinished  map[string]*telemetry.Counter // by terminal state
 	jobPoints     map[string]*telemetry.Counter // by outcome
+	pointsShared  *telemetry.Counter            // points answered by a twin's run
 	gaugeJobsAct  *telemetry.Gauge
 	gaugeJobQueue *telemetry.Gauge
 	estimates     map[string]*telemetry.Counter // by predicted bottleneck
@@ -294,6 +295,8 @@ func New(cfg Config) (*Server, error) {
 			"Grid points scheduled by the coordinator, by outcome (requeued counts re-dispatches after worker failures).",
 			telemetry.Label{Key: "outcome", Value: outcome})
 	}
+	s.pointsShared = s.registry.NewCounter("rssd_job_points_shared_total",
+		"Grid points answered by another point's simulation: a job runs each distinct canonical spec once.")
 	s.gaugeJobsAct = s.registry.NewGauge("rssd_sweep_jobs_active",
 		"Jobs in a non-terminal state.")
 	s.gaugeJobQueue = s.registry.NewGauge("rssd_job_queue_depth",

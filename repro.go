@@ -197,7 +197,9 @@ type Options struct {
 	// MaxCycles bounds the run. NewMachine ignores it; whoever drives
 	// the run passes it on (rssd reads 0 as its default budget).
 	MaxCycles int `json:"maxCycles,omitempty"`
-	// Seed feeds PolicyRandom.
+	// Seed feeds PolicyRandom; no other policy reads it, so under any
+	// other policy specs that differ only in Seed give the same run
+	// (see Canonical).
 	Seed int64 `json:"seed,omitempty"`
 	// MinResidency suppresses configuration reloads for this many
 	// cycles after each load — the X11 thrash damper. Applies to
@@ -227,6 +229,22 @@ func (o Options) Validate() error {
 		return fmt.Errorf("maxCycles must be non-negative, got %d: %w", o.MaxCycles, ErrInvalidParams)
 	}
 	return nil
+}
+
+// Canonical returns the spec with every field NewMachine does not read
+// under its policy set to zero: Seed unless the policy is PolicyRandom,
+// and MinResidency unless it is PolicySteering or PolicyPrefetch. Two
+// specs with the same canonical form build the same machine, so their
+// runs give byte-identical reports. Options is comparable, so the
+// result can key a map as is.
+func (o Options) Canonical() Options {
+	if o.Policy != PolicyRandom {
+		o.Seed = 0
+	}
+	if o.Policy != PolicySteering && o.Policy != PolicyPrefetch {
+		o.MinResidency = 0
+	}
+	return o
 }
 
 // Machine is one simulated processor instance bound to a program.

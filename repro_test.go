@@ -163,6 +163,53 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
+// TestCanonicalSpecsRunAlike keeps Canonical tied to NewMachine: under
+// every policy, specs that differ only in fields Canonical zeroes give
+// byte-identical reports, while the random policy's seed still changes
+// its run.
+func TestCanonicalSpecsRunAlike(t *testing.T) {
+	prog := Synthesize(AlternatingPhases(1500, 300), 7)
+	report := func(o Options) string {
+		t.Helper()
+		m := NewMachine(prog, o)
+		if _, err := m.Run(2_000_000); err != nil {
+			t.Fatalf("%s: %v", o.Policy, err)
+		}
+		data, err := m.ReportJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", o.Policy, err)
+		}
+		return string(data)
+	}
+	for _, p := range Policies() {
+		base := Options{Policy: p, Params: Params{ReconfigLatency: 8}, Seed: 1, MinResidency: 64}
+		want := report(base)
+		compared := 0
+		for _, v := range []struct{ seed, residency int }{{2, 64}, {1, 0}, {2, 0}} {
+			o := base
+			o.Seed, o.MinResidency = int64(v.seed), v.residency
+			if o.Canonical() != base.Canonical() {
+				continue
+			}
+			compared++
+			if got := report(o); got != want {
+				t.Errorf("%s: seed %d residency %d reports differently from seed 1 residency 64, though Canonical folds them",
+					p, v.seed, v.residency)
+			}
+		}
+		if compared == 0 {
+			t.Errorf("%s: Canonical folds no variant", p)
+		}
+	}
+	a, b := Options{Policy: PolicyRandom, Seed: 1}, Options{Policy: PolicyRandom, Seed: 2}
+	if a.Canonical() == b.Canonical() {
+		t.Error("Canonical folds the random policy's seeds")
+	}
+	if report(a) == report(b) {
+		t.Error("random policy with seeds 1 and 2 gave identical reports")
+	}
+}
+
 func TestReportContainsKeySections(t *testing.T) {
 	prog := Synthesize([]Phase{{Mix: MixUniform, Instructions: 300}}, 2)
 	m := NewMachine(prog, Options{Policy: PolicySteering})
