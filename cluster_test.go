@@ -52,7 +52,7 @@ func scalarRun(t *testing.T, prog repro.Program, opt repro.Options, setup *workl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, m.Report(), buf.Bytes()
+	return stats, m.Report().String(), buf.Bytes()
 }
 
 // clusterRun executes prog on a K=1 cluster and returns the same view.
@@ -77,7 +77,7 @@ func clusterRun(t *testing.T, prog repro.Program, opt repro.Options, setup *work
 	if stats.Cycles != stats.Cores[0].Cycles {
 		t.Errorf("cluster cycles %d != core cycles %d", stats.Cycles, stats.Cores[0].Cycles)
 	}
-	return stats.Cores[0], c.Core(0).Report(), buf.Bytes()
+	return stats.Cores[0], c.Core(0).Report().String(), buf.Bytes()
 }
 
 // TestClusterK1MatchesScalar pins the degenerate-cluster contract: a

@@ -58,6 +58,8 @@ func TestRunOutputPins(t *testing.T) {
 		{"saxpy json", "saxpy_json.golden", []string{"-kernel", "saxpy", "-json"}},
 		{"alternating prefetch metrics", "alternating_prefetch_metrics.golden",
 			[]string{"-synthetic", "alternating", "-prefetch", "-metrics", "-"}},
+		{"alternating prefetch faults", "alternating_prefetch_faults.golden",
+			[]string{"-synthetic", "alternating", "-prefetch", "-fault-rate", "0.001", "-fault-seed", "3"}},
 		{"saxpy 2-core split", "saxpy_cores2_split.golden",
 			[]string{"-kernel", "saxpy", "-cores", "2", "-cluster-mode", "split", "-cluster-arbiter", "demand-weighted"}},
 	} {

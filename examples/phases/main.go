@@ -59,10 +59,10 @@ func main() {
 	if _, err := m.Run(50_000_000); err != nil {
 		log.Fatal(err)
 	}
-	sel, hybrid, _ := m.ConfigurationResidency()
+	r := m.Report()
 	fmt.Printf("\nsteering selections: current=%d integer=%d memory=%d floating=%d\n",
-		sel[0], sel[1], sel[2], sel[3])
-	fmt.Printf("hybrid-configuration cycles: %d\n", hybrid)
+		r.Selections[0], r.Selections[1], r.Selections[2], r.Selections[3])
+	fmt.Printf("hybrid-configuration cycles: %d\n", r.HybridCycles)
 	fmt.Printf("\nsteering vs best single static configuration: %.3f vs %.3f IPC\n",
 		steeringIPC, bestStaticIPC)
 }

@@ -59,11 +59,11 @@ func faultRun(t *testing.T) (jsonl []byte, report string, stats repro.FaultStats
 	if _, err := m.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	fs, ok := m.FaultStats()
-	if !ok {
-		t.Fatal("FaultStats not ok with fault injection enabled")
+	r := m.Report()
+	if r.Faults == nil {
+		t.Fatal("report has no fault counters with fault injection enabled")
 	}
-	return buf.Bytes(), m.Report(), fs
+	return buf.Bytes(), r.String(), *r.Faults
 }
 
 // TestFaultDeterminism: the same fault seed and workload reproduce the
@@ -179,7 +179,7 @@ func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
 			if !m.Halted() {
 				t.Fatalf("workload did not complete under faults within %d cycles", cycles)
 			}
-			if fs, _ := m.FaultStats(); fs.InjectedTransient+fs.InjectedPermanent == 0 {
+			if fs := fab.FaultStats(); fs.InjectedTransient+fs.InjectedPermanent == 0 {
 				t.Logf("note: campaign injected no faults in %d cycles", cycles)
 			}
 		})

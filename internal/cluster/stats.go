@@ -75,7 +75,7 @@ func (s Stats) Fairness() float64 {
 type Report struct {
 	Cluster Summary `json:"cluster"`
 	// Cores holds each core's scalar run report, index = core id.
-	Cores []json.RawMessage `json:"cores"`
+	Cores []repro.RunReport `json:"cores"`
 }
 
 // Summary is the cluster-level aggregate block of a Report.
@@ -106,12 +106,8 @@ func (c *Machine) ReportJSON() ([]byte, error) {
 		AggregateIPC: stats.AggregateIPC(),
 		Fairness:     stats.Fairness(),
 	}}
-	for k, m := range c.cores {
-		core, err := m.ReportJSON()
-		if err != nil {
-			return nil, fmt.Errorf("rendering core %d report: %w", k, err)
-		}
-		rep.Cores = append(rep.Cores, core)
+	for _, m := range c.cores {
+		rep.Cores = append(rep.Cores, m.Report())
 	}
 	return json.Marshal(rep)
 }
@@ -127,14 +123,12 @@ func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) erro
 		_, err := c.cores[0].EnableTelemetry(w, format, interval)
 		return err
 	}
-	var exp telemetry.Exporter
-	switch format {
-	case "jsonl":
-		exp = telemetry.NewJSONL(w)
-	case "csv":
-		exp = telemetry.NewCSV(w)
-	default:
+	if format == "prom" {
 		return fmt.Errorf("cluster: unsupported telemetry format %q (want jsonl or csv)", format)
+	}
+	exp, err := telemetry.NewExporter(w, format, nil)
+	if err != nil {
+		return err
 	}
 	for k, m := range c.cores {
 		m.EnableTelemetryExporter(exp, interval)

@@ -554,7 +554,7 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
 	}
 	for k := 0; k < c.Cores(); k++ {
-		s.accountMachine(c.Core(k))
+		s.accountMachine(c.Core(k).Report())
 	}
 	elapsedMs := float64(elapsed) / float64(time.Millisecond)
 	if err != nil {
@@ -569,22 +569,21 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 
 // accountMachine lands one finished core's steering-cache and prefetch
 // counters on the service metrics.
-func (s *Server) accountMachine(m *repro.Machine) {
-	if hits, misses, ok := m.SteeringCacheStats(); ok {
-		s.mmu.Lock()
-		s.steerHits.Add(uint64(hits))
-		s.steerMisses.Add(uint64(misses))
-		s.mmu.Unlock()
+func (s *Server) accountMachine(r repro.RunReport) {
+	if !r.Steering {
+		return
 	}
-	if ps, ok := m.PrefetchStats(); ok {
-		s.mmu.Lock()
+	s.mmu.Lock()
+	defer s.mmu.Unlock()
+	s.steerHits.Add(uint64(r.SteeringCacheHits))
+	s.steerMisses.Add(uint64(r.SteeringCacheMisses))
+	if ps := r.Prefetch; ps != nil {
 		s.prefetch["spans_issued"].Add(uint64(ps.Issued))
 		s.prefetch["confirmed"].Add(uint64(ps.Confirmed))
 		s.prefetch["mispredicted"].Add(uint64(ps.Mispredicted))
 		s.prefetch["cancelled"].Add(uint64(ps.Cancelled))
 		s.prefetch["wasted_spans"].Add(uint64(ps.WastedSpans))
 		s.prefetch["phase_changes"].Add(uint64(ps.PhaseChanges))
-		s.mmu.Unlock()
 	}
 }
 

@@ -45,6 +45,22 @@ type prefetchRecord struct {
 	*PrefetchEvent
 }
 
+// NewExporter builds the exporter format names over w: "jsonl" (samples
+// plus decision, fault and prefetch records, one JSON object per line),
+// "csv" (the sample time series) or "prom" (a Prometheus text snapshot
+// of reg, written at flush).
+func NewExporter(w io.Writer, format string, reg *Registry) (Exporter, error) {
+	switch format {
+	case "jsonl":
+		return NewJSONL(w), nil
+	case "csv":
+		return NewCSV(w), nil
+	case "prom":
+		return NewProm(w, reg), nil
+	}
+	return nil, fmt.Errorf("telemetry: unknown metrics format %q (known: jsonl, csv, prom)", format)
+}
+
 // JSONL streams samples and decisions as one JSON object per line, each
 // tagged with "record":"sample" or "record":"decision".
 type JSONL struct {
@@ -167,7 +183,8 @@ func (e *CSV) Decision(*Decision) error { return nil }
 func (e *CSV) Fault(*FaultEvent) error { return nil }
 
 // Prefetch is a no-op: prefetch events do not fit the sample row shape
-// either; their interval aggregates ride the sample rows.
+// either. The CSV carries no prefetch, steering-cache or fault columns
+// (see csvHeader) — use the JSONL exporter for those.
 func (e *CSV) Prefetch(*PrefetchEvent) error { return nil }
 
 // Flush drains the buffer.

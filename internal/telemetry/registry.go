@@ -12,7 +12,8 @@
 //     locking (a Probe belongs to exactly one machine);
 //   - the sampling path — every Interval cycles the processor hands the
 //     Probe a CoreState snapshot, which is merged with the event
-//     accumulators into a Sample and handed to the Exporter.
+//     counters' growth since the previous sample into a Sample and
+//     handed to the Exporter.
 //
 // Every Probe hook is safe on a nil receiver, so uninstrumented
 // machines pay one nil-check branch per event and nothing else (see
@@ -29,7 +30,8 @@ import (
 // counter belongs to the single goroutine driving its machine (the sweep
 // harness builds one registry per worker machine).
 type Counter struct {
-	v uint64
+	v    uint64
+	mark uint64 // the value at the last sinceMark
 }
 
 // Inc adds one.
@@ -40,6 +42,14 @@ func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
+
+// sinceMark returns how far the counter has grown since the previous
+// call and marks its current value for the next one.
+func (c *Counter) sinceMark() int {
+	d := c.v - c.mark
+	c.mark = c.v
+	return int(d)
+}
 
 // Gauge is a metric that can go up and down (occupancy, in-flight
 // reconfiguration slots, the latest CEM score).

@@ -232,9 +232,6 @@ type Probe struct {
 	gCEMError       [arch.NumConfigs]*Gauge
 	hOccupancy      *Histogram
 
-	// iv accumulates event counts since the last sample.
-	iv intervalCounts
-
 	// Latest selection-unit pass (steering-family policies only); the
 	// four CEM scores stay packed (trace.Pack4) until a sample or Flush
 	// reads them.
@@ -244,15 +241,6 @@ type Probe struct {
 
 	// last is the snapshot at the previous sample, for interval deltas.
 	last CoreState
-}
-
-// intervalCounts holds a Probe's per-sample event counts.
-type intervalCounts struct {
-	reconfigs                             int
-	steerHits, steerMisses                int
-	faultsInj, faultsDet, faultsRep       int
-	scrubs                                int
-	prefIss, prefConf, prefMisp, prefCanc int
 }
 
 // NewProbe builds a probe sampling every interval cycles (interval must
@@ -373,10 +361,8 @@ func (p *Probe) Observe(e trace.Event) {
 		switch e.C {
 		case trace.LookupHit:
 			p.cSteerHits.Inc()
-			p.iv.steerHits++
 		case trace.LookupMiss:
 			p.cSteerMisses.Inc()
-			p.iv.steerMisses++
 		}
 	case trace.KindDecision:
 		p.cDecisions.Inc()
@@ -390,7 +376,6 @@ func (p *Probe) Observe(e trace.Event) {
 	case trace.KindReconfig:
 		p.cReconfigSpans.Inc()
 		p.cReconfigSlotCy.Add(uint64(e.B * e.C))
-		p.iv.reconfigs++
 	case trace.KindFaultInject:
 		if e.B != 0 {
 			p.cFaultsPerm.Inc()
@@ -399,14 +384,11 @@ func (p *Probe) Observe(e trace.Event) {
 			p.cFaultsTrans.Inc()
 			p.fault(e, FaultInjectedTransient)
 		}
-		p.iv.faultsInj++
 	case trace.KindFaultDetect:
 		p.cFaultsDetected.Inc()
-		p.iv.faultsDet++
 		p.fault(e, FaultDetected)
 	case trace.KindFaultHeal:
 		p.cFaultsRepaired.Inc()
-		p.iv.faultsRep++
 		p.fault(e, FaultRepaired)
 	case trace.KindRepairStart:
 		p.fault(e, FaultRepairStart)
@@ -415,12 +397,10 @@ func (p *Probe) Observe(e trace.Event) {
 			p.fault(e, FaultDead)
 		} else {
 			p.cFaultsRepaired.Inc()
-			p.iv.faultsRep++
 			p.fault(e, FaultRepaired)
 		}
 	case trace.KindScrub:
 		p.cScrubScans.Inc()
-		p.iv.scrubs++
 	case trace.KindMasked:
 		p.cMaskedSlotCy.Add(uint64(e.A))
 	case trace.KindPhaseChange:
@@ -428,23 +408,19 @@ func (p *Probe) Observe(e trace.Event) {
 		p.prefetch(e, PrefetchPhaseChange)
 	case trace.KindPrefetchIssue:
 		p.cPrefIssued.Add(uint64(e.A))
-		p.iv.prefIss += int(e.A)
 		p.prefetch(e, PrefetchIssue)
 	case trace.KindSpecResolve:
 		switch e.C {
 		case trace.SpecConfirm:
 			p.cPrefConfirmed.Inc()
-			p.iv.prefConf++
 			p.prefetch(e, PrefetchConfirm)
 		case trace.SpecMispredict:
 			p.cPrefMispred.Inc()
 			p.cPrefWasted.Add(uint64(e.A))
-			p.iv.prefMisp++
 			p.prefetch(e, PrefetchMispredict)
 		default:
 			p.cPrefCancelled.Inc()
 			p.cPrefWasted.Add(uint64(e.A))
-			p.iv.prefCanc++
 			p.prefetch(e, PrefetchCancel)
 		}
 	}
@@ -499,9 +475,10 @@ func (p *Probe) snapshot() CoreState {
 	return cs
 }
 
-// emitSample merges a core snapshot with the accumulated event counts
-// into a Sample, updates the sampled gauges/histograms, hands the sample
-// to the exporter and resets the interval accumulators.
+// emitSample merges a core snapshot with the event counters' growth
+// since the previous sample into a Sample, updates the sampled
+// gauges/histograms, marks the counters and hands the sample to the
+// exporter.
 func (p *Probe) emitSample() {
 	cs := p.snapshot()
 	var issued arch.Counts
@@ -525,22 +502,22 @@ func (p *Probe) emitSample() {
 		CEMChoice:       p.selChoice,
 		ReconfigSlots:   cs.ReconfigSlots,
 
-		IntervalReconfigs:      p.iv.reconfigs,
+		IntervalReconfigs:      p.cReconfigSpans.sinceMark(),
 		IntervalFlushed:        cs.Flushed - p.last.Flushed,
 		IntervalDispatchStalls: cs.DispatchStalls - p.last.DispatchStalls,
 
-		IntervalSteerCacheHits:   p.iv.steerHits,
-		IntervalSteerCacheMisses: p.iv.steerMisses,
+		IntervalSteerCacheHits:   p.cSteerHits.sinceMark(),
+		IntervalSteerCacheMisses: p.cSteerMisses.sinceMark(),
 
-		IntervalPrefetchIssued:       p.iv.prefIss,
-		IntervalPrefetchConfirmed:    p.iv.prefConf,
-		IntervalPrefetchMispredicted: p.iv.prefMisp,
-		IntervalPrefetchCancelled:    p.iv.prefCanc,
+		IntervalPrefetchIssued:       p.cPrefIssued.sinceMark(),
+		IntervalPrefetchConfirmed:    p.cPrefConfirmed.sinceMark(),
+		IntervalPrefetchMispredicted: p.cPrefMispred.sinceMark(),
+		IntervalPrefetchCancelled:    p.cPrefCancelled.sinceMark(),
 
-		IntervalFaultsInjected: p.iv.faultsInj,
-		IntervalFaultsDetected: p.iv.faultsDet,
-		IntervalFaultsRepaired: p.iv.faultsRep,
-		IntervalScrubScans:     p.iv.scrubs,
+		IntervalFaultsInjected: p.cFaultsTrans.sinceMark() + p.cFaultsPerm.sinceMark(),
+		IntervalFaultsDetected: p.cFaultsDetected.sinceMark(),
+		IntervalFaultsRepaired: p.cFaultsRepaired.sinceMark(),
+		IntervalScrubScans:     p.cScrubScans.sinceMark(),
 		MaskedSlots:            cs.MaskedSlots,
 
 		BucketIssued:   cs.Buckets[0] - p.last.Buckets[0],
@@ -555,7 +532,6 @@ func (p *Probe) emitSample() {
 	p.hOccupancy.Observe(int64(cs.Occupancy))
 
 	p.last = cs
-	p.iv = intervalCounts{}
 
 	if p.exp != nil {
 		p.export(p.exp.Sample(&s))

@@ -8,9 +8,9 @@
 // a new view is one more sink, with no new hook sites.
 //
 // The Buffer sink keeps the pipeline events (fetch, dispatch, issue,
-// retire, flush and reconfiguration) and renders them as an event log or
-// as a per-instruction pipeline view (one row per instruction, one column
-// per cycle), disassembling instructions from the program at render time.
+// retire, flush and reconfiguration) and renders them as a
+// per-instruction pipeline view (one row per instruction, one column per
+// cycle), disassembling instructions from the program at render time.
 package trace
 
 import (
@@ -359,30 +359,6 @@ func text(e Event, prog isa.Program) string {
 		return prog[pc].String()
 	}
 	return ""
-}
-
-// format renders one event as a log line, disassembling from prog.
-func format(e Event, prog isa.Program) string {
-	switch e.Kind {
-	case KindReconfig:
-		return fmt.Sprintf("cycle %5d: %-8s %s", e.Cycle, e.Kind, text(e, prog))
-	case KindIssue:
-		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d lat=%-3d %s",
-			e.Cycle, e.Kind, e.Seq(), e.PC(), e.C, text(e, prog))
-	default:
-		return fmt.Sprintf("cycle %5d: %-8s #%-5d pc=%-5d %s",
-			e.Cycle, e.Kind, e.Seq(), e.PC(), text(e, prog))
-	}
-}
-
-// Log renders all events one per line, disassembling from prog.
-func Log(events []Event, prog isa.Program) string {
-	var sb strings.Builder
-	for _, e := range events {
-		sb.WriteString(format(e, prog))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // instRow collects one dynamic instruction's lifecycle.

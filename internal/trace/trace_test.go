@@ -89,25 +89,15 @@ func TestBufferDerivesFetchRow(t *testing.T) {
 
 func TestEventString(t *testing.T) {
 	issue := Event{Cycle: 12, Kind: KindIssue, A: 3, B: 3, C: 4}
-	s := format(issue, testProg)
-	for _, want := range []string{"12", "issue", "#3", "lat=4", "mul"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("event string %q missing %q", s, want)
-		}
+	if got := text(issue, testProg); !strings.Contains(got, "mul") {
+		t.Errorf("issue text %q not disassembled from the program", got)
 	}
 	r := Event{Cycle: 5, Kind: KindReconfig, A: 2, B: 3, Str: "FPALU"}
-	if got := format(r, testProg); !strings.Contains(got, "FPALU at slot 2") {
-		t.Errorf("reconfig string %q", got)
+	if got := text(r, testProg); got != "FPALU at slot 2" {
+		t.Errorf("reconfig text %q", got)
 	}
-}
-
-func TestLog(t *testing.T) {
-	out := Log([]Event{{Cycle: 1, Kind: KindFetch}, {Cycle: 2, Kind: KindRetire}}, testProg)
-	if strings.Count(out, "\n") != 2 {
-		t.Errorf("Log output:\n%s", out)
-	}
-	if !strings.Contains(out, "add r1, r2, r3") {
-		t.Errorf("fetch line not disassembled from the program:\n%s", out)
+	if got := text(Event{Kind: KindRetire, B: 3}, testProg); got != "" {
+		t.Errorf("retire text %q, want empty", got)
 	}
 }
 

@@ -31,11 +31,11 @@ func TestObserverSinksAgree(t *testing.T) {
 	if m.tracer.Dropped() || rec.Dropped() > 0 {
 		t.Fatal("a bounded sink dropped events; enlarge it")
 	}
-	fs, ok := m.FaultStats()
-	if !ok {
-		t.Fatal("fault injection not enabled")
+	report := m.Report()
+	if report.Faults == nil || report.Prefetch == nil {
+		t.Fatal("fault injection or prefetch accounting not enabled")
 	}
-	ps, _ := m.PrefetchStats()
+	fs, ps := *report.Faults, *report.Prefetch
 
 	counter := func(name string, labels ...telemetry.Label) int {
 		v, ok := probe.Registry().CounterValue(name, labels...)

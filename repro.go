@@ -396,23 +396,6 @@ func (m *Machine) ReadWords(addr uint32, n int) []uint32 {
 // Reconfigurations returns how many RFU span rewrites occurred.
 func (m *Machine) Reconfigurations() int { return m.proc.Fabric().Reconfigurations() }
 
-// ConfigurationResidency returns, for PolicySteering and PolicyPrefetch,
-// how many management cycles each candidate won (current, then the three
-// basis configurations) and how many cycles the fabric held a hybrid
-// layout. It returns ok=false for every other policy (see ManagerStats).
-func (m *Machine) ConfigurationResidency() (selections [arch.NumConfigs]int, hybrid int, ok bool) {
-	st, ok := m.ManagerStats()
-	return st.Selections, st.HybridCycles, ok
-}
-
-// SteeringCacheStats returns, for PolicySteering and PolicyPrefetch, the
-// packed-key steering cache's hit and miss counts over the run. It
-// returns ok=false for every other policy (see ManagerStats).
-func (m *Machine) SteeringCacheStats() (hits, misses int, ok bool) {
-	st, ok := m.ManagerStats()
-	return st.CacheHits, st.CacheMisses, ok
-}
-
 // ManagerStats returns, for PolicySteering and PolicyPrefetch, the
 // configuration manager's full counters: selections, loads, held loads,
 // the steering cache and, under PolicyPrefetch, the prefetch accounting.
@@ -441,45 +424,100 @@ type PrefetchStats struct {
 	PhaseChanges int `json:"phaseChanges"`
 }
 
-// PrefetchStats returns the run's speculative-prefetch counters. It
-// returns ok=false for policies other than PolicyPrefetch.
-func (m *Machine) PrefetchStats() (PrefetchStats, bool) {
-	if m.policy != PolicyPrefetch || m.steering == nil {
-		return PrefetchStats{}, false
-	}
-	st := m.steering.Stats()
-	return PrefetchStats{
-		Issued:       st.PrefetchIssued,
-		Confirmed:    st.PrefetchConfirmed,
-		Mispredicted: st.PrefetchMispredicted,
-		Cancelled:    st.PrefetchCancelled,
-		WastedSpans:  st.PrefetchWastedSpans,
-		PhaseChanges: st.PhaseChanges,
-	}, true
-}
-
 // FaultStats is the fabric's cumulative fault-injection accounting (see
 // Params.FaultTransientRate and friends).
 type FaultStats = rfu.FaultStats
 
-// FaultStats returns the run's fault-injection counters. It returns
-// ok=false when fault injection was not enabled for this machine.
-func (m *Machine) FaultStats() (st FaultStats, ok bool) {
-	f := m.proc.Fabric()
-	if !f.FaultsEnabled() {
-		return FaultStats{}, false
-	}
-	return f.FaultStats(), true
+// RunReport is a run's facts: the cpu.Stats fields plus derived rates
+// and subsystem counters. Its JSON form is the report rsssim -json
+// prints and /v1/run returns; String renders the text report.
+type RunReport struct {
+	Policy string  `json:"policy"`
+	Stats  Stats   `json:"stats"`
+	IPC    float64 `json:"ipc"`
+
+	PredictorAccuracy float64 `json:"predictorAccuracy"`
+	PredictorLookups  int     `json:"predictorLookups"`
+	TraceCacheHitRate float64 `json:"traceCacheHitRate"`
+	TraceCacheLookups int     `json:"traceCacheLookups"`
+	DCacheHits        int     `json:"dcacheHits"`
+	DCacheMisses      int     `json:"dcacheMisses"`
+
+	Reconfigurations      int `json:"reconfigurations"`
+	ReconfigurationCycles int `json:"reconfigurationCycles"`
+	// Steering is true for PolicySteering and PolicyPrefetch, the
+	// policies whose manager counters fill Selections through
+	// SteeringCacheMisses (see ManagerStats).
+	Steering bool `json:"steering"`
+	// Selections counts the management cycles each candidate won
+	// (current, then the three basis configurations); HybridCycles the
+	// cycles the fabric held a hybrid layout.
+	Selections   [arch.NumConfigs]int `json:"selections,omitempty"`
+	HybridCycles int                  `json:"hybridCycles,omitempty"`
+
+	SteeringCacheHits   int `json:"steeringCacheHits,omitempty"`
+	SteeringCacheMisses int `json:"steeringCacheMisses,omitempty"`
+
+	// Prefetch is set under PolicyPrefetch, Faults when fault injection
+	// was enabled.
+	Prefetch *PrefetchStats `json:"prefetch,omitempty"`
+	Faults   *FaultStats    `json:"faults,omitempty"`
+
+	// BusyCycles counts unit-cycles spent executing over the 8 RFU
+	// slots and 5 FFUs; FinalFabric is the allocation vector's slots at
+	// the end of the run, encoded as in the telemetry samples.
+	BusyCycles  int                             `json:"busyCycles"`
+	FinalFabric [arch.NumRFUSlots]arch.Encoding `json:"finalFabric"`
 }
 
-// Report renders a human-readable run summary.
-func (m *Machine) Report() string {
+// Report gathers the run's facts so far into a RunReport; print it for
+// the human-readable summary.
+func (m *Machine) Report() RunReport {
 	s := m.proc.Stats()
+	f := m.proc.Fabric()
+	r := RunReport{
+		Policy:                m.policy.String(),
+		Stats:                 s,
+		IPC:                   s.IPC(),
+		DCacheHits:            m.proc.DCache().Hits(),
+		DCacheMisses:          m.proc.DCache().Misses(),
+		Reconfigurations:      f.Reconfigurations(),
+		ReconfigurationCycles: f.ReconfigurationCycles(),
+		BusyCycles:            f.BusyCycles(),
+		FinalFabric:           f.Allocation().Slots,
+	}
+	r.PredictorAccuracy, r.PredictorLookups = m.proc.Predictor().Accuracy()
+	r.TraceCacheHitRate, r.TraceCacheLookups = m.proc.TraceCache().HitRate()
+	if st, ok := m.ManagerStats(); ok {
+		r.Steering = true
+		r.Selections, r.HybridCycles = st.Selections, st.HybridCycles
+		r.SteeringCacheHits, r.SteeringCacheMisses = st.CacheHits, st.CacheMisses
+		if m.policy == PolicyPrefetch {
+			r.Prefetch = &PrefetchStats{
+				Issued:       st.PrefetchIssued,
+				Confirmed:    st.PrefetchConfirmed,
+				Mispredicted: st.PrefetchMispredicted,
+				Cancelled:    st.PrefetchCancelled,
+				WastedSpans:  st.PrefetchWastedSpans,
+				PhaseChanges: st.PhaseChanges,
+			}
+		}
+	}
+	if f.FaultsEnabled() {
+		fs := f.FaultStats()
+		r.Faults = &fs
+	}
+	return r
+}
+
+// String renders the human-readable run summary.
+func (r RunReport) String() string {
+	s := r.Stats
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy:          %s\n", m.policy)
+	fmt.Fprintf(&b, "policy:          %s\n", r.Policy)
 	fmt.Fprintf(&b, "cycles:          %d\n", s.Cycles)
 	fmt.Fprintf(&b, "retired:         %d\n", s.Retired)
-	fmt.Fprintf(&b, "IPC:             %.3f\n", s.IPC())
+	fmt.Fprintf(&b, "IPC:             %.3f\n", r.IPC)
 	fmt.Fprintf(&b, "issued by type:  %v\n", s.IssuedByType)
 	if s.Cycles > 0 {
 		frac := func(n int) float64 { return 100 * float64(n) / float64(s.Cycles) }
@@ -488,36 +526,32 @@ func (m *Machine) Report() string {
 	}
 	fmt.Fprintf(&b, "branches:        %d resolved, %d mispredicted, %d flushed\n",
 		s.BranchesResolved, s.Mispredicts, s.Flushed)
-	acc, n := m.proc.Predictor().Accuracy()
-	if n > 0 {
-		fmt.Fprintf(&b, "predictor:       %.1f%% over %d branches\n", 100*acc, n)
+	if r.PredictorLookups > 0 {
+		fmt.Fprintf(&b, "predictor:       %.1f%% over %d branches\n", 100*r.PredictorAccuracy, r.PredictorLookups)
 	}
-	fmt.Fprintf(&b, "dcache:          %d hits, %d misses\n", m.proc.DCache().Hits(), m.proc.DCache().Misses())
-	tcr, tn := m.proc.TraceCache().HitRate()
-	if tn > 0 {
-		fmt.Fprintf(&b, "trace cache:     %.1f%% hit rate over %d lookups\n", 100*tcr, tn)
+	fmt.Fprintf(&b, "dcache:          %d hits, %d misses\n", r.DCacheHits, r.DCacheMisses)
+	if r.TraceCacheLookups > 0 {
+		fmt.Fprintf(&b, "trace cache:     %.1f%% hit rate over %d lookups\n", 100*r.TraceCacheHitRate, r.TraceCacheLookups)
 	}
-	fmt.Fprintf(&b, "reconfigs:       %d spans (%d slot-cycles)\n",
-		m.proc.Fabric().Reconfigurations(), m.proc.Fabric().ReconfigurationCycles())
+	fmt.Fprintf(&b, "reconfigs:       %d spans (%d slot-cycles)\n", r.Reconfigurations, r.ReconfigurationCycles)
 	if s.Cycles > 0 {
-		// 13 unit positions: 8 RFU slots + 5 FFUs.
-		util := float64(m.proc.Fabric().BusyCycles()) / float64(s.Cycles*13)
+		util := float64(r.BusyCycles) / float64(s.Cycles*(arch.NumRFUSlots+arch.NumFFUs))
 		fmt.Fprintf(&b, "unit utilisation: %.1f%% of slot+FFU cycles executing\n", 100*util)
 	}
-	if sel, hybrid, ok := m.ConfigurationResidency(); ok {
+	if r.Steering {
+		sel := r.Selections
 		fmt.Fprintf(&b, "selections:      current=%d integer=%d memory=%d floating=%d (hybrid cycles: %d)\n",
-			sel[0], sel[1], sel[2], sel[3], hybrid)
+			sel[0], sel[1], sel[2], sel[3], r.HybridCycles)
 	}
-	if hits, misses, ok := m.SteeringCacheStats(); ok && hits+misses > 0 {
-		fmt.Fprintf(&b, "steering cache:  %.1f%% hit rate over %d lookups\n",
-			100*float64(hits)/float64(hits+misses), hits+misses)
+	if n := r.SteeringCacheHits + r.SteeringCacheMisses; n > 0 {
+		fmt.Fprintf(&b, "steering cache:  %.1f%% hit rate over %d lookups\n", 100*float64(r.SteeringCacheHits)/float64(n), n)
 	}
-	if ps, ok := m.PrefetchStats(); ok {
+	if ps := r.Prefetch; ps != nil {
 		fmt.Fprintf(&b, "prefetch:        %d spans issued, %d confirmed, %d mispredicted, %d cancelled (%d wasted spans)\n",
 			ps.Issued, ps.Confirmed, ps.Mispredicted, ps.Cancelled, ps.WastedSpans)
 		fmt.Fprintf(&b, "phase changes:   %d detected\n", ps.PhaseChanges)
 	}
-	if fs, ok := m.FaultStats(); ok {
+	if fs := r.Faults; fs != nil {
 		fmt.Fprintf(&b, "faults:          %d transient + %d permanent injected, %d detected (%d scrubs)\n",
 			fs.InjectedTransient, fs.InjectedPermanent, fs.Detected, fs.ScrubScans)
 		fmt.Fprintf(&b, "repairs:         %d started, %d completed, %d healed by steering, %d slots dead\n",
@@ -527,7 +561,7 @@ func (m *Machine) Report() string {
 				100*float64(fs.MaskedSlotCycles)/float64(s.Cycles*arch.NumRFUSlots))
 		}
 	}
-	fmt.Fprintf(&b, "final fabric:    %v\n", m.proc.Fabric().Allocation().Slots)
+	fmt.Fprintf(&b, "final fabric:    %v\n", r.FinalFabric)
 	return b.String()
 }
 
@@ -535,61 +569,10 @@ func (m *Machine) Report() string {
 // policies, direct fabric access).
 func (m *Machine) Processor() *cpu.Processor { return m.proc }
 
-// ReportJSON renders the run's statistics as JSON for downstream
-// tooling: the cpu.Stats fields plus derived rates and subsystem
-// counters.
+// ReportJSON renders the run's report (see RunReport) as indented JSON
+// for downstream tooling.
 func (m *Machine) ReportJSON() ([]byte, error) {
-	s := m.proc.Stats()
-	acc, lookups := m.proc.Predictor().Accuracy()
-	tcRate, tcLookups := m.proc.TraceCache().HitRate()
-	sel, hybrid, steering := m.ConfigurationResidency()
-	doc := struct {
-		Policy string    `json:"policy"`
-		Stats  cpu.Stats `json:"stats"`
-		IPC    float64   `json:"ipc"`
-
-		PredictorAccuracy float64 `json:"predictorAccuracy"`
-		PredictorLookups  int     `json:"predictorLookups"`
-		TraceCacheHitRate float64 `json:"traceCacheHitRate"`
-		TraceCacheLookups int     `json:"traceCacheLookups"`
-		DCacheHits        int     `json:"dcacheHits"`
-		DCacheMisses      int     `json:"dcacheMisses"`
-
-		Reconfigurations      int    `json:"reconfigurations"`
-		ReconfigurationCycles int    `json:"reconfigurationCycles"`
-		Steering              bool   `json:"steering"`
-		Selections            [4]int `json:"selections,omitempty"`
-		HybridCycles          int    `json:"hybridCycles,omitempty"`
-
-		SteeringCacheHits   int `json:"steeringCacheHits,omitempty"`
-		SteeringCacheMisses int `json:"steeringCacheMisses,omitempty"`
-
-		Prefetch *PrefetchStats `json:"prefetch,omitempty"`
-		Faults   *FaultStats    `json:"faults,omitempty"`
-	}{
-		Policy:                m.policy.String(),
-		Stats:                 s,
-		IPC:                   s.IPC(),
-		PredictorAccuracy:     acc,
-		PredictorLookups:      lookups,
-		TraceCacheHitRate:     tcRate,
-		TraceCacheLookups:     tcLookups,
-		DCacheHits:            m.proc.DCache().Hits(),
-		DCacheMisses:          m.proc.DCache().Misses(),
-		Reconfigurations:      m.proc.Fabric().Reconfigurations(),
-		ReconfigurationCycles: m.proc.Fabric().ReconfigurationCycles(),
-		Steering:              steering,
-		Selections:            sel,
-		HybridCycles:          hybrid,
-	}
-	doc.SteeringCacheHits, doc.SteeringCacheMisses, _ = m.SteeringCacheStats()
-	if ps, ok := m.PrefetchStats(); ok {
-		doc.Prefetch = &ps
-	}
-	if fs, ok := m.FaultStats(); ok {
-		doc.Faults = &fs
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(m.Report(), "", "  ")
 }
 
 // DefaultMetricsInterval is the sampling interval EnableTelemetry uses
@@ -598,11 +581,10 @@ const DefaultMetricsInterval = 100
 
 // EnableTelemetry attaches a telemetry probe sampling the machine every
 // interval cycles (0 selects DefaultMetricsInterval) and streaming to w
-// in the given format: "jsonl" (samples + steering decisions, one JSON
-// object per line), "csv" (sample time series), or "prom" (Prometheus
-// text snapshot of the cumulative counters, written at flush). Call
-// before Run; Run flushes the exporter when it finishes. The returned
-// probe exposes the metrics registry for programmatic reads.
+// in the given format: "jsonl", "csv" or "prom" (see
+// telemetry.NewExporter). Call before Run; Run flushes the exporter when
+// it finishes. The returned probe exposes the metrics registry for
+// programmatic reads.
 func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*telemetry.Probe, error) {
 	if interval == 0 {
 		interval = DefaultMetricsInterval
@@ -611,16 +593,9 @@ func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*te
 		return nil, fmt.Errorf("repro: metrics interval must be positive, got %d", interval)
 	}
 	probe := telemetry.NewProbe(interval)
-	var exp telemetry.Exporter
-	switch format {
-	case "jsonl":
-		exp = telemetry.NewJSONL(w)
-	case "csv":
-		exp = telemetry.NewCSV(w)
-	case "prom":
-		exp = telemetry.NewProm(w, probe.Registry())
-	default:
-		return nil, fmt.Errorf("repro: unknown metrics format %q (known: jsonl, csv, prom)", format)
+	exp, err := telemetry.NewExporter(w, format, probe.Registry())
+	if err != nil {
+		return nil, err
 	}
 	probe.SetExporter(exp)
 	m.addProbe(probe)
@@ -690,9 +665,9 @@ func (m *Machine) Spans() *span.Recorder { return m.spans }
 func (m *Machine) FlushTelemetry() error { return m.probe.Flush() }
 
 // EnableTracing records up to limit pipeline events (fetch, dispatch,
-// issue, retire, flush, reconfiguration) for TraceLog and Pipeview. Call
-// before Run. When the run produces more events than the limit, the
-// oldest are dropped. Each reconfiguration is one span rewrite.
+// issue, retire, flush, reconfiguration) for Pipeview. Call before Run.
+// When the run produces more events than the limit, the oldest are
+// dropped. Each reconfiguration is one span rewrite.
 func (m *Machine) EnableTracing(limit int) {
 	m.tracer = trace.NewBuffer(limit)
 	m.Observer().Add(m.tracer)
@@ -703,15 +678,6 @@ func (m *Machine) EnableTracing(limit int) {
 func (m *Machine) EnableTracingUntil(limit, lastCycle int) {
 	m.EnableTracing(limit)
 	m.tracer.Until = int64(lastCycle)
-}
-
-// TraceLog renders the recorded pipeline events one per line. Empty when
-// tracing was not enabled.
-func (m *Machine) TraceLog() string {
-	if m.tracer == nil {
-		return ""
-	}
-	return trace.Log(m.tracer.Events(), m.prog)
 }
 
 // Pipeview renders the recorded events as a pipeline chart (one row per

@@ -113,10 +113,11 @@ func TestConfigurationResidency(t *testing.T) {
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sel, _, ok := m.ConfigurationResidency()
-	if !ok {
+	r := m.Report()
+	if !r.Steering {
 		t.Fatal("steering machine reported no residency")
 	}
+	sel := r.Selections
 	total := 0
 	for _, n := range sel {
 		total += n
@@ -127,9 +128,9 @@ func TestConfigurationResidency(t *testing.T) {
 	if sel[3] == 0 {
 		t.Error("FP workload never selected the floating configuration")
 	}
-	// Non-steering machines report ok=false.
+	// Non-steering machines report no steering counters.
 	m2 := NewMachine(prog, Options{Policy: PolicyNone})
-	if _, _, ok := m2.ConfigurationResidency(); ok {
+	if m2.Report().Steering {
 		t.Error("FFU-only machine reported steering residency")
 	}
 }
@@ -160,6 +161,45 @@ func TestReportJSON(t *testing.T) {
 	stats := doc["stats"].(map[string]interface{})
 	if stats["Retired"].(float64) <= 0 {
 		t.Error("retired count missing from stats")
+	}
+}
+
+// TestReportJSONCarriesTextReport: the JSON report carries every fact
+// the text report shows. Under every policy, and on a fault-injection
+// run, the text rendered from the decoded ReportJSON equals the text
+// rendered from the machine's own report.
+func TestReportJSONCarriesTextReport(t *testing.T) {
+	prog := Synthesize(AlternatingPhases(1500, 300), 7)
+	faults := DefaultParams()
+	faults.FaultTransientRate = 0.001
+	faults.FaultPermanentRate = 0.0001
+	faults.FaultSeed = 3
+	faults.FaultScrubInterval = 32
+	var specs []Options
+	for _, p := range Policies() {
+		specs = append(specs, Options{Policy: p})
+	}
+	specs = append(specs, Options{Policy: PolicyPrefetch, Params: faults})
+	for _, o := range specs {
+		m := NewMachine(prog, o)
+		if _, err := m.Run(2_000_000); err != nil {
+			t.Fatalf("%s: %v", o.Policy, err)
+		}
+		data, err := m.ReportJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", o.Policy, err)
+		}
+		var decoded RunReport
+		if err := json.Unmarshal(data, &decoded); err != nil {
+			t.Fatalf("%s: %v", o.Policy, err)
+		}
+		if o.Params.FaultTransientRate > 0 && decoded.Faults == nil {
+			t.Errorf("%s: fault run decoded without fault counters", o.Policy)
+		}
+		if got, want := decoded.String(), m.Report().String(); got != want {
+			t.Errorf("%s (faults %v): text from the JSON report differs:\n%s\nwant:\n%s",
+				o.Policy, o.Params.FaultTransientRate > 0, got, want)
+		}
 	}
 }
 
@@ -216,7 +256,7 @@ func TestReportContainsKeySections(t *testing.T) {
 	if _, err := m.Run(1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	report := m.Report()
+	report := m.Report().String()
 	for _, want := range []string{"IPC:", "reconfigs:", "selections:", "final fabric:", "policy:"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
@@ -342,11 +382,11 @@ func TestCustomBasisRoundTripAndUse(t *testing.T) {
 	if _, err := m.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	sel, _, ok := m.ConfigurationResidency()
-	if !ok {
+	r := m.Report()
+	if !r.Steering {
 		t.Fatal("no residency")
 	}
-	if sel[3] == 0 {
+	if r.Selections[3] == 0 {
 		t.Error("custom FP configuration never selected on an FP workload")
 	}
 	// A custom basis also drives the static policies.

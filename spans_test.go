@@ -219,7 +219,7 @@ func TestSpansBitIdentical(t *testing.T) {
 		if _, err := m.Run(5_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return m.Stats(), m.Report()
+		return m.Stats(), m.Report().String()
 	}
 	plainStats, plainReport := run(false)
 	spanStats, spanReport := run(true)
