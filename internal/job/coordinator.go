@@ -72,6 +72,9 @@ type Observer interface {
 	// PointsShared reports n points answered by another point's
 	// simulation.
 	PointsShared(j *Job, n int)
+	// PointPanicked reports a panic recovered while a point executed;
+	// the point completes with an internal result.
+	PointPanicked(j *Job, index int)
 	QueueDepth(depth int)
 }
 
@@ -82,6 +85,7 @@ func (nopObserver) JobFinished(*Job)                 {}
 func (nopObserver) PointDone(*Job, *api.PointResult) {}
 func (nopObserver) PointRequeued(*Job, int)          {}
 func (nopObserver) PointsShared(*Job, int)           {}
+func (nopObserver) PointPanicked(*Job, int)          {}
 func (nopObserver) QueueDepth(int)                   {}
 
 // Config tunes a Coordinator.
@@ -346,7 +350,7 @@ func (c *Coordinator) slotLoop(e Executor) {
 		if t.TimeoutMs > 0 {
 			pctx, cancel = context.WithTimeout(pctx, time.Duration(t.TimeoutMs)*time.Millisecond)
 		}
-		res, err := e.Execute(pctx, t)
+		res, err := c.execute(pctx, e, t)
 		cancel()
 		if err != nil {
 			c.handleWorkerFailure(e, t, err)
@@ -359,6 +363,23 @@ func (c *Coordinator) slotLoop(e Executor) {
 		}
 		c.deliver(t, finishResult(e, t, res))
 	}
+}
+
+// execute runs t on e. A panic is the point's result, with code
+// internal and the panic value: simulation is deterministic, so a
+// requeue would only panic again, and recovering here keeps one point
+// from killing the process and every job in flight.
+func (c *Coordinator) execute(ctx context.Context, e Executor, t ExecPoint) (res *api.PointResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.obs.PointPanicked(t.Job, t.Index)
+			res, err = &api.PointResult{Index: t.Index, Policy: t.Spec.Policy.String(), Error: &api.Error{
+				Code:    api.CodeInternal,
+				Message: fmt.Sprintf("panicked on %s: %v", e.Name(), v),
+			}}, nil
+		}
+	}()
+	return e.Execute(ctx, t)
 }
 
 // deliver completes t's point with res, then each of its twins with a

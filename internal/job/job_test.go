@@ -245,6 +245,76 @@ func TestMaxAttemptsFailsTwins(t *testing.T) {
 	}
 }
 
+// panicObserver counts the panics the coordinator reports.
+type panicObserver struct {
+	nopObserver
+	panics atomic.Int32
+}
+
+func (o *panicObserver) PointPanicked(*Job, int) { o.panics.Add(1) }
+
+// TestExecutorPanicFailsOnePoint pins panic containment at the job-point
+// boundary: an executor that panics on one canonical point costs that
+// point and its twins an internal result, while the job's other points
+// and the next job finish on the same slots.
+func TestExecutorPanicFailsOnePoint(t *testing.T) {
+	st := openStore(t, "")
+	var calls atomic.Int32
+	exec := &fakeExec{name: "w", slots: 2, exec: func(_ context.Context, p ExecPoint) (*api.PointResult, error) {
+		calls.Add(1)
+		if p.Spec.MaxCycles == 1 {
+			panic("simulator bug")
+		}
+		return okResult(p), nil
+	}}
+	obs := &panicObserver{}
+	c := NewCoordinator(st, []Executor{exec}, Config{Observer: obs})
+	defer c.Close()
+
+	// Points 1, 3 and 4 share one canonical spec (seeds feed only the
+	// random policy): 1 runs, 3 and 4 are its twins.
+	spec := testSpec(3)
+	spec.Points = append(spec.Points, api.RunSpec{MaxCycles: 1, Seed: 7}, api.RunSpec{MaxCycles: 1, Seed: 8})
+	j, err := c.Submit(spec, 0)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, j, api.JobDone)
+	for i, r := range j.Results() {
+		switch i {
+		case 1, 3, 4:
+			if r.Index != i || r.Error == nil || r.Error.Code != api.CodeInternal ||
+				!strings.Contains(r.Error.Message, "simulator bug") || r.Attempts != 1 {
+				t.Errorf("result %d = %+v, want index %d, internal error naming the panic, 1 attempt", i, r, i)
+			}
+		default:
+			if r.Index != i || r.Error != nil || r.Report == nil {
+				t.Errorf("result %d = %+v, want index %d with a report", i, r, i)
+			}
+		}
+	}
+	if n := obs.panics.Load(); n != 1 {
+		t.Errorf("observer saw %d panics, want 1", n)
+	}
+
+	next, err := c.Submit(testSpec(4), 0)
+	if err != nil {
+		t.Fatalf("Submit after panic: %v", err)
+	}
+	waitState(t, next, api.JobDone)
+	for i, r := range next.Results() {
+		if i == 1 {
+			continue // MaxCycles 1 again: the same deterministic panic
+		}
+		if r.Error != nil {
+			t.Errorf("next job result %d = %+v, want a report", i, r)
+		}
+	}
+	if n := calls.Load(); n != 3+4 {
+		t.Errorf("Execute called %d times, want 7 (no requeue of the panicking point)", n)
+	}
+}
+
 // countingExec answers every point from its spec, like the
 // deterministic simulator, and counts its Execute calls.
 func countingExec(calls *atomic.Int32) *fakeExec {

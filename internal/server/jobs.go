@@ -30,54 +30,33 @@ func (e *localExecutor) Name() string { return "local" }
 // more would only queue on the semaphore inside Execute.
 func (e *localExecutor) Slots() int { return e.s.cfg.Workers }
 
-// Execute implements job.Executor. Simulation failures (cycle limit,
-// point deadline) are point-level data; a cancellation — job cancelled
-// or server shutting down — is a worker-level error so the coordinator
-// leaves the point pending instead of recording a bogus result.
+// Execute implements job.Executor. A cancellation — job cancelled or
+// server shutting down — is a worker-level error so the coordinator
+// leaves the point pending instead of recording a bogus result; every
+// other failure (a spec or program a replayed store holds that this
+// server refuses, a cycle limit, the point deadline in the slot wait or
+// the run) is deterministic, so it is the point's result.
 func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.PointResult, error) {
 	s := e.s
-	// One metric and span kind for every point, whatever surface
-	// submitted the job: a resumed store may hold kinds this server no
-	// longer registers histograms for.
-	const kind = "job_point"
 	res := &api.PointResult{Index: p.Index, Policy: p.Spec.Policy.String(), Worker: "local"}
-	// Submit validated the point, but a replayed store may hold specs
-	// this server refuses; such a point fails as data.
 	spec := p.Spec
-	if err := s.resolveSpec(&spec); err != nil {
-		_, res.Error = api.Classify(err)
-		return res, nil
+	err := s.resolveSpec(&spec)
+	var lp loadedProgram
+	if err == nil {
+		lp, err = s.load(p.Program.Source, p.Program.Words)
 	}
-	lp, err := s.load(p.Program.Source, p.Program.Words)
-	if err != nil {
-		// Programs are validated at submit; hitting this means the cache
-		// entry aged out and reassembly failed, which is deterministic —
-		// record it as the point's result rather than requeuing forever.
-		_, res.Error = api.Classify(err)
-		return res, nil
+	if err == nil {
+		// One metric and span kind for every point, whatever surface
+		// submitted the job: a resumed store may hold kinds this server
+		// no longer registers histograms for.
+		res.Report, res.ElapsedMs, err = s.runPoint(ctx, lp, spec, "job_point", p.Job.SpanReq, p.Index, p.Enqueued)
 	}
-	if err := s.pool.acquire(ctx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			// The point's own timeout expired while waiting for a slot.
-			_, res.Error = api.Classify(err)
-			return res, nil
-		}
+	if errors.Is(err, context.Canceled) {
 		return nil, err
 	}
-	defer s.pool.release()
-	acquired := time.Now()
-	s.observeQueueWait(kind, acquired.Sub(p.Enqueued))
-	s.spans.Record(p.Job.SpanReq, "queue-wait", kind, p.Index, p.Enqueued, acquired)
-	report, elapsedMs, err := s.simulate(ctx, lp, spec, kind, p.Job.SpanReq, p.Index)
-	res.ElapsedMs = elapsedMs
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return nil, err
-		}
 		_, res.Error = api.Classify(err)
-		return res, nil
 	}
-	res.Report = report
 	return res, nil
 }
 
@@ -128,6 +107,8 @@ func (o *coordObserver) PointsShared(j *job.Job, n int) {
 	o.s.mmu.Unlock()
 }
 
+func (o *coordObserver) PointPanicked(j *job.Job, index int) { o.s.countPanic() }
+
 func (o *coordObserver) QueueDepth(depth int) {
 	o.s.mmu.Lock()
 	o.s.gaugeJobQueue.Set(int64(depth))
@@ -139,54 +120,44 @@ func (o *coordObserver) QueueDepth(depth int) {
 // handleJobSubmit accepts a sweep as a durable asynchronous job:
 // validate everything up front (program, every point's spec, the point
 // budget), persist, enqueue, answer 202 with the job ID.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("jobs")
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	var req api.JobRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "jobs", err)
-		return
+		return err
 	}
 	if s.draining.Load() {
 		s.countRejected(api.CodeDraining)
-		s.fail(w, "jobs", api.ErrDraining)
-		return
+		return api.ErrDraining
 	}
 	if len(req.Points) == 0 {
-		s.fail(w, "jobs", api.InvalidRequestf("points must not be empty"))
-		return
+		return api.InvalidRequestf("points must not be empty")
 	}
 	if len(req.Points) > s.cfg.MaxJobPoints {
-		s.fail(w, "jobs", api.InvalidRequestf("%d points exceed the job cap of %d",
-			len(req.Points), s.cfg.MaxJobPoints))
-		return
+		return api.InvalidRequestf("%d points exceed the job cap of %d",
+			len(req.Points), s.cfg.MaxJobPoints)
 	}
-	if req.PointTimeoutMs < 0 {
-		s.fail(w, "jobs", api.InvalidRequestf("pointTimeoutMs must be non-negative, got %d", req.PointTimeoutMs))
-		return
-	}
-	pointTimeout := time.Duration(req.PointTimeoutMs) * time.Millisecond
-	if pointTimeout > s.cfg.MaxTimeout {
-		pointTimeout = s.cfg.MaxTimeout
+	// The point deadline resolves here, as /v1/run's does, so every
+	// executor — local or a remote worker — runs the point under it.
+	pointTimeout, err := s.timeout("pointTimeoutMs", req.PointTimeoutMs)
+	if err != nil {
+		return err
 	}
 	// Validate the program now so a typo is a 400 at submit, not a
 	// failed point an hour later. Remote workers re-assemble from the
 	// same source, so the check holds for them too.
 	if _, err := s.load(req.Source, req.Words); err != nil {
-		s.fail(w, "jobs", err)
-		return
+		return err
 	}
 	specs := make([]api.RunSpec, len(req.Points))
 	for i := range req.Points {
 		specs[i] = req.Points[i]
 		if err := s.resolveSpec(&specs[i]); err != nil {
-			s.fail(w, "jobs", api.InvalidRequestf("point %d: %v", i, err))
-			return
+			return api.InvalidRequestf("point %d: %v", i, err)
 		}
 	}
 	if s.coord.Active() >= s.cfg.MaxActiveJobs {
 		s.countRejected(api.CodeQueueFull)
-		s.fail(w, "jobs", api.ErrQueueFull)
-		return
+		return api.ErrQueueFull
 	}
 	j, err := s.coord.Submit(job.Spec{
 		Label:          req.Label,
@@ -196,57 +167,54 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		PointTimeoutMs: int(pointTimeout / time.Millisecond),
 	}, s.spans.NextRequest())
 	if err != nil {
-		s.fail(w, "jobs", err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusAccepted, api.JobCreated{
 		ID:    j.ID,
 		State: j.State(),
 		Total: len(specs),
 	})
+	return nil
 }
 
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("jobs_list")
+func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) error {
 	jobs := s.coord.Store().Jobs()
 	out := api.JobList{Jobs: make([]api.JobStatus, 0, len(jobs))}
 	for _, j := range jobs {
 		out.Jobs = append(out.Jobs, j.Status(false))
 	}
 	writeJSON(w, http.StatusOK, out)
+	return nil
 }
 
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("job")
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.coord.Store().Get(r.PathValue("id"))
 	if !ok {
-		s.fail(w, "job", api.ErrNotFound)
-		return
+		return api.ErrNotFound
 	}
 	writeJSON(w, http.StatusOK, j.Status(r.URL.Query().Get("results") == "1"))
+	return nil
 }
 
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("job_cancel")
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
 	j, err := s.coord.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.fail(w, "job_cancel", err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, j.Status(false))
+	return nil
 }
 
 // handleJobEvents streams a job's per-point results as chunked JSONL
 // (application/x-ndjson): first a replay of every already-completed
 // point, then live events as points land, ending with a terminal state
 // event. The stream also ends when the client disconnects or the
-// server starts draining, so it never blocks shutdown.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("job_events")
+// server starts draining, so it never blocks shutdown. Once the stream
+// has started, its end is never a failure.
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) error {
 	j, ok := s.coord.Store().Get(r.PathValue("id"))
 	if !ok {
-		s.fail(w, "job_events", api.ErrNotFound)
-		return
+		return api.ErrNotFound
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
@@ -261,7 +229,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	replay, ch := j.Subscribe()
 	for _, ev := range replay {
 		if enc.Encode(ev) != nil {
-			return
+			return nil
 		}
 	}
 	flush()
@@ -273,17 +241,17 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, chOpen := <-ch:
 			if !chOpen {
-				return
+				return nil
 			}
 			if enc.Encode(ev) != nil {
-				return
+				return nil
 			}
 			flush()
 		case <-r.Context().Done():
-			return
+			return nil
 		case <-drainTick.C:
 			if s.draining.Load() {
-				return
+				return nil
 			}
 		}
 	}

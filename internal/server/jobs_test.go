@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/api"
@@ -707,6 +708,20 @@ func TestJobPointDeadline(t *testing.T) {
 	for i, p := range status.Points {
 		if p.Error == nil || p.Error.Code != api.CodeDeadlineExceeded {
 			t.Errorf("point %d: error = %v, want code %s", i, p.Error, api.CodeDeadlineExceeded)
+		}
+	}
+
+	// pointTimeoutMs omitted takes the server default, as /v1/run's
+	// timeoutMs does, so a local point has the deadline a remote worker
+	// would give it.
+	_, _, dc := newTestServer(t, Config{Workers: 2, DefaultTimeout: 100 * time.Millisecond})
+	status = runJob(t, dc, api.JobRequest{
+		Source: spinSource,
+		Points: []api.RunSpec{{MaxCycles: 500_000_000}, {MaxCycles: 500_000_000}},
+	})
+	for i, p := range status.Points {
+		if p.Error == nil || p.Error.Code != api.CodeDeadlineExceeded {
+			t.Errorf("default deadline, point %d: error = %v, want code %s", i, p.Error, api.CodeDeadlineExceeded)
 		}
 	}
 }

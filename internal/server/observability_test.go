@@ -9,7 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +152,184 @@ func TestDeadlineTriggerRecorded(t *testing.T) {
 	}
 	if !sawTrigger {
 		t.Errorf("no deadline-exceeded span in ring: %+v", doc.Spans)
+	}
+
+	// A deadline that expires in the slot wait fires the trigger too:
+	// with the only worker held, the run never reaches the simulator.
+	busy, bts, _ := newTestServer(t, Config{Workers: 1})
+	if err := busy.pool.acquire(context.Background()); err != nil {
+		t.Fatalf("holding the worker: %v", err)
+	}
+	defer busy.pool.release()
+	code, _ = postJSON(t, bts, "/v1/run", fmt.Sprintf(`{"source": %q, "timeoutMs": 50}`, haltingSource))
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("slot-wait deadline run status = %d, want 504", code)
+	}
+	doc = flightDoc(t, bts.URL)
+	if doc.Deadlines != 1 {
+		t.Errorf("slot-wait deadlines = %d, want 1", doc.Deadlines)
+	}
+	var sawWaitTrigger bool
+	for _, s := range doc.Spans {
+		if s.Name == "execute" {
+			t.Errorf("run executed with the only worker held: %+v", s)
+		}
+		if s.Name == "deadline-exceeded" && s.Kind == "run" && s.Detail == "deadline" {
+			sawWaitTrigger = true
+		}
+	}
+	if !sawWaitTrigger {
+		t.Errorf("no deadline-exceeded span for the slot wait: %+v", doc.Spans)
+	}
+}
+
+// metricSeries parses a /metrics exposition into its series values,
+// keyed by name and labels as rendered.
+func metricSeries(t *testing.T, url string) map[string]uint64 {
+	t.Helper()
+	series := map[string]uint64{}
+	for _, line := range strings.Split(metricsText(t, url), "\n") {
+		key, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseUint(val, 10, 64)
+		if err != nil {
+			continue // negative gauges and sums are not counts
+		}
+		series[key] = v
+	}
+	return series
+}
+
+// TestRouteTableDrivesMetrics sends one request to every route and one
+// failing request to every route that can fail, and checks each
+// route's request, latency and failure series moved under its own
+// handler label: the labels come from the one route table.
+func TestRouteTableDrivesMetrics(t *testing.T) {
+	s, ts, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	created, err := c.SubmitJob(ctx, api.JobRequest{Source: haltingSource, Points: []api.RunSpec{{}}})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := c.WaitJob(ctx, created.ID, nil); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	job := "/v1/jobs/" + created.ID
+	src := fmt.Sprintf(`{"source": %q}`, haltingSource)
+	type call struct {
+		method, path, body string
+		status             int
+	}
+	// By handler label: a request that succeeds, then one that fails.
+	// healthz fails only while draining, so its failure is sent last.
+	calls := map[string][]call{
+		"assemble":       {{"POST", "/v1/assemble", src, 200}, {"POST", "/v1/assemble", `{}`, 400}},
+		"run":            {{"POST", "/v1/run", src, 200}, {"POST", "/v1/run", `{"source": "halt\n", "policy": "nope"}`, 400}},
+		"estimate":       {{"POST", "/v1/estimate", src, 200}, {"POST", "/v1/estimate", `{}`, 400}},
+		"healthz":        {{"GET", "/v1/healthz", "", 200}},
+		"metrics":        {{"GET", "/metrics", "", 200}},
+		"flightrecorder": {{"GET", "/debug/flightrecorder", "", 200}},
+		"jobs":           {{"POST", "/v1/jobs", fmt.Sprintf(`{"source": %q, "points": [{}]}`, haltingSource), 202}, {"POST", "/v1/jobs", `{"source": "halt\n", "points": []}`, 400}},
+		"jobs_list":      {{"GET", "/v1/jobs", "", 200}},
+		"job":            {{"GET", job, "", 200}, {"GET", "/v1/jobs/j-nope", "", 404}},
+		"job_events":     {{"GET", job + "/events", "", 200}, {"GET", "/v1/jobs/j-nope/events", "", 404}},
+		"job_cancel":     {{"DELETE", job, "", 200}, {"DELETE", "/v1/jobs/j-nope", "", 404}},
+	}
+	send := func(cl call) {
+		req, err := http.NewRequest(cl.method, ts.URL+cl.path, strings.NewReader(cl.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", cl.method, cl.path, err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != cl.status {
+			t.Errorf("%s %s: status %d, want %d", cl.method, cl.path, resp.StatusCode, cl.status)
+		}
+	}
+
+	before := metricSeries(t, ts.URL)
+	for _, rt := range routes {
+		if len(calls[rt.name]) == 0 {
+			t.Errorf("route %q (%s) has no request in this test", rt.name, rt.pattern)
+		}
+		for _, cl := range calls[rt.name] {
+			send(cl)
+		}
+	}
+	s.StartDrain()
+	drained := call{"GET", "/v1/healthz", "", 503}
+	send(drained)
+	calls["healthz"] = append(calls["healthz"], drained)
+	after := metricSeries(t, ts.URL)
+
+	for _, rt := range routes {
+		sent, failed := uint64(len(calls[rt.name])), uint64(0)
+		for _, cl := range calls[rt.name] {
+			if cl.status >= 300 {
+				failed++
+			}
+		}
+		wantDur := sent
+		if rt.name == "metrics" {
+			// The snapshots are metrics requests too: the second counts
+			// itself before it renders, the first's latency lands after.
+			sent++
+			wantDur++
+		}
+		for series, want := range map[string]uint64{
+			`rssd_requests_total{handler="` + rt.name + `"}`:            sent,
+			`rssd_handler_duration_us_count{handler="` + rt.name + `"}`: wantDur,
+			`rssd_failures_total{handler="` + rt.name + `"}`:            failed,
+		} {
+			if _, ok := after[series]; !ok {
+				t.Errorf("metrics lack %s", series)
+			} else if got := after[series] - before[series]; got != want {
+				t.Errorf("%s moved by %d, want %d", series, got, want)
+			}
+		}
+	}
+}
+
+// TestHandlerPanicAnswered pins panic containment at the request
+// boundary: a handler that panics behind serve gets a 500 internal
+// envelope, rssd_panics_total counts it, and the next request is served.
+func TestHandlerPanicAnswered(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/run", s.serve("run", func(*Server, http.ResponseWriter, *http.Request) error {
+		panic("simulator bug")
+	}))
+	mux.Handle("/", s.Handler())
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	src := fmt.Sprintf(`{"source": %q}`, haltingSource)
+	code, doc := postJSON(t, ts, "/v1/run", src)
+	if code != http.StatusInternalServerError || errCode(t, doc) != api.CodeInternal {
+		t.Fatalf("panicking run: status %d, body %v; want 500 %s", code, doc, api.CodeInternal)
+	}
+	if msg := doc["error"].(map[string]any)["message"].(string); !strings.Contains(msg, "simulator bug") {
+		t.Errorf("panic envelope message %q does not name the panic value", msg)
+	}
+	text := metricsText(t, ts.URL)
+	for _, want := range []string{
+		`rssd_panics_total 1`,
+		`rssd_requests_total{handler="run"} 1`,
+		`rssd_failures_total{handler="run"} 1`,
+		`rssd_handler_duration_us_count{handler="run"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if code, doc := postJSON(t, ts, "/v1/assemble", src); code != http.StatusOK {
+		t.Errorf("request after the panic: status %d (%v), want 200", code, doc)
 	}
 }
 

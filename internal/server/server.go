@@ -168,6 +168,7 @@ type Server struct {
 	gaugeJobQueue *telemetry.Gauge
 	estimates     map[string]*telemetry.Counter // by predicted bottleneck
 	estimateUs    *telemetry.Histogram          // model solve µs
+	panics        *telemetry.Counter            // panics recovered in handlers and job points
 
 	// spans is the service flight recorder: request lifecycle spans
 	// (decode → queue-wait → execute → encode, one child per job point)
@@ -182,10 +183,24 @@ var prefetchCounterNames = []string{
 	"wasted_spans", "phase_changes",
 }
 
-// handler and job-kind names used as metric label values.
-var handlerNames = []string{
-	"assemble", "run", "estimate", "healthz", "metrics",
-	"flightrecorder", "jobs", "jobs_list", "job", "job_events", "job_cancel",
+// routes is the service's one route table: each pattern, the handler
+// label its metrics carry, and the handler. Every route takes the one
+// request path in serve.
+var routes = []struct {
+	pattern, name string
+	h             func(*Server, http.ResponseWriter, *http.Request) error
+}{
+	{"POST /v1/assemble", "assemble", (*Server).handleAssemble},
+	{"POST /v1/run", "run", (*Server).handleRun},
+	{"POST /v1/estimate", "estimate", (*Server).handleEstimate},
+	{"GET /v1/healthz", "healthz", (*Server).handleHealthz},
+	{"GET /metrics", "metrics", (*Server).handleMetrics},
+	{"GET /debug/flightrecorder", "flightrecorder", (*Server).handleFlightRecorder},
+	{"POST /v1/jobs", "jobs", (*Server).handleJobSubmit},
+	{"GET /v1/jobs", "jobs_list", (*Server).handleJobList},
+	{"GET /v1/jobs/{id}", "job", (*Server).handleJobGet},
+	{"GET /v1/jobs/{id}/events", "job_events", (*Server).handleJobEvents},
+	{"DELETE /v1/jobs/{id}", "job_cancel", (*Server).handleJobCancel},
 }
 
 // estimateBottleneckNames enumerates every bottleneck label the
@@ -218,6 +233,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		pool:       newPool(cfg.Workers, cfg.Backlog),
 		cache:      newProgramCache(cfg.CacheSize),
+		mux:        http.NewServeMux(),
 		registry:   telemetry.NewRegistry(),
 		requests:   map[string]*telemetry.Counter{},
 		failures:   map[string]*telemetry.Counter{},
@@ -227,11 +243,13 @@ func New(cfg Config) (*Server, error) {
 		handlerDur: map[string]*telemetry.Histogram{},
 		spans:      span.NewService(cfg.SpanFlightSize),
 	}
-	for _, h := range handlerNames {
-		s.requests[h] = s.registry.NewCounter("rssd_requests_total",
-			"HTTP requests received, by handler.", telemetry.Label{Key: "handler", Value: h})
-		s.failures[h] = s.registry.NewCounter("rssd_failures_total",
-			"Requests answered with a non-2xx status, by handler.", telemetry.Label{Key: "handler", Value: h})
+	// Every route is mounted through serve, under its metric labels.
+	for _, rt := range routes {
+		s.requests[rt.name] = s.registry.NewCounter("rssd_requests_total",
+			"HTTP requests received, by handler.", telemetry.Label{Key: "handler", Value: rt.name})
+		s.failures[rt.name] = s.registry.NewCounter("rssd_failures_total",
+			"Requests answered with a non-2xx status, by handler.", telemetry.Label{Key: "handler", Value: rt.name})
+		s.mux.HandleFunc(rt.pattern, s.serve(rt.name, rt.h))
 	}
 	for _, reason := range []string{api.CodeQueueFull, api.CodeDraining} {
 		s.rejected[reason] = s.registry.NewCounter("rssd_rejected_total",
@@ -250,10 +268,10 @@ func New(cfg Config) (*Server, error) {
 			"Admission-to-worker-slot wait in microseconds, by job kind.", usBounds,
 			telemetry.Label{Key: "kind", Value: kind})
 	}
-	for _, h := range handlerNames {
-		s.handlerDur[h] = s.registry.NewHistogram("rssd_handler_duration_us",
+	for _, rt := range routes {
+		s.handlerDur[rt.name] = s.registry.NewHistogram("rssd_handler_duration_us",
 			"Handler wall-clock latency in microseconds, by handler.", usBounds,
-			telemetry.Label{Key: "handler", Value: h})
+			telemetry.Label{Key: "handler", Value: rt.name})
 	}
 	s.gaugeRun = s.registry.NewGauge("rssd_jobs_running",
 		"Simulations currently holding a worker slot.")
@@ -301,6 +319,8 @@ func New(cfg Config) (*Server, error) {
 		"Jobs in a non-terminal state.")
 	s.gaugeJobQueue = s.registry.NewGauge("rssd_job_queue_depth",
 		"Grid points waiting for an executor slot.")
+	s.panics = s.registry.NewCounter("rssd_panics_total",
+		"Panics recovered: in a handler (answered 500 internal) or in a job point (an internal point result).")
 
 	// The sweep fabric: the durable store plus the coordinator over the
 	// configured worker set. No worker URLs means points execute
@@ -320,31 +340,9 @@ func New(cfg Config) (*Server, error) {
 	s.coord = job.NewCoordinator(store, execs, job.Config{Observer: &coordObserver{s: s}})
 	s.coord.Resume()
 
-	s.mux = http.NewServeMux()
-	// timed wraps each service handler with its per-endpoint latency
-	// histogram; the handlers count their own requests (so rejection
-	// reasons stay close to the rejection logic).
-	timed := func(pattern, name string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			h(w, r)
-			s.observeHandler(name, time.Since(start))
-		})
-	}
-	timed("POST /v1/assemble", "assemble", s.handleAssemble)
-	timed("POST /v1/run", "run", s.handleRun)
-	timed("POST /v1/estimate", "estimate", s.handleEstimate)
-	timed("POST /v1/jobs", "jobs", s.handleJobSubmit)
-	timed("GET /v1/jobs", "jobs_list", s.handleJobList)
-	timed("GET /v1/jobs/{id}", "job", s.handleJobGet)
-	timed("GET /v1/jobs/{id}/events", "job_events", s.handleJobEvents)
-	timed("DELETE /v1/jobs/{id}", "job_cancel", s.handleJobCancel)
-	timed("GET /v1/healthz", "healthz", s.handleHealthz)
-	timed("GET /metrics", "metrics", s.handleMetrics)
-	timed("GET /debug/flightrecorder", "flightrecorder", s.handleFlightRecorder)
 	if cfg.EnablePprof {
-		// Deliberately mounted raw: profiling traffic bypasses the
-		// request-counting and latency instrumentation above.
+		// Deliberately mounted raw: profiling traffic bypasses serve's
+		// request counting and latency instrumentation.
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -397,6 +395,12 @@ func (s *Server) countFailure(handler string) {
 	s.mmu.Unlock()
 }
 
+func (s *Server) countPanic() {
+	s.mmu.Lock()
+	s.panics.Inc()
+	s.mmu.Unlock()
+}
+
 func (s *Server) countRejected(reason string) {
 	s.mmu.Lock()
 	if c, ok := s.rejected[reason]; ok {
@@ -444,6 +448,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // nothing left to tell the client
 }
 
+// serve is the one request path every route takes: it counts the
+// request and times it under the route's handler label, answers an
+// error the handler returns through fail, and turns a panic into a 500
+// internal envelope counted in rssd_panics_total, so a simulator panic
+// costs one request, never the process or the connection.
+func (s *Server) serve(name string, h func(*Server, http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		s.countRequest(name)
+		defer func() {
+			if v := recover(); v != nil {
+				s.countPanic()
+				s.fail(w, name, fmt.Errorf("%s handler panicked: %v", name, v))
+			}
+			s.observeHandler(name, time.Since(start))
+		}()
+		if err := h(s, w, r); err != nil {
+			s.fail(w, name, err)
+		}
+	}
+}
+
 // fail classifies err, counts it, and writes the error envelope.
 func (s *Server) fail(w http.ResponseWriter, handler string, err error) {
 	status, apiErr := api.Classify(err)
@@ -455,10 +481,11 @@ func (s *Server) fail(w http.ResponseWriter, handler string, err error) {
 	enc.Encode(api.Envelope{Error: apiErr}) //nolint:errcheck
 }
 
-// timeout resolves a request's deadline from its TimeoutMs field.
-func (s *Server) timeout(ms int) (time.Duration, error) {
+// timeout resolves the deadline a request field asks for: 0 takes the
+// server default, and any deadline is capped at the server maximum.
+func (s *Server) timeout(field string, ms int) (time.Duration, error) {
 	if ms < 0 {
-		return 0, api.InvalidRequestf("timeoutMs must be non-negative, got %d", ms)
+		return 0, api.InvalidRequestf("%s must be non-negative, got %d", field, ms)
 	}
 	d := s.cfg.DefaultTimeout
 	if ms > 0 {
@@ -529,13 +556,24 @@ func (s *Server) resolveSpec(spec *api.RunSpec) error {
 	return nil
 }
 
-// simulate runs one job to completion under ctx and renders its report:
-// the scalar report for one core, the cluster report for several. The
-// caller must already hold a worker slot. Units are read-only at run
-// time, so concurrent jobs share them safely — each core gets its own
-// memory image. req and point feed the worker-execution span of the
-// service flight recorder (point is -1 for /v1/run).
-func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
+// runPoint runs one point — a /v1/run request (point -1) or a job
+// point — on a worker slot: it waits for the slot under ctx, records
+// the wait since queued, simulates and renders the report (scalar for
+// one core, the cluster report for several). Units are read-only at
+// run time, so concurrent points share them; each core gets its own
+// memory image. A deadline expiring in either wait fires the flight
+// recorder's deadline trigger.
+func (s *Server) runPoint(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int, queued time.Time) (json.RawMessage, float64, error) {
+	if err := s.pool.acquire(ctx); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.spans.TriggerDeadline(req, kind, point, queued, time.Now())
+		}
+		return nil, 0, err
+	}
+	defer s.pool.release()
+	acquired := time.Now()
+	s.observeQueueWait(kind, acquired.Sub(queued))
+	s.spans.Record(req, "queue-wait", kind, point, queued, acquired)
 	c := cluster.New(lp.unit.Program, spec)
 	for k := 0; k < c.Cores(); k++ {
 		lp.unit.Apply(c.Core(k).Processor().Memory())
@@ -550,7 +588,6 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 	}
 	s.spans.Record(req, name, kind, point, start, start.Add(elapsed))
 	if errors.Is(err, context.DeadlineExceeded) {
-		// The service-side flight-recorder anomaly trigger.
 		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
 	}
 	for k := 0; k < c.Cores(); k++ {
@@ -604,26 +641,21 @@ func (s *Server) admitJob() (func(), error) {
 
 // --- handlers ---
 
-func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("assemble")
+func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) error {
 	var req api.AssembleRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "assemble", err)
-		return
+		return err
 	}
 	if req.Source == "" {
-		s.fail(w, "assemble", api.InvalidRequestf("source is required"))
-		return
+		return api.InvalidRequestf("source is required")
 	}
 	lp, err := s.load(req.Source, nil)
 	if err != nil {
-		s.fail(w, "assemble", err)
-		return
+		return err
 	}
 	words, err := repro.EncodeProgram(lp.unit.Program)
 	if err != nil {
-		s.fail(w, "assemble", fmt.Errorf("encoding program: %w", err))
-		return
+		return fmt.Errorf("encoding program: %w", err)
 	}
 	writeJSON(w, http.StatusOK, api.AssembleResponse{
 		Instructions: len(lp.unit.Program),
@@ -631,61 +663,46 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 		Disassembly:  repro.Disassemble(lp.unit.Program),
 		Cached:       lp.cached,
 	})
+	return nil
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("run")
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	reqID := s.spans.NextRequest()
 	decodeStart := time.Now()
 	var req api.RunRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	s.spans.Record(reqID, "decode", "run", -1, decodeStart, time.Now())
-	d, err := s.timeout(req.TimeoutMs)
+	d, err := s.timeout("timeoutMs", req.TimeoutMs)
 	if err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	lp, err := s.load(req.Source, req.Words)
 	if err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	spec := req.RunSpec
 	if err := s.resolveSpec(&spec); err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	leave, err := s.admitJob()
 	if err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	defer leave()
 
 	admitted := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	if err := s.pool.acquire(ctx); err != nil {
-		s.fail(w, "run", err)
-		return
-	}
-	acquired := time.Now()
-	s.observeQueueWait("run", acquired.Sub(admitted))
-	s.spans.Record(reqID, "queue-wait", "run", -1, admitted, acquired)
-	report, elapsedMs, err := func() (json.RawMessage, float64, error) {
-		defer s.pool.release()
-		return s.simulate(ctx, lp, spec, "run", reqID, -1)
-	}()
+	report, elapsedMs, err := s.runPoint(ctx, lp, spec, "run", reqID, -1, admitted)
 	if err != nil {
-		s.fail(w, "run", err)
-		return
+		return err
 	}
 	encodeStart := time.Now()
 	writeJSON(w, http.StatusOK, api.RunResponse{Report: report, ElapsedMs: elapsedMs, Cached: lp.cached})
 	s.spans.Record(reqID, "encode", "run", -1, encodeStart, time.Now())
+	return nil
 }
 
 // handleEstimate answers POST /v1/estimate from the analytic queueing
@@ -693,27 +710,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handler passes admission control (draining and backlog checks apply
 // as everywhere) but never takes a worker slot — estimates stay cheap
 // and available while every worker is busy simulating.
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("estimate")
+func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	var req api.EstimateRequest
 	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "estimate", err)
-		return
+		return err
 	}
 	lp, err := s.load(req.Source, req.Words)
 	if err != nil {
-		s.fail(w, "estimate", err)
-		return
+		return err
 	}
 	spec := req.RunSpec
 	if err := s.resolveSpec(&spec); err != nil {
-		s.fail(w, "estimate", err)
-		return
+		return err
 	}
 	leave, err := s.admitJob()
 	if err != nil {
-		s.fail(w, "estimate", err)
-		return
+		return err
 	}
 	defer leave()
 
@@ -721,8 +733,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	est, err := repro.EstimateIPC(lp.unit.Program, spec)
 	solve := time.Since(start)
 	if err != nil {
-		s.fail(w, "estimate", err)
-		return
+		return err
 	}
 	s.countEstimate(est.Bottleneck, solve)
 	writeJSON(w, http.StatusOK, api.EstimateResponse{
@@ -730,6 +741,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		ElapsedUs: float64(solve) / float64(time.Microsecond),
 		Cached:    lp.cached,
 	})
+	return nil
 }
 
 // countEstimate lands one served estimate on the metrics: the
@@ -743,8 +755,9 @@ func (s *Server) countEstimate(bottleneck string, solve time.Duration) {
 	s.estimateUs.Observe(solve.Microseconds())
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("healthz")
+// handleHealthz answers the health body; while draining it is a 503,
+// counted as a failure here because its body is not an error envelope.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	status := "ok"
 	code := http.StatusOK
 	if s.draining.Load() {
@@ -758,20 +771,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Running:  s.pool.running(),
 		Admitted: s.pool.admitted(),
 	})
+	return nil
 }
 
 // handleFlightRecorder serves the service-span flight ring as JSON: the
 // last N request lifecycle spans (decode, queue-wait, execute, encode,
 // job points) plus deadline-trigger counters. It reads a snapshot under the
 // recorder's own lock, so it is safe to hit while requests are in flight.
-func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("flightrecorder")
+func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "application/json")
 	s.spans.WriteJSON(w) //nolint:errcheck // client went away; nothing to do
+	return nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("metrics")
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
 	s.gaugeRun.Set(int64(s.pool.running()))
@@ -779,4 +792,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.gaugeJobsAct.Set(int64(s.coord.Active()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.registry.Render(w) //nolint:errcheck // client went away; nothing to do
+	return nil
 }
