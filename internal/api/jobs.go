@@ -25,6 +25,10 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool { return s == JobDone || s == JobCancelled }
 
+// TerminalStates names every final state: the state label values of a
+// per-outcome job metric.
+func TerminalStates() []string { return []string{string(JobDone), string(JobCancelled)} }
+
 // JobRequest is the body of POST /v1/jobs: one program fanned out over
 // a grid of run specifications, executed asynchronously across the
 // worker set. Exactly one of Source or Words must be set.

@@ -164,6 +164,20 @@ func FFUCounts() arch.Counts {
 	return n
 }
 
+// Classify names a slot layout: "(empty)" when every slot is empty, the
+// name of the basis configuration it equals, or "hybrid".
+func Classify(slots [arch.NumRFUSlots]arch.Encoding, basis [3]Configuration) string {
+	if slots == ([arch.NumRFUSlots]arch.Encoding{}) { // every slot arch.EncEmpty
+		return "(empty)"
+	}
+	for _, cfg := range basis {
+		if slots == cfg.Layout {
+			return cfg.Name
+		}
+	}
+	return "hybrid"
+}
+
 // AllocationVector is the configuration loader's record of what is
 // configured where (§3.2): one 3-bit encoding per reconfigurable slot
 // followed by one per fixed functional unit. The fixed portion never

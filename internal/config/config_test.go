@@ -239,3 +239,32 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("AllocationVector.String = %q", got)
 	}
 }
+
+// TestClassify: the empty layout is "(empty)" before any basis match —
+// even against a basis holding an empty configuration — a basis layout
+// takes its configuration's name, and anything else is "hybrid".
+func TestClassify(t *testing.T) {
+	basis := DefaultBasis()
+	var empty [arch.NumRFUSlots]arch.Encoding
+	if got := Classify(empty, basis); got != "(empty)" {
+		t.Errorf("empty layout = %q, want (empty)", got)
+	}
+	withEmpty := basis
+	withEmpty[1] = Configuration{Name: "blank"}
+	if got := Classify(empty, withEmpty); got != "(empty)" {
+		t.Errorf("empty layout against a blank basis entry = %q, want (empty)", got)
+	}
+	for _, cfg := range basis {
+		if got := Classify(cfg.Layout, basis); got != cfg.Name {
+			t.Errorf("layout of %s = %q", cfg.Name, got)
+		}
+	}
+	hybrid := basis[0].Layout
+	hybrid[0], hybrid[1] = basis[2].Layout[0], basis[2].Layout[1]
+	if hybrid == basis[0].Layout || hybrid == basis[2].Layout {
+		t.Fatal("test layout is not a hybrid")
+	}
+	if got := Classify(hybrid, basis); got != "hybrid" {
+		t.Errorf("mixed layout = %q, want hybrid", got)
+	}
+}

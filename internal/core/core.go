@@ -241,7 +241,9 @@ type Manager struct {
 	basisAvail [3]arch.Counts
 	fabric     *rfu.Fabric
 	// ExactCEM switches the error metric generators to the paper's
-	// "more accurate divider" variant (the X3 ablation).
+	// "more accurate divider" variant (the X3 ablation). It is fixed
+	// before first use: set it before the first Select or Step, since
+	// the steering cache holds entries computed under one metric.
 	ExactCEM bool
 	// MinResidency suppresses loading a new configuration until at
 	// least this many cycles have passed since the last load — a
@@ -271,11 +273,8 @@ type Manager struct {
 	lookup    int32
 	cacheOpen bool
 
-	// cache is the direct-mapped steering cache; cacheExact records the
-	// ExactCEM mode its entries were computed under, so toggling the
-	// metric flushes them.
-	cache      [steerCacheSize]steerEntry
-	cacheExact bool
+	// cache is the direct-mapped steering cache.
+	cache [steerCacheSize]steerEntry
 	// basisUnits holds each basis configuration's placement list,
 	// computed once at NewManager so Load never rebuilds it.
 	basisUnits [3][]config.PlacedUnit
@@ -386,13 +385,6 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 		m.lookup = trace.LookupNone
 		m.selectUncached(sel, required, alloc, dead)
 		return 0, 0
-	}
-	if m.cacheExact != m.ExactCEM {
-		// The error metric changed out from under the cached entries;
-		// flush in place (no allocation — the table is an array field).
-		m.cache = [steerCacheSize]steerEntry{}
-		m.cacheExact = m.ExactCEM
-		m.obs.Emit(trace.Event{Kind: trace.KindCacheFlush})
 	}
 	key := packSteerKey(required, alloc.Slots, unavail, dead)
 	line = steerCacheIndex(key)
@@ -514,30 +506,10 @@ func (m *Manager) EmitSelection(sel *Selection) {
 // reconfiguration installs and salvage.
 func (m *Manager) ClassifyAllocation() string {
 	if v := m.fabric.AllocVersion(); v != m.classifyVersion || m.classifyName == "" {
-		m.classifyName = m.classifyAllocationSlow()
+		m.classifyName = config.Classify(m.fabric.Allocation().Slots, m.basis)
 		m.classifyVersion = v
 	}
 	return m.classifyName
-}
-
-func (m *Manager) classifyAllocationSlow() string {
-	slots := m.fabric.Allocation().Slots
-	empty := true
-	for _, e := range slots {
-		if e != arch.EncEmpty {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return "(empty)"
-	}
-	for _, cfg := range m.basis {
-		if slots == cfg.Layout {
-			return cfg.Name
-		}
-	}
-	return "hybrid"
 }
 
 // Step performs one cycle of configuration management: encode the queue's
@@ -556,7 +528,7 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 	timers, plain := m.fabric.TimerMasks()
 	version := m.fabric.AllocVersion()
 	hit := memo.valid && required == memo.required && version == memo.version && plain &&
-		!m.DisableCache && m.cacheExact == m.ExactCEM && m.cache[memo.line].key == memo.tag
+		!m.DisableCache && m.cache[memo.line].key == memo.tag
 	if hit {
 		m.stats.CacheHits++
 		m.lookup = trace.LookupHit

@@ -414,22 +414,6 @@ func X7() string {
 	return b.String()
 }
 
-// classifySlots names a sampled slot layout: a basis configuration's
-// name, "(empty)", or "hybrid".
-func classifySlots(slots [arch.NumRFUSlots]arch.Encoding, basis [3]config.Configuration) string {
-	for _, cfg := range basis {
-		if slots == cfg.Layout {
-			return cfg.Name
-		}
-	}
-	for _, e := range slots {
-		if e != arch.EncEmpty {
-			return "hybrid"
-		}
-	}
-	return "(empty)"
-}
-
 // X8 renders the adaptation timeline: windowed IPC, fabric state and
 // reconfiguration activity as the steering machine crosses the phase
 // boundaries of the phased workload — the paper's steering story made
@@ -455,7 +439,7 @@ func X8() string {
 			fmt.Sprintf("%d-%d", s.Cycle-window, s.Cycle),
 			s.Retired,
 			s.IntervalIPC,
-			classifySlots(s.Slots, basis),
+			config.Classify(s.Slots, basis),
 			s.IntervalReconfigs,
 			s.RFUUnits[arch.FPALU]+s.RFUUnits[arch.FPMDU]+ffu[arch.FPALU]+ffu[arch.FPMDU],
 			s.RFUUnits[arch.LSU]+ffu[arch.LSU],

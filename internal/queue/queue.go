@@ -527,6 +527,18 @@ func solveSegment(seg Segment, caps [arch.NumUnitTypes]float64, p cpu.Params) se
 	return sol
 }
 
+// Bottlenecks lists every label Estimate.Bottleneck can take: "empty"
+// for a program with no segments, each segment bound solveSegment
+// names, and "reconfig" from dominantBottleneck.
+func Bottlenecks() []string {
+	names := []string{"empty", "dependencies", "frontend", "issue-width", "queueing", "reconfig"}
+	for k := 0; k < arch.NumUnitTypes; k++ {
+		u := arch.UnitType(k).String()
+		names = append(names, "units:"+u, "capacity:"+u)
+	}
+	return names
+}
+
 // dominantBottleneck picks the label that explains the most predicted
 // cycles, promoting "reconfig" when overhead is the largest single
 // contributor.

@@ -153,6 +153,71 @@ func TestStarvedCapacity(t *testing.T) {
 	}
 }
 
+// TestBottlenecksVocabulary: every bottleneck the model names — on the
+// X21 validation scenarios (internal/experiments) under every policy,
+// on the FFU-less ones, on a starved basis and on an empty program — is
+// one Bottlenecks lists. rssd registers its per-bottleneck estimate
+// counters from that list, so a name missing there would go uncounted.
+func TestBottlenecksVocabulary(t *testing.T) {
+	known := map[string]bool{}
+	for _, b := range Bottlenecks() {
+		if known[b] {
+			t.Errorf("Bottlenecks lists %q twice", b)
+		}
+		known[b] = true
+	}
+	phased := synth(t, []workload.Phase{
+		{Mix: workload.MixIntHeavy, Instructions: 500},
+		{Mix: workload.MixFPHeavy, Instructions: 500},
+		{Mix: workload.MixMemHeavy, Instructions: 500},
+		{Mix: workload.MixFPHeavy, Instructions: 500},
+	}, 7)
+	lat64 := cpu.DefaultParams()
+	lat64.ReconfigLatency = 64
+	noFFU := cpu.DefaultParams()
+	noFFU.DisableFFUs = true
+	w16 := cpu.DefaultParams()
+	w16.WindowSize = 16
+	fpBasis := [3]config.Configuration{
+		config.MustNew("fp-a", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
+		config.MustNew("fp-b", arch.FPMDU, arch.FPMDU, arch.IntALU, arch.LSU),
+		config.MustNew("fp-c", arch.FPALU, arch.FPALU, arch.IntALU, arch.LSU),
+	}
+	intBasis := [3]config.Configuration{
+		config.MustNew("int-a", arch.IntALU, arch.LSU),
+		config.MustNew("int-b", arch.IntALU, arch.LSU),
+		config.MustNew("int-c", arch.IntALU, arch.LSU),
+	}
+	fpOnly := synth(t, []workload.Phase{{Mix: workload.MixFPHeavy, Instructions: 600}}, 5)
+	scenarios := []struct {
+		name   string
+		prog   isa.Program
+		params cpu.Params
+		basis  *[3]config.Configuration
+	}{
+		{"X1 phased", phased, cpu.DefaultParams(), nil},
+		{"X2 lat=64", synth(t, []workload.Phase{
+			{Mix: workload.MixIntHeavy, Instructions: 400},
+			{Mix: workload.MixFPHeavy, Instructions: 400},
+		}, 7), lat64, nil},
+		{"X4 no FFUs", fpOnly, noFFU, nil},
+		{"X5 window=16", synth(t, []workload.Phase{{Mix: workload.MixUniform, Instructions: 800}}, 3), w16, nil},
+		{"X6 fp basis", synth(t, []workload.Phase{
+			{Mix: workload.MixFPHeavy, Instructions: 400},
+			{Mix: workload.MixIntHeavy, Instructions: 400},
+		}, 2), cpu.DefaultParams(), &fpBasis},
+		{"no FFUs, int-only basis", fpOnly, noFFU, &intBasis},
+		{"empty program", nil, cpu.DefaultParams(), nil},
+	}
+	for _, sc := range scenarios {
+		for pol := cpu.Policy(0); pol.Valid(); pol++ {
+			if b := estimateIPC(t, pol, sc.params, sc.basis, sc.prog).Bottleneck; !known[b] {
+				t.Errorf("%s, %s: bottleneck %q is not in Bottlenecks()", sc.name, pol, b)
+			}
+		}
+	}
+}
+
 func TestErlangC(t *testing.T) {
 	// M/M/1 waiting probability is exactly the utilisation.
 	for _, rho := range []float64{0.1, 0.5, 0.9} {

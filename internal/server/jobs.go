@@ -66,19 +66,10 @@ type coordObserver struct {
 	s *Server
 }
 
-func (o *coordObserver) JobSubmitted(j *job.Job) {
-	o.s.mmu.Lock()
-	o.s.jobsSubmitted.Inc()
-	o.s.mmu.Unlock()
-}
+func (o *coordObserver) JobSubmitted(j *job.Job) { o.s.inc(o.s.jobsSubmitted, 1) }
 
 func (o *coordObserver) JobFinished(j *job.Job) {
-	state := string(j.State())
-	o.s.mmu.Lock()
-	if c, ok := o.s.jobsFinished[state]; ok {
-		c.Inc()
-	}
-	o.s.mmu.Unlock()
+	o.s.inc(o.s.jobsFinished[string(j.State())], 1)
 	// One fabric-level span per job lifetime, under the job's request
 	// ordinal, so a flight-recorder dump shows the whole sweep next to
 	// its per-point children.
@@ -90,30 +81,16 @@ func (o *coordObserver) PointDone(j *job.Job, res *api.PointResult) {
 	if res.Error != nil {
 		outcome = "failed"
 	}
-	o.s.mmu.Lock()
-	o.s.jobPoints[outcome].Inc()
-	o.s.mmu.Unlock()
+	o.s.inc(o.s.jobPoints[outcome], 1)
 }
 
-func (o *coordObserver) PointRequeued(j *job.Job, index int) {
-	o.s.mmu.Lock()
-	o.s.jobPoints["requeued"].Inc()
-	o.s.mmu.Unlock()
-}
+func (o *coordObserver) PointRequeued(j *job.Job, index int) { o.s.inc(o.s.jobPoints["requeued"], 1) }
 
-func (o *coordObserver) PointsShared(j *job.Job, n int) {
-	o.s.mmu.Lock()
-	o.s.pointsShared.Add(uint64(n))
-	o.s.mmu.Unlock()
-}
+func (o *coordObserver) PointsShared(j *job.Job, n int) { o.s.inc(o.s.pointsShared, uint64(n)) }
 
-func (o *coordObserver) PointPanicked(j *job.Job, index int) { o.s.countPanic() }
+func (o *coordObserver) PointPanicked(j *job.Job, index int) { o.s.inc(o.s.panics, 1) }
 
-func (o *coordObserver) QueueDepth(depth int) {
-	o.s.mmu.Lock()
-	o.s.gaugeJobQueue.Set(int64(depth))
-	o.s.mmu.Unlock()
-}
+func (o *coordObserver) QueueDepth(depth int) { o.s.set(o.s.gaugeJobQueue, int64(depth)) }
 
 // --- handlers ---
 
@@ -126,7 +103,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	if s.draining.Load() {
-		s.countRejected(api.CodeDraining)
+		s.inc(s.rejected[api.CodeDraining], 1)
 		return api.ErrDraining
 	}
 	if len(req.Points) == 0 {
@@ -156,7 +133,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	if s.coord.Active() >= s.cfg.MaxActiveJobs {
-		s.countRejected(api.CodeQueueFull)
+		s.inc(s.rejected[api.CodeQueueFull], 1)
 		return api.ErrQueueFull
 	}
 	j, err := s.coord.Submit(job.Spec{

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/queue"
 	"repro/internal/span"
 )
 
@@ -200,6 +201,78 @@ func metricSeries(t *testing.T, url string) map[string]uint64 {
 		series[key] = v
 	}
 	return series
+}
+
+// TestFreshMetricsExposition: a fresh server's /metrics lists each
+// family as one contiguous block under one HELP and one TYPE line, every
+// series once and at 0 (the scrape itself counts first), and every value
+// of each label vocabulary the families register from.
+func TestFreshMetricsExposition(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	text := metricsText(t, ts.URL)
+
+	headers, started, series := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	family := ""
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			if headers[line] {
+				t.Errorf("header repeated: %s", line)
+			}
+			headers[line] = true
+			if name := strings.Fields(line)[2]; name != family {
+				if started[name] {
+					t.Errorf("family %s starts again after %s", name, family)
+				}
+				started[name] = true
+				family = name
+			}
+			continue
+		}
+		key, val, _ := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(key, "{")
+		if name != family {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suffix)
+			}
+		}
+		if name != family {
+			t.Errorf("series %s outside its family's block (inside %s)", key, family)
+		}
+		if series[key] {
+			t.Errorf("series %s listed twice", key)
+		}
+		series[key] = true
+		want := "0"
+		if key == `rssd_requests_total{handler="metrics"}` {
+			want = "1"
+		}
+		if val != want {
+			t.Errorf("fresh %s = %s, want %s", key, val, want)
+		}
+	}
+
+	var handlers []string
+	for _, rt := range routes {
+		handlers = append(handlers, rt.name)
+	}
+	for prefix, values := range map[string][]string{
+		"rssd_requests_total{handler=":            handlers,
+		"rssd_failures_total{handler=":            handlers,
+		"rssd_handler_duration_us_count{handler=": handlers,
+		"rssd_rejected_total{reason=":             {api.CodeQueueFull, api.CodeDraining},
+		"rssd_job_duration_ms_count{kind=":        jobKindNames,
+		"rssd_queue_wait_us_count{kind=":          jobKindNames,
+		"rssd_prefetch_total{counter=":            prefetchCounterNames,
+		"rssd_estimate_total{bottleneck=":         queue.Bottlenecks(),
+		"rssd_sweep_jobs_finished_total{state=":   api.TerminalStates(),
+		"rssd_job_points_total{outcome=":          pointOutcomeNames,
+	} {
+		for _, v := range values {
+			if key := prefix + strconv.Quote(v) + "}"; !series[key] {
+				t.Errorf("fresh /metrics lacks %s", key)
+			}
+		}
+	}
 }
 
 // TestRouteTableDrivesMetrics sends one request to every route and one

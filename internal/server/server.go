@@ -39,9 +39,9 @@ import (
 
 	"repro"
 	"repro/internal/api"
-	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/queue"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 )
@@ -143,8 +143,8 @@ type Server struct {
 
 	// Service metrics. The telemetry registry is single-goroutine by
 	// design (it belongs to the simulator's hot path), so every access
-	// here — updates from handler goroutines and Render on /metrics —
-	// holds mmu.
+	// here — updates through inc, observe and set from handler
+	// goroutines, and Render on /metrics — holds mmu.
 	mmu           sync.Mutex
 	registry      *telemetry.Registry
 	requests      map[string]*telemetry.Counter   // by handler
@@ -203,23 +203,8 @@ var routes = []struct {
 	{"DELETE /v1/jobs/{id}", "job_cancel", (*Server).handleJobCancel},
 }
 
-// estimateBottleneckNames enumerates every bottleneck label the
-// analytic model can emit, so the per-bottleneck estimate counters can
-// be registered up front (the telemetry registry is fixed after New).
-func estimateBottleneckNames() []string {
-	names := []string{"empty", "dependencies", "frontend", "issue-width", "queueing", "reconfig"}
-	for k := 0; k < arch.NumUnitTypes; k++ {
-		u := arch.UnitType(k).String()
-		names = append(names, "units:"+u, "capacity:"+u)
-	}
-	return names
-}
-
 // jobKindNames label the simulation-latency and queue-wait histograms.
 var jobKindNames = []string{"run", "job_point"}
-
-// jobStateNames label rssd_jobs_finished_total.
-var jobStateNames = []string{string(api.JobDone), string(api.JobCancelled)}
 
 // pointOutcomeNames label rssd_job_points_total.
 var pointOutcomeNames = []string{"done", "failed", "requeued"}
@@ -229,98 +214,76 @@ var pointOutcomeNames = []string{"done", "failed", "requeued"}
 // the coordinator over the configured worker set.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:        cfg,
-		pool:       newPool(cfg.Workers, cfg.Backlog),
-		cache:      newProgramCache(cfg.CacheSize),
-		mux:        http.NewServeMux(),
-		registry:   telemetry.NewRegistry(),
-		requests:   map[string]*telemetry.Counter{},
-		failures:   map[string]*telemetry.Counter{},
-		rejected:   map[string]*telemetry.Counter{},
-		jobs:       map[string]*telemetry.Histogram{},
-		queueWait:  map[string]*telemetry.Histogram{},
-		handlerDur: map[string]*telemetry.Histogram{},
-		spans:      span.NewService(cfg.SpanFlightSize),
+	handlers := make([]string, len(routes))
+	for i, rt := range routes {
+		handlers[i] = rt.name
 	}
-	// Every route is mounted through serve, under its metric labels.
-	for _, rt := range routes {
-		s.requests[rt.name] = s.registry.NewCounter("rssd_requests_total",
-			"HTTP requests received, by handler.", telemetry.Label{Key: "handler", Value: rt.name})
-		s.failures[rt.name] = s.registry.NewCounter("rssd_failures_total",
-			"Requests answered with a non-2xx status, by handler.", telemetry.Label{Key: "handler", Value: rt.name})
-		s.mux.HandleFunc(rt.pattern, s.serve(rt.name, rt.h))
-	}
-	for _, reason := range []string{api.CodeQueueFull, api.CodeDraining} {
-		s.rejected[reason] = s.registry.NewCounter("rssd_rejected_total",
-			"Jobs rejected at admission, by reason.", telemetry.Label{Key: "reason", Value: reason})
-	}
-	bounds := []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
+	msBounds := []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 	// Queue waits and handler latencies are often sub-millisecond, so
 	// those histograms bucket in microseconds.
 	usBounds := []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000,
 		50000, 100000, 250000, 500000, 1000000, 5000000, 30000000}
-	for _, kind := range jobKindNames {
-		s.jobs[kind] = s.registry.NewHistogram("rssd_job_duration_ms",
-			"Simulation wall-clock latency in milliseconds, by job kind.", bounds,
-			telemetry.Label{Key: "kind", Value: kind})
-		s.queueWait[kind] = s.registry.NewHistogram("rssd_queue_wait_us",
-			"Admission-to-worker-slot wait in microseconds, by job kind.", usBounds,
-			telemetry.Label{Key: "kind", Value: kind})
-	}
-	for _, rt := range routes {
-		s.handlerDur[rt.name] = s.registry.NewHistogram("rssd_handler_duration_us",
-			"Handler wall-clock latency in microseconds, by handler.", usBounds,
-			telemetry.Label{Key: "handler", Value: rt.name})
-	}
-	s.gaugeRun = s.registry.NewGauge("rssd_jobs_running",
-		"Simulations currently holding a worker slot.")
-	s.gaugeQueued = s.registry.NewGauge("rssd_jobs_admitted",
-		"Jobs admitted and not yet finished (running plus waiting).")
-	s.cacheHits = s.registry.NewCounter("rssd_program_cache_hits_total",
-		"Program loads (source or words) served from the program cache.")
-	s.cacheMisses = s.registry.NewCounter("rssd_program_cache_misses_total",
-		"Program loads that had to assemble the source or decode the words.")
-	s.steerHits = s.registry.NewCounter("rssd_steering_cache_hits_total",
-		"Steering-cache hits aggregated over simulations run by this server.")
-	s.steerMisses = s.registry.NewCounter("rssd_steering_cache_misses_total",
-		"Steering-cache misses aggregated over simulations run by this server.")
-	s.prefetch = map[string]*telemetry.Counter{}
-	for _, name := range prefetchCounterNames {
-		s.prefetch[name] = s.registry.NewCounter("rssd_prefetch_total",
+	reg := telemetry.NewRegistry()
+	// Each family is one registration; struct fields evaluate in source
+	// order, which is the order /metrics lists the families in.
+	s := &Server{
+		cfg:      cfg,
+		pool:     newPool(cfg.Workers, cfg.Backlog),
+		cache:    newProgramCache(cfg.CacheSize),
+		mux:      http.NewServeMux(),
+		spans:    span.NewService(cfg.SpanFlightSize),
+		registry: reg,
+		requests: reg.NewCounters("rssd_requests_total",
+			"HTTP requests received, by handler.", "handler", handlers...),
+		failures: reg.NewCounters("rssd_failures_total",
+			"Requests answered with a non-2xx status, by handler.", "handler", handlers...),
+		rejected: reg.NewCounters("rssd_rejected_total",
+			"Jobs rejected at admission, by reason.", "reason", api.CodeQueueFull, api.CodeDraining),
+		jobs: reg.NewHistograms("rssd_job_duration_ms",
+			"Simulation wall-clock latency in milliseconds, by job kind.", msBounds, "kind", jobKindNames...),
+		queueWait: reg.NewHistograms("rssd_queue_wait_us",
+			"Admission-to-worker-slot wait in microseconds, by job kind.", usBounds, "kind", jobKindNames...),
+		handlerDur: reg.NewHistograms("rssd_handler_duration_us",
+			"Handler wall-clock latency in microseconds, by handler.", usBounds, "handler", handlers...),
+		gaugeRun: reg.NewGauge("rssd_jobs_running",
+			"Simulations currently holding a worker slot."),
+		gaugeQueued: reg.NewGauge("rssd_jobs_admitted",
+			"Jobs admitted and not yet finished (running plus waiting)."),
+		cacheHits: reg.NewCounter("rssd_program_cache_hits_total",
+			"Program loads (source or words) served from the program cache."),
+		cacheMisses: reg.NewCounter("rssd_program_cache_misses_total",
+			"Program loads that had to assemble the source or decode the words."),
+		steerHits: reg.NewCounter("rssd_steering_cache_hits_total",
+			"Steering-cache hits aggregated over simulations run by this server."),
+		steerMisses: reg.NewCounter("rssd_steering_cache_misses_total",
+			"Steering-cache misses aggregated over simulations run by this server."),
+		prefetch: reg.NewCounters("rssd_prefetch_total",
 			"Speculative-prefetch accounting aggregated over prefetch-policy simulations, by counter.",
-			telemetry.Label{Key: "counter", Value: name})
-	}
-	s.estimates = map[string]*telemetry.Counter{}
-	for _, b := range estimateBottleneckNames() {
-		s.estimates[b] = s.registry.NewCounter("rssd_estimate_total",
-			"Analytic estimates served, by the model's predicted bottleneck.",
-			telemetry.Label{Key: "bottleneck", Value: b})
-	}
-	s.estimateUs = s.registry.NewHistogram("rssd_estimate_solve_us",
-		"Analytic model solve time in microseconds (profile plus fixed point, excluding assembly).",
-		usBounds)
-	s.jobsSubmitted = s.registry.NewCounter("rssd_sweep_jobs_submitted_total",
-		"Sweep jobs accepted by the coordinator through POST /v1/jobs.")
-	s.jobsFinished = map[string]*telemetry.Counter{}
-	for _, state := range jobStateNames {
-		s.jobsFinished[state] = s.registry.NewCounter("rssd_sweep_jobs_finished_total",
-			"Sweep jobs reaching a terminal state, by state.", telemetry.Label{Key: "state", Value: state})
-	}
-	s.jobPoints = map[string]*telemetry.Counter{}
-	for _, outcome := range pointOutcomeNames {
-		s.jobPoints[outcome] = s.registry.NewCounter("rssd_job_points_total",
+			"counter", prefetchCounterNames...),
+		estimates: reg.NewCounters("rssd_estimate_total",
+			"Analytic estimates served, by the model's predicted bottleneck.", "bottleneck", queue.Bottlenecks()...),
+		estimateUs: reg.NewHistogram("rssd_estimate_solve_us",
+			"Analytic model solve time in microseconds (profile plus fixed point, excluding assembly).", usBounds),
+		jobsSubmitted: reg.NewCounter("rssd_sweep_jobs_submitted_total",
+			"Sweep jobs accepted by the coordinator through POST /v1/jobs."),
+		jobsFinished: reg.NewCounters("rssd_sweep_jobs_finished_total",
+			"Sweep jobs reaching a terminal state, by state.", "state", api.TerminalStates()...),
+		jobPoints: reg.NewCounters("rssd_job_points_total",
 			"Grid points scheduled by the coordinator, by outcome (requeued counts re-dispatches after worker failures).",
-			telemetry.Label{Key: "outcome", Value: outcome})
+			"outcome", pointOutcomeNames...),
+		pointsShared: reg.NewCounter("rssd_job_points_shared_total",
+			"Grid points answered by another point's simulation: a job runs each distinct canonical spec once."),
+		gaugeJobsAct: reg.NewGauge("rssd_sweep_jobs_active",
+			"Jobs in a non-terminal state."),
+		gaugeJobQueue: reg.NewGauge("rssd_job_queue_depth",
+			"Grid points waiting for an executor slot."),
+		panics: reg.NewCounter("rssd_panics_total",
+			"Panics recovered: in a handler (answered 500 internal) or in a job point (an internal point result)."),
 	}
-	s.pointsShared = s.registry.NewCounter("rssd_job_points_shared_total",
-		"Grid points answered by another point's simulation: a job runs each distinct canonical spec once.")
-	s.gaugeJobsAct = s.registry.NewGauge("rssd_sweep_jobs_active",
-		"Jobs in a non-terminal state.")
-	s.gaugeJobQueue = s.registry.NewGauge("rssd_job_queue_depth",
-		"Grid points waiting for an executor slot.")
-	s.panics = s.registry.NewCounter("rssd_panics_total",
-		"Panics recovered: in a handler (answered 500 internal) or in a job point (an internal point result).")
+	// Every route is mounted through serve, under its metric labels.
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, s.serve(rt.name, rt.h))
+	}
 
 	// The sweep fabric: the durable store plus the coordinator over the
 	// configured worker set. No worker URLs means points execute
@@ -381,60 +344,34 @@ func (s *Server) Close() error {
 	return s.coord.Store().Close()
 }
 
-// --- metric update helpers (all take mmu) ---
+// --- metric updates ---
 
-func (s *Server) countRequest(handler string) {
-	s.mmu.Lock()
-	s.requests[handler].Inc()
-	s.mmu.Unlock()
-}
+// inc, observe and set are the one update path of the service metrics:
+// each holds mmu, and each skips a nil series — the lookup of a label
+// value its family does not register.
 
-func (s *Server) countFailure(handler string) {
-	s.mmu.Lock()
-	s.failures[handler].Inc()
-	s.mmu.Unlock()
-}
-
-func (s *Server) countPanic() {
-	s.mmu.Lock()
-	s.panics.Inc()
-	s.mmu.Unlock()
-}
-
-func (s *Server) countRejected(reason string) {
-	s.mmu.Lock()
-	if c, ok := s.rejected[reason]; ok {
-		c.Inc()
+func (s *Server) inc(c *telemetry.Counter, n uint64) {
+	if c != nil {
+		s.mmu.Lock()
+		c.Add(n)
+		s.mmu.Unlock()
 	}
-	s.mmu.Unlock()
 }
 
-func (s *Server) observeJob(kind string, elapsed time.Duration) {
-	s.mmu.Lock()
-	s.jobs[kind].Observe(elapsed.Milliseconds())
-	s.mmu.Unlock()
-}
-
-func (s *Server) observeQueueWait(kind string, elapsed time.Duration) {
-	s.mmu.Lock()
-	s.queueWait[kind].Observe(elapsed.Microseconds())
-	s.mmu.Unlock()
-}
-
-func (s *Server) observeHandler(name string, elapsed time.Duration) {
-	s.mmu.Lock()
-	s.handlerDur[name].Observe(elapsed.Microseconds())
-	s.mmu.Unlock()
-}
-
-func (s *Server) countCache(hit bool) {
-	s.mmu.Lock()
-	if hit {
-		s.cacheHits.Inc()
-	} else {
-		s.cacheMisses.Inc()
+func (s *Server) observe(h *telemetry.Histogram, v int64) {
+	if h != nil {
+		s.mmu.Lock()
+		h.Observe(v)
+		s.mmu.Unlock()
 	}
-	s.mmu.Unlock()
+}
+
+func (s *Server) set(g *telemetry.Gauge, v int64) {
+	if g != nil {
+		s.mmu.Lock()
+		g.Set(v)
+		s.mmu.Unlock()
+	}
 }
 
 // --- request plumbing ---
@@ -456,13 +393,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) serve(name string, h func(*Server, http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.countRequest(name)
+		s.inc(s.requests[name], 1)
 		defer func() {
 			if v := recover(); v != nil {
-				s.countPanic()
+				s.inc(s.panics, 1)
 				s.fail(w, name, fmt.Errorf("%s handler panicked: %v", name, v))
 			}
-			s.observeHandler(name, time.Since(start))
+			s.observe(s.handlerDur[name], time.Since(start).Microseconds())
 		}()
 		if err := h(s, w, r); err != nil {
 			s.fail(w, name, err)
@@ -473,7 +410,7 @@ func (s *Server) serve(name string, h func(*Server, http.ResponseWriter, *http.R
 // fail classifies err, counts it, and writes the error envelope.
 func (s *Server) fail(w http.ResponseWriter, handler string, err error) {
 	status, apiErr := api.Classify(err)
-	s.countFailure(handler)
+	s.inc(s.failures[handler], 1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -530,14 +467,14 @@ func (s *Server) load(source string, words []uint32) (loadedProgram, error) {
 // loadCached returns the cached unit for key, or builds and caches it.
 func (s *Server) loadCached(key programKey, build func() (*repro.Unit, error)) (loadedProgram, error) {
 	if unit, ok := s.cache.get(key); ok {
-		s.countCache(true)
+		s.inc(s.cacheHits, 1)
 		return loadedProgram{unit: unit, cached: true}, nil
 	}
 	unit, err := build()
 	if err != nil {
 		return loadedProgram{}, err
 	}
-	s.countCache(false)
+	s.inc(s.cacheMisses, 1)
 	s.cache.put(key, unit)
 	return loadedProgram{unit: unit}, nil
 }
@@ -572,7 +509,7 @@ func (s *Server) runPoint(ctx context.Context, lp loadedProgram, spec api.RunSpe
 	}
 	defer s.pool.release()
 	acquired := time.Now()
-	s.observeQueueWait(kind, acquired.Sub(queued))
+	s.observe(s.queueWait[kind], acquired.Sub(queued).Microseconds())
 	s.spans.Record(req, "queue-wait", kind, point, queued, acquired)
 	c := cluster.New(lp.unit.Program, spec)
 	for k := 0; k < c.Cores(); k++ {
@@ -581,7 +518,7 @@ func (s *Server) runPoint(ctx context.Context, lp loadedProgram, spec api.RunSpe
 	start := time.Now()
 	_, err := c.RunContext(ctx, spec.MaxCycles)
 	elapsed := time.Since(start)
-	s.observeJob(kind, elapsed)
+	s.observe(s.jobs[kind], elapsed.Milliseconds())
 	name := "execute"
 	if point >= 0 {
 		name = "point"
@@ -610,17 +547,15 @@ func (s *Server) accountMachine(r repro.RunReport) {
 	if !r.Steering {
 		return
 	}
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	s.steerHits.Add(uint64(r.SteeringCacheHits))
-	s.steerMisses.Add(uint64(r.SteeringCacheMisses))
+	s.inc(s.steerHits, uint64(r.SteeringCacheHits))
+	s.inc(s.steerMisses, uint64(r.SteeringCacheMisses))
 	if ps := r.Prefetch; ps != nil {
-		s.prefetch["spans_issued"].Add(uint64(ps.Issued))
-		s.prefetch["confirmed"].Add(uint64(ps.Confirmed))
-		s.prefetch["mispredicted"].Add(uint64(ps.Mispredicted))
-		s.prefetch["cancelled"].Add(uint64(ps.Cancelled))
-		s.prefetch["wasted_spans"].Add(uint64(ps.WastedSpans))
-		s.prefetch["phase_changes"].Add(uint64(ps.PhaseChanges))
+		s.inc(s.prefetch["spans_issued"], uint64(ps.Issued))
+		s.inc(s.prefetch["confirmed"], uint64(ps.Confirmed))
+		s.inc(s.prefetch["mispredicted"], uint64(ps.Mispredicted))
+		s.inc(s.prefetch["cancelled"], uint64(ps.Cancelled))
+		s.inc(s.prefetch["wasted_spans"], uint64(ps.WastedSpans))
+		s.inc(s.prefetch["phase_changes"], uint64(ps.PhaseChanges))
 	}
 }
 
@@ -629,11 +564,11 @@ func (s *Server) accountMachine(r repro.RunReport) {
 // returned release func is non-nil exactly when err is nil.
 func (s *Server) admitJob() (func(), error) {
 	if s.draining.Load() {
-		s.countRejected(api.CodeDraining)
+		s.inc(s.rejected[api.CodeDraining], 1)
 		return nil, api.ErrDraining
 	}
 	if !s.pool.admit() {
-		s.countRejected(api.CodeQueueFull)
+		s.inc(s.rejected[api.CodeQueueFull], 1)
 		return nil, api.ErrQueueFull
 	}
 	return s.pool.leave, nil
@@ -735,24 +670,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	s.countEstimate(est.Bottleneck, solve)
+	s.inc(s.estimates[est.Bottleneck], 1)
+	s.observe(s.estimateUs, solve.Microseconds())
 	writeJSON(w, http.StatusOK, api.EstimateResponse{
 		Estimate:  est,
 		ElapsedUs: float64(solve) / float64(time.Microsecond),
 		Cached:    lp.cached,
 	})
 	return nil
-}
-
-// countEstimate lands one served estimate on the metrics: the
-// per-bottleneck counter and the solve-time histogram.
-func (s *Server) countEstimate(bottleneck string, solve time.Duration) {
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	if c, ok := s.estimates[bottleneck]; ok {
-		c.Add(1)
-	}
-	s.estimateUs.Observe(solve.Microseconds())
 }
 
 // handleHealthz answers the health body; while draining it is a 503,
@@ -763,7 +688,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
-		s.countFailure("healthz")
+		s.inc(s.failures["healthz"], 1)
 	}
 	writeJSON(w, code, api.HealthResponse{
 		Status:   status,
@@ -785,11 +710,11 @@ func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) er
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
+	s.set(s.gaugeRun, int64(s.pool.running()))
+	s.set(s.gaugeQueued, int64(s.pool.admitted()))
+	s.set(s.gaugeJobsAct, int64(s.coord.Active()))
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
-	s.gaugeRun.Set(int64(s.pool.running()))
-	s.gaugeQueued.Set(int64(s.pool.admitted()))
-	s.gaugeJobsAct.Set(int64(s.coord.Active()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.registry.Render(w) //nolint:errcheck // client went away; nothing to do
 	return nil

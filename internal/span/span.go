@@ -1,6 +1,6 @@
 // Package span records duration-bearing epochs from both layers of the
 // system: simulator spans (reconfiguration bus transactions, repair
-// windows, prefetch speculation, workload phases, steering-cache flush
+// windows, prefetch speculation, workload phases, steering-cache
 // epochs) and service spans (rssd request lifecycle stages). It follows
 // the same nil-sink discipline as internal/telemetry: every Recorder
 // method is safe on a nil receiver, so instrumented call sites cost one
@@ -38,8 +38,8 @@ const (
 	KindSpec
 	// KindPhase is one detected workload phase; A is the phase ordinal.
 	KindPhase
-	// KindCacheEpoch is a steering-cache epoch: the interval between
-	// two cache flushes (or run start / end of run).
+	// KindCacheEpoch is a steering cache's epoch: the whole run, from
+	// its start to Finish, once the cache is in use.
 	KindCacheEpoch
 	// KindFault is an instant: a fault event on Slot. Name is the
 	// event ("inject", "detect", "heal"); Aux qualifies it
@@ -198,8 +198,7 @@ type Recorder struct {
 	phaseOpen   bool
 	phaseStart  int64
 	phaseCount  int32
-	cacheUsed   bool // a steering cache is in use; emit epochs
-	cacheStart  int64
+	cacheUsed   bool // a steering cache is in use; emit its epoch
 	finished    bool
 }
 
@@ -250,7 +249,7 @@ func (r *Recorder) record(e Entry) {
 // recorderKinds are the events the recorder consumes.
 var recorderKinds = trace.Kinds(
 	trace.KindCycleEnd, trace.KindReconfig, trace.KindCacheOpen,
-	trace.KindCacheFlush, trace.KindFaultInject, trace.KindFaultDetect,
+	trace.KindFaultInject, trace.KindFaultDetect,
 	trace.KindFaultHeal, trace.KindRepairStart, trace.KindRepairEnd,
 	trace.KindPhaseChange, trace.KindSpecOpen, trace.KindSpecResolve)
 
@@ -279,13 +278,9 @@ func (r *Recorder) Observe(e trace.Event) {
 		r.record(Entry{Kind: KindReconfig, Slot: int16(e.A), A: e.B, B: e.C,
 			Start: r.now, Dur: int64(e.C), Name: e.Str})
 	case trace.KindCacheOpen:
-		// Emit the trailing epoch at Finish even if the cache is never
-		// flushed.
+		// The cache's one epoch runs from the start of the run and
+		// closes at Finish.
 		r.cacheUsed = true
-	case trace.KindCacheFlush:
-		r.cacheUsed = true
-		r.closeCacheEpoch()
-		r.cacheStart = r.now
 	case trace.KindFaultInject:
 		r.winFaults++
 		aux := "transient"
@@ -392,12 +387,6 @@ func (r *Recorder) closePhase() {
 	}
 }
 
-// closeCacheEpoch records the steering-cache epoch ending now.
-func (r *Recorder) closeCacheEpoch() {
-	r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
-		Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
-}
-
 // specResolve closes the open speculation span (if any) with the given
 // outcome and the number of speculative bus transactions it issued.
 func (r *Recorder) specResolve(outcome string, spansIssued int32) {
@@ -426,7 +415,7 @@ func (r *Recorder) Finish() {
 		r.repairEnd(s, OutcomeOpen)
 	}
 	if r.cacheUsed {
-		r.closeCacheEpoch()
+		r.record(Entry{Kind: KindCacheEpoch, Slot: -1, Dur: r.now, Name: "cache-epoch"})
 	}
 }
 

@@ -232,7 +232,6 @@ func TestOpenSpanLifecycles(t *testing.T) {
 	s.cycle(50, 50)
 	s.emit(trace.KindRepairEnd, 2)
 	s.specResolve(trace.SpecMispredict, 2)
-	s.emit(trace.KindCacheFlush, -1)
 	s.emit(trace.KindPhaseChange, -1)
 
 	s.cycle(90, 90)
@@ -281,14 +280,11 @@ func TestOpenSpanLifecycles(t *testing.T) {
 	}
 
 	epochs := byKind[KindCacheEpoch]
-	if len(epochs) != 2 {
-		t.Fatalf("cache epochs = %d, want 2 (flush + trailing)", len(epochs))
+	if len(epochs) != 1 {
+		t.Fatalf("cache epochs = %d, want 1", len(epochs))
 	}
-	if epochs[0].Start != 0 || epochs[0].Dur != 50 {
-		t.Errorf("flush epoch = %+v", epochs[0])
-	}
-	if epochs[1].Start != 50 || epochs[1].Dur != 40 {
-		t.Errorf("trailing epoch = %+v", epochs[1])
+	if epochs[0].Start != 0 || epochs[0].Dur != 90 {
+		t.Errorf("cache epoch = %+v", epochs[0])
 	}
 }
 

@@ -99,7 +99,7 @@ type Label struct {
 	Key, Value string
 }
 
-// kind tags a registered metric for rendering.
+// kind tags a metric family for rendering.
 type kind int
 
 const (
@@ -108,19 +108,22 @@ const (
 	kindHistogram
 )
 
-// metric is one registry entry.
+// metric is one registered series of a family.
 type metric struct {
-	name   string
-	help   string
 	labels []Label
-	kind   kind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
 }
 
-// key returns the uniqueness key (name plus rendered labels).
-func (m *metric) key() string { return m.name + renderLabels(m.labels) }
+// family is every series registered under one metric name. The
+// Prometheus text format requires a family's lines to form one group,
+// so Render writes a family's header and all of its series together.
+type family struct {
+	name, help string
+	kind       kind
+	series     []*metric
+}
 
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
@@ -142,37 +145,58 @@ func renderLabels(labels []Label) string {
 // happens at setup time and may allocate; after that the registry is
 // only read (by exporters) or written through the metric handles.
 type Registry struct {
-	metrics []*metric
-	byKey   map[string]bool
+	families []*family // in first-registration order
+	byName   map[string]*family
+	byKey    map[string]bool // name plus rendered labels of every series
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: map[string]bool{}}
+	return &Registry{byName: map[string]*family{}, byKey: map[string]bool{}}
 }
 
-// register adds a metric, panicking on a duplicate (name, labels) pair —
-// a duplicate is always a wiring bug.
-func (r *Registry) register(m *metric) {
-	k := m.key()
-	if r.byKey[k] {
-		panic(fmt.Sprintf("telemetry: duplicate metric %s", k))
+// register adds a series to its family, panicking on a duplicate
+// (name, labels) pair or on a name registered before under another
+// kind or help text — either is always a wiring bug.
+func (r *Registry) register(name, help string, k kind, m *metric) {
+	f := r.byName[name]
+	if f == nil {
+		f = &family{name: name, help: help, kind: k}
+		r.byName[name] = f
+		r.families = append(r.families, f)
 	}
-	r.byKey[k] = true
-	r.metrics = append(r.metrics, m)
+	if f.kind != k || f.help != help {
+		panic(fmt.Sprintf("telemetry: metric %s registered with a different kind or help text", name))
+	}
+	key := name + renderLabels(m.labels)
+	if r.byKey[key] {
+		panic(fmt.Sprintf("telemetry: duplicate metric %s", key))
+	}
+	r.byKey[key] = true
+	f.series = append(f.series, m)
 }
 
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindCounter, c: c})
+	r.register(name, help, kindCounter, &metric{labels: labels, c: c})
 	return c
+}
+
+// NewCounters registers a counter family with one series per value of
+// the label key, in value order, and returns the series by value.
+func (r *Registry) NewCounters(name, help, key string, values ...string) map[string]*Counter {
+	out := make(map[string]*Counter, len(values))
+	for _, v := range values {
+		out[v] = r.NewCounter(name, help, Label{key, v})
+	}
+	return out
 }
 
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{}
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindGauge, g: g})
+	r.register(name, help, kindGauge, &metric{labels: labels, g: g})
 	return g
 }
 
@@ -185,79 +209,91 @@ func (r *Registry) NewHistogram(name, help string, bounds []int64, labels ...Lab
 		}
 	}
 	h := &Histogram{bounds: append([]int64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindHistogram, h: h})
+	r.register(name, help, kindHistogram, &metric{labels: labels, h: h})
 	return h
+}
+
+// NewHistograms registers a histogram family with one series per value
+// of the label key, in value order, all over the same bucket bounds,
+// and returns the series by value.
+func (r *Registry) NewHistograms(name, help string, bounds []int64, key string, values ...string) map[string]*Histogram {
+	out := make(map[string]*Histogram, len(values))
+	for _, v := range values {
+		out[v] = r.NewHistogram(name, help, bounds, Label{key, v})
+	}
+	return out
 }
 
 // CounterValue returns the value of the counter with the given name and
 // labels, for tests and report code; ok is false when no such counter
 // exists.
 func (r *Registry) CounterValue(name string, labels ...Label) (uint64, bool) {
-	k := name + renderLabels(labels)
-	for _, m := range r.metrics {
-		if m.kind == kindCounter && m.key() == k {
+	f := r.byName[name]
+	if f == nil || f.kind != kindCounter {
+		return 0, false
+	}
+	key := renderLabels(labels)
+	for _, m := range f.series {
+		if renderLabels(m.labels) == key {
 			return m.c.Value(), true
 		}
 	}
 	return 0, false
 }
 
-// Render writes the registry in Prometheus text exposition format:
-// "# HELP"/"# TYPE" headers per metric family (grouped by name, in
-// registration order), then one line per series. Histograms render
-// cumulative le-buckets plus _sum and _count.
+// Render writes the registry in Prometheus text exposition format: one
+// block per metric family, in first-registration order, holding the
+// "# HELP"/"# TYPE" headers and then every series of the family in
+// registration order. Histograms render cumulative le-buckets plus
+// _sum and _count.
 func (r *Registry) Render(w io.Writer) error {
-	seenHeader := map[string]bool{}
-	// Stable family grouping: emit in registration order but print the
-	// header only the first time each family name appears.
-	for _, m := range r.metrics {
-		if !seenHeader[m.name] {
-			seenHeader[m.name] = true
-			typ := "counter"
-			switch m.kind {
+	for _, f := range r.families {
+		typ := "counter"
+		switch f.kind {
+		case kindGauge:
+			typ = "gauge"
+		case kindHistogram:
+			typ = "histogram"
+		}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, typ); err != nil {
+			return err
+		}
+		for _, m := range f.series {
+			var err error
+			switch f.kind {
+			case kindCounter:
+				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(m.labels), m.c.Value())
 			case kindGauge:
-				typ = "gauge"
+				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(m.labels), m.g.Value())
 			case kindHistogram:
-				typ = "histogram"
+				err = renderHistogram(w, f.name, m)
 			}
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, typ); err != nil {
+			if err != nil {
 				return err
 			}
-		}
-		var err error
-		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, renderLabels(m.labels), m.c.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, renderLabels(m.labels), m.g.Value())
-		case kindHistogram:
-			err = renderHistogram(w, m)
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
 // renderHistogram writes one histogram's bucket, sum and count series.
-func renderHistogram(w io.Writer, m *metric) error {
+func renderHistogram(w io.Writer, name string, m *metric) error {
 	cum := uint64(0)
 	for i, bound := range m.h.bounds {
 		cum += m.h.counts[i]
 		labels := append(append([]Label(nil), m.labels...), Label{"le", fmt.Sprint(bound)})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, renderLabels(labels), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(labels), cum); err != nil {
 			return err
 		}
 	}
 	cum += m.h.counts[len(m.h.bounds)]
 	labels := append(append([]Label(nil), m.labels...), Label{"le", "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", m.name, renderLabels(labels), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(labels), cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", m.name, renderLabels(m.labels), m.h.Sum()); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", name, renderLabels(m.labels), m.h.Sum()); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", m.name, renderLabels(m.labels), m.h.Count())
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(m.labels), m.h.Count())
 	return err
 }

@@ -36,15 +36,81 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestRegistryDuplicatePanics: a series registered twice, or a family
+// name registered again under another help text or kind, is a wiring
+// bug.
 func TestRegistryDuplicatePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		second func(*Registry)
+	}{
+		{"same series", func(r *Registry) { r.NewCounter("dup", "first") }},
+		{"other help", func(r *Registry) { r.NewCounter("dup", "second", Label{"k", "v"}) }},
+		{"other kind", func(r *Registry) { r.NewGauge("dup", "first", Label{"k", "v"}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.NewCounter("dup", "first")
+			defer func() {
+				if recover() == nil {
+					t.Error("registration did not panic")
+				}
+			}()
+			tc.second(reg)
+		})
+	}
+}
+
+// TestRenderGroupsFamilies: series registered interleaved across
+// families render as one contiguous block per family, headers once, in
+// first-registration order — the Prometheus text format's grouping
+// rule.
+func TestRenderGroupsFamilies(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("dup", "first")
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
+	for _, v := range []string{"a", "b"} {
+		reg.NewCounter("req_total", "requests", Label{"h", v})
+		reg.NewHistogram("dur_us", "durations", []int64{10}, Label{"h", v})
+		reg.NewCounter("fail_total", "failures", Label{"h", v})
+	}
+	byKind := reg.NewCounters("kind_total", "by kind", "kind", "x", "y")
+	byKind["y"].Add(2)
+	reg.NewHistograms("wait_us", "waits", []int64{1, 5}, "kind", "x", "y")["x"].Observe(3)
+	var buf bytes.Buffer
+	if err := reg.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	headers := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		name := strings.FieldsFunc(line, func(r rune) bool { return r == '{' || r == ' ' })[0]
+		if strings.HasPrefix(line, "# ") {
+			name = strings.Fields(line)[2]
+			headers[line]++
 		}
-	}()
-	reg.NewCounter("dup", "second")
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			name = strings.TrimSuffix(name, suffix)
+		}
+		if len(order) == 0 || order[len(order)-1] != name {
+			order = append(order, name)
+		}
+	}
+	want := []string{"req_total", "dur_us", "fail_total", "kind_total", "wait_us"}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Errorf("family blocks = %v, want %v\n%s", order, want, buf.String())
+	}
+	for h, n := range headers {
+		if n != 1 {
+			t.Errorf("header %q appears %d times", h, n)
+		}
+	}
+	for _, line := range []string{
+		`kind_total{kind="x"} 0`, `kind_total{kind="y"} 2`,
+		`wait_us_bucket{kind="x",le="5"} 1`, `wait_us_count{kind="y"} 0`,
+	} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("render output missing %q\n%s", line, buf.String())
+		}
+	}
 }
 
 func TestRegistryLabelsDistinguish(t *testing.T) {

@@ -55,11 +55,9 @@ const (
 	// B the four CEM scores (Pack4), C how the steering cache served it
 	// (LookupHit, LookupMiss, or LookupNone with the cache disabled).
 	KindSelection
-	// KindCacheOpen is a steering cache's first use: its first epoch
+	// KindCacheOpen is a steering cache's first use: its one epoch
 	// runs from the start of the run.
 	KindCacheOpen
-	// KindCacheFlush is a steering-cache flush in place.
-	KindCacheFlush
 	// KindDecision is a configuration switch the loader started: Str
 	// names the allocation before it ("(empty)", "hybrid" or a basis
 	// configuration), A is the selection unit's choice (1..3) of basis
@@ -105,7 +103,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"fetch", "dispatch", "issue", "retire", "flush", "reconfig",
-	"cycle-end", "selection", "cache-open", "cache-flush", "decision",
+	"cycle-end", "selection", "cache-open", "decision",
 	"fault-inject", "fault-detect", "fault-heal", "repair-start",
 	"repair-end", "scrub", "masked",
 	"phase-change", "spec-open", "prefetch-issue", "spec-resolve",

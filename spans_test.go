@@ -230,3 +230,26 @@ func TestSpansBitIdentical(t *testing.T) {
 		t.Errorf("report diverges with spans attached:\nwithout:\n%s\nwith:\n%s", plainReport, spanReport)
 	}
 }
+
+// TestOneCacheEpochPerRun: a steering cache opens one epoch at cycle 0
+// that lasts the run, for the exact-metric oracle as for steering — the
+// metric is fixed before the cache's first use, so nothing flushes it.
+func TestOneCacheEpochPerRun(t *testing.T) {
+	for _, pol := range []Policy{PolicySteering, PolicyOracle} {
+		m := NewMachine(spanRunProgram(), Options{Policy: pol})
+		rec := m.EnableSpans(SpanConfig{})
+		st, err := m.Run(5_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var epochs []span.Entry
+		for _, e := range rec.Entries() {
+			if e.Kind == span.KindCacheEpoch {
+				epochs = append(epochs, e)
+			}
+		}
+		if len(epochs) != 1 || epochs[0].Start != 0 || epochs[0].Dur != int64(st.Cycles) {
+			t.Errorf("%s: cache epochs = %+v, want one from cycle 0 over the run's %d cycles", pol, epochs, st.Cycles)
+		}
+	}
+}
