@@ -109,7 +109,7 @@ func BenchmarkFig5WakeupArrayCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		a, _ := wakeup.PaperExample()
+		a := wakeup.PaperExample()
 		b.StartTimer()
 		for done := 0; done < 7; {
 			for _, r := range a.Requests(unitAvail) {

@@ -193,19 +193,22 @@ type steerEntry struct {
 	dists  [arch.NumConfigs]uint8
 }
 
-// packSteerKey packs everything Select's outputs depend on into one
-// 55-bit key: the five demand counts clamped to the 3-bit range the CEM
-// actually sees (bits 0–14), the live allocation's slot encodings
-// (bits 15–38), and the fabric's fault masks — the non-healthy slots
-// (bits 39–46) and the permanently dead slots (bits 47–54). Both masks
-// are zero without fault injection, so fault-free keys are unchanged.
-// Availability counts, distances and hence the choice are pure
-// functions of these, so keying on the allocation vector and masks also
-// subsumes invalidation: a reconfiguration, an upset or a repair
-// changes the inputs and thereby selects a different key — which is
-// what keeps cached steering bit-identical to uncached steering under
-// any fault stream.
-func packSteerKey(required arch.Counts, slots [arch.NumRFUSlots]arch.Encoding, unavail, dead uint8) uint64 {
+// The steering key packs everything Select's outputs depend on into one
+// 55-bit word: the five demand counts clamped to the 3-bit range the CEM
+// actually sees (bits 0–14, packDemandKey), the live allocation's slot
+// encodings (bits 15–38), and the fabric's fault masks — the non-healthy
+// slots (bits 39–46) and the permanently dead slots (bits 47–54); the
+// allocation and the masks form the slot half (packSlotKey). Both masks are zero without
+// fault injection, so fault-free keys are unchanged. Availability
+// counts, distances and hence the choice are pure functions of these,
+// so keying on the allocation vector and masks also subsumes
+// invalidation: a reconfiguration, an upset or a repair changes the
+// inputs and thereby selects a different key — which is what keeps
+// cached steering bit-identical to uncached steering under any fault
+// stream.
+
+// packDemandKey packs the demand half of the steering key (bits 0–14).
+func packDemandKey(required arch.Counts) uint64 {
 	var k uint64
 	for t := range required {
 		c := required[t]
@@ -216,7 +219,14 @@ func packSteerKey(required arch.Counts, slots [arch.NumRFUSlots]arch.Encoding, u
 		}
 		k |= uint64(c) << (uint(t) * arch.CountBits)
 	}
+	return k
+}
+
+// packSlotKey packs the slot half of the steering key: the allocation
+// (bits 15–38) and the fault masks (bits 39–54).
+func packSlotKey(slots [arch.NumRFUSlots]arch.Encoding, unavail, dead uint8) uint64 {
 	const demandBits = uint(arch.NumUnitTypes * arch.CountBits)
+	var k uint64
 	for i, e := range slots {
 		k |= uint64(e) << (demandBits + uint(i)*encodingBits)
 	}
@@ -289,6 +299,20 @@ type Manager struct {
 	// remembers the inputs and outcome of the Step that filled it.
 	sel  Selection
 	memo stepMemo
+
+	// slotKey is the slot half of the steering key (packSlotKey), valid
+	// while the fabric's allocation version and health masks equal the
+	// ones it was packed from.
+	slotKey slotKeyMemo
+}
+
+// slotKeyMemo remembers the slot half of the steering key and the
+// inputs it was packed from.
+type slotKeyMemo struct {
+	valid         bool
+	version       uint64
+	unavail, dead uint8
+	key           uint64
 }
 
 // stepMemo is Step's one-entry memo. The selection unit and loader are
@@ -379,14 +403,18 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 		m.cacheOpen = true
 		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
 	}
-	alloc := m.fabric.Allocation()
 	unavail, dead := m.fabric.HealthMasks()
 	if m.DisableCache {
 		m.lookup = trace.LookupNone
-		m.selectUncached(sel, required, alloc, dead)
+		m.selectUncached(sel, required, m.fabric.Allocation(), dead)
 		return 0, 0
 	}
-	key := packSteerKey(required, alloc.Slots, unavail, dead)
+	sk := &m.slotKey
+	if version := m.fabric.AllocVersion(); !sk.valid || version != sk.version || unavail != sk.unavail || dead != sk.dead {
+		*sk = slotKeyMemo{valid: true, version: version, unavail: unavail, dead: dead,
+			key: packSlotKey(m.fabric.Allocation().Slots, unavail, dead)}
+	}
+	key := packDemandKey(required) | sk.key
 	line = steerCacheIndex(key)
 	e := &m.cache[line]
 	if e.key == key+1 {
@@ -402,7 +430,7 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 	}
 	m.stats.CacheMisses++
 	m.lookup = trace.LookupMiss
-	m.selectUncached(sel, required, alloc, dead)
+	m.selectUncached(sel, required, m.fabric.Allocation(), dead)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
 	for i := range sel.Errors {
@@ -494,8 +522,11 @@ func (m *Manager) EmitDecision(from string, choice, diff, spans, loading, deferr
 }
 
 // EmitSelection logs one selection-unit pass and how the steering cache
-// served it.
+// served it. The event is built only when a sink wants it.
 func (m *Manager) EmitSelection(sel *Selection) {
+	if !m.obs.Wants(trace.KindSelection) {
+		return
+	}
 	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors), C: m.lookup})
 }
 

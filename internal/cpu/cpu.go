@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/fault"
@@ -378,14 +379,12 @@ func newPredictor(params Params) *fetch.Predictor {
 }
 
 // robEntry is one register-update-unit entry. The RUU doubles as reorder
-// buffer and store buffer; its rows map one-to-one onto wake-up array
-// rows.
+// buffer and store buffer; slot i schedules through wake-up array row i.
 type robEntry struct {
 	valid bool
 	seq   uint64
 	inst  isa.Inst
 	pc    uint32
-	row   int // wake-up array row
 
 	predNext  uint32
 	predTaken bool
@@ -479,12 +478,20 @@ type Processor struct {
 	// in-flight producer, or -1.
 	regProducer [isa.NumRegs]int
 
+	// stores is the store board: bit s is set while RUU slot s holds a
+	// store. A dispatching load waits on every row it names (conservative
+	// memory disambiguation), and store-to-load forwarding walks it.
+	stores uint64
+
+	// lat is Params.Latencies resolved per opcode.
+	lat [isa.NumOpcodes]int
+
 	// fetchBuf is the decoded-instruction buffer between fetch and
 	// dispatch. Entries are consumed by advancing fetchHead (not by
 	// re-slicing, which would strand capacity and force the append in
 	// fill to reallocate); fill compacts the consumed prefix away before
 	// topping up, so the buffer's backing array is allocated once.
-	fetchBuf  []fetchedEntry
+	fetchBuf  []fetch.Fetched
 	fetchHead int
 
 	obs *trace.Observer
@@ -496,24 +503,12 @@ type Processor struct {
 	// this cycle.
 	manageHook func(required arch.Counts) (arch.Counts, bool)
 
-	// Per-cycle scratch reused across cycles so the steady-state loop
-	// does not allocate: execShim is the speculative-memory adapter
-	// execute hands to isa.Exec (heap-resident so the interface value
-	// needs no boxing), depsScratch backs collectDeps' row list (the
-	// wake-up array copies it at Allocate), fetchScratch receives the
-	// front end's fetch group.
-	execShim     execMem
-	depsScratch  []int
-	fetchScratch []fetch.Fetched
+	// execShim is the speculative-memory adapter execute hands to
+	// isa.Exec, reused across cycles so the steady-state loop does not
+	// allocate (heap-resident so the interface value needs no boxing).
+	execShim execMem
 
 	stats Stats
-}
-
-// fetchedEntry pairs a fetched instruction with the cycle it left the
-// front end, for the dispatch event.
-type fetchedEntry struct {
-	f     fetch.Fetched
-	cycle int
 }
 
 // New builds a processor for prog with the given parameters and
@@ -538,7 +533,9 @@ func New(prog isa.Program, params Params, manager Manager) *Processor {
 		rob:     make([]robEntry, params.WindowSize),
 	}
 	p.execShim.p = p
-	p.depsScratch = make([]int, 0, params.WindowSize)
+	for op := range p.lat {
+		p.lat[op] = params.Latencies.Of(isa.Opcode(op))
+	}
 	p.front = fetch.NewUnit(prog, p.pred, p.tcache)
 	p.front.MemWidth = params.FetchWidthMem
 	p.front.TCWidth = params.FetchWidthTC
@@ -700,7 +697,7 @@ func (p *Processor) Cycle() {
 		required := p.array.RequiredCounts()
 		if p.params.ManagerLookahead {
 			for i := p.fetchHead; i < len(p.fetchBuf); i++ {
-				required[p.fetchBuf[i].f.Inst.Unit()]++
+				required[p.fetchBuf[i].Inst.Unit()]++
 			}
 		}
 		proceed := true
@@ -760,7 +757,7 @@ func (p *Processor) retire() {
 	for n := 0; n < p.params.RetireWidth && p.count > 0; n++ {
 		slot := p.head
 		e := &p.rob[slot]
-		if !e.issued || !p.array.ResultAvailable(e.row) {
+		if !e.issued || !p.array.ResultAvailable(slot) {
 			return
 		}
 		if e.isStore {
@@ -772,9 +769,12 @@ func (p *Processor) retire() {
 				p.regProducer[e.dest] = -1
 			}
 		}
-		p.array.Release(e.row)
+		p.array.Release(slot)
+		p.stores &^= 1 << uint(slot)
 		e.valid = false
-		p.head = (p.head + 1) % len(p.rob)
+		if p.head++; p.head == len(p.rob) {
+			p.head = 0
+		}
 		p.count--
 		p.stats.Retired++
 		p.obs.Emit(trace.Event{Kind: trace.KindRetire, A: int32(e.seq), B: int32(e.pc)})
@@ -799,33 +799,43 @@ func (p *Processor) commitStore(e *robEntry) {
 	}
 }
 
-// issue grants execution to the oldest requesting instructions that can
-// claim a unit, and executes them functionally.
+// issue grants execution to the requesting instructions that can claim a
+// unit, in the configured priority order, and executes them functionally.
 func (p *Processor) issue() {
 	// Requests are computed combinationally at the start of the cycle —
 	// a grant this cycle cannot wake a consumer until the next cycle —
-	// then served in age order (oldest first). The request lines come
-	// back as one bitboard: a grant or flush mid-loop does not refresh
+	// then served in priority order. The request lines come back as one
+	// bitboard over RUU slots: a grant or flush mid-loop does not refresh
 	// the snapshot, matching the combinational semantics.
-	reqMask := p.array.RequestMask(p.fabric.AvailableSet())
-	if reqMask == 0 {
+	req := p.array.RequestMask(p.fabric.AvailableSet())
+	if req == 0 {
 		p.classifyCycle(0)
 		return
 	}
+	// Rotate the board so bit k is the k-th slot from start: the oldest
+	// slot for age priority, or the rotating arbiter's starting position
+	// (the slots between the youngest entry and the head hold nothing,
+	// so wrapping through them visits the window cyclically).
+	start := p.head
+	if p.params.IssueOrder == OrderRotate {
+		start = p.slotAt(p.stats.Cycles % p.count)
+	}
+	size := len(p.rob)
+	board := p.rotate(req, start)
 	granted := 0
-	initialCount := p.count
-	for n := 0; n < initialCount && granted < p.params.IssueWidth; n++ {
-		i := n // OrderOldest: age position == visit order
-		switch p.params.IssueOrder {
-		case OrderYoungest:
-			i = initialCount - 1 - n
-		case OrderRotate:
-			i = (n + p.stats.Cycles) % initialCount
+	for board != 0 && granted < p.params.IssueWidth {
+		k := bits.TrailingZeros64(board)
+		if p.params.IssueOrder == OrderYoungest {
+			k = 63 - bits.LeadingZeros64(board)
 		}
-		slot := p.slotAt(i)
+		board &^= 1 << uint(k)
+		slot := start + k
+		if slot >= size {
+			slot -= size
+		}
 		e := &p.rob[slot]
-		if !e.valid || e.issued || reqMask>>uint(e.row)&1 == 0 {
-			continue
+		if !e.valid {
+			continue // squashed by an older branch this cycle
 		}
 		ref, ok := p.fabric.Acquire(e.inst.Unit(), e.lat)
 		if !ok {
@@ -833,14 +843,14 @@ func (p *Processor) issue() {
 			if p.params.SelectFree {
 				// No select stage: the colliding requester was granted
 				// anyway, wastes its issue slot and replays later.
-				p.array.Grant(e.row)
-				p.array.Reschedule(e.row)
+				p.array.Grant(slot)
+				p.array.Reschedule(slot)
 				p.stats.Pileups++
 				granted++
 			}
 			continue
 		}
-		p.array.Grant(e.row)
+		p.array.Grant(slot)
 		e.issued = true
 		granted++
 		p.stats.IssuedByType[e.inst.Unit()]++
@@ -848,11 +858,15 @@ func (p *Processor) issue() {
 		if p.halted {
 			return
 		}
-		// execute may have flushed younger entries; the loop re-checks
-		// validity and the requesting set each iteration, so squashed
-		// rows are skipped naturally.
 	}
 	p.classifyCycle(granted)
+}
+
+// rotate returns the slot board m rotated right by start within the
+// window, so that bit k carries slot start+k (mod the window size).
+func (p *Processor) rotate(m uint64, start int) uint64 {
+	size := uint(len(p.rob))
+	return (m>>uint(start) | m<<(size-uint(start))) & (1<<size - 1)
 }
 
 // classifyCycle buckets the cycle by its bottleneck for the X14 study.
@@ -881,7 +895,7 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 	// Reset the shim field-by-field: assigning a fresh execMem would
 	// rewrite the pointer field (set once at construction) and drag the
 	// write barrier into the hottest loop.
-	p.execShim.seq = e.seq
+	p.execShim.slot = slot
 	p.execShim.loaded = false
 	p.execShim.stored = false
 	shim := &p.execShim
@@ -907,7 +921,7 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 	latency := e.lat
 	if shim.loaded {
 		if extra := p.dcache.Access(shim.loadAddr); extra > 0 {
-			p.array.ExtendTimer(e.row, extra)
+			p.array.ExtendTimer(slot, extra)
 			p.fabric.ExtendBusy(ref, extra)
 			latency += extra
 		}
@@ -957,7 +971,8 @@ func (p *Processor) flushYoungerThan(seq uint64) {
 		if e.seq <= seq {
 			break
 		}
-		p.array.Release(e.row)
+		p.array.Release(tail)
+		p.stores &^= 1 << uint(tail)
 		e.valid = false
 		p.count--
 		p.stats.Flushed++
@@ -1008,19 +1023,19 @@ func (p *Processor) producerOf(r uint8) producer {
 	return producer{slot: -1}
 }
 
-// specByte returns the value memory byte addr holds for a load with the
-// given sequence number: architectural memory overlaid, in program order,
-// with older in-flight stores (store-to-load forwarding through the store
+// specByte returns the value memory byte addr holds for the load in RUU
+// slot slot: architectural memory overlaid, in program order, with the
+// older in-flight stores (store-to-load forwarding through the store
 // buffer).
-func (p *Processor) specByte(addr uint32, seq uint64) uint8 {
+func (p *Processor) specByte(addr uint32, slot int) uint8 {
 	v := p.memory.LoadByte(addr)
-	for i := 0; i < p.count; i++ {
-		slot := p.slotAt(i)
-		e := &p.rob[slot]
-		if e.seq >= seq {
-			break
-		}
-		if !e.valid || !e.isStore || !e.executed {
+	age := slot - p.head
+	if age < 0 {
+		age += len(p.rob)
+	}
+	for m := p.rotate(p.stores, p.head) & (1<<uint(age) - 1); m != 0; m &= m - 1 {
+		e := &p.rob[p.slotAt(bits.TrailingZeros64(m))]
+		if !e.isStore || !e.executed {
 			continue
 		}
 		if addr >= e.storeAddr && addr < e.storeAddr+uint32(e.storeSize) {
@@ -1032,26 +1047,38 @@ func (p *Processor) specByte(addr uint32, seq uint64) uint8 {
 }
 
 // dispatch moves decoded instructions from the fetch buffer into the
-// window, recording register and memory-ordering dependencies.
+// window, recording register and memory-ordering dependencies: the
+// in-flight producer of each source register and — for loads — every
+// older in-flight store (conservative memory disambiguation, so
+// store-to-load forwarding always sees resolved addresses).
 func (p *Processor) dispatch() {
 	for n := 0; n < p.params.DispatchWidth && p.fetchHead < len(p.fetchBuf); n++ {
-		if p.count == len(p.rob) || p.array.Free() == 0 {
+		if p.count == len(p.rob) {
 			p.stats.DispatchStallFull++
 			return
 		}
-		entry := &p.fetchBuf[p.fetchHead]
-		f := &entry.f
-
-		src := [2]producer{p.producerOf(f.Inst.Rs1), p.producerOf(f.Inst.Rs2)}
-		deps := p.collectDeps(f.Inst, src)
-		latency := p.params.Latencies.Of(f.Inst.Op)
-		slot := p.slotAt(p.count)
-		row, ok := p.array.Allocate(f.Inst.Unit(), deps, latency, uint64(slot))
-		if !ok {
-			p.stats.DispatchStallFull++
-			return
-		}
+		f := &p.fetchBuf[p.fetchHead]
 		p.fetchHead++
+
+		// src holds the producers of Rs1 and Rs2, the order SourceRegs
+		// lists sources in.
+		src := [2]producer{p.producerOf(f.Inst.Rs1), p.producerOf(f.Inst.Rs2)}
+		var deps uint64
+		_, nsrc := f.Inst.SourceRegs()
+		for _, s := range src[:nsrc] {
+			if s.slot >= 0 {
+				deps |= 1 << uint(s.slot)
+			}
+		}
+		if f.Inst.Op.IsLoad() {
+			deps |= p.stores
+		}
+		latency := p.lat[f.Inst.Op]
+		slot := p.slotAt(p.count)
+		p.array.Allocate(slot, f.Inst.Unit(), deps, latency)
+		if f.Inst.Op.IsStore() {
+			p.stores |= 1 << uint(slot)
+		}
 
 		p.seq++
 		// Fill the entry in place; execute sets the remaining fields
@@ -1061,7 +1088,6 @@ func (p *Processor) dispatch() {
 		e.seq = p.seq
 		e.inst = f.Inst
 		e.pc = f.PC
-		e.row = row
 		e.predNext = f.PredNext
 		e.predTaken = f.PredTaken
 		e.lat = latency
@@ -1074,48 +1100,12 @@ func (p *Processor) dispatch() {
 		if d, ok := f.Inst.Dest(); ok {
 			p.regProducer[d] = slot
 		}
-		p.obs.Emit(trace.Event{Kind: trace.KindDispatch, A: int32(p.seq), B: int32(f.PC), C: int32(entry.cycle)})
+		p.obs.Emit(trace.Event{Kind: trace.KindDispatch, A: int32(p.seq), B: int32(f.PC), C: int32(f.Cycle)})
 	}
 }
 
-// collectDeps returns the wake-up rows the instruction must wait for:
-// the in-flight producer of each source register (src holds those of
-// Rs1 and Rs2, the order SourceRegs lists sources in), plus — for
-// loads — every older in-flight store (conservative memory
-// disambiguation, so store-to-load forwarding always sees resolved
-// addresses).
-func (p *Processor) collectDeps(in isa.Inst, src [2]producer) []int {
-	deps := p.depsScratch[:0]
-	_, nsrc := in.SourceRegs()
-	for _, s := range src[:nsrc] {
-		if s.slot >= 0 {
-			deps = appendDep(deps, p.rob[s.slot].row)
-		}
-	}
-	if in.Op.IsLoad() {
-		for i := 0; i < p.count; i++ {
-			slot := p.slotAt(i)
-			e := &p.rob[slot]
-			if e.valid && e.inst.Op.IsStore() {
-				deps = appendDep(deps, e.row)
-			}
-		}
-	}
-	p.depsScratch = deps
-	return deps
-}
-
-// appendDep appends row to deps unless it is already present.
-func appendDep(deps []int, row int) []int {
-	for _, d := range deps {
-		if d == row {
-			return deps
-		}
-	}
-	return append(deps, row)
-}
-
-// fill tops up the fetch buffer from the front end.
+// fill tops up the fetch buffer from the front end, stamping each
+// fetched instruction with the cycle it left the front end.
 func (p *Processor) fill() {
 	const bufCap = 16
 	if len(p.fetchBuf)-p.fetchHead >= bufCap {
@@ -1128,9 +1118,10 @@ func (p *Processor) fill() {
 		p.fetchBuf = p.fetchBuf[:n]
 		p.fetchHead = 0
 	}
-	p.fetchScratch = p.front.AppendFetch(p.fetchScratch[:0])
-	for _, f := range p.fetchScratch {
-		p.fetchBuf = append(p.fetchBuf, fetchedEntry{f: f, cycle: p.stats.Cycles})
+	n := len(p.fetchBuf)
+	p.fetchBuf = p.front.AppendFetch(p.fetchBuf)
+	for i := n; i < len(p.fetchBuf); i++ {
+		p.fetchBuf[i].Cycle = p.stats.Cycles
 	}
 }
 
@@ -1139,8 +1130,8 @@ func (p *Processor) fill() {
 // the store buffer overlay, stores are recorded for the buffer instead of
 // being applied.
 type execMem struct {
-	p   *Processor
-	seq uint64
+	p    *Processor
+	slot int // RUU slot of the executing instruction
 
 	loaded   bool
 	loadAddr uint32
@@ -1160,12 +1151,12 @@ func (m *execMem) noteLoad(addr uint32) {
 
 func (m *execMem) LoadByte(addr uint32) uint8 {
 	m.noteLoad(addr)
-	return m.p.specByte(addr, m.seq)
+	return m.p.specByte(addr, m.slot)
 }
 
 func (m *execMem) LoadHalf(addr uint32) uint16 {
 	m.noteLoad(addr)
-	return uint16(m.p.specByte(addr, m.seq)) | uint16(m.p.specByte(addr+1, m.seq))<<8
+	return uint16(m.p.specByte(addr, m.slot)) | uint16(m.p.specByte(addr+1, m.slot))<<8
 }
 
 func (m *execMem) LoadWord(addr uint32) uint32 {

@@ -114,9 +114,9 @@ func TestWrongPathStoreNeverCommits(t *testing.T) {
 
 // TestMachineInvariantsDuringRun drives a branchy workload and checks
 // structural invariants every cycle: the ROB occupancy matches the
-// wake-up array occupancy, every in-flight entry's row tag points back at
-// its slot, and regProducer entries reference live producers of the right
-// register.
+// wake-up array occupancy, every in-flight slot holds its wake-up row and
+// its store-board bit, and regProducer entries reference live producers
+// of the right register.
 func TestMachineInvariantsDuringRun(t *testing.T) {
 	prog := isa.MustAssemble(kernels["branchy"])
 	p := buildProcessor(prog, Params{MemBytes: 1 << 12}, "steering")
@@ -133,9 +133,11 @@ func TestMachineInvariantsDuringRun(t *testing.T) {
 			if !e.valid {
 				t.Fatalf("cycle %d: invalid entry inside window", p.Stats().Cycles)
 			}
-			if p.array.Tag(e.row) != uint64(slot) {
-				t.Fatalf("cycle %d: row %d tag %d != slot %d",
-					p.Stats().Cycles, e.row, p.array.Tag(e.row), slot)
+			if !p.array.Used(slot) {
+				t.Fatalf("cycle %d: slot %d in flight but its wake-up row is free", p.Stats().Cycles, slot)
+			}
+			if isStore := p.stores>>uint(slot)&1 != 0; isStore != e.inst.Op.IsStore() {
+				t.Fatalf("cycle %d: store board bit %d = %v for %v", p.Stats().Cycles, slot, isStore, e.inst.Op)
 			}
 		}
 		for r, slot := range p.regProducer {

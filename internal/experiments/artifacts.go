@@ -176,25 +176,21 @@ func Fig3() string {
 func Fig5() string {
 	var b strings.Builder
 	b.WriteString("Figures 4-6 — wake-up array worked example\n\n")
-	a, rows := wakeup.PaperExample()
+	a := wakeup.PaperExample()
 	labels := wakeup.PaperExampleLabels
 
 	b.WriteString("Fig. 4 — dependency graph:\n")
-	for i, r := range rows {
+	for i := range labels {
 		var deps []string
-		for j := 0; j < a.Size(); j++ {
-			if a.DependsOn(r, j) {
-				for k, rr := range rows {
-					if rr == j {
-						deps = append(deps, labels[k])
-					}
-				}
+		for j := range labels {
+			if a.DependsOn(i, j) {
+				deps = append(deps, labels[j])
 			}
 		}
 		if len(deps) == 0 {
-			fmt.Fprintf(&b, "  %-6s (entry %d, %v): no dependencies\n", labels[i], i+1, a.Unit(r))
+			fmt.Fprintf(&b, "  %-6s (entry %d, %v): no dependencies\n", labels[i], i+1, a.Unit(i))
 		} else {
-			fmt.Fprintf(&b, "  %-6s (entry %d, %v): depends on %s\n", labels[i], i+1, a.Unit(r), strings.Join(deps, ", "))
+			fmt.Fprintf(&b, "  %-6s (entry %d, %v): depends on %s\n", labels[i], i+1, a.Unit(i), strings.Join(deps, ", "))
 		}
 	}
 
@@ -207,15 +203,11 @@ func Fig5() string {
 		allAvail[i] = true
 	}
 	granted := map[int]bool{}
-	for cycle := 0; len(granted) < len(rows) && cycle < 40; cycle++ {
+	for cycle := 0; len(granted) < len(labels) && cycle < 40; cycle++ {
 		reqs := a.Requests(allAvail)
 		var names []string
 		for _, r := range reqs {
-			for k, rr := range rows {
-				if rr == r {
-					names = append(names, labels[k])
-				}
-			}
+			names = append(names, labels[r])
 			a.Grant(r)
 			granted[r] = true
 		}

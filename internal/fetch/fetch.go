@@ -131,6 +131,9 @@ type Fetched struct {
 	Inst      isa.Inst
 	PredNext  uint32 // predicted next PC (what fetch followed)
 	PredTaken bool   // prediction for conditional branches
+	// Cycle is the processor cycle the instruction left the front end;
+	// the fetch unit has no clock, so the processor stamps it.
+	Cycle int
 }
 
 // traceLine is one trace-cache entry: a run of instruction PCs recorded

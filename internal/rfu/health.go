@@ -14,6 +14,8 @@
 package rfu
 
 import (
+	"math/bits"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/fault"
@@ -188,17 +190,9 @@ func (f *Fabric) FaultStats() FaultStats { return f.fstats }
 // is healthy, plus the fixed units. Without faults it equals
 // TotalCounts — the CEM demand path sees no difference.
 func (f *Fabric) EffectiveTotalCounts() arch.Counts {
-	if f.unavailMask == 0 {
-		return f.alloc.TotalCounts()
-	}
 	var c arch.Counts
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if !f.healthOK[s] {
-			continue
-		}
-		if t, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
-			c[t]++
-		}
+	for t, heads := range f.heads {
+		c[t] = bits.OnesCount16(heads & f.healthOKMask)
 	}
 	return c.Add(config.FFUCounts())
 }

@@ -56,18 +56,18 @@ type Fabric struct {
 	busyCycles       int // slot+FFU cycles spent executing
 
 	// Packed hot-path masks, maintained incrementally at the (rare)
-	// mutation sites so the per-cycle availability and timer scans walk
-	// only live bits instead of every slot: busyMask/reconfigMask carry
-	// the slots with running execution/reconfiguration timers,
-	// ffuBusyMask the busy fixed units, unitMask the head slots whose
-	// encoding names a unit, and healthOKMask the packed healthOK
-	// signals. allocVersion counts allocation-vector rewrites so
-	// downstream consumers (the steering manager's layout classifier)
-	// can memoize derived views.
+	// mutation sites so the per-cycle availability, acquire and timer
+	// paths work on bits instead of walking every slot:
+	// busyMask/reconfigMask carry the slots with running
+	// execution/reconfiguration timers, ffuBusyMask the busy fixed
+	// units, heads[t] the head slots whose encoding names a unit of type
+	// t, and healthOKMask the packed healthOK signals. allocVersion
+	// counts allocation-vector rewrites so downstream consumers (the
+	// steering manager's layout classifier) can memoize derived views.
 	busyMask     uint16
 	reconfigMask uint16
 	ffuBusyMask  uint8
-	unitMask     uint16
+	heads        [arch.NumUnitTypes]uint16
 	healthOKMask uint16
 	allocVersion uint64
 
@@ -114,17 +114,22 @@ func New(latency int) *Fabric {
 	return f
 }
 
-// refreshAlloc rebuilds the allocation-derived mask and bumps the
-// version counter. Call after any alloc.Slots mutation.
+// refreshAlloc rebuilds the per-type head boards and bumps the version
+// counter. Call after any alloc.Slots mutation.
 func (f *Fabric) refreshAlloc() {
-	var m uint16
+	f.heads = [arch.NumUnitTypes]uint16{}
 	for s := 0; s < arch.NumRFUSlots; s++ {
-		if _, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
-			m |= 1 << uint(s)
+		if t, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
+			f.heads[t] |= 1 << uint(s)
 		}
 	}
-	f.unitMask = m
 	f.allocVersion++
+}
+
+// idleHeads returns the head slots that can accept work this cycle:
+// configured, not executing, not reconfiguring and healthy.
+func (f *Fabric) idleHeads() uint16 {
+	return ^f.busyMask &^ f.reconfigMask & f.healthOKMask
 }
 
 // AllocVersion returns a counter that changes whenever the allocation
@@ -331,16 +336,15 @@ func (f *Fabric) AvailableCount(t arch.UnitType) int {
 }
 
 // AvailableSet returns the per-type availability lines packed into a
-// bitset (bit t set when a unit of type t can accept work this cycle).
-// It walks only the configured unit heads that survive the busy,
-// reconfiguring and health masks, so the per-cycle cost scales with
-// live units rather than fabric size.
+// bitset (bit t set when a unit of type t can accept work this cycle):
+// one mask test of each type's head board against the idle slots.
 func (f *Fabric) AvailableSet() uint8 {
 	var out uint8
-	for m := f.unitMask &^ f.busyMask &^ f.reconfigMask & f.healthOKMask; m != 0; m &= m - 1 {
-		s := bits.TrailingZeros16(m)
-		t, _ := arch.DecodeUnit(f.alloc.Slots[s])
-		out |= 1 << uint(t)
+	idle := f.idleHeads()
+	for t, heads := range f.heads {
+		if heads&idle != 0 {
+			out |= 1 << uint(t)
+		}
 	}
 	if !f.ffuDisabled {
 		out |= ^f.ffuBusyMask & (1<<arch.NumFFUs - 1)
@@ -371,13 +375,11 @@ func (f *Fabric) Acquire(t arch.UnitType, busyCycles int) (UnitRef, bool) {
 		f.ffuBusyMask |= 1 << uint(t)
 		return UnitRef{FFU: true, Idx: int(t)}, true
 	}
-	want := arch.Encode(t)
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.alloc.Slots[s] == want && f.busy[s] == 0 && f.reconfig[s] == 0 && f.healthOK[s] {
-			f.busy[s] = busyCycles
-			f.busyMask |= 1 << uint(s)
-			return UnitRef{Idx: s}, true
-		}
+	if m := f.heads[t] & f.idleHeads(); m != 0 {
+		s := bits.TrailingZeros16(m)
+		f.busy[s] = busyCycles
+		f.busyMask |= 1 << uint(s)
+		return UnitRef{Idx: s}, true
 	}
 	return UnitRef{}, false
 }

@@ -15,24 +15,15 @@ var PaperExampleLabels = []string{"Shift", "Sub", "Add", "Mul", "Load", "FPMul",
 // Add consumes the Shift and Sub results, the FPMul consumes the Load,
 // and the FPAdd consumes the FPMul.
 //
-// It returns the populated array and the row index of each entry, in the
-// paper's entry order (entry N is rows[N-1]).
-func PaperExample() (*Array, []int) {
+// Entry N sits in row N-1.
+func PaperExample() *Array {
 	a := New(arch.QueueSize)
-	rows := make([]int, 7)
-	alloc := func(i int, unit arch.UnitType, latency int, deps ...int) {
-		row, ok := a.Allocate(unit, deps, latency, uint64(i))
-		if !ok {
-			panic("wakeup: paper example does not fit the array")
-		}
-		rows[i] = row
-	}
-	alloc(0, arch.IntALU, 1)                   // entry 1: Shift
-	alloc(1, arch.IntALU, 1)                   // entry 2: Sub
-	alloc(2, arch.IntALU, 1, rows[0], rows[1]) // entry 3: Add <- Shift, Sub
-	alloc(3, arch.IntMDU, 4, rows[1])          // entry 4: Mul <- Sub (explicit in §4.1)
-	alloc(4, arch.LSU, 2)                      // entry 5: Load, no dependencies (explicit)
-	alloc(5, arch.FPMDU, 5, rows[4])           // entry 6: FPMul <- Load
-	alloc(6, arch.FPALU, 3, rows[5])           // entry 7: FPAdd <- FPMul
-	return a, rows
+	a.Allocate(0, arch.IntALU, 0, 1)         // entry 1: Shift
+	a.Allocate(1, arch.IntALU, 0, 1)         // entry 2: Sub
+	a.Allocate(2, arch.IntALU, 1<<0|1<<1, 1) // entry 3: Add <- Shift, Sub
+	a.Allocate(3, arch.IntMDU, 1<<1, 4)      // entry 4: Mul <- Sub (explicit in §4.1)
+	a.Allocate(4, arch.LSU, 0, 2)            // entry 5: Load, no dependencies (explicit)
+	a.Allocate(5, arch.FPMDU, 1<<4, 5)       // entry 6: FPMul <- Load
+	a.Allocate(6, arch.FPALU, 1<<5, 3)       // entry 7: FPAdd <- FPMul
+	return a
 }

@@ -11,15 +11,22 @@
 //
 // The array is select-free: it only raises execution *requests*.
 // Contention between requesters for the same unit type is resolved by the
-// scheduler (package cpu), as in the paper.
+// scheduler (package cpu), as in the paper. The caller names the row of
+// every allocation: the processor's rows are its register-update-unit
+// slots, so a request bit is the RUU slot it schedules.
 //
 // The hot state is stored as bitboards: one uint64 mask per array-wide
 // signal (used, scheduled, result-available) with bit i carrying row i,
 // one dependency mask per row with bit j carrying "row i waits on row j",
-// and one row mask per unit type. The Fig. 6 request logic then
-// evaluates in a handful of boolean word operations instead of a loop
-// over the dependency matrix, and the board accessors (RequestMask,
-// ReadyMask) expose the packed signals directly to the scheduler.
+// and its transpose, one consumer mask per column — the wires a
+// result-available line drives. A blocked board (rows waiting on at least
+// one low result line) is updated only when a line rises or falls, along
+// that line's consumer mask, and per-type counts of unscheduled rows move
+// as rows change state. The Fig. 6 request logic over the whole array is
+// then one mask expression (RequestMask), the manager's ready view another
+// (ReadyMask), and the requirement encoder's input a copy
+// (RequiredCounts). Request evaluates one row from scratch and is the
+// reference the boards are tested against.
 package wakeup
 
 import (
@@ -43,14 +50,16 @@ type Array struct {
 	used      uint64 // row holds an instruction
 	scheduled uint64 // row has been granted execution
 	resultOK  uint64 // row's result-available line
+	blocked   uint64 // row waits on at least one low result-available line
 
-	deps     []uint64 // deps[i] bit j: result required from row j
-	typeMask [arch.NumUnitTypes]uint64
+	deps      []uint64 // deps[i] bit j: result required from row j
+	consumers []uint64 // consumers[j] bit i: row i requires row j's result
+	typeMask  [arch.NumUnitTypes]uint64
+	pending   arch.Counts // per type: used, unscheduled rows
 
 	unit    []arch.UnitType
 	timer   []int32 // countdown until the result-available line asserts
 	latency []int32
-	tag     []uint64 // caller-supplied identity (e.g. RUU id)
 }
 
 // New returns an empty wake-up array with the given number of entries
@@ -64,13 +73,13 @@ func New(size int) *Array {
 		panic(fmt.Sprintf("wakeup: array size %d exceeds %d rows", size, MaxSize))
 	}
 	return &Array{
-		size:    size,
-		full:    (uint64(1) << uint(size)) - 1,
-		deps:    make([]uint64, size),
-		unit:    make([]arch.UnitType, size),
-		timer:   make([]int32, size),
-		latency: make([]int32, size),
-		tag:     make([]uint64, size),
+		size:      size,
+		full:      (uint64(1) << uint(size)) - 1,
+		deps:      make([]uint64, size),
+		consumers: make([]uint64, size),
+		unit:      make([]arch.UnitType, size),
+		timer:     make([]int32, size),
+		latency:   make([]int32, size),
 	}
 }
 
@@ -80,48 +89,74 @@ func (a *Array) Size() int { return a.size }
 // Free returns the number of unused rows.
 func (a *Array) Free() int { return a.size - bits.OnesCount64(a.used) }
 
-// Allocate inserts an instruction needing the given unit type, dependent
-// on the listed producer rows, with the given execution latency. tag is
-// an opaque caller identity returned by accessors. It returns the row
-// index, or ok=false when the array is full. Dependencies must name used
-// rows other than the allocated one; violations panic, as they indicate a
-// dispatcher bug.
-func (a *Array) Allocate(unit arch.UnitType, deps []int, latency int, tag uint64) (int, bool) {
+// Allocate inserts an instruction into the free row row: it needs the
+// given unit type, waits on the producer rows set in depMask, and
+// executes with the given latency. The row must be unused and depMask
+// may name only used rows other than row itself; violations panic, as
+// they indicate a dispatcher bug.
+func (a *Array) Allocate(row int, unit arch.UnitType, depMask uint64, latency int) {
 	if latency < 1 {
 		panic("wakeup: latency must be at least 1")
 	}
-	free := ^a.used & a.full
-	if free == 0 {
-		return 0, false
-	}
-	row := bits.TrailingZeros64(free)
-	var depMask uint64
-	for _, d := range deps {
-		if d < 0 || d >= a.size || d == row || a.used>>uint(d)&1 == 0 {
-			panic(fmt.Sprintf("wakeup: bad dependency %d for row %d", d, row))
-		}
-		// A producer whose result-available line is already asserted
-		// imposes no wait; recording the bit anyway is harmless and
-		// matches the hardware, where the line stays high until
-		// retirement.
-		depMask |= 1 << uint(d)
+	if row < 0 || row >= a.size || a.used>>uint(row)&1 != 0 {
+		panic(fmt.Sprintf("wakeup: allocation of row %d in invalid state", row))
 	}
 	bit := uint64(1) << uint(row)
+	if depMask&^a.used != 0 || depMask&bit != 0 {
+		panic(fmt.Sprintf("wakeup: bad dependency mask %#x for row %d", depMask, row))
+	}
+	// A producer whose result-available line is already asserted imposes
+	// no wait; recording the bit anyway matches the hardware, where the
+	// line stays high until retirement.
+	for m := depMask; m != 0; m &= m - 1 {
+		a.consumers[bits.TrailingZeros64(m)] |= bit
+	}
+	if depMask&^a.resultOK != 0 {
+		a.blocked |= bit
+	}
 	a.used |= bit
-	a.scheduled &^= bit
-	a.resultOK &^= bit
 	a.deps[row] = depMask
 	a.typeMask[unit] |= bit
+	a.pending[unit]++
 	a.unit[row] = unit
 	a.timer[row] = 0
 	a.latency[row] = int32(latency)
-	a.tag[row] = tag
-	return row, true
+}
+
+// raise asserts the result-available lines in rows and unblocks every
+// consumer whose last low line that was.
+func (a *Array) raise(rows uint64) {
+	a.resultOK |= rows
+	var woken uint64
+	for m := rows; m != 0; m &= m - 1 {
+		woken |= a.consumers[bits.TrailingZeros64(m)]
+	}
+	a.unblock(woken & a.blocked)
+}
+
+// lower de-asserts row i's result-available line, blocking its consumers.
+func (a *Array) lower(i int) {
+	bit := uint64(1) << uint(i)
+	if a.resultOK&bit != 0 {
+		a.resultOK &^= bit
+		a.blocked |= a.consumers[i]
+	}
+}
+
+// unblock re-evaluates the blocked bit of every row in rows.
+func (a *Array) unblock(rows uint64) {
+	for m := rows; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if a.deps[i]&^a.resultOK == 0 {
+			a.blocked &^= 1 << uint(i)
+		}
+	}
 }
 
 // Request reports whether row i requests execution given the per-type
 // unit availability lines — the Fig. 6 logic: not yet scheduled, and for
-// every column either not needed or available.
+// every column either not needed or available. It evaluates the row from
+// its dependency vector, independently of the incrementally kept boards.
 func (a *Array) Request(i int, unitAvail [arch.NumUnitTypes]bool) bool {
 	bit := uint64(1) << uint(i)
 	if a.used&bit == 0 || a.scheduled&bit != 0 {
@@ -146,14 +181,7 @@ func (a *Array) RequestMask(availSet uint8) uint64 {
 		}
 		availSet >>= 1
 	}
-	req := a.used &^ a.scheduled & eligible
-	for m := req; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if a.deps[i]&^a.resultOK != 0 {
-			req &^= 1 << uint(i)
-		}
-	}
-	return req
+	return a.ReadyMask() & eligible
 }
 
 // Requests returns the rows requesting execution, in row order.
@@ -171,16 +199,7 @@ func (a *Array) Requests(unitAvail [arch.NumUnitTypes]bool) []int {
 // that have not been granted execution, regardless of unit availability
 // — the configuration manager's "ready to be executed" queue view — as
 // a bitboard.
-func (a *Array) ReadyMask() uint64 {
-	ready := a.used &^ a.scheduled
-	for m := ready; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if a.deps[i]&^a.resultOK != 0 {
-			ready &^= 1 << uint(i)
-		}
-	}
-	return ready
-}
+func (a *Array) ReadyMask() uint64 { return a.used &^ a.scheduled &^ a.blocked }
 
 // Grant marks row i scheduled and starts its countdown timer: an
 // instruction of latency N sets the timer to N-1, asserting the
@@ -192,9 +211,10 @@ func (a *Array) Grant(i int) {
 		panic(fmt.Sprintf("wakeup: grant of row %d in invalid state", i))
 	}
 	a.scheduled |= bit
+	a.pending[a.unit[i]]--
 	a.timer[i] = a.latency[i] - 1
 	if a.timer[i] == 0 {
-		a.resultOK |= bit
+		a.raise(bit)
 	}
 }
 
@@ -206,8 +226,11 @@ func (a *Array) Reschedule(i int) {
 	if a.used&bit == 0 {
 		panic(fmt.Sprintf("wakeup: reschedule of unused row %d", i))
 	}
-	a.scheduled &^= bit
-	a.resultOK &^= bit
+	if a.scheduled&bit != 0 {
+		a.scheduled &^= bit
+		a.pending[a.unit[i]]++
+	}
+	a.lower(i)
 	a.timer[i] = 0
 }
 
@@ -219,7 +242,7 @@ func (a *Array) ExtendTimer(i, extra int) {
 	if a.used&bit == 0 || a.scheduled&bit == 0 || extra < 0 {
 		panic(fmt.Sprintf("wakeup: bad ExtendTimer(%d, %d)", i, extra))
 	}
-	a.resultOK &^= bit
+	a.lower(i)
 	a.timer[i] += int32(extra)
 }
 
@@ -228,14 +251,18 @@ func (a *Array) ExtendTimer(i, extra int) {
 // granted and still counting — used & scheduled &^ resultOK — carry
 // live timers, so the pass walks exactly those board bits.
 func (a *Array) Tick() {
+	var risen uint64
 	for m := a.used & a.scheduled &^ a.resultOK; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		if a.timer[i] > 0 {
 			a.timer[i]--
 		}
 		if a.timer[i] == 0 {
-			a.resultOK |= 1 << uint(i)
+			risen |= 1 << uint(i)
 		}
+	}
+	if risen != 0 {
+		a.raise(risen)
 	}
 }
 
@@ -248,19 +275,27 @@ func (a *Array) Release(i int) {
 	if a.used&bit == 0 {
 		panic(fmt.Sprintf("wakeup: release of unused row %d", i))
 	}
+	if a.scheduled&bit == 0 {
+		a.pending[a.unit[i]]--
+	}
+	for m := a.deps[i]; m != 0; m &= m - 1 {
+		a.consumers[bits.TrailingZeros64(m)] &^= bit
+	}
+	col := a.consumers[i]
+	for m := col; m != 0; m &= m - 1 {
+		a.deps[bits.TrailingZeros64(m)] &^= bit
+	}
 	a.used &^= bit
 	a.scheduled &^= bit
 	a.resultOK &^= bit
+	a.blocked &^= bit
 	a.typeMask[a.unit[i]] &^= bit
 	a.deps[i] = 0
+	a.consumers[i] = 0
 	a.timer[i] = 0
 	a.latency[i] = 0
-	a.tag[i] = 0
 	a.unit[i] = 0
-	col := ^bit
-	for j := 0; j < a.size; j++ {
-		a.deps[j] &= col
-	}
+	a.unblock(col & a.blocked)
 }
 
 // Row state accessors.
@@ -277,9 +312,6 @@ func (a *Array) ResultAvailable(i int) bool { return a.resultOK>>uint(i)&1 != 0 
 // Unit returns row i's required unit type.
 func (a *Array) Unit(i int) arch.UnitType { return a.unit[i] }
 
-// Tag returns the caller identity stored at allocation.
-func (a *Array) Tag(i int) uint64 { return a.tag[i] }
-
 // DependsOn reports whether row i waits on row j.
 func (a *Array) DependsOn(i, j int) bool { return a.deps[i]>>uint(j)&1 != 0 }
 
@@ -287,14 +319,7 @@ func (a *Array) DependsOn(i, j int) bool { return a.deps[i]>>uint(j)&1 != 0 }
 // instructions in the array require — the requirement-encoder input of
 // the configuration selection unit (§3.1). Scheduled instructions already
 // hold units and are excluded.
-func (a *Array) RequiredCounts() arch.Counts {
-	var c arch.Counts
-	pending := a.used &^ a.scheduled
-	for t := range a.typeMask {
-		c[t] = bits.OnesCount64(a.typeMask[t] & pending)
-	}
-	return c
-}
+func (a *Array) RequiredCounts() arch.Counts { return a.pending }
 
 // ReadyCounts is RequiredCounts restricted to rows whose dependencies are
 // already satisfied.

@@ -32,67 +32,70 @@ func TestAllocateUntilFull(t *testing.T) {
 		if a.Free() != arch.QueueSize-i {
 			t.Fatalf("Free = %d before allocation %d", a.Free(), i)
 		}
-		row, ok := a.Allocate(arch.IntALU, nil, 1, uint64(i))
-		if !ok {
-			t.Fatalf("allocation %d failed", i)
+		a.Allocate(i, arch.IntALU, 0, 1)
+		if !a.Used(i) {
+			t.Fatalf("allocation %d left row %d unused", i, i)
 		}
-		if row != i {
-			t.Fatalf("allocation %d landed on row %d", i, row)
-		}
-	}
-	if _, ok := a.Allocate(arch.IntALU, nil, 1, 99); ok {
-		t.Error("allocation succeeded on a full array")
 	}
 	if a.Free() != 0 {
 		t.Errorf("Free = %d on full array", a.Free())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("allocation of a used row did not panic")
+		}
+	}()
+	a.Allocate(3, arch.IntALU, 0, 1)
 }
 
 func TestAllocateReusesReleasedRows(t *testing.T) {
 	a := New(3)
-	r0, _ := a.Allocate(arch.IntALU, nil, 1, 0)
-	a.Allocate(arch.LSU, nil, 2, 1)
-	a.Release(r0)
-	r2, ok := a.Allocate(arch.FPALU, nil, 3, 2)
-	if !ok || r2 != r0 {
-		t.Errorf("released row not reused: got %d, want %d", r2, r0)
-	}
-	if a.Unit(r2) != arch.FPALU || a.Tag(r2) != 2 {
+	a.Allocate(0, arch.IntALU, 0, 1)
+	a.Allocate(1, arch.LSU, 0, 2)
+	a.Grant(0)
+	a.Release(0)
+	a.Allocate(0, arch.FPALU, 1<<1, 3)
+	if a.Unit(0) != arch.FPALU || a.Scheduled(0) || a.ResultAvailable(0) || !a.DependsOn(0, 1) {
 		t.Error("reused row carries stale state")
+	}
+	if got := a.RequiredCounts(); got != (arch.Counts{arch.LSU: 1, arch.FPALU: 1}) {
+		t.Errorf("RequiredCounts after reuse = %v", got)
 	}
 }
 
 func TestAllocateRejectsBadDeps(t *testing.T) {
 	a := New(3)
-	r0, _ := a.Allocate(arch.IntALU, nil, 1, 0)
-	for _, deps := range [][]int{{-1}, {2}, {5}} {
+	a.Allocate(0, arch.IntALU, 0, 1)
+	for _, c := range []struct {
+		row  int
+		deps uint64
+	}{
+		{1, 1 << 2},  // unused producer
+		{1, 1 << 5},  // producer outside the array
+		{1, 1 << 1},  // self dependency
+		{0, 0},       // row already used
+		{-1, 0},      // row outside the array
+		{3, 1 << 0},  // row outside the array
+		{2, 1 << 63}, // producer outside the array
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("deps %v accepted", deps)
+					t.Errorf("Allocate(%d, deps %#x) accepted", c.row, c.deps)
 				}
 			}()
-			a.Allocate(arch.IntALU, deps, 1, 1)
+			a.Allocate(c.row, arch.IntALU, c.deps, 1)
 		}()
 	}
-	_ = r0
-	// Self-dependency: the next free row is 1, so deps{1} must panic.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("self dependency accepted")
-			}
-		}()
-		a.Allocate(arch.IntALU, []int{1}, 1, 1)
-	}()
 }
 
 // TestRequestGatedOnDependency: a consumer must not request execution
 // until its producer's result-available line asserts.
 func TestRequestGatedOnDependency(t *testing.T) {
 	a := New(4)
-	prod, _ := a.Allocate(arch.IntMDU, nil, 4, 0)
-	cons, _ := a.Allocate(arch.IntALU, []int{prod}, 1, 1)
+	const prod, cons = 0, 1
+	a.Allocate(prod, arch.IntMDU, 0, 4)
+	a.Allocate(cons, arch.IntALU, 1<<prod, 1)
 
 	av := allAvail()
 	reqs := a.Requests(av)
@@ -120,7 +123,8 @@ func TestRequestGatedOnDependency(t *testing.T) {
 // unavailable the row must stay silent (Fig. 6's resource columns).
 func TestRequestGatedOnUnitAvailability(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.FPMDU, nil, 5, 0)
+	const row = 0
+	a.Allocate(row, arch.FPMDU, 0, 5)
 	av := allAvail()
 	av[arch.FPMDU] = false
 	if a.Request(row, av) {
@@ -134,7 +138,8 @@ func TestRequestGatedOnUnitAvailability(t *testing.T) {
 
 func TestGrantSingleCycleAssertsImmediately(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.IntALU, nil, 1, 0)
+	const row = 0
+	a.Allocate(row, arch.IntALU, 0, 1)
 	a.Grant(row)
 	if !a.ResultAvailable(row) {
 		t.Error("latency-1 instruction did not assert result at grant (§4.1)")
@@ -146,7 +151,8 @@ func TestGrantSingleCycleAssertsImmediately(t *testing.T) {
 
 func TestGrantTimerCountdown(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.FPALU, nil, 3, 0)
+	const row = 0
+	a.Allocate(row, arch.FPALU, 0, 3)
 	a.Grant(row) // timer = 2
 	if a.ResultAvailable(row) {
 		t.Fatal("result available immediately for latency 3")
@@ -163,7 +169,8 @@ func TestGrantTimerCountdown(t *testing.T) {
 
 func TestGrantPanicsOnInvalidState(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.IntALU, nil, 1, 0)
+	const row = 0
+	a.Allocate(row, arch.IntALU, 0, 1)
 	a.Grant(row)
 	for name, f := range map[string]func(){
 		"double grant":   func() { a.Grant(row) },
@@ -183,7 +190,8 @@ func TestGrantPanicsOnInvalidState(t *testing.T) {
 
 func TestReschedule(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.LSU, nil, 2, 0)
+	const row = 0
+	a.Allocate(row, arch.LSU, 0, 2)
 	a.Grant(row)
 	a.Tick()
 	if !a.ResultAvailable(row) {
@@ -202,7 +210,8 @@ func TestReschedule(t *testing.T) {
 // grows and the result line stays down until the extended time elapses.
 func TestExtendTimer(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.LSU, nil, 2, 0)
+	const row = 0
+	a.Allocate(row, arch.LSU, 0, 2)
 	a.Grant(row) // timer = 1
 	a.ExtendTimer(row, 3)
 	for i := 0; i < 3; i++ {
@@ -219,7 +228,8 @@ func TestExtendTimer(t *testing.T) {
 
 func TestExtendTimerAfterResultRearms(t *testing.T) {
 	a := New(2)
-	row, _ := a.Allocate(arch.IntALU, nil, 1, 0)
+	const row = 0
+	a.Allocate(row, arch.IntALU, 0, 1)
 	a.Grant(row) // immediate result
 	a.ExtendTimer(row, 2)
 	if a.ResultAvailable(row) {
@@ -237,8 +247,9 @@ func TestExtendTimerAfterResultRearms(t *testing.T) {
 // instructions in the freed row are not spuriously depended upon.
 func TestReleaseClearsColumns(t *testing.T) {
 	a := New(4)
-	prod, _ := a.Allocate(arch.IntALU, nil, 1, 0)
-	cons, _ := a.Allocate(arch.IntALU, []int{prod}, 1, 1)
+	const prod, cons = 0, 1
+	a.Allocate(prod, arch.IntALU, 0, 1)
+	a.Allocate(cons, arch.IntALU, 1<<prod, 1)
 	a.Grant(prod)
 	a.Release(prod)
 	if a.DependsOn(cons, prod) {
@@ -249,22 +260,19 @@ func TestReleaseClearsColumns(t *testing.T) {
 	}
 	// A new instruction in the freed row must not look like the old
 	// producer.
-	again, _ := a.Allocate(arch.FPMDU, nil, 5, 2)
-	if again != prod {
-		t.Fatalf("expected row reuse, got %d", again)
-	}
-	if a.DependsOn(cons, again) {
+	a.Allocate(prod, arch.FPMDU, 0, 5)
+	if a.DependsOn(cons, prod) {
 		t.Error("consumer depends on an unrelated instruction reusing the row")
 	}
 }
 
 func TestCountsViews(t *testing.T) {
 	a := New(arch.QueueSize)
-	alu1, _ := a.Allocate(arch.IntALU, nil, 1, 0)
-	a.Allocate(arch.IntALU, []int{alu1}, 1, 1) // dependent: unscheduled but not ready
-	a.Allocate(arch.LSU, nil, 2, 2)
-	fp, _ := a.Allocate(arch.FPMDU, nil, 5, 3)
-	a.Grant(fp) // scheduled: excluded from both views
+	a.Allocate(0, arch.IntALU, 0, 1)
+	a.Allocate(1, arch.IntALU, 1<<0, 1) // dependent: unscheduled but not ready
+	a.Allocate(2, arch.LSU, 0, 2)
+	a.Allocate(3, arch.FPMDU, 0, 5)
+	a.Grant(3) // scheduled: excluded from both views
 
 	req := a.RequiredCounts()
 	if req != (arch.Counts{2, 0, 1, 0, 0}) {
@@ -281,11 +289,11 @@ func TestCountsViews(t *testing.T) {
 // requires only the LSU and depends on nothing; the Multiply (entry 4)
 // requires the IntMDU and depends only on the Subtract (entry 2).
 func TestPaperExampleArray(t *testing.T) {
-	a, rows := PaperExample()
-	if len(rows) != 7 {
-		t.Fatalf("paper example has %d rows, want 7", len(rows))
+	a := PaperExample()
+	if a.Free() != 0 || a.Size() != 7 {
+		t.Fatalf("paper example fills %d of %d rows, want 7 of 7", a.Size()-a.Free(), a.Size())
 	}
-	load := rows[4] // entry 5 (1-based in the paper)
+	const load = 4 // entry 5 (1-based in the paper)
 	if a.Unit(load) != arch.LSU {
 		t.Errorf("Load unit = %v, want LSU", a.Unit(load))
 	}
@@ -294,8 +302,8 @@ func TestPaperExampleArray(t *testing.T) {
 			t.Errorf("Load depends on row %d; the paper says it depends on nothing", j)
 		}
 	}
-	mul := rows[3] // entry 4
-	sub := rows[1] // entry 2
+	const mul = 3 // entry 4
+	const sub = 1 // entry 2
 	if a.Unit(mul) != arch.IntMDU {
 		t.Errorf("Multiply unit = %v, want IntMDU", a.Unit(mul))
 	}
@@ -308,9 +316,9 @@ func TestPaperExampleArray(t *testing.T) {
 	// Unit columns of all seven entries.
 	wantUnits := []arch.UnitType{arch.IntALU, arch.IntALU, arch.IntALU,
 		arch.IntMDU, arch.LSU, arch.FPMDU, arch.FPALU}
-	for i, r := range rows {
-		if a.Unit(r) != wantUnits[i] {
-			t.Errorf("entry %d unit = %v, want %v", i+1, a.Unit(r), wantUnits[i])
+	for i, want := range wantUnits {
+		if a.Unit(i) != want {
+			t.Errorf("entry %d unit = %v, want %v", i+1, a.Unit(i), want)
 		}
 	}
 }
@@ -319,20 +327,20 @@ func TestPaperExampleArray(t *testing.T) {
 // units available and checks every instruction eventually executes in
 // dependency order.
 func TestPaperExampleSchedules(t *testing.T) {
-	a, rows := PaperExample()
+	a := PaperExample()
 	granted := make(map[int]int) // row -> grant cycle
 	av := allAvail()
-	for cycle := 0; cycle < 100 && len(granted) < len(rows); cycle++ {
+	for cycle := 0; cycle < 100 && len(granted) < a.Size(); cycle++ {
 		for _, r := range a.Requests(av) {
 			a.Grant(r)
 			granted[r] = cycle
 		}
 		a.Tick()
 	}
-	if len(granted) != len(rows) {
-		t.Fatalf("only %d of %d instructions granted", len(granted), len(rows))
+	if len(granted) != a.Size() {
+		t.Fatalf("only %d of %d instructions granted", len(granted), a.Size())
 	}
-	for _, r := range rows {
+	for r := 0; r < a.Size(); r++ {
 		for j := 0; j < a.Size(); j++ {
 			if a.DependsOn(r, j) && granted[j] >= granted[r] {
 				t.Errorf("row %d granted at %d, not after its producer %d at %d",
@@ -343,7 +351,7 @@ func TestPaperExampleSchedules(t *testing.T) {
 }
 
 func TestDumpShape(t *testing.T) {
-	a, _ := PaperExample()
+	a := PaperExample()
 	out := a.Dump([]string{"Shift", "Sub", "Add", "Mul", "Load", "FPMul", "FPAdd"})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 8 { // header + 7 rows
@@ -404,17 +412,20 @@ func TestNoRequestEverViolatesDependencies(t *testing.T) {
 	live := map[int]bool{}
 	for step := 0; step < 5000; step++ {
 		switch rng.Intn(4) {
-		case 0: // allocate with random deps on live rows
-			var deps []int
+		case 0: // allocate a random free row with random deps on live rows
+			row := rng.Intn(a.Size())
+			if live[row] {
+				break
+			}
+			var deps uint64
 			for r := range live {
 				if rng.Intn(3) == 0 {
-					deps = append(deps, r)
+					deps |= 1 << uint(r)
 				}
 			}
 			unit := arch.UnitType(rng.Intn(arch.NumUnitTypes))
-			if row, ok := a.Allocate(unit, deps, 1+rng.Intn(6), uint64(step)); ok {
-				live[row] = true
-			}
+			a.Allocate(row, unit, deps, 1+rng.Intn(6))
+			live[row] = true
 		case 1: // grant a random requester
 			av := allAvail()
 			reqs := a.Requests(av)
