@@ -195,17 +195,16 @@ type steerEntry struct {
 
 // The steering key packs everything Select's outputs depend on into one
 // 55-bit word: the five demand counts clamped to the 3-bit range the CEM
-// actually sees (bits 0–14, packDemandKey), the live allocation's slot
-// encodings (bits 15–38), and the fabric's fault masks — the non-healthy
-// slots (bits 39–46) and the permanently dead slots (bits 47–54); the
-// allocation and the masks form the slot half (packSlotKey). Both masks are zero without
-// fault injection, so fault-free keys are unchanged. Availability
-// counts, distances and hence the choice are pure functions of these,
-// so keying on the allocation vector and masks also subsumes
-// invalidation: a reconfiguration, an upset or a repair changes the
-// inputs and thereby selects a different key — which is what keeps
-// cached steering bit-identical to uncached steering under any fault
-// stream.
+// actually sees (bits 0–14, packDemandKey), then the slot half
+// (packSlotKey): the live allocation's slot encodings (bits 15–38) and
+// the fabric's fault masks — the non-healthy slots (bits 39–46) and the
+// permanently dead slots (bits 47–54). Both masks are zero without fault
+// injection, so fault-free keys are unchanged. Availability counts,
+// distances and hence the choice are pure functions of these, so keying
+// on the allocation vector and masks also subsumes invalidation: a
+// reconfiguration, an upset or a repair changes the inputs and thereby
+// selects a different key — which is what keeps cached steering
+// bit-identical to uncached steering under any fault stream.
 
 // packDemandKey packs the demand half of the steering key (bits 0–14).
 func packDemandKey(required arch.Counts) uint64 {
@@ -300,9 +299,8 @@ type Manager struct {
 	sel  Selection
 	memo stepMemo
 
-	// slotKey is the slot half of the steering key (packSlotKey), valid
-	// while the fabric's allocation version and health masks equal the
-	// ones it was packed from.
+	// slotKey caches the slot half of the steering key between
+	// allocation and health-mask changes.
 	slotKey slotKeyMemo
 }
 

@@ -126,8 +126,9 @@ func (f *Fabric) refreshAlloc() {
 	f.allocVersion++
 }
 
-// idleHeads returns the head slots that can accept work this cycle:
-// configured, not executing, not reconfiguring and healthy.
+// idleHeads returns the slots that are not executing, not
+// reconfiguring and healthy; a head board masked with it gives the
+// units of that type that can accept work this cycle.
 func (f *Fabric) idleHeads() uint16 {
 	return ^f.busyMask &^ f.reconfigMask & f.healthOKMask
 }

@@ -57,7 +57,7 @@ func FuzzWakeupArray(f *testing.F) {
 			op, arg := next(), next()
 			switch op % 6 {
 			case 0:
-				row, ok := pick(a.full&^a.used, arg)
+				row, ok := pick(^a.used&(1<<uint(a.size)-1), arg)
 				if !ok {
 					break
 				}

@@ -45,7 +45,6 @@ const MaxSize = 64
 // Array is the wake-up array. The zero value is unusable; use New.
 type Array struct {
 	size int
-	full uint64 // mask with one bit per row
 
 	used      uint64 // row holds an instruction
 	scheduled uint64 // row has been granted execution
@@ -74,7 +73,6 @@ func New(size int) *Array {
 	}
 	return &Array{
 		size:      size,
-		full:      (uint64(1) << uint(size)) - 1,
 		deps:      make([]uint64, size),
 		consumers: make([]uint64, size),
 		unit:      make([]arch.UnitType, size),
@@ -89,11 +87,11 @@ func (a *Array) Size() int { return a.size }
 // Free returns the number of unused rows.
 func (a *Array) Free() int { return a.size - bits.OnesCount64(a.used) }
 
-// Allocate inserts an instruction into the free row row: it needs the
-// given unit type, waits on the producer rows set in depMask, and
-// executes with the given latency. The row must be unused and depMask
-// may name only used rows other than row itself; violations panic, as
-// they indicate a dispatcher bug.
+// Allocate inserts an instruction into the given unused row: it needs
+// the given unit type, waits on the producer rows set in depMask, and
+// executes with the given latency. depMask may name only used rows
+// other than row itself; violations panic, as they indicate a
+// dispatcher bug.
 func (a *Array) Allocate(row int, unit arch.UnitType, depMask uint64, latency int) {
 	if latency < 1 {
 		panic("wakeup: latency must be at least 1")
