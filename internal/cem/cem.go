@@ -75,15 +75,20 @@ func Error(required, available arch.Counts) int {
 func ErrorExact(required, available arch.Counts) int {
 	sum := 0
 	for t := range required {
-		req := clamp3(required[t])
-		av := available[t]
-		if av <= 1 {
-			sum += req
-		} else {
-			sum += req / av
-		}
+		sum += ExactContribution(required[t], available[t])
 	}
 	return clamp3(sum)
+}
+
+// ExactContribution returns one unit type's term of ErrorExact: the
+// required count divided by the available count, or the whole required
+// count when at most one unit is available.
+func ExactContribution(required, available int) int {
+	req := clamp3(required)
+	if available <= 1 {
+		return req
+	}
+	return req / available
 }
 
 // ShiftControl derives the two barrel-shifter control bits from a 3-bit

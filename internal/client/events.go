@@ -124,7 +124,15 @@ func (c *Client) consume(stream *EventStream, seen map[int]bool, onEvent func(ap
 				onEvent(ev)
 			}
 			if ev.State.Terminal() {
-				return true, nil
+				// The server ends the stream right after the terminal
+				// state. Reading to that end means the events request
+				// has finished server-side, its accounting included,
+				// when WaitJob returns, and the connection can be reused.
+				for {
+					if _, err := stream.Next(); err != nil {
+						return true, nil
+					}
+				}
 			}
 			continue
 		}

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/arch"
@@ -236,13 +237,27 @@ func (v AllocationVector) Diff(target Configuration) []int {
 // error selector uses it to break ties toward the configuration needing
 // the least reconfiguration. It is allocation-free, unlike Diff.
 func (v AllocationVector) Distance(target Configuration) int {
-	n := 0
-	for i := range v.Slots {
-		if v.Slots[i] != target.Layout[i] {
-			n++
-		}
+	return LayoutDistance(PackLayout(v.Slots), PackLayout(target.Layout))
+}
+
+// PackLayout packs a slot layout into one word, arch.EncodingBits per slot
+// with slot 0 in the low bits: the form the fabric keeps its allocation
+// in and the managers key their tables on.
+func PackLayout(slots [arch.NumRFUSlots]arch.Encoding) uint32 {
+	var w uint32
+	for i, e := range slots {
+		w |= uint32(e) << (uint(i) * arch.EncodingBits)
 	}
-	return n
+	return w
+}
+
+// LayoutDistance counts the slots in which two packed layouts differ:
+// each differing slot leaves a non-zero 3-bit field in a^b, which the
+// two shifts fold into that field's low bit.
+func LayoutDistance(a, b uint32) int {
+	const lowBits = 0o11111111 // bit 0 of each slot's field
+	x := a ^ b
+	return bits.OnesCount32((x | x>>1 | x>>2) & lowBits)
 }
 
 // String renders both portions of the vector.

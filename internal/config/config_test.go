@@ -268,3 +268,32 @@ func TestClassify(t *testing.T) {
 		t.Errorf("mixed layout = %q, want hybrid", got)
 	}
 }
+
+// TestLayoutDistanceCountsSlots checks the packed-word distance against
+// a slot-by-slot count over random encodings, every code 0–7 included,
+// and that PackLayout keeps slot i in bits 3i–3i+2.
+func TestLayoutDistanceCountsSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		var a, b [arch.NumRFUSlots]arch.Encoding
+		for s := range a {
+			a[s] = arch.Encoding(rng.Intn(8))
+			b[s] = a[s]
+			if rng.Intn(2) == 0 {
+				b[s] = arch.Encoding(rng.Intn(8))
+			}
+		}
+		want := 0
+		for s := range a {
+			if a[s] != b[s] {
+				want++
+			}
+			if got := arch.Encoding(PackLayout(a) >> (3 * s) & 7); got != a[s] {
+				t.Fatalf("PackLayout(%v) slot %d = %d", a, s, got)
+			}
+		}
+		if got := LayoutDistance(PackLayout(a), PackLayout(b)); got != want {
+			t.Fatalf("LayoutDistance(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+}

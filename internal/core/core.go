@@ -59,7 +59,7 @@ type Selection struct {
 }
 
 // Current reports whether the selection kept the current configuration.
-func (s Selection) Current() bool { return s.Choice == 0 }
+func (s *Selection) Current() bool { return s.Choice == 0 }
 
 // key builds the lexicographic comparison key the minimal-error selector
 // orders candidates by: error first, then reconfiguration distance (the
@@ -177,9 +177,6 @@ type Stats struct {
 const (
 	steerCacheBits = 9
 	steerCacheSize = 1 << steerCacheBits
-	// encodingBits is the width of one slot encoding in the packed key
-	// (arch.Encoding values are 0..7).
-	encodingBits = 3
 )
 
 // steerEntry is one direct-mapped cache line. key holds the packed key
@@ -221,18 +218,13 @@ func packDemandKey(required arch.Counts) uint64 {
 	return k
 }
 
-// packSlotKey packs the slot half of the steering key: the allocation
-// (bits 15–38) and the fault masks (bits 39–54).
-func packSlotKey(slots [arch.NumRFUSlots]arch.Encoding, unavail, dead uint8) uint64 {
+// packSlotKey packs the slot half of the steering key: the packed
+// allocation (config.PackLayout, bits 15–38) and the fault masks (bits
+// 39–54).
+func packSlotKey(layout uint32, unavail, dead uint8) uint64 {
 	const demandBits = uint(arch.NumUnitTypes * arch.CountBits)
-	var k uint64
-	for i, e := range slots {
-		k |= uint64(e) << (demandBits + uint(i)*encodingBits)
-	}
-	const slotBits = demandBits + arch.NumRFUSlots*encodingBits
-	k |= uint64(unavail) << slotBits
-	k |= uint64(dead) << (slotBits + arch.NumRFUSlots)
-	return k
+	const slotBits = demandBits + arch.NumRFUSlots*arch.EncodingBits
+	return uint64(layout)<<demandBits | uint64(unavail)<<slotBits | uint64(dead)<<(slotBits+arch.NumRFUSlots)
 }
 
 // steerCacheIndex maps a packed key to a table slot by Fibonacci
@@ -245,10 +237,9 @@ func steerCacheIndex(key uint64) int {
 // to a fabric and a steering basis.
 type Manager struct {
 	basis [3]config.Configuration
-	// basisAvail caches each basis configuration's availability counts
-	// (unit mix + FFUs) — the hard-wired CEM inputs of Fig. 3(b).
-	basisAvail [3]arch.Counts
-	fabric     *rfu.Fabric
+	// basisWord holds each basis layout packed by config.PackLayout.
+	basisWord [3]uint32
+	fabric    *rfu.Fabric
 	// ExactCEM switches the error metric generators to the paper's
 	// "more accurate divider" variant (the X3 ablation). It is fixed
 	// before first use: set it before the first Select or Step, since
@@ -290,42 +281,50 @@ type Manager struct {
 	// classifyName memoizes ClassifyAllocation against the fabric's
 	// allocation version: the name is recomputed only when the
 	// allocation vector actually changed, not every cycle. The empty
-	// string marks "not yet computed".
+	// string marks "not yet computed". hybrid records whether the name
+	// is "hybrid".
 	classifyName    string
 	classifyVersion uint64
+	hybrid          bool
 
 	// sel is the selection Step fills and returns by reference; memo
 	// remembers the inputs and outcome of the Step that filled it.
 	sel  Selection
 	memo stepMemo
 
-	// slotKey caches the slot half of the steering key between
-	// allocation and health-mask changes.
+	// slotKey caches the slot half of the steering key, and the
+	// predefined candidates' scoring tables, between allocation and
+	// health-mask changes.
 	slotKey slotKeyMemo
 }
 
-// slotKeyMemo remembers the slot half of the steering key and the
-// inputs it was packed from.
+// slotKeyMemo remembers the slot half of the steering key, the inputs
+// it was packed from, and what the three predefined candidates' scores
+// derive from those inputs: each candidate's reconfiguration distance
+// and, per unit type and clamped demand count, its CEM term. A
+// candidate's error is then the saturated sum of five table reads.
 type slotKeyMemo struct {
 	valid         bool
 	version       uint64
 	unavail, dead uint8
 	key           uint64
+	dists         [3]uint8
+	terms         [3][arch.NumUnitTypes][1 << arch.CountBits]uint8
 }
 
 // stepMemo is Step's one-entry memo. The selection unit and loader are
-// combinational: Select's outcome is a pure function of the demand and
-// the allocation vector, and Load's of those plus the fabric's timer
-// masks. So a cycle whose demand and allocation version equal the
-// memo's would select exactly what the memo holds; Step then replays
-// the steering-cache hit (valid while the cache line still holds the
-// entry) instead of selecting. If a Load already ran on those inputs
-// and the same timer masks without starting a rewrite, Step replays its
-// deferrals too.
+// combinational: Select's outcome is a pure function of the clamped
+// demand and the allocation vector, and Load's of those plus the
+// fabric's timer masks. So a cycle whose packed demand and allocation
+// version equal the memo's would select exactly what the memo holds;
+// Step then replays the steering-cache hit (valid while the cache line
+// still holds the entry) instead of selecting. If a Load already ran on
+// those inputs and the same timer masks without starting a rewrite,
+// Step replays its deferrals too.
 type stepMemo struct {
-	valid    bool
-	required arch.Counts
-	version  uint64 // fabric allocation version
+	valid   bool
+	demand  uint64 // packDemandKey of the demand
+	version uint64 // fabric allocation version
 	// line and tag locate the steering-cache entry the selection came
 	// from.
 	line int
@@ -345,7 +344,7 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration) *Manager {
 		if err := c.Validate(); err != nil {
 			panic(fmt.Sprintf("core: invalid steering configuration: %v", err))
 		}
-		m.basisAvail[i] = c.Counts().Add(config.FFUCounts())
+		m.basisWord[i] = config.PackLayout(c.Layout)
 		m.basisUnits[i] = c.AppendUnits(nil)
 	}
 	return m
@@ -375,44 +374,31 @@ func (m *Manager) NotePrefetch(issued, confirmed, mispredicted, cancelled, waste
 	m.stats.PhaseChanges += phaseChanges
 }
 
-// errorOf runs one CEM generator.
-func (m *Manager) errorOf(required, available arch.Counts) int {
-	if m.ExactCEM {
-		return cem.ErrorExact(required, available)
-	}
-	return cem.Error(required, available)
-}
-
 // Select runs the selection unit over the requirement counts of the
 // unscheduled queue instructions and returns the chosen configuration.
 // Availability counts include the FFUs for every candidate ("…relative
 // to each of the four configurations including the FFUs", §3.1).
 func (m *Manager) Select(required arch.Counts) Selection {
 	var sel Selection
-	m.selectInto(&sel, required)
+	m.selectInto(&sel, required, packDemandKey(required))
 	return sel
 }
 
-// selectInto is Select writing into sel. With the steering cache on it
-// returns the cache line that served the selection and the tag the line
-// now holds.
-func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, tag uint64) {
+// selectInto is Select writing into sel; demand is packDemandKey of
+// required. With the steering cache on it returns the cache line that
+// served the selection and the tag the line now holds.
+func (m *Manager) selectInto(sel *Selection, required arch.Counts, demand uint64) (line int, tag uint64) {
 	if !m.cacheOpen && m.obs.Wants(trace.KindCacheOpen) {
 		m.cacheOpen = true
 		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
 	}
-	unavail, dead := m.fabric.HealthMasks()
+	sk := m.slotView()
 	if m.DisableCache {
 		m.lookup = trace.LookupNone
-		m.selectUncached(sel, required, m.fabric.Allocation(), dead)
+		m.score(sel, required, demand, sk)
 		return 0, 0
 	}
-	sk := &m.slotKey
-	if version := m.fabric.AllocVersion(); !sk.valid || version != sk.version || unavail != sk.unavail || dead != sk.dead {
-		*sk = slotKeyMemo{valid: true, version: version, unavail: unavail, dead: dead,
-			key: packSlotKey(m.fabric.Allocation().Slots, unavail, dead)}
-	}
-	key := packDemandKey(required) | sk.key
+	key := demand | sk.key
 	line = steerCacheIndex(key)
 	e := &m.cache[line]
 	if e.key == key+1 {
@@ -428,7 +414,7 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 	}
 	m.stats.CacheMisses++
 	m.lookup = trace.LookupMiss
-	m.selectUncached(sel, required, m.fabric.Allocation(), dead)
+	m.score(sel, required, demand, sk)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
 	for i := range sel.Errors {
@@ -438,34 +424,84 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 	return line, e.key
 }
 
-// selectUncached runs the four CEM generators and the minimal-error
-// selector directly — the cache-miss (and cache-disabled) path. Under
-// fault injection the current-configuration candidate scores the
-// degraded unit mix (fault-masked units are not available capacity),
-// and each basis candidate loses the units it can no longer realise
-// because their spans cross permanently dead slots. Transiently faulty
-// slots do not discount the basis candidates: loading a configuration
-// rewrites their frames, restoring them.
-func (m *Manager) selectUncached(sel *Selection, required arch.Counts, alloc config.AllocationVector, dead uint8) {
+// slotView returns the slot-key memo, repacking it and rebuilding the
+// candidates' tables when the allocation or the health masks changed.
+// The term tables depend only on the dead-slot mask, so only a change
+// of it rebuilds them.
+func (m *Manager) slotView() *slotKeyMemo {
+	sk := &m.slotKey
+	unavail, dead := m.fabric.HealthMasks()
+	version := m.fabric.AllocVersion()
+	if sk.valid && version == sk.version && unavail == sk.unavail && dead == sk.dead {
+		return sk
+	}
+	if !sk.valid || dead != sk.dead {
+		m.fillTerms(&sk.terms, dead)
+	}
+	layout := m.fabric.LayoutWord()
+	sk.valid, sk.version, sk.unavail, sk.dead = true, version, unavail, dead
+	sk.key = packSlotKey(layout, unavail, dead)
+	for i, w := range m.basisWord {
+		sk.dists[i] = uint8(config.LayoutDistance(layout, w))
+	}
+	return sk
+}
+
+// fillTerms tabulates each predefined candidate's CEM term (cem.
+// Contribution, or cem.ExactContribution under ExactCEM) for every unit
+// type and clamped demand count, over the candidate's availability with
+// the units crossing dead slots dropped.
+func (m *Manager) fillTerms(terms *[3][arch.NumUnitTypes][1 << arch.CountBits]uint8, dead uint8) {
+	term := cem.Contribution
+	if m.ExactCEM {
+		term = cem.ExactContribution
+	}
+	for i := range m.basis {
+		avail := m.basisAvail(i, dead)
+		for t := range avail {
+			for c := range terms[i][t] {
+				terms[i][t][c] = uint8(term(c, avail[t]))
+			}
+		}
+	}
+}
+
+// errorOf runs one CEM generator.
+func (m *Manager) errorOf(required, available arch.Counts) int {
+	if m.ExactCEM {
+		return cem.ErrorExact(required, available)
+	}
+	return cem.Error(required, available)
+}
+
+// score runs the selection unit: the CEM generator for the current
+// configuration, the predefined candidates' errors and distances from
+// the slot view's tables, and the minimal-error selector. The current
+// configuration scores the degraded unit mix (fault-masked units are
+// not available capacity), and each predefined candidate loses the
+// units whose spans cross permanently dead slots. Transiently faulty
+// slots do not discount the predefined candidates: loading a
+// configuration rewrites their frames, restoring them.
+func (m *Manager) score(sel *Selection, required arch.Counts, demand uint64, sk *slotKeyMemo) {
 	sel.Required = required
 	sel.Errors[0] = m.errorOf(required, m.fabric.EffectiveTotalCounts())
 	sel.Distances[0] = 0
-	for i := range m.basis {
-		avail := m.basisAvail[i]
-		if dead != 0 {
-			avail = m.degradedBasisAvail(i, dead)
+	for i := range sk.terms {
+		sum := 0
+		for t := range sk.terms[i] {
+			sum += int(sk.terms[i][t][demand>>(uint(t)*arch.CountBits)&(1<<arch.CountBits-1)])
 		}
-		sel.Errors[i+1] = m.errorOf(required, avail)
-		sel.Distances[i+1] = alloc.Distance(m.basis[i])
+		sel.Errors[i+1] = min(sum, 1<<arch.CountBits-1)
+		sel.Distances[i+1] = int(sk.dists[i])
 	}
 	sel.Choice = MinimalErrorSelect(sel.Errors, sel.Distances)
 }
 
-// degradedBasisAvail recomputes basis configuration i's availability
-// counts with dead slots excluded: a unit whose span covers a dead slot
-// cannot be placed there anymore. Allocation-free (runs on the
-// selection hot path when slots have died).
-func (m *Manager) degradedBasisAvail(i int, dead uint8) arch.Counts {
+// basisAvail returns basis configuration i's availability counts (unit
+// mix plus FFUs, the hard-wired CEM inputs of Fig. 3(b)) with dead
+// slots excluded: a unit whose span covers a dead slot cannot be placed
+// there anymore.
+func (m *Manager) basisAvail(i int, dead uint8) arch.Counts {
 	var c arch.Counts
 	layout := m.basis[i].Layout
 	for s := 0; s < arch.NumRFUSlots; s++ {
@@ -537,6 +573,7 @@ func (m *Manager) ClassifyAllocation() string {
 	if v := m.fabric.AllocVersion(); v != m.classifyVersion || m.classifyName == "" {
 		m.classifyName = config.Classify(m.fabric.Allocation().Slots, m.basis)
 		m.classifyVersion = v
+		m.hybrid = m.classifyName == "hybrid"
 	}
 	return m.classifyName
 }
@@ -556,15 +593,17 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 	memo := &m.memo
 	timers, plain := m.fabric.TimerMasks()
 	version := m.fabric.AllocVersion()
-	hit := memo.valid && required == memo.required && version == memo.version && plain &&
+	demand := packDemandKey(required)
+	hit := memo.valid && demand == memo.demand && version == memo.version && plain &&
 		!m.DisableCache && m.cache[memo.line].key == memo.tag
 	if hit {
 		m.stats.CacheHits++
 		m.lookup = trace.LookupHit
+		sel.Required = required
 	} else {
-		memo.line, memo.tag = m.selectInto(sel, required)
+		memo.line, memo.tag = m.selectInto(sel, required, demand)
 		memo.valid = plain && !m.DisableCache
-		memo.required, memo.version = required, version
+		memo.demand, memo.version = demand, version
 		memo.deferred = -1
 	}
 	m.stats.Selections[sel.Choice]++
@@ -605,4 +644,7 @@ func (m *Manager) Manage(required arch.Counts) { m.Step(required) }
 
 // isHybrid reports whether the live allocation matches none of the
 // predefined layouts (and is not empty).
-func (m *Manager) isHybrid() bool { return m.ClassifyAllocation() == "hybrid" }
+func (m *Manager) isHybrid() bool {
+	m.ClassifyAllocation()
+	return m.hybrid
+}

@@ -447,7 +447,7 @@ func TestStepMemoMatchesUncached(t *testing.T) {
 					memo.MinResidency = rng.Intn(3) * 8
 					plain.MinResidency = memo.MinResidency
 				}
-				if memo.memo.valid && d == memo.memo.required && fm.AllocVersion() == memo.memo.version {
+				if memo.memo.valid && packDemandKey(d) == memo.memo.demand && fm.AllocVersion() == memo.memo.version {
 					replays++
 				}
 

@@ -44,6 +44,88 @@ type DemandManager struct {
 	// timer masks would synthesise the same target and defer the same
 	// slots, so Step replays those counts instead.
 	memo demandMemo
+
+	// plans and synths memoize the two pure functions a Step's target
+	// comes from: plan, keyed by the exact demand, and synthesize, keyed
+	// by the plan, the live layout and, under hysteresis, the demand.
+	// Each synthesis entry keeps the target's placement list, so a
+	// cycle whose inputs were seen before costs two lookups and Load.
+	plans  [1 << planTableBits]planEntry
+	synths [1 << synthTableBits]synthEntry
+}
+
+// Geometry of the demand manager's direct-mapped tables and of their
+// packed keys. A phase-alternating run visits a few hundred demand
+// vectors but thousands of (plan, layout) pairs, since layouts pass
+// through many partly reconfigured states: on 60k-instruction programs
+// at latencies 4–16, 256 plan lines serve 93% of plans and 4096
+// synthesis lines (128 KiB) 80% of syntheses, against 46% at 256.
+const (
+	planTableBits  = 8
+	synthTableBits = 12
+	// demandFieldBits is the width of one exact demand count in a key.
+	// A count outside [0, 1<<demandFieldBits) bypasses the tables;
+	// simulated demand never does, since it is at most the window (64)
+	// plus the lookahead's fetch buffer.
+	demandFieldBits = 8
+	// planFieldBits is the width of one planned count (at most
+	// arch.NumRFUSlots) in a packed plan.
+	planFieldBits = 4
+	planBits      = arch.NumUnitTypes * planFieldBits
+	layoutBits    = arch.NumRFUSlots * arch.EncodingBits
+)
+
+// planEntry is one line of the plan table.
+type planEntry struct {
+	key  uint64 // packed demand plus one; zero marks an empty line
+	plan uint32 // packPlan of the planned multiset
+}
+
+// synthEntry is one line of the synthesis table. key packs the plan
+// (bits 0–19), the live layout (bits 20–43) and the hysteresis (from
+// bit 44, zero when off), plus one so that zero marks an empty line;
+// demand is the packed demand under hysteresis and zero otherwise.
+// units holds the target's n placements, each its head slot times 8
+// plus its unit type.
+type synthEntry struct {
+	key, demand uint64
+	n           uint8
+	units       [arch.NumRFUSlots]uint8
+}
+
+// packDemand packs the exact demand counts, demandFieldBits each; exact
+// is false when a count does not fit.
+func packDemand(required arch.Counts) (key uint64, exact bool) {
+	for t, c := range required {
+		if uint(c) >= 1<<demandFieldBits {
+			return 0, false
+		}
+		key |= uint64(c) << (uint(t) * demandFieldBits)
+	}
+	return key, true
+}
+
+// packPlan packs a planned multiset, planFieldBits per type.
+func packPlan(planned arch.Counts) uint32 {
+	var w uint32
+	for t, c := range planned {
+		w |= uint32(c) << (uint(t) * planFieldBits)
+	}
+	return w
+}
+
+// unpackPlan is packPlan's inverse.
+func unpackPlan(w uint32) arch.Counts {
+	var planned arch.Counts
+	for t := range planned {
+		planned[t] = int(w >> (uint(t) * planFieldBits) & (1<<planFieldBits - 1))
+	}
+	return planned
+}
+
+// tableIndex maps a key to one of 1<<bits lines by Fibonacci hashing.
+func tableIndex(key uint64, bits uint) int {
+	return int((key * 0x9E3779B97F4A7C15) >> (64 - bits))
 }
 
 // demandMemo is DemandManager.Step's one-entry memo.
@@ -203,6 +285,51 @@ func (m *DemandManager) Target(required arch.Counts) config.Configuration {
 	return m.synthesize(m.plan(required), required)
 }
 
+// targetUnits returns the placement list of the layout synthesize
+// builds for required on the live fabric, read from the tables when
+// their inputs were seen before. The list is valid until the next call.
+func (m *DemandManager) targetUnits(required arch.Counts) []config.PlacedUnit {
+	demand, exact := packDemand(required)
+	if !exact {
+		return m.synthesizeUnits(m.plan(required), required)
+	}
+	pe := &m.plans[tableIndex(demand, planTableBits)]
+	if pe.key != demand+1 {
+		pe.key, pe.plan = demand+1, packPlan(m.plan(required))
+	}
+	key := uint64(pe.plan) | uint64(m.fabric.LayoutWord())<<planBits
+	var keyDemand uint64
+	if h := m.Hysteresis; h > 0 {
+		// Counts below 1<<demandFieldBits differ by less than that, so
+		// every larger margin acts alike.
+		key |= uint64(min(h, 1<<demandFieldBits)) << (planBits + layoutBits)
+		keyDemand = demand
+	}
+	se := &m.synths[tableIndex(key^keyDemand, synthTableBits)]
+	if se.key == key+1 && se.demand == keyDemand {
+		m.unitsScratch = m.unitsScratch[:se.n]
+		for i, u := range se.units[:se.n] {
+			t := arch.UnitType(u & 7)
+			m.unitsScratch[i] = config.PlacedUnit{Type: t, Slot: int(u >> 3), Span: arch.SlotCost(t)}
+		}
+		return m.unitsScratch
+	}
+	units := m.synthesizeUnits(unpackPlan(pe.plan), required)
+	se.key, se.demand, se.n = key+1, keyDemand, uint8(len(units))
+	for i, u := range units {
+		se.units[i] = uint8(u.Slot<<3) | uint8(u.Type)
+	}
+	return units
+}
+
+// synthesizeUnits is synthesize returning the target's placement list,
+// held in the manager's scratch buffer.
+func (m *DemandManager) synthesizeUnits(planned, required arch.Counts) []config.PlacedUnit {
+	target := m.synthesize(planned, required)
+	m.unitsScratch = target.AppendUnits(m.unitsScratch[:0])
+	return m.unitsScratch
+}
+
 // Step performs one cycle of demand-driven management: synthesise a
 // target and partially load it (idle spans only). A cycle whose inputs
 // equal those of the latest Step that started no rewrite replays its
@@ -220,10 +347,9 @@ func (m *DemandManager) Step(required arch.Counts) {
 		m.DeferredSlots += memo.deferred
 		return
 	}
-	target := m.synthesize(m.plan(required), required)
+	units := m.targetUnits(required)
 	m.Syntheses++
-	m.unitsScratch = target.AppendUnits(m.unitsScratch[:0])
-	started, _, deferred := m.fabric.Load(m.unitsScratch)
+	started, _, deferred := m.fabric.Load(units)
 	m.Reconfigurations += started
 	m.DeferredSlots += deferred
 	memo := &m.memo

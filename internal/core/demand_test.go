@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -272,4 +273,87 @@ func TestDemandStepMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// referenceStep is DemandManager.Step without its tables and memo: it
+// plans and synthesises from scratch and loads the target every cycle.
+func referenceStep(m *DemandManager, required arch.Counts) {
+	if required.Total() == 0 {
+		return
+	}
+	m.Syntheses++
+	started, _, deferred := m.fabric.Load(m.synthesize(m.plan(required), required).AppendUnits(nil))
+	m.Reconfigurations += started
+	m.DeferredSlots += deferred
+}
+
+// FuzzDemandManager holds DemandManager.Step, with its plan and
+// synthesis tables and its memo, to referenceStep on a twin fabric. The
+// input picks the fabric's reconfiguration latency and bus width, then
+// runs two-byte operations: set one demand count (up to a 64-row
+// window plus lookahead, or 300, past the tables' key range), clear the
+// demand, busy a unit, rewrite a span behind the manager's back, set
+// the hysteresis (0–2), or tick. A Step follows every operation. After
+// each, the Load outcome (allocation and timer masks), Syntheses,
+// Reconfigurations and DeferredSlots must agree, and so must the
+// tables' target for the same demand on the layout the Step left.
+func FuzzDemandManager(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 3, 6, 2, 12, 1, 30, 4, 5, 0, 0, 6, 5, 1})
+	f.Add(uint8(2), []byte{0, 7, 0, 7, 4, 2, 6, 9, 5, 3, 2, 5, 18, 40, 5, 0, 4, 1, 1, 0, 24, 80})
+	f.Add(uint8(8), []byte{24, 255, 4, 2, 0, 64, 5, 1, 3, 3, 9, 0, 5, 2, 1, 0, 12, 7, 5, 3})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		latency := []int{0, 1, 4, 8, 16}[shape%5]
+		busWidth := int(shape/5) % 3
+		fm, fr := rfu.New(latency), rfu.New(latency)
+		fm.SetConfigBusWidth(busWidth)
+		fr.SetConfigBusWidth(busWidth)
+		m, ref := NewDemandManager(fm), NewDemandManager(fr)
+		var d arch.Counts
+		for step := 0; len(ops) >= 2; step, ops = step+1, ops[2:] {
+			ty, arg := arch.UnitType(ops[0]/6%arch.NumUnitTypes), int(ops[1])
+			switch ops[0] % 6 {
+			case 0:
+				d[ty] = arg % 81
+				if arg == 255 {
+					d[ty] = 300
+				}
+			case 1:
+				d = arch.Counts{}
+			case 2:
+				_, okM := fm.Acquire(ty, 1+arg%8)
+				_, okR := fr.Acquire(ty, 1+arg%8)
+				if okM != okR {
+					t.Fatalf("step %d: fabrics disagree on acquiring %v", step, ty)
+				}
+			case 3:
+				if slot := arg % arch.NumRFUSlots; fm.CanReconfigure(ty, slot) {
+					fm.Reconfigure(ty, slot)
+					fr.Reconfigure(ty, slot)
+				}
+			case 4:
+				m.Hysteresis = arg % 3
+				ref.Hysteresis = m.Hysteresis
+			case 5:
+				for i := arg % 4; i > 0; i-- {
+					fm.Tick()
+					fr.Tick()
+				}
+			}
+			m.Step(d)
+			referenceStep(ref, d)
+			if m.Syntheses != ref.Syntheses || m.Reconfigurations != ref.Reconfigurations || m.DeferredSlots != ref.DeferredSlots {
+				t.Fatalf("step %d, demand %v: syntheses/reconfigurations/deferred = %d/%d/%d, reference %d/%d/%d",
+					step, d, m.Syntheses, m.Reconfigurations, m.DeferredSlots, ref.Syntheses, ref.Reconfigurations, ref.DeferredSlots)
+			}
+			tm, _ := fm.TimerMasks()
+			tr, _ := fr.TimerMasks()
+			if fm.Allocation() != fr.Allocation() || tm != tr {
+				t.Fatalf("step %d: allocation %v timers %#x, reference %v timers %#x",
+					step, fm.Allocation().Slots, tm, fr.Allocation().Slots, tr)
+			}
+			if got, want := m.targetUnits(d), ref.synthesize(ref.plan(d), d).AppendUnits(nil); !slices.Equal(got, want) {
+				t.Fatalf("step %d, demand %v, hysteresis %d: target %v, reference %v", step, d, m.Hysteresis, got, want)
+			}
+		}
+	})
 }

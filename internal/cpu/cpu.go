@@ -274,6 +274,8 @@ func (p Params) Validate() error {
 		{"CacheSets", p.CacheSets, MaxCacheSets},
 		{"PredictorEntries", p.PredictorEntries, MaxPredictorEntries},
 		{"TraceCacheLines", p.TraceCacheLines, MaxTraceCacheLines},
+		{"PrefetchHistoryDepth", p.PrefetchHistoryDepth, MaxPrefetchHistoryDepth},
+		{"CacheMissPenalty", p.CacheMissPenalty, MaxLatency},
 	} {
 		if f.v > f.max {
 			return fmt.Errorf("%w: %s must be at most %d, got %d", ErrInvalidParams, f.name, f.max, f.v)
@@ -289,6 +291,9 @@ func (p Params) Validate() error {
 		for _, v := range []int{l.IntALU, l.IntMul, l.IntDiv, l.Load, l.Store, l.FPALU, l.FPMul, l.FPDiv, l.FPSqrt} {
 			if v < 1 {
 				return fmt.Errorf("%w: Latencies %+v has a class below 1 cycle", ErrInvalidParams, l)
+			}
+			if v > MaxLatency {
+				return fmt.Errorf("%w: Latencies %+v has a class above %d cycles", ErrInvalidParams, l, MaxLatency)
 			}
 		}
 	}
@@ -330,16 +335,22 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Caps on the allocation-sizing parameters: the largest sizes any study
-// uses (the 1 MiB default memory, the 64-set data cache, X13's
-// 1024-entry predictor, the 64-line trace cache). Validate rejects
-// larger values, so one request cannot make the machine allocate
-// without bound — and MemBytes stays within the 32-bit address space.
+// Caps on the sizing parameters. The allocation sizes are capped at
+// the largest any study uses (the 1 MiB default memory, the 64-set data
+// cache, X13's 1024-entry predictor, the 64-line trace cache), so one
+// request cannot make the machine allocate without bound, and MemBytes
+// stays within the 32-bit address space. The prefetch predictor's ring
+// is capped at its detector's exactness bound (predict.MaxHistoryDepth;
+// the default depth is 32). Every execution latency and the cache-miss
+// penalty are capped by MaxLatency, well inside the wake-up array's
+// 32-bit timers; the default table's longest is 20 cycles.
 const (
-	MaxMemBytes         = mem.DefaultSize
-	MaxCacheSets        = 64
-	MaxPredictorEntries = 1024
-	MaxTraceCacheLines  = 64
+	MaxMemBytes             = mem.DefaultSize
+	MaxCacheSets            = 64
+	MaxPredictorEntries     = 1024
+	MaxTraceCacheLines      = 64
+	MaxPrefetchHistoryDepth = 4096
+	MaxLatency              = 4096
 )
 
 // MaxClusterCores bounds Params.Cores: eight cores over eight slots is

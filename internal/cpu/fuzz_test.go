@@ -102,6 +102,8 @@ func FuzzCycleModel(f *testing.F) {
 	f.Add(int64(2), uint8(31), []byte{2, 16, 2, 8, 2, 6, 0, 1, 3, 5, 2, 9, 4, 6, 3, 12, 20, 5, 8, 5, 8, 3, 2, 1, 1, 1, 30, 3})
 	f.Add(int64(3), uint8(5), []byte{6, 64, 8, 1, 8, 1, 2, 1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 1, 0, 10, 0, 6, 0, 0, 0, 0, 1, 0, 1, 64, 5})
 	f.Add(int64(4), uint8(24), []byte{5, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1})
+	f.Add(int64(5), uint8(18), []byte{7, 16, 4, 4, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2})
+	f.Add(int64(6), uint8(27), []byte{7, 64, 8, 8, 8, 4, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, draw []byte) {
 		const memBytes = 1 << 16
 		// The generated programs retire at most a few hundred
@@ -180,12 +182,14 @@ func checkArchState(t *testing.T, label string, p *Processor, stats Stats, steps
 type fuzzMachine struct {
 	policy string
 	params Params
+	// hysteresis is the demand manager's eviction margin.
+	hysteresis int
 }
 
 // fuzzPolicies are the configuration-management policies a draw picks
 // from. "exact" is the steering manager with the exact CEM, the oracle
 // without its zero-latency fabric.
-var fuzzPolicies = []string{"none", "static-int", "random", "full-reconfig", "steering", "exact", "prefetch"}
+var fuzzPolicies = []string{"none", "static-int", "random", "full-reconfig", "steering", "exact", "prefetch", "demand"}
 
 // drawMachine decodes a machine from fuzz bytes, one field a byte; a
 // short input leaves the remaining fields at zero, their defaults. Every
@@ -235,9 +239,12 @@ func drawMachine(draw []byte) fuzzMachine {
 	p.PrefetchHistoryDepth = next(65)
 	p.PrefetchConfidence = []float64{0, 0.25, 0.55, 0.8, 1}[next(5)]
 	switch m.policy {
-	case "steering", "exact", "prefetch":
+	case "steering", "exact", "prefetch", "demand":
 		// Only a manager that reconfigures can run without the FFUs.
 		p.DisableFFUs = next(2) == 1
+	}
+	if m.policy == "demand" {
+		m.hysteresis = next(3)
 	}
 	return m
 }
@@ -267,6 +274,10 @@ func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *co
 		})
 		mgr = pm.Core()
 		p.SetManager(pm)
+	case "demand":
+		dm := core.NewDemandManager(p.Fabric())
+		dm.Hysteresis = m.hysteresis
+		p.SetManager(dm)
 	}
 	if mgr != nil {
 		mgr.DisableCache = disableCache

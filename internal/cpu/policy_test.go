@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/predict"
 )
 
 func TestPolicyRoundTrip(t *testing.T) {
@@ -90,6 +91,9 @@ func TestParamsValidate(t *testing.T) {
 		{ConfigBusWidth: 1},
 		{FaultTransientRate: 0.5, FaultPermanentRate: 0.5, FaultScrubInterval: 64}, // sum exactly 1
 		{FaultScrubInterval: 1},
+		{PrefetchHistoryDepth: MaxPrefetchHistoryDepth},
+		{CacheMissPenalty: MaxLatency},
+		{Latencies: isa.Latencies{IntALU: 1, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: MaxLatency}},
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -111,11 +115,26 @@ func TestParamsValidate(t *testing.T) {
 		{FaultTransientRate: 0.5, FaultPermanentRate: 0.5}, // rates without a scrub interval
 		{FaultTransientRate: 0.002},                        // ditto, transient only
 		{FaultPermanentRate: 0.001, FaultScrubInterval: 0}, // explicit zero scrub
+		{PrefetchHistoryDepth: MaxPrefetchHistoryDepth + 1},
+		{PrefetchHistoryDepth: 1 << 33}, // a 343 GB ring
+		{CacheMissPenalty: MaxLatency + 1},
+		{CacheMissPenalty: 1 << 32}, // truncated by the wake-up timers
+		{Latencies: isa.Latencies{IntALU: 1, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: MaxLatency + 1}},
+		{Latencies: isa.Latencies{IntALU: 1 << 32, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: 1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("bad[%d]: err = %v, want ErrInvalidParams", i, err)
 		}
+	}
+}
+
+// TestPrefetchHistoryCap pins Params.Validate's ring cap to the
+// predictor's own: the detector's reciprocal division is exact only up
+// to predict.MaxHistoryDepth.
+func TestPrefetchHistoryCap(t *testing.T) {
+	if MaxPrefetchHistoryDepth != predict.MaxHistoryDepth {
+		t.Errorf("MaxPrefetchHistoryDepth = %d, predict.MaxHistoryDepth = %d", MaxPrefetchHistoryDepth, predict.MaxHistoryDepth)
 	}
 }
 

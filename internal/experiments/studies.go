@@ -324,44 +324,52 @@ func X5() string {
 	return t.String()
 }
 
+// NamedBasis is one steering basis a study runs.
+type NamedBasis struct {
+	Name  string
+	Basis [3]config.Configuration
+}
+
+// Bases are the steering bases the studies use: the X6 comparison, led
+// by the default basis; X21 reuses the fp-rich one.
+var Bases = []NamedBasis{
+	{"default (int/mem/fp)", config.DefaultBasis()},
+	{"all-integer (degenerate)", [3]config.Configuration{
+		config.MustNew("int-a", arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU),
+		config.MustNew("int-b", arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntMDU, arch.IntMDU),
+		config.MustNew("int-c", arch.IntALU, arch.IntALU, arch.LSU, arch.LSU, arch.LSU, arch.LSU, arch.LSU, arch.LSU),
+	}},
+	{"balanced trio", [3]config.Configuration{
+		config.MustNew("bal-a", arch.IntALU, arch.IntALU, arch.LSU, arch.LSU, arch.IntMDU, arch.IntALU, arch.IntALU),
+		config.MustNew("bal-b", arch.LSU, arch.LSU, arch.FPALU, arch.IntALU, arch.IntALU),
+		config.MustNew("bal-c", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
+	}},
+	{"fp-rich", fpRichBasis},
+}
+
+// fpRichBasis is the fp-rich entry of Bases.
+var fpRichBasis = [3]config.Configuration{
+	config.MustNew("fp-a", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
+	config.MustNew("fp-b", arch.FPMDU, arch.FPMDU, arch.IntALU, arch.LSU),
+	config.MustNew("fp-c", arch.FPALU, arch.FPALU, arch.IntALU, arch.LSU),
+}
+
 // X6 compares steering bases — the paper's §5 future-work question of
 // choosing an orthogonal basis.
 func X6() string {
 	prog := PhasedWorkload(7)
 	params := cpu.DefaultParams()
-
-	bases := []struct {
-		name  string
-		basis [3]config.Configuration
-	}{
-		{"default (int/mem/fp)", config.DefaultBasis()},
-		{"all-integer (degenerate)", [3]config.Configuration{
-			config.MustNew("int-a", arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU),
-			config.MustNew("int-b", arch.IntALU, arch.IntALU, arch.IntALU, arch.IntALU, arch.IntMDU, arch.IntMDU),
-			config.MustNew("int-c", arch.IntALU, arch.IntALU, arch.LSU, arch.LSU, arch.LSU, arch.LSU, arch.LSU, arch.LSU),
-		}},
-		{"balanced trio", [3]config.Configuration{
-			config.MustNew("bal-a", arch.IntALU, arch.IntALU, arch.LSU, arch.LSU, arch.IntMDU, arch.IntALU, arch.IntALU),
-			config.MustNew("bal-b", arch.LSU, arch.LSU, arch.FPALU, arch.IntALU, arch.IntALU),
-			config.MustNew("bal-c", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
-		}},
-		{"fp-rich", [3]config.Configuration{
-			config.MustNew("fp-a", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
-			config.MustNew("fp-b", arch.FPMDU, arch.FPMDU, arch.IntALU, arch.LSU),
-			config.MustNew("fp-c", arch.FPALU, arch.FPALU, arch.IntALU, arch.LSU),
-		}},
-	}
 	t := stats.NewTable("X6 — steering basis study (phased workload)",
 		"basis", "IPC", "reconfigs", "hybrid cycles")
-	for _, bc := range bases {
-		m := repro.NewMachine(prog, repro.Options{Params: params, Basis: &bc.basis})
+	for _, bc := range Bases {
+		m := repro.NewMachine(prog, repro.Options{Params: params, Basis: &bc.Basis})
 		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
 		}
 		mst, _ := m.ManagerStats()
-		t.AddRow(bc.name, fmtIPC(ipc), m.Reconfigurations(), mst.HybridCycles)
+		t.AddRow(bc.Name, fmtIPC(ipc), m.Reconfigurations(), mst.HybridCycles)
 	}
 	return t.String()
 }
@@ -1027,11 +1035,7 @@ func x21Scenarios() []x21Scenario {
 	noFFU.DisableFFUs = true
 	w16 := cpu.DefaultParams()
 	w16.WindowSize = 16
-	fpBasis := [3]config.Configuration{
-		config.MustNew("fp-a", arch.FPALU, arch.FPMDU, arch.IntALU, arch.LSU),
-		config.MustNew("fp-b", arch.FPMDU, arch.FPMDU, arch.IntALU, arch.LSU),
-		config.MustNew("fp-c", arch.FPALU, arch.FPALU, arch.IntALU, arch.LSU),
-	}
+	fpBasis := fpRichBasis
 	return []x21Scenario{
 		{name: "X1 phased", prog: phased, params: cpu.DefaultParams()},
 		{name: "X2 lat=64", prog: mk([]workload.Phase{

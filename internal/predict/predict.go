@@ -30,6 +30,8 @@
 package predict
 
 import (
+	"fmt"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -43,11 +45,20 @@ import (
 const (
 	// DefaultHistoryDepth is the demand-history ring size.
 	DefaultHistoryDepth = 32
+	// MaxHistoryDepth caps the ring size. The detector's reciprocal
+	// division (recipShift) is exact up to it.
+	MaxHistoryDepth = 4096
 	// DefaultConfidence is the Markov confidence threshold.
 	DefaultConfidence = 0.55
 
 	// fpScale is the fixed-point scale of the demand averages (<<8).
 	fpShift = 8
+	// recipShift is the scale of the ring-average reciprocal:
+	// x*ceil(2^40/n)>>40 equals x/n whenever x*n < 2^40, and a ring sum
+	// in fixed point stays below 7*MaxHistoryDepth<<fpShift < 2^23, so
+	// n <= MaxHistoryDepth = 2^12 keeps every quotient exact and every
+	// product below 2^63.
+	recipShift = 40
 	// ewmaShift sets the long-horizon EWMA decay to alpha = 1/32.
 	ewmaShift = 5
 	// entryShift sets the phase-entry profile decay to alpha = 1/8 — the
@@ -120,6 +131,9 @@ type Manager struct {
 	ringPos int
 	ringN   int
 	ringSum arch.Counts
+	// ringRecip is ceil(2^recipShift/ringN), recomputed while the ring
+	// fills, so the average divides by multiplying.
+	ringRecip uint64
 
 	// Long-horizon per-type demand EWMA in fixed point (<<fpShift).
 	ewma [arch.NumUnitTypes]int
@@ -201,9 +215,13 @@ type Manager struct {
 }
 
 // NewManager builds the prefetch policy over a fabric, steering with
-// the given basis configurations.
+// the given basis configurations. A HistoryDepth above MaxHistoryDepth
+// panics (cpu.Params.Validate rejects it first).
 func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
+	if cfg.HistoryDepth > MaxHistoryDepth {
+		panic(fmt.Sprintf("predict: history depth %d exceeds %d", cfg.HistoryDepth, MaxHistoryDepth))
+	}
 	return &Manager{
 		m:            core.NewManager(fabric, basis),
 		fabric:       fabric,
@@ -258,6 +276,7 @@ func (pm *Manager) observe(required arch.Counts) {
 		}
 	} else {
 		pm.ringN++
+		pm.ringRecip = reciprocal(pm.ringN)
 	}
 	pm.ring[pm.ringPos] = d
 	pm.ringPos++
@@ -276,7 +295,7 @@ func (pm *Manager) observe(required arch.Counts) {
 	// repeatedly while the EWMA catches up.
 	dist := 0
 	for t := range pm.ringSum {
-		short := (pm.ringSum[t] << fpShift) / pm.ringN
+		short := ringAverage(pm.ringSum[t], pm.ringRecip)
 		dd := short - pm.ewma[t]
 		if dd < 0 {
 			dd = -dd
@@ -300,6 +319,19 @@ func (pm *Manager) observe(required arch.Counts) {
 	case pm.inShift && dist < phaseThreshFP/2:
 		pm.inShift = false
 	}
+}
+
+// reciprocal returns ceil(2^recipShift/n), the multiplier ringAverage
+// divides by n with.
+func reciprocal(n int) uint64 {
+	return (1<<recipShift + uint64(n) - 1) / uint64(n)
+}
+
+// ringAverage returns (sum<<fpShift)/n for a ring sum over n entries,
+// given recip = reciprocal(n): one multiply and shift in place of a
+// divide.
+func ringAverage(sum int, recip uint64) int {
+	return int(uint64(sum<<fpShift) * recip >> recipShift)
 }
 
 // dominantClass classifies the short-horizon demand into the class of

@@ -245,3 +245,29 @@ func TestManageDoesNotAllocate(t *testing.T) {
 		t.Errorf("Manage allocates %.2f allocs/cycle, want 0", avg)
 	}
 }
+
+// TestRingAverageExact checks the detector's multiply-shift average
+// against the division it replaces over its whole domain: every ring
+// fill level n up to MaxHistoryDepth and every sum a ring of n clamped
+// 3-bit demands can hold.
+func TestRingAverageExact(t *testing.T) {
+	for n := 1; n <= MaxHistoryDepth; n++ {
+		recip := reciprocal(n)
+		for sum := 0; sum <= 7*n; sum++ {
+			if got, want := ringAverage(sum, recip), sum<<fpShift/n; got != want {
+				t.Fatalf("ring of %d, sum %d: average %d, want %d", n, sum, got, want)
+			}
+		}
+	}
+}
+
+// TestNewManagerRejectsDeepRing: a ring deeper than the detector's
+// exactness bound panics rather than averaging inexactly.
+func TestNewManagerRejectsDeepRing(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewManager accepted a ring deeper than MaxHistoryDepth")
+		}
+	}()
+	NewManager(rfu.New(8), config.DefaultBasis(), Config{HistoryDepth: MaxHistoryDepth + 1})
+}

@@ -263,3 +263,23 @@ func TestEffectiveTotalCountsMasksFaultyUnits(t *testing.T) {
 		t.Errorf("effective[%v] = %d, want %d", ht, degraded[ht], full[ht]-1)
 	}
 }
+
+// TestLayoutWordTracksAllocation: through rewrites, installs, faults,
+// repairs and salvage, LayoutWord stays the packed allocation vector.
+func TestLayoutWordTracksAllocation(t *testing.T) {
+	f := New(3)
+	f.EnableFaults(fault.Plan{Seed: 5, TransientRate: 0.01, PermanentRate: 0.002, ScrubInterval: 4})
+	for cycle := 0; cycle < 5000; cycle++ {
+		ty, slot := arch.UnitType(cycle*7%arch.NumUnitTypes), cycle*5%arch.NumRFUSlots
+		if cycle%3 == 0 && f.CanReconfigure(ty, slot) {
+			f.Reconfigure(ty, slot)
+		}
+		f.Tick()
+		if got, want := f.LayoutWord(), config.PackLayout(f.Allocation().Slots); got != want {
+			t.Fatalf("cycle %d: LayoutWord %#x, packed allocation %#x", cycle, got, want)
+		}
+	}
+	if f.FaultStats().DeadSlots == 0 {
+		t.Error("no slot died: salvage went unexercised")
+	}
+}

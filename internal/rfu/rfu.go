@@ -70,6 +70,9 @@ type Fabric struct {
 	heads        [arch.NumUnitTypes]uint16
 	healthOKMask uint16
 	allocVersion uint64
+	// layout is alloc.Slots packed by config.PackLayout, kept with the
+	// head boards so layout-keyed consumers read one word.
+	layout uint32
 
 	obs *trace.Observer
 
@@ -114,8 +117,9 @@ func New(latency int) *Fabric {
 	return f
 }
 
-// refreshAlloc rebuilds the per-type head boards and bumps the version
-// counter. Call after any alloc.Slots mutation.
+// refreshAlloc rebuilds the per-type head boards and the packed layout
+// word and bumps the version counter. Call after any alloc.Slots
+// mutation.
 func (f *Fabric) refreshAlloc() {
 	f.heads = [arch.NumUnitTypes]uint16{}
 	for s := 0; s < arch.NumRFUSlots; s++ {
@@ -123,6 +127,7 @@ func (f *Fabric) refreshAlloc() {
 			f.heads[t] |= 1 << uint(s)
 		}
 	}
+	f.layout = config.PackLayout(f.alloc.Slots)
 	f.allocVersion++
 }
 
@@ -136,6 +141,9 @@ func (f *Fabric) idleHeads() uint16 {
 // AllocVersion returns a counter that changes whenever the allocation
 // vector does — the memoization key for derived views of the layout.
 func (f *Fabric) AllocVersion() uint64 { return f.allocVersion }
+
+// LayoutWord returns the live slot layout packed by config.PackLayout.
+func (f *Fabric) LayoutWord() uint32 { return f.layout }
 
 // TimerMasks packs the slots with running execution (low half) and
 // reconfiguration (high half) timers. Together with the allocation
