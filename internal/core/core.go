@@ -227,10 +227,11 @@ func packSlotKey(layout uint32, unavail, dead uint8) uint64 {
 	return uint64(layout)<<demandBits | uint64(unavail)<<slotBits | uint64(dead)<<(slotBits+arch.NumRFUSlots)
 }
 
-// steerCacheIndex maps a packed key to a table slot by Fibonacci
-// (multiplicative) hashing, which spreads the low-entropy packed bits.
-func steerCacheIndex(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> (64 - steerCacheBits))
+// tableIndex maps a packed key to one of 1<<bits lines of a
+// direct-mapped table by Fibonacci (multiplicative) hashing, which
+// spreads the low-entropy packed bits.
+func tableIndex(key uint64, bits uint) int {
+	return int((key * 0x9E3779B97F4A7C15) >> (64 - bits))
 }
 
 // Manager is the configuration manager: selection unit plus loader, bound
@@ -399,7 +400,7 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts, demand uint64
 		return 0, 0
 	}
 	key := demand | sk.key
-	line = steerCacheIndex(key)
+	line = tableIndex(key, steerCacheBits)
 	e := &m.cache[line]
 	if e.key == key+1 {
 		m.stats.CacheHits++

@@ -123,11 +123,6 @@ func unpackPlan(w uint32) arch.Counts {
 	return planned
 }
 
-// tableIndex maps a key to one of 1<<bits lines by Fibonacci hashing.
-func tableIndex(key uint64, bits uint) int {
-	return int((key * 0x9E3779B97F4A7C15) >> (64 - bits))
-}
-
 // demandMemo is DemandManager.Step's one-entry memo.
 type demandMemo struct {
 	valid      bool
