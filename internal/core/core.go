@@ -381,14 +381,15 @@ func (m *Manager) NotePrefetch(issued, confirmed, mispredicted, cancelled, waste
 // to each of the four configurations including the FFUs", §3.1).
 func (m *Manager) Select(required arch.Counts) Selection {
 	var sel Selection
-	m.selectInto(&sel, required, packDemandKey(required))
+	m.selectInto(&sel, required)
 	return sel
 }
 
-// selectInto is Select writing into sel; demand is packDemandKey of
-// required. With the steering cache on it returns the cache line that
-// served the selection and the tag the line now holds.
-func (m *Manager) selectInto(sel *Selection, required arch.Counts, demand uint64) (line int, tag uint64) {
+// selectInto is Select writing into sel. With the steering cache on it
+// returns the cache line that served the selection and the tag the
+// line now holds.
+func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, tag uint64) {
+	demand := packDemandKey(required)
 	if !m.cacheOpen && m.obs.Wants(trace.KindCacheOpen) {
 		m.cacheOpen = true
 		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
@@ -602,7 +603,7 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 		m.lookup = trace.LookupHit
 		sel.Required = required
 	} else {
-		memo.line, memo.tag = m.selectInto(sel, required, demand)
+		memo.line, memo.tag = m.selectInto(sel, required)
 		memo.valid = plain && !m.DisableCache
 		memo.demand, memo.version = demand, version
 		memo.deferred = -1
