@@ -122,12 +122,14 @@ func New(latency int) *Fabric {
 // mutation.
 func (f *Fabric) refreshAlloc() {
 	f.heads = [arch.NumUnitTypes]uint16{}
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if t, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
+	var layout uint32 // config.PackLayout, folded into the head walk
+	for s, e := range f.alloc.Slots {
+		layout |= uint32(e) << (uint(s) * arch.EncodingBits)
+		if t, ok := arch.DecodeUnit(e); ok {
 			f.heads[t] |= 1 << uint(s)
 		}
 	}
-	f.layout = config.PackLayout(f.alloc.Slots)
+	f.layout = layout
 	f.allocVersion++
 }
 
