@@ -47,8 +47,10 @@ func TestSyntheticProgramSeeded(t *testing.T) {
 // TestRunOutputPins runs rsssim in-process and compares its output with
 // files captured from a build that ran one core on repro.Machine
 // directly: cluster.Machine at K=1 must print exactly what the scalar
-// machine printed. The cluster table's wall-clock throughput line is
-// stripped.
+// machine printed. The telemetry cases (prom, csv, full-reconfig and
+// 2-core -metrics) were captured while the telemetry probe still
+// recounted events, so they pin that reading counters changed no byte.
+// The cluster table's wall-clock throughput line is stripped.
 func TestRunOutputPins(t *testing.T) {
 	for _, tc := range []struct {
 		name, golden string
@@ -62,6 +64,16 @@ func TestRunOutputPins(t *testing.T) {
 			[]string{"-synthetic", "alternating", "-prefetch", "-fault-rate", "0.001", "-fault-seed", "3"}},
 		{"saxpy 2-core split", "saxpy_cores2_split.golden",
 			[]string{"-kernel", "saxpy", "-cores", "2", "-cluster-mode", "split", "-cluster-arbiter", "demand-weighted"}},
+		{"alternating prefetch faults prom", "alternating_prefetch_faults_prom.golden",
+			[]string{"-synthetic", "alternating", "-prefetch", "-fault-rate", "0.001", "-fault-seed", "3",
+				"-metrics", "-", "-metrics-format", "prom"}},
+		{"alternating prefetch faults csv", "alternating_prefetch_faults_csv.golden",
+			[]string{"-synthetic", "alternating", "-prefetch", "-fault-rate", "0.001", "-fault-seed", "3",
+				"-metrics", "-", "-metrics-format", "csv"}},
+		{"saxpy full-reconfig metrics", "saxpy_full_reconfig_metrics.golden",
+			[]string{"-kernel", "saxpy", "-policy", "full-reconfig", "-metrics", "-"}},
+		{"saxpy 2-core metrics", "saxpy_cores2_metrics.golden",
+			[]string{"-kernel", "saxpy", "-cores", "2", "-metrics", "-"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
