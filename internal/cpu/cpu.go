@@ -276,6 +276,7 @@ func (p Params) Validate() error {
 		{"TraceCacheLines", p.TraceCacheLines, MaxTraceCacheLines},
 		{"PrefetchHistoryDepth", p.PrefetchHistoryDepth, MaxPrefetchHistoryDepth},
 		{"CacheMissPenalty", p.CacheMissPenalty, MaxLatency},
+		{"ReconfigLatency", p.ReconfigLatency, MaxLatency},
 	} {
 		if f.v > f.max {
 			return fmt.Errorf("%w: %s must be at most %d, got %d", ErrInvalidParams, f.name, f.max, f.v)
@@ -341,9 +342,11 @@ func (p Params) Validate() error {
 // request cannot make the machine allocate without bound, and MemBytes
 // stays within the 32-bit address space. The prefetch predictor's ring
 // is capped at its detector's exactness bound (predict.MaxHistoryDepth;
-// the default depth is 32). Every execution latency and the cache-miss
-// penalty are capped by MaxLatency, well inside the wake-up array's
-// 32-bit timers; the default table's longest is 20 cycles.
+// the default depth is 32). Every execution latency, the cache-miss
+// penalty and the reconfiguration latency are capped by MaxLatency,
+// well inside the wake-up array's 32-bit timers and the fabric's 32-bit
+// event fields; the default table's longest is 20 cycles, and the
+// longest reconfiguration latency any study uses is X2's 256.
 const (
 	MaxMemBytes             = mem.DefaultSize
 	MaxCacheSets            = 64

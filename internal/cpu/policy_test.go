@@ -93,6 +93,7 @@ func TestParamsValidate(t *testing.T) {
 		{FaultScrubInterval: 1},
 		{PrefetchHistoryDepth: MaxPrefetchHistoryDepth},
 		{CacheMissPenalty: MaxLatency},
+		{ReconfigLatency: MaxLatency},
 		{Latencies: isa.Latencies{IntALU: 1, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: MaxLatency}},
 	}
 	for i, p := range good {
@@ -118,7 +119,8 @@ func TestParamsValidate(t *testing.T) {
 		{PrefetchHistoryDepth: MaxPrefetchHistoryDepth + 1},
 		{PrefetchHistoryDepth: 1 << 33}, // a 343 GB ring
 		{CacheMissPenalty: MaxLatency + 1},
-		{CacheMissPenalty: 1 << 32}, // truncated by the wake-up timers
+		{CacheMissPenalty: 1 << 32},  // truncated by the wake-up timers
+		{ReconfigLatency: 1<<32 + 1}, // truncated to 1 in reconfig events
 		{Latencies: isa.Latencies{IntALU: 1, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: MaxLatency + 1}},
 		{Latencies: isa.Latencies{IntALU: 1 << 32, IntMul: 1, IntDiv: 1, Load: 1, Store: 1, FPALU: 1, FPMul: 1, FPDiv: 1, FPSqrt: 1}},
 	}
