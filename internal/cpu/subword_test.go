@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/isa"
 )
 
@@ -115,13 +116,24 @@ func TestWrongPathStoreNeverCommits(t *testing.T) {
 // TestMachineInvariantsDuringRun drives a branchy workload and checks
 // structural invariants every cycle: the ROB occupancy matches the
 // wake-up array occupancy, every in-flight slot holds its wake-up row and
-// its store-board bit, and regProducer entries reference live producers
-// of the right register.
+// its store-board bit, regProducer entries reference live producers of
+// the right register, and the fabric's timer masks match its per-slot
+// timers. A second run injects faults, so repairs load the timers too.
 func TestMachineInvariantsDuringRun(t *testing.T) {
 	prog := isa.MustAssemble(kernels["branchy"])
-	p := buildProcessor(prog, Params{MemBytes: 1 << 12}, "steering")
+	for _, params := range []Params{
+		{MemBytes: 1 << 12},
+		{MemBytes: 1 << 12, FaultTransientRate: 0.002, FaultPermanentRate: 0.0005, FaultScrubInterval: 16, FaultSeed: 3},
+	} {
+		checkInvariantsDuringRun(t, buildProcessor(prog, params, "steering"))
+	}
+}
+
+func checkInvariantsDuringRun(t *testing.T, p *Processor) {
+	t.Helper()
 	for !p.Halted() && p.Stats().Cycles < 200000 {
 		p.Cycle()
+		checkFabricMasks(t, p)
 		used := p.params.WindowSize - p.array.Free()
 		if used != p.count {
 			t.Fatalf("cycle %d: wake-up rows used %d != ROB count %d",
@@ -155,5 +167,34 @@ func TestMachineInvariantsDuringRun(t *testing.T) {
 	}
 	if !p.Halted() {
 		t.Fatal("did not halt")
+	}
+}
+
+// checkFabricMasks checks that the fabric's packed timer masks, which
+// Idle, Reconfiguring and ReconfiguringSlots answer from, match its
+// per-slot busy and reconfiguration timers.
+func checkFabricMasks(t *testing.T, p *Processor) {
+	t.Helper()
+	f := p.Fabric()
+	timers, _ := f.TimerMasks()
+	busy, reconfiguring := 0, 0
+	for s := 0; s < arch.NumRFUSlots; s++ {
+		if got := timers>>uint(s)&1 != 0; got != f.SlotBusy(s) {
+			t.Fatalf("cycle %d: busy mask bit %d = %v, timer says %v", p.Stats().Cycles, s, got, f.SlotBusy(s))
+		}
+		if got := timers>>uint(16+s)&1 != 0; got != f.SlotReconfiguring(s) {
+			t.Fatalf("cycle %d: reconfig mask bit %d = %v, timer says %v", p.Stats().Cycles, s, got, f.SlotReconfiguring(s))
+		}
+		if f.SlotBusy(s) {
+			busy++
+		}
+		if f.SlotReconfiguring(s) {
+			reconfiguring++
+		}
+	}
+	if f.Idle() != (busy+reconfiguring == 0) || f.Reconfiguring() != (reconfiguring > 0) ||
+		f.ReconfiguringSlots() != reconfiguring {
+		t.Fatalf("cycle %d: Idle/Reconfiguring/ReconfiguringSlots = %v/%v/%d, timers say %d busy, %d reconfiguring",
+			p.Stats().Cycles, f.Idle(), f.Reconfiguring(), f.ReconfiguringSlots(), busy, reconfiguring)
 	}
 }

@@ -426,6 +426,10 @@ func (f *Fabric) Busy(r UnitRef) bool {
 // unit head slots, so continuation slots of a busy unit report false.
 func (f *Fabric) SlotBusy(s int) bool { return f.busy[s] > 0 }
 
+// SlotReconfiguring reports whether RFU slot s is mid-reconfiguration
+// (a steering rewrite or a repair).
+func (f *Fabric) SlotReconfiguring(s int) bool { return f.reconfig[s] > 0 }
+
 // spanOf returns the slot span [start, start+n) a unit of type t would
 // occupy at head slot start.
 func spanOf(t arch.UnitType, start int) (int, int) {
@@ -628,24 +632,10 @@ func (f *Fabric) Tick() {
 // Idle reports whether the whole reconfigurable fabric is quiescent: no
 // slot executing and none reconfiguring. The fixed units do not count —
 // they are never reconfigured.
-func (f *Fabric) Idle() bool {
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.busy[s] > 0 || f.reconfig[s] > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (f *Fabric) Idle() bool { return f.busyMask|f.reconfigMask == 0 }
 
 // Reconfiguring reports whether any slot is mid-reconfiguration.
-func (f *Fabric) Reconfiguring() bool {
-	for _, r := range f.reconfig {
-		if r > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (f *Fabric) Reconfiguring() bool { return f.reconfigMask != 0 }
 
 // SetObserver installs the event stream receiving span rewrites and
 // fault transitions (nil disables; each site then costs one branch).
@@ -653,15 +643,7 @@ func (f *Fabric) SetObserver(o *trace.Observer) { f.obs = o }
 
 // ReconfiguringSlots counts slots currently mid-reconfiguration — the
 // sampler's in-flight reconfiguration gauge.
-func (f *Fabric) ReconfiguringSlots() int {
-	n := 0
-	for _, r := range f.reconfig {
-		if r > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (f *Fabric) ReconfiguringSlots() int { return bits.OnesCount16(f.reconfigMask) }
 
 // UnitStates summarises the fabric for the sampler: per-type counts of
 // busy RFU heads, configured RFU heads, and busy FFUs.
