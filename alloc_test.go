@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro"
 	"repro/internal/arch"
 	"repro/internal/cem"
 	"repro/internal/config"
@@ -18,9 +19,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/predict"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // fig2Demands mirrors BenchmarkFig2SelectionUnit's demand stream: 64
@@ -199,12 +197,13 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 }
 
 // TestZeroAllocMachineCycleWithSpans pins the instrumented cycle path:
-// with one observer carrying a span recorder and a telemetry probe (and
-// faults injecting so the fault and repair events actually fire), event
-// fan-out passes values and recording goes into preallocated storage, so
-// the steady-state cycle must still not allocate. (The unobserved path
-// is pinned by TestZeroAllocMachineCycle above: each site reduces to
-// one predictable branch.)
+// with the machine's observer carrying a span recorder and a telemetry
+// probe reading the facade's state source (and faults injecting so the
+// fault and repair events actually fire), event fan-out passes values,
+// recording goes into preallocated storage and sampling reads counters
+// by value, so the steady-state cycle must still not allocate. (The
+// unobserved path is pinned by TestZeroAllocMachineCycle above: each
+// site reduces to one predictable branch.)
 func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by the race detector")
@@ -216,16 +215,10 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	params := cpu.DefaultParams()
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
-	p := cpu.New(prog, params, nil)
-	mgr := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{})
-	p.SetManager(mgr)
-	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
-	probe := telemetry.NewProbe(100)
-	probe.SetState(p.CoreState)
-	obs := &trace.Observer{}
-	obs.Add(rec)
-	obs.Add(probe)
-	p.SetObserver(obs)
+	m := repro.NewMachine(prog, repro.Options{Policy: repro.PolicyPrefetch, Params: params})
+	rec := m.EnableSpans(repro.SpanConfig{})
+	probe := m.EnableTelemetryExporter(nil, 100)
+	p := m.Processor()
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}

@@ -447,15 +447,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
+				m := repro.NewMachine(prog, repro.Options{})
 				if mode == "on" {
-					probe := telemetry.NewProbe(100)
-					probe.SetExporter(&telemetry.Collector{})
-					probe.SetState(p.CoreState)
-					observe(p, probe)
+					m.EnableTelemetryExporter(&telemetry.Collector{}, 100)
 				}
-				if _, err := p.Run(50_000_000); err != nil {
+				if _, err := m.Run(50_000_000); err != nil {
 					b.Fatal(err)
 				}
 			}

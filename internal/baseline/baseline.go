@@ -80,9 +80,12 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 }
 
 // SetObserver forwards the event stream to the selection manager:
-// selections, steering-cache activity and whole-fabric swap decisions
-// are logged (nil disables).
+// selections and whole-fabric swap decisions are logged (nil disables).
 func (f *FullReconfig) SetObserver(o *trace.Observer) { f.m.SetObserver(o) }
+
+// Manager returns the selection manager, whose counters and latest
+// selection describe the policy's selection passes.
+func (f *FullReconfig) Manager() *core.Manager { return f.m }
 
 // stream pushes the pending swap's remaining spans through the
 // configuration bus, completing the swap when the layout matches.

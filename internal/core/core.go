@@ -131,7 +131,8 @@ func packCompareKey(dst logic.Bus, err, dist, idx int) {
 
 // Stats counts the manager's activity for the experiment harness.
 type Stats struct {
-	// Selections[i] counts cycles on which candidate i won.
+	// Selections[i] counts selection passes (Step or Select) that
+	// candidate i won.
 	Selections [arch.NumConfigs]int
 	// Reconfigurations counts span rewrites the loader started.
 	Reconfigurations int
@@ -268,11 +269,6 @@ type Manager struct {
 	sinceLoad int
 	stats     Stats
 	obs       *trace.Observer
-	// lookup is how the steering cache served the latest Select
-	// (trace.LookupHit, LookupMiss or LookupNone), for its selection
-	// event; cacheOpen records that KindCacheOpen went out.
-	lookup    int32
-	cacheOpen bool
 
 	// cache is the direct-mapped steering cache.
 	cache [steerCacheSize]steerEntry
@@ -288,8 +284,9 @@ type Manager struct {
 	classifyVersion uint64
 	hybrid          bool
 
-	// sel is the selection Step fills and returns by reference; memo
-	// remembers the inputs and outcome of the Step that filled it.
+	// sel is the latest selection pass, which Step fills and returns by
+	// reference; memo remembers the inputs and outcome of the Step that
+	// filled it.
 	sel  Selection
 	memo stepMemo
 
@@ -355,12 +352,15 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration) *Manager {
 func (m *Manager) Basis() [3]config.Configuration { return m.basis }
 
 // SetObserver installs the event stream receiving every selection pass
-// (with its steering-cache outcome), the cache's first use and flushes,
 // and a steering decision per configuration switch (nil disables).
 func (m *Manager) SetObserver(o *trace.Observer) { m.obs = o }
 
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// LastSelection returns the latest selection pass, from Step or Select
+// (the zero Selection before the first).
+func (m *Manager) LastSelection() Selection { return m.sel }
 
 // NotePrefetch accumulates speculative-prefetch deltas into the stats.
 // The stats live here rather than in the predict package so prefetch
@@ -379,10 +379,12 @@ func (m *Manager) NotePrefetch(issued, confirmed, mispredicted, cancelled, waste
 // unscheduled queue instructions and returns the chosen configuration.
 // Availability counts include the FFUs for every candidate ("…relative
 // to each of the four configurations including the FFUs", §3.1).
+// The pass counts in Stats.Selections and becomes the LastSelection.
 func (m *Manager) Select(required arch.Counts) Selection {
-	var sel Selection
-	m.selectInto(&sel, required)
-	return sel
+	m.memo.valid = false // m.sel no longer holds the memo's selection
+	m.selectInto(&m.sel, required)
+	m.stats.Selections[m.sel.Choice]++
+	return m.sel
 }
 
 // selectInto is Select writing into sel. With the steering cache on it
@@ -390,13 +392,8 @@ func (m *Manager) Select(required arch.Counts) Selection {
 // line now holds.
 func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, tag uint64) {
 	demand := packDemandKey(required)
-	if !m.cacheOpen && m.obs.Wants(trace.KindCacheOpen) {
-		m.cacheOpen = true
-		m.obs.Emit(trace.Event{Kind: trace.KindCacheOpen})
-	}
 	sk := m.slotView()
 	if m.DisableCache {
-		m.lookup = trace.LookupNone
 		m.score(sel, required, demand, sk)
 		return 0, 0
 	}
@@ -405,7 +402,6 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 	e := &m.cache[line]
 	if e.key == key+1 {
 		m.stats.CacheHits++
-		m.lookup = trace.LookupHit
 		sel.Required = required
 		sel.Choice = int(e.choice)
 		for i := range sel.Errors {
@@ -415,7 +411,6 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 		return line, e.key
 	}
 	m.stats.CacheMisses++
-	m.lookup = trace.LookupMiss
 	m.score(sel, required, demand, sk)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
@@ -557,13 +552,13 @@ func (m *Manager) EmitDecision(from string, choice, diff, spans, loading, deferr
 		C: int32(loading * m.fabric.ReconfigLatency())})
 }
 
-// EmitSelection logs one selection-unit pass and how the steering cache
-// served it. The event is built only when a sink wants it.
+// EmitSelection logs one selection-unit pass. The event is built only
+// when a sink wants it.
 func (m *Manager) EmitSelection(sel *Selection) {
 	if !m.obs.Wants(trace.KindSelection) {
 		return
 	}
-	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors), C: m.lookup})
+	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors)})
 }
 
 // ClassifyAllocation names the live allocation: a basis configuration's
@@ -600,7 +595,6 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 		!m.DisableCache && m.cache[memo.line].key == memo.tag
 	if hit {
 		m.stats.CacheHits++
-		m.lookup = trace.LookupHit
 		sel.Required = required
 	} else {
 		memo.line, memo.tag = m.selectInto(sel, required)

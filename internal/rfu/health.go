@@ -285,7 +285,6 @@ func (f *Fabric) faultTick() {
 	if f.scrubCountdown <= 0 {
 		f.scrubCountdown = f.injector.ScrubInterval()
 		f.fstats.ScrubScans++
-		f.obs.Emit(trace.Event{Kind: trace.KindScrub})
 		for s := range f.health {
 			if f.health[s] == HealthCorrupt {
 				f.health[s] = HealthDetected
@@ -392,8 +391,5 @@ func (f *Fabric) faultTick() {
 	if changed {
 		f.recomputeHealthOK()
 	}
-	if n := f.MaskedSlots(); n > 0 {
-		f.fstats.MaskedSlotCycles += n
-		f.obs.Emit(trace.Event{Kind: trace.KindMasked, A: int32(n)})
-	}
+	f.fstats.MaskedSlotCycles += f.MaskedSlots()
 }

@@ -10,8 +10,8 @@ import (
 // microsecond, so Perfetto's time axis reads directly in cycles.
 // Simulator lanes live under pid 1 ("rsssim"): one thread per RFU slot
 // for reconfiguration and repair spans (which never overlap on a
-// slot), plus dedicated threads for speculation, phases, cache epochs
-// and instant events. Service spans (pid 2) are exported by
+// slot), plus dedicated threads for speculation, phases and instant
+// events. Service spans (pid 2) are exported by
 // ServiceRecorder.WriteChromeTrace.
 
 const (
@@ -21,7 +21,6 @@ const (
 	tidSlotBase = 100 // slot k renders on tid 100+k
 	tidSpec     = 20
 	tidPhase    = 21
-	tidCache    = 22
 	tidEvents   = 23
 )
 
@@ -95,8 +94,6 @@ func tidOf(e *Entry) int {
 		return tidSpec
 	case KindPhase:
 		return tidPhase
-	case KindCacheEpoch:
-		return tidCache
 	default:
 		return tidEvents
 	}
@@ -148,7 +145,6 @@ func writeEntries(cw *chromeWriter, entries []Entry, slots, core int) {
 	}
 	cw.meta(pid, tidSpec, "thread_name", "speculation")
 	cw.meta(pid, tidPhase, "thread_name", "phases")
-	cw.meta(pid, tidCache, "thread_name", "steer-cache")
 	cw.meta(pid, tidEvents, "thread_name", "events")
 	for i := range entries {
 		e := &entries[i]

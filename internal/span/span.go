@@ -1,7 +1,6 @@
 // Package span records duration-bearing epochs from both layers of the
 // system: simulator spans (reconfiguration bus transactions, repair
-// windows, prefetch speculation, workload phases, steering-cache
-// epochs) and service spans (rssd request lifecycle stages). It follows
+// windows, prefetch speculation, workload phases) and service spans (rssd request lifecycle stages). It follows
 // the same nil-sink discipline as internal/telemetry: every Recorder
 // method is safe on a nil receiver, so instrumented call sites cost one
 // predictable branch when tracing is off and the hot loop stays at
@@ -38,9 +37,6 @@ const (
 	KindSpec
 	// KindPhase is one detected workload phase; A is the phase ordinal.
 	KindPhase
-	// KindCacheEpoch is a steering cache's epoch: the whole run, from
-	// its start to Finish, once the cache is in use.
-	KindCacheEpoch
 	// KindFault is an instant: a fault event on Slot. Name is the
 	// event ("inject", "detect", "heal"); Aux qualifies it
 	// ("transient", "permanent", "scrub", "load").
@@ -55,8 +51,7 @@ const (
 
 // kindNames maps Kind to its JSONL / Chrome-Trace category string.
 var kindNames = [numKinds]string{
-	"reconfig", "repair", "speculation", "phase", "cache-epoch",
-	"fault", "trigger",
+	"reconfig", "repair", "speculation", "phase", "fault", "trigger",
 }
 
 // String returns the category name for k.
@@ -198,7 +193,6 @@ type Recorder struct {
 	phaseOpen   bool
 	phaseStart  int64
 	phaseCount  int32
-	cacheUsed   bool // a steering cache is in use; emit its epoch
 	finished    bool
 }
 
@@ -248,8 +242,7 @@ func (r *Recorder) record(e Entry) {
 
 // recorderKinds are the events the recorder consumes.
 var recorderKinds = trace.Kinds(
-	trace.KindCycleEnd, trace.KindReconfig, trace.KindCacheOpen,
-	trace.KindFaultInject, trace.KindFaultDetect,
+	trace.KindCycleEnd, trace.KindReconfig, trace.KindFaultInject, trace.KindFaultDetect,
 	trace.KindFaultHeal, trace.KindRepairStart, trace.KindRepairEnd,
 	trace.KindPhaseChange, trace.KindSpecOpen, trace.KindSpecResolve)
 
@@ -277,10 +270,6 @@ func (r *Recorder) Observe(e trace.Event) {
 		// the span is known in full at start.
 		r.record(Entry{Kind: KindReconfig, Slot: int16(e.A), A: e.B, B: e.C,
 			Start: r.now, Dur: int64(e.C), Name: e.Str})
-	case trace.KindCacheOpen:
-		// The cache's one epoch runs from the start of the run and
-		// closes at Finish.
-		r.cacheUsed = true
 	case trace.KindFaultInject:
 		r.winFaults++
 		aux := "transient"
@@ -401,7 +390,7 @@ func (r *Recorder) specResolve(outcome string, spansIssued int32) {
 }
 
 // Finish closes any open epochs at the current cycle: the trailing
-// phase, cache epoch, speculation (resolved as "open") and repair
+// phase, speculation (resolved as "open") and repair
 // windows. Safe to call once at end of run; a second call is a no-op
 // until new spans open.
 func (r *Recorder) Finish() {
@@ -413,9 +402,6 @@ func (r *Recorder) Finish() {
 	r.specResolve(OutcomeOpen, 0)
 	for s := range r.repairStart {
 		r.repairEnd(s, OutcomeOpen)
-	}
-	if r.cacheUsed {
-		r.record(Entry{Kind: KindCacheEpoch, Slot: -1, Dur: r.now, Name: "cache-epoch"})
 	}
 }
 

@@ -217,12 +217,11 @@ func TestFlightRingBounds(t *testing.T) {
 	}
 }
 
-// TestOpenSpanLifecycles exercises repair, speculation, phase and cache
-// epochs through open → close, including Finish closing trailing spans.
+// TestOpenSpanLifecycles exercises repair, speculation and phase epochs
+// through open → close, including Finish closing trailing spans.
 func TestOpenSpanLifecycles(t *testing.T) {
 	r := NewRecorder(Config{}, 4)
 	s := newSim(r)
-	s.emit(trace.KindCacheOpen, -1)
 
 	s.cycle(10, 10)
 	s.emit(trace.KindRepairStart, 2)
@@ -277,14 +276,6 @@ func TestOpenSpanLifecycles(t *testing.T) {
 	}
 	if phases[1].Start != 50 || phases[1].Dur != 40 || phases[1].A != 2 {
 		t.Errorf("second phase = %+v", phases[1])
-	}
-
-	epochs := byKind[KindCacheEpoch]
-	if len(epochs) != 1 {
-		t.Fatalf("cache epochs = %d, want 1", len(epochs))
-	}
-	if epochs[0].Start != 0 || epochs[0].Dur != 90 {
-		t.Errorf("cache epoch = %+v", epochs[0])
 	}
 }
 

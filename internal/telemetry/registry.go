@@ -5,19 +5,15 @@
 // configuration switch, and exporters for JSON-lines, CSV and
 // Prometheus text format.
 //
-// The design splits cost between two paths:
-//
-//   - the hot path — one method call per pipeline event, each a plain
-//     field increment on a pre-registered metric, no allocation, no
-//     locking (a Probe belongs to exactly one machine);
-//   - the sampling path — every Interval cycles the processor hands the
-//     Probe a CoreState snapshot, which is merged with the event
-//     counters' growth since the previous sample into a Sample and
-//     handed to the Exporter.
-//
-// Every Probe hook is safe on a nil receiver, so uninstrumented
-// machines pay one nil-check branch per event and nothing else (see
-// BenchmarkTelemetryOverhead).
+// Counts have one data path: sampling. Every Interval cycles, and at
+// Flush, the Probe reads a State — the processor's snapshot and the
+// cumulative counters the manager and fabric keep — sets its registry's
+// counters from it and exports a Sample whose interval fields are the
+// differences between two States. Events only pace the sampling and
+// carry the occurrences logged one by one (decisions, fault and
+// prefetch transitions); nothing is counted twice. Metrics are plain
+// fields, written without allocation or locking (a Probe belongs to
+// exactly one machine).
 package telemetry
 
 import (
@@ -30,8 +26,7 @@ import (
 // counter belongs to the single goroutine driving its machine (the sweep
 // harness builds one registry per worker machine).
 type Counter struct {
-	v    uint64
-	mark uint64 // the value at the last sinceMark
+	v uint64
 }
 
 // Inc adds one.
@@ -43,13 +38,8 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// sinceMark returns how far the counter has grown since the previous
-// call and marks its current value for the next one.
-func (c *Counter) sinceMark() int {
-	d := c.v - c.mark
-	c.mark = c.v
-	return int(d)
-}
+// set brings the counter to n, a cumulative count kept elsewhere.
+func (c *Counter) set(n int) { c.v = uint64(n) }
 
 // Gauge is a metric that can go up and down (occupancy, in-flight
 // reconfiguration slots, the latest CEM score).

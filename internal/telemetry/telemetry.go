@@ -2,13 +2,16 @@ package telemetry
 
 import (
 	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/rfu"
 	"repro/internal/trace"
 )
 
 // Sample is one row of the per-cycle time series: the machine state at a
-// sampling boundary plus the event activity accumulated since the
-// previous sample. Interval* fields cover (prevSampleCycle, cycle];
-// everything else is the instantaneous or cumulative state at cycle.
+// sampling boundary plus the activity since the previous sample.
+// Interval* fields cover (prevSampleCycle, cycle], each the difference
+// of one cumulative counter between the two boundaries; everything else
+// is the instantaneous or cumulative state at cycle.
 //
 // The JSON field set is a stable schema, pinned by a golden test: add
 // fields freely, but renaming or retyping one is a breaking change for
@@ -178,24 +181,38 @@ type PrefetchEvent struct {
 	ConfidencePct int `json:"confidencePct"`
 }
 
-// CoreState is the machine snapshot the Probe pulls at a sampling
-// boundary — the fields it cannot see through events.
-type CoreState = trace.CoreState
+// State is what the Probe reads at a sample boundary and at Flush: the
+// processor's snapshot and the cumulative counters of the code that
+// keeps each one. An event records an occurrence; a count is read from
+// here, so the probe recounts nothing.
+type State struct {
+	trace.CoreState
+	// Reconfigs and ReconfigSlotCycles are the fabric's span rewrites
+	// started and the slot-cycles they reconfigure
+	// (rfu.Fabric.Reconfigurations and ReconfigurationCycles).
+	Reconfigs          int
+	ReconfigSlotCycles int
+	// Faults is the fabric's fault accounting (zero without injection).
+	Faults rfu.FaultStats
+	// Manager and Selection are the selecting core.Manager's counters
+	// and latest selection pass (core.Manager.Stats, LastSelection);
+	// both are zero under a policy without one.
+	Manager   core.Stats
+	Selection core.Selection
+}
 
-// Probe is the telemetry sink on a machine's observer stream: it counts
-// events into its registry, logs steering decisions, fault and prefetch
-// events to its Exporter as they happen, and at every interval boundary
-// pulls a CoreState snapshot and exports a Sample. The per-instruction
-// counters (cycles, dispatched, issued, retired, flushed, dispatch
-// stalls) come from the snapshot, which the processor keeps anyway, so
-// the probe consumes no per-instruction events. The accessors and Flush
-// are safe on a nil receiver.
+// Probe is the telemetry sink on a machine's observer stream: it logs
+// steering decisions, fault and prefetch events to its Exporter as they
+// happen, and at every interval boundary reads a State and exports a
+// Sample. Every counter in its registry but the decision count is set
+// from the State, so the only per-cycle event it consumes is the cycle
+// end. The accessors and Flush are safe on a nil receiver.
 type Probe struct {
 	interval int
 	exp      Exporter
 	reg      *Registry
 	err      error // first exporter error; surfaced by Flush
-	state    func() CoreState
+	state    func() State
 	basis    [3]string // basis configuration names, for decision records
 
 	// core stamps every emitted record with the owning cluster core's
@@ -232,20 +249,13 @@ type Probe struct {
 	gCEMError       [arch.NumConfigs]*Gauge
 	hOccupancy      *Histogram
 
-	// Latest selection-unit pass (steering-family policies only); the
-	// four CEM scores stay packed (trace.Pack4) until a sample or Flush
-	// reads them.
-	selSeen   bool
-	selErrors int32
-	selChoice int
-
-	// last is the snapshot at the previous sample, for interval deltas.
-	last CoreState
+	// last is the state at the previous sample, for interval deltas.
+	last State
 }
 
 // NewProbe builds a probe sampling every interval cycles (interval must
-// be positive). Attach an exporter with SetExporter and the snapshot
-// source with SetState before the run; a probe without an exporter still
+// be positive). Attach an exporter with SetExporter and the state source
+// with SetState before the run; a probe without an exporter still
 // maintains its registry.
 func NewProbe(interval int) *Probe {
 	if interval <= 0 {
@@ -305,10 +315,9 @@ func configLabel(i int) string {
 // SetExporter attaches the sample/decision destination.
 func (p *Probe) SetExporter(e Exporter) { p.exp = e }
 
-// SetState installs the snapshot source the probe pulls at each sampling
-// boundary (cpu.Processor.CoreState for a simulated machine). Without
-// one, samples carry only the event counts.
-func (p *Probe) SetState(state func() CoreState) { p.state = state }
+// SetState installs the state source the probe reads at each sampling
+// boundary and at Flush. Without one, samples and counters read zero.
+func (p *Probe) SetState(state func() State) { p.state = state }
 
 // SetBasis names the steering basis configurations a decision's choice
 // (1..3) selects, for the To field of decision records.
@@ -331,38 +340,28 @@ func (p *Probe) Interval() int {
 	return p.interval
 }
 
-// probeKinds are the events the probe consumes.
+// probeKinds are the events the probe consumes: the cycle end that
+// paces sampling and the occurrences it logs.
 var probeKinds = trace.Kinds(
-	trace.KindReconfig, trace.KindCycleEnd, trace.KindSelection,
-	trace.KindDecision, trace.KindFaultInject, trace.KindFaultDetect,
-	trace.KindFaultHeal, trace.KindRepairStart, trace.KindRepairEnd,
-	trace.KindScrub, trace.KindMasked, trace.KindPhaseChange,
-	trace.KindPrefetchIssue, trace.KindSpecResolve)
+	trace.KindCycleEnd, trace.KindDecision, trace.KindFaultInject,
+	trace.KindFaultDetect, trace.KindFaultHeal, trace.KindRepairStart,
+	trace.KindRepairEnd, trace.KindPhaseChange, trace.KindPrefetchIssue,
+	trace.KindSpecResolve)
 
 // Kinds implements trace.Sink.
 func (p *Probe) Kinds() trace.Mask { return probeKinds }
 
-// Observe implements trace.Sink: it counts the event and, for decisions,
-// fault and prefetch events, exports a record immediately (those are
-// not sampled — every one is logged). A cycle-end event on an interval
-// boundary exports a sample. Allocation-free apart from the exporter.
+// Observe implements trace.Sink: decisions, fault and prefetch events
+// each export a record immediately (those are not sampled — every one
+// is logged), and a cycle-end event on an interval boundary exports a
+// sample. Decisions are also counted: the event is their only record.
+// Allocation-free apart from the exporter.
 func (p *Probe) Observe(e trace.Event) {
 	switch e.Kind {
 	case trace.KindCycleEnd:
 		p.core = int(e.Core)
 		if e.Cycle%int64(p.interval) == 0 {
 			p.emitSample()
-		}
-	case trace.KindSelection:
-		p.selSeen = true
-		p.selErrors = e.B
-		p.selChoice = int(e.A)
-		p.cSelections[e.A].Inc()
-		switch e.C {
-		case trace.LookupHit:
-			p.cSteerHits.Inc()
-		case trace.LookupMiss:
-			p.cSteerMisses.Inc()
 		}
 	case trace.KindDecision:
 		p.cDecisions.Inc()
@@ -373,22 +372,15 @@ func (p *Probe) Observe(e trace.Event) {
 				DeferredSlots: n[3], StallSlotCycles: int(e.C)}
 			p.export(p.exp.Decision(&d))
 		}
-	case trace.KindReconfig:
-		p.cReconfigSpans.Inc()
-		p.cReconfigSlotCy.Add(uint64(e.B * e.C))
 	case trace.KindFaultInject:
 		if e.B != 0 {
-			p.cFaultsPerm.Inc()
 			p.fault(e, FaultInjectedPermanent)
 		} else {
-			p.cFaultsTrans.Inc()
 			p.fault(e, FaultInjectedTransient)
 		}
 	case trace.KindFaultDetect:
-		p.cFaultsDetected.Inc()
 		p.fault(e, FaultDetected)
 	case trace.KindFaultHeal:
-		p.cFaultsRepaired.Inc()
 		p.fault(e, FaultRepaired)
 	case trace.KindRepairStart:
 		p.fault(e, FaultRepairStart)
@@ -396,31 +388,19 @@ func (p *Probe) Observe(e trace.Event) {
 		if e.B != 0 {
 			p.fault(e, FaultDead)
 		} else {
-			p.cFaultsRepaired.Inc()
 			p.fault(e, FaultRepaired)
 		}
-	case trace.KindScrub:
-		p.cScrubScans.Inc()
-	case trace.KindMasked:
-		p.cMaskedSlotCy.Add(uint64(e.A))
 	case trace.KindPhaseChange:
-		p.cPhaseChanges.Inc()
 		p.prefetch(e, PrefetchPhaseChange)
 	case trace.KindPrefetchIssue:
-		p.cPrefIssued.Add(uint64(e.A))
 		p.prefetch(e, PrefetchIssue)
 	case trace.KindSpecResolve:
 		switch e.C {
 		case trace.SpecConfirm:
-			p.cPrefConfirmed.Inc()
 			p.prefetch(e, PrefetchConfirm)
 		case trace.SpecMispredict:
-			p.cPrefMispred.Inc()
-			p.cPrefWasted.Add(uint64(e.A))
 			p.prefetch(e, PrefetchMispredict)
 		default:
-			p.cPrefCancelled.Inc()
-			p.cPrefWasted.Add(uint64(e.A))
 			p.prefetch(e, PrefetchCancel)
 		}
 	}
@@ -451,45 +431,67 @@ func (p *Probe) prefetch(e trace.Event, event string) {
 	}
 }
 
-// snapshot pulls the machine state (zero without a snapshot source) and
-// brings the counters the processor keeps itself, and the CEM gauges,
-// up to it.
-func (p *Probe) snapshot() CoreState {
-	var cs CoreState
+// snapshot reads the state (zero without a source) and sets every
+// counter but the decision count, and the CEM gauges, from it.
+func (p *Probe) snapshot() State {
+	var st State
 	if p.state != nil {
-		cs = p.state()
+		st = p.state()
 	}
-	for i, v := range trace.Unpack4(p.selErrors) {
-		p.gCEMError[i].Set(int64(v))
-	}
-	p.cCycles.v = uint64(cs.Cycle)
-	p.cRetired.v = uint64(cs.Retired)
-	p.cFlushed.v = uint64(cs.Flushed)
+	cs, ms, fs := &st.CoreState, &st.Manager, &st.Faults
+	p.cCycles.set(cs.Cycle)
+	p.cRetired.set(cs.Retired)
+	p.cFlushed.set(cs.Flushed)
 	// Every dispatched instruction has retired, been flushed or is in
 	// flight.
-	p.cDispatched.v = uint64(cs.Retired + cs.Flushed + cs.Occupancy)
-	p.cDispatchStalls.v = uint64(cs.DispatchStalls)
+	p.cDispatched.set(cs.Retired + cs.Flushed + cs.Occupancy)
+	p.cDispatchStalls.set(cs.DispatchStalls)
 	for t, n := range cs.Issued {
-		p.cIssued[t].v = uint64(n)
+		p.cIssued[t].set(n)
 	}
-	return cs
+	for i, n := range ms.Selections {
+		p.cSelections[i].set(n)
+		p.gCEMError[i].Set(int64(st.Selection.Errors[i]))
+	}
+	p.cReconfigSpans.set(st.Reconfigs)
+	p.cReconfigSlotCy.set(st.ReconfigSlotCycles)
+	p.cSteerHits.set(ms.CacheHits)
+	p.cSteerMisses.set(ms.CacheMisses)
+	p.cPrefIssued.set(ms.PrefetchIssued)
+	p.cPrefConfirmed.set(ms.PrefetchConfirmed)
+	p.cPrefMispred.set(ms.PrefetchMispredicted)
+	p.cPrefCancelled.set(ms.PrefetchCancelled)
+	p.cPrefWasted.set(ms.PrefetchWastedSpans)
+	p.cPhaseChanges.set(ms.PhaseChanges)
+	p.cFaultsTrans.set(fs.InjectedTransient)
+	p.cFaultsPerm.set(fs.InjectedPermanent)
+	p.cFaultsDetected.set(fs.Detected)
+	p.cFaultsRepaired.set(restored(fs))
+	p.cScrubScans.set(fs.ScrubScans)
+	p.cMaskedSlotCy.set(fs.MaskedSlotCycles)
+	return st
 }
 
-// emitSample merges a core snapshot with the event counters' growth
-// since the previous sample into a Sample, updates the sampled
-// gauges/histograms, marks the counters and hands the sample to the
-// exporter.
+// restored counts the slots returned to healthy: by a repair completing
+// or by a steering rewrite.
+func restored(fs *rfu.FaultStats) int { return fs.Repaired + fs.HealedByLoad }
+
+// emitSample turns the state at a boundary into a Sample, each interval
+// field the growth of its counter since the previous sample, updates the
+// sampled gauges/histograms and hands the sample to the exporter.
 func (p *Probe) emitSample() {
-	cs := p.snapshot()
+	st := p.snapshot()
+	cs, ms, fs := &st.CoreState, &st.Manager, &st.Faults
+	lc, lm, lf := &p.last.CoreState, &p.last.Manager, &p.last.Faults
 	var issued arch.Counts
 	for t := range issued {
-		issued[t] = cs.Issued[t] - p.last.Issued[t]
+		issued[t] = cs.Issued[t] - lc.Issued[t]
 	}
 	s := Sample{
 		Cycle:           cs.Cycle,
 		Core:            p.core,
 		Retired:         cs.Retired,
-		IntervalRetired: cs.Retired - p.last.Retired,
+		IntervalRetired: cs.Retired - lc.Retired,
 		Occupancy:       cs.Occupancy,
 		Demand:          cs.Demand,
 		IntervalIssued:  issued,
@@ -497,33 +499,33 @@ func (p *Probe) emitSample() {
 		RFUBusy:         cs.RFUBusy,
 		FFUBusy:         cs.FFUBusy,
 		Slots:           cs.Slots,
-		CEMValid:        p.selSeen,
-		CEMErrors:       trace.Unpack4(p.selErrors),
-		CEMChoice:       p.selChoice,
+		CEMValid:        ms.Selections != [arch.NumConfigs]int{},
+		CEMErrors:       st.Selection.Errors,
+		CEMChoice:       st.Selection.Choice,
 		ReconfigSlots:   cs.ReconfigSlots,
 
-		IntervalReconfigs:      p.cReconfigSpans.sinceMark(),
-		IntervalFlushed:        cs.Flushed - p.last.Flushed,
-		IntervalDispatchStalls: cs.DispatchStalls - p.last.DispatchStalls,
+		IntervalReconfigs:      st.Reconfigs - p.last.Reconfigs,
+		IntervalFlushed:        cs.Flushed - lc.Flushed,
+		IntervalDispatchStalls: cs.DispatchStalls - lc.DispatchStalls,
 
-		IntervalSteerCacheHits:   p.cSteerHits.sinceMark(),
-		IntervalSteerCacheMisses: p.cSteerMisses.sinceMark(),
+		IntervalSteerCacheHits:   ms.CacheHits - lm.CacheHits,
+		IntervalSteerCacheMisses: ms.CacheMisses - lm.CacheMisses,
 
-		IntervalPrefetchIssued:       p.cPrefIssued.sinceMark(),
-		IntervalPrefetchConfirmed:    p.cPrefConfirmed.sinceMark(),
-		IntervalPrefetchMispredicted: p.cPrefMispred.sinceMark(),
-		IntervalPrefetchCancelled:    p.cPrefCancelled.sinceMark(),
+		IntervalPrefetchIssued:       ms.PrefetchIssued - lm.PrefetchIssued,
+		IntervalPrefetchConfirmed:    ms.PrefetchConfirmed - lm.PrefetchConfirmed,
+		IntervalPrefetchMispredicted: ms.PrefetchMispredicted - lm.PrefetchMispredicted,
+		IntervalPrefetchCancelled:    ms.PrefetchCancelled - lm.PrefetchCancelled,
 
-		IntervalFaultsInjected: p.cFaultsTrans.sinceMark() + p.cFaultsPerm.sinceMark(),
-		IntervalFaultsDetected: p.cFaultsDetected.sinceMark(),
-		IntervalFaultsRepaired: p.cFaultsRepaired.sinceMark(),
-		IntervalScrubScans:     p.cScrubScans.sinceMark(),
+		IntervalFaultsInjected: fs.InjectedTransient + fs.InjectedPermanent - lf.InjectedTransient - lf.InjectedPermanent,
+		IntervalFaultsDetected: fs.Detected - lf.Detected,
+		IntervalFaultsRepaired: restored(fs) - restored(lf),
+		IntervalScrubScans:     fs.ScrubScans - lf.ScrubScans,
 		MaskedSlots:            cs.MaskedSlots,
 
-		BucketIssued:   cs.Buckets[0] - p.last.Buckets[0],
-		BucketUnits:    cs.Buckets[1] - p.last.Buckets[1],
-		BucketDeps:     cs.Buckets[2] - p.last.Buckets[2],
-		BucketFrontend: cs.Buckets[3] - p.last.Buckets[3],
+		BucketIssued:   cs.Buckets[0] - lc.Buckets[0],
+		BucketUnits:    cs.Buckets[1] - lc.Buckets[1],
+		BucketDeps:     cs.Buckets[2] - lc.Buckets[2],
+		BucketFrontend: cs.Buckets[3] - lc.Buckets[3],
 	}
 	s.IntervalIPC = float64(s.IntervalRetired) / float64(p.interval)
 
@@ -531,7 +533,7 @@ func (p *Probe) emitSample() {
 	p.gReconfigSlots.Set(int64(cs.ReconfigSlots))
 	p.hOccupancy.Observe(int64(cs.Occupancy))
 
-	p.last = cs
+	p.last = st
 
 	if p.exp != nil {
 		p.export(p.exp.Sample(&s))

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/rfu"
 	"repro/internal/trace"
 )
 
@@ -179,11 +181,18 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 	col := &Collector{}
 	p.SetExporter(col)
 	var cycle int
-	p.SetState(func() CoreState {
+	p.SetState(func() State {
 		// One instruction dispatched, issued to an LSU and retired per
-		// cycle; three more in flight.
-		return CoreState{Cycle: cycle, Retired: cycle, Occupancy: 3,
-			Issued: arch.Counts{arch.LSU: cycle}, Buckets: [4]int{cycle, 0, 0, 0}}
+		// cycle; three more in flight. One selection pass per cycle,
+		// every other one a steering-cache hit; a scrub every fifth
+		// cycle.
+		return State{
+			CoreState: trace.CoreState{Cycle: cycle, Retired: cycle, Occupancy: 3,
+				Issued: arch.Counts{arch.LSU: cycle}, Buckets: [4]int{cycle, 0, 0, 0}},
+			Manager:   core.Stats{Selections: [arch.NumConfigs]int{cycle}, CacheHits: cycle / 2},
+			Selection: core.Selection{Errors: [arch.NumConfigs]int{1, 2, 3, 4}},
+			Faults:    rfu.FaultStats{ScrubScans: cycle / 5},
+		}
 	})
 	o := observed(p)
 
@@ -204,6 +213,13 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 	if s.BucketIssued != 10 {
 		t.Errorf("bucketIssued = %d, want 10 (interval delta)", s.BucketIssued)
 	}
+	if s.IntervalSteerCacheHits != 5 || s.IntervalScrubScans != 2 {
+		t.Errorf("interval cache hits/scrubs = %d/%d, want 5/2 (interval deltas)",
+			s.IntervalSteerCacheHits, s.IntervalScrubScans)
+	}
+	if !s.CEMValid || s.CEMErrors != [arch.NumConfigs]int{1, 2, 3, 4} {
+		t.Errorf("CEM valid/errors = %v/%v, want the latest selection's", s.CEMValid, s.CEMErrors)
+	}
 	if v, _ := p.Registry().CounterValue("rsssim_cycles_total"); v != 20 {
 		t.Errorf("cycles counter = %d, want 20", v)
 	}
@@ -220,10 +236,12 @@ func TestProbeDecisionStampedAndExported(t *testing.T) {
 	col := &Collector{}
 	p.SetExporter(col)
 	p.SetBasis([3]string{"integer", "memory", "floating"})
+	p.SetState(func() State {
+		return State{Manager: core.Stats{Selections: [arch.NumConfigs]int{0, 1}}}
+	})
 	o := observed(p)
 	o.SetCore(2)
 	o.SetCycle(42)
-	o.Emit(trace.Event{Kind: trace.KindSelection, A: 1, B: trace.Pack4([4]int{7, 1, 5, 7})})
 	o.Emit(trace.Event{Kind: trace.KindDecision, Str: "memory", A: 3,
 		B: trace.Pack4([4]int{6, 2, 4, 0}), C: 32})
 	if len(col.Decisions) != 1 {
@@ -240,17 +258,25 @@ func TestProbeDecisionStampedAndExported(t *testing.T) {
 	if v, _ := p.Registry().CounterValue("rsssim_steering_decisions_total"); v != 1 {
 		t.Errorf("decisions counter = %d, want 1", v)
 	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := p.Registry().CounterValue("rsssim_selections_total", Label{"config", "basis1"}); v != 1 {
 		t.Errorf("selections{basis1} counter = %d, want 1", v)
 	}
 }
 
 // TestProbeFaultAndPrefetchRecords maps fault and speculation events to
-// their exported record vocabularies.
+// their exported record vocabularies, and the fault and prefetch
+// counters to the state's.
 func TestProbeFaultAndPrefetchRecords(t *testing.T) {
 	p := NewProbe(100)
 	col := &Collector{}
 	p.SetExporter(col)
+	p.SetState(func() State {
+		return State{Faults: rfu.FaultStats{Repaired: 1, HealedByLoad: 1},
+			Manager: core.Stats{PrefetchWastedSpans: 2}}
+	})
 	o := observed(p)
 	o.SetCycle(9)
 	for _, e := range []trace.Event{
@@ -279,6 +305,9 @@ func TestProbeFaultAndPrefetchRecords(t *testing.T) {
 	if len(col.Prefetches) != 3 || col.Prefetches[2].Event != PrefetchMispredict ||
 		col.Prefetches[2].Config != "floating" || col.Prefetches[2].Spans != 2 {
 		t.Errorf("prefetch records = %+v", col.Prefetches)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if v, _ := p.Registry().CounterValue("rsssim_faults_repaired_total"); v != 2 {
 		t.Errorf("repaired counter = %d, want 2 (repair + heal)", v)
@@ -357,7 +386,7 @@ func TestPromExporterSnapshot(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewProm(&buf, p.Registry())
 	p.SetExporter(e)
-	p.SetState(func() CoreState { return CoreState{Cycle: 1, Retired: 1} })
+	p.SetState(func() State { return State{CoreState: trace.CoreState{Cycle: 1, Retired: 1}} })
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -52,12 +52,8 @@ const (
 	// cumulative retired count.
 	KindCycleEnd
 	// KindSelection is one selection-unit pass: A the winning candidate,
-	// B the four CEM scores (Pack4), C how the steering cache served it
-	// (LookupHit, LookupMiss, or LookupNone with the cache disabled).
+	// B the four CEM scores (Pack4).
 	KindSelection
-	// KindCacheOpen is a steering cache's first use: its one epoch
-	// runs from the start of the run.
-	KindCacheOpen
 	// KindDecision is a configuration switch the loader started: Str
 	// names the allocation before it ("(empty)", "hybrid" or a basis
 	// configuration), A is the selection unit's choice (1..3) of basis
@@ -79,10 +75,6 @@ const (
 	// KindRepairEnd is a repair of slot A completing; B is 1 when the
 	// permanent fault survived and the slot is dead.
 	KindRepairEnd
-	// KindScrub is one readback scrub scan.
-	KindScrub
-	// KindMasked reports A slots masked by faults this cycle.
-	KindMasked
 
 	// KindPhaseChange is a workload phase boundary the prefetch
 	// predictor detected.
@@ -103,9 +95,9 @@ const (
 
 var kindNames = [numKinds]string{
 	"fetch", "dispatch", "issue", "retire", "flush", "reconfig",
-	"cycle-end", "selection", "cache-open", "decision",
+	"cycle-end", "selection", "decision",
 	"fault-inject", "fault-detect", "fault-heal", "repair-start",
-	"repair-end", "scrub", "masked",
+	"repair-end",
 	"phase-change", "spec-open", "prefetch-issue", "spec-resolve",
 }
 
@@ -116,13 +108,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// Steering-cache outcomes, carried in a KindSelection event's C field.
-const (
-	LookupNone int32 = iota
-	LookupHit
-	LookupMiss
-)
 
 // Speculation outcomes, carried in a KindSpecResolve event's C field.
 const (

@@ -249,11 +249,13 @@ func (o Options) Canonical() Options {
 
 // Machine is one simulated processor instance bound to a program.
 type Machine struct {
-	proc     *cpu.Processor
-	prog     Program
-	policy   Policy
-	steering *core.Manager // non-nil for steering-family policies
-	basis    [3]string     // the steering basis names, for decision records
+	proc   *cpu.Processor
+	prog   Program
+	policy Policy
+	// manager is the selecting core.Manager of the steering, prefetch,
+	// oracle and full-reconfig policies (nil for the others).
+	manager *core.Manager
+	basis   [3]string // the steering basis names, for decision records
 	// obs is the machine's one event stream, created with the first
 	// sink; tracer, probe and spans are the sinks the Enable* methods
 	// added to it.
@@ -276,7 +278,7 @@ func NewMachine(prog Program, opt Options) *Machine {
 	case PolicySteering:
 		s := core.NewManager(p.Fabric(), basis)
 		s.MinResidency = opt.MinResidency
-		m.steering = s
+		m.manager = s
 		p.SetManager(s)
 	case PolicyStaticInteger:
 		p.Fabric().Install(basis[0])
@@ -287,10 +289,13 @@ func NewMachine(prog Program, opt Options) *Machine {
 	case PolicyNone:
 		// Empty fabric, FFUs only.
 	case PolicyFullReconfig:
-		p.SetManager(baseline.NewFullReconfig(p.Fabric(), basis))
+		f := baseline.NewFullReconfig(p.Fabric(), basis)
+		m.manager = f.Manager()
+		p.SetManager(f)
 	case PolicyOracle:
 		o := core.NewManager(p.Fabric(), basis)
 		o.ExactCEM = true
+		m.manager = o
 		p.SetManager(o)
 	case PolicyRandom:
 		p.SetManager(baseline.NewRandom(p.Fabric(), opt.Seed))
@@ -302,7 +307,7 @@ func NewMachine(prog Program, opt Options) *Machine {
 			Confidence:   opt.Params.PrefetchConfidence,
 		})
 		pf.Core().MinResidency = opt.MinResidency
-		m.steering = pf.Core()
+		m.manager = pf.Core()
 		p.SetManager(pf)
 	default:
 		panic(fmt.Sprintf("repro: unknown policy %d", opt.Policy))
@@ -401,14 +406,14 @@ func (m *Machine) Reconfigurations() int { return m.proc.Fabric().Reconfiguratio
 // the steering cache and, under PolicyPrefetch, the prefetch accounting.
 // It returns ok=false for every other policy. PolicyOracle (a
 // core.Manager with the exact CEM) and PolicyFullReconfig (which selects
-// through a core.Manager of its own) are included: the machine does not
-// expose their counters, so reports keep the same shape as for the
-// other non-steering policies.
+// through a core.Manager of its own) are included: their counters are
+// not in the report, so reports keep the same shape as for the other
+// non-steering policies, but telemetry reads them.
 func (m *Machine) ManagerStats() (core.Stats, bool) {
-	if m.steering == nil {
+	if m.policy != PolicySteering && m.policy != PolicyPrefetch {
 		return core.Stats{}, false
 	}
-	return m.steering.Stats(), true
+	return m.manager.Stats(), true
 }
 
 // PrefetchStats is the speculative-prefetch accounting of the prefetch
@@ -615,12 +620,30 @@ func (m *Machine) EnableTelemetryExporter(e telemetry.Exporter, interval int) *t
 }
 
 // addProbe adds a telemetry probe to the machine's observer, with
-// the processor as its sampling snapshot source.
+// telemetryState as its state source.
 func (m *Machine) addProbe(probe *telemetry.Probe) {
-	probe.SetState(m.proc.CoreState)
+	probe.SetState(m.telemetryState)
 	probe.SetBasis(m.basis)
 	m.probe = probe
 	m.Observer().Add(probe)
+}
+
+// telemetryState reads what the probe samples from the code that keeps
+// it: the processor's snapshot, the fabric's reconfiguration and fault
+// counters, and the selecting manager's counters and latest selection.
+func (m *Machine) telemetryState() telemetry.State {
+	f := m.proc.Fabric()
+	st := telemetry.State{
+		CoreState:          m.proc.CoreState(),
+		Reconfigs:          f.Reconfigurations(),
+		ReconfigSlotCycles: f.ReconfigurationCycles(),
+		Faults:             f.FaultStats(),
+	}
+	if m.manager != nil {
+		st.Manager = m.manager.Stats()
+		st.Selection = m.manager.LastSelection()
+	}
+	return st
 }
 
 // Observer returns the machine's event stream — the one channel every
@@ -643,9 +666,8 @@ type SpanConfig = span.Config
 
 // EnableSpans attaches a span recorder capturing duration-bearing
 // epochs — reconfiguration bus transactions, repair windows, prefetch
-// speculations, detected workload phases, steering-cache flush epochs
-// — plus fault instants and flight-recorder anomaly triggers. Call
-// before Run; export the trace afterwards with the recorder's
+// speculations, detected workload phases — plus fault instants and
+// flight-recorder anomaly triggers. Call before Run; export the trace afterwards with the recorder's
 // WriteChromeTrace / WriteJSONL, or dump the flight ring with
 // DumpFlight. The recorder is a pure observer: runs are bit-identical
 // with it attached or not.

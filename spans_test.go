@@ -162,7 +162,7 @@ func TestSpanChromeTraceEndToEnd(t *testing.T) {
 			lastPhaseEnd = ev.TS + *ev.Dur
 		}
 	}
-	for _, cat := range []string{"reconfig", "repair", "speculation", "phase", "fault", "cache-epoch"} {
+	for _, cat := range []string{"reconfig", "repair", "speculation", "phase", "fault"} {
 		if byCat[cat] == 0 {
 			t.Errorf("no %q events in the trace (categories: %v)", cat, byCat)
 		}
@@ -228,28 +228,5 @@ func TestSpansBitIdentical(t *testing.T) {
 	}
 	if plainReport != spanReport {
 		t.Errorf("report diverges with spans attached:\nwithout:\n%s\nwith:\n%s", plainReport, spanReport)
-	}
-}
-
-// TestOneCacheEpochPerRun: a steering cache opens one epoch at cycle 0
-// that lasts the run, for the exact-metric oracle as for steering — the
-// metric is fixed before the cache's first use, so nothing flushes it.
-func TestOneCacheEpochPerRun(t *testing.T) {
-	for _, pol := range []Policy{PolicySteering, PolicyOracle} {
-		m := NewMachine(spanRunProgram(), Options{Policy: pol})
-		rec := m.EnableSpans(SpanConfig{})
-		st, err := m.Run(5_000_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var epochs []span.Entry
-		for _, e := range rec.Entries() {
-			if e.Kind == span.KindCacheEpoch {
-				epochs = append(epochs, e)
-			}
-		}
-		if len(epochs) != 1 || epochs[0].Start != 0 || epochs[0].Dur != int64(st.Cycles) {
-			t.Errorf("%s: cache epochs = %+v, want one from cycle 0 over the run's %d cycles", pol, epochs, st.Cycles)
-		}
 	}
 }
