@@ -419,9 +419,7 @@ func TestZeroAllocClusterCycle(t *testing.T) {
 			if c.Halted() {
 				t.Fatal("workload halted during warm-up; steady-state cycles unmeasurable")
 			}
-			if allocs := testing.AllocsPerRun(2000, c.Step); allocs != 0 {
-				t.Errorf("steady-state cluster Step (%s, K=4): %.2f allocs/op, want 0", mode, allocs)
-			}
+			requireZeroAllocs(t, "steady-state cluster Step ("+mode+", K=4)", 2000, c.Step)
 		})
 	}
 }

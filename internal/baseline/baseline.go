@@ -69,11 +69,11 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 		f.Blocked++
 		return
 	}
-	target := f.m.Basis()[sel.Choice-1]
-	if f.fabric.Allocation().Slots == target.Layout {
+	diff := sel.Distances[sel.Choice]
+	if diff == 0 {
 		return
 	}
-	diff := f.fabric.Allocation().Distance(target)
+	target := f.m.Basis()[sel.Choice-1]
 	f.m.EmitDecision(f.m.ClassifyAllocation(), sel.Choice, diff, 0, diff, 0)
 	f.pending = &target
 	f.stream()

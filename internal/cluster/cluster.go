@@ -56,7 +56,8 @@ const MaxCores = cpu.MaxClusterCores
 // allSlots is the packed mask of the whole reconfigurable fabric.
 const allSlots = uint8(1<<arch.NumRFUSlots - 1)
 
-// Mode selects how the cores share the reconfigurable fabric.
+// Mode selects how the cores share the reconfigurable fabric. Its
+// values index cpu.ClusterModes.
 type Mode int
 
 const (
@@ -68,30 +69,16 @@ const (
 	ModeSplit
 )
 
-var modeNames = [...]string{ModeMerged: "merged", ModeSplit: "split"}
-
-// String returns the canonical mode name.
+// String returns the canonical mode name (cpu.ClusterModes).
 func (m Mode) String() string {
-	if m < 0 || int(m) >= len(modeNames) {
+	if m < 0 || int(m) >= len(cpu.ClusterModes) {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-	return modeNames[m]
-}
-
-// ParseMode resolves a mode name; the empty string selects ModeMerged
-// (the default, matching cpu.Params.ClusterMode semantics).
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "merged":
-		return ModeMerged, nil
-	case "split":
-		return ModeSplit, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown mode %q (known: merged, split)", s)
+	return cpu.ClusterModes[m]
 }
 
 // Arbiter selects the cross-core arbitration policy ordering fabric
-// access each cycle.
+// access each cycle. Its values index cpu.ClusterArbiters.
 type Arbiter int
 
 const (
@@ -105,26 +92,12 @@ const (
 	ArbiterDemandWeighted
 )
 
-var arbiterNames = [...]string{ArbiterRoundRobin: "round-robin", ArbiterDemandWeighted: "demand-weighted"}
-
-// String returns the canonical arbiter name.
+// String returns the canonical arbiter name (cpu.ClusterArbiters).
 func (a Arbiter) String() string {
-	if a < 0 || int(a) >= len(arbiterNames) {
+	if a < 0 || int(a) >= len(cpu.ClusterArbiters) {
 		return fmt.Sprintf("Arbiter(%d)", int(a))
 	}
-	return arbiterNames[a]
-}
-
-// ParseArbiter resolves an arbiter name; the empty string selects
-// ArbiterRoundRobin (the default).
-func ParseArbiter(s string) (Arbiter, error) {
-	switch s {
-	case "", "round-robin":
-		return ArbiterRoundRobin, nil
-	case "demand-weighted":
-		return ArbiterDemandWeighted, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown arbiter %q (known: round-robin, demand-weighted)", s)
+	return cpu.ClusterArbiters[a]
 }
 
 // Machine steps K cores in lockstep against the shared fabric.
@@ -181,13 +154,10 @@ func NewMulti(progs []repro.Program, opt repro.Options) *Machine {
 	if opt.Params.Cores > 1 && opt.Params.Cores != k {
 		panic(fmt.Sprintf("cluster: %d programs for Params.Cores=%d", k, opt.Params.Cores))
 	}
-	mode, err := ParseMode(opt.Params.ClusterMode)
-	if err != nil {
-		panic(err)
-	}
-	arb, err := ParseArbiter(opt.Params.ClusterArbiter)
-	if err != nil {
-		panic(err)
+	mode := Mode(cpu.ClusterIndex(cpu.ClusterModes[:], opt.Params.ClusterMode))
+	arb := Arbiter(cpu.ClusterIndex(cpu.ClusterArbiters[:], opt.Params.ClusterArbiter))
+	if mode < 0 || arb < 0 {
+		panic(fmt.Sprintf("cluster: unknown mode %q or arbiter %q", opt.Params.ClusterMode, opt.Params.ClusterArbiter))
 	}
 	c := &Machine{mode: mode, pending: mode, arb: arb}
 	for i := 0; i < k; i++ {

@@ -181,14 +181,14 @@ const (
 )
 
 // steerEntry is one direct-mapped cache line. key holds the packed key
-// plus one so that the zero value means "empty"; the payload is the full
-// Selection except Required, which the hit path copies from the live
-// input.
+// plus one so that the zero value means "empty"; the payload is the
+// choice and the four errors. The hit path copies Required from the
+// live input and the distances from the fabric view, which the key's
+// slot half fixes.
 type steerEntry struct {
 	key    uint64
 	choice uint8
 	errs   [arch.NumConfigs]uint8
-	dists  [arch.NumConfigs]uint8
 }
 
 // The steering key packs everything Select's outputs depend on into one
@@ -245,7 +245,9 @@ type Manager struct {
 	// ExactCEM switches the error metric generators to the paper's
 	// "more accurate divider" variant (the X3 ablation). It is fixed
 	// before first use: set it before the first Select or Step, since
-	// the steering cache holds entries computed under one metric.
+	// the steering cache holds entries computed under one metric. The
+	// cache is the only state that depends on the metric; the fabric
+	// view holds availabilities, not scores.
 	ExactCEM bool
 	// MinResidency suppresses loading a new configuration until at
 	// least this many cycles have passed since the last load — a
@@ -275,14 +277,6 @@ type Manager struct {
 	// basisUnits holds each basis configuration's placement list,
 	// computed once at NewManager so Load never rebuilds it.
 	basisUnits [3][]config.PlacedUnit
-	// classifyName memoizes ClassifyAllocation against the fabric's
-	// allocation version: the name is recomputed only when the
-	// allocation vector actually changed, not every cycle. The empty
-	// string marks "not yet computed". hybrid records whether the name
-	// is "hybrid".
-	classifyName    string
-	classifyVersion uint64
-	hybrid          bool
 
 	// sel is the latest selection pass, which Step fills and returns by
 	// reference; memo remembers the inputs and outcome of the Step that
@@ -290,24 +284,35 @@ type Manager struct {
 	sel  Selection
 	memo stepMemo
 
-	// slotKey caches the slot half of the steering key, and the
-	// predefined candidates' scoring tables, between allocation and
-	// health-mask changes.
-	slotKey slotKeyMemo
+	// view is the selection unit's view of the fabric, rebuilt only
+	// when the allocation or the health masks change.
+	view fabricView
 }
 
-// slotKeyMemo remembers the slot half of the steering key, the inputs
-// it was packed from, and what the three predefined candidates' scores
-// derive from those inputs: each candidate's reconfiguration distance
-// and, per unit type and clamped demand count, its CEM term. A
-// candidate's error is then the saturated sum of five table reads.
-type slotKeyMemo struct {
+// fabricView is everything the selection unit reads from the fabric,
+// as Fig. 2 draws it: the four CEM generators are identical and differ
+// only in their availability input, so the view holds one availability
+// vector per candidate, plus the candidates' reconfiguration distances,
+// the allocation's class and the slot half of the steering key. All of
+// it is a function of the allocation and the health masks.
+type fabricView struct {
 	valid         bool
 	version       uint64
 	unavail, dead uint8
-	key           uint64
-	dists         [3]uint8
-	terms         [3][arch.NumUnitTypes][1 << arch.CountBits]uint8
+	// key is the slot half of the steering key (packSlotKey).
+	key uint64
+	// avail holds each candidate's availability, indexed like
+	// Selection.Choice: the current configuration's fault-masked units,
+	// then each predefined configuration's units that avoid dead slots,
+	// all including the FFUs.
+	avail [arch.NumConfigs]arch.Counts
+	// dists holds each candidate's reconfiguration distance from the
+	// live allocation (zero for the current configuration).
+	dists [arch.NumConfigs]int
+	// class names the allocation (see ClassifyAllocation); hybrid is
+	// set when it is neither empty nor a predefined layout.
+	class  string
+	hybrid bool
 }
 
 // stepMemo is Step's one-entry memo. The selection unit and loader are
@@ -382,22 +387,20 @@ func (m *Manager) NotePrefetch(issued, confirmed, mispredicted, cancelled, waste
 // The pass counts in Stats.Selections and becomes the LastSelection.
 func (m *Manager) Select(required arch.Counts) Selection {
 	m.memo.valid = false // m.sel no longer holds the memo's selection
-	m.selectInto(&m.sel, required)
+	m.selectInto(&m.sel, required, m.liveView())
 	m.stats.Selections[m.sel.Choice]++
 	return m.sel
 }
 
-// selectInto is Select writing into sel. With the steering cache on it
-// returns the cache line that served the selection and the tag the
-// line now holds.
-func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, tag uint64) {
-	demand := packDemandKey(required)
-	sk := m.slotView()
+// selectInto is Select writing into sel, over the current fabric view
+// v. With the steering cache on it returns the cache line that served
+// the selection and the tag the line now holds.
+func (m *Manager) selectInto(sel *Selection, required arch.Counts, v *fabricView) (line int, tag uint64) {
 	if m.DisableCache {
-		m.score(sel, required, demand, sk)
+		m.score(sel, required, v)
 		return 0, 0
 	}
-	key := demand | sk.key
+	key := packDemandKey(required) | v.key
 	line = tableIndex(key, steerCacheBits)
 	e := &m.cache[line]
 	if e.key == key+1 {
@@ -406,58 +409,57 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts) (line int, ta
 		sel.Choice = int(e.choice)
 		for i := range sel.Errors {
 			sel.Errors[i] = int(e.errs[i])
-			sel.Distances[i] = int(e.dists[i])
 		}
+		sel.Distances = v.dists
 		return line, e.key
 	}
 	m.stats.CacheMisses++
-	m.score(sel, required, demand, sk)
+	m.score(sel, required, v)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
 	for i := range sel.Errors {
 		e.errs[i] = uint8(sel.Errors[i])
-		e.dists[i] = uint8(sel.Distances[i])
 	}
 	return line, e.key
 }
 
-// slotView returns the slot-key memo, repacking it and rebuilding the
-// candidates' tables when the allocation or the health masks changed.
-// The term tables depend only on the dead-slot mask, so only a change
-// of it rebuilds them.
-func (m *Manager) slotView() *slotKeyMemo {
-	sk := &m.slotKey
+// liveView returns the fabric view, rebuilding it when the
+// allocation or the health masks changed since it was built.
+func (m *Manager) liveView() *fabricView {
+	v := &m.view
 	unavail, dead := m.fabric.HealthMasks()
-	version := m.fabric.AllocVersion()
-	if sk.valid && version == sk.version && unavail == sk.unavail && dead == sk.dead {
-		return sk
+	if !v.valid || m.fabric.AllocVersion() != v.version || unavail != v.unavail || dead != v.dead {
+		m.rebuildView(v, unavail, dead)
 	}
-	if !sk.valid || dead != sk.dead {
-		m.fillTerms(&sk.terms, dead)
-	}
-	layout := m.fabric.LayoutWord()
-	sk.valid, sk.version, sk.unavail, sk.dead = true, version, unavail, dead
-	sk.key = packSlotKey(layout, unavail, dead)
-	for i, w := range m.basisWord {
-		sk.dists[i] = uint8(config.LayoutDistance(layout, w))
-	}
-	return sk
+	return v
 }
 
-// fillTerms tabulates each predefined candidate's CEM term (cem.
-// Contribution, or cem.ExactContribution under ExactCEM) for every unit
-// type and clamped demand count, over the candidate's availability with
-// the units crossing dead slots dropped.
-func (m *Manager) fillTerms(terms *[3][arch.NumUnitTypes][1 << arch.CountBits]uint8, dead uint8) {
-	term := cem.Contribution
-	if m.ExactCEM {
-		term = cem.ExactContribution
+// rebuildView fills v from the live fabric: the slot key, the four
+// candidates' availabilities and distances, and then the class, which
+// reads the distances. The current configuration scores the degraded
+// unit mix (fault-masked units are not available capacity), and each
+// predefined candidate loses the units whose spans cross permanently
+// dead slots. Transiently faulty slots do not discount the predefined
+// candidates: loading a configuration rewrites their frames, restoring
+// them.
+func (m *Manager) rebuildView(v *fabricView, unavail, dead uint8) {
+	layout := m.fabric.LayoutWord()
+	v.valid, v.version, v.unavail, v.dead = true, m.fabric.AllocVersion(), unavail, dead
+	v.key = packSlotKey(layout, unavail, dead)
+	v.avail[0] = m.fabric.EffectiveTotalCounts()
+	for i, w := range m.basisWord {
+		v.avail[i+1] = m.basisAvail(i, dead)
+		v.dists[i+1] = config.LayoutDistance(layout, w)
 	}
-	for i := range m.basis {
-		avail := m.basisAvail(i, dead)
-		for t := range avail {
-			for c := range terms[i][t] {
-				terms[i][t][c] = uint8(term(c, avail[t]))
+	// The cases in config.Classify's order: empty, the first basis
+	// layout matched (distance zero), hybrid.
+	v.class, v.hybrid = "(empty)", false
+	if layout != 0 {
+		v.class, v.hybrid = "hybrid", true
+		for i, d := range v.dists[1:] {
+			if d == 0 {
+				v.class, v.hybrid = m.basis[i].Name, false
+				break
 			}
 		}
 	}
@@ -471,26 +473,15 @@ func (m *Manager) errorOf(required, available arch.Counts) int {
 	return cem.Error(required, available)
 }
 
-// score runs the selection unit: the CEM generator for the current
-// configuration, the predefined candidates' errors and distances from
-// the slot view's tables, and the minimal-error selector. The current
-// configuration scores the degraded unit mix (fault-masked units are
-// not available capacity), and each predefined candidate loses the
-// units whose spans cross permanently dead slots. Transiently faulty
-// slots do not discount the predefined candidates: loading a
-// configuration rewrites their frames, restoring them.
-func (m *Manager) score(sel *Selection, required arch.Counts, demand uint64, sk *slotKeyMemo) {
+// score runs the selection unit over the fabric view v: one CEM
+// generator per candidate, each over that candidate's availability,
+// then the minimal-error selector.
+func (m *Manager) score(sel *Selection, required arch.Counts, v *fabricView) {
 	sel.Required = required
-	sel.Errors[0] = m.errorOf(required, m.fabric.EffectiveTotalCounts())
-	sel.Distances[0] = 0
-	for i := range sk.terms {
-		sum := 0
-		for t := range sk.terms[i] {
-			sum += int(sk.terms[i][t][demand>>(uint(t)*arch.CountBits)&(1<<arch.CountBits-1)])
-		}
-		sel.Errors[i+1] = min(sum, 1<<arch.CountBits-1)
-		sel.Distances[i+1] = int(sk.dists[i])
+	for i, avail := range v.avail {
+		sel.Errors[i] = m.errorOf(required, avail)
 	}
+	sel.Distances = v.dists
 	sel.Choice = MinimalErrorSelect(sel.Errors, sel.Distances)
 }
 
@@ -519,23 +510,23 @@ func (m *Manager) basisAvail(i int, dead uint8) arch.Counts {
 // fabric's loader (rfu.Fabric.Load): when a predefined configuration
 // won, every unit span of its layout that differs from the live
 // allocation is rewritten if its slots are idle, and deferred
-// otherwise. Keeping the current configuration loads nothing. It
-// returns the number of span rewrites started and of slots deferred.
+// otherwise. Keeping the current configuration loads nothing. sel must
+// come from this manager on the live allocation (Select or Step); its
+// distance is the decision record's differing-slot count. It returns
+// the number of span rewrites started and of slots deferred.
 func (m *Manager) Load(sel *Selection) (started, deferred int) {
 	if sel.Current() {
 		return 0, 0
 	}
-	from, diff := "", 0
+	from := ""
 	if m.obs.Wants(trace.KindDecision) {
-		// Snapshot the pre-load state for the steering-decision record.
-		from = m.ClassifyAllocation()
-		diff = m.fabric.Allocation().Distance(m.basis[sel.Choice-1])
+		from = m.ClassifyAllocation() // the pre-load allocation
 	}
 	started, loading, deferred := m.fabric.Load(m.basisUnits[sel.Choice-1])
 	m.stats.Reconfigurations += started
 	m.stats.DeferredSlots += deferred
 	if started > 0 {
-		m.EmitDecision(from, sel.Choice, diff, started, loading, deferred)
+		m.EmitDecision(from, sel.Choice, sel.Distances[sel.Choice], started, loading, deferred)
 	}
 	return started, deferred
 }
@@ -561,19 +552,11 @@ func (m *Manager) EmitSelection(sel *Selection) {
 	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors)})
 }
 
-// ClassifyAllocation names the live allocation: a basis configuration's
-// name, "(empty)", or "hybrid". The answer is a pure function of the
-// allocation vector, so it is memoized against the fabric's allocation
-// version — Step calls this every cycle but the vector changes only on
-// reconfiguration installs and salvage.
-func (m *Manager) ClassifyAllocation() string {
-	if v := m.fabric.AllocVersion(); v != m.classifyVersion || m.classifyName == "" {
-		m.classifyName = config.Classify(m.fabric.Allocation().Slots, m.basis)
-		m.classifyVersion = v
-		m.hybrid = m.classifyName == "hybrid"
-	}
-	return m.classifyName
-}
+// ClassifyAllocation names the live allocation as config.Classify
+// does: "(empty)", a basis configuration's name, or "hybrid". It reads
+// the fabric view, so the name is derived only when the allocation
+// changed.
+func (m *Manager) ClassifyAllocation() string { return m.liveView().class }
 
 // Step performs one cycle of configuration management: encode the queue's
 // requirements, select, and load (subject to the residency timer). It
@@ -588,23 +571,23 @@ func (m *Manager) ClassifyAllocation() string {
 func (m *Manager) Step(required arch.Counts) *Selection {
 	sel := &m.sel
 	memo := &m.memo
+	v := m.liveView()
 	timers, plain := m.fabric.TimerMasks()
-	version := m.fabric.AllocVersion()
 	demand := packDemandKey(required)
-	hit := memo.valid && demand == memo.demand && version == memo.version && plain &&
+	hit := memo.valid && demand == memo.demand && v.version == memo.version && plain &&
 		!m.DisableCache && m.cache[memo.line].key == memo.tag
 	if hit {
 		m.stats.CacheHits++
 		sel.Required = required
 	} else {
-		memo.line, memo.tag = m.selectInto(sel, required)
+		memo.line, memo.tag = m.selectInto(sel, required, v)
 		memo.valid = plain && !m.DisableCache
-		memo.demand, memo.version = demand, version
+		memo.demand, memo.version = demand, v.version
 		memo.deferred = -1
 	}
 	m.stats.Selections[sel.Choice]++
 	m.EmitSelection(sel)
-	if m.isHybrid() {
+	if v.hybrid {
 		m.stats.HybridCycles++
 	}
 	m.sinceLoad++
@@ -637,10 +620,3 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 
 // Manage runs one Step; it makes the manager a cpu.Manager.
 func (m *Manager) Manage(required arch.Counts) { m.Step(required) }
-
-// isHybrid reports whether the live allocation matches none of the
-// predefined layouts (and is not empty).
-func (m *Manager) isHybrid() bool {
-	m.ClassifyAllocation()
-	return m.hybrid
-}

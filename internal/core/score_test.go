@@ -14,10 +14,10 @@ import (
 
 // TestMissPathMatchesCEM is the steering miss path's unit twin. For
 // every basis the studies use, both CEM variants and a spread of
-// dead-slot masks, the predefined candidates' errors read from the term
-// tables equal cem.Error (or cem.ErrorExact) over the candidate's units
-// that avoid dead slots plus the FFUs, and their distances equal a
-// slot-by-slot count against the live layout. The current
+// dead-slot masks, the predefined candidates' errors scored over the
+// fabric view equal cem.Error (or cem.ErrorExact) over the candidate's
+// units that avoid dead slots plus the FFUs, and their distances equal
+// a slot-by-slot count against the live layout. The current
 // configuration's error is cem's over the fabric's effective counts.
 func TestMissPathMatchesCEM(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
@@ -97,4 +97,121 @@ func survivingCounts(c config.Configuration, dead uint8) arch.Counts {
 		}
 	}
 	return n
+}
+
+// FuzzSteeringManager holds the steering manager's fabric view, cache
+// and Step memo to references. A shape byte picks the reconfiguration
+// latency, the configuration-bus width and ExactCEM. Each two-byte
+// operation then sets or clears a demand count, busies a unit, rewrites
+// a span behind the managers' backs, strikes a slot with a transient or
+// permanent fault, sets HoldTarget or MinResidency, or ticks; a Step
+// follows every operation. After each Step the cached manager and an
+// uncached twin on a twin fabric must agree on the selection, the stats
+// (cache counters aside), the allocation and the timer masks, and the
+// selection must equal one scored from scratch on the fabric the Step
+// saw: cem over the effective counts and over each basis
+// configuration's surviving units, and distances counted against the
+// allocation. ClassifyAllocation must name the allocation the Step left
+// as config.Classify does.
+func FuzzSteeringManager(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 3, 27, 5, 9, 2, 3, 4, 8, 10, 36, 1, 45, 7})
+	f.Add(uint8(17), []byte{18, 6, 0, 7, 12, 2, 5, 3, 8, 70, 9, 0, 6, 2, 7, 9, 8, 3, 22, 4})
+	f.Add(uint8(33), []byte{4, 1, 14, 6, 8, 65, 13, 2, 8, 70, 27, 255, 3, 0, 8, 12, 10, 5, 8, 66})
+	// An empty slot dies: only the dead mask moves, not the allocation.
+	f.Add(uint8(0), []byte{5, 2, 8, 100, 9, 48})
+	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
+		latency := []int{0, 1, 4, 8, 16}[shape%5]
+		busWidth := int(shape/5) % 3
+		exact := shape/15%2 == 1
+		errorOf := cem.Error
+		if exact {
+			errorOf = cem.ErrorExact
+		}
+		basis := config.DefaultBasis()
+		fm, fr := rfu.New(latency), rfu.New(latency)
+		fm.SetConfigBusWidth(busWidth)
+		fr.SetConfigBusWidth(busWidth)
+		m, ref := core.NewManager(fm, basis), core.NewManager(fr, basis)
+		ref.DisableCache = true
+		m.ExactCEM, ref.ExactCEM = exact, exact
+		var d arch.Counts
+		for step := 0; len(ops) >= 2; step, ops = step+1, ops[2:] {
+			ty, arg := arch.UnitType(ops[0]/9%arch.NumUnitTypes), int(ops[1])
+			switch op := ops[0] % 9; op {
+			case 0:
+				d[ty] = arg % 81
+				if arg == 255 {
+					d[ty] = 300
+				}
+			case 1:
+				d[ty] = 0
+			case 2:
+				_, okM := fm.Acquire(ty, 1+arg%8)
+				_, okR := fr.Acquire(ty, 1+arg%8)
+				if okM != okR {
+					t.Fatalf("step %d: fabrics disagree on acquiring %v", step, ty)
+				}
+			case 3:
+				if slot := arg % arch.NumRFUSlots; fm.CanReconfigure(ty, slot) {
+					fm.Reconfigure(ty, slot)
+					fr.Reconfigure(ty, slot)
+				}
+			case 4, 5:
+				slot := arg % arch.NumRFUSlots
+				if fm.InjectFault(slot, op == 5) != fr.InjectFault(slot, op == 5) {
+					t.Fatalf("step %d: fabrics disagree on striking slot %d", step, slot)
+				}
+			case 6:
+				m.HoldTarget = arg % arch.NumConfigs
+				ref.HoldTarget = m.HoldTarget
+			case 7:
+				m.MinResidency = arg % 8
+				ref.MinResidency = m.MinResidency
+			case 8:
+				for i := arg; i > 0; i-- {
+					fm.Tick()
+					fr.Tick()
+				}
+			}
+
+			// What a from-scratch selection unit sees before the Step
+			// loads anything.
+			_, dead := fm.HealthMasks()
+			alloc, effective := fm.Allocation(), fm.EffectiveTotalCounts()
+
+			a, b := m.Step(d), ref.Step(d)
+			if *a != *b {
+				t.Fatalf("step %d, demand %v: selection %+v, uncached %+v", step, d, *a, *b)
+			}
+			sm, sr := m.Stats(), ref.Stats()
+			sm.CacheHits, sm.CacheMisses, sr.CacheHits, sr.CacheMisses = 0, 0, 0, 0
+			if sm != sr {
+				t.Fatalf("step %d: stats %+v, uncached %+v", step, sm, sr)
+			}
+			tm, _ := fm.TimerMasks()
+			tr, _ := fr.TimerMasks()
+			if fm.Allocation() != fr.Allocation() || tm != tr {
+				t.Fatalf("step %d: allocation %v timers %#x, uncached %v timers %#x",
+					step, fm.Allocation().Slots, tm, fr.Allocation().Slots, tr)
+			}
+
+			if want := errorOf(d, effective); a.Errors[0] != want || a.Distances[0] != 0 {
+				t.Fatalf("step %d, demand %v: current error/distance %d/%d, want %d/0",
+					step, d, a.Errors[0], a.Distances[0], want)
+			}
+			for i, c := range basis {
+				want, dist := errorOf(d, survivingCounts(c, dead)), alloc.Distance(c)
+				if a.Errors[i+1] != want || a.Distances[i+1] != dist {
+					t.Fatalf("step %d, demand %v, dead %#x: candidate %d error/distance %d/%d, want %d/%d",
+						step, d, dead, i+1, a.Errors[i+1], a.Distances[i+1], want, dist)
+				}
+			}
+			if want := core.MinimalErrorSelect(a.Errors, a.Distances); a.Choice != want {
+				t.Fatalf("step %d: choice %d, want %d", step, a.Choice, want)
+			}
+			if got, want := m.ClassifyAllocation(), config.Classify(fm.Allocation().Slots, basis); got != want {
+				t.Fatalf("step %d: allocation %v classified %q, want %q", step, fm.Allocation().Slots, got, want)
+			}
+		}
+	})
 }

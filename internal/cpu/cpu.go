@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/fault"
@@ -125,13 +126,12 @@ type Params struct {
 	// "merged" (the default) gang-shares one wide configuration steered
 	// by core 0; "split" partitions the slots into private per-core
 	// sub-fabrics via ownership leases. Ignored when Cores <= 1. The
-	// names are parsed by cluster.ParseMode; cpu keeps them as strings
-	// so it need not import the layer above it.
+	// names are spelled in ClusterModes.
 	ClusterMode string
 	// ClusterArbiter selects the cross-core arbitration policy:
 	// "round-robin" (the default) rotates priority each cycle;
 	// "demand-weighted" orders cores by their current unit demand.
-	// Ignored when Cores <= 1; parsed by cluster.ParseArbiter.
+	// Ignored when Cores <= 1; the names are spelled in ClusterArbiters.
 	ClusterArbiter string
 }
 
@@ -320,18 +320,13 @@ func (p Params) Validate() error {
 	if p.Cores < 0 || p.Cores > MaxClusterCores {
 		return fmt.Errorf("%w: Cores must be in [0, %d], got %d", ErrInvalidParams, MaxClusterCores, p.Cores)
 	}
-	// The canonical name tables live in internal/cluster (which imports
-	// this package); Validate pins the same spellings so request-supplied
-	// specs fail here with a structured error.
-	switch p.ClusterMode {
-	case "", "merged", "split":
-	default:
-		return fmt.Errorf("%w: unknown cluster mode %q (want merged or split)", ErrInvalidParams, p.ClusterMode)
+	if ClusterIndex(ClusterModes[:], p.ClusterMode) < 0 {
+		return fmt.Errorf("%w: unknown cluster mode %q (want %s)",
+			ErrInvalidParams, p.ClusterMode, strings.Join(ClusterModes[:], " or "))
 	}
-	switch p.ClusterArbiter {
-	case "", "round-robin", "demand-weighted":
-	default:
-		return fmt.Errorf("%w: unknown cluster arbiter %q (want round-robin or demand-weighted)", ErrInvalidParams, p.ClusterArbiter)
+	if ClusterIndex(ClusterArbiters[:], p.ClusterArbiter) < 0 {
+		return fmt.Errorf("%w: unknown cluster arbiter %q (want %s)",
+			ErrInvalidParams, p.ClusterArbiter, strings.Join(ClusterArbiters[:], " or "))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
@@ -109,6 +110,26 @@ func ParsePolicy(s string) (Policy, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w %q (known: %s)", ErrUnknownPolicy, s, strings.Join(policyNames[:], ", "))
+}
+
+// ClusterModes and ClusterArbiters are the canonical names of
+// Params.ClusterMode and Params.ClusterArbiter, indexed by cluster.Mode
+// and cluster.Arbiter: the only place they are spelled. They live below
+// the cluster layer so that Params.Validate and cluster.New read the
+// same tables.
+var (
+	ClusterModes    = [...]string{"merged", "split"}
+	ClusterArbiters = [...]string{"round-robin", "demand-weighted"}
+)
+
+// ClusterIndex returns name's index in one of those tables, or -1 when
+// the table does not spell it. The empty string selects index 0, the
+// default.
+func ClusterIndex(names []string, name string) int {
+	if name == "" {
+		return 0
+	}
+	return slices.Index(names, name)
 }
 
 // MarshalText implements encoding.TextMarshaler, so a Policy field

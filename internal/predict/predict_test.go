@@ -233,16 +233,20 @@ func TestTTLCancelsStaleSpeculation(t *testing.T) {
 }
 
 // TestManageDoesNotAllocate guards the cycle path: prediction must stay
-// allocation-free once warmed up.
+// allocation-free once warmed up. One run over a 500-cycle window
+// counts every malloc; AllocsPerRun's per-run average would round an
+// allocation made less than once per cycle down to zero.
 func TestManageDoesNotAllocate(t *testing.T) {
 	pm, f := newTestManager(16)
 	alternate(pm, f, 4, 150) // warm up: ring full, speculations flowing
-	avg := testing.AllocsPerRun(500, func() {
-		f.Tick()
-		pm.Manage(intDemand)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 500; i++ {
+			f.Tick()
+			pm.Manage(intDemand)
+		}
 	})
-	if avg != 0 {
-		t.Errorf("Manage allocates %.2f allocs/cycle, want 0", avg)
+	if allocs != 0 {
+		t.Errorf("Manage allocates %.0f times in 500 cycles, want 0", allocs)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 
 // Exporter receives the sampler's output. Samples arrive every probe
 // interval; decisions, fault events and prefetch events arrive the
-// cycle they happen. Flush is called once at end of run.
+// cycle they happen. Flush is called once at end of run. A record is
+// valid only during the call that receives it (the probe reuses it), so
+// an exporter that keeps one must copy it.
 type Exporter interface {
 	Sample(*Sample) error
 	Decision(*Decision) error

@@ -251,6 +251,16 @@ type Probe struct {
 
 	// last is the state at the previous sample, for interval deltas.
 	last State
+
+	// out holds the records handed to the exporter. Exporters receive
+	// pointers into it, valid only during the call, so exporting a
+	// record allocates nothing on the probe's side.
+	out struct {
+		sample   Sample
+		decision Decision
+		fault    FaultEvent
+		prefetch PrefetchEvent
+	}
 }
 
 // NewProbe builds a probe sampling every interval cycles (interval must
@@ -367,10 +377,11 @@ func (p *Probe) Observe(e trace.Event) {
 		p.cDecisions.Inc()
 		if p.exp != nil {
 			n := trace.Unpack4(e.B)
-			d := Decision{Cycle: int(e.Cycle), Core: int(e.Core), From: e.Str, To: p.basis[e.A-1],
+			d := &p.out.decision
+			*d = Decision{Cycle: int(e.Cycle), Core: int(e.Core), From: e.Str, To: p.basis[e.A-1],
 				Choice: int(e.A), DiffSlots: n[0], Spans: n[1], SlotsLoading: n[2],
 				DeferredSlots: n[3], StallSlotCycles: int(e.C)}
-			p.export(p.exp.Decision(&d))
+			p.export(p.exp.Decision(d))
 		}
 	case trace.KindFaultInject:
 		if e.B != 0 {
@@ -417,17 +428,19 @@ func (p *Probe) export(err error) {
 // fault exports one fault-event record.
 func (p *Probe) fault(e trace.Event, event string) {
 	if p.exp != nil {
-		f := FaultEvent{Cycle: int(e.Cycle), Core: int(e.Core), Slot: int(e.A), Event: event}
-		p.export(p.exp.Fault(&f))
+		f := &p.out.fault
+		*f = FaultEvent{Cycle: int(e.Cycle), Core: int(e.Core), Slot: int(e.A), Event: event}
+		p.export(p.exp.Fault(f))
 	}
 }
 
 // prefetch exports one prefetch-event record.
 func (p *Probe) prefetch(e trace.Event, event string) {
 	if p.exp != nil {
-		r := PrefetchEvent{Cycle: int(e.Cycle), Core: int(e.Core), Event: event,
+		r := &p.out.prefetch
+		*r = PrefetchEvent{Cycle: int(e.Cycle), Core: int(e.Core), Event: event,
 			Config: e.Str, Spans: int(e.A), ConfidencePct: int(e.B)}
-		p.export(p.exp.Prefetch(&r))
+		p.export(p.exp.Prefetch(r))
 	}
 }
 
@@ -487,7 +500,8 @@ func (p *Probe) emitSample() {
 	for t := range issued {
 		issued[t] = cs.Issued[t] - lc.Issued[t]
 	}
-	s := Sample{
+	s := &p.out.sample
+	*s = Sample{
 		Cycle:           cs.Cycle,
 		Core:            p.core,
 		Retired:         cs.Retired,
@@ -536,7 +550,7 @@ func (p *Probe) emitSample() {
 	p.last = st
 
 	if p.exp != nil {
-		p.export(p.exp.Sample(&s))
+		p.export(p.exp.Sample(s))
 	}
 }
 

@@ -404,11 +404,11 @@ func (m *Machine) Reconfigurations() int { return m.proc.Fabric().Reconfiguratio
 // ManagerStats returns, for PolicySteering and PolicyPrefetch, the
 // configuration manager's full counters: selections, loads, held loads,
 // the steering cache and, under PolicyPrefetch, the prefetch accounting.
-// It returns ok=false for every other policy. PolicyOracle (a
-// core.Manager with the exact CEM) and PolicyFullReconfig (which selects
-// through a core.Manager of its own) are included: their counters are
-// not in the report, so reports keep the same shape as for the other
-// non-steering policies, but telemetry reads them.
+// It returns ok=false for every other policy, PolicyOracle and
+// PolicyFullReconfig included. Those two select through a core.Manager
+// too, but their counters stay out of the report, so it keeps the shape
+// of the other non-steering policies; telemetry reads them through the
+// machine's telemetry state instead.
 func (m *Machine) ManagerStats() (core.Stats, bool) {
 	if m.policy != PolicySteering && m.policy != PolicyPrefetch {
 		return core.Stats{}, false
