@@ -490,20 +490,13 @@ func (m *Manager) score(sel *Selection, required arch.Counts, v *fabricView) {
 // slots excluded: a unit whose span covers a dead slot cannot be placed
 // there anymore.
 func (m *Manager) basisAvail(i int, dead uint8) arch.Counts {
-	var c arch.Counts
-	layout := m.basis[i].Layout
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		t, ok := arch.DecodeUnit(layout[s])
-		if !ok {
-			continue
-		}
-		span := arch.SlotCost(t)
-		spanMask := uint8((1<<uint(span) - 1) << uint(s))
-		if dead&spanMask == 0 {
-			c[t]++
+	c := config.FFUCounts()
+	for _, u := range m.basisUnits[i] {
+		if dead>>uint(u.Slot)&(1<<uint(u.Span)-1) == 0 {
+			c[u.Type]++
 		}
 	}
-	return c.Add(config.FFUCounts())
+	return c
 }
 
 // Load steers the fabric toward the selected configuration through the
