@@ -276,15 +276,14 @@ func (c *Machine) applyMode(m Mode) {
 	}
 }
 
-// mirrorBusy reports whether any non-master core is executing on slot
-// s — the master fabric's external drain check in merged mode.
-func (c *Machine) mirrorBusy(s int) bool {
+// mirrorBusy returns the slots any non-master core is executing on —
+// the master fabric's external drain check in merged mode.
+func (c *Machine) mirrorBusy() uint16 {
+	var m uint16
 	for j := 1; j < len(c.fabrics); j++ {
-		if c.fabrics[j].SpanBusy(s) {
-			return true
-		}
+		m |= c.fabrics[j].BusySlots()
 	}
-	return false
+	return m
 }
 
 // busLoadExcept returns the shared-bus occupancy contributed by every

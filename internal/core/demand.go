@@ -209,7 +209,7 @@ func (m *DemandManager) synthesize(planned arch.Counts, required arch.Counts) co
 	// type's demand beats the occupant's by the margin.
 	for _, t := range placeOrder {
 		for remaining[t] > 0 {
-			slot := m.findGap(target.Layout, kept, cur, t, required)
+			slot := m.findGap(kept, t, required)
 			if slot < 0 {
 				break
 			}
@@ -227,10 +227,9 @@ func (m *DemandManager) synthesize(planned arch.Counts, required arch.Counts) co
 }
 
 // findGap locates the leftmost span of non-kept slots where a unit of
-// type t may be placed, honouring the hysteresis rule against live
-// occupants.
-func (m *DemandManager) findGap(layout [arch.NumRFUSlots]arch.Encoding, kept []bool,
-	cur config.Configuration, t arch.UnitType, required arch.Counts) int {
+// type t may be placed, honouring the hysteresis rule against the live
+// units the span overlaps.
+func (m *DemandManager) findGap(kept []bool, t arch.UnitType, required arch.Counts) int {
 	span := arch.SlotCost(t)
 	for start := 0; start+span <= arch.NumRFUSlots; start++ {
 		ok := true
@@ -239,8 +238,11 @@ func (m *DemandManager) findGap(layout [arch.NumRFUSlots]arch.Encoding, kept []b
 				ok = false
 				break
 			}
-			if occ := occupantType(cur, k); occ >= 0 && m.Hysteresis > 0 {
-				if required[t]-required[occ] < m.Hysteresis {
+		}
+		if ok && m.Hysteresis > 0 {
+			occ := m.fabric.Overlapping((1<<uint(span) - 1) << uint(start))
+			for o, n := range occ {
+				if n > 0 && required[t]-required[o] < m.Hysteresis {
 					ok = false
 					break
 				}
@@ -249,27 +251,6 @@ func (m *DemandManager) findGap(layout [arch.NumRFUSlots]arch.Encoding, kept []b
 		if ok {
 			return start
 		}
-	}
-	return -1
-}
-
-// occupantType returns the type of the live unit covering slot k, or -1.
-// It scans backward from k for the span's head slot instead of decoding
-// the whole layout, so it allocates nothing.
-func occupantType(cur config.Configuration, k int) int {
-	for s := k; s >= 0; s-- {
-		e := cur.Layout[s]
-		if e == arch.EncEmpty {
-			return -1
-		}
-		if e == arch.EncCont {
-			continue
-		}
-		t, ok := arch.DecodeUnit(e)
-		if !ok || k >= s+arch.SlotCost(t) {
-			return -1
-		}
-		return int(t)
 	}
 	return -1
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/config"
 	"repro/internal/rfu"
 )
 
@@ -108,7 +107,7 @@ func TestDemandServesEveryDemandedType(t *testing.T) {
 		m.Step(req)
 	}
 	for _, ty := range arch.UnitTypes() {
-		if req[ty] > 0 && !f.Available(ty) {
+		if req[ty] > 0 && f.AvailableSet()&(1<<uint(ty)) == 0 {
 			t.Errorf("%v demanded but unavailable", ty)
 		}
 	}
@@ -180,19 +179,6 @@ func TestDemandLayoutUsesWholeFabricUnderPressure(t *testing.T) {
 	}
 	if empty > 2 {
 		t.Errorf("%d slots left empty under saturated demand: %v", empty, f.Allocation().Slots)
-	}
-}
-
-func TestOccupantType(t *testing.T) {
-	cfg := config.MustNew("t", arch.IntMDU, arch.LSU)
-	if occupantType(cfg, 0) != int(arch.IntMDU) || occupantType(cfg, 1) != int(arch.IntMDU) {
-		t.Error("IntMDU span occupancy wrong")
-	}
-	if occupantType(cfg, 2) != int(arch.LSU) {
-		t.Error("LSU occupancy wrong")
-	}
-	if occupantType(cfg, 5) != -1 {
-		t.Error("empty slot has an occupant")
 	}
 }
 

@@ -211,7 +211,6 @@ type Manager struct {
 
 	// Reusable scratch buffers so Manage never allocates.
 	unitsScratch []config.PlacedUnit
-	liveScratch  []config.PlacedUnit
 }
 
 // NewManager builds the prefetch policy over a fabric, steering with
@@ -230,7 +229,6 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *
 		ring:         make([]arch.Counts, cfg.HistoryDepth),
 		phaseDom:     -1,
 		unitsScratch: make([]config.PlacedUnit, 0, arch.NumRFUSlots),
-		liveScratch:  make([]config.PlacedUnit, 0, arch.NumRFUSlots),
 	}
 }
 
@@ -667,14 +665,7 @@ func (pm *Manager) issueSpans() {
 // when the queue would otherwise block head-of-line on the missing
 // units for a full reconfiguration latency.
 func (pm *Manager) spanAffordable(u config.PlacedUnit, avail *arch.Counts, demand arch.Counts) bool {
-	lo, hi := u.Slot, u.Slot+u.Span
-	var lost arch.Counts
-	pm.liveScratch = config.Configuration{Layout: pm.fabric.Allocation().Slots}.AppendUnits(pm.liveScratch[:0])
-	for _, live := range pm.liveScratch {
-		if live.Slot < hi && live.Slot+live.Span > lo {
-			lost[live.Type]++
-		}
-	}
+	lost := pm.fabric.Overlapping((1<<uint(u.Span) - 1) << uint(u.Slot))
 	for t, n := range lost {
 		if n > 0 && avail[t]-n < demand[t]-specShortfall {
 			return false

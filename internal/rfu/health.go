@@ -142,9 +142,13 @@ func (f *Fabric) strike(s int, permanent bool) {
 func (f *Fabric) Health(s int) SlotHealth { return f.health[s] }
 
 // SlotUsable reports whether slot s may serve work as (part of) a unit:
-// every slot of the covering unit's span is healthy. Without faults it
-// is always true.
-func (f *Fabric) SlotUsable(s int) bool { return f.healthOK[s] }
+// every slot of the covering unit's span (or the slot alone, when no
+// unit covers it) is healthy and not leased out. Without faults it is
+// always true.
+func (f *Fabric) SlotUsable(s int) bool {
+	m := uint16(1) << uint(s)
+	return (m|f.spans(m))&uint16(f.unavailMask) == 0
+}
 
 // HealthMasks returns the packed per-slot fault masks: unavail has a
 // bit set for every slot in a non-healthy state, dead for every
@@ -187,8 +191,8 @@ func (f *Fabric) FaultStats() FaultStats { return f.fstats }
 
 // EffectiveTotalCounts returns the unit mix actually able to serve work
 // once fault masking is applied: configured RFU units whose whole span
-// is healthy, plus the fixed units. Without faults it equals
-// TotalCounts — the CEM demand path sees no difference.
+// is healthy, plus the fixed units. Without faults it equals the
+// allocation's TotalCounts — the CEM demand path sees no difference.
 func (f *Fabric) EffectiveTotalCounts() arch.Counts {
 	var c arch.Counts
 	for t, heads := range f.heads {
@@ -198,11 +202,11 @@ func (f *Fabric) EffectiveTotalCounts() arch.Counts {
 }
 
 // recomputeHealthOK rebuilds the derived masks after a health,
-// external-lease or allocation change: healthOK[s] is false for any
-// slot in a non-healthy state or leased to a sibling core, and for any
-// unit head whose span contains one (the unit's datapath crosses the
-// bad slot, so the whole unit is masked). Called only on transitions,
-// never on the per-cycle hot path.
+// external-lease or allocation change: healthOKMask drops every slot in
+// a non-healthy state or leased to a sibling core, and the head of every
+// unit whose span contains one (the unit's datapath crosses the bad
+// slot, so the whole unit is masked). Called only on transitions, never
+// on the per-cycle hot path.
 func (f *Fabric) recomputeHealthOK() {
 	unavail, dead := f.extUnavail, f.extDead
 	for s := 0; s < arch.NumRFUSlots; s++ {
@@ -213,30 +217,12 @@ func (f *Fabric) recomputeHealthOK() {
 			dead |= 1 << uint(s)
 		}
 	}
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		f.healthOK[s] = unavail&(1<<uint(s)) == 0
+	var heads uint16
+	for _, h := range f.heads {
+		heads |= h
 	}
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if !f.healthOK[s] {
-			continue
-		}
-		if t, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
-			_, hi := spanOf(t, s)
-			for k := s + 1; k < hi && k < arch.NumRFUSlots; k++ {
-				if unavail&(1<<uint(k)) != 0 {
-					f.healthOK[s] = false
-					break
-				}
-			}
-		}
-	}
-	var okMask uint16
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.healthOK[s] {
-			okMask |= 1 << uint(s)
-		}
-	}
-	f.healthOKMask = okMask
+	all := uint16(1)<<arch.NumRFUSlots - 1
+	f.healthOKMask = all &^ uint16(unavail) &^ (f.spans(uint16(unavail)) & heads)
 	f.unavailMask, f.deadMask = unavail, dead
 }
 
@@ -303,10 +289,11 @@ func (f *Fabric) faultTick() {
 		if f.health[s] != HealthDetected || f.reconfig[s] > 0 {
 			continue
 		}
-		if head := f.headOf(s); head >= 0 && f.busy[head] > 0 {
+		m := uint16(1) << uint(s)
+		if f.spans(m)&f.busyMask != 0 {
 			continue // in-flight execution drains first
 		}
-		if f.extSlotBusy != nil && f.extSlotBusy(s) {
+		if m&f.extBusy() != 0 {
 			continue // a sibling core is executing on the span
 		}
 		if f.busWidth > 0 && f.latency > 0 && f.busLoad() >= f.busWidth {
@@ -327,42 +314,25 @@ func (f *Fabric) faultTick() {
 
 	// Salvage: a dead slot permanently retires its covering unit; once
 	// that unit drains, blank the span so the surviving slots return
-	// to the steering pool as empty, placeable space.
+	// to the steering pool as empty, placeable space. The head boards
+	// are rebuilt after the loop: a span blanked earlier in it reads
+	// empty, so its stale head bit never matches a later dead slot.
 	allocChanged := false
 	for s := range f.health {
 		if f.health[s] != HealthDead || f.alloc.Slots[s] == arch.EncEmpty {
 			continue
 		}
-		head := f.headOf(s)
-		if head < 0 {
-			f.alloc.Slots[s] = arch.EncEmpty
-			changed, allocChanged = true, true
-			continue
-		}
-		if f.busy[head] > 0 {
-			continue
-		}
-		if f.extSlotBusy != nil && f.extSlotBusy(head) {
-			continue // a sibling core still executes on the dying unit
-		}
-		t, _ := arch.DecodeUnit(f.alloc.Slots[head])
-		lo, hi := spanOf(t, head)
+		span := f.spans(1 << uint(s))
+		// The dying unit drains first, on this core and its siblings.
 		// An in-flight repair on any slot of the span holds its golden
 		// copy as the rewrite target; blanking now would let that repair
-		// re-install an orphan continuation when it completes. Wait for
-		// the span's bus transactions to drain first.
-		pending := false
-		for k := lo; k < hi; k++ {
-			if f.reconfig[k] > 0 {
-				pending = true
-				break
-			}
-		}
-		if pending {
+		// re-install an orphan continuation when it completes, so the
+		// span's bus transactions drain first too.
+		if span&(f.busyMask|f.extBusy()|f.reconfigMask) != 0 {
 			continue
 		}
-		for k := lo; k < hi; k++ {
-			f.alloc.Slots[k] = arch.EncEmpty
+		for m := span; m != 0; m &= m - 1 {
+			f.alloc.Slots[bits.TrailingZeros16(m)] = arch.EncEmpty
 		}
 		changed, allocChanged = true, true
 	}

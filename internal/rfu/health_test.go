@@ -38,10 +38,10 @@ func TestFaultTransientLifecycle(t *testing.T) {
 	}
 	// Slot 0 heads a 1-slot IntALU; exactly that unit must vanish from
 	// availability while the rest of the fabric still serves IntALU.
-	healthyCount := f.AvailableCount(arch.IntALU)
+	healthyCount := availableCount(f, arch.IntALU)
 	f2 := New(2)
 	f2.Install(config.DefaultBasis()[0])
-	if want := f2.AvailableCount(arch.IntALU) - 1; healthyCount != want {
+	if want := availableCount(f2, arch.IntALU) - 1; healthyCount != want {
 		t.Errorf("AvailableCount(IntALU) = %d with one corrupt unit, want %d", healthyCount, want)
 	}
 
@@ -74,6 +74,20 @@ func TestFaultTransientLifecycle(t *testing.T) {
 	// changed: repair restored the same encoding.
 	if f.Allocation().Slots != config.DefaultBasis()[0].Layout {
 		t.Errorf("allocation drifted across repair: %v", f.Allocation().Slots)
+	}
+}
+
+// TestSlotUsableAnswersForCoveringUnit: a fault on a multi-slot unit's
+// head makes every slot of its span unusable, continuations included,
+// and leaves the neighbouring unit usable.
+func TestSlotUsableAnswersForCoveringUnit(t *testing.T) {
+	f := New(1)
+	f.Install(config.MustNew("t", arch.IntMDU, arch.LSU)) // IntMDU 0-1, LSU 2
+	f.InjectFault(0, false)
+	for s, want := range []bool{false, false, true, true} {
+		if got := f.SlotUsable(s); got != want {
+			t.Errorf("SlotUsable(%d) = %v, want %v", s, got, want)
+		}
 	}
 }
 
@@ -238,7 +252,7 @@ func TestFaultDisabledPathUntouched(t *testing.T) {
 	if st := f.FaultStats(); st != (FaultStats{}) {
 		t.Errorf("stats accumulated without faults: %+v", st)
 	}
-	if got, want := f.EffectiveTotalCounts(), f.TotalCounts(); got != want {
+	if got, want := f.EffectiveTotalCounts(), f.Allocation().TotalCounts(); got != want {
 		t.Errorf("EffectiveTotalCounts = %v, want %v", got, want)
 	}
 }
@@ -251,8 +265,8 @@ func TestEffectiveTotalCountsMasksFaultyUnits(t *testing.T) {
 	f.Install(config.DefaultBasis()[0])
 
 	full := f.EffectiveTotalCounts()
-	if full != f.TotalCounts() {
-		t.Fatalf("healthy fabric: effective %v != total %v", full, f.TotalCounts())
+	if total := f.Allocation().TotalCounts(); full != total {
+		t.Fatalf("healthy fabric: effective %v != total %v", full, total)
 	}
 	// Corrupt the head of the first unit; its type count must drop.
 	layout := f.Allocation().Slots

@@ -3,8 +3,8 @@
 // partial reconfiguration rewrites at unit granularity. The fabric tracks,
 // per slot, what is configured (the resource allocation vector of §3.2),
 // whether the unit headed there is busy executing, and whether the slot is
-// mid-reconfiguration; it exposes the per-entry availability signals the
-// availability circuit of Fig. 7 consumes and enforces the paper's rule
+// mid-reconfiguration; it exposes the per-type availability lines the
+// availability circuit of Fig. 7 computes and enforces the paper's rule
 // that only idle RFUs are ever reconfigured.
 package rfu
 
@@ -57,13 +57,16 @@ type Fabric struct {
 
 	// Packed hot-path masks, maintained incrementally at the (rare)
 	// mutation sites so the per-cycle availability, acquire and timer
-	// paths work on bits instead of walking every slot:
-	// busyMask/reconfigMask carry the slots with running
-	// execution/reconfiguration timers, ffuBusyMask the busy fixed
-	// units, heads[t] the head slots whose encoding names a unit of type
-	// t, and healthOKMask the packed healthOK signals. allocVersion
-	// counts allocation-vector rewrites so downstream consumers (the
-	// steering manager's layout classifier) can memoize derived views.
+	// paths work on bits instead of walking every slot. They are the
+	// fabric's only derived copy of its slot state: busyMask/reconfigMask
+	// carry the slots with running execution/reconfiguration timers,
+	// ffuBusyMask the busy fixed units, heads[t] the head slots whose
+	// encoding names a unit of type t (so a unit's span is its head bit
+	// shifted over its slot cost; see overlap), and healthOKMask the
+	// slots whose covering unit may serve work. allocVersion counts
+	// allocation-vector rewrites so downstream consumers (core.Manager's
+	// fabric view and both managers' Step memos) can memoize derived
+	// views.
 	busyMask     uint16
 	reconfigMask uint16
 	ffuBusyMask  uint8
@@ -77,12 +80,11 @@ type Fabric struct {
 	obs *trace.Observer
 
 	// Fault injection & degraded mode (see health.go). injector is nil
-	// unless EnableFaults armed it; healthOK starts all-true so the
-	// hot-path masks cost one array load when faults are off.
+	// unless EnableFaults armed it; healthOKMask starts all-set so the
+	// hot-path masks cost one load when faults are off.
 	injector       *fault.Injector
 	health         [arch.NumRFUSlots]SlotHealth
 	permanent      [arch.NumRFUSlots]bool // stuck fault underneath the corruption
-	healthOK       [arch.NumRFUSlots]bool // span-aware usable mask (derived)
 	unavailMask    uint8                  // packed non-healthy slots (incl. external leases)
 	deadMask       uint8                  // packed permanently retired slots (incl. external)
 	scrubCountdown int
@@ -90,7 +92,7 @@ type Fabric struct {
 
 	// Cluster hooks (see internal/cluster). External masks overlay
 	// slots leased to sibling cores onto the health view; the bus-load
-	// and slot-busy callbacks extend the configuration-bus occupancy
+	// and busy-slots callbacks extend the configuration-bus occupancy
 	// and span-drain checks across sibling fabrics sharing the physical
 	// resources. A mirror fabric reflects a master's configuration
 	// (merged-mode gang sharing) while keeping private execution ports.
@@ -98,7 +100,7 @@ type Fabric struct {
 	extUnavail  uint8
 	extDead     uint8
 	extBusLoad  func() int
-	extSlotBusy func(int) bool
+	extSlotBusy func() uint16
 	mirror      bool
 }
 
@@ -110,9 +112,6 @@ func New(latency int) *Fabric {
 		panic("rfu: negative reconfiguration latency")
 	}
 	f := &Fabric{alloc: config.NewAllocationVector(), latency: latency}
-	for s := range f.healthOK {
-		f.healthOK[s] = true
-	}
 	f.healthOKMask = 1<<arch.NumRFUSlots - 1
 	return f
 }
@@ -132,6 +131,39 @@ func (f *Fabric) refreshAlloc() {
 	f.layout = layout
 	f.allocVersion++
 }
+
+// overlap is the fabric's covering-unit query, read from the head
+// boards: slots is the union of the whole spans of the configured units
+// that overlap any slot of m, and n counts those units per type.
+func (f *Fabric) overlap(m uint16) (slots uint16, n arch.Counts) {
+	for t, heads := range f.heads {
+		span := uint16(1)<<uint(arch.SlotCost(arch.UnitType(t))) - 1
+		for h := heads; h != 0; h &= h - 1 {
+			if s := span << uint(bits.TrailingZeros16(h)); s&m != 0 {
+				slots |= s
+				n[t]++
+			}
+		}
+	}
+	return slots, n
+}
+
+// spans returns the whole spans of the configured units overlapping m.
+func (f *Fabric) spans(m uint16) uint16 {
+	slots, _ := f.overlap(m)
+	return slots
+}
+
+// Overlapping counts, per type, the configured units that overlap any
+// slot of m — the units a rewrite of those slots destroys.
+func (f *Fabric) Overlapping(m uint16) arch.Counts {
+	_, n := f.overlap(m)
+	return n
+}
+
+// BusySlots returns the slots of every executing unit's span. Busy is
+// tracked at head slots, so the spans cover the continuations.
+func (f *Fabric) BusySlots() uint16 { return f.busyMask | f.spans(f.busyMask) }
 
 // idleHeads returns the slots that are not executing, not
 // reconfiguring and healthy; a head board masked with it gives the
@@ -165,46 +197,6 @@ func (f *Fabric) ReconfigLatency() int { return f.latency }
 
 // Allocation returns the current resource allocation vector.
 func (f *Fabric) Allocation() config.AllocationVector { return f.alloc }
-
-// TotalCounts returns the unit mix of the whole processor (RFUs + FFUs).
-func (f *Fabric) TotalCounts() arch.Counts { return f.alloc.TotalCounts() }
-
-// headOf returns the head slot of the unit covering slot i, or -1 when
-// the slot is empty or mid-reconfiguration.
-func (f *Fabric) headOf(i int) int {
-	for s := i; s >= 0; s-- {
-		switch e := f.alloc.Slots[s]; {
-		case e == arch.EncCont:
-			continue
-		case e == arch.EncEmpty:
-			return -1
-		default:
-			// A head covers slot i only if its span reaches it.
-			if t, ok := arch.DecodeUnit(e); ok && s+arch.SlotCost(t) > i {
-				return s
-			}
-			return -1
-		}
-	}
-	return -1
-}
-
-// AvailabilitySignals returns the per-entry availability lines in
-// allocation-vector order (slots then FFUs): a head slot is available
-// when its unit is configured, idle and not reconfiguring; continuation
-// and empty slots are never available (their encodings never match in
-// Eq. 1 anyway); a fixed unit is available when idle.
-func (f *Fabric) AvailabilitySignals() []bool {
-	out := make([]bool, arch.NumRFUSlots+arch.NumFFUs)
-	for i := 0; i < arch.NumRFUSlots; i++ {
-		_, isUnit := arch.DecodeUnit(f.alloc.Slots[i])
-		out[i] = isUnit && f.busy[i] == 0 && f.reconfig[i] == 0 && f.healthOK[i]
-	}
-	for i := 0; i < arch.NumFFUs; i++ {
-		out[arch.NumRFUSlots+i] = f.ffuBusy[i] == 0 && !f.ffuDisabled
-	}
-	return out
-}
 
 // SetConfigBusWidth caps concurrent span reconfigurations, modelling the
 // configuration bus of Fig. 1: width 1 serialises all configuration
@@ -250,21 +242,18 @@ func (f *Fabric) busLoad() int {
 // spans in every bus-capacity check. nil (the default) disables it.
 func (f *Fabric) SetExternalBusLoad(fn func() int) { f.extBusLoad = fn }
 
-// SetExternalSlotBusy installs a hook reporting whether a sibling core
-// is executing on slot s of the shared fabric. Reconfiguration, repair
-// and salvage treat a sibling-busy slot like a locally busy one: its
-// frames are not rewritten until the work drains. nil disables it.
-func (f *Fabric) SetExternalSlotBusy(fn func(int) bool) { f.extSlotBusy = fn }
+// SetExternalSlotBusy installs a hook returning the slots sibling cores
+// are executing on in the shared fabric (their BusySlots). Reconfiguration,
+// repair and salvage treat a sibling-busy slot like a locally busy one:
+// its frames are not rewritten until the work drains. nil disables it.
+func (f *Fabric) SetExternalSlotBusy(fn func() uint16) { f.extSlotBusy = fn }
 
-// SpanBusy reports whether the unit covering slot s is executing. Busy
-// is tracked at head slots, so continuations resolve to their head.
-// Cluster siblings consult this before rewriting shared slots.
-func (f *Fabric) SpanBusy(s int) bool {
-	if f.busy[s] > 0 {
-		return true
+// extBusy returns the sibling-busy slots, or none without the hook.
+func (f *Fabric) extBusy() uint16 {
+	if f.extSlotBusy == nil {
+		return 0
 	}
-	head := f.headOf(s)
-	return head >= 0 && f.busy[head] > 0
+	return f.extSlotBusy()
 }
 
 // SetMirror marks the fabric as a configuration mirror: Tick still
@@ -303,10 +292,8 @@ func (f *Fabric) Install(cfg config.Configuration) {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("rfu: install of invalid configuration: %v", err))
 	}
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.busy[s] > 0 || f.reconfig[s] > 0 {
-			panic("rfu: install on a non-idle fabric")
-		}
+	if !f.Idle() {
+		panic("rfu: install on a non-idle fabric")
 	}
 	f.alloc.Slots = cfg.Layout
 	f.refreshAlloc()
@@ -315,40 +302,12 @@ func (f *Fabric) Install(cfg config.Configuration) {
 	}
 }
 
-// Available reports whether a unit of type t can accept work this cycle
-// (Eq. 1 over the live allocation vector and availability signals). This
-// is an allocation-free fast path; TestFabricAvailabilityMatchesEquation1
-// proves it equivalent to the reference avail.Available over the built
-// vectors.
-func (f *Fabric) Available(t arch.UnitType) bool {
-	want := arch.Encode(t)
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.alloc.Slots[s] == want && f.busy[s] == 0 && f.reconfig[s] == 0 && f.healthOK[s] {
-			return true
-		}
-	}
-	return f.ffuBusy[t] == 0 && !f.ffuDisabled
-}
-
-// AvailableCount returns how many units of type t can accept work this
-// cycle.
-func (f *Fabric) AvailableCount(t arch.UnitType) int {
-	want := arch.Encode(t)
-	n := 0
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.alloc.Slots[s] == want && f.busy[s] == 0 && f.reconfig[s] == 0 && f.healthOK[s] {
-			n++
-		}
-	}
-	if f.ffuBusy[t] == 0 && !f.ffuDisabled {
-		n++
-	}
-	return n
-}
-
 // AvailableSet returns the per-type availability lines packed into a
-// bitset (bit t set when a unit of type t can accept work this cycle):
-// one mask test of each type's head board against the idle slots.
+// bitset (bit t set when a unit of type t can accept work this cycle,
+// Eq. 1 over the live allocation vector and availability signals): one
+// mask test of each type's head board against the idle slots.
+// TestFabricAvailabilityMatchesEquation1 holds it to the reference
+// avail.Available.
 func (f *Fabric) AvailableSet() uint8 {
 	var out uint8
 	idle := f.idleHeads()
@@ -359,16 +318,6 @@ func (f *Fabric) AvailableSet() uint8 {
 	}
 	if !f.ffuDisabled {
 		out |= ^f.ffuBusyMask & (1<<arch.NumFFUs - 1)
-	}
-	return out
-}
-
-// AllAvailable returns the per-type availability lines the wake-up array
-// consumes, without allocating.
-func (f *Fabric) AllAvailable() [arch.NumUnitTypes]bool {
-	var out [arch.NumUnitTypes]bool
-	for m := f.AvailableSet(); m != 0; m &= m - 1 {
-		out[bits.TrailingZeros8(m)] = true
 	}
 	return out
 }
@@ -450,52 +399,36 @@ func (f *Fabric) CanReconfigure(t arch.UnitType, start int) bool {
 	if f.busWidth > 0 && f.latency > 0 && f.busLoad() >= f.busWidth {
 		return false // configuration bus fully occupied
 	}
+	m := spanMask(lo, hi)
+	// Slots leased to a sibling core are that core's property; this
+	// core's steering never rewrites them. A sibling core executing on a
+	// slot holds it like local busy execution does: the span drains
+	// before any rewrite.
+	if m&uint16(f.extUnavail) != 0 || m&f.extBusy() != 0 {
+		return false
+	}
+	// Slots the controller knows are bad — flagged by the scrub,
+	// mid-repair, or permanently dead — are off limits to steering; the
+	// repair path owns them. Undetected corruption does not block a
+	// rewrite (the controller cannot see it), and the rewrite
+	// incidentally heals transient upsets.
 	for s := lo; s < hi; s++ {
-		if f.reconfig[s] > 0 {
-			return false
-		}
-		// Slots leased to a sibling core are that core's property; this
-		// core's steering never rewrites them.
-		if f.extUnavail&(1<<uint(s)) != 0 {
-			return false
-		}
-		// Slots the controller knows are bad — flagged by the scrub,
-		// mid-repair, or permanently dead — are off limits to steering;
-		// the repair path owns them. Undetected corruption does not
-		// block a rewrite (the controller cannot see it), and the
-		// rewrite incidentally heals transient upsets.
 		if h := f.health[s]; h == HealthDetected || h == HealthRepairing || h == HealthDead {
 			return false
 		}
-		// A sibling core executing on the slot holds it like local busy
-		// execution does: the span drains before any rewrite.
-		if f.extSlotBusy != nil && f.extSlotBusy(s) {
-			return false
-		}
-		head := f.headOf(s)
-		if head < 0 {
-			continue
-		}
-		// The whole overlapped unit must be idle, and destroying it
-		// must not leave a busy remnant — spans are destroyed whole.
-		if f.busy[head] > 0 {
-			return false
-		}
-		// Nor may destruction strand an in-flight repair on one of the
-		// unit's slots outside the new span: that repair would later
-		// re-install its golden-copy continuation encoding into the
-		// blanked region, orphaning it. Wait for the unit's bus
-		// transactions to drain first.
-		ht, _ := arch.DecodeUnit(f.alloc.Slots[head])
-		hlo, hhi := spanOf(ht, head)
-		for k := hlo; k < hhi; k++ {
-			if f.reconfig[k] > 0 {
-				return false
-			}
-		}
 	}
-	return true
+	// Every overlapped unit must be idle, and destroying it must not
+	// leave a busy remnant — spans are destroyed whole. Nor may
+	// destruction strand an in-flight repair on one of the unit's slots
+	// outside the new span: that repair would later re-install its
+	// golden-copy continuation encoding into the blanked region,
+	// orphaning it. Wait for the unit's bus transactions to drain first.
+	covered := f.spans(m)
+	return covered&f.busyMask == 0 && (m|covered)&f.reconfigMask == 0
 }
+
+// spanMask returns the slot mask of the span [lo, hi).
+func spanMask(lo, hi int) uint16 { return (1<<uint(hi-lo) - 1) << uint(lo) }
 
 // Reconfigure begins rewriting the span at head slot start to hold a unit
 // of type t. Any existing unit overlapping the span is removed whole (its
@@ -517,16 +450,8 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 		return false // already implements the unit
 	}
 	// Remove overlapped units whole.
-	for s := lo; s < hi; s++ {
-		head := f.headOf(s)
-		if head < 0 {
-			continue
-		}
-		ht, _ := arch.DecodeUnit(f.alloc.Slots[head])
-		hlo, hhi := spanOf(ht, head)
-		for k := hlo; k < hhi; k++ {
-			f.alloc.Slots[k] = arch.EncEmpty
-		}
+	for m := f.spans(spanMask(lo, hi)); m != 0; m &= m - 1 {
+		f.alloc.Slots[bits.TrailingZeros16(m)] = arch.EncEmpty
 	}
 	// Install the new span.
 	for s := lo; s < hi; s++ {
@@ -535,7 +460,7 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 		f.target[s] = arch.EncCont
 	}
 	if f.latency > 0 {
-		f.reconfigMask |= (1<<uint(hi-lo) - 1) << uint(lo)
+		f.reconfigMask |= spanMask(lo, hi)
 	}
 	f.target[lo] = arch.Encode(t)
 	f.reconfigurations++
@@ -648,18 +573,10 @@ func (f *Fabric) ReconfiguringSlots() int { return bits.OnesCount16(f.reconfigMa
 // UnitStates summarises the fabric for the sampler: per-type counts of
 // busy RFU heads, configured RFU heads, and busy FFUs.
 func (f *Fabric) UnitStates() (rfuBusy, rfuUnits, ffuBusy arch.Counts) {
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if t, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
-			rfuUnits[t]++
-			if f.busy[s] > 0 {
-				rfuBusy[t]++
-			}
-		}
-	}
-	for t := 0; t < arch.NumFFUs; t++ {
-		if f.ffuBusy[t] > 0 {
-			ffuBusy[t]++
-		}
+	for t, heads := range f.heads {
+		rfuUnits[t] = bits.OnesCount16(heads)
+		rfuBusy[t] = bits.OnesCount16(heads & f.busyMask)
+		ffuBusy[t] = int(f.ffuBusyMask >> uint(t) & 1)
 	}
 	return
 }

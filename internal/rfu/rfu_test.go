@@ -9,17 +9,53 @@ import (
 	"repro/internal/config"
 )
 
+// availabilitySignals builds the per-entry availability lines of Fig. 7
+// in allocation-vector order (slots then FFUs) from the fabric's
+// per-slot state alone: a head slot is available when its unit is
+// configured, idle, not reconfiguring, and every slot of its span is
+// healthy and not leased out; continuation and empty slots never are
+// (their encodings never match in Eq. 1 anyway); a fixed unit is
+// available when idle and enabled.
+func availabilitySignals(f *Fabric) []bool {
+	out := make([]bool, arch.NumRFUSlots+arch.NumFFUs)
+	for i, e := range f.alloc.Slots {
+		t, isUnit := arch.DecodeUnit(e)
+		if !isUnit || f.busy[i] > 0 || f.reconfig[i] > 0 {
+			continue
+		}
+		out[i] = true
+		for k := i; k < i+arch.SlotCost(t); k++ {
+			if f.health[k] != HealthHealthy || f.extUnavail&(1<<uint(k)) != 0 {
+				out[i] = false
+			}
+		}
+	}
+	for i := 0; i < arch.NumFFUs; i++ {
+		out[arch.NumRFUSlots+i] = f.ffuBusy[i] == 0 && !f.ffuDisabled
+	}
+	return out
+}
+
+// available reads type t's line of the fabric's AvailableSet.
+func available(f *Fabric, t arch.UnitType) bool { return f.AvailableSet()&(1<<uint(t)) != 0 }
+
+// availableCount counts the units of type t that can accept work, by
+// the reference Eq. 1 over availabilitySignals.
+func availableCount(f *Fabric, t arch.UnitType) int {
+	return avail.Count(t, f.Allocation().Entries(), availabilitySignals(f))
+}
+
 func TestNewFabricIsEmptyButFFUsServeAllTypes(t *testing.T) {
 	f := New(4)
 	if got := f.Allocation().RFUCounts(); got != (arch.Counts{}) {
 		t.Errorf("fresh fabric RFU counts = %v", got)
 	}
 	for _, ty := range arch.UnitTypes() {
-		if !f.Available(ty) {
+		if !available(f, ty) {
 			t.Errorf("%v unavailable on fresh fabric despite its FFU", ty)
 		}
-		if f.AvailableCount(ty) != 1 {
-			t.Errorf("AvailableCount(%v) = %d, want 1 (the FFU)", ty, f.AvailableCount(ty))
+		if availableCount(f, ty) != 1 {
+			t.Errorf("AvailableCount(%v) = %d, want 1 (the FFU)", ty, availableCount(f, ty))
 		}
 	}
 }
@@ -55,7 +91,7 @@ func TestAcquireBusyCountdown(t *testing.T) {
 	if !f.Busy(ref) {
 		t.Fatal("unit not busy after acquire")
 	}
-	if f.Available(arch.FPMDU) {
+	if available(f, arch.FPMDU) {
 		t.Fatal("type available while its only unit is busy")
 	}
 	f.Tick()
@@ -66,7 +102,7 @@ func TestAcquireBusyCountdown(t *testing.T) {
 	if f.Busy(ref) {
 		t.Fatal("unit still busy after its time")
 	}
-	if !f.Available(arch.FPMDU) {
+	if !available(f, arch.FPMDU) {
 		t.Fatal("type unavailable after unit freed")
 	}
 }
@@ -106,7 +142,7 @@ func TestReconfigureInstallsAfterLatency(t *testing.T) {
 		t.Fatal("fabric not reconfiguring")
 	}
 	for i := 0; i < lat; i++ {
-		if f.AvailableCount(arch.IntMDU) != 1 { // only the FFU
+		if availableCount(f, arch.IntMDU) != 1 { // only the FFU
 			t.Fatalf("cycle %d: RFU IntMDU visible before reconfiguration completes", i)
 		}
 		f.Tick()
@@ -118,8 +154,8 @@ func TestReconfigureInstallsAfterLatency(t *testing.T) {
 	if v.Slots[2] != arch.EncIntMDU || v.Slots[3] != arch.EncCont {
 		t.Fatalf("allocation after reconfig = %v", v)
 	}
-	if f.AvailableCount(arch.IntMDU) != 2 {
-		t.Errorf("AvailableCount = %d, want FFU + new RFU", f.AvailableCount(arch.IntMDU))
+	if availableCount(f, arch.IntMDU) != 2 {
+		t.Errorf("AvailableCount = %d, want FFU + new RFU", availableCount(f, arch.IntMDU))
 	}
 }
 
@@ -129,7 +165,7 @@ func TestReconfigureZeroLatencyIsImmediate(t *testing.T) {
 	if f.Allocation().Slots[5] != arch.EncFPALU {
 		t.Fatal("zero-latency reconfiguration not immediate")
 	}
-	if f.AvailableCount(arch.FPALU) != 2 {
+	if availableCount(f, arch.FPALU) != 2 {
 		t.Fatal("new unit not available immediately")
 	}
 }
@@ -258,7 +294,7 @@ func TestLoadFullConfiguration(t *testing.T) {
 		t.Errorf("loaded layout %v != configuration %v", f.Allocation().Slots, cfg.Layout)
 	}
 	want := cfg.Counts().Add(config.FFUCounts())
-	if got := f.TotalCounts(); got != want {
+	if got := f.Allocation().TotalCounts(); got != want {
 		t.Errorf("TotalCounts = %v, want %v", got, want)
 	}
 }
@@ -361,7 +397,7 @@ func TestForwardProgressGuarantee(t *testing.T) {
 		f.Tick()
 	}
 	for _, ty := range arch.UnitTypes() {
-		if !f.Available(ty) {
+		if !available(f, ty) {
 			t.Errorf("%v not available after drain: FFU guarantee violated", ty)
 		}
 	}
@@ -416,8 +452,9 @@ func TestSetConfigBusWidthPanicsOnNegative(t *testing.T) {
 }
 
 // TestFabricAvailabilityMatchesEquation1 proves the fabric's
-// allocation-free fast paths equal the reference Eq. 1 implementation in
-// package avail over randomized live fabrics.
+// allocation-free AvailableSet equals the reference Eq. 1 implementation
+// in package avail over randomized live fabrics with faults and leased
+// slots, its signals built from per-slot state (availabilitySignals).
 func TestFabricAvailabilityMatchesEquation1(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 3000; trial++ {
@@ -426,7 +463,7 @@ func TestFabricAvailabilityMatchesEquation1(t *testing.T) {
 			f.SetFFUsEnabled(false)
 		}
 		for step := 0; step < 10; step++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				ty := arch.UnitType(rng.Intn(arch.NumUnitTypes))
 				slot := rng.Intn(arch.NumRFUSlots)
@@ -437,21 +474,41 @@ func TestFabricAvailabilityMatchesEquation1(t *testing.T) {
 				f.Acquire(arch.UnitType(rng.Intn(arch.NumUnitTypes)), 1+rng.Intn(4))
 			case 2:
 				f.Tick()
+			case 3:
+				f.InjectFault(rng.Intn(arch.NumRFUSlots), rng.Intn(3) == 0)
+			case 4:
+				leased := uint8(rng.Intn(256) & rng.Intn(256))
+				f.SetExternalMasks(leased, leased&uint8(rng.Intn(256)))
 			}
 		}
 		alloc := f.Allocation().Entries()
-		sigs := f.AvailabilitySignals()
-		wantAll := avail.AllAvailable(alloc, sigs)
-		if got := f.AllAvailable(); got != wantAll {
-			t.Fatalf("AllAvailable fast path %v != reference %v", got, wantAll)
-		}
+		sigs := availabilitySignals(f)
+		got := f.AvailableSet()
 		for _, ty := range arch.UnitTypes() {
-			if got, want := f.Available(ty), avail.Available(ty, alloc, sigs); got != want {
-				t.Fatalf("Available(%v) fast path %v != reference %v", ty, got, want)
+			if bit, want := got&(1<<uint(ty)) != 0, avail.Available(ty, alloc, sigs); bit != want {
+				t.Fatalf("trial %d: AvailableSet bit %v = %v, reference %v", trial, ty, bit, want)
 			}
-			if got, want := f.AvailableCount(ty), avail.Count(ty, alloc, sigs); got != want {
-				t.Fatalf("AvailableCount(%v) fast path %d != reference %d", ty, got, want)
-			}
+		}
+	}
+}
+
+// TestOverlapping: the covering-unit query counts every unit whose span
+// meets the slots, continuations included, and nothing for empty slots.
+func TestOverlapping(t *testing.T) {
+	f := New(0)
+	f.Install(config.MustNew("t", arch.IntMDU, arch.LSU)) // IntMDU 0-1, LSU 2
+	for _, tc := range []struct {
+		m    uint16
+		want arch.Counts
+	}{
+		{1 << 0, arch.Counts{arch.IntMDU: 1}},
+		{1 << 1, arch.Counts{arch.IntMDU: 1}},
+		{1 << 2, arch.Counts{arch.LSU: 1}},
+		{1 << 5, arch.Counts{}},
+		{0b110, arch.Counts{arch.IntMDU: 1, arch.LSU: 1}},
+	} {
+		if got := f.Overlapping(tc.m); got != tc.want {
+			t.Errorf("Overlapping(%08b) = %v, want %v", tc.m, got, tc.want)
 		}
 	}
 }
