@@ -136,12 +136,16 @@ func (f *Fabric) refreshAlloc() {
 // boards: slots is the union of the whole spans of the configured units
 // that overlap any slot of m, and n counts those units per type.
 func (f *Fabric) overlap(m uint16) (slots uint16, n arch.Counts) {
+	// A head at h covers h..h+cost-1, so it overlaps m when it lies in
+	// m or up to cost-1 slots below a slot of m (spans are at most
+	// three slots).
+	reach := [4]uint16{0, m, m | m>>1, m | m>>1 | m>>2}
 	for t, heads := range f.heads {
-		span := uint16(1)<<uint(arch.SlotCost(arch.UnitType(t))) - 1
-		for h := heads; h != 0; h &= h - 1 {
-			if s := span << uint(bits.TrailingZeros16(h)); s&m != 0 {
-				slots |= s
-				n[t]++
+		cost := arch.SlotCost(arch.UnitType(t))
+		if hit := heads & reach[cost]; hit != 0 {
+			n[t] = bits.OnesCount16(hit)
+			for k := 0; k < cost; k++ {
+				slots |= hit << uint(k)
 			}
 		}
 	}
@@ -400,11 +404,12 @@ func (f *Fabric) CanReconfigure(t arch.UnitType, start int) bool {
 		return false // configuration bus fully occupied
 	}
 	m := spanMask(lo, hi)
-	// Slots leased to a sibling core are that core's property; this
-	// core's steering never rewrites them. A sibling core executing on a
-	// slot holds it like local busy execution does: the span drains
-	// before any rewrite.
-	if m&uint16(f.extUnavail) != 0 || m&f.extBusy() != 0 {
+	// A slot mid-reconfiguration is already being rewritten. Slots
+	// leased to a sibling core are that core's property; this core's
+	// steering never rewrites them. A sibling core executing on a slot
+	// holds it like local busy execution does: the span drains before
+	// any rewrite.
+	if m&(uint16(f.extUnavail)|f.reconfigMask|f.extBusy()) != 0 {
 		return false
 	}
 	// Slots the controller knows are bad — flagged by the scrub,
@@ -424,7 +429,7 @@ func (f *Fabric) CanReconfigure(t arch.UnitType, start int) bool {
 	// golden-copy continuation encoding into the blanked region,
 	// orphaning it. Wait for the unit's bus transactions to drain first.
 	covered := f.spans(m)
-	return covered&f.busyMask == 0 && (m|covered)&f.reconfigMask == 0
+	return covered&(f.busyMask|f.reconfigMask) == 0
 }
 
 // spanMask returns the slot mask of the span [lo, hi).
