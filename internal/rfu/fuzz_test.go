@@ -211,14 +211,22 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 // effective counts, unit states, health and timer masks, the covering-
 // unit query, the busy spans and every CanReconfigure answer.
 func FuzzFabric(f *testing.F) {
-	// A three-slot FPALU with a fault on its last slot, then rewrites
-	// across its span.
-	f.Add([]byte{2, 0, 1, 3, 0, 0, 4, 0, 5, 2, 0, 0, 3, 3, 4, 0, 4, 0, 4, 0})
-	// An IntMDU busy on its head, a rewrite over its continuation, and a
-	// sibling busy mask.
-	f.Add([]byte{1, 0, 0, 1, 2, 1, 4, 2, 9, 7, 2, 0, 1, 1, 4, 0, 0, 0, 3})
-	// Random upsets with salvage, leased slots and a narrow bus.
-	f.Add([]byte{3, 1, 1, 4, 3, 0, 0, 2, 8, 1, 6, 0x0c, 0x04, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 1, 0, 0, 0, 4, 0, 4, 0})
+	// A three-slot FPALU, a fault on its last slot, then rewrites over
+	// its head and across its span.
+	f.Add([]byte{2, 0, 1, 0, 3, 5, 5, 5, 5, 5, 4, 1, 5, 2, 0, 0, 0, 0, 4, 0, 0, 1, 1, 4, 2})
+	// IntMDU, LSU and FPALU under a sibling-busy mask on the FPALU head
+	// and a leased LSU slot, then a rewrite of the FPALU's continuation.
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 3, 5, 5, 7, 1, 8, 6, 4, 0xff, 0, 0, 0, 4, 7, 0, 4, 0})
+	// Random upsets with repair and salvage on a width-1 bus, and the
+	// top two slots leased out halfway.
+	f.Add([]byte{3, 5, 8, 1, 1, 0, 3, 1, 0, 2, 0, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2,
+		6, 0xc0, 0xff, 0xff, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2})
+	// An IntMDU executing on its RFU (the FFU taken first): no span
+	// over either of its slots may be rewritten.
+	f.Add([]byte{0, 0, 1, 0, 1, 5, 5, 5, 5, 5, 5, 2, 1, 3, 2, 1, 3})
+	// FP units under random upsets with a one-cycle scrub: a repair in
+	// flight on a unit's far slot blocks a rewrite of its head.
+	f.Add([]byte("1\xc1y01010\"1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
