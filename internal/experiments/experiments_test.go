@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -185,6 +187,30 @@ func TestCostTableListsEveryCircuit(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("cost table missing %q", want)
 		}
+	}
+}
+
+// TestCostTableGolden pins the hardware-cost table byte for byte: every
+// circuit's inputs, gate counts by kind, two-input equivalent and depth.
+// The table is derived from the same circuit descriptions the
+// equivalence tests evaluate, so a change to any of them shows here.
+// Regenerate testdata/cost_table.golden (-update) only for a deliberate
+// change to a circuit.
+func TestCostTableGolden(t *testing.T) {
+	got := CostTable()
+	path := filepath.Join("testdata", "cost_table.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("cost table differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 

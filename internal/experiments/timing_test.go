@@ -15,7 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateTiming = flag.Bool("update", false, "regenerate testdata/scheduler_timing.json")
+var update = flag.Bool("update", false, "regenerate the golden files under testdata that -run selects")
 
 // timingResult is one pinned run: the processor's and the configuration
 // manager's full statistics.
@@ -76,7 +76,7 @@ func TestSchedulerTimingGolden(t *testing.T) {
 	}
 	data = append(data, '\n')
 	path := filepath.Join("testdata", "scheduler_timing.json")
-	if *updateTiming {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
