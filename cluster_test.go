@@ -238,6 +238,28 @@ func TestClusterModeSwitchAndFairness(t *testing.T) {
 	}
 }
 
+// TestClusterTelemetryRejectsBadInterval: a negative sampling interval
+// is an error at every core count, the same error the scalar machine
+// returns, and attaches nothing.
+func TestClusterTelemetryRejectsBadInterval(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		params := repro.DefaultParams()
+		params.Cores = cores
+		c := cluster.New(clusterPhased(21), repro.Options{Params: params, Policy: repro.PolicySteering})
+		var buf bytes.Buffer
+		err := c.EnableTelemetry(&buf, "jsonl", -5)
+		if err == nil || err.Error() != "repro: metrics interval must be positive, got -5" {
+			t.Errorf("K=%d: EnableTelemetry(-5) = %v, want the metrics interval error", cores, err)
+		}
+		if _, err := c.Run(20_000_000); err != nil {
+			t.Fatalf("K=%d: %v", cores, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("K=%d: rejected telemetry wrote %d bytes", cores, buf.Len())
+		}
+	}
+}
+
 // TestClusterTelemetryCoreLabels pins the per-core telemetry contract:
 // a K=2 cluster's shared JSONL stream contains records from both cores,
 // and every record matches the field schema pinned in

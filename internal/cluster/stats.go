@@ -117,8 +117,13 @@ func (c *Machine) ReportJSON() ([]byte, error) {
 // format is "jsonl" or "csv" ("prom" renders one registry snapshot and
 // cannot merge K registries into one stream — enable it per core
 // instead). A one-core cluster is the scalar machine and takes every
-// format Machine.EnableTelemetry does. Call before Run.
+// format Machine.EnableTelemetry does. The interval is resolved by
+// repro.MetricsInterval for every core count. Call before Run.
 func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) error {
+	interval, err := repro.MetricsInterval(interval)
+	if err != nil {
+		return err
+	}
 	if len(c.cores) == 1 {
 		_, err := c.cores[0].EnableTelemetry(w, format, interval)
 		return err

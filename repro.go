@@ -591,11 +591,9 @@ const DefaultMetricsInterval = 100
 // it finishes. The returned probe exposes the metrics registry for
 // programmatic reads.
 func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*telemetry.Probe, error) {
-	if interval == 0 {
-		interval = DefaultMetricsInterval
-	}
-	if interval < 0 {
-		return nil, fmt.Errorf("repro: metrics interval must be positive, got %d", interval)
+	interval, err := MetricsInterval(interval)
+	if err != nil {
+		return nil, err
 	}
 	probe := telemetry.NewProbe(interval)
 	exp, err := telemetry.NewExporter(w, format, probe.Registry())
@@ -607,8 +605,23 @@ func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*te
 	return probe, nil
 }
 
+// MetricsInterval resolves a telemetry sampling interval as
+// EnableTelemetry does: 0 selects DefaultMetricsInterval and a negative
+// interval is an error.
+func MetricsInterval(interval int) (int, error) {
+	switch {
+	case interval == 0:
+		return DefaultMetricsInterval, nil
+	case interval < 0:
+		return 0, fmt.Errorf("repro: metrics interval must be positive, got %d", interval)
+	}
+	return interval, nil
+}
+
 // EnableTelemetryExporter attaches a telemetry probe with a custom
 // exporter (e.g. a telemetry.Collector for in-memory post-processing).
+// interval is taken as EnableTelemetry takes it, except that a negative
+// one panics: check a caller-supplied interval with MetricsInterval.
 func (m *Machine) EnableTelemetryExporter(e telemetry.Exporter, interval int) *telemetry.Probe {
 	if interval == 0 {
 		interval = DefaultMetricsInterval
