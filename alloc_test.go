@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/arch"
+	"repro/internal/avail"
 	"repro/internal/cem"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/predict"
 	"repro/internal/rfu"
+	"repro/internal/wakeup"
 )
 
 // fig2Demands mirrors BenchmarkFig2SelectionUnit's demand stream: 64
@@ -127,6 +129,29 @@ func TestZeroAllocCircuitMinimalErrorSelect(t *testing.T) {
 	dists := [arch.NumConfigs]int{0, 5, 2, 8}
 	requireZeroAllocs(t, "core.CircuitMinimalErrorSelect", 200, func() {
 		_ = core.CircuitMinimalErrorSelect(errs, dists)
+	})
+}
+
+func TestZeroAllocAvailabilityCircuit(t *testing.T) {
+	v := config.NewAllocationVector()
+	v.Slots = config.DefaultBasis()[0].Layout
+	alloc := v.Entries()
+	sigs := make([]bool, len(alloc))
+	for i := range sigs {
+		sigs[i] = i%2 == 0
+	}
+	requireZeroAllocs(t, "avail.CircuitAvailable", 200, func() {
+		_ = avail.CircuitAvailable(arch.LSU, alloc, sigs)
+	})
+}
+
+func TestZeroAllocWakeupRowCircuit(t *testing.T) {
+	needUnit := [arch.NumUnitTypes]bool{2: true}
+	availUnit := [arch.NumUnitTypes]bool{0: true, 2: true, 4: true}
+	depNeed := []bool{true, false, true, false, false, false, true}
+	depOK := []bool{true, true, true, false, false, true, true}
+	requireZeroAllocs(t, "wakeup.CircuitRequest", 200, func() {
+		_ = wakeup.CircuitRequest(needUnit, availUnit, depNeed, depOK, false)
 	})
 }
 

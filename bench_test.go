@@ -19,7 +19,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/hwcost"
 	"repro/internal/isa"
-	"repro/internal/logic"
 	"repro/internal/rfu"
 	"repro/internal/span"
 	"repro/internal/telemetry"
@@ -553,17 +552,6 @@ func BenchmarkFunctionalInterpreter(b *testing.B) {
 		if _, err := isa.Run(prog, s, 10_000_000); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkLogicAdderTree(b *testing.B) {
-	ops := make([]logic.Bus, 5)
-	for i := range ops {
-		ops[i] = logic.BusFromUint(uint64(i+1), 3)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = logic.AdderTree(ops...)
 	}
 }
 

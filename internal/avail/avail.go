@@ -5,9 +5,9 @@
 // slots of multi-slot units carry arch.EncCont and therefore never match,
 // so a multi-slot unit is counted exactly once — through its head slot.
 //
-// Both a behavioural form (Available) and a gate-level reconstruction of
-// Fig. 7 (CircuitAvailable) are provided; tests prove them equivalent
-// exhaustively.
+// Both a behavioural form (Available) and the gate-level circuit of
+// Fig. 7 (Circuit, evaluated by CircuitAvailable and costed by
+// internal/hwcost) are provided; tests prove them equivalent.
 package avail
 
 import (
@@ -60,19 +60,44 @@ func AllAvailable(alloc []arch.Encoding, availability []bool) [arch.NumUnitTypes
 	return out
 }
 
-// CircuitAvailable is the gate-level reconstruction of Fig. 7: for each
-// vector entry, a 3-bit equality comparator between the entry's encoding
-// and type(t) feeds an AND with the entry's availability signal; an OR
-// tree over all product terms produces available(t).
+// vectorLen is the length of the machine's allocation vector: every RFU
+// slot and every FFU. Circuits over vectors up to this long evaluate
+// without allocating.
+const vectorLen = arch.NumRFUSlots + arch.NumFFUs
+
+// Circuit is Fig. 7 for one unit type: for each allocation-vector
+// entry, a 3-bit equality comparator between the entry's encoding and
+// want feeds an AND with the entry's availability signal; an OR tree
+// over all product terms produces available(t).
+func Circuit(n *logic.Netlist, want [arch.EncodingBits]logic.Wire,
+	entries [][arch.EncodingBits]logic.Wire, availability []logic.Wire) logic.Wire {
+	if len(entries) != len(availability) {
+		panic("avail: allocation vector and availability signals differ in length")
+	}
+	var buf [vectorLen]logic.Wire
+	products := buf[:0]
+	for i := range entries {
+		products = append(products, n.And2(n.Equal(entries[i][:], want[:]), availability[i]))
+	}
+	return n.Or(products...)
+}
+
+// CircuitAvailable evaluates Circuit for type t: the gate-level form of
+// Available.
 func CircuitAvailable(t arch.UnitType, alloc []arch.Encoding, availability []bool) bool {
 	if len(alloc) != len(availability) {
 		panic("avail: allocation vector and availability signals differ in length")
 	}
-	want := logic.BusFromUint(uint64(arch.Encode(t)), arch.EncodingBits)
-	products := make([]logic.Bit, len(alloc))
+	var want [arch.EncodingBits]logic.Wire
+	logic.SetUint(want[:], uint64(arch.Encode(t)))
+	var entryBuf [vectorLen][arch.EncodingBits]logic.Wire
+	var sigBuf [vectorLen]logic.Wire
+	entries, sigs := entryBuf[:0], sigBuf[:0]
 	for i, e := range alloc {
-		entry := logic.BusFromUint(uint64(e), arch.EncodingBits)
-		products[i] = logic.And(logic.Equal(entry, want), logic.Bit(availability[i]))
+		var entry [arch.EncodingBits]logic.Wire
+		logic.SetUint(entry[:], uint64(e))
+		entries = append(entries, entry)
+		sigs = append(sigs, logic.Level(availability[i]))
 	}
-	return bool(logic.Or(products...))
+	return Circuit(logic.Eval, want, entries, sigs) == 1
 }

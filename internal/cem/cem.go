@@ -11,9 +11,9 @@
 //     unit uses (Fig. 3(a)+(c) semantics),
 //   - ErrorExact: the "more accurate divider circuit" the paper mentions
 //     as a costlier alternative, used for the ablation study,
-//   - CircuitError: the gate-level reconstruction of Fig. 3(b) built from
-//     package logic primitives, proven equivalent to Error by exhaustive
-//     tests.
+//   - CircuitError: an evaluation of Generator, the gate-level Fig. 3(b)
+//     circuit (the same description internal/hwcost records for its
+//     cost), proven equivalent to Error by exhaustive tests.
 package cem
 
 import (
@@ -91,52 +91,45 @@ func ExactContribution(required, available int) int {
 	return req / available
 }
 
-// ShiftControl derives the two barrel-shifter control bits from a 3-bit
-// availability quantity exactly as Fig. 3(c) wires them: s1 is the
-// high-order quantity bit; s0 is the next lower-order bit gated off when
-// s1 is set.
-func ShiftControl(avail int) logic.Bus {
-	ctl := make(logic.Bus, 2)
-	ShiftControlInto(ctl, avail)
-	return ctl
+// ShiftControl is the Fig. 3(c) wiring for one unit type: it derives
+// the two barrel-shifter control bits from the 3-bit availability
+// quantity q. s1 is the high-order quantity bit; s0 is the next
+// lower-order bit gated off when s1 is set.
+func ShiftControl(n *logic.Netlist, q [arch.CountBits]logic.Wire) (shift [2]logic.Wire) {
+	return [2]logic.Wire{n.And2(n.Not(q[2]), q[1]), q[2]}
 }
 
-// ShiftControlInto writes the two ShiftControl bits into dst (which must
-// have length 2) without allocating.
-func ShiftControlInto(dst logic.Bus, avail int) {
-	var qBits [arch.CountBits]logic.Bit
-	q := logic.Bus(qBits[:])
-	q.SetUint(uint64(avail) & 0x7)
-	dst[0] = logic.And(logic.Not(q[2]), q[1])
-	dst[1] = q[2]
-}
-
-// CircuitError is the gate-level CEM generator of Fig. 3(b): five barrel
-// shifters (one per unit type) whose control inputs come from
-// ShiftControl of the availability quantities, feeding a 3-bit five-
-// operand saturating adder tree. For the three predefined configurations
-// the control inputs are hard-wired constants; for the current
-// configuration they are live — both cases route through the same
-// network.
-func CircuitError(required, available arch.Counts) int {
-	// Fixed-size stacks of bits stand in for the freshly allocated buses
-	// of the naive formulation; saturating accumulation applied left to
-	// right is equivalent to the balanced tree because min(·,7) over
-	// non-negative addends is associative in the total.
-	var accBits, termBits [arch.CountBits]logic.Bit
-	var ctlBits [2]logic.Bit
-	acc := logic.Bus(accBits[:])
-	term := logic.Bus(termBits[:])
-	ctl := logic.Bus(ctlBits[:])
-	for t := range required {
-		term.SetUint(uint64(clamp3(required[t])))
-		ShiftControlInto(ctl, available[t])
-		logic.BarrelShiftRightInto(term, term, ctl)
-		if t == 0 {
-			copy(acc, term)
-		} else {
-			logic.SaturatingAdderInto(acc, acc, term)
-		}
+// Generator is the Fig. 3(b) CEM generator: one barrel shifter per unit
+// type divides the 3-bit requirement count by the power of two its
+// control bits select, and 3-bit saturating adders sum the five
+// quotients into the 3-bit error metric. For the three predefined
+// configurations the control bits are hard-wired constants; for the
+// current configuration they come live from ShiftControl — both cases
+// route through the same network.
+func Generator(n *logic.Netlist, required [arch.NumUnitTypes][arch.CountBits]logic.Wire,
+	shift [arch.NumUnitTypes][2]logic.Wire) [arch.CountBits]logic.Wire {
+	sum := required[0]
+	n.BarrelShiftRight(sum[:], sum[:], shift[0][:])
+	for t := 1; t < arch.NumUnitTypes; t++ {
+		term := required[t]
+		n.BarrelShiftRight(term[:], term[:], shift[t][:])
+		n.SaturatingAdder(sum[:], sum[:], term[:])
 	}
-	return int(acc.Uint())
+	return sum
+}
+
+// CircuitError evaluates Generator, its control bits driven by
+// ShiftControl of the availability quantities: the gate-level form of
+// Error.
+func CircuitError(required, available arch.Counts) int {
+	var req [arch.NumUnitTypes][arch.CountBits]logic.Wire
+	var shift [arch.NumUnitTypes][2]logic.Wire
+	for t := range required {
+		var q [arch.CountBits]logic.Wire
+		logic.SetUint(req[t][:], uint64(clamp3(required[t])))
+		logic.SetUint(q[:], uint64(available[t]))
+		shift[t] = ShiftControl(logic.Eval, q)
+	}
+	sum := Generator(logic.Eval, req, shift)
+	return int(logic.Uint(sum[:]))
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/config"
+	"repro/internal/logic"
 )
 
 // TestShiftTruthTable pins Fig. 3(c): availability >=4 divides by 4,
@@ -168,7 +169,10 @@ func TestErrorExactSpotValues(t *testing.T) {
 // the behavioural shift amount for all 3-bit quantities.
 func TestShiftControlMatchesShift(t *testing.T) {
 	for q := 0; q < 8; q++ {
-		if got := uint(ShiftControl(q).Uint()); got != Shift(q) {
+		var in [arch.CountBits]logic.Wire
+		logic.SetUint(in[:], uint64(q))
+		shift := ShiftControl(logic.Eval, in)
+		if got := uint(logic.Uint(shift[:])); got != Shift(q) {
 			t.Errorf("ShiftControl(%d) = %d, want %d", q, got, Shift(q))
 		}
 	}

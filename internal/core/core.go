@@ -89,44 +89,107 @@ func MinimalErrorSelect(errors, distances [arch.NumConfigs]int) int {
 	return best
 }
 
-// CircuitMinimalErrorSelect is the gate-level form of stage 4: each
-// candidate's 3-bit error, 4-bit distance and 2-bit index are
-// concatenated into a 9-bit key (error most significant) and a comparator
-// chain keeps the smallest, emitting the winner's two-bit index. Tests
-// prove it equivalent to MinimalErrorSelect.
-func CircuitMinimalErrorSelect(errors, distances [arch.NumConfigs]int) int {
-	// All buses live in fixed-size stack arrays so the comparator chain
-	// runs without heap allocation (asserted by alloc_test.go).
-	var bestKeyBits, keyBits [9]logic.Bit
-	var bestIdxBits, idxBits [2]logic.Bit
-	bestKey := logic.Bus(bestKeyBits[:])
-	k := logic.Bus(keyBits[:])
-	bestIdx := logic.Bus(bestIdxBits[:])
-	idx := logic.Bus(idxBits[:])
+// Widths of the fields of the selector's comparison key: the candidate
+// index (least significant), its reconfiguration distance and its 3-bit
+// error (most significant), so an unsigned comparison of keys orders
+// candidates as key does.
+const (
+	IndexBits    = 2
+	DistanceBits = 4
+	KeyBits      = IndexBits + DistanceBits + arch.CountBits
+)
 
-	packCompareKey(bestKey, errors[0], distances[0], 0)
-	for i := 1; i < arch.NumConfigs; i++ {
-		packCompareKey(k, errors[i], distances[i], i)
-		smaller := logic.LessThan(k, bestKey)
-		for b := range bestKey {
-			bestKey[b] = logic.Mux2(smaller, bestKey[b], k[b])
-		}
-		idx.SetUint(uint64(i))
-		for b := range bestIdx {
-			bestIdx[b] = logic.Mux2(smaller, bestIdx[b], idx[b])
-		}
+// RequirementEncoder is stage 2 of Fig. 2 for one unit type: it counts
+// the unit decoders' one-hot lines for that type with a chain of 3-bit
+// saturating adders, each line widened to a 3-bit operand.
+func RequirementEncoder(n *logic.Netlist, lines [arch.QueueSize]logic.Wire) [arch.CountBits]logic.Wire {
+	zero := n.Const(false)
+	sum := [arch.CountBits]logic.Wire{lines[0], zero, zero}
+	for _, line := range lines[1:] {
+		term := [arch.CountBits]logic.Wire{line, zero, zero}
+		n.SaturatingAdder(sum[:], sum[:], term[:])
 	}
-	return int(bestIdx.Uint())
+	return sum
 }
 
-// packCompareKey wires one candidate's 9-bit comparison key into dst:
-// two index bits (least significant), four distance bits, three error
-// bits (most significant) — so LessThan orders by error, then distance,
-// then index, matching MinimalErrorSelect's key function.
-func packCompareKey(dst logic.Bus, err, dist, idx int) {
-	dst[0:2].SetUint(uint64(idx))
-	dst[2:6].SetUint(uint64(dist))
-	dst[6:9].SetUint(uint64(err))
+// Selector is stage 4 of Fig. 2: a comparator chain over the candidates'
+// comparison keys keeps the smallest and forwards its index.
+func Selector(n *logic.Netlist, keys [arch.NumConfigs][KeyBits]logic.Wire,
+	index [arch.NumConfigs][IndexBits]logic.Wire) [IndexBits]logic.Wire {
+	best, bestIndex := keys[0], index[0]
+	for i := 1; i < arch.NumConfigs; i++ {
+		smaller := n.LessThan(keys[i][:], best[:])
+		for b := range best {
+			best[b] = n.Mux2(smaller, best[b], keys[i][b])
+		}
+		for b := range bestIndex {
+			bestIndex[b] = n.Mux2(smaller, bestIndex[b], index[i][b])
+		}
+	}
+	return bestIndex
+}
+
+// SelectionInputs are the signals entering stages 2-4 of the selection
+// unit.
+type SelectionInputs struct {
+	// Lines[t][k] is queue entry k's unit-decoder line for type t.
+	Lines [arch.NumUnitTypes][arch.QueueSize]logic.Wire
+	// Quantity[t] is the current configuration's 3-bit count of
+	// available type-t units, the live input of its shift control.
+	Quantity [arch.NumUnitTypes][arch.CountBits]logic.Wire
+	// Shift[i-1][t] holds predefined configuration i's hard-wired shift
+	// control bits for type t.
+	Shift [arch.NumConfigs - 1][arch.NumUnitTypes][2]logic.Wire
+	// Distance[i] is candidate i's reconfiguration distance, from the
+	// configuration loader.
+	Distance [arch.NumConfigs][DistanceBits]logic.Wire
+	// KeyIndex[i] is candidate i's number as wired into its comparison
+	// key and Index[i] the number the selector forwards; the hardware
+	// ties both to i.
+	KeyIndex, Index [arch.NumConfigs][IndexBits]logic.Wire
+}
+
+// SelectionCircuit is the selection unit of Fig. 2, stages 2-4: five
+// requirement encoders feed four CEM generators — the current
+// configuration's driven by live shift-control logic, the predefined
+// ones by hard-wired control bits — whose errors, with each candidate's
+// distance and index, form the keys the minimal-error selector compares.
+// It returns the winner's index.
+func SelectionCircuit(n *logic.Netlist, in *SelectionInputs) [IndexBits]logic.Wire {
+	var required [arch.NumUnitTypes][arch.CountBits]logic.Wire
+	for t := range required {
+		required[t] = RequirementEncoder(n, in.Lines[t])
+	}
+	var keys [arch.NumConfigs][KeyBits]logic.Wire
+	for i := range keys {
+		var shift [arch.NumUnitTypes][2]logic.Wire
+		if i == 0 {
+			for t := range shift {
+				shift[t] = cem.ShiftControl(n, in.Quantity[t])
+			}
+		} else {
+			shift = in.Shift[i-1]
+		}
+		err := cem.Generator(n, required, shift)
+		copy(keys[i][:], in.KeyIndex[i][:])
+		copy(keys[i][IndexBits:], in.Distance[i][:])
+		copy(keys[i][IndexBits+DistanceBits:], err[:])
+	}
+	return Selector(n, keys, in.Index)
+}
+
+// CircuitMinimalErrorSelect evaluates Selector over each candidate's
+// key: the gate-level form of MinimalErrorSelect, which tests prove it
+// equivalent to.
+func CircuitMinimalErrorSelect(errors, distances [arch.NumConfigs]int) int {
+	var keys [arch.NumConfigs][KeyBits]logic.Wire
+	var index [arch.NumConfigs][IndexBits]logic.Wire
+	for i := range keys {
+		logic.SetUint(keys[i][:], uint64(key(errors[i], distances[i], i)))
+		logic.SetUint(index[i][:], uint64(i))
+	}
+	best := Selector(logic.Eval, keys, index)
+	return int(logic.Uint(best[:]))
 }
 
 // Stats counts the manager's activity for the experiment harness.

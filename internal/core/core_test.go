@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/cem"
 	"repro/internal/config"
+	"repro/internal/logic"
 	"repro/internal/rfu"
 )
 
@@ -98,6 +100,79 @@ func TestSelectionCircuitEquivalence(t *testing.T) {
 		got := CircuitMinimalErrorSelect(errs, dists)
 		if got != want {
 			t.Fatalf("errs=%v dists=%v: circuit %d != behaviour %d", errs, dists, got, want)
+		}
+	}
+}
+
+// TestRequirementEncoderIsPopCount proves stage 2's circuit counts the
+// set decoder lines, saturated to three bits, over every line pattern.
+func TestRequirementEncoderIsPopCount(t *testing.T) {
+	for v := uint64(0); v < 1<<arch.QueueSize; v++ {
+		var lines [arch.QueueSize]logic.Wire
+		logic.SetUint(lines[:], v)
+		count := RequirementEncoder(logic.Eval, lines)
+		if got, want := logic.Uint(count[:]), uint64(min(bits.OnesCount64(v), 7)); got != want {
+			t.Fatalf("lines %07b: count %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestSelectionCircuitMatchesSelect evaluates the whole stages-2-4
+// circuit against the behavioural path it describes: requirement counts
+// of the decoder lines, cem.Error per candidate and MinimalErrorSelect.
+// Each predefined candidate's shift bits are hard-wired from cem.Shift
+// of its default-basis availability (the FFUs plus its units). Even
+// trials draw a legal queue (each entry decodes to at most one type);
+// odd trials draw every line independently, so requirement counts and
+// errors saturate too.
+func TestSelectionCircuitMatchesSelect(t *testing.T) {
+	var in SelectionInputs
+	var basisAvail [arch.NumConfigs - 1]arch.Counts
+	for i, c := range config.DefaultBasis() {
+		basisAvail[i] = config.FFUCounts().Add(c.Counts())
+		for ty := range in.Shift[i] {
+			logic.SetUint(in.Shift[i][ty][:], uint64(cem.Shift(basisAvail[i][ty])))
+		}
+	}
+	for i := range in.Index {
+		logic.SetUint(in.KeyIndex[i][:], uint64(i))
+		logic.SetUint(in.Index[i][:], uint64(i))
+	}
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 20000; trial++ {
+		var lines [arch.NumUnitTypes]uint64
+		for k := 0; k < arch.QueueSize; k++ {
+			if trial%2 == 0 {
+				if ty := rng.Intn(arch.NumUnitTypes + 1); ty < arch.NumUnitTypes {
+					lines[ty] |= 1 << uint(k)
+				}
+				continue
+			}
+			for ty := range lines {
+				lines[ty] |= uint64(rng.Intn(2)) << uint(k)
+			}
+		}
+		var required, quantity arch.Counts
+		for ty := range lines {
+			logic.SetUint(in.Lines[ty][:], lines[ty])
+			required[ty] = bits.OnesCount64(lines[ty])
+			quantity[ty] = rng.Intn(8)
+			logic.SetUint(in.Quantity[ty][:], uint64(quantity[ty]))
+		}
+		var errs, dists [arch.NumConfigs]int
+		for i := range errs {
+			if i == 0 {
+				errs[i] = cem.Error(required, quantity)
+			} else {
+				errs[i] = cem.Error(required, basisAvail[i-1])
+			}
+			dists[i] = rng.Intn(arch.NumRFUSlots + 1)
+			logic.SetUint(in.Distance[i][:], uint64(dists[i]))
+		}
+		choice := SelectionCircuit(logic.Eval, &in)
+		if got, want := int(logic.Uint(choice[:])), MinimalErrorSelect(errs, dists); got != want {
+			t.Fatalf("lines=%v quantity=%v dists=%v (errors %v): circuit %d != behaviour %d",
+				lines, quantity, dists, errs, got, want)
 		}
 	}
 }

@@ -1,218 +1,145 @@
-// Package hwcost builds gate-level netlists of every circuit the paper
-// presents — the CEM generator of Fig. 3(b), the full four-stage
-// selection unit of Fig. 2, the wake-up row logic of Fig. 6 and the
-// availability circuit of Fig. 7 — and reports their hardware cost:
-// gate counts and critical-path depth. This quantifies the paper's
-// "fast and efficient configuration selection circuit" claim.
+// Package hwcost records every circuit the paper presents — the CEM
+// generator of Fig. 3(b), the full four-stage selection unit of Fig. 2,
+// the wake-up row logic of Fig. 6 and the availability circuit of Fig. 7
+// — as a gate-level netlist and reports its hardware cost: gate counts
+// and critical-path depth. This quantifies the paper's "fast and
+// efficient configuration selection circuit" claim.
+//
+// The package holds no circuit of its own: each function declares the
+// circuit's inputs and constants and records the description owned by
+// cem, core, wakeup or avail — the one the equivalence tests evaluate.
 package hwcost
 
 import (
 	"repro/internal/arch"
+	"repro/internal/avail"
+	"repro/internal/cem"
+	"repro/internal/core"
 	"repro/internal/logic"
+	"repro/internal/wakeup"
 )
 
-// CEMGenerator builds one configuration error metric generator: five
-// 3-bit barrel shifters (2 control bits each) feeding a 3-bit five-
-// operand saturating adder tree (Fig. 3(b)).
+// CEMGenerator records cem.Generator: five 3-bit barrel shifters (2
+// control bits each) feeding a 3-bit five-operand saturating adder
+// (Fig. 3(b)).
 func CEMGenerator() logic.Cost {
 	n := logic.NewNetlist("CEM generator (Fig. 3b)")
-	operands := make([][]logic.Signal, arch.NumUnitTypes)
-	for t := 0; t < arch.NumUnitTypes; t++ {
-		req := n.Inputs(arch.CountBits)
-		shift := n.Inputs(2)
-		operands[t] = n.BarrelShiftRight(req, shift)
+	var required [arch.NumUnitTypes][arch.CountBits]logic.Wire
+	var shift [arch.NumUnitTypes][2]logic.Wire
+	for t := range required {
+		n.Inputs(required[t][:])
+		n.Inputs(shift[t][:])
 	}
-	sum := operands[0]
-	for t := 1; t < arch.NumUnitTypes; t++ {
-		sum = n.SaturatingAdder(sum, operands[t])
-	}
-	_ = sum
+	cem.Generator(n, required, shift)
 	return n.Cost()
 }
 
-// ShiftControl builds the Fig. 3(c) control derivation for one type:
-// s1 = q2, s0 = NOT(q2) AND q1.
+// ShiftControl records cem.ShiftControl, the Fig. 3(c) control
+// derivation for one type: s1 = q2, s0 = NOT(q2) AND q1.
 func ShiftControl() logic.Cost {
 	n := logic.NewNetlist("shift control (Fig. 3c)")
-	q := n.Inputs(arch.CountBits)
-	_ = q[2]                      // s1 is a wire
-	_ = n.And2(n.Not(q[2]), q[1]) // s0
+	var q [arch.CountBits]logic.Wire
+	n.Inputs(q[:])
+	cem.ShiftControl(n, q)
 	return n.Cost()
 }
 
-// RequirementEncoder builds stage 2 of the selection unit for one unit
-// type: a population count over the seven one-hot decoder lines,
-// producing the 3-bit requirement count.
+// RequirementEncoder records core.RequirementEncoder, stage 2 of the
+// selection unit for one unit type: a count of the seven one-hot decoder
+// lines, producing the 3-bit requirement count.
 func RequirementEncoder() logic.Cost {
 	n := logic.NewNetlist("requirement encoder (one type)")
-	lines := n.Inputs(arch.QueueSize)
-	// Adder tree over 1-bit operands widened to 3 bits.
-	zero := n.Constant()
-	widen := func(b logic.Signal) []logic.Signal { return []logic.Signal{b, zero, zero} }
-	sum := widen(lines[0])
-	for _, l := range lines[1:] {
-		sum = n.SaturatingAdder(sum, widen(l))
-	}
-	_ = sum
+	var lines [arch.QueueSize]logic.Wire
+	n.Inputs(lines[:])
+	core.RequirementEncoder(n, lines)
 	return n.Cost()
 }
 
-// MinimalErrorSelector builds stage 4: a comparator chain over four
-// 9-bit keys (3-bit error, 4-bit distance, 2-bit index) keeping the
-// minimum and its 2-bit index.
+// MinimalErrorSelector records core.Selector, stage 4: a comparator
+// chain over four 9-bit keys (3-bit error, 4-bit distance, 2-bit index)
+// keeping the minimum and its 2-bit index.
 func MinimalErrorSelector() logic.Cost {
 	n := logic.NewNetlist("minimal error selector (stage 4)")
-	const keyBits = 9
-	makeKey := func() []logic.Signal { return n.Inputs(keyBits) }
-	bestKey := makeKey()
-	bestIdx := n.Inputs(2)
-	for i := 1; i < arch.NumConfigs; i++ {
-		k := makeKey()
-		idx := n.Inputs(2)
-		smaller := n.LessThan(k, bestKey)
-		nextKey := make([]logic.Signal, keyBits)
-		for b := range nextKey {
-			nextKey[b] = n.Mux2(smaller, bestKey[b], k[b])
-		}
-		nextIdx := make([]logic.Signal, 2)
-		for b := range nextIdx {
-			nextIdx[b] = n.Mux2(smaller, bestIdx[b], idx[b])
-		}
-		bestKey, bestIdx = nextKey, nextIdx
+	var keys [arch.NumConfigs][core.KeyBits]logic.Wire
+	var index [arch.NumConfigs][core.IndexBits]logic.Wire
+	for i := range keys {
+		n.Inputs(keys[i][:])
+		n.Inputs(index[i][:])
 	}
-	_ = bestIdx
+	core.Selector(n, keys, index)
 	return n.Cost()
 }
 
-// SelectionUnit builds the whole Fig. 2 pipeline as one combinational
-// netlist: five requirement encoders, four CEM generators (the current
-// configuration's with live shift-control logic, the predefined ones
-// hard-wired) and the minimal-error selector.
+// SelectionUnit records core.SelectionCircuit, the whole Fig. 2 pipeline
+// as one combinational netlist: five requirement encoders, four CEM
+// generators (the current configuration's with live shift-control
+// logic, the predefined ones hard-wired) and the minimal-error selector.
 func SelectionUnit() logic.Cost {
 	n := logic.NewNetlist("selection unit (Fig. 2, stages 2-4)")
-
-	// Stage 2: per-type popcounts of the unit decoders' one-hot lines.
-	zero := n.Constant()
-	widen := func(b logic.Signal) []logic.Signal { return []logic.Signal{b, zero, zero} }
-	required := make([][]logic.Signal, arch.NumUnitTypes)
-	for t := 0; t < arch.NumUnitTypes; t++ {
-		lines := n.Inputs(arch.QueueSize)
-		sum := widen(lines[0])
-		for _, l := range lines[1:] {
-			sum = n.SaturatingAdder(sum, widen(l))
-		}
-		required[t] = sum
+	var in core.SelectionInputs
+	for t := range in.Lines {
+		n.Inputs(in.Lines[t][:])
+		n.Inputs(in.Quantity[t][:])
 	}
-
-	// Stage 3: four CEM generators over the shared requirement counts.
-	cem := func(shiftOf func(t int) []logic.Signal) []logic.Signal {
-		var sum []logic.Signal
-		for t := 0; t < arch.NumUnitTypes; t++ {
-			term := n.BarrelShiftRight(required[t], shiftOf(t))
-			if sum == nil {
-				sum = term
-			} else {
-				sum = n.SaturatingAdder(sum, term)
-			}
+	// The predefined configurations' divisors are tied off; their
+	// values do not change the cost.
+	for i := range in.Shift {
+		for t := range in.Shift[i] {
+			in.Shift[i][t] = [2]logic.Wire{n.Const(false), n.Const(false)}
 		}
-		return sum
 	}
-	keys := make([][]logic.Signal, arch.NumConfigs)
-	// Current configuration: live quantity inputs drive Fig. 3(c) logic.
-	curErr := cem(func(t int) []logic.Signal {
-		q := n.Inputs(arch.CountBits)
-		s1 := q[2]
-		s0 := n.And2(n.Not(q[2]), q[1])
-		return []logic.Signal{s0, s1}
-	})
-	// Predefined configurations: hard-wired divisors (constant control).
-	for i := 0; i < arch.NumConfigs; i++ {
-		var err []logic.Signal
-		if i == 0 {
-			err = curErr
-		} else {
-			err = cem(func(t int) []logic.Signal {
-				return []logic.Signal{n.Constant(), n.Constant()}
-			})
-		}
-		dist := n.Inputs(4) // reconfiguration distance (from the loader)
-		idx := n.Inputs(2)
-		key := append(append(append([]logic.Signal{}, idx...), dist...), err...)
-		keys[i] = key
+	for i := range in.Distance {
+		n.Inputs(in.Distance[i][:])
+		n.Inputs(in.KeyIndex[i][:])
+		n.Inputs(in.Index[i][:])
 	}
-
-	// Stage 4: comparator chain.
-	bestKey := keys[0]
-	bestIdx := n.Inputs(2)
-	for i := 1; i < arch.NumConfigs; i++ {
-		smaller := n.LessThan(keys[i], bestKey)
-		nextKey := make([]logic.Signal, len(bestKey))
-		for b := range nextKey {
-			nextKey[b] = n.Mux2(smaller, bestKey[b], keys[i][b])
-		}
-		idx := n.Inputs(2)
-		nextIdx := make([]logic.Signal, 2)
-		for b := range nextIdx {
-			nextIdx[b] = n.Mux2(smaller, bestIdx[b], idx[b])
-		}
-		bestKey, bestIdx = nextKey, nextIdx
-	}
-	_ = bestIdx
+	core.SelectionCircuit(n, &in)
 	return n.Cost()
 }
 
-// WakeupRow builds the Fig. 6 request logic for one wake-up array row:
-// resource columns, entry columns, and the scheduled-bit gate.
+// WakeupRow records wakeup.RowCircuit, the Fig. 6 request logic for one
+// wake-up array row: resource columns, entry columns, and the
+// scheduled-bit gate.
 func WakeupRow() logic.Cost {
 	n := logic.NewNetlist("wake-up row (Fig. 6)")
-	terms := make([]logic.Signal, 0, arch.NumUnitTypes+arch.QueueSize+1)
-	for t := 0; t < arch.NumUnitTypes; t++ {
-		needed := n.Input()
-		available := n.Input()
-		terms = append(terms, n.Or2(n.Not(needed), available))
-	}
-	for e := 0; e < arch.QueueSize; e++ {
-		needed := n.Input()
-		resultOK := n.Input()
-		terms = append(terms, n.Or2(n.Not(needed), resultOK))
-	}
-	scheduled := n.Input()
-	terms = append(terms, n.Not(scheduled))
-	_ = n.And(terms...)
+	wakeupRow(n)
 	return n.Cost()
 }
 
-// WakeupArray builds the full seven-row array's request logic.
+// WakeupArray records the full seven-row array's request logic.
 func WakeupArray() logic.Cost {
 	n := logic.NewNetlist("wake-up array request logic (7 rows)")
 	for row := 0; row < arch.QueueSize; row++ {
-		terms := make([]logic.Signal, 0, arch.NumUnitTypes+arch.QueueSize+1)
-		for t := 0; t < arch.NumUnitTypes; t++ {
-			terms = append(terms, n.Or2(n.Not(n.Input()), n.Input()))
-		}
-		for e := 0; e < arch.QueueSize; e++ {
-			terms = append(terms, n.Or2(n.Not(n.Input()), n.Input()))
-		}
-		terms = append(terms, n.Not(n.Input()))
-		_ = n.And(terms...)
+		wakeupRow(n)
 	}
 	return n.Cost()
 }
 
-// Availability builds the Fig. 7 circuit for one unit type over the full
-// 13-entry allocation vector (8 slots + 5 FFUs): per entry a 3-bit
+// wakeupRow records one seven-entry row of the wake-up array into n.
+func wakeupRow(n *logic.Netlist) {
+	var unitNeeded, unitAvail [arch.NumUnitTypes]logic.Wire
+	var depNeeded, depResultOK [arch.QueueSize]logic.Wire
+	n.Inputs(unitNeeded[:])
+	n.Inputs(unitAvail[:])
+	n.Inputs(depNeeded[:])
+	n.Inputs(depResultOK[:])
+	wakeup.RowCircuit(n, unitNeeded, unitAvail, depNeeded[:], depResultOK[:], n.Input())
+}
+
+// Availability records avail.Circuit, Fig. 7 for one unit type over the
+// full 13-entry allocation vector (8 slots + 5 FFUs): per entry a 3-bit
 // equality comparator ANDed with the availability signal, OR-reduced.
 func Availability() logic.Cost {
 	n := logic.NewNetlist("availability circuit (Fig. 7, one type)")
-	want := n.Inputs(arch.EncodingBits)
-	entries := arch.NumRFUSlots + arch.NumFFUs
-	products := make([]logic.Signal, entries)
-	for i := 0; i < entries; i++ {
-		enc := n.Inputs(arch.EncodingBits)
-		eq := n.Equal(enc, want)
-		products[i] = n.And2(eq, n.Input())
+	var want [arch.EncodingBits]logic.Wire
+	var entries [arch.NumRFUSlots + arch.NumFFUs][arch.EncodingBits]logic.Wire
+	var availability [arch.NumRFUSlots + arch.NumFFUs]logic.Wire
+	n.Inputs(want[:])
+	for i := range entries {
+		n.Inputs(entries[i][:])
 	}
-	_ = n.Or(products...)
+	n.Inputs(availability[:])
+	avail.Circuit(n, want, entries[:], availability[:])
 	return n.Cost()
 }
 

@@ -10,8 +10,7 @@ import (
 // 2 XOR + 2 AND + 1 OR at depth 3.
 func TestFullAdderCellCost(t *testing.T) {
 	n := logic.NewNetlist("fa")
-	a, b, cin := n.Input(), n.Input(), n.Input()
-	n.FullAdder(a, b, cin)
+	n.FullAdder(n.Input(), n.Input(), n.Input())
 	c := n.Cost()
 	if c.Gates["xor"] != 2 || c.Gates["and"] != 2 || c.Gates["or"] != 1 {
 		t.Errorf("full adder gates = %v", c.Gates)

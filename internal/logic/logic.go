@@ -1,369 +1,146 @@
-// Package logic provides gate-level combinational building blocks — gates,
-// ripple-carry adders, barrel shifters, one-hot coders, comparators and
-// population counters — from which the paper's circuits (the configuration
-// error metric generator of Fig. 3, the wake-up row logic of Fig. 6 and the
-// availability circuit of Fig. 7) are reconstructed bit-for-bit.
+// Package logic describes combinational circuits once, as Go functions
+// over one gate builder (Netlist), so that the same description is both
+// evaluated on logic levels and recorded as a costed netlist. The
+// paper's circuits — the selection unit of Fig. 2, the configuration
+// error metric generator of Fig. 3, the wake-up row logic of Fig. 6 and
+// the availability circuit of Fig. 7 — are written this way in the
+// packages that own their behavioural forms; this package supplies the
+// gates and the composites they share: balanced AND/OR reductions,
+// ripple-carry and saturating adders, barrel shifters and comparators.
 //
-// Everything in this package is a pure function over Bit and Bus values.
-// The simulator proper uses fast behavioural equivalents; the circuit
-// models exist so that tests can prove circuit == behaviour exhaustively,
-// which is the repo's reproduction of the paper's hardware figures.
+// The simulator proper uses fast behavioural equivalents; evaluating the
+// circuit descriptions lets tests prove circuit == behaviour
+// exhaustively, and recording them yields the hardware-cost table
+// (internal/hwcost), so the table is derived from the circuits the tests
+// check.
 package logic
 
-import "fmt"
-
-// Bit is a single logic level.
-type Bit bool
-
-// Bus is a little-endian vector of bits: index 0 is the least-significant
-// bit.
-type Bus []Bit
-
-// Elementary gates.
-
-// Not returns the complement of a.
-func Not(a Bit) Bit { return !a }
-
-// And returns the conjunction of its inputs; And() is true (identity).
-func And(in ...Bit) Bit {
-	for _, b := range in {
-		if !b {
-			return false
+// And reduces its inputs with a balanced tree of 2-input ANDs; a single
+// input is passed through as a wire. It panics on no inputs. The tree's
+// shape sets only its cost, so Eval folds the levels in one pass.
+func (n *Netlist) And(in ...Wire) Wire {
+	if len(in) == 0 {
+		panic("logic: And of nothing")
+	}
+	if n == nil {
+		v := in[0]
+		for _, w := range in[1:] {
+			v &= w
 		}
+		return v
 	}
-	return true
+	return n.reduce(kindAnd, in)
 }
 
-// Or returns the disjunction of its inputs; Or() is false (identity).
-func Or(in ...Bit) Bit {
-	for _, b := range in {
-		if b {
-			return true
+// Or reduces its inputs with a balanced tree of 2-input ORs, as And does.
+func (n *Netlist) Or(in ...Wire) Wire {
+	if len(in) == 0 {
+		panic("logic: Or of nothing")
+	}
+	if n == nil {
+		v := in[0]
+		for _, w := range in[1:] {
+			v |= w
 		}
+		return v
 	}
-	return false
+	return n.reduce(kindOr, in)
 }
 
-// Xor returns the exclusive-or (odd parity) of its inputs.
-func Xor(in ...Bit) Bit {
-	v := Bit(false)
-	for _, b := range in {
-		v = v != b
+// reduce records the balanced tree of 2-input gates of kind k over in.
+func (n *Netlist) reduce(k kind, in []Wire) Wire {
+	if len(in) == 1 {
+		return in[0]
 	}
-	return v
+	mid := len(in) / 2
+	a, b := n.reduce(k, in[:mid]), n.reduce(k, in[mid:])
+	return n.gate(k, a, b, b)
 }
 
-// Nand returns NOT(AND(in...)).
-func Nand(in ...Bit) Bit { return Not(And(in...)) }
-
-// Nor returns NOT(OR(in...)).
-func Nor(in ...Bit) Bit { return Not(Or(in...)) }
-
-// Mux2 returns a when sel is false and b when sel is true, built from
-// gates.
-func Mux2(sel, a, b Bit) Bit { return Or(And(Not(sel), a), And(sel, b)) }
-
-// MuxBus selects one of the input buses by the binary value of sel. All
-// inputs must share a width. It panics if sel addresses a missing input.
-func MuxBus(sel Bus, in ...Bus) Bus {
-	idx := sel.Uint()
-	if int(idx) >= len(in) {
-		panic(fmt.Sprintf("logic: MuxBus select %d of %d inputs", idx, len(in)))
-	}
-	w := len(in[0])
-	out := make(Bus, w)
-	for bit := 0; bit < w; bit++ {
-		v := Bit(false)
-		for i, bus := range in {
-			if len(bus) != w {
-				panic("logic: MuxBus width mismatch")
-			}
-			v = Or(v, And(selectLine(sel, uint64(i)), bus[bit]))
-		}
-		out[bit] = v
-	}
-	return out
-}
-
-// selectLine decodes sel == want as a gate network.
-func selectLine(sel Bus, want uint64) Bit {
-	v := Bit(true)
-	for i, b := range sel {
-		bitWanted := want>>uint(i)&1 == 1
-		if bitWanted {
-			v = And(v, b)
-		} else {
-			v = And(v, Not(b))
-		}
-	}
-	return v
-}
-
-// Bus construction and conversion.
-
-// BusFromUint returns the width-bit little-endian bus holding v's low
-// bits.
-func BusFromUint(v uint64, width int) Bus {
-	b := make(Bus, width)
-	b.SetUint(v)
-	return b
-}
-
-// SetUint fills b in place with the low len(b) bits of v — the
-// allocation-free form of BusFromUint for callers that own their
-// buffers (see the fast-path circuit models in cem and core).
-func (b Bus) SetUint(v uint64) {
-	for i := range b {
-		b[i] = Bit(v>>uint(i)&1 == 1)
-	}
-}
-
-// Uint returns the unsigned value carried by the bus.
-func (b Bus) Uint() uint64 {
-	var v uint64
-	for i, bit := range b {
-		if bit {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-// String renders the bus MSB-first, e.g. "0b101".
-func (b Bus) String() string {
-	s := "0b"
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] {
-			s += "1"
-		} else {
-			s += "0"
-		}
-	}
-	return s
-}
-
-// Clone returns an independent copy of the bus.
-func (b Bus) Clone() Bus {
-	c := make(Bus, len(b))
-	copy(c, b)
-	return c
-}
-
-// Arithmetic blocks.
-
-// HalfAdder returns the sum and carry of two bits.
-func HalfAdder(a, b Bit) (sum, carry Bit) {
-	return Xor(a, b), And(a, b)
-}
-
-// FullAdder returns the sum and carry of two bits and a carry-in.
-func FullAdder(a, b, cin Bit) (sum, cout Bit) {
-	s1, c1 := HalfAdder(a, b)
-	s2, c2 := HalfAdder(s1, cin)
-	return s2, Or(c1, c2)
-}
-
-// RippleAdder adds two equal-width buses with a carry-in and returns the
-// sum bus and the carry-out. It panics on width mismatch.
-func RippleAdder(a, b Bus, cin Bit) (sum Bus, cout Bit) {
-	if len(a) != len(b) {
-		panic("logic: RippleAdder width mismatch")
-	}
-	sum = make(Bus, len(a))
-	cout = RippleAdderInto(sum, a, b, cin)
+// FullAdder returns the sum and carry of a, b and a carry-in: two XORs,
+// two ANDs and an OR, three levels deep.
+func (n *Netlist) FullAdder(a, b, cin Wire) (sum, cout Wire) {
+	s1 := n.Xor2(a, b)
+	sum = n.Xor2(s1, cin)
+	cout = n.Or2(n.And2(a, b), n.And2(s1, cin))
 	return sum, cout
 }
 
-// RippleAdderInto writes a+b+cin into dst and returns the carry-out.
-// dst may alias a or b: each bit position is read before it is written.
-// Panics on width mismatch.
-func RippleAdderInto(dst, a, b Bus, cin Bit) (cout Bit) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("logic: RippleAdderInto width mismatch")
+// RippleAdder writes a+b+cin into sum and returns the carry-out. sum may
+// alias a or b: each bit position is read before it is written. It
+// panics on width mismatch.
+func (n *Netlist) RippleAdder(sum, a, b []Wire, cin Wire) (cout Wire) {
+	if len(a) != len(b) || len(sum) != len(a) {
+		panic("logic: RippleAdder width mismatch")
 	}
 	c := cin
 	for i := range a {
-		dst[i], c = FullAdder(a[i], b[i], c)
+		sum[i], c = n.FullAdder(a[i], b[i], c)
 	}
 	return c
 }
 
-// SaturatingAdder adds two equal-width buses and clamps the result to the
-// all-ones value on overflow. The paper's CEM generator sums five 3-bit
-// contributions whose total provably fits in three bits, but the
-// saturating form keeps the circuit safe for out-of-spec inputs.
-func SaturatingAdder(a, b Bus) Bus {
-	out := make(Bus, len(a))
-	SaturatingAdderInto(out, a, b)
-	return out
-}
-
-// SaturatingAdderInto writes the saturating sum of a and b into dst,
-// which may alias either operand. Panics on width mismatch.
-func SaturatingAdderInto(dst, a, b Bus) {
-	cout := RippleAdderInto(dst, a, b, false)
-	for i := range dst {
-		dst[i] = Or(dst[i], cout)
+// SaturatingAdder writes a+b into sum, clamped to the all-ones value on
+// overflow; sum may alias either operand. The paper's CEM generator sums
+// five 3-bit contributions whose total provably fits in three bits, but
+// the saturating form keeps the circuit safe for out-of-spec inputs.
+func (n *Netlist) SaturatingAdder(sum, a, b []Wire) {
+	cout := n.RippleAdder(sum, a, b, n.Const(false))
+	for i := range sum {
+		sum[i] = n.Or2(sum[i], cout)
 	}
 }
 
-// AdderTree sums any number of equal-width buses with SaturatingAdder
-// stages arranged as a balanced tree, mirroring the paper's "3-bit,
-// 5-operand adder" of Fig. 3(b). AdderTree of no inputs panics.
-func AdderTree(in ...Bus) Bus {
-	switch len(in) {
-	case 0:
-		panic("logic: AdderTree of zero operands")
-	case 1:
-		return in[0].Clone()
-	}
-	mid := len(in) / 2
-	return SaturatingAdder(AdderTree(in[:mid]...), AdderTree(in[mid:]...))
-}
-
-// ShiftRight returns a >> n with zero fill, as a wiring-only operation.
-func ShiftRight(a Bus, n int) Bus {
-	out := make(Bus, len(a))
-	ShiftRightInto(out, a, n)
-	return out
-}
-
-// ShiftRightInto writes a >> n (zero fill) into dst. dst may alias a:
-// positions are written in ascending order and each reads only from a
-// strictly higher index. Panics on width mismatch.
-func ShiftRightInto(dst, a Bus, n int) {
+// BarrelShiftRight writes a shifted right by the binary value of shift
+// into dst, zero-filled, as the classic logarithmic stack of 2:1
+// multiplexers: one mux stage per shift-control bit. dst may alias a:
+// within a stage position i reads only positions i and i+2^stage, so an
+// ascending in-place sweep is safe. It panics on width mismatch.
+func (n *Netlist) BarrelShiftRight(dst, a, shift []Wire) {
 	if len(dst) != len(a) {
-		panic("logic: ShiftRightInto width mismatch")
+		panic("logic: BarrelShiftRight width mismatch")
 	}
-	for i := range dst {
-		if i+n < len(a) {
-			dst[i] = a[i+n]
-		} else {
-			dst[i] = false
-		}
-	}
-}
-
-// BarrelShiftRight shifts a right by the binary value of the shift bus,
-// implemented as the classic logarithmic stack of 2-way multiplexers: one
-// mux stage per shift-control bit.
-func BarrelShiftRight(a Bus, shift Bus) Bus {
-	cur := a.Clone()
-	BarrelShiftRightInto(cur, cur, shift)
-	return cur
-}
-
-// BarrelShiftRightInto writes a >> shift.Uint() into dst through the same
-// mux stages as BarrelShiftRight, without allocating. dst may alias a:
-// within each stage, position i reads only positions i and i+2^stage, so
-// an ascending in-place sweep is safe. Panics on width mismatch.
-func BarrelShiftRightInto(dst, a Bus, shift Bus) {
-	if len(dst) != len(a) {
-		panic("logic: BarrelShiftRightInto width mismatch")
-	}
-	if len(dst) == 0 {
-		return
-	}
-	if &dst[0] != &a[0] {
-		copy(dst, a)
-	}
+	copy(dst, a)
+	zero := n.Const(false)
 	for stage, sel := range shift {
-		n := 1 << uint(stage)
+		k := 1 << uint(stage)
 		for i := range dst {
-			shifted := Bit(false)
-			if i+n < len(dst) {
-				shifted = dst[i+n]
+			shifted := zero
+			if i+k < len(dst) {
+				shifted = dst[i+k]
 			}
-			dst[i] = Mux2(sel, dst[i], shifted)
+			dst[i] = n.Mux2(sel, dst[i], shifted)
 		}
 	}
 }
 
-// Comparators.
-
-// Equal reports a == b as an XNOR/AND reduction. Panics on width
-// mismatch.
-func Equal(a, b Bus) Bit {
+// Equal returns a == b: per bit an XNOR (XOR and inverter), reduced by a
+// balanced AND tree. It panics on width mismatch or zero width.
+func (n *Netlist) Equal(a, b []Wire) Wire {
 	if len(a) != len(b) {
 		panic("logic: Equal width mismatch")
 	}
-	v := Bit(true)
-	for i := range a {
-		v = And(v, Not(Xor(a[i], b[i])))
+	switch len(a) {
+	case 0:
+		panic("logic: Equal of nothing")
+	case 1:
+		return n.Not(n.Xor2(a[0], b[0]))
 	}
-	return v
+	mid := len(a) / 2
+	return n.And2(n.Equal(a[:mid], b[:mid]), n.Equal(a[mid:], b[mid:]))
 }
 
-// LessThan reports a < b (unsigned), built as the standard MSB-first
-// borrow chain. Panics on width mismatch.
-func LessThan(a, b Bus) Bit {
+// LessThan returns a < b (unsigned), built as the standard MSB-first
+// borrow chain. It panics on width mismatch.
+func (n *Netlist) LessThan(a, b []Wire) Wire {
 	if len(a) != len(b) {
 		panic("logic: LessThan width mismatch")
 	}
-	lt := Bit(false)
-	eq := Bit(true)
+	lt := n.Const(false)
+	eq := n.Not(n.Const(false)) // constant 1 via an inverter on constant 0
 	for i := len(a) - 1; i >= 0; i-- {
-		lt = Or(lt, And(eq, Not(a[i]), b[i]))
-		eq = And(eq, Not(Xor(a[i], b[i])))
+		lt = n.Or2(lt, n.And2(n.And2(eq, n.Not(a[i])), b[i]))
+		eq = n.And2(eq, n.Not(n.Xor2(a[i], b[i])))
 	}
 	return lt
-}
-
-// IsZero reports that no bit of the bus is set.
-func IsZero(a Bus) Bit { return Nor(a...) }
-
-// Coders.
-
-// Decoder returns the 2^len(sel)-line one-hot decode of sel.
-func Decoder(sel Bus) Bus {
-	out := make(Bus, 1<<uint(len(sel)))
-	for i := range out {
-		out[i] = selectLine(sel, uint64(i))
-	}
-	return out
-}
-
-// PriorityEncoder returns the index of the lowest set line of in and a
-// valid bit that is false when no line is set. The output bus is wide
-// enough to index every line.
-func PriorityEncoder(in Bus) (idx Bus, valid Bit) {
-	width := 0
-	for 1<<uint(width) < len(in) {
-		width++
-	}
-	idx = make(Bus, width)
-	valid = Or(in...)
-	blocked := Bit(false)
-	for i, line := range in {
-		hit := And(line, Not(blocked))
-		for b := 0; b < width; b++ {
-			if i>>uint(b)&1 == 1 {
-				idx[b] = Or(idx[b], hit)
-			}
-		}
-		blocked = Or(blocked, line)
-	}
-	return idx, valid
-}
-
-// PopCount returns the number of set bits of in as a bus of the minimal
-// width that can hold len(in), built from an adder tree over the input
-// bits.
-func PopCount(in Bus) Bus {
-	width := 1
-	for 1<<uint(width)-1 < len(in) {
-		width++
-	}
-	if len(in) == 0 {
-		return make(Bus, width)
-	}
-	operands := make([]Bus, len(in))
-	for i, b := range in {
-		operand := make(Bus, width)
-		operand[0] = b
-		operands[i] = operand
-	}
-	// The total cannot overflow width bits by construction, so the
-	// saturating tree behaves as an exact adder here.
-	return AdderTree(operands...)
 }

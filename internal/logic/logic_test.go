@@ -6,52 +6,66 @@ import (
 	"testing/quick"
 )
 
+// levels returns the evaluated width-bit bus holding v's low bits.
+func levels(v uint64, width int) []Wire {
+	w := make([]Wire, width)
+	SetUint(w, v)
+	return w
+}
+
 func TestGateTruthTables(t *testing.T) {
-	const T, F = Bit(true), Bit(false)
-	if Not(T) != F || Not(F) != T {
+	const T, F = Wire(1), Wire(0)
+	if Eval.Not(T) != F || Eval.Not(F) != T {
 		t.Error("Not truth table wrong")
 	}
-	if And(T, T) != T || And(T, F) != F || And(F, T) != F || And(F, F) != F {
-		t.Error("And truth table wrong")
-	}
-	if Or(T, T) != T || Or(T, F) != T || Or(F, T) != T || Or(F, F) != F {
-		t.Error("Or truth table wrong")
-	}
-	if Xor(T, T) != F || Xor(T, F) != T || Xor(F, T) != T || Xor(F, F) != F {
-		t.Error("Xor truth table wrong")
-	}
-	if Nand(T, T) != F || Nand(F, F) != T {
-		t.Error("Nand truth table wrong")
-	}
-	if Nor(F, F) != T || Nor(T, F) != F {
-		t.Error("Nor truth table wrong")
+	for _, a := range []Wire{F, T} {
+		for _, b := range []Wire{F, T} {
+			if got, want := Eval.And2(a, b), Level(a == T && b == T); got != want {
+				t.Errorf("And2(%d,%d) = %d", a, b, got)
+			}
+			if got, want := Eval.Or2(a, b), Level(a == T || b == T); got != want {
+				t.Errorf("Or2(%d,%d) = %d", a, b, got)
+			}
+			if got, want := Eval.Xor2(a, b), Level(a != b); got != want {
+				t.Errorf("Xor2(%d,%d) = %d", a, b, got)
+			}
+		}
 	}
 }
 
+// TestGateIdentities: a one-input reduction is the input itself, and
+// the reductions of every input pattern are the conjunction and the
+// disjunction.
 func TestGateIdentities(t *testing.T) {
-	if And() != Bit(true) {
-		t.Error("And() should be true")
+	for _, v := range []Wire{0, 1} {
+		if Eval.And(v) != v || Eval.Or(v) != v {
+			t.Errorf("one-input reduction of %d is not the identity", v)
+		}
 	}
-	if Or() != Bit(false) {
-		t.Error("Or() should be false")
-	}
-	if Xor() != Bit(false) {
-		t.Error("Xor() should be false")
+	for width := 2; width <= 8; width++ {
+		for v := uint64(0); v < 1<<uint(width); v++ {
+			in := levels(v, width)
+			all := v == 1<<uint(width)-1
+			if Eval.And(in...) != Level(all) {
+				t.Fatalf("And(%0*b) wrong", width, v)
+			}
+			if Eval.Or(in...) != Level(v != 0) {
+				t.Fatalf("Or(%0*b) wrong", width, v)
+			}
+		}
 	}
 }
 
 func TestXorIsOddParity(t *testing.T) {
 	f := func(v uint8, n uint8) bool {
-		n = n%8 + 1
-		in := make([]Bit, n)
+		in := levels(uint64(v), int(n%8+1))
+		parity := Wire(0)
 		ones := 0
-		for i := range in {
-			in[i] = v>>uint(i)&1 == 1
-			if in[i] {
-				ones++
-			}
+		for _, b := range in {
+			parity = Eval.Xor2(parity, b)
+			ones += int(b)
 		}
-		return Xor(in...) == Bit(ones%2 == 1)
+		return parity == Level(ones%2 == 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -59,15 +73,15 @@ func TestXorIsOddParity(t *testing.T) {
 }
 
 func TestMux2(t *testing.T) {
-	for _, sel := range []Bit{false, true} {
-		for _, a := range []Bit{false, true} {
-			for _, b := range []Bit{false, true} {
+	for _, sel := range []Wire{0, 1} {
+		for _, a := range []Wire{0, 1} {
+			for _, b := range []Wire{0, 1} {
 				want := a
-				if sel {
+				if sel == 1 {
 					want = b
 				}
-				if got := Mux2(sel, a, b); got != want {
-					t.Errorf("Mux2(%v,%v,%v) = %v, want %v", sel, a, b, got, want)
+				if got := Eval.Mux2(sel, a, b); got != want {
+					t.Errorf("Mux2(%d,%d,%d) = %d, want %d", sel, a, b, got, want)
 				}
 			}
 		}
@@ -76,7 +90,7 @@ func TestMux2(t *testing.T) {
 
 func TestBusRoundTrip(t *testing.T) {
 	f := func(v uint16) bool {
-		return BusFromUint(uint64(v), 16).Uint() == uint64(v)
+		return Uint(levels(uint64(v), 16)) == uint64(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -84,38 +98,24 @@ func TestBusRoundTrip(t *testing.T) {
 }
 
 func TestBusTruncates(t *testing.T) {
-	if got := BusFromUint(0xff, 3).Uint(); got != 7 {
-		t.Errorf("BusFromUint(0xff,3).Uint() = %d, want 7", got)
-	}
-}
-
-func TestBusString(t *testing.T) {
-	if got := BusFromUint(5, 3).String(); got != "0b101" {
-		t.Errorf("String = %q, want 0b101", got)
-	}
-}
-
-func TestBusCloneIndependent(t *testing.T) {
-	a := BusFromUint(3, 4)
-	b := a.Clone()
-	b[0] = false
-	if a[0] != Bit(true) {
-		t.Error("Clone aliases its receiver")
+	if got := Uint(levels(0xff, 3)); got != 7 {
+		t.Errorf("SetUint(0xff) over 3 bits reads %d, want 7", got)
 	}
 }
 
 // TestRippleAdderExhaustive checks all 4-bit additions with both carry-in
 // values against integer arithmetic.
 func TestRippleAdderExhaustive(t *testing.T) {
+	sum := make([]Wire, 4)
 	for a := uint64(0); a < 16; a++ {
 		for b := uint64(0); b < 16; b++ {
 			for cin := uint64(0); cin < 2; cin++ {
-				sum, cout := RippleAdder(BusFromUint(a, 4), BusFromUint(b, 4), Bit(cin == 1))
+				cout := Eval.RippleAdder(sum, levels(a, 4), levels(b, 4), Wire(cin))
 				total := a + b + cin
-				if sum.Uint() != total&0xf {
-					t.Fatalf("%d+%d+%d sum = %d, want %d", a, b, cin, sum.Uint(), total&0xf)
+				if Uint(sum) != total&0xf {
+					t.Fatalf("%d+%d+%d sum = %d, want %d", a, b, cin, Uint(sum), total&0xf)
 				}
-				if cout != Bit(total > 0xf) {
+				if cout != Level(total > 0xf) {
 					t.Fatalf("%d+%d+%d cout = %v", a, b, cin, cout)
 				}
 			}
@@ -129,68 +129,55 @@ func TestRippleAdderWidthMismatchPanics(t *testing.T) {
 			t.Error("no panic on width mismatch")
 		}
 	}()
-	RippleAdder(make(Bus, 3), make(Bus, 4), false)
+	Eval.RippleAdder(make([]Wire, 3), make([]Wire, 3), make([]Wire, 4), 0)
 }
 
 // TestSaturatingAdderExhaustive checks all 3-bit saturating additions,
-// the width used throughout the CEM circuit.
+// the width used throughout the CEM circuit, with the sum written over
+// its first operand as the circuits do.
 func TestSaturatingAdderExhaustive(t *testing.T) {
 	for a := uint64(0); a < 8; a++ {
 		for b := uint64(0); b < 8; b++ {
-			got := SaturatingAdder(BusFromUint(a, 3), BusFromUint(b, 3)).Uint()
-			want := a + b
-			if want > 7 {
-				want = 7
-			}
-			if got != want {
+			sum := levels(a, 3)
+			Eval.SaturatingAdder(sum, sum, levels(b, 3))
+			want := min(a+b, 7)
+			if got := Uint(sum); got != want {
 				t.Fatalf("sat %d+%d = %d, want %d", a, b, got, want)
 			}
 		}
 	}
 }
 
+// TestAdderTreeMatchesSequentialSum: a chain of saturating adders — the
+// five-operand adder of Fig. 3(b) — is exact while the true sum fits in
+// three bits and clamps at 7 once it does not.
 func TestAdderTreeMatchesSequentialSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(6)
-		operands := make([]Bus, n)
-		sum := uint64(0)
-		for i := range operands {
-			v := uint64(rng.Intn(8))
-			sum += v
-			operands[i] = BusFromUint(v, 3)
+		v := uint64(rng.Intn(8))
+		total := v
+		sum := levels(v, 3)
+		for i := 1; i < n; i++ {
+			v = uint64(rng.Intn(8))
+			total += v
+			Eval.SaturatingAdder(sum, sum, levels(v, 3))
 		}
-		want := sum
-		if want > 7 {
-			want = 7
-		}
-		// The tree saturates per stage; when the true sum fits in the
-		// width no stage can saturate, so equality must hold. When it
-		// does not fit the tree must clamp at 7.
-		got := AdderTree(operands...).Uint()
-		if sum <= 7 && got != sum {
-			t.Fatalf("AdderTree exact sum = %d, want %d", got, sum)
-		}
-		if sum > 7 && got != 7 {
-			t.Fatalf("AdderTree overflow sum = %d, want saturated 7", got)
+		if got, want := Uint(sum), min(total, 7); got != want {
+			t.Fatalf("chain of %d operands summing to %d = %d, want %d", n, total, got, want)
 		}
 	}
 }
 
-func TestAdderTreePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on empty AdderTree")
-		}
-	}()
-	AdderTree()
-}
-
+// TestShiftRight: the barrel shifter with a 3-bit control clears the
+// bus once the shift reaches its width.
 func TestShiftRight(t *testing.T) {
+	out := make([]Wire, 4)
 	for v := uint64(0); v < 16; v++ {
-		for n := 0; n < 5; n++ {
-			if got := ShiftRight(BusFromUint(v, 4), n).Uint(); got != v>>uint(n) {
-				t.Fatalf("ShiftRight(%d,%d) = %d, want %d", v, n, got, v>>uint(n))
+		for n := uint64(0); n < 8; n++ {
+			Eval.BarrelShiftRight(out, levels(v, 4), levels(n, 3))
+			if got := Uint(out); got != v>>n {
+				t.Fatalf("BarrelShiftRight(%d,%d) = %d, want %d", v, n, got, v>>n)
 			}
 		}
 	}
@@ -198,12 +185,13 @@ func TestShiftRight(t *testing.T) {
 
 // TestBarrelShiftRightExhaustive verifies the mux-stack barrel shifter
 // over every 4-bit value and 2-bit shift amount — the configuration used
-// by the CEM circuit's divide-by-1/2/4 shifters.
+// by the CEM circuit's divide-by-1/2/4 shifters — shifting in place.
 func TestBarrelShiftRightExhaustive(t *testing.T) {
 	for v := uint64(0); v < 16; v++ {
 		for s := uint64(0); s < 4; s++ {
-			got := BarrelShiftRight(BusFromUint(v, 4), BusFromUint(s, 2)).Uint()
-			if got != v>>s {
+			bus := levels(v, 4)
+			Eval.BarrelShiftRight(bus, bus, levels(s, 2))
+			if got := Uint(bus); got != v>>s {
 				t.Fatalf("barrel %d>>%d = %d, want %d", v, s, got, v>>s)
 			}
 		}
@@ -211,95 +199,17 @@ func TestBarrelShiftRightExhaustive(t *testing.T) {
 }
 
 func TestEqualAndLessThanExhaustive(t *testing.T) {
-	for a := uint64(0); a < 16; a++ {
-		for b := uint64(0); b < 16; b++ {
-			ab, bb := BusFromUint(a, 4), BusFromUint(b, 4)
-			if Equal(ab, bb) != Bit(a == b) {
-				t.Fatalf("Equal(%d,%d) wrong", a, b)
-			}
-			if LessThan(ab, bb) != Bit(a < b) {
-				t.Fatalf("LessThan(%d,%d) wrong", a, b)
-			}
-		}
-	}
-}
-
-func TestIsZero(t *testing.T) {
-	if IsZero(BusFromUint(0, 5)) != Bit(true) {
-		t.Error("IsZero(0) = false")
-	}
-	if IsZero(BusFromUint(4, 5)) != Bit(false) {
-		t.Error("IsZero(4) = true")
-	}
-}
-
-func TestDecoderOneHot(t *testing.T) {
-	for v := uint64(0); v < 8; v++ {
-		out := Decoder(BusFromUint(v, 3))
-		if len(out) != 8 {
-			t.Fatalf("Decoder width %d, want 8", len(out))
-		}
-		for i, line := range out {
-			if line != Bit(uint64(i) == v) {
-				t.Fatalf("Decoder(%d) line %d = %v", v, i, line)
+	for width := 1; width <= 5; width++ {
+		for a := uint64(0); a < 1<<uint(width); a++ {
+			for b := uint64(0); b < 1<<uint(width); b++ {
+				ab, bb := levels(a, width), levels(b, width)
+				if Eval.Equal(ab, bb) != Level(a == b) {
+					t.Fatalf("Equal(%d,%d) over %d bits wrong", a, b, width)
+				}
+				if Eval.LessThan(ab, bb) != Level(a < b) {
+					t.Fatalf("LessThan(%d,%d) over %d bits wrong", a, b, width)
+				}
 			}
 		}
-	}
-}
-
-func TestPriorityEncoder(t *testing.T) {
-	// No line set: invalid.
-	if _, valid := PriorityEncoder(make(Bus, 8)); valid {
-		t.Error("PriorityEncoder of zero input reported valid")
-	}
-	// Every single-line case plus every two-line case: lowest index wins.
-	for lo := 0; lo < 8; lo++ {
-		for hi := lo; hi < 8; hi++ {
-			in := make(Bus, 8)
-			in[lo] = true
-			in[hi] = true
-			idx, valid := PriorityEncoder(in)
-			if !valid || idx.Uint() != uint64(lo) {
-				t.Fatalf("PriorityEncoder lines {%d,%d} = %d valid=%v, want %d", lo, hi, idx.Uint(), valid, lo)
-			}
-		}
-	}
-}
-
-func TestMuxBus(t *testing.T) {
-	in := []Bus{BusFromUint(1, 3), BusFromUint(3, 3), BusFromUint(5, 3), BusFromUint(7, 3)}
-	for s := uint64(0); s < 4; s++ {
-		got := MuxBus(BusFromUint(s, 2), in...)
-		if got.Uint() != in[s].Uint() {
-			t.Fatalf("MuxBus(%d) = %d, want %d", s, got.Uint(), in[s].Uint())
-		}
-	}
-}
-
-func TestMuxBusPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on out-of-range select")
-		}
-	}()
-	MuxBus(BusFromUint(3, 2), BusFromUint(0, 1), BusFromUint(1, 1))
-}
-
-func TestPopCount(t *testing.T) {
-	for v := uint64(0); v < 1<<7; v++ {
-		in := BusFromUint(v, 7)
-		want := uint64(0)
-		for i := 0; i < 7; i++ {
-			want += v >> uint(i) & 1
-		}
-		if got := PopCount(in).Uint(); got != want {
-			t.Fatalf("PopCount(%07b) = %d, want %d", v, got, want)
-		}
-	}
-}
-
-func TestPopCountEmpty(t *testing.T) {
-	if got := PopCount(nil).Uint(); got != 0 {
-		t.Errorf("PopCount(nil) = %d, want 0", got)
 	}
 }

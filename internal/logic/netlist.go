@@ -2,191 +2,160 @@ package logic
 
 import "fmt"
 
-// Netlist builds combinational circuits as explicit gate graphs so their
-// hardware cost — gate count by kind and critical-path depth — can be
-// reported. The paper's pitch for the selection unit is that it is a
-// "fast and efficient micro-architectural solution"; the netlist models
-// let the repo quantify that claim for every circuit figure.
+// Netlist is the one gate builder every circuit is written against. A
+// non-nil Netlist records each gate as a node so the circuit's hardware
+// cost — gate count by kind and critical-path depth — can be reported;
+// the nil Netlist, exported as Eval, evaluates each gate on logic levels
+// instead. The paper's pitch for the selection unit is that it is a
+// "fast and efficient micro-architectural solution"; recording the same
+// descriptions the equivalence tests evaluate lets the repo quantify
+// that claim for every circuit figure.
 //
-// Signals are identified by opaque handles; inputs have depth 0 and each
-// gate's depth is one more than its deepest input. Gates with a single
-// input (NOT) and wiring (fan-out, constants) are counted separately from
-// 2-input logic, which is the conventional unit of comparison.
+// Inputs and constants have depth 0 and each gate's depth is one more
+// than its deepest input. Gates with a single input (NOT) and wiring
+// (fan-out, constants) are counted separately from 2-input logic, which
+// is the conventional unit of comparison.
 type Netlist struct {
 	name   string
 	inputs int
-	gates  []gate
-	depth  []int // per signal
-	counts map[string]int
+	depth  []int32 // per node
+	counts [numKinds]int
 }
 
-// Signal is a handle to a named wire in a netlist.
-type Signal int
+// Eval is the evaluating builder: every gate method called on it returns
+// the logic level of its output, 0 or 1, computed from the input levels.
+// It is the nil Netlist.
+var Eval *Netlist
 
-type gate struct {
-	kind string
-	in   []Signal
-}
+// Wire is a signal in a circuit: a logic level (0 or 1) under Eval, a
+// node of the netlist under a recording Netlist.
+type Wire int32
 
-// NewNetlist starts an empty circuit.
+// kind is a gate's cost class.
+type kind uint8
+
+const (
+	kindAnd kind = iota
+	kindOr
+	kindXor
+	kindNot
+	kindMux
+	numKinds
+)
+
+var kindNames = [numKinds]string{"and", "or", "xor", "not", "mux"}
+
+// NewNetlist starts an empty recorded circuit.
 func NewNetlist(name string) *Netlist {
-	return &Netlist{name: name, counts: map[string]int{}}
+	return &Netlist{name: name}
 }
 
-// Input declares a primary input and returns its signal.
-func (n *Netlist) Input() Signal {
+// Input declares a primary input of a recorded circuit.
+func (n *Netlist) Input() Wire {
 	n.inputs++
-	n.depth = append(n.depth, 0)
-	n.gates = append(n.gates, gate{kind: "input"})
-	return Signal(len(n.gates) - 1)
+	return n.node(0)
 }
 
-// Inputs declares w primary inputs (a bus).
-func (n *Netlist) Inputs(w int) []Signal {
-	out := make([]Signal, w)
-	for i := range out {
-		out[i] = n.Input()
+// Inputs fills w with fresh primary inputs (a bus).
+func (n *Netlist) Inputs(w []Wire) {
+	for i := range w {
+		w[i] = n.Input()
 	}
-	return out
 }
 
-// Constant declares a tied-off signal (no gate cost, depth 0).
-func (n *Netlist) Constant() Signal {
-	n.depth = append(n.depth, 0)
-	n.gates = append(n.gates, gate{kind: "const"})
-	return Signal(len(n.gates) - 1)
+// Const returns a tied-off wire at level v: the level itself under Eval,
+// a constant node (no gate cost, depth 0) in a recording.
+func (n *Netlist) Const(v bool) Wire {
+	if n == nil {
+		return Level(v)
+	}
+	return n.node(0)
 }
 
-// addGate appends a gate and computes its depth.
-func (n *Netlist) addGate(kind string, in ...Signal) Signal {
-	if len(in) == 0 {
-		panic("logic: netlist gate with no inputs")
+// Level returns the evaluation level of b.
+func Level(b bool) Wire {
+	if b {
+		return 1
 	}
-	d := 0
-	for _, s := range in {
-		if int(s) >= len(n.depth) {
-			panic(fmt.Sprintf("logic: netlist %s: undefined signal %d", n.name, s))
-		}
-		if n.depth[s] > d {
-			d = n.depth[s]
-		}
-	}
-	n.counts[kind]++
-	n.depth = append(n.depth, d+1)
-	n.gates = append(n.gates, gate{kind: kind, in: in})
-	return Signal(len(n.gates) - 1)
+	return 0
 }
 
-// Not adds an inverter.
-func (n *Netlist) Not(a Signal) Signal { return n.addGate("not", a) }
-
-// And2 adds a 2-input AND.
-func (n *Netlist) And2(a, b Signal) Signal { return n.addGate("and", a, b) }
-
-// Or2 adds a 2-input OR.
-func (n *Netlist) Or2(a, b Signal) Signal { return n.addGate("or", a, b) }
-
-// Xor2 adds a 2-input XOR.
-func (n *Netlist) Xor2(a, b Signal) Signal { return n.addGate("xor", a, b) }
-
-// And reduces any number of signals with a balanced tree of 2-input ANDs.
-func (n *Netlist) And(in ...Signal) Signal { return n.reduce("and", in) }
-
-// Or reduces any number of signals with a balanced tree of 2-input ORs.
-func (n *Netlist) Or(in ...Signal) Signal { return n.reduce("or", in) }
-
-func (n *Netlist) reduce(kind string, in []Signal) Signal {
-	switch len(in) {
-	case 0:
-		panic("logic: netlist reduce of nothing")
-	case 1:
-		return in[0]
+// SetUint sets w to the evaluation levels of v's low len(w) bits,
+// least-significant first.
+func SetUint(w []Wire, v uint64) {
+	for i := range w {
+		w[i] = Wire(v >> uint(i) & 1)
 	}
-	mid := len(in) / 2
-	return n.addGate(kind, n.reduce(kind, in[:mid]), n.reduce(kind, in[mid:]))
 }
 
-// Mux2 adds a 2:1 multiplexer (counted as one mux; depth 1).
-func (n *Netlist) Mux2(sel, a, b Signal) Signal { return n.addGate("mux", sel, a, b) }
-
-// FullAdder adds a full adder cell, returning sum and carry.
-func (n *Netlist) FullAdder(a, b, cin Signal) (sum, cout Signal) {
-	s1 := n.Xor2(a, b)
-	sum = n.Xor2(s1, cin)
-	c1 := n.And2(a, b)
-	c2 := n.And2(s1, cin)
-	cout = n.Or2(c1, c2)
-	return sum, cout
+// Uint returns the unsigned value carried by the evaluation levels w,
+// least-significant first.
+func Uint(w []Wire) uint64 {
+	var v uint64
+	for i, b := range w {
+		v |= uint64(b) << uint(i)
+	}
+	return v
 }
 
-// RippleAdder adds two equal-width buses, returning the sum bus and
-// carry-out.
-func (n *Netlist) RippleAdder(a, b []Signal, cin Signal) (sum []Signal, cout Signal) {
-	if len(a) != len(b) {
-		panic("logic: netlist adder width mismatch")
+// The gate methods keep the recording out of line so that each one
+// inlines into its caller under Eval.
+
+// Not returns the complement of a.
+func (n *Netlist) Not(a Wire) Wire {
+	if n == nil {
+		return a ^ 1
 	}
-	sum = make([]Signal, len(a))
-	c := cin
-	for i := range a {
-		sum[i], c = n.FullAdder(a[i], b[i], c)
-	}
-	return sum, c
+	return n.gate(kindNot, a, a, a)
 }
 
-// SaturatingAdder adds with clamp-to-max on carry out.
-func (n *Netlist) SaturatingAdder(a, b []Signal) []Signal {
-	sum, cout := n.RippleAdder(a, b, n.Constant())
-	out := make([]Signal, len(sum))
-	for i := range sum {
-		out[i] = n.Or2(sum[i], cout)
+// And2 returns a AND b.
+func (n *Netlist) And2(a, b Wire) Wire {
+	if n == nil {
+		return a & b
 	}
-	return out
+	return n.gate(kindAnd, a, b, b)
 }
 
-// BarrelShiftRight builds the logarithmic mux stack for a right shift.
-func (n *Netlist) BarrelShiftRight(a []Signal, shift []Signal) []Signal {
-	zero := n.Constant()
-	cur := append([]Signal(nil), a...)
-	for stage, sel := range shift {
-		k := 1 << uint(stage)
-		next := make([]Signal, len(cur))
-		for i := range cur {
-			shifted := zero
-			if i+k < len(cur) {
-				shifted = cur[i+k]
-			}
-			next[i] = n.Mux2(sel, cur[i], shifted)
-		}
-		cur = next
+// Or2 returns a OR b.
+func (n *Netlist) Or2(a, b Wire) Wire {
+	if n == nil {
+		return a | b
 	}
-	return cur
+	return n.gate(kindOr, a, b, b)
 }
 
-// Equal builds an equality comparator over two equal-width buses.
-func (n *Netlist) Equal(a, b []Signal) Signal {
-	if len(a) != len(b) {
-		panic("logic: netlist equal width mismatch")
+// Xor2 returns a XOR b.
+func (n *Netlist) Xor2(a, b Wire) Wire {
+	if n == nil {
+		return a ^ b
 	}
-	terms := make([]Signal, len(a))
-	for i := range a {
-		terms[i] = n.Not(n.Xor2(a[i], b[i]))
-	}
-	return n.And(terms...)
+	return n.gate(kindXor, a, b, b)
 }
 
-// LessThan builds an unsigned a<b comparator (MSB-first chain).
-func (n *Netlist) LessThan(a, b []Signal) Signal {
-	if len(a) != len(b) {
-		panic("logic: netlist lessthan width mismatch")
+// Mux2 returns a when sel is 0 and b when sel is 1: one 2:1 multiplexer
+// of depth 1.
+func (n *Netlist) Mux2(sel, a, b Wire) Wire {
+	if n == nil {
+		return a ^ (a^b)&-sel
 	}
-	lt := n.Constant()
-	eq := n.Not(n.Constant()) // constant 1 via an inverter on constant 0
-	for i := len(a) - 1; i >= 0; i-- {
-		term := n.And2(n.And2(eq, n.Not(a[i])), b[i])
-		lt = n.Or2(lt, term)
-		eq = n.And2(eq, n.Not(n.Xor2(a[i], b[i])))
+	return n.gate(kindMux, sel, a, b)
+}
+
+// node appends a node of the given depth.
+func (n *Netlist) node(depth int32) Wire {
+	n.depth = append(n.depth, depth)
+	return Wire(len(n.depth) - 1)
+}
+
+// gate records a gate of kind k over up to three inputs (repeat an input
+// to fill the unused places).
+func (n *Netlist) gate(k kind, a, b, c Wire) Wire {
+	if max(a, b, c) >= Wire(len(n.depth)) {
+		panic(fmt.Sprintf("logic: netlist %s: undefined wire", n.name))
 	}
-	return lt
+	n.counts[k]++
+	return n.node(max(n.depth[a], n.depth[b], n.depth[c]) + 1)
 }
 
 // Cost summarises a netlist.
@@ -206,17 +175,17 @@ func (c Cost) TwoInputEquivalent() int {
 	return total
 }
 
-// Cost computes the netlist's summary.
+// Cost computes the recorded netlist's summary.
 func (n *Netlist) Cost() Cost {
-	depth := 0
+	var depth int32
 	for _, d := range n.depth {
-		if d > depth {
-			depth = d
+		depth = max(depth, d)
+	}
+	gates := map[string]int{}
+	for k, v := range n.counts {
+		if v > 0 {
+			gates[kindNames[k]] = v
 		}
 	}
-	gates := make(map[string]int, len(n.counts))
-	for k, v := range n.counts {
-		gates[k] = v
-	}
-	return Cost{Name: n.name, Inputs: n.inputs, Gates: gates, Depth: depth}
+	return Cost{Name: n.name, Inputs: n.inputs, Gates: gates, Depth: int(depth)}
 }

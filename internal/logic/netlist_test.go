@@ -4,11 +4,13 @@ import "testing"
 
 func TestNetlistInputsAndConstants(t *testing.T) {
 	n := NewNetlist("t")
-	in := n.Inputs(3)
-	if len(in) != 3 {
-		t.Fatalf("Inputs(3) returned %d signals", len(in))
+	var in [3]Wire
+	n.Inputs(in[:])
+	if in[0] == in[1] || in[1] == in[2] {
+		t.Fatalf("Inputs returned shared wires %v", in)
 	}
-	c := n.Constant()
+	n.Const(false)
+	n.Const(true)
 	cost := n.Cost()
 	if cost.Inputs != 3 {
 		t.Errorf("inputs = %d", cost.Inputs)
@@ -16,7 +18,9 @@ func TestNetlistInputsAndConstants(t *testing.T) {
 	if cost.Depth != 0 {
 		t.Errorf("depth of wiring-only netlist = %d", cost.Depth)
 	}
-	_ = c
+	if len(cost.Gates) != 0 {
+		t.Errorf("wiring-only netlist has gates %v", cost.Gates)
+	}
 }
 
 func TestNetlistGateDepths(t *testing.T) {
@@ -33,8 +37,9 @@ func TestNetlistGateDepths(t *testing.T) {
 
 func TestNetlistReduceTreeDepth(t *testing.T) {
 	n := NewNetlist("t")
-	in := n.Inputs(8)
-	n.And(in...)
+	var in [8]Wire
+	n.Inputs(in[:])
+	n.And(in[:]...)
 	// A balanced 8-input AND tree is 3 levels deep with 7 gates.
 	c := n.Cost()
 	if c.Depth != 3 {
@@ -53,27 +58,30 @@ func TestNetlistReduceTreeDepth(t *testing.T) {
 
 func TestNetlistAdders(t *testing.T) {
 	n := NewNetlist("t")
-	a := n.Inputs(3)
-	b := n.Inputs(3)
-	sum, _ := n.RippleAdder(a, b, n.Constant())
-	if len(sum) != 3 {
-		t.Fatalf("sum width %d", len(sum))
+	var a, b, sum [3]Wire
+	n.Inputs(a[:])
+	n.Inputs(b[:])
+	n.RippleAdder(sum[:], a[:], b[:], n.Const(false))
+	n.SaturatingAdder(sum[:], a[:], b[:])
+	// Two 3-bit ripple adders (2 XOR, 2 AND, 1 OR per cell) plus the
+	// saturating adder's three clamping ORs; the carry chain of the
+	// saturating form is the deepest path: 3 + 2*2 levels and the OR.
+	c := n.Cost()
+	if c.Gates["xor"] != 12 || c.Gates["and"] != 12 || c.Gates["or"] != 9 {
+		t.Errorf("adder gates = %v", c.Gates)
 	}
-	sat := n.SaturatingAdder(a, b)
-	if len(sat) != 3 {
-		t.Fatalf("saturating sum width %d", len(sat))
-	}
-	if n.Cost().Gates["xor"] == 0 {
-		t.Error("adders built no XORs")
+	if c.Depth != 8 {
+		t.Errorf("adder depth = %d, want 8", c.Depth)
 	}
 }
 
 func TestNetlistBarrelShift(t *testing.T) {
 	n := NewNetlist("t")
-	out := n.BarrelShiftRight(n.Inputs(4), n.Inputs(2))
-	if len(out) != 4 {
-		t.Fatalf("shift output width %d", len(out))
-	}
+	var a [4]Wire
+	var shift [2]Wire
+	n.Inputs(a[:])
+	n.Inputs(shift[:])
+	n.BarrelShiftRight(a[:], a[:], shift[:])
 	if n.Cost().Gates["mux"] != 8 { // 4 bits x 2 stages
 		t.Errorf("muxes = %d, want 8", n.Cost().Gates["mux"])
 	}
@@ -81,11 +89,19 @@ func TestNetlistBarrelShift(t *testing.T) {
 
 func TestNetlistComparators(t *testing.T) {
 	n := NewNetlist("t")
-	a, b := n.Inputs(4), n.Inputs(4)
-	n.Equal(a, b)
-	n.LessThan(a, b)
-	if n.Cost().Gates["xor"] == 0 || n.Cost().Gates["and"] == 0 {
-		t.Error("comparators built no logic")
+	var a, b [4]Wire
+	n.Inputs(a[:])
+	n.Inputs(b[:])
+	n.Equal(a[:], b[:])
+	// Equal: per bit an XOR and an inverter, then a 3-AND tree.
+	if c := n.Cost(); c.Gates["xor"] != 4 || c.Gates["not"] != 4 || c.Gates["and"] != 3 || c.Depth != 4 {
+		t.Errorf("4-bit Equal cost = %+v", c)
+	}
+	n.LessThan(a[:], b[:])
+	// LessThan adds the constant-1 inverter and per bit two inverters,
+	// three ANDs, an OR and an XOR.
+	if c := n.Cost(); c.Gates["xor"] != 8 || c.Gates["not"] != 13 || c.Gates["and"] != 15 || c.Gates["or"] != 4 {
+		t.Errorf("4-bit Equal+LessThan cost = %+v", c)
 	}
 }
 
@@ -97,19 +113,23 @@ func TestNetlistPanics(t *testing.T) {
 		},
 		"adder width mismatch": func() {
 			n := NewNetlist("t")
-			n.RippleAdder(n.Inputs(2), n.Inputs(3), n.Constant())
+			n.RippleAdder(make([]Wire, 2), make([]Wire, 2), make([]Wire, 3), n.Const(false))
 		},
 		"equal width mismatch": func() {
-			n := NewNetlist("t")
-			n.Equal(n.Inputs(2), n.Inputs(3))
+			Eval.Equal(make([]Wire, 2), make([]Wire, 3))
+		},
+		"equal of nothing": func() {
+			Eval.Equal(nil, nil)
 		},
 		"lessthan width mismatch": func() {
-			n := NewNetlist("t")
-			n.LessThan(n.Inputs(2), n.Inputs(3))
+			Eval.LessThan(make([]Wire, 2), make([]Wire, 3))
 		},
-		"undefined signal": func() {
+		"shift width mismatch": func() {
+			Eval.BarrelShiftRight(make([]Wire, 2), make([]Wire, 3), nil)
+		},
+		"undefined wire": func() {
 			n := NewNetlist("t")
-			n.Not(Signal(99))
+			n.Not(Wire(99))
 		},
 	}
 	for name, f := range cases {

@@ -368,24 +368,46 @@ func (a *Array) Dump(labels []string) string {
 	return b.String()
 }
 
-// CircuitRequest is the gate-level reconstruction of Fig. 6 for one
-// resource vector: for each resource column an OR of "not needed" with
-// the availability line, for each entry column an OR of "not needed" with
-// the result-available line, all ANDed together with the complement of
-// the scheduled bit. Inputs are the row's raw vectors so tests can drive
-// it exhaustively.
+// RowCircuit is the Fig. 6 request logic of one wake-up array row: for
+// each resource column an OR of "not needed" with the availability line,
+// for each entry column an OR of "not needed" with the result-available
+// line, all ANDed together with the complement of the scheduled bit.
+func RowCircuit(n *logic.Netlist, unitNeeded, unitAvail [arch.NumUnitTypes]logic.Wire,
+	depNeeded, depResultOK []logic.Wire, scheduled logic.Wire) logic.Wire {
+	if len(depNeeded) != len(depResultOK) {
+		panic("wakeup: dependency vector length mismatch")
+	}
+	// Rows of the paper's seven-entry array evaluate without allocating.
+	var buf [arch.NumUnitTypes + arch.QueueSize + 1]logic.Wire
+	terms := buf[:0]
+	for t := range unitNeeded {
+		terms = append(terms, n.Or2(n.Not(unitNeeded[t]), unitAvail[t]))
+	}
+	for j := range depNeeded {
+		terms = append(terms, n.Or2(n.Not(depNeeded[j]), depResultOK[j]))
+	}
+	terms = append(terms, n.Not(scheduled))
+	return n.And(terms...)
+}
+
+// CircuitRequest evaluates RowCircuit on one row's raw vectors — the
+// gate-level form of the row's request, taking the vectors directly so
+// tests can drive it exhaustively.
 func CircuitRequest(unitNeeded [arch.NumUnitTypes]bool, unitAvail [arch.NumUnitTypes]bool,
 	depNeeded, depResultOK []bool, scheduled bool) bool {
 	if len(depNeeded) != len(depResultOK) {
 		panic("wakeup: dependency vector length mismatch")
 	}
-	terms := make([]logic.Bit, 0, arch.NumUnitTypes+len(depNeeded)+1)
-	for t := 0; t < arch.NumUnitTypes; t++ {
-		terms = append(terms, logic.Or(logic.Not(logic.Bit(unitNeeded[t])), logic.Bit(unitAvail[t])))
+	var need, avail [arch.NumUnitTypes]logic.Wire
+	for t := range need {
+		need[t] = logic.Level(unitNeeded[t])
+		avail[t] = logic.Level(unitAvail[t])
 	}
+	var needBuf, okBuf [arch.QueueSize]logic.Wire
+	depNeed, depOK := needBuf[:0], okBuf[:0]
 	for j := range depNeeded {
-		terms = append(terms, logic.Or(logic.Not(logic.Bit(depNeeded[j])), logic.Bit(depResultOK[j])))
+		depNeed = append(depNeed, logic.Level(depNeeded[j]))
+		depOK = append(depOK, logic.Level(depResultOK[j]))
 	}
-	terms = append(terms, logic.Not(logic.Bit(scheduled)))
-	return bool(logic.And(terms...))
+	return RowCircuit(logic.Eval, need, avail, depNeed, depOK, logic.Level(scheduled)) == 1
 }
