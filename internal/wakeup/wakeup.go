@@ -379,14 +379,19 @@ func RowCircuit(n *logic.Netlist, unitNeeded, unitAvail [arch.NumUnitTypes]logic
 	}
 	// Rows of the paper's seven-entry array evaluate without allocating.
 	var buf [arch.NumUnitTypes + arch.QueueSize + 1]logic.Wire
-	terms := buf[:0]
+	terms := buf[:]
+	if k := arch.NumUnitTypes + len(depNeeded) + 1; k > len(terms) {
+		terms = make([]logic.Wire, k)
+	} else {
+		terms = terms[:k]
+	}
 	for t := range unitNeeded {
-		terms = append(terms, n.Or2(n.Not(unitNeeded[t]), unitAvail[t]))
+		terms[t] = n.Or2(n.Not(unitNeeded[t]), unitAvail[t])
 	}
-	for j := range depNeeded {
-		terms = append(terms, n.Or2(n.Not(depNeeded[j]), depResultOK[j]))
+	for j, need := range depNeeded {
+		terms[arch.NumUnitTypes+j] = n.Or2(n.Not(need), depResultOK[j])
 	}
-	terms = append(terms, n.Not(scheduled))
+	terms[len(terms)-1] = n.Not(scheduled)
 	return n.And(terms...)
 }
 
@@ -403,11 +408,15 @@ func CircuitRequest(unitNeeded [arch.NumUnitTypes]bool, unitAvail [arch.NumUnitT
 		need[t] = logic.Level(unitNeeded[t])
 		avail[t] = logic.Level(unitAvail[t])
 	}
-	var needBuf, okBuf [arch.QueueSize]logic.Wire
-	depNeed, depOK := needBuf[:0], okBuf[:0]
-	for j := range depNeeded {
-		depNeed = append(depNeed, logic.Level(depNeeded[j]))
-		depOK = append(depOK, logic.Level(depResultOK[j]))
+	var depBuf [2 * arch.QueueSize]logic.Wire
+	dep := depBuf[:]
+	if k := len(depNeeded); 2*k > len(dep) {
+		dep = make([]logic.Wire, 2*k)
+	}
+	depNeed, depOK := dep[:len(depNeeded)], dep[len(depNeeded):2*len(depNeeded)]
+	for j, b := range depNeeded {
+		depNeed[j] = logic.Level(b)
+		depOK[j] = logic.Level(depResultOK[j])
 	}
 	return RowCircuit(logic.Eval, need, avail, depNeed, depOK, logic.Level(scheduled)) == 1
 }
