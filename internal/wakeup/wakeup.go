@@ -408,12 +408,13 @@ func CircuitRequest(unitNeeded [arch.NumUnitTypes]bool, unitAvail [arch.NumUnitT
 		need[t] = logic.Level(unitNeeded[t])
 		avail[t] = logic.Level(unitAvail[t])
 	}
+	k := len(depNeeded)
 	var depBuf [2 * arch.QueueSize]logic.Wire
 	dep := depBuf[:]
-	if k := len(depNeeded); 2*k > len(dep) {
+	if 2*k > len(dep) {
 		dep = make([]logic.Wire, 2*k)
 	}
-	depNeed, depOK := dep[:len(depNeeded)], dep[len(depNeeded):2*len(depNeeded)]
+	depNeed, depOK := dep[:k], dep[k:2*k]
 	for j, b := range depNeeded {
 		depNeed[j] = logic.Level(b)
 		depOK[j] = logic.Level(depResultOK[j])
