@@ -20,6 +20,8 @@ import (
 	"repro/internal/isa"
 	"repro/internal/predict"
 	"repro/internal/rfu"
+	"repro/internal/span"
+	"repro/internal/trace"
 	"repro/internal/wakeup"
 )
 
@@ -56,6 +58,21 @@ func requireZeroAllocs(t *testing.T, what string, n int, fn func()) {
 	}
 	if allocs := testing.AllocsPerRun(1, window); allocs != 0 {
 		t.Errorf("%s: %.0f allocs in %d calls, want 0", what, allocs, n)
+	}
+}
+
+// TestZeroAllocTraceRing pins the ring behind the bounded logs (the
+// pipeline buffer, the span flight ring, the service recorder): a push
+// writes into storage allocated once, wrapped or not.
+func TestZeroAllocTraceRing(t *testing.T) {
+	r := trace.NewRing[span.Entry](64)
+	e := span.Entry{Kind: span.KindFault, Name: "inject", Aux: "transient"}
+	requireZeroAllocs(t, "trace.Ring.Push", 1000, func() {
+		e.Start++
+		r.Push(e)
+	})
+	if r.Len() != 64 {
+		t.Errorf("len %d after wrapping, want 64", r.Len())
 	}
 }
 
@@ -185,7 +202,7 @@ func TestZeroAllocMachineCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cpu.New(prog, cpu.DefaultParams(), nil)
+	p := cpu.New(prog, cpu.DefaultParams())
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	// Warm up: fill the trace cache, grow the fetch buffer and scratch
 	// slices to their steady-state capacities, and converge the steering
@@ -216,7 +233,7 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 	params := cpu.DefaultParams()
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
-	p := cpu.New(prog, params, nil)
+	p := cpu.New(prog, params)
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
@@ -281,7 +298,7 @@ func TestZeroAllocMachineCycleWithPrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cpu.New(prog, cpu.DefaultParams(), nil)
+	p := cpu.New(prog, cpu.DefaultParams())
 	p.SetManager(predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{}))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()

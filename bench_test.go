@@ -246,7 +246,7 @@ func BenchmarkX1Kernels(b *testing.B) {
 			var last cpu.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, cpu.DefaultParams(), nil)
+				p := cpu.New(prog, cpu.DefaultParams())
 				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
@@ -339,7 +339,7 @@ func BenchmarkX6Basis(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var last cpu.Stats
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, cpu.DefaultParams(), nil)
+				p := cpu.New(prog, cpu.DefaultParams())
 				m := core.NewManager(p.Fabric(), basis)
 				p.SetManager(m)
 				st, err := p.Run(50_000_000)
@@ -420,7 +420,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, cpu.DefaultParams(), nil)
+				p := cpu.New(prog, cpu.DefaultParams())
 				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if traced {
 					observe(p, trace.NewBuffer(1<<16))
@@ -472,7 +472,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, cpu.DefaultParams(), nil)
+				p := cpu.New(prog, cpu.DefaultParams())
 				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if mode == "on" {
 					observe(p, span.NewRecorder(span.Config{}, arch.NumRFUSlots))
@@ -503,7 +503,7 @@ func BenchmarkFaultPathOverhead(b *testing.B) {
 				params.FaultSeed = 9
 			}
 			for i := 0; i < b.N; i++ {
-				p := cpu.New(prog, params, nil)
+				p := cpu.New(prog, params)
 				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)

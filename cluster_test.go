@@ -9,6 +9,7 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/span"
 	"repro/internal/workload"
 )
 
@@ -412,6 +414,49 @@ func TestClusterChromeTraceMulti(t *testing.T) {
 		if !pids[want] {
 			t.Errorf("combined trace missing process lane pid=%d (got %v)", want, pids)
 		}
+	}
+}
+
+// TestRunFlushClosesPhaseSpans pins the end of a run, which
+// repro.Machine.Flush owns at every core count: once a core has halted,
+// its recorder closes the trailing workload phase, so each phase the
+// predictor detected is one phase span; a run cut by its cycle budget
+// leaves the last phase open for a resumed run.
+func TestRunFlushClosesPhaseSpans(t *testing.T) {
+	prog := repro.Synthesize(repro.AlternatingPhases(4000, 250), 7)
+	phases := func(rec *span.Recorder) int {
+		n := 0
+		for _, e := range rec.Entries() {
+			if e.Kind == span.KindPhase {
+				n++
+			}
+		}
+		return n
+	}
+	for _, k := range []int{1, 2} {
+		params := repro.DefaultParams()
+		params.Cores = k
+		params.ClusterMode = "split"
+		c := cluster.New(prog, repro.Options{Params: params, Policy: repro.PolicyPrefetch})
+		recs := c.EnableSpans(repro.SpanConfig{})
+		if _, err := c.Run(5_000_000); err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			want := c.Core(i).Report().Prefetch.PhaseChanges
+			if got := phases(rec); want == 0 || got != want {
+				t.Errorf("K=%d core %d: %d phase spans, want one per detected phase (%d)", k, i, got, want)
+			}
+		}
+	}
+	m := repro.NewMachine(prog, repro.Options{Policy: repro.PolicyPrefetch})
+	rec := m.EnableSpans(repro.SpanConfig{})
+	if _, err := m.Run(2000); !errors.Is(err, repro.ErrCycleLimit) {
+		t.Fatalf("cut run: err = %v, want the cycle limit", err)
+	}
+	want := m.Report().Prefetch.PhaseChanges - 1
+	if got := phases(rec); want < 1 || got != want {
+		t.Errorf("cut run: %d phase spans, want all but the open one (%d)", got, want)
 	}
 }
 

@@ -45,7 +45,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cpu"
 	"repro/internal/rfu"
-	"repro/internal/span"
 )
 
 // MaxCores bounds the cluster width (eight cores over eight slots is
@@ -123,8 +122,6 @@ type Machine struct {
 	// ordering and merged-mode demand combining.
 	demand [MaxCores]arch.Counts
 	order  [MaxCores]int // split-mode stepping order scratch
-
-	spans [MaxCores]*span.Recorder
 }
 
 // New builds a cluster of opt.Params.Cores cores (minimum 1), each
@@ -435,9 +432,9 @@ func (c *Machine) Run(maxCycles int) (Stats, error) {
 // RunContext is Run with cancellation, polled every
 // cpu.CtxCheckInterval cluster cycles like the scalar machine. On
 // budget exhaustion the error wraps cpu.ErrCycleLimit; the statistics
-// so far are returned either way, and telemetry probes are flushed. A
-// one-core cluster runs its machine's own RunContext, so its errors,
-// flushes and span endings are the scalar machine's.
+// so far are returned either way, and every core's machine is flushed
+// (repro.Machine.Flush). A one-core cluster runs its machine's own
+// RunContext, so its errors and flush are the scalar machine's.
 func (c *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
 	if len(c.cores) == 1 {
 		_, err := c.cores[0].RunContext(ctx, maxCycles)
@@ -458,11 +455,8 @@ func (c *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) 
 		}
 	}
 	for i, m := range c.cores {
-		if ferr := m.FlushTelemetry(); err == nil && ferr != nil {
+		if ferr := m.Flush(); err == nil && ferr != nil {
 			err = fmt.Errorf("telemetry (core %d): %w", i, ferr)
-		}
-		if r := c.spans[i]; r != nil && c.procs[i].Halted() {
-			r.Finish()
 		}
 	}
 	if err == nil && !c.Halted() {

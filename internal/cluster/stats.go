@@ -143,15 +143,14 @@ func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) erro
 }
 
 // EnableSpans attaches one span recorder per core, each labelled with
-// its core index by the core's observer; RunContext finishes them for
-// halted cores. Export a combined trace afterwards with
+// its core index by the core's observer; RunContext's per-core Flush
+// finishes them for halted cores. Export a combined trace afterwards with
 // WriteChromeTrace or the recorders' own writers. Call before Run.
 func (c *Machine) EnableSpans(cfg repro.SpanConfig) []*span.Recorder {
 	out := make([]*span.Recorder, len(c.cores))
 	for k, m := range c.cores {
 		out[k] = m.EnableSpans(cfg)
 		m.Observer().SetCore(k)
-		c.spans[k] = out[k]
 	}
 	return out
 }
@@ -159,5 +158,9 @@ func (c *Machine) EnableSpans(cfg repro.SpanConfig) []*span.Recorder {
 // WriteChromeTrace renders every enabled core's span trace into one
 // Chrome Trace document, each core under its own process lane.
 func (c *Machine) WriteChromeTrace(w io.Writer) error {
-	return span.WriteChromeTraceMulti(w, c.spans[:len(c.cores)])
+	recs := make([]*span.Recorder, len(c.cores))
+	for k, m := range c.cores {
+		recs[k] = m.Spans()
+	}
+	return span.WriteChromeTraceMulti(w, recs)
 }

@@ -220,22 +220,11 @@ func (v AllocationVector) TotalCounts() arch.Counts {
 	return v.RFUCounts().Add(FFUCounts())
 }
 
-// Diff returns the indices of reconfigurable slots whose encoding differs
-// from the target configuration — the XOR step the loader performs when a
-// new configuration is chosen (§3.2).
-func (v AllocationVector) Diff(target Configuration) []int {
-	var out []int
-	for i := range v.Slots {
-		if v.Slots[i] != target.Layout[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Distance is the number of differing reconfigurable slots; the minimal
-// error selector uses it to break ties toward the configuration needing
-// the least reconfiguration. It is allocation-free, unlike Diff.
+// Distance is the number of reconfigurable slots whose encoding differs
+// from the target configuration — the XOR step the loader performs when
+// a new configuration is chosen (§3.2). The minimal error selector uses
+// it to break ties toward the configuration needing the least
+// reconfiguration.
 func (v AllocationVector) Distance(target Configuration) int {
 	return LayoutDistance(PackLayout(v.Slots), PackLayout(target.Layout))
 }

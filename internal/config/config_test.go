@@ -180,13 +180,13 @@ func TestDiffAndDistance(t *testing.T) {
 	if got := v.Distance(target); got != 0 {
 		t.Errorf("Distance after load = %d, want 0", got)
 	}
-	if d := v.Diff(target); d != nil {
-		t.Errorf("Diff after load = %v, want nil", d)
-	}
-	// A single changed slot is reported precisely.
-	v.Slots[3] = arch.EncEmpty
-	if d := v.Diff(target); len(d) != 1 || d[0] != 3 {
-		t.Errorf("Diff = %v, want [3]", d)
+	// A single changed slot counts once, whichever slot it is.
+	for i := range v.Slots {
+		v.Slots[i] = arch.EncEmpty
+		if got := v.Distance(target); got != 1 {
+			t.Errorf("Distance with slot %d emptied = %d, want 1", i, got)
+		}
+		v.Slots[i] = target.Layout[i]
 	}
 }
 

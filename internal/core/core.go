@@ -113,9 +113,18 @@ func RequirementEncoder(n *logic.Netlist, lines [arch.QueueSize]logic.Wire) [arc
 }
 
 // Selector is stage 4 of Fig. 2: a comparator chain over the candidates'
-// comparison keys keeps the smallest and forwards its index.
-func Selector(n *logic.Netlist, keys [arch.NumConfigs][KeyBits]logic.Wire,
-	index [arch.NumConfigs][IndexBits]logic.Wire) [IndexBits]logic.Wire {
+// comparison keys keeps the smallest and forwards its index. Candidate
+// i's number is hard-wired: the selector ties key i's index field (its
+// low IndexBits) and the index it forwards to i's constant bits, so only
+// the distance and error fields are inputs.
+func Selector(n *logic.Netlist, keys [arch.NumConfigs][KeyBits]logic.Wire) [IndexBits]logic.Wire {
+	var index [arch.NumConfigs][IndexBits]logic.Wire
+	for i := range index {
+		for b := range index[i] {
+			index[i][b] = n.Const(i>>b&1 == 1)
+		}
+		copy(keys[i][:], index[i][:])
+	}
 	best, bestIndex := keys[0], index[0]
 	for i := 1; i < arch.NumConfigs; i++ {
 		smaller := n.LessThan(keys[i][:], best[:])
@@ -143,17 +152,14 @@ type SelectionInputs struct {
 	// Distance[i] is candidate i's reconfiguration distance, from the
 	// configuration loader.
 	Distance [arch.NumConfigs][DistanceBits]logic.Wire
-	// KeyIndex[i] is candidate i's number as wired into its comparison
-	// key and Index[i] the number the selector forwards; the hardware
-	// ties both to i.
-	KeyIndex, Index [arch.NumConfigs][IndexBits]logic.Wire
 }
 
 // SelectionCircuit is the selection unit of Fig. 2, stages 2-4: five
 // requirement encoders feed four CEM generators — the current
 // configuration's driven by live shift-control logic, the predefined
 // ones by hard-wired control bits — whose errors, with each candidate's
-// distance and index, form the keys the minimal-error selector compares.
+// distance and hard-wired index, form the keys the minimal-error selector
+// compares.
 // It returns the winner's index.
 func SelectionCircuit(n *logic.Netlist, in *SelectionInputs) [IndexBits]logic.Wire {
 	var required [arch.NumUnitTypes][arch.CountBits]logic.Wire
@@ -171,11 +177,10 @@ func SelectionCircuit(n *logic.Netlist, in *SelectionInputs) [IndexBits]logic.Wi
 			shift = in.Shift[i-1]
 		}
 		err := cem.Generator(n, required, shift)
-		copy(keys[i][:], in.KeyIndex[i][:])
 		copy(keys[i][IndexBits:], in.Distance[i][:])
 		copy(keys[i][IndexBits+DistanceBits:], err[:])
 	}
-	return Selector(n, keys, in.Index)
+	return Selector(n, keys)
 }
 
 // CircuitMinimalErrorSelect evaluates Selector over each candidate's
@@ -183,12 +188,10 @@ func SelectionCircuit(n *logic.Netlist, in *SelectionInputs) [IndexBits]logic.Wi
 // equivalent to.
 func CircuitMinimalErrorSelect(errors, distances [arch.NumConfigs]int) int {
 	var keys [arch.NumConfigs][KeyBits]logic.Wire
-	var index [arch.NumConfigs][IndexBits]logic.Wire
 	for i := range keys {
 		logic.SetUint(keys[i][:], uint64(key(errors[i], distances[i], i)))
-		logic.SetUint(index[i][:], uint64(i))
 	}
-	best := Selector(logic.Eval, keys, index)
+	best := Selector(logic.Eval, keys)
 	return int(logic.Uint(best[:]))
 }
 

@@ -134,10 +134,6 @@ func TestSelectionCircuitMatchesSelect(t *testing.T) {
 			logic.SetUint(in.Shift[i][ty][:], uint64(cem.Shift(basisAvail[i][ty])))
 		}
 	}
-	for i := range in.Index {
-		logic.SetUint(in.KeyIndex[i][:], uint64(i))
-		logic.SetUint(in.Index[i][:], uint64(i))
-	}
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 20000; trial++ {
 		var lines [arch.NumUnitTypes]uint64

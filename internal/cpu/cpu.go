@@ -520,26 +520,25 @@ type Processor struct {
 	stats Stats
 }
 
-// New builds a processor for prog with the given parameters and
-// configuration manager (nil for a static machine). The fabric starts
+// New builds a processor for prog with the given parameters and no
+// configuration manager (install one with SetManager). The fabric starts
 // empty: only the FFUs exist until a manager loads RFU configurations;
 // use Fabric().Install to preset a static machine.
-func New(prog isa.Program, params Params, manager Manager) *Processor {
+func New(prog isa.Program, params Params) *Processor {
 	params = params.withDefaults()
 	if params.WindowSize < 1 {
 		panic("cpu: window size must be positive")
 	}
 	p := &Processor{
-		params:  params,
-		prog:    prog,
-		memory:  mem.NewMemory(params.MemBytes),
-		dcache:  mem.NewCache(params.CacheSets, params.CacheLineBytes, params.CacheMissPenalty),
-		pred:    newPredictor(params),
-		tcache:  fetch.NewTraceCache(params.TraceCacheLines, params.TraceCacheLineLen),
-		fabric:  rfu.New(params.ReconfigLatency),
-		array:   wakeup.New(params.WindowSize),
-		manager: manager,
-		rob:     make([]robEntry, params.WindowSize),
+		params: params,
+		prog:   prog,
+		memory: mem.NewMemory(params.MemBytes),
+		dcache: mem.NewCache(params.CacheSets, params.CacheLineBytes, params.CacheMissPenalty),
+		pred:   newPredictor(params),
+		tcache: fetch.NewTraceCache(params.TraceCacheLines, params.TraceCacheLineLen),
+		fabric: rfu.New(params.ReconfigLatency),
+		array:  wakeup.New(params.WindowSize),
+		rob:    make([]robEntry, params.WindowSize),
 	}
 	p.execShim.p = p
 	for op := range p.lat {
@@ -567,7 +566,7 @@ func (p *Processor) Fabric() *rfu.Fabric { return p.fabric }
 // SetManager installs the configuration manager. Managers usually need
 // the fabric, which exists only after New, so the common pattern is:
 //
-//	p := cpu.New(prog, params, nil)
+//	p := cpu.New(prog, params)
 //	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 //
 // repro.NewMachine does this wiring for every Policy.
@@ -603,29 +602,6 @@ func (p *Processor) SetObserver(o *trace.Observer) {
 	p.obs = o
 	p.fabric.SetObserver(o)
 	p.observeManager()
-}
-
-// CoreState snapshots the machine for a sampling sink. Sinks call it
-// only on sampling boundaries, so its cost is off the per-cycle hot path.
-func (p *Processor) CoreState() trace.CoreState {
-	rfuBusy, rfuUnits, ffuBusy := p.fabric.UnitStates()
-	return trace.CoreState{
-		Cycle:          p.stats.Cycles,
-		Retired:        p.stats.Retired,
-		Flushed:        p.stats.Flushed,
-		Occupancy:      p.count,
-		Issued:         p.stats.IssuedByType,
-		DispatchStalls: p.stats.DispatchStallFull,
-		Demand:         p.array.RequiredCounts(),
-		RFUUnits:       rfuUnits,
-		RFUBusy:        rfuBusy,
-		FFUBusy:        ffuBusy,
-		Slots:          p.fabric.Allocation().Slots,
-		ReconfigSlots:  p.fabric.ReconfiguringSlots(),
-		MaskedSlots:    p.fabric.MaskedSlots(),
-		Buckets: [4]int{p.stats.CyclesIssued, p.stats.CyclesUnits,
-			p.stats.CyclesDeps, p.stats.CyclesFrontend},
-	}
 }
 
 // Memory exposes the data memory for input/output setup.

@@ -155,7 +155,7 @@ func buildProcessor(prog isa.Program, params Params, policy string) *Processor {
 	if policy == "no-ffu-steering" {
 		params.DisableFFUs = true
 	}
-	p := New(prog, params, nil)
+	p := New(prog, params)
 	switch policy {
 	case "none":
 	case "steering", "no-ffu-steering", "oracle":
@@ -273,7 +273,7 @@ func TestDifferentialAcrossMachineShapes(t *testing.T) {
 // forever; the machine makes no progress and the budget reports it.
 func TestPCEscapeStallsAndTimesOut(t *testing.T) {
 	prog := isa.MustAssemble("jal r0, 100\nhalt")
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	if _, err := p.Run(500); err == nil {
 		t.Error("PC escape did not exhaust the budget")
 	}
@@ -284,14 +284,14 @@ func TestPCEscapeStallsAndTimesOut(t *testing.T) {
 
 func TestRunReportsCycleBudgetExhaustion(t *testing.T) {
 	prog := isa.MustAssemble("loop:\n j loop\n")
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	if _, err := p.Run(1000); err == nil {
 		t.Error("infinite loop did not exhaust the budget")
 	}
 }
 
 func TestHaltStopsTheClock(t *testing.T) {
-	p := New(isa.MustAssemble("halt"), Params{MemBytes: 1 << 12}, nil)
+	p := New(isa.MustAssemble("halt"), Params{MemBytes: 1 << 12})
 	stats, err := p.Run(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestHaltStopsTheClock(t *testing.T) {
 func TestFFUOnlyMachineStarvesWithoutPolicy(t *testing.T) {
 	prog := isa.MustAssemble("li r1, 1\nhalt")
 	params := Params{MemBytes: 1 << 12, DisableFFUs: true}
-	p := New(prog, params, nil)
+	p := New(prog, params)
 	if _, err := p.Run(2000); err == nil {
 		t.Error("machine made progress with no units at all")
 	}
@@ -333,7 +333,7 @@ func TestSteeringRescuesFFUlessMachine(t *testing.T) {
 		halt
 	`)
 	params := Params{MemBytes: 1 << 12, DisableFFUs: true, ReconfigLatency: 2}
-	p := New(prog, params, nil)
+	p := New(prog, params)
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	if _, err := p.Run(10000); err != nil {
 		t.Fatalf("steering did not rescue the FFU-less machine: %v", err)
@@ -564,7 +564,7 @@ func TestSetRegAndMemoryPresets(t *testing.T) {
 		addi r2, r2, 5
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	p.SetReg(1, 64)
 	p.Memory().StoreWord(64, 37)
 	if _, err := p.Run(1000); err != nil {
@@ -610,7 +610,7 @@ func TestArchitecturalZeroRegister(t *testing.T) {
 		add r2, r0, r1
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
 	}

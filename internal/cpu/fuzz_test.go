@@ -253,7 +253,7 @@ func drawMachine(draw []byte) fuzzMachine {
 // steering manager it also returns that manager, its steering cache
 // switched off by disableCache; nil otherwise.
 func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *core.Manager) {
-	p := New(prog, m.params, nil)
+	p := New(prog, m.params)
 	var mgr *core.Manager
 	switch m.policy {
 	case "none":

@@ -152,7 +152,7 @@ func spinProgram(t *testing.T) isa.Program {
 }
 
 func TestRunContextDeadline(t *testing.T) {
-	p := New(spinProgram(t), Params{}, nil)
+	p := New(spinProgram(t), Params{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	stats, err := p.RunContext(ctx, 1<<40)
@@ -168,7 +168,7 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 func TestRunContextPreCancelled(t *testing.T) {
-	p := New(spinProgram(t), Params{}, nil)
+	p := New(spinProgram(t), Params{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stats, err := p.RunContext(ctx, 1<<40)
@@ -192,7 +192,7 @@ func TestRunContextResume(t *testing.T) {
 		add r3, r1, r2
 		halt
 	`)
-	p := New(prog, Params{}, nil)
+	p := New(prog, Params{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.RunContext(ctx, 1_000_000); !errors.Is(err, context.Canceled) {
@@ -214,7 +214,7 @@ func TestRunContextCancelBounded(t *testing.T) {
 	// Cancellation mid-run stops the simulation within one check
 	// interval: after the cancel is visible, at most CtxCheckInterval
 	// more cycles may elapse (the interval in flight when it landed).
-	p := New(spinProgram(t), Params{}, nil)
+	p := New(spinProgram(t), Params{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	var stats Stats

@@ -28,7 +28,7 @@ func TestSubWordStoreLoadForwarding(t *testing.T) {
 	const memBytes = 1 << 12
 	ref, _ := reference(t, prog, memBytes)
 
-	p := New(prog, Params{MemBytes: memBytes}, nil)
+	p := New(prog, Params{MemBytes: memBytes})
 	if _, err := p.Run(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPartialOverlapAcrossWords(t *testing.T) {
 	`)
 	const memBytes = 1 << 12
 	ref, _ := reference(t, prog, memBytes)
-	p := New(prog, Params{MemBytes: memBytes}, nil)
+	p := New(prog, Params{MemBytes: memBytes})
 	if _, err := p.Run(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWrongPathStoreNeverCommits(t *testing.T) {
 		halt
 	`)
 	const memBytes = 1 << 12
-	p := New(prog, Params{MemBytes: memBytes}, nil)
+	p := New(prog, Params{MemBytes: memBytes})
 	if _, err := p.Run(100000); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestTraceLifecycleEvents(t *testing.T) {
 		mul r3, r1, r2
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	buf := traced(p, 1000)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 		bne r1, r2, loop
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	buf := traced(p, 100000)
 	if _, err := p.Run(100000); err != nil {
@@ -123,7 +123,7 @@ func TestTraceRetireCountMatchesStats(t *testing.T) {
 		bne r1, r0, loop
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	buf := traced(p, 100000)
 	st, err := p.Run(100000)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestPipeviewFromRealRun(t *testing.T) {
 		mul r2, r1, r1
 		halt
 	`)
-	p := New(prog, Params{MemBytes: 1 << 12}, nil)
+	p := New(prog, Params{MemBytes: 1 << 12})
 	buf := traced(p, 1000)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		halt
 	`)
 	run := func(withTrace bool) (uint32, int) {
-		p := New(prog, Params{MemBytes: 1 << 12}, nil)
+		p := New(prog, Params{MemBytes: 1 << 12})
 		p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 		if withTrace {
 			traced(p, 10)

@@ -395,7 +395,7 @@ func X7() string {
 	for _, w := range workloads {
 		row := []interface{}{w.name, fmtIPC(ipcOf(w.prog, params, cpu.PolicySteering))}
 		for _, h := range []int{0, 1, 2} {
-			p := cpu.New(w.prog, params, nil)
+			p := cpu.New(w.prog, params)
 			m := core.NewDemandManager(p.Fabric())
 			m.Hysteresis = h
 			p.SetManager(m)

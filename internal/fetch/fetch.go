@@ -267,16 +267,11 @@ func (u *Unit) predictNext(pc uint32, in isa.Inst) (next uint32, taken bool) {
 	}
 }
 
-// Fetch supplies one cycle's fetch group along the predicted path. The
-// group is cut at the width limit, at HALT, and after a predicted-taken
-// branch (the redirect costs the rest of the group, as in a real front
-// end). On a trace-cache miss the walked run is filled into the cache.
-func (u *Unit) Fetch() []Fetched {
-	return u.AppendFetch(nil)
-}
-
-// AppendFetch is Fetch appending into a caller-owned buffer: the cycle's
-// group is appended to dst and the extended slice returned. The
+// AppendFetch supplies one cycle's fetch group along the predicted path,
+// appended to dst; it returns the extended slice. The group is cut at
+// the width limit, at HALT, and after a predicted-taken branch (the
+// redirect costs the rest of the group, as in a real front end). On a
+// trace-cache miss the walked run is filled into the cache. The
 // processor passes a reusable scratch slice so steady-state fetch
 // allocates nothing (the internal PC-run scratch is reused too).
 func (u *Unit) AppendFetch(dst []Fetched) []Fetched {

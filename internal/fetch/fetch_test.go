@@ -144,7 +144,7 @@ func TestFetchSequentialGroup(t *testing.T) {
 		add r3, r3, r3
 		halt
 	`)
-	group := u.Fetch()
+	group := u.AppendFetch(nil)
 	if len(group) != u.MemWidth {
 		t.Fatalf("first group size %d, want mem width %d", len(group), u.MemWidth)
 	}
@@ -161,7 +161,7 @@ func TestFetchStopsAtHalt(t *testing.T) {
 		halt
 		add r1, r1, r1
 	`)
-	group := u.Fetch()
+	group := u.AppendFetch(nil)
 	if len(group) != 1 || group[0].Inst.Op != isa.HALT {
 		t.Fatalf("group = %v", group)
 	}
@@ -170,11 +170,11 @@ func TestFetchStopsAtHalt(t *testing.T) {
 	}
 	// Subsequent fetches supply nothing until a redirect (the HALT may
 	// have been wrong-path and be flushed).
-	if group = u.Fetch(); group != nil {
+	if group = u.AppendFetch(nil); group != nil {
 		t.Errorf("parked fetch group = %v, want nil", group)
 	}
 	u.Redirect(1)
-	if group = u.Fetch(); len(group) != 1 || group[0].Inst.Op != isa.ADD {
+	if group = u.AppendFetch(nil); len(group) != 1 || group[0].Inst.Op != isa.ADD {
 		t.Errorf("post-redirect group = %v", group)
 	}
 }
@@ -187,7 +187,7 @@ func TestFetchFollowsJAL(t *testing.T) {
 	target:
 		halt
 	`)
-	group := u.Fetch()
+	group := u.AppendFetch(nil)
 	if len(group) != 1 {
 		t.Fatalf("group size %d, want 1 (cut at taken jump)", len(group))
 	}
@@ -207,7 +207,7 @@ func TestFetchConditionalPrediction(t *testing.T) {
 		halt
 	`)
 	// Cold counters predict not-taken: fetch falls through.
-	u.Fetch() // pcs 0,1
+	u.AppendFetch(nil) // pcs 0,1
 	if u.PC() != 2 {
 		t.Fatalf("cold fetch pc = %d, want fall-through 2", u.PC())
 	}
@@ -216,7 +216,7 @@ func TestFetchConditionalPrediction(t *testing.T) {
 		u.pred.UpdateTaken(1, true)
 	}
 	u.Redirect(0)
-	group := u.Fetch()
+	group := u.AppendFetch(nil)
 	if len(group) != 2 {
 		t.Fatalf("trained group size %d", len(group))
 	}
@@ -235,14 +235,14 @@ func TestFetchJALRUsesBTB(t *testing.T) {
 		halt
 	`)
 	// Cold BTB: fall through.
-	group := u.Fetch()
+	group := u.AppendFetch(nil)
 	if group[0].PredTaken {
 		t.Error("cold JALR predicted taken")
 	}
 	// Train the BTB to target 2.
 	u.pred.UpdateTarget(0, 2)
 	u.Redirect(0)
-	group = u.Fetch()
+	group = u.AppendFetch(nil)
 	if !group[0].PredTaken || group[0].PredNext != 2 {
 		t.Errorf("JALR prediction = %v,%d want true,2", group[0].PredTaken, group[0].PredNext)
 	}
@@ -262,12 +262,12 @@ func TestTraceCacheWidensFetch(t *testing.T) {
 		add r5, r5, r5
 		halt
 	`)
-	first := u.Fetch()
+	first := u.AppendFetch(nil)
 	if len(first) != u.MemWidth {
 		t.Fatalf("cold fetch width %d", len(first))
 	}
 	u.Redirect(0)
-	second := u.Fetch()
+	second := u.AppendFetch(nil)
 	if len(second) != u.TCWidth {
 		t.Fatalf("warm fetch width %d, want %d", len(second), u.TCWidth)
 	}
@@ -279,7 +279,7 @@ func TestTraceCacheWidensFetch(t *testing.T) {
 func TestFetchStallsOutsideProgram(t *testing.T) {
 	u := newTestUnit("halt")
 	u.Redirect(50)
-	if group := u.Fetch(); group != nil {
+	if group := u.AppendFetch(nil); group != nil {
 		t.Errorf("out-of-range fetch returned %v", group)
 	}
 	if u.StallCycles() != 1 {
@@ -293,8 +293,8 @@ func TestFetchedCounter(t *testing.T) {
 		add r2, r2, r2
 		halt
 	`)
-	u.Fetch()
-	u.Fetch()
+	u.AppendFetch(nil)
+	u.AppendFetch(nil)
 	if u.Fetched() != 3 {
 		t.Errorf("Fetched = %d, want 3", u.Fetched())
 	}

@@ -56,17 +56,15 @@ func RequirementEncoder() logic.Cost {
 }
 
 // MinimalErrorSelector records core.Selector, stage 4: a comparator
-// chain over four 9-bit keys (3-bit error, 4-bit distance, 2-bit index)
-// keeping the minimum and its 2-bit index.
+// chain over four 9-bit keys (3-bit error, 4-bit distance, 2-bit
+// hard-wired index) keeping the minimum and its 2-bit index.
 func MinimalErrorSelector() logic.Cost {
 	n := logic.NewNetlist("minimal error selector (stage 4)")
 	var keys [arch.NumConfigs][core.KeyBits]logic.Wire
-	var index [arch.NumConfigs][core.IndexBits]logic.Wire
 	for i := range keys {
-		n.Inputs(keys[i][:])
-		n.Inputs(index[i][:])
+		n.Inputs(keys[i][core.IndexBits:])
 	}
-	core.Selector(n, keys, index)
+	core.Selector(n, keys)
 	return n.Cost()
 }
 
@@ -90,8 +88,6 @@ func SelectionUnit() logic.Cost {
 	}
 	for i := range in.Distance {
 		n.Inputs(in.Distance[i][:])
-		n.Inputs(in.KeyIndex[i][:])
-		n.Inputs(in.Index[i][:])
 	}
 	core.SelectionCircuit(n, &in)
 	return n.Cost()

@@ -288,18 +288,10 @@ func New(op Opcode, rd, rs1, rs2 uint8, imm int32) Inst {
 // Unit returns the functional-unit type that executes the instruction.
 func (in Inst) Unit() arch.UnitType { return in.Op.Unit() }
 
-// Sources returns the unified indices of the registers the instruction
-// reads, in operand order. The zero register is included when named; it
-// is always ready.
-func (in Inst) Sources() []uint8 {
-	regs, n := in.SourceRegs()
-	return regs[:n]
-}
-
-// SourceRegs is the allocation-free form of Sources: it returns the
-// source registers in a fixed-size array plus the count of valid
-// entries. The dispatch path uses it so dependence collection never
-// heap-allocates.
+// SourceRegs returns the unified indices of the registers the
+// instruction reads, in operand order, in a fixed-size array plus the
+// count of valid entries, so dependence collection never heap-allocates.
+// The zero register is included when named; it is always ready.
 func (in Inst) SourceRegs() (regs [2]uint8, n int) {
 	switch in.Op.Format() {
 	case FmtR, FmtB, FmtStore:

@@ -125,14 +125,15 @@ func TestDestAndSources(t *testing.T) {
 		if ok != c.hasDest || (ok && d != c.dest) {
 			t.Errorf("%v.Dest() = %d,%v want %d,%v", c.in, d, ok, c.dest, c.hasDest)
 		}
-		src := c.in.Sources()
+		regs, n := c.in.SourceRegs()
+		src := regs[:n]
 		if len(src) != len(c.sources) {
-			t.Errorf("%v.Sources() = %v want %v", c.in, src, c.sources)
+			t.Errorf("%v.SourceRegs() = %v want %v", c.in, src, c.sources)
 			continue
 		}
 		for i := range src {
 			if src[i] != c.sources[i] {
-				t.Errorf("%v.Sources() = %v want %v", c.in, src, c.sources)
+				t.Errorf("%v.SourceRegs() = %v want %v", c.in, src, c.sources)
 			}
 		}
 	}

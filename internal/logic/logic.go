@@ -136,11 +136,12 @@ func (n *Netlist) LessThan(a, b []Wire) Wire {
 	if len(a) != len(b) {
 		panic("logic: LessThan width mismatch")
 	}
-	lt := n.Const(false)
-	eq := n.Not(n.Const(false)) // constant 1 via an inverter on constant 0
+	lt, eq := n.Const(false), n.Const(true)
 	for i := len(a) - 1; i >= 0; i-- {
 		lt = n.Or2(lt, n.And2(n.And2(eq, n.Not(a[i])), b[i]))
-		eq = n.And2(eq, n.Not(n.Xor2(a[i], b[i])))
+		if i > 0 { // the last bit's equality is never read
+			eq = n.And2(eq, n.Not(n.Xor2(a[i], b[i])))
+		}
 	}
 	return lt
 }

@@ -98,9 +98,9 @@ func TestNetlistComparators(t *testing.T) {
 		t.Errorf("4-bit Equal cost = %+v", c)
 	}
 	n.LessThan(a[:], b[:])
-	// LessThan adds the constant-1 inverter and per bit two inverters,
-	// three ANDs, an OR and an XOR.
-	if c := n.Cost(); c.Gates["xor"] != 8 || c.Gates["not"] != 13 || c.Gates["and"] != 15 || c.Gates["or"] != 4 {
+	// LessThan adds per bit an inverter, two ANDs and an OR, and per bit
+	// but the last an XOR, an inverter and an AND for the equality chain.
+	if c := n.Cost(); c.Gates["xor"] != 7 || c.Gates["not"] != 11 || c.Gates["and"] != 14 || c.Gates["or"] != 4 {
 		t.Errorf("4-bit Equal+LessThan cost = %+v", c)
 	}
 }

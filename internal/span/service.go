@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // ServiceSpan is one completed stage of an rssd request: body decode,
@@ -33,9 +35,7 @@ type ServiceRecorder struct {
 	reqID atomic.Uint64
 
 	mu        sync.Mutex
-	ring      []ServiceSpan
-	pos, n    int
-	recorded  uint64
+	ring      trace.Ring[ServiceSpan]
 	deadlines uint64
 }
 
@@ -45,7 +45,7 @@ func NewService(size int) *ServiceRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
-	return &ServiceRecorder{epoch: time.Now(), ring: make([]ServiceSpan, size)}
+	return &ServiceRecorder{epoch: time.Now(), ring: trace.NewRing[ServiceSpan](size)}
 }
 
 // NextRequest allocates the next request ordinal.
@@ -87,15 +87,7 @@ func (r *ServiceRecorder) TriggerDeadline(req uint64, kind string, point int, st
 func (r *ServiceRecorder) push(s ServiceSpan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recorded++
-	r.ring[r.pos] = s
-	r.pos++
-	if r.pos == len(r.ring) {
-		r.pos = 0
-	}
-	if r.n < len(r.ring) {
-		r.n++
-	}
+	r.ring.Push(s)
 }
 
 // Snapshot returns the ring contents, oldest first, plus the trigger
@@ -106,15 +98,7 @@ func (r *ServiceRecorder) Snapshot() (spans []ServiceSpan, recorded, deadlines u
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	spans = make([]ServiceSpan, 0, r.n)
-	start := r.pos - r.n
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.n; i++ {
-		spans = append(spans, r.ring[(start+i)%len(r.ring)])
-	}
-	return spans, r.recorded, r.deadlines
+	return r.ring.Copy(), uint64(r.ring.Pushed()), r.deadlines
 }
 
 // serviceDump is the JSON document served by GET /debug/flightrecorder

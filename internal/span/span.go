@@ -168,9 +168,7 @@ type Recorder struct {
 	trace   []Entry // bounded full trace, in record order
 	dropped int     // entries dropped after trace hit MaxTrace
 
-	ring    []Entry // flight ring, overwrite-oldest
-	ringPos int
-	ringLen int
+	flight trace.Ring[Entry] // flight ring, overwrite-oldest
 
 	now int64 // current cycle, from the events
 
@@ -203,7 +201,7 @@ func NewRecorder(cfg Config, slots int) *Recorder {
 	r := &Recorder{
 		cfg:         cfg,
 		trace:       make([]Entry, 0, cfg.MaxTrace),
-		ring:        make([]Entry, cfg.FlightSize),
+		flight:      trace.NewRing[Entry](cfg.FlightSize),
 		winMask:     int64(cfg.Window - 1),
 		repairStart: make([]int64, slots),
 	}
@@ -230,14 +228,7 @@ func (r *Recorder) record(e Entry) {
 	} else {
 		r.dropped++
 	}
-	r.ring[r.ringPos] = e
-	r.ringPos++
-	if r.ringPos == len(r.ring) {
-		r.ringPos = 0
-	}
-	if r.ringLen < len(r.ring) {
-		r.ringLen++
-	}
+	r.flight.Push(e)
 }
 
 // recorderKinds are the events the recorder consumes.
@@ -419,15 +410,7 @@ func (r *Recorder) Flight() []Entry {
 	if r == nil {
 		return nil
 	}
-	out := make([]Entry, 0, r.ringLen)
-	start := r.ringPos - r.ringLen
-	if start < 0 {
-		start += len(r.ring)
-	}
-	for i := 0; i < r.ringLen; i++ {
-		out = append(out, r.ring[(start+i)%len(r.ring)])
-	}
-	return out
+	return r.flight.Copy()
 }
 
 // Triggers returns how many anomaly triggers have fired.

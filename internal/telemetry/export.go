@@ -209,14 +209,14 @@ func NewProm(w io.Writer, reg *Registry) *Prom {
 // Sample is a no-op; the registry's gauges already track sampled state.
 func (e *Prom) Sample(*Sample) error { return nil }
 
-// Decision is a no-op; switches are counted by rsssim_steering_decisions_total.
+// Decision is a no-op; the registry counts the switches.
 func (e *Prom) Decision(*Decision) error { return nil }
 
-// Fault is a no-op; upsets are counted by the rsssim_faults_* counters.
+// Fault is a no-op; the registry's fault counters count the upsets.
 func (e *Prom) Fault(*FaultEvent) error { return nil }
 
-// Prefetch is a no-op; speculation is counted by the rsssim_prefetch_*
-// counters.
+// Prefetch is a no-op; the registry's prefetch counters count the
+// speculations.
 func (e *Prom) Prefetch(*PrefetchEvent) error { return nil }
 
 // Flush renders the registry.

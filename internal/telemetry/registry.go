@@ -6,14 +6,14 @@
 // Prometheus text format.
 //
 // Counts have one data path: sampling. Every Interval cycles, and at
-// Flush, the Probe reads a State — the processor's snapshot and the
-// cumulative counters the manager and fabric keep — sets its registry's
-// counters from it and exports a Sample whose interval fields are the
-// differences between two States. Events only pace the sampling and
-// carry the occurrences logged one by one (decisions, fault and
-// prefetch transitions); nothing is counted twice. Metrics are plain
-// fields, written without allocation or locking (a Probe belongs to
-// exactly one machine).
+// Flush, the Probe reads a State — the processor's statistics and the
+// window, fabric and manager facts, each from the code that keeps it —
+// sets its registry's counters from it and exports a Sample whose
+// interval fields are the differences between two States. Events only
+// pace the sampling and carry the occurrences logged one by one
+// (decisions, fault and prefetch transitions); nothing is counted
+// twice. Metrics are plain fields, written without allocation or
+// locking (a Probe belongs to exactly one machine).
 package telemetry
 
 import (
@@ -166,11 +166,30 @@ func (r *Registry) register(name, help string, k kind, m *metric) {
 	f.series = append(f.series, m)
 }
 
+// add registers one series of kind k (over bounds, for a histogram)
+// and returns it.
+func (r *Registry) add(name, help string, k kind, bounds []int64, labels []Label) *metric {
+	m := &metric{labels: labels}
+	switch k {
+	case kindCounter:
+		m.c = &Counter{}
+	case kindGauge:
+		m.g = &Gauge{}
+	case kindHistogram:
+		for i := 1; i < len(bounds); i++ {
+			if bounds[i] <= bounds[i-1] {
+				panic(fmt.Sprintf("telemetry: histogram %s bounds not ascending", name))
+			}
+		}
+		m.h = &Histogram{bounds: append([]int64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
+	}
+	r.register(name, help, k, m)
+	return m
+}
+
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &metric{labels: labels, c: c})
-	return c
+	return r.add(name, help, kindCounter, nil, labels).c
 }
 
 // NewCounters registers a counter family with one series per value of
@@ -185,22 +204,13 @@ func (r *Registry) NewCounters(name, help, key string, values ...string) map[str
 
 // NewGauge registers and returns a gauge.
 func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &metric{labels: labels, g: g})
-	return g
+	return r.add(name, help, kindGauge, nil, labels).g
 }
 
 // NewHistogram registers and returns a histogram with the given
 // ascending upper bucket bounds (an implicit +Inf bucket is added).
 func (r *Registry) NewHistogram(name, help string, bounds []int64, labels ...Label) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %s bounds not ascending", name))
-		}
-	}
-	h := &Histogram{bounds: append([]int64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
-	r.register(name, help, kindHistogram, &metric{labels: labels, h: h})
-	return h
+	return r.add(name, help, kindHistogram, bounds, labels).h
 }
 
 // NewHistograms registers a histogram family with one series per value

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/rfu"
 	"repro/internal/trace"
 )
@@ -182,11 +183,26 @@ type PrefetchEvent struct {
 }
 
 // State is what the Probe reads at a sample boundary and at Flush: the
-// processor's snapshot and the cumulative counters of the code that
-// keeps each one. An event records an occurrence; a count is read from
-// here, so the probe recounts nothing.
+// processor's own statistics and the window, fabric and manager facts,
+// each read from the code that keeps it. An event records an occurrence;
+// a count is read from here, so the probe recounts nothing.
 type State struct {
-	trace.CoreState
+	// Stats is the processor's cumulative run statistics
+	// (cpu.Processor.Stats).
+	Stats cpu.Stats
+	// Occupancy is the window's in-flight entries (wakeup.Array
+	// Size()-Free()); Demand its unscheduled unit requirements
+	// (RequiredCounts).
+	Occupancy int
+	Demand    arch.Counts
+	// RFUBusy, RFUUnits and FFUBusy are the fabric's busy and configured
+	// RFU units and busy FFUs per type (rfu.Fabric.UnitStates); Slots its
+	// allocation vector; ReconfigSlots and MaskedSlots the slots
+	// mid-reconfiguration and fault-masked right now.
+	RFUBusy, RFUUnits, FFUBusy arch.Counts
+	Slots                      [arch.NumRFUSlots]arch.Encoding
+	ReconfigSlots              int
+	MaskedSlots                int
 	// Reconfigs and ReconfigSlotCycles are the fabric's span rewrites
 	// started and the slot-cycles they reconfigure
 	// (rfu.Fabric.Reconfigurations and ReconfigurationCycles).
@@ -199,6 +215,117 @@ type State struct {
 	// both are zero under a policy without one.
 	Manager   core.Stats
 	Selection core.Selection
+}
+
+// stateMetric declares one registry family the probe keeps: its name,
+// help text and kind, one series per label (a single unlabelled series
+// when there are none), and read, which returns series i's value from
+// the State. A sampled gauge or histogram is updated at sample
+// boundaries only; every other series is set from each State the probe
+// reads. A family with no read is counted from events.
+type stateMetric struct {
+	name, help string
+	kind       kind
+	labels     []Label
+	bounds     []int64
+	sampled    bool
+	read       func(st *State, i int) int
+}
+
+// stateMetrics is every family the probe registers, in registration
+// order.
+var stateMetrics = []stateMetric{
+	{name: "rsssim_cycles_total", help: "simulated cycles", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Stats.Cycles }},
+	{name: "rsssim_retired_total", help: "retired instructions", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Stats.Retired }},
+	// Every dispatched instruction has retired, been flushed or is in
+	// flight.
+	{name: "rsssim_dispatched_total", help: "dispatched instructions", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Stats.Retired + st.Stats.Flushed + st.Occupancy }},
+	{name: "rsssim_flushed_total", help: "instructions squashed by misprediction recovery", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Stats.Flushed }},
+	{name: "rsssim_dispatch_stalls_total", help: "dispatch attempts blocked by a full window", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Stats.DispatchStallFull }},
+	{name: "rsssim_issued_total", help: "instructions granted per unit type", kind: kindCounter,
+		labels: unitLabels(), read: func(st *State, i int) int { return st.Stats.IssuedByType[i] }},
+	{name: "rsssim_selections_total", help: "selection-unit wins per candidate configuration", kind: kindCounter,
+		labels: configLabels, read: func(st *State, i int) int { return st.Manager.Selections[i] }},
+	{name: "rsssim_cem_error", help: "latest configuration error metric per candidate", kind: kindGauge,
+		labels: configLabels, read: func(st *State, i int) int { return st.Selection.Errors[i] }},
+	{name: "rsssim_steering_decisions_total", help: "configuration switches the loader started", kind: kindCounter},
+	{name: "rsssim_reconfig_spans_total", help: "RFU span rewrites started", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Reconfigs }},
+	{name: "rsssim_reconfig_slot_cycles_total", help: "slot-cycles of reconfiguration started", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.ReconfigSlotCycles }},
+	{name: "rsssim_steering_cache_hits_total", help: "steering-cache lookups served from the packed-key table", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.CacheHits }},
+	{name: "rsssim_steering_cache_misses_total", help: "steering-cache lookups that ran the CEM generators", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.CacheMisses }},
+	{name: "rsssim_prefetch_issued_total", help: "speculative span rewrites the prefetch policy started", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PrefetchIssued }},
+	{name: "rsssim_prefetch_confirmed_total", help: "speculations confirmed by a matching demand shift", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PrefetchConfirmed }},
+	{name: "rsssim_prefetch_mispredicted_total", help: "speculations ended by demand selecting a different configuration", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PrefetchMispredicted }},
+	{name: "rsssim_prefetch_cancelled_total", help: "speculations abandoned without a demand shift", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PrefetchCancelled }},
+	{name: "rsssim_prefetch_wasted_spans_total", help: "configuration-bus spans charged to mispredicted or cancelled speculations", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PrefetchWastedSpans }},
+	{name: "rsssim_phase_changes_total", help: "workload phase boundaries the demand-history detector flagged", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Manager.PhaseChanges }},
+	{name: "rsssim_faults_injected_total", help: "configuration upsets injected per kind", kind: kindCounter,
+		labels: []Label{{"kind", "transient"}, {"kind", "permanent"}}, read: func(st *State, i int) int { return [2]int{st.Faults.InjectedTransient, st.Faults.InjectedPermanent}[i] }},
+	{name: "rsssim_faults_detected_total", help: "corrupt slots the readback scrub detected", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Faults.Detected }},
+	{name: "rsssim_faults_repaired_total", help: "slots restored by repair reconfiguration", kind: kindCounter,
+		read: func(st *State, _ int) int { return restored(&st.Faults) }},
+	{name: "rsssim_scrub_scans_total", help: "readback scrub scans run", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Faults.ScrubScans }},
+	{name: "rsssim_masked_slot_cycles_total", help: "slot-cycles lost to fault masking", kind: kindCounter,
+		read: func(st *State, _ int) int { return st.Faults.MaskedSlotCycles }},
+	{name: "rsssim_window_occupancy", help: "in-flight window entries at the last sample", kind: kindGauge, sampled: true,
+		read: func(st *State, _ int) int { return st.Occupancy }},
+	{name: "rsssim_reconfiguring_slots", help: "slots mid-reconfiguration at the last sample", kind: kindGauge, sampled: true,
+		read: func(st *State, _ int) int { return st.ReconfigSlots }},
+	{name: "rsssim_window_occupancy_sampled", help: "window occupancy distribution over samples", kind: kindHistogram,
+		bounds: []int64{0, 1, 2, 3, 4, 5, 6, 7, 15, 31}, sampled: true,
+		read: func(st *State, _ int) int { return st.Occupancy }},
+}
+
+// stateSeries is one registered series of a State-read family, with
+// the family's read and the series' index into it.
+type stateSeries struct {
+	*metric
+	read func(st *State, i int) int
+	i    int
+}
+
+// update sets the series from st: a counter or gauge to its value, a
+// histogram by observing it.
+func (s stateSeries) update(st *State) {
+	v := s.read(st, s.i)
+	switch {
+	case s.c != nil:
+		s.c.set(v)
+	case s.g != nil:
+		s.g.Set(int64(v))
+	default:
+		s.h.Observe(int64(v))
+	}
+}
+
+// configLabels label the selection unit's candidates: the current
+// configuration, then the three basis configurations.
+var configLabels = []Label{{"config", "current"}, {"config", "basis1"}, {"config", "basis2"}, {"config", "basis3"}}
+
+// unitLabels label the unit types.
+func unitLabels() []Label {
+	out := make([]Label, arch.NumUnitTypes)
+	for t := range out {
+		out[t] = Label{"unit", arch.UnitType(t).String()}
+	}
+	return out
 }
 
 // Probe is the telemetry sink on a machine's observer stream: it logs
@@ -219,38 +346,16 @@ type Probe struct {
 	// index, taken from the events (0 for scalar machines).
 	core int
 
-	// Registry-backed cumulative metrics.
-	cCycles         *Counter
-	cRetired        *Counter
-	cDispatched     *Counter
-	cFlushed        *Counter
-	cDispatchStalls *Counter
-	cIssued         [arch.NumUnitTypes]*Counter
-	cSelections     [arch.NumConfigs]*Counter
-	cDecisions      *Counter
-	cReconfigSpans  *Counter
-	cReconfigSlotCy *Counter
-	cSteerHits      *Counter
-	cSteerMisses    *Counter
-	cPrefIssued     *Counter
-	cPrefConfirmed  *Counter
-	cPrefMispred    *Counter
-	cPrefCancelled  *Counter
-	cPrefWasted     *Counter
-	cPhaseChanges   *Counter
-	cFaultsTrans    *Counter
-	cFaultsPerm     *Counter
-	cFaultsDetected *Counter
-	cFaultsRepaired *Counter
-	cScrubScans     *Counter
-	cMaskedSlotCy   *Counter
-	gOccupancy      *Gauge
-	gReconfigSlots  *Gauge
-	gCEMError       [arch.NumConfigs]*Gauge
-	hOccupancy      *Histogram
+	// decisions is the event-counted decision counter. The State-read
+	// series are set from every State read (each) or at sample
+	// boundaries only (sampled).
+	decisions *Counter
+	each      []stateSeries
+	sampled   []stateSeries
 
-	// last is the state at the previous sample, for interval deltas.
-	last State
+	// cur is the latest State read and last the State at the previous
+	// sample, for interval deltas.
+	cur, last State
 
 	// out holds the records handed to the exporter. Exporters receive
 	// pointers into it, valid only during the call, so exporting a
@@ -273,53 +378,24 @@ func NewProbe(interval int) *Probe {
 	}
 	reg := NewRegistry()
 	p := &Probe{interval: interval, reg: reg}
-	p.cCycles = reg.NewCounter("rsssim_cycles_total", "simulated cycles")
-	p.cRetired = reg.NewCounter("rsssim_retired_total", "retired instructions")
-	p.cDispatched = reg.NewCounter("rsssim_dispatched_total", "dispatched instructions")
-	p.cFlushed = reg.NewCounter("rsssim_flushed_total", "instructions squashed by misprediction recovery")
-	p.cDispatchStalls = reg.NewCounter("rsssim_dispatch_stalls_total", "dispatch attempts blocked by a full window")
-	for t := 0; t < arch.NumUnitTypes; t++ {
-		p.cIssued[t] = reg.NewCounter("rsssim_issued_total", "instructions granted per unit type",
-			Label{"unit", arch.UnitType(t).String()})
+	for _, d := range stateMetrics {
+		for i := 0; i < max(1, len(d.labels)); i++ {
+			var labels []Label
+			if d.labels != nil {
+				labels = d.labels[i : i+1]
+			}
+			s := stateSeries{reg.add(d.name, d.help, d.kind, d.bounds, labels), d.read, i}
+			switch {
+			case d.read == nil:
+				p.decisions = s.c
+			case d.sampled:
+				p.sampled = append(p.sampled, s)
+			default:
+				p.each = append(p.each, s)
+			}
+		}
 	}
-	for i := 0; i < arch.NumConfigs; i++ {
-		p.cSelections[i] = reg.NewCounter("rsssim_selections_total", "selection-unit wins per candidate configuration",
-			Label{"config", configLabel(i)})
-		p.gCEMError[i] = reg.NewGauge("rsssim_cem_error", "latest configuration error metric per candidate",
-			Label{"config", configLabel(i)})
-	}
-	p.cDecisions = reg.NewCounter("rsssim_steering_decisions_total", "configuration switches the loader started")
-	p.cReconfigSpans = reg.NewCounter("rsssim_reconfig_spans_total", "RFU span rewrites started")
-	p.cReconfigSlotCy = reg.NewCounter("rsssim_reconfig_slot_cycles_total", "slot-cycles of reconfiguration started")
-	p.cSteerHits = reg.NewCounter("rsssim_steering_cache_hits_total", "steering-cache lookups served from the packed-key table")
-	p.cSteerMisses = reg.NewCounter("rsssim_steering_cache_misses_total", "steering-cache lookups that ran the CEM generators")
-	p.cPrefIssued = reg.NewCounter("rsssim_prefetch_issued_total", "speculative span rewrites the prefetch policy started")
-	p.cPrefConfirmed = reg.NewCounter("rsssim_prefetch_confirmed_total", "speculations confirmed by a matching demand shift")
-	p.cPrefMispred = reg.NewCounter("rsssim_prefetch_mispredicted_total", "speculations ended by demand selecting a different configuration")
-	p.cPrefCancelled = reg.NewCounter("rsssim_prefetch_cancelled_total", "speculations abandoned without a demand shift")
-	p.cPrefWasted = reg.NewCounter("rsssim_prefetch_wasted_spans_total", "configuration-bus spans charged to mispredicted or cancelled speculations")
-	p.cPhaseChanges = reg.NewCounter("rsssim_phase_changes_total", "workload phase boundaries the demand-history detector flagged")
-	p.cFaultsTrans = reg.NewCounter("rsssim_faults_injected_total", "configuration upsets injected per kind",
-		Label{"kind", "transient"})
-	p.cFaultsPerm = reg.NewCounter("rsssim_faults_injected_total", "configuration upsets injected per kind",
-		Label{"kind", "permanent"})
-	p.cFaultsDetected = reg.NewCounter("rsssim_faults_detected_total", "corrupt slots the readback scrub detected")
-	p.cFaultsRepaired = reg.NewCounter("rsssim_faults_repaired_total", "slots restored by repair reconfiguration")
-	p.cScrubScans = reg.NewCounter("rsssim_scrub_scans_total", "readback scrub scans run")
-	p.cMaskedSlotCy = reg.NewCounter("rsssim_masked_slot_cycles_total", "slot-cycles lost to fault masking")
-	p.gOccupancy = reg.NewGauge("rsssim_window_occupancy", "in-flight window entries at the last sample")
-	p.gReconfigSlots = reg.NewGauge("rsssim_reconfiguring_slots", "slots mid-reconfiguration at the last sample")
-	p.hOccupancy = reg.NewHistogram("rsssim_window_occupancy_sampled", "window occupancy distribution over samples",
-		[]int64{0, 1, 2, 3, 4, 5, 6, 7, 15, 31})
 	return p
-}
-
-// configLabel names candidate i for metric labels.
-func configLabel(i int) string {
-	if i == 0 {
-		return "current"
-	}
-	return "basis" + string(rune('0'+i))
 }
 
 // SetExporter attaches the sample/decision destination.
@@ -374,7 +450,7 @@ func (p *Probe) Observe(e trace.Event) {
 			p.emitSample()
 		}
 	case trace.KindDecision:
-		p.cDecisions.Inc()
+		p.decisions.Inc()
 		if p.exp != nil {
 			n := trace.Unpack4(e.B)
 			d := &p.out.decision
@@ -444,45 +520,15 @@ func (p *Probe) prefetch(e trace.Event, event string) {
 	}
 }
 
-// snapshot reads the state (zero without a source) and sets every
-// counter but the decision count, and the CEM gauges, from it.
-func (p *Probe) snapshot() State {
-	var st State
+// snapshot reads the state into cur (zero without a source) and sets
+// every series but the decision count and the sampled ones from it.
+func (p *Probe) snapshot() {
 	if p.state != nil {
-		st = p.state()
+		p.cur = p.state()
 	}
-	cs, ms, fs := &st.CoreState, &st.Manager, &st.Faults
-	p.cCycles.set(cs.Cycle)
-	p.cRetired.set(cs.Retired)
-	p.cFlushed.set(cs.Flushed)
-	// Every dispatched instruction has retired, been flushed or is in
-	// flight.
-	p.cDispatched.set(cs.Retired + cs.Flushed + cs.Occupancy)
-	p.cDispatchStalls.set(cs.DispatchStalls)
-	for t, n := range cs.Issued {
-		p.cIssued[t].set(n)
+	for _, s := range p.each {
+		s.update(&p.cur)
 	}
-	for i, n := range ms.Selections {
-		p.cSelections[i].set(n)
-		p.gCEMError[i].Set(int64(st.Selection.Errors[i]))
-	}
-	p.cReconfigSpans.set(st.Reconfigs)
-	p.cReconfigSlotCy.set(st.ReconfigSlotCycles)
-	p.cSteerHits.set(ms.CacheHits)
-	p.cSteerMisses.set(ms.CacheMisses)
-	p.cPrefIssued.set(ms.PrefetchIssued)
-	p.cPrefConfirmed.set(ms.PrefetchConfirmed)
-	p.cPrefMispred.set(ms.PrefetchMispredicted)
-	p.cPrefCancelled.set(ms.PrefetchCancelled)
-	p.cPrefWasted.set(ms.PrefetchWastedSpans)
-	p.cPhaseChanges.set(ms.PhaseChanges)
-	p.cFaultsTrans.set(fs.InjectedTransient)
-	p.cFaultsPerm.set(fs.InjectedPermanent)
-	p.cFaultsDetected.set(fs.Detected)
-	p.cFaultsRepaired.set(restored(fs))
-	p.cScrubScans.set(fs.ScrubScans)
-	p.cMaskedSlotCy.set(fs.MaskedSlotCycles)
-	return st
 }
 
 // restored counts the slots returned to healthy: by a repair completing
@@ -493,34 +539,36 @@ func restored(fs *rfu.FaultStats) int { return fs.Repaired + fs.HealedByLoad }
 // field the growth of its counter since the previous sample, updates the
 // sampled gauges/histograms and hands the sample to the exporter.
 func (p *Probe) emitSample() {
-	st := p.snapshot()
-	cs, ms, fs := &st.CoreState, &st.Manager, &st.Faults
-	lc, lm, lf := &p.last.CoreState, &p.last.Manager, &p.last.Faults
+	p.snapshot()
+	st, ls := &p.cur, &p.last
+	cs, lc := &st.Stats, &ls.Stats
+	ms, lm := &st.Manager, &ls.Manager
+	fs, lf := &st.Faults, &ls.Faults
 	var issued arch.Counts
 	for t := range issued {
-		issued[t] = cs.Issued[t] - lc.Issued[t]
+		issued[t] = cs.IssuedByType[t] - lc.IssuedByType[t]
 	}
 	s := &p.out.sample
 	*s = Sample{
-		Cycle:           cs.Cycle,
+		Cycle:           cs.Cycles,
 		Core:            p.core,
 		Retired:         cs.Retired,
 		IntervalRetired: cs.Retired - lc.Retired,
-		Occupancy:       cs.Occupancy,
-		Demand:          cs.Demand,
+		Occupancy:       st.Occupancy,
+		Demand:          st.Demand,
 		IntervalIssued:  issued,
-		RFUUnits:        cs.RFUUnits,
-		RFUBusy:         cs.RFUBusy,
-		FFUBusy:         cs.FFUBusy,
-		Slots:           cs.Slots,
+		RFUUnits:        st.RFUUnits,
+		RFUBusy:         st.RFUBusy,
+		FFUBusy:         st.FFUBusy,
+		Slots:           st.Slots,
 		CEMValid:        ms.Selections != [arch.NumConfigs]int{},
 		CEMErrors:       st.Selection.Errors,
 		CEMChoice:       st.Selection.Choice,
-		ReconfigSlots:   cs.ReconfigSlots,
+		ReconfigSlots:   st.ReconfigSlots,
 
-		IntervalReconfigs:      st.Reconfigs - p.last.Reconfigs,
+		IntervalReconfigs:      st.Reconfigs - ls.Reconfigs,
 		IntervalFlushed:        cs.Flushed - lc.Flushed,
-		IntervalDispatchStalls: cs.DispatchStalls - lc.DispatchStalls,
+		IntervalDispatchStalls: cs.DispatchStallFull - lc.DispatchStallFull,
 
 		IntervalSteerCacheHits:   ms.CacheHits - lm.CacheHits,
 		IntervalSteerCacheMisses: ms.CacheMisses - lm.CacheMisses,
@@ -534,20 +582,19 @@ func (p *Probe) emitSample() {
 		IntervalFaultsDetected: fs.Detected - lf.Detected,
 		IntervalFaultsRepaired: restored(fs) - restored(lf),
 		IntervalScrubScans:     fs.ScrubScans - lf.ScrubScans,
-		MaskedSlots:            cs.MaskedSlots,
+		MaskedSlots:            st.MaskedSlots,
 
-		BucketIssued:   cs.Buckets[0] - lc.Buckets[0],
-		BucketUnits:    cs.Buckets[1] - lc.Buckets[1],
-		BucketDeps:     cs.Buckets[2] - lc.Buckets[2],
-		BucketFrontend: cs.Buckets[3] - lc.Buckets[3],
+		BucketIssued:   cs.CyclesIssued - lc.CyclesIssued,
+		BucketUnits:    cs.CyclesUnits - lc.CyclesUnits,
+		BucketDeps:     cs.CyclesDeps - lc.CyclesDeps,
+		BucketFrontend: cs.CyclesFrontend - lc.CyclesFrontend,
 	}
 	s.IntervalIPC = float64(s.IntervalRetired) / float64(p.interval)
 
-	p.gOccupancy.Set(int64(cs.Occupancy))
-	p.gReconfigSlots.Set(int64(cs.ReconfigSlots))
-	p.hOccupancy.Observe(int64(cs.Occupancy))
-
-	p.last = st
+	for _, m := range p.sampled {
+		m.update(st)
+	}
+	p.last = p.cur
 
 	if p.exp != nil {
 		p.export(p.exp.Sample(s))

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/rfu"
 	"repro/internal/trace"
 )
@@ -187,8 +188,9 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 		// every other one a steering-cache hit; a scrub every fifth
 		// cycle.
 		return State{
-			CoreState: trace.CoreState{Cycle: cycle, Retired: cycle, Occupancy: 3,
-				Issued: arch.Counts{arch.LSU: cycle}, Buckets: [4]int{cycle, 0, 0, 0}},
+			Stats: cpu.Stats{Cycles: cycle, Retired: cycle,
+				IssuedByType: arch.Counts{arch.LSU: cycle}, CyclesIssued: cycle},
+			Occupancy: 3,
 			Manager:   core.Stats{Selections: [arch.NumConfigs]int{cycle}, CacheHits: cycle / 2},
 			Selection: core.Selection{Errors: [arch.NumConfigs]int{1, 2, 3, 4}},
 			Faults:    rfu.FaultStats{ScrubScans: cycle / 5},
@@ -386,7 +388,7 @@ func TestPromExporterSnapshot(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewProm(&buf, p.Registry())
 	p.SetExporter(e)
-	p.SetState(func() State { return State{CoreState: trace.CoreState{Cycle: 1, Retired: 1}} })
+	p.SetState(func() State { return State{Stats: cpu.Stats{Cycles: 1, Retired: 1}} })
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

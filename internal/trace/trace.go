@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/isa"
 )
 
@@ -164,35 +163,6 @@ type Sink interface {
 	Observe(Event)
 }
 
-// CoreState is the machine snapshot a sink can pull at a sampling
-// boundary: state no event carries, and the cumulative counts the
-// processor keeps itself, so per-instruction events need reach only the
-// sinks that want each one. The processor provides it
-// (cpu.Processor.CoreState).
-type CoreState struct {
-	Cycle     int
-	Retired   int
-	Flushed   int
-	Occupancy int
-	// Issued counts grants per unit type; DispatchStalls the dispatch
-	// attempts a full window blocked.
-	Issued         arch.Counts
-	DispatchStalls int
-	Demand         arch.Counts
-	RFUUnits       arch.Counts
-	RFUBusy        arch.Counts
-	FFUBusy        arch.Counts
-	Slots          [arch.NumRFUSlots]arch.Encoding
-
-	ReconfigSlots int
-	// MaskedSlots counts slots fault-masked away from steering and
-	// dispatch right now.
-	MaskedSlots int
-
-	// Cumulative bottleneck buckets (issued, units, deps, frontend).
-	Buckets [4]int
-}
-
 // Observer is one machine's event channel: it holds the current cycle
 // and the cluster-core label, stamps both onto every event and fans the
 // event out to the sinks that consume its kind. SetCore, SetCycle,
@@ -260,6 +230,50 @@ func (o *Observer) fanOut(e Event) {
 // pipelineKinds are the events Buffer keeps.
 var pipelineKinds = Kinds(KindDispatch, KindIssue, KindRetire, KindFlush, KindReconfig)
 
+// Ring is a bounded overwrite-oldest log: it keeps the last values
+// pushed, up to its capacity. Its storage is allocated once, so Push
+// never allocates. The zero Ring has no capacity; build one with
+// NewRing. Not safe for concurrent use.
+type Ring[T any] struct {
+	buf    []T
+	next   int // index the next push writes
+	pushed int
+}
+
+// NewRing builds a ring holding at most n values (n must be positive).
+func NewRing[T any](n int) Ring[T] {
+	if n <= 0 {
+		panic("trace: ring capacity must be positive")
+	}
+	return Ring[T]{buf: make([]T, n)}
+}
+
+// Push stores v, overwriting the oldest value when the ring is full.
+func (r *Ring[T]) Push(v T) {
+	r.buf[r.next] = v
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+	}
+	r.pushed++
+}
+
+// Len returns the number of values held.
+func (r *Ring[T]) Len() int { return min(r.pushed, len(r.buf)) }
+
+// Pushed returns the number of values ever pushed, overwritten ones
+// included.
+func (r *Ring[T]) Pushed() int { return r.pushed }
+
+// Copy returns a new slice of the values held, oldest first.
+func (r *Ring[T]) Copy() []T {
+	out := make([]T, 0, r.Len())
+	if r.pushed >= len(r.buf) {
+		out = append(out, r.buf[r.next:]...)
+	}
+	return append(out, r.buf[:r.next]...)
+}
+
 // Buffer is a bounded in-memory pipeline-event sink: once the limit is
 // reached the oldest events are dropped. Until, when non-negative, drops
 // events after that cycle, so the start of a long run survives the
@@ -267,19 +281,13 @@ var pipelineKinds = Kinds(KindDispatch, KindIssue, KindRetire, KindFlush, KindRe
 type Buffer struct {
 	Until int64
 
-	limit  int
-	events []Event
-	start  int // ring start when full
-	full   bool
+	events Ring[Event]
 }
 
 // NewBuffer builds a sink holding at most limit events (limit must be
 // positive) with no cycle cutoff.
 func NewBuffer(limit int) *Buffer {
-	if limit <= 0 {
-		panic("trace: buffer limit must be positive")
-	}
-	return &Buffer{Until: -1, limit: limit, events: make([]Event, 0, limit)}
+	return &Buffer{Until: -1, events: NewRing[Event](limit)}
 }
 
 // Kinds implements Sink.
@@ -301,33 +309,17 @@ func (b *Buffer) Record(e Event) {
 	if b.Until >= 0 && e.Cycle > b.Until {
 		return
 	}
-	if len(b.events) < b.limit {
-		b.events = append(b.events, e)
-		return
-	}
-	b.full = true
-	b.events[b.start] = e
-	b.start = (b.start + 1) % b.limit
+	b.events.Push(e)
 }
 
 // Events returns the recorded events, oldest first.
-func (b *Buffer) Events() []Event {
-	if !b.full {
-		out := make([]Event, len(b.events))
-		copy(out, b.events)
-		return out
-	}
-	out := make([]Event, 0, b.limit)
-	out = append(out, b.events[b.start:]...)
-	out = append(out, b.events[:b.start]...)
-	return out
-}
+func (b *Buffer) Events() []Event { return b.events.Copy() }
 
 // Len returns the number of events held.
-func (b *Buffer) Len() int { return len(b.events) }
+func (b *Buffer) Len() int { return b.events.Len() }
 
 // Dropped reports whether the buffer ever evicted events.
-func (b *Buffer) Dropped() bool { return b.full }
+func (b *Buffer) Dropped() bool { return b.events.Pushed() > b.events.Len() }
 
 // text renders an event's detail: the disassembly for instruction
 // events that carry one, the span for reconfigurations.

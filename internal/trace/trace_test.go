@@ -32,6 +32,43 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// TestRingOrderAfterWrap pushes past the capacity, checking after each
+// push that the copy holds the newest values oldest first and that the
+// pushed count includes the overwritten ones.
+func TestRingOrderAfterWrap(t *testing.T) {
+	r := NewRing[int](4)
+	if got := r.Copy(); got == nil || len(got) != 0 || r.Len() != 0 || r.Pushed() != 0 {
+		t.Fatalf("empty ring: copy %v, len %d, pushed %d", got, r.Len(), r.Pushed())
+	}
+	for n := 1; n <= 11; n++ {
+		r.Push(n)
+		got := r.Copy()
+		first := max(1, n-3)
+		if len(got) != n-first+1 || r.Len() != len(got) || r.Pushed() != n {
+			t.Fatalf("after %d pushes: copy %v, len %d, pushed %d", n, got, r.Len(), r.Pushed())
+		}
+		for i, v := range got {
+			if v != first+i {
+				t.Fatalf("after %d pushes: copy %v, want %d..%d", n, got, first, n)
+			}
+		}
+	}
+	got := r.Copy()
+	got[0] = -1
+	if r.Copy()[0] == -1 {
+		t.Error("Copy shares the ring's storage")
+	}
+}
+
+func TestRingPanicsOnBadCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	NewRing[int](0)
+}
+
 func TestBufferBounded(t *testing.T) {
 	b := NewBuffer(3)
 	for i := 0; i < 5; i++ {

@@ -36,7 +36,7 @@ func TestKernelsFunctionallyCorrect(t *testing.T) {
 func TestKernelsOnPipelinedSteeringMachine(t *testing.T) {
 	for _, k := range Kernels() {
 		t.Run(k.Name, func(t *testing.T) {
-			p := cpu.New(k.Program(), cpu.Params{MemBytes: 1 << 16}, nil)
+			p := cpu.New(k.Program(), cpu.Params{MemBytes: 1 << 16})
 			p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 			if k.Setup != nil {
 				k.Setup(p.Memory(), p.SetReg)
@@ -143,7 +143,7 @@ func TestSynthesizeRunsToCompletion(t *testing.T) {
 		t.Errorf("straight-line program executed %d steps, want %d", steps, len(prog))
 	}
 
-	p := cpu.New(prog, cpu.Params{MemBytes: 1 << 16}, nil)
+	p := cpu.New(prog, cpu.Params{MemBytes: 1 << 16})
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 	stats, err := p.Run(10_000_000)
 	if err != nil {

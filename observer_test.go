@@ -4,10 +4,15 @@
 package repro
 
 import (
+	"bytes"
+	"fmt"
 	"go/build"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/span"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -17,7 +22,8 @@ import (
 // one observer carrying a telemetry collector, a span recorder and a
 // pipeline buffer, and checks that fault, reconfiguration and prefetch
 // counts agree across the sinks and with rfu.FaultStats, core.Stats and
-// the fabric's reconfiguration count.
+// the fabric's reconfiguration count, and that every telemetry counter
+// equals the run's own accounting.
 func TestObserverSinksAgree(t *testing.T) {
 	m := NewMachine(spanRunProgram(), Options{Params: spanRunParams(), Policy: PolicyPrefetch})
 	col := &telemetry.Collector{}
@@ -148,6 +154,73 @@ func TestObserverSinksAgree(t *testing.T) {
 		"telemetry counter": counter("rsssim_retired_total"),
 		"pipeline buffer":   retires,
 	})
+
+	// Every counter series the registry exports, keyed as the Prometheus
+	// text renders it, against the run's Stats and RunReport. A counter
+	// without an entry here fails, so each new one gets its cross-check.
+	ms, _ := m.ManagerStats()
+	w := m.Processor().Window()
+	want := map[string]int{
+		"rsssim_cycles_total":                            stats.Cycles,
+		"rsssim_retired_total":                           stats.Retired,
+		"rsssim_dispatched_total":                        stats.Retired + stats.Flushed + w.Size() - w.Free(),
+		"rsssim_flushed_total":                           stats.Flushed,
+		"rsssim_dispatch_stalls_total":                   stats.DispatchStallFull,
+		"rsssim_steering_decisions_total":                len(col.Decisions),
+		"rsssim_reconfig_spans_total":                    report.Reconfigurations,
+		"rsssim_reconfig_slot_cycles_total":              report.ReconfigurationCycles,
+		"rsssim_steering_cache_hits_total":               report.SteeringCacheHits,
+		"rsssim_steering_cache_misses_total":             report.SteeringCacheMisses,
+		"rsssim_prefetch_issued_total":                   ps.Issued,
+		"rsssim_prefetch_confirmed_total":                ps.Confirmed,
+		"rsssim_prefetch_mispredicted_total":             ps.Mispredicted,
+		"rsssim_prefetch_cancelled_total":                ps.Cancelled,
+		"rsssim_prefetch_wasted_spans_total":             ps.WastedSpans,
+		"rsssim_phase_changes_total":                     ps.PhaseChanges,
+		`rsssim_faults_injected_total{kind="transient"}`: fs.InjectedTransient,
+		`rsssim_faults_injected_total{kind="permanent"}`: fs.InjectedPermanent,
+		"rsssim_faults_detected_total":                   fs.Detected,
+		"rsssim_faults_repaired_total":                   fs.Repaired + fs.HealedByLoad,
+		"rsssim_scrub_scans_total":                       fs.ScrubScans,
+		"rsssim_masked_slot_cycles_total":                fs.MaskedSlotCycles,
+	}
+	for u := arch.UnitType(0); u < arch.NumUnitTypes; u++ {
+		want[fmt.Sprintf("rsssim_issued_total{unit=%q}", u)] = stats.IssuedByType[u]
+	}
+	for i, c := range []string{"current", "basis1", "basis2", "basis3"} {
+		want[fmt.Sprintf("rsssim_selections_total{config=%q}", c)] = report.Selections[i]
+	}
+	if report.Selections != ms.Selections {
+		t.Errorf("report selections %v, manager %v", report.Selections, ms.Selections)
+	}
+	var prom bytes.Buffer
+	if err := probe.Registry().Render(&prom); err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]bool{} // counter family names
+	seen := 0
+	for _, line := range strings.Split(strings.TrimSpace(prom.String()), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "counter" {
+			counters[f[2]] = true
+		}
+		series, value, ok := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(series, "{")
+		if !ok || !counters[name] {
+			continue
+		}
+		seen++
+		exp, ok := want[series]
+		if !ok {
+			t.Errorf("counter %s has no cross-check", series)
+			continue
+		}
+		if got, _ := strconv.Atoi(value); got != exp {
+			t.Errorf("counter %s = %s, want %d", series, value, exp)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("registry exports %d counter series, want %d", seen, len(want))
+	}
 }
 
 // TestFullPolicyObserved pins what the full-reconfiguration policy

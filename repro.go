@@ -267,7 +267,7 @@ type Machine struct {
 
 // NewMachine builds a machine for the program under the given options.
 func NewMachine(prog Program, opt Options) *Machine {
-	p := cpu.New(prog, opt.Params, nil)
+	p := cpu.New(prog, opt.Params)
 	m := &Machine{proc: p, prog: prog, policy: opt.Policy}
 	basis := config.DefaultBasis()
 	if opt.Basis != nil {
@@ -358,16 +358,25 @@ func (m *Machine) Run(maxCycles int) (Stats, error) {
 // cancelled run may be resumed by calling RunContext again.
 func (m *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
 	stats, err := m.proc.RunContext(ctx, maxCycles)
-	if ferr := m.probe.Flush(); err == nil && ferr != nil {
+	if ferr := m.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("telemetry: %w", ferr)
 	}
-	if m.spans != nil && m.proc.Halted() {
-		// Close trailing epochs (phase, cache, speculation, repairs)
-		// once the program is done. A cancelled or budget-exhausted run
-		// leaves them open so a resumed RunContext keeps recording.
+	return stats, err
+}
+
+// Flush ends a stretch of observation: it brings the telemetry counters
+// to the machine's state, flushes the exporter and, once the program has
+// halted, closes the span recorder's trailing epochs (phase,
+// speculation, repairs). A cancelled or budget-exhausted run leaves them
+// open so a resumed run keeps recording. RunContext calls it; call it
+// when driving the machine with Cycle. It returns the first telemetry
+// export error of the run.
+func (m *Machine) Flush() error {
+	err := m.probe.Flush()
+	if m.proc.Halted() {
 		m.spans.Finish()
 	}
-	return stats, err
+	return err
 }
 
 // Cycle advances the machine one clock.
@@ -642,16 +651,24 @@ func (m *Machine) addProbe(probe *telemetry.Probe) {
 }
 
 // telemetryState reads what the probe samples from the code that keeps
-// it: the processor's snapshot, the fabric's reconfiguration and fault
-// counters, and the selecting manager's counters and latest selection.
+// it: the processor's statistics, the window's occupancy and demand, the
+// fabric's unit states, allocation, slot masks, reconfiguration and
+// fault counters, and the selecting manager's counters and latest
+// selection.
 func (m *Machine) telemetryState() telemetry.State {
-	f := m.proc.Fabric()
+	w, f := m.proc.Window(), m.proc.Fabric()
 	st := telemetry.State{
-		CoreState:          m.proc.CoreState(),
+		Stats:              m.proc.Stats(),
+		Occupancy:          w.Size() - w.Free(),
+		Demand:             w.RequiredCounts(),
+		Slots:              f.Allocation().Slots,
+		ReconfigSlots:      f.ReconfiguringSlots(),
+		MaskedSlots:        f.MaskedSlots(),
 		Reconfigs:          f.Reconfigurations(),
 		ReconfigSlotCycles: f.ReconfigurationCycles(),
 		Faults:             f.FaultStats(),
 	}
+	st.RFUBusy, st.RFUUnits, st.FFUBusy = f.UnitStates()
 	if m.manager != nil {
 		st.Manager = m.manager.Stats()
 		st.Selection = m.manager.LastSelection()
@@ -693,11 +710,6 @@ func (m *Machine) EnableSpans(cfg SpanConfig) *span.Recorder {
 // Spans returns the attached span recorder, or nil when span tracing
 // is off.
 func (m *Machine) Spans() *span.Recorder { return m.spans }
-
-// FlushTelemetry flushes the telemetry exporter and reports the first
-// export error of the run — useful when driving the machine with Cycle
-// instead of Run.
-func (m *Machine) FlushTelemetry() error { return m.probe.Flush() }
 
 // EnableTracing records up to limit pipeline events (fetch, dispatch,
 // issue, retire, flush, reconfiguration) for Pipeview. Call before Run.

@@ -26,7 +26,7 @@ import (
 // CEM generators run on every selection.
 func runSteering(t *testing.T, prog isa.Program, params cpu.Params, basis [arch.NumConfigs - 1]config.Configuration, exact, disableCache bool) (cpu.Stats, core.Stats, config.AllocationVector) {
 	t.Helper()
-	p := cpu.New(prog, params, nil)
+	p := cpu.New(prog, params)
 	m := core.NewManager(p.Fabric(), basis)
 	m.ExactCEM = exact
 	m.DisableCache = disableCache
@@ -191,7 +191,7 @@ func TestSteeringCacheSelectionStream(t *testing.T) {
 // allocation, with the steering cache on or off.
 func runPrefetch(t *testing.T, prog isa.Program, params cpu.Params, disableCache bool) (cpu.Stats, core.Stats, config.AllocationVector) {
 	t.Helper()
-	p := cpu.New(prog, params, nil)
+	p := cpu.New(prog, params)
 	m := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	m.Core().DisableCache = disableCache
 	p.SetManager(m)
@@ -293,7 +293,7 @@ func TestSteeringMemoEquivalence(t *testing.T) {
 		// residency timer allows.
 		prog := workload.Synthesize(workload.AlternatingPhases(3000, 60), workload.SynthParams{Seed: 7})
 		steer := func(disableCache bool) run {
-			p := cpu.New(prog, cpu.DefaultParams(), nil)
+			p := cpu.New(prog, cpu.DefaultParams())
 			m := core.NewManager(p.Fabric(), config.DefaultBasis())
 			m.MinResidency = 24
 			m.DisableCache = disableCache
