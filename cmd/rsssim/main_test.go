@@ -74,6 +74,12 @@ func TestRunOutputPins(t *testing.T) {
 			[]string{"-kernel", "saxpy", "-policy", "full-reconfig", "-metrics", "-"}},
 		{"saxpy 2-core metrics", "saxpy_cores2_metrics.golden",
 			[]string{"-kernel", "saxpy", "-cores", "2", "-metrics", "-"}},
+		{"alternating prefetch faults spans chrome", "alternating_prefetch_faults_spans_chrome.golden",
+			append(everyEventRun(), "-trace-spans", "-")},
+		{"alternating prefetch faults spans jsonl", "alternating_prefetch_faults_spans_jsonl.golden",
+			append(everyEventRun(), "-trace-spans", "-", "-trace-spans-format", "jsonl")},
+		{"alternating prefetch faults metrics jsonl", "alternating_prefetch_faults_metrics_jsonl.golden",
+			append(everyEventRun(), "-metrics", "-")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -91,6 +97,40 @@ func TestRunOutputPins(t *testing.T) {
 				t.Errorf("unexpected stderr: %s", stderr.String())
 			}
 		})
+	}
+}
+
+// everyEventRun is a run that emits every span category (reconfig,
+// repair, speculation, phase, fault, trigger) and every telemetry
+// record kind (sample, decision, fault, prefetch), so its exports pin
+// the byte form of each record shape.
+func everyEventRun() []string {
+	return []string{"-synthetic", "alternating", "-policy", "prefetch",
+		"-reconfig-latency", "32", "-fault-rate", "0.002"}
+}
+
+// TestFlightDumpPin compares a fault-storm flight dump, byte for byte,
+// with a captured file: the envelope, the indentation and every entry
+// row.
+func TestFlightDumpPin(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-kernel", "saxpy", "-fault-rate", "0.01", "-flight-dump", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if want := "flight recorder: fault-storm trigger, ring dumped to " + path + "\n"; stderr.String() != want {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "saxpy_flight_dump.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("flight dump differs from testdata/saxpy_flight_dump.golden:\n%s", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -463,5 +465,35 @@ func TestServiceRecorder(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != 1+3 { // process_name + 3 ring spans
 		t.Errorf("chrome events = %d, want 4", len(doc.TraceEvents))
+	}
+}
+
+// TestServiceChromeTraceGolden compares the rssd Chrome Trace of fixed
+// spans, byte for byte, with testdata/service_chrome.golden: request
+// stages, job points on their own lanes, a span without a handler kind
+// (no "cat") and a deadline instant (no "dur").
+func TestServiceChromeTraceGolden(t *testing.T) {
+	r := NewService(16)
+	at := func(us int) time.Time { return r.epoch.Add(time.Duration(us) * time.Microsecond) }
+	r.Record(1, "decode", "run", -1, at(10), at(12))
+	r.Record(1, "queue-wait", "run", -1, at(12), at(40))
+	r.Record(1, "execute", "run", -1, at(40), at(1040))
+	r.Record(1, "encode", "run", -1, at(1040), at(1043))
+	r.Record(2, "point", "job_point", 0, at(2000), at(2500))
+	r.Record(2, "point", "job_point", 70, at(2000), at(2600))
+	r.Record(2, "job", "job", -1, at(1990), at(2700))
+	r.Record(1234, "decode", "", -1, at(3000), at(3000))
+	r.TriggerDeadline(1235, "run", -1, at(3100), at(4100))
+
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "service_chrome.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("service chrome trace differs from testdata/service_chrome.golden:\n%s", buf.Bytes())
 	}
 }
