@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rfu"
 	"repro/internal/span"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wakeup"
 )
@@ -73,6 +75,38 @@ func TestZeroAllocTraceRing(t *testing.T) {
 	})
 	if r.Len() != 64 {
 		t.Errorf("len %d after wrapping, want 64", r.Len())
+	}
+}
+
+// TestZeroAllocTelemetryRows pins the telemetry exporters' per-row
+// writes: once a row buffer has grown, each JSONL record and each CSV
+// sample row is appended into it and written without allocating.
+func TestZeroAllocTelemetryRows(t *testing.T) {
+	s := telemetry.Sample{Cycle: 100, Retired: 75, IntervalIPC: 0.75, Occupancy: 12,
+		Demand: arch.Counts{3, 1, 2, 0, 1}, CEMValid: true, CEMErrors: [arch.NumConfigs]int{4, 3, 2, 1}}
+	d := telemetry.Decision{Cycle: 101, From: "(empty)", To: "floating", Choice: 3, Spans: 2}
+	f := telemetry.FaultEvent{Cycle: 102, Slot: 3, Event: telemetry.FaultInjectedTransient}
+	p := telemetry.PrefetchEvent{Cycle: 103, Event: telemetry.PrefetchIssue, Config: "floating", Spans: 1, ConfidencePct: 80}
+	jsonl := telemetry.NewJSONL(io.Discard)
+	csv := telemetry.NewCSV(io.Discard)
+	for _, tc := range []struct {
+		what  string
+		write func() error
+	}{
+		{"JSONL.Sample", func() error { return jsonl.Sample(&s) }},
+		{"JSONL.Decision", func() error { return jsonl.Decision(&d) }},
+		{"JSONL.Fault", func() error { return jsonl.Fault(&f) }},
+		{"JSONL.Prefetch", func() error { return jsonl.Prefetch(&p) }},
+		{"CSV.Sample", func() error { return csv.Sample(&s) }},
+	} {
+		if err := tc.write(); err != nil { // warm-up: header, buffer growth
+			t.Fatal(err)
+		}
+		requireZeroAllocs(t, "telemetry."+tc.what, 200, func() {
+			if err := tc.write(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+
+	"repro/internal/jsonw"
 )
 
 // Chrome Trace Format export. One simulated cycle maps to one
@@ -24,24 +26,26 @@ const (
 	tidEvents   = 23
 )
 
-// chromeEvent is one Chrome Trace event. Args values are static
-// strings or small ints.
+// chromeEvent is one Chrome Trace event's fixed fields. Cat, Scope and
+// (for every phase but "X") the duration are left out when empty; the
+// event's args object follows them (see chromeWriter.begin).
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   *int64         `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string
+	Cat   string
+	Ph    string
+	TS    int64
+	Dur   int64
+	PID   int
+	TID   int
+	Scope string
 }
 
 // chromeWriter streams a {"traceEvents":[...]} document without
-// buffering the whole event list.
+// buffering the whole event list: each event is appended into one
+// reused buffer (internal/jsonw) and written whole.
 type chromeWriter struct {
 	w     *bufio.Writer
+	buf   []byte
 	first bool
 	err   error
 }
@@ -52,27 +56,48 @@ func newChromeWriter(w io.Writer) *chromeWriter {
 	return cw
 }
 
-func (cw *chromeWriter) event(ev chromeEvent) {
+// begin starts an event in the writer's buffer: the separator and the
+// fixed fields, left open so the caller can append the args members
+// (under jsonw.Key(b, "args"), keys in sorted order as encoding/json
+// writes a map) before handing the buffer to end.
+func (cw *chromeWriter) begin(ev *chromeEvent) []byte {
+	b := cw.buf[:0]
+	if !cw.first {
+		b = append(b, ',')
+	}
+	b = append(b, '{')
+	b = jsonw.String(b, "name", ev.Name)
+	if ev.Cat != "" {
+		b = jsonw.String(b, "cat", ev.Cat)
+	}
+	b = jsonw.String(b, "ph", ev.Ph)
+	b = jsonw.Int(b, "ts", ev.TS)
+	if ev.Ph == "X" {
+		b = jsonw.Int(b, "dur", ev.Dur)
+	}
+	b = jsonw.Int(b, "pid", int64(ev.PID))
+	b = jsonw.Int(b, "tid", int64(ev.TID))
+	if ev.Scope != "" {
+		b = jsonw.String(b, "s", ev.Scope)
+	}
+	return b
+}
+
+// end closes the event begin started and writes it.
+func (cw *chromeWriter) end(b []byte) {
+	cw.buf = append(b, '}')
 	if cw.err != nil {
 		return
 	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		cw.err = err
-		return
-	}
-	if !cw.first {
-		if cw.err = cw.w.WriteByte(','); cw.err != nil {
-			return
-		}
-	}
 	cw.first = false
-	_, cw.err = cw.w.Write(b)
+	_, cw.err = cw.w.Write(cw.buf)
 }
 
 func (cw *chromeWriter) meta(pid, tid int, key, value string) {
-	cw.event(chromeEvent{Name: key, Ph: "M", PID: pid, TID: tid,
-		Args: map[string]any{"name": value}})
+	b := cw.begin(&chromeEvent{Name: key, Ph: "M", PID: pid, TID: tid})
+	b = append(jsonw.Key(b, "args"), '{')
+	b = jsonw.String(b, "name", value)
+	cw.end(append(b, '}'))
 }
 
 func (cw *chromeWriter) close() error {
@@ -99,24 +124,32 @@ func tidOf(e *Entry) int {
 	}
 }
 
-// args renders the kind-specific argument map for one entry.
-func (e *Entry) args() map[string]any {
+// appendArgs appends the entry's kind-specific "args" object, members
+// in key order; an entry of no known kind has none.
+func (e *Entry) appendArgs(b []byte) []byte {
+	if e.Kind >= numKinds {
+		return b
+	}
+	b = append(jsonw.Key(b, "args"), '{')
 	switch e.Kind {
 	case KindReconfig:
-		return map[string]any{"slots": e.A, "latency": e.B}
+		b = jsonw.Int(b, "latency", int64(e.B))
+		b = jsonw.Int(b, "slots", int64(e.A))
 	case KindRepair:
-		return map[string]any{"outcome": e.Aux}
+		b = jsonw.String(b, "outcome", e.Aux)
 	case KindSpec:
-		return map[string]any{"outcome": e.Aux, "spansIssued": e.A, "confidencePct": e.B}
+		b = jsonw.Int(b, "confidencePct", int64(e.B))
+		b = jsonw.String(b, "outcome", e.Aux)
+		b = jsonw.Int(b, "spansIssued", int64(e.A))
 	case KindPhase:
-		return map[string]any{"phase": e.A}
+		b = jsonw.Int(b, "phase", int64(e.A))
 	case KindFault:
-		return map[string]any{"detail": e.Aux}
+		b = jsonw.String(b, "detail", e.Aux)
 	case KindTrigger:
-		return map[string]any{"value": e.A, "threshold": e.B}
-	default:
-		return nil
+		b = jsonw.Int(b, "threshold", int64(e.B))
+		b = jsonw.Int(b, "value", int64(e.A))
 	}
+	return append(b, '}')
 }
 
 // corePID maps a cluster core to its Chrome process id: core 0 keeps
@@ -147,19 +180,21 @@ func writeEntries(cw *chromeWriter, entries []Entry, slots, core int) {
 	cw.meta(pid, tidPhase, "thread_name", "phases")
 	cw.meta(pid, tidEvents, "thread_name", "events")
 	for i := range entries {
-		e := &entries[i]
-		ev := chromeEvent{Name: e.Name, Cat: e.Kind.String(),
-			TS: e.Start, PID: pid, TID: tidOf(e), Args: e.args()}
-		if e.Kind == KindFault || e.Kind == KindTrigger {
-			ev.Ph = "i"
-			ev.Scope = "t"
-		} else {
-			ev.Ph = "X"
-			dur := e.Dur
-			ev.Dur = &dur
-		}
-		cw.event(ev)
+		cw.entry(&entries[i], pid)
 	}
+}
+
+// entry writes one simulator entry on its lane under pid: a complete
+// ("X") event for a span, a thread-scoped instant for a fault or a
+// trigger.
+func (cw *chromeWriter) entry(e *Entry, pid int) {
+	ev := chromeEvent{Name: e.Name, Cat: e.Kind.String(), Ph: "X",
+		TS: e.Start, Dur: e.Dur, PID: pid, TID: tidOf(e)}
+	if e.instant() {
+		ev.Ph = "i"
+		ev.Scope = "t"
+	}
+	cw.end(e.appendArgs(cw.begin(&ev)))
 }
 
 // slotLaneNames gives the per-slot lanes stable human names without
@@ -190,55 +225,31 @@ func WriteChromeTraceMulti(w io.Writer, recorders []*Recorder) error {
 	return cw.close()
 }
 
-// spanRecord / instantRecord are the two JSONL row shapes, tagged with
-// a "record" discriminator like the telemetry stream.
-type spanRecord struct {
-	Record string `json:"record"`
-	Core   int    `json:"core"`
-	Kind   string `json:"kind"`
-	Name   string `json:"name"`
-	Detail string `json:"detail"`
-	Slot   int    `json:"slot"`
-	Start  int64  `json:"start"`
-	Dur    int64  `json:"dur"`
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
-}
-
-type instantRecord struct {
-	Record string `json:"record"`
-	Core   int    `json:"core"`
-	Kind   string `json:"kind"`
-	Name   string `json:"name"`
-	Detail string `json:"detail"`
-	Cycle  int64  `json:"cycle"`
-	Slot   int    `json:"slot"`
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
-}
-
-// jsonRecord renders e in its JSONL row shape, labelled with the
-// owning cluster core.
-func jsonRecord(e *Entry, core int) any {
-	if e.Kind == KindFault || e.Kind == KindTrigger {
-		return instantRecord{Record: "instant", Core: core, Kind: e.Kind.String(),
-			Name: e.Name, Detail: e.Aux, Cycle: e.Start, Slot: int(e.Slot),
-			A: int64(e.A), B: int64(e.B)}
+// appendJSONLEntry appends e's JSONL row, labelled with the owning
+// cluster core: record:"instant" rows carry the instant's cycle,
+// record:"span" rows its start and duration.
+func appendJSONLEntry(b []byte, e *Entry, core int) []byte {
+	b = append(b, '{')
+	if e.instant() {
+		b = jsonw.String(b, "record", "instant")
+	} else {
+		b = jsonw.String(b, "record", "span")
 	}
-	return spanRecord{Record: "span", Core: core, Kind: e.Kind.String(),
-		Name: e.Name, Detail: e.Aux, Slot: int(e.Slot),
-		Start: e.Start, Dur: e.Dur, A: int64(e.A), B: int64(e.B)}
-}
-
-func writeJSONLEntry(w *bufio.Writer, e *Entry, core int) error {
-	b, err := json.Marshal(jsonRecord(e, core))
-	if err != nil {
-		return err
+	b = jsonw.Int(b, "core", int64(core))
+	b = jsonw.String(b, "kind", e.Kind.String())
+	b = jsonw.String(b, "name", e.Name)
+	b = jsonw.String(b, "detail", e.Aux)
+	if e.instant() {
+		b = jsonw.Int(b, "cycle", e.Start)
+		b = jsonw.Int(b, "slot", int64(e.Slot))
+	} else {
+		b = jsonw.Int(b, "slot", int64(e.Slot))
+		b = jsonw.Int(b, "start", e.Start)
+		b = jsonw.Int(b, "dur", e.Dur)
 	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.WriteByte('\n')
+	b = jsonw.Int(b, "a", int64(e.A))
+	b = jsonw.Int(b, "b", int64(e.B))
+	return append(b, '}')
 }
 
 // WriteJSONL renders the full trace as JSON lines: span rows carry
@@ -247,9 +258,11 @@ func writeJSONLEntry(w *bufio.Writer, e *Entry, core int) error {
 // testdata/span_schema.golden.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	var b []byte
 	entries := r.Entries()
 	for i := range entries {
-		if err := writeJSONLEntry(bw, &entries[i], r.Core()); err != nil {
+		b = append(appendJSONLEntry(b[:0], &entries[i], r.Core()), '\n')
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
 	}
@@ -260,29 +273,31 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // fires: the trigger tally plus the ring contents, oldest first, in
 // the JSONL row shapes.
 type flightDump struct {
-	Reason   string            `json:"reason,omitempty"`
-	Cycle    int64             `json:"cycle"`
-	Triggers int               `json:"triggers"`
-	Dropped  int               `json:"dropped"`
-	Entries  []json.RawMessage `json:"entries"`
+	Reason   string          `json:"reason,omitempty"`
+	Cycle    int64           `json:"cycle"`
+	Triggers int             `json:"triggers"`
+	Dropped  int             `json:"dropped"`
+	Entries  json.RawMessage `json:"entries"`
 }
 
-// DumpFlight writes the flight ring as one JSON object. reason labels
-// the trigger that caused the dump ("" for an end-of-run dump).
+// DumpFlight writes the flight ring as one indented JSON object. reason
+// labels the trigger that caused the dump ("" for an end-of-run dump).
+// The entries array is appended row by row and handed to the encoder
+// whole, which indents it with the rest of the document.
 func (r *Recorder) DumpFlight(w io.Writer, reason string) error {
 	d := flightDump{Reason: reason, Triggers: r.Triggers(), Dropped: r.Dropped()}
 	if r != nil {
 		d.Cycle = r.now
 	}
 	flight := r.Flight()
-	d.Entries = make([]json.RawMessage, 0, len(flight))
+	b := []byte{'['}
 	for i := range flight {
-		b, err := json.Marshal(jsonRecord(&flight[i], r.Core()))
-		if err != nil {
-			return err
+		if i > 0 {
+			b = append(b, ',')
 		}
-		d.Entries = append(d.Entries, b)
+		b = appendJSONLEntry(b, &flight[i], r.Core())
 	}
+	d.Entries = append(b, ']')
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonw"
 	"repro/internal/trace"
 )
 
@@ -129,23 +130,26 @@ func (r *ServiceRecorder) WriteChromeTrace(w io.Writer) error {
 	cw := newChromeWriter(w)
 	cw.meta(servicePID, 0, "process_name", "rssd")
 	for i := range spans {
-		s := &spans[i]
-		tid := int(s.Req % 1000 * 64)
-		if s.Point >= 0 {
-			tid += 1 + s.Point%63
-		}
-		ev := chromeEvent{Name: s.Name, Cat: s.Kind, TS: s.StartUs,
-			PID: servicePID, TID: tid,
-			Args: map[string]any{"req": s.Req, "point": s.Point}}
-		if s.Detail == "deadline" {
-			ev.Ph = "i"
-			ev.Scope = "t"
-		} else {
-			ev.Ph = "X"
-			dur := s.DurUs
-			ev.Dur = &dur
-		}
-		cw.event(ev)
+		cw.service(&spans[i])
 	}
 	return cw.close()
+}
+
+// service writes one service span: a complete ("X") event on its
+// request's lane, or a thread-scoped instant for a deadline trigger.
+func (cw *chromeWriter) service(s *ServiceSpan) {
+	tid := int(s.Req % 1000 * 64)
+	if s.Point >= 0 {
+		tid += 1 + s.Point%63
+	}
+	ev := chromeEvent{Name: s.Name, Cat: s.Kind, Ph: "X", TS: s.StartUs,
+		Dur: s.DurUs, PID: servicePID, TID: tid}
+	if s.Detail == "deadline" {
+		ev.Ph = "i"
+		ev.Scope = "t"
+	}
+	b := append(jsonw.Key(cw.begin(&ev), "args"), '{')
+	b = jsonw.Int(b, "point", int64(s.Point))
+	b = jsonw.Uint(b, "req", s.Req)
+	cw.end(append(b, '}'))
 }

@@ -75,6 +75,10 @@ type Entry struct {
 	Aux   string
 }
 
+// instant reports whether e marks a single cycle (a fault or a trigger)
+// rather than a span.
+func (e *Entry) instant() bool { return e.Kind == KindFault || e.Kind == KindTrigger }
+
 // Trigger reasons and speculation outcomes, exported for tests and
 // callers that inspect the stream.
 const (

@@ -2,12 +2,13 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/jsonw"
 )
 
 // Exporter receives the sampler's output. Samples arrive every probe
@@ -21,30 +22,6 @@ type Exporter interface {
 	Fault(*FaultEvent) error
 	Prefetch(*PrefetchEvent) error
 	Flush() error
-}
-
-// sampleRecord / decisionRecord wrap a row with a "record" discriminator
-// so the two row types can share one stream. (Two separate wrapper types:
-// embedding both in one struct would make the shared "cycle" field
-// ambiguous and encoding/json would drop it.)
-type sampleRecord struct {
-	Record string `json:"record"`
-	*Sample
-}
-
-type decisionRecord struct {
-	Record string `json:"record"`
-	*Decision
-}
-
-type faultRecord struct {
-	Record string `json:"record"`
-	*FaultEvent
-}
-
-type prefetchRecord struct {
-	Record string `json:"record"`
-	*PrefetchEvent
 }
 
 // NewExporter builds the exporter format names over w: "jsonl" (samples
@@ -63,10 +40,14 @@ func NewExporter(w io.Writer, format string, reg *Registry) (Exporter, error) {
 	return nil, fmt.Errorf("telemetry: unknown metrics format %q (known: jsonl, csv, prom)", format)
 }
 
-// JSONL streams samples and decisions as one JSON object per line, each
-// tagged with "record":"sample" or "record":"decision".
+// JSONL streams samples, decisions, fault and prefetch events as one
+// JSON object per line, each tagged with "record":"sample", "decision",
+// "fault" or "prefetch" ahead of the row's fields in declared order.
+// Each row is appended into one reused buffer (internal/jsonw), so a
+// row costs no allocation.
 type JSONL struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	buf []byte
 }
 
 // NewJSONL wraps w in a buffered JSON-lines exporter.
@@ -74,37 +55,118 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w)}
 }
 
-func (e *JSONL) write(rec any) error {
-	b, err := json.Marshal(rec)
+// write emits the row an append function built into e.buf, keeping the
+// buffer for the next row. A row whose encoding failed is not written.
+func (e *JSONL) write(b []byte, err error) error {
 	if err != nil {
+		e.buf = b
 		return err
 	}
-	if _, err := e.w.Write(b); err != nil {
-		return err
-	}
-	return e.w.WriteByte('\n')
+	e.buf = append(b, '\n')
+	_, err = e.w.Write(e.buf)
+	return err
 }
 
 // Sample writes one sample row.
-func (e *JSONL) Sample(s *Sample) error { return e.write(sampleRecord{Record: "sample", Sample: s}) }
+func (e *JSONL) Sample(s *Sample) error { return e.write(appendSample(e.buf[:0], s)) }
 
 // Decision writes one decision row.
-func (e *JSONL) Decision(d *Decision) error {
-	return e.write(decisionRecord{Record: "decision", Decision: d})
-}
+func (e *JSONL) Decision(d *Decision) error { return e.write(appendDecision(e.buf[:0], d), nil) }
 
 // Fault writes one fault-event row.
-func (e *JSONL) Fault(f *FaultEvent) error {
-	return e.write(faultRecord{Record: "fault", FaultEvent: f})
-}
+func (e *JSONL) Fault(f *FaultEvent) error { return e.write(appendFault(e.buf[:0], f), nil) }
 
 // Prefetch writes one prefetch-event row.
-func (e *JSONL) Prefetch(p *PrefetchEvent) error {
-	return e.write(prefetchRecord{Record: "prefetch", PrefetchEvent: p})
-}
+func (e *JSONL) Prefetch(p *PrefetchEvent) error { return e.write(appendPrefetch(e.buf[:0], p), nil) }
 
 // Flush drains the buffer.
 func (e *JSONL) Flush() error { return e.w.Flush() }
+
+// appendSample appends s's JSONL row. The only field that can fail is
+// IntervalIPC (NaN or an infinity, as json.Marshal refuses them).
+func appendSample(b []byte, s *Sample) ([]byte, error) {
+	b = append(b, '{')
+	b = jsonw.String(b, "record", "sample")
+	b = jsonw.Int(b, "cycle", int64(s.Cycle))
+	b = jsonw.Int(b, "core", int64(s.Core))
+	b = jsonw.Int(b, "retired", int64(s.Retired))
+	b = jsonw.Int(b, "intervalRetired", int64(s.IntervalRetired))
+	b, err := jsonw.Float(b, "intervalIPC", s.IntervalIPC)
+	if err != nil {
+		return b, err
+	}
+	b = jsonw.Int(b, "occupancy", int64(s.Occupancy))
+	b = jsonw.Ints(b, "demand", s.Demand[:])
+	b = jsonw.Ints(b, "intervalIssued", s.IntervalIssued[:])
+	b = jsonw.Ints(b, "rfuUnits", s.RFUUnits[:])
+	b = jsonw.Ints(b, "rfuBusy", s.RFUBusy[:])
+	b = jsonw.Ints(b, "ffuBusy", s.FFUBusy[:])
+	b = jsonw.Ints(b, "slots", s.Slots[:])
+	b = jsonw.Bool(b, "cemValid", s.CEMValid)
+	b = jsonw.Ints(b, "cemErrors", s.CEMErrors[:])
+	b = jsonw.Int(b, "cemChoice", int64(s.CEMChoice))
+	b = jsonw.Int(b, "reconfigSlots", int64(s.ReconfigSlots))
+	b = jsonw.Int(b, "intervalReconfigs", int64(s.IntervalReconfigs))
+	b = jsonw.Int(b, "intervalFlushed", int64(s.IntervalFlushed))
+	b = jsonw.Int(b, "intervalDispatchStalls", int64(s.IntervalDispatchStalls))
+	b = jsonw.Int(b, "intervalSteerCacheHits", int64(s.IntervalSteerCacheHits))
+	b = jsonw.Int(b, "intervalSteerCacheMisses", int64(s.IntervalSteerCacheMisses))
+	b = jsonw.Int(b, "intervalPrefetchIssued", int64(s.IntervalPrefetchIssued))
+	b = jsonw.Int(b, "intervalPrefetchConfirmed", int64(s.IntervalPrefetchConfirmed))
+	b = jsonw.Int(b, "intervalPrefetchMispredicted", int64(s.IntervalPrefetchMispredicted))
+	b = jsonw.Int(b, "intervalPrefetchCancelled", int64(s.IntervalPrefetchCancelled))
+	b = jsonw.Int(b, "intervalFaultsInjected", int64(s.IntervalFaultsInjected))
+	b = jsonw.Int(b, "intervalFaultsDetected", int64(s.IntervalFaultsDetected))
+	b = jsonw.Int(b, "intervalFaultsRepaired", int64(s.IntervalFaultsRepaired))
+	b = jsonw.Int(b, "intervalScrubScans", int64(s.IntervalScrubScans))
+	b = jsonw.Int(b, "maskedSlots", int64(s.MaskedSlots))
+	b = jsonw.Int(b, "bucketIssued", int64(s.BucketIssued))
+	b = jsonw.Int(b, "bucketUnits", int64(s.BucketUnits))
+	b = jsonw.Int(b, "bucketDeps", int64(s.BucketDeps))
+	b = jsonw.Int(b, "bucketFrontend", int64(s.BucketFrontend))
+	return append(b, '}'), nil
+}
+
+// appendDecision appends d's JSONL row.
+func appendDecision(b []byte, d *Decision) []byte {
+	b = append(b, '{')
+	b = jsonw.String(b, "record", "decision")
+	b = jsonw.Int(b, "cycle", int64(d.Cycle))
+	b = jsonw.Int(b, "core", int64(d.Core))
+	b = jsonw.String(b, "from", d.From)
+	b = jsonw.String(b, "to", d.To)
+	b = jsonw.Int(b, "choice", int64(d.Choice))
+	b = jsonw.Int(b, "diffSlots", int64(d.DiffSlots))
+	b = jsonw.Int(b, "spans", int64(d.Spans))
+	b = jsonw.Int(b, "slotsLoading", int64(d.SlotsLoading))
+	b = jsonw.Int(b, "deferredSlots", int64(d.DeferredSlots))
+	b = jsonw.Int(b, "stallSlotCycles", int64(d.StallSlotCycles))
+	return append(b, '}')
+}
+
+// appendFault appends f's JSONL row.
+func appendFault(b []byte, f *FaultEvent) []byte {
+	b = append(b, '{')
+	b = jsonw.String(b, "record", "fault")
+	b = jsonw.Int(b, "cycle", int64(f.Cycle))
+	b = jsonw.Int(b, "core", int64(f.Core))
+	b = jsonw.Int(b, "slot", int64(f.Slot))
+	b = jsonw.String(b, "event", f.Event)
+	return append(b, '}')
+}
+
+// appendPrefetch appends p's JSONL row.
+func appendPrefetch(b []byte, p *PrefetchEvent) []byte {
+	b = append(b, '{')
+	b = jsonw.String(b, "record", "prefetch")
+	b = jsonw.Int(b, "cycle", int64(p.Cycle))
+	b = jsonw.Int(b, "core", int64(p.Core))
+	b = jsonw.String(b, "event", p.Event)
+	b = jsonw.String(b, "config", p.Config)
+	b = jsonw.Int(b, "spans", int64(p.Spans))
+	b = jsonw.Int(b, "confidencePct", int64(p.ConfidencePct))
+	return append(b, '}')
+}
 
 // CSV writes the sample time series as comma-separated rows with a
 // header. Decision records have a different shape and are omitted from
@@ -112,6 +174,7 @@ func (e *JSONL) Flush() error { return e.w.Flush() }
 type CSV struct {
 	w      *bufio.Writer
 	header bool
+	buf    []byte
 }
 
 // NewCSV wraps w in a buffered CSV exporter.
@@ -138,7 +201,8 @@ func csvHeader() string {
 	return strings.Join(cols, ",")
 }
 
-// Sample writes one CSV row (and the header before the first row).
+// Sample writes one CSV row (and the header before the first row),
+// appended into one reused buffer.
 func (e *CSV) Sample(s *Sample) error {
 	if !e.header {
 		e.header = true
@@ -146,36 +210,41 @@ func (e *CSV) Sample(s *Sample) error {
 			return err
 		}
 	}
-	fields := []string{
-		itoa(s.Cycle), itoa(s.Core), itoa(s.Retired), itoa(s.IntervalRetired),
-		fmt.Sprintf("%.4f", s.IntervalIPC), itoa(s.Occupancy),
+	b := strconv.AppendInt(e.buf[:0], int64(s.Cycle), 10)
+	b = csvInts(b, s.Core, s.Retired, s.IntervalRetired)
+	b = strconv.AppendFloat(append(b, ','), s.IntervalIPC, 'f', 4, 64)
+	b = csvInts(b, s.Occupancy)
+	for _, counts := range [...]*arch.Counts{&s.Demand, &s.IntervalIssued, &s.RFUUnits, &s.RFUBusy, &s.FFUBusy} {
+		b = csvInts(b, counts[:]...)
 	}
-	for _, counts := range []arch.Counts{s.Demand, s.IntervalIssued, s.RFUUnits, s.RFUBusy, s.FFUBusy} {
-		for _, v := range counts {
-			fields = append(fields, itoa(v))
-		}
-	}
-	slot := make([]string, len(s.Slots))
+	b = append(b, ',', '"')
 	for i, enc := range s.Slots {
-		slot[i] = itoa(int(enc))
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(enc), 10)
 	}
-	fields = append(fields, "\""+strings.Join(slot, " ")+"\"")
+	valid := byte('0')
 	if s.CEMValid {
-		fields = append(fields, "1")
-	} else {
-		fields = append(fields, "0")
+		valid = '1'
 	}
-	for _, e := range s.CEMErrors {
-		fields = append(fields, itoa(e))
-	}
-	fields = append(fields, itoa(s.CEMChoice), itoa(s.ReconfigSlots), itoa(s.IntervalReconfigs),
-		itoa(s.IntervalFlushed), itoa(s.IntervalDispatchStalls),
-		itoa(s.BucketIssued), itoa(s.BucketUnits), itoa(s.BucketDeps), itoa(s.BucketFrontend))
-	_, err := fmt.Fprintln(e.w, strings.Join(fields, ","))
+	b = append(b, '"', ',', valid)
+	b = csvInts(b, s.CEMErrors[:]...)
+	b = csvInts(b, s.CEMChoice, s.ReconfigSlots, s.IntervalReconfigs,
+		s.IntervalFlushed, s.IntervalDispatchStalls,
+		s.BucketIssued, s.BucketUnits, s.BucketDeps, s.BucketFrontend)
+	e.buf = append(b, '\n')
+	_, err := e.w.Write(e.buf)
 	return err
 }
 
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
+// csvInts appends each of vs as a comma-led decimal column.
+func csvInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(append(b, ','), int64(v), 10)
+	}
+	return b
+}
 
 // Decision is a no-op: decisions do not fit the sample row shape.
 func (e *CSV) Decision(*Decision) error { return nil }

@@ -687,9 +687,6 @@ func (m *Machine) Observer() *trace.Observer {
 	return m.obs
 }
 
-// Telemetry returns the attached probe, or nil when telemetry is off.
-func (m *Machine) Telemetry() *telemetry.Probe { return m.probe }
-
 // SpanConfig sizes the span recorder and its flight-recorder triggers;
 // the zero value selects the defaults (see internal/span.Config).
 type SpanConfig = span.Config
