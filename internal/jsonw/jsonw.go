@@ -18,6 +18,7 @@
 package jsonw
 
 import (
+	"errors"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -81,24 +82,14 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// UnsupportedValueError reports a float JSON cannot represent (NaN or an
-// infinity). Its text is encoding/json's for the same value.
-type UnsupportedValueError struct {
-	Str string // the value as strconv formats it: "NaN", "+Inf" or "-Inf"
-}
-
-func (e *UnsupportedValueError) Error() string {
-	return "json: unsupported value: " + e.Str
-}
-
 // AppendFloat appends f as encoding/json writes a float64: the shortest
 // decimal that round-trips, in 'f' form unless |f| is below 1e-6 or at
 // least 1e21 (then 'e' form, with a one-digit negative exponent written
-// e-7, not e-07). NaN and the infinities are an error, as in Marshal;
-// dst is then returned unchanged.
+// e-7, not e-07). NaN and the infinities are an error with Marshal's
+// text; dst is then returned unchanged.
 func AppendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, &UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return dst, errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -156,9 +147,10 @@ func Float(dst []byte, key string, v float64) ([]byte, error) {
 	return b, nil
 }
 
-// integer is the element types Ints accepts.
+// integer is the element types Ints accepts: the record fields' ints
+// and byte-sized encodings.
 type integer interface {
-	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32
+	~int | ~uint8
 }
 
 // Ints appends the member "key": [v0,v1,...], each element a JSON

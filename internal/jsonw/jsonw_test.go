@@ -15,7 +15,7 @@ type member struct {
 	I int64    `json:"i"`
 	U uint64   `json:"u"`
 	B bool     `json:"b"`
-	A [3]int32 `json:"a"`
+	A [3]int   `json:"a"`
 	E [2]uint8 `json:"e"`
 }
 
@@ -66,7 +66,7 @@ func checkAppend(t *testing.T, s string, f float64, i int64, u uint64, flag bool
 	}
 
 	m := member{S: s, F: f, I: i, U: u, B: flag,
-		A: [3]int32{int32(i), int32(u), -1}, E: [2]uint8{uint8(i), 255}}
+		A: [3]int{int(i), int(u), -1}, E: [2]uint8{uint8(i), 255}}
 	want, wantErr = json.Marshal(&m)
 	got, gotErr = appendMember(nil, &m)
 	switch {
