@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -172,8 +173,7 @@ func benchRun(b *testing.B, prog isa.Program, params cpu.Params, policy cpu.Poli
 	totalCycles := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := repro.NewMachine(prog, repro.Options{Policy: policy, Params: params}).Processor()
-		st, err := p.Run(50_000_000)
+		st, err := repro.NewMachine(prog, repro.Options{Policy: policy, Params: params}).Run(50_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,8 @@ func BenchmarkX1Kernels(b *testing.B) {
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
 				}
-				st, err := p.Run(50_000_000)
+				err := cpu.Run(context.Background(), p, 50_000_000)
+				st := p.Stats()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -342,7 +343,8 @@ func BenchmarkX6Basis(b *testing.B) {
 				p := cpu.New(prog, cpu.DefaultParams())
 				m := core.NewManager(p.Fabric(), basis)
 				p.SetManager(m)
-				st, err := p.Run(50_000_000)
+				err := cpu.Run(context.Background(), p, 50_000_000)
+				st := p.Stats()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -425,7 +427,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				if traced {
 					observe(p, trace.NewBuffer(1<<16))
 				}
-				if _, err := p.Run(50_000_000); err != nil {
+				if err := cpu.Run(context.Background(), p, 50_000_000); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -477,7 +479,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 				if mode == "on" {
 					observe(p, span.NewRecorder(span.Config{}, arch.NumRFUSlots))
 				}
-				if _, err := p.Run(50_000_000); err != nil {
+				if err := cpu.Run(context.Background(), p, 50_000_000); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -505,7 +507,7 @@ func BenchmarkFaultPathOverhead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, params)
 				p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
-				if _, err := p.Run(50_000_000); err != nil {
+				if err := cpu.Run(context.Background(), p, 50_000_000); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -188,13 +188,9 @@ func TestClusterNoDoubleLease(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(k)))
 				for cycle := 0; cycle < 30_000 && !c.Halted(); cycle++ {
 					if rng.Intn(500) == 0 {
-						if rng.Intn(2) == 0 {
-							c.RequestMode(cluster.ModeMerged)
-						} else {
-							c.RequestMode(cluster.ModeSplit)
-						}
+						c.SetSwitchEvery(1 + rng.Intn(500))
 					}
-					c.Step()
+					c.Cycle()
 					checkLeaseInvariants(t, c, cycle)
 				}
 				stats := c.Stats()
@@ -462,7 +458,7 @@ func TestRunFlushClosesPhaseSpans(t *testing.T) {
 
 // TestZeroAllocClusterCycle pins the cluster stepping fast path: with
 // K=4 cores in each mode (faults armed, so cross-core repair
-// arbitration runs too), a steady-state Step must not allocate.
+// arbitration runs too), a steady-state Cycle must not allocate.
 func TestZeroAllocClusterCycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are inflated by the race detector")
@@ -481,12 +477,12 @@ func TestZeroAllocClusterCycle(t *testing.T) {
 			params.FaultSeed = 9
 			c := cluster.New(repro.Program(prog), repro.Options{Params: params, Policy: repro.PolicySteering})
 			for i := 0; i < 50_000 && !c.Halted(); i++ {
-				c.Step()
+				c.Cycle()
 			}
 			if c.Halted() {
 				t.Fatal("workload halted during warm-up; steady-state cycles unmeasurable")
 			}
-			requireZeroAllocs(t, "steady-state cluster Step ("+mode+", K=4)", 2000, c.Step)
+			requireZeroAllocs(t, "steady-state cluster Cycle ("+mode+", K=4)", 2000, c.Cycle)
 		})
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro"
 	"repro/internal/server"
 )
 
@@ -51,7 +52,7 @@ func main() {
 		maxBody      = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 		timeout      = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTimeout   = flag.Duration("max-timeout", 2*time.Minute, "cap on request-supplied deadlines")
-		maxCycles    = flag.Int("max-cycles", 50_000_000, "default cycle budget per simulation")
+		maxCycles    = flag.Int("max-cycles", repro.DefaultMaxCycles, "default cycle budget per simulation")
 		cyclesCap    = flag.Int("cycles-cap", 500_000_000, "hard cap on request cycle budgets")
 		cacheSize    = flag.Int("cache", 64, "loaded-program LRU capacity (negative disables)")
 		jobPoints    = flag.Int("job-points", 4096, "max grid points per asynchronous job")

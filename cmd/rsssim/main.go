@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.policyName, "policy", repro.PolicySteering.String(), "configuration policy")
 	fs.BoolVar(&c.listKernels, "kernels", false, "list built-in kernels and exit")
 	fs.BoolVar(&c.listPolicies, "list-policies", false, "list configuration policies and exit")
-	fs.IntVar(&c.spec.MaxCycles, "max-cycles", 50_000_000, "cycle budget")
+	fs.IntVar(&c.spec.MaxCycles, "max-cycles", repro.DefaultMaxCycles, "cycle budget; 0 means the default, as in rssd")
 	fs.Int64Var(&c.spec.Seed, "seed", 7, "seed for synthetic workloads / random policy")
 	fs.IntVar(&p.WindowSize, "window", 0, "scheduling window size; 0 means use the default (7), negative is an error")
 	fs.IntVar(&p.ReconfigLatency, "reconfig-latency", 0, "cycles per RFU span reconfiguration; 0 means use the default (8), negative is an error (near-instant reconfiguration is 1)")
@@ -172,6 +172,9 @@ func (c *command) run(stdout, stderr io.Writer, policySet bool) error {
 	}
 	if err := c.spec.Validate(); err != nil {
 		return err
+	}
+	if c.spec.MaxCycles == 0 {
+		c.spec.MaxCycles = repro.DefaultMaxCycles
 	}
 	if c.basisPath != "" {
 		data, err := os.ReadFile(c.basisPath)

@@ -181,6 +181,31 @@ func TestRunInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesZeroIsDefaultBudget: -max-cycles 0 reads as the default
+// budget, as a spec's maxCycles 0 does in rssd, so the run matches the
+// pinned default-budget run at one core and at two.
+func TestMaxCyclesZeroIsDefaultBudget(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"saxpy.golden", []string{"-kernel", "saxpy"}},
+		{"saxpy_cores2_split.golden", []string{"-kernel", "saxpy", "-cores", "2", "-cluster-mode", "split", "-cluster-arbiter", "demand-weighted"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.args, "-max-cycles", "0"), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr.String())
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stripThroughput(stdout.String()); got != string(want) {
+			t.Errorf("%v -max-cycles 0 differs from testdata/%s:\n%s", tc.args, tc.golden, got)
+		}
+	}
+}
+
 // TestRunClusterJSON checks -json with -cores prints the cluster
 // report: the aggregate block plus one scalar report per core.
 func TestRunClusterJSON(t *testing.T) {

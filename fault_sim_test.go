@@ -156,8 +156,9 @@ func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
 			for !m.Halted() && cycles < 2_000_000 {
 				m.Cycle()
 				cycles++
+				timers, _ := fab.TimerMasks()
 				for s := 0; s < arch.NumRFUSlots; s++ {
-					busy := fab.SlotBusy(s)
+					busy := timers>>uint(s)&1 != 0
 					if busy && !prevBusy[s] {
 						// A unit headed at s started executing this
 						// cycle; its whole span must be healthy.

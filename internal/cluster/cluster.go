@@ -32,8 +32,9 @@
 // change under an executing span.
 //
 // A one-core cluster is the scalar repro.Machine: NewMulti installs no
-// hook on a single core and RunContext runs it directly, so K=1 is
-// bit-identical to the paper's machine (TestClusterK1MatchesScalar).
+// hook on a single core and RunContext clocks its processor directly,
+// so K=1 is bit-identical to the paper's machine
+// (TestClusterK1MatchesScalar).
 // So cluster.Machine runs every run spec, whatever its core count.
 package cluster
 
@@ -297,12 +298,6 @@ func (c *Machine) busLoadExcept(j int) func() int {
 	}
 }
 
-// RequestMode asks the cluster to switch fabric-sharing modes at the
-// next phase boundary — the first cycle where every fabric is
-// quiescent, so configurations never change under an executing span.
-// Requesting the current mode cancels a pending switch.
-func (c *Machine) RequestMode(m Mode) { c.pending = m }
-
 // SetSwitchEvery toggles merged/split every n cluster cycles (0, the
 // default, never auto-switches). Each toggle still waits for the next
 // quiescent boundary, so the effective phase lengths stretch with
@@ -326,12 +321,12 @@ func (c *Machine) fabricsIdle() bool {
 	return true
 }
 
-// Step advances the cluster one cycle: pending mode switches apply at
+// Cycle advances the cluster one cycle: pending mode switches apply at
 // quiescent boundaries, then the cores step in arbiter order — master
 // first in merged mode (mirrors refresh from its post-cycle state), or
 // the rotation/demand order in split mode, where earlier cores see
 // less configuration-bus contention.
-func (c *Machine) Step() {
+func (c *Machine) Cycle() {
 	if c.switchEvery > 0 && c.cycle > 0 && c.cycle%c.switchEvery == 0 && c.pending == c.mode {
 		if c.mode == ModeMerged {
 			c.pending = ModeSplit
@@ -423,45 +418,32 @@ func (c *Machine) Halted() bool {
 	return true
 }
 
+// Cycles returns the cluster cycles simulated so far.
+func (c *Machine) Cycles() int { return c.cycle }
+
 // Run executes until every core halts or maxCycles cluster cycles
 // elapse; see RunContext.
 func (c *Machine) Run(maxCycles int) (Stats, error) {
 	return c.RunContext(context.Background(), maxCycles)
 }
 
-// RunContext is Run with cancellation, polled every
-// cpu.CtxCheckInterval cluster cycles like the scalar machine. On
-// budget exhaustion the error wraps cpu.ErrCycleLimit; the statistics
-// so far are returned either way, and every core's machine is flushed
-// (repro.Machine.Flush). A one-core cluster runs its machine's own
-// RunContext, so its errors and flush are the scalar machine's.
+// RunContext is Run with cancellation: the cluster is clocked by
+// cpu.Run, the scalar machine's run loop, so the context poll, the budget
+// and the ErrCycleLimit error are the scalar machine's. A one-core
+// cluster clocks its processor directly. The statistics so far are
+// returned either way, and every core's machine is flushed
+// (repro.Machine.Flush).
 func (c *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
-	if len(c.cores) == 1 {
-		_, err := c.cores[0].RunContext(ctx, maxCycles)
-		c.cycle = c.procs[0].Stats().Cycles
-		return c.Stats(), err
+	var clock cpu.Clocked = c
+	if len(c.procs) == 1 {
+		clock = c.procs[0]
 	}
-	var err error
-	for !c.Halted() && c.cycle < maxCycles {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		limit := c.cycle + cpu.CtxCheckInterval
-		if limit > maxCycles {
-			limit = maxCycles
-		}
-		for !c.Halted() && c.cycle < limit {
-			c.Step()
-		}
-	}
+	err := cpu.Run(ctx, clock, maxCycles)
+	c.cycle = clock.Cycles()
 	for i, m := range c.cores {
 		if ferr := m.Flush(); err == nil && ferr != nil {
 			err = fmt.Errorf("telemetry (core %d): %w", i, ferr)
 		}
-	}
-	if err == nil && !c.Halted() {
-		err = fmt.Errorf("cluster: not all %d cores halted within %d cycles: %w",
-			len(c.procs), maxCycles, cpu.ErrCycleLimit)
 	}
 	return c.Stats(), err
 }

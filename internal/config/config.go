@@ -214,12 +214,6 @@ func (v AllocationVector) RFUCounts() arch.Counts {
 	return Configuration{Layout: v.Slots}.Counts()
 }
 
-// TotalCounts returns the unit mix of the whole processor: RFU contents
-// plus the fixed units.
-func (v AllocationVector) TotalCounts() arch.Counts {
-	return v.RFUCounts().Add(FFUCounts())
-}
-
 // Distance is the number of reconfigurable slots whose encoding differs
 // from the target configuration — the XOR step the loader performs when
 // a new configuration is chosen (§3.2). The minimal error selector uses

@@ -148,8 +148,8 @@ func TestNewAllocationVector(t *testing.T) {
 			t.Errorf("FFU %d = %v, want %v", i, v.FFUs[i], arch.Encode(ty))
 		}
 	}
-	if got := v.TotalCounts(); got != FFUCounts() {
-		t.Errorf("reset TotalCounts = %v, want FFUs only", got)
+	if got := v.RFUCounts(); got != (arch.Counts{}) {
+		t.Errorf("reset RFUCounts = %v, want none", got)
 	}
 }
 
@@ -197,9 +197,8 @@ func TestRFUAndTotalCounts(t *testing.T) {
 	if rfu != (arch.Counts{1, 0, 1, 1, 1}) {
 		t.Errorf("RFUCounts = %v", rfu)
 	}
-	total := v.TotalCounts()
-	if total != (arch.Counts{2, 1, 2, 2, 2}) {
-		t.Errorf("TotalCounts = %v", total)
+	if total := rfu.Add(FFUCounts()); total != (arch.Counts{2, 1, 2, 2, 2}) {
+		t.Errorf("RFU plus FFU counts = %v", total)
 	}
 }
 

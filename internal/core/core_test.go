@@ -475,7 +475,7 @@ func TestConvergenceUnderConstantDemand(t *testing.T) {
 		if lastChoice != 0 {
 			t.Errorf("latency %d: not converged after 200 cycles (choice %d)", lat, lastChoice)
 		}
-		if f.Reconfiguring() {
+		if f.ReconfiguringSlots() > 0 {
 			t.Errorf("latency %d: fabric still reconfiguring at steady state", lat)
 		}
 	}

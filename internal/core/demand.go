@@ -255,12 +255,6 @@ func (m *DemandManager) findGap(kept []bool, t arch.UnitType, required arch.Coun
 	return -1
 }
 
-// Target returns the layout the manager would synthesise for the given
-// demand — exposed for tests and analysis.
-func (m *DemandManager) Target(required arch.Counts) config.Configuration {
-	return m.synthesize(m.plan(required), required)
-}
-
 // targetUnits returns the placement list of the layout synthesize
 // builds for required on the live fabric, read from the tables when
 // their inputs were seen before. The list is valid until the next call.

@@ -65,7 +65,7 @@ func TestDemandTargetStructurallyValid(t *testing.T) {
 			req[ti] = v
 			left -= v
 		}
-		target := m.Target(req)
+		target := m.synthesize(m.plan(req), req)
 		if err := target.Validate(); err != nil {
 			t.Fatalf("trial %d: invalid target %v for req %v: %v", trial, target.Layout, req, err)
 		}
@@ -230,7 +230,7 @@ func TestDemandStepMatchesReference(t *testing.T) {
 				m.Step(d)
 				if d.Total() > 0 {
 					syntheses++
-					for _, u := range ref.Target(d).AppendUnits(nil) {
+					for _, u := range ref.synthesize(ref.plan(d), d).AppendUnits(nil) {
 						switch {
 						case fr.Allocation().Slots[u.Slot] == arch.Encode(u.Type):
 						case !fr.CanReconfigure(u.Type, u.Slot):

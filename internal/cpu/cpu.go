@@ -34,8 +34,8 @@ import (
 // rssd server in particular) can classify outcomes with errors.Is
 // instead of string matching.
 var (
-	// ErrCycleLimit is wrapped by Run/RunContext when the cycle budget
-	// elapses before the program's HALT retires.
+	// ErrCycleLimit is wrapped by Run when the cycle budget elapses
+	// before the program's HALT retires.
 	ErrCycleLimit = errors.New("cycle limit exceeded")
 	// ErrInvalidParams is wrapped by Params.Validate failures.
 	ErrInvalidParams = errors.New("invalid machine parameters")
@@ -616,9 +616,6 @@ func (p *Processor) Predictor() *fetch.Predictor { return p.pred }
 // TraceCache exposes the trace cache statistics.
 func (p *Processor) TraceCache() *fetch.TraceCache { return p.tcache }
 
-// FetchUnit exposes the fetch unit statistics.
-func (p *Processor) FetchUnit() *fetch.Unit { return p.front }
-
 // Window exposes the wake-up array (read-only use intended).
 func (p *Processor) Window() *wakeup.Array { return p.array }
 
@@ -699,42 +696,43 @@ func (p *Processor) Cycle() {
 	p.obs.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(p.stats.Retired)})
 }
 
-// Run executes until HALT retires or maxCycles elapse. It returns the
-// stats and an error wrapping ErrCycleLimit when the cycle budget ran
-// out — which, with FFUs enabled, indicates a genuine simulator bug, and
-// with FFUs disabled is the expected starvation outcome of the X4
-// ablation.
-func (p *Processor) Run(maxCycles int) (Stats, error) {
-	return p.RunContext(context.Background(), maxCycles)
+// Cycles returns the cycles simulated so far.
+func (p *Processor) Cycles() int { return p.stats.Cycles }
+
+// Clocked is a machine Run can drive: the scalar Processor and the
+// K-core cluster. Cycle advances it one clock, adding exactly one to
+// Cycles until Halted.
+type Clocked interface {
+	Cycle()
+	Halted() bool
+	Cycles() int
 }
 
-// CtxCheckInterval is how many cycles RunContext simulates between
-// context polls: cancellation takes effect within one interval.
+// CtxCheckInterval is how many cycles Run simulates between context
+// polls: cancellation takes effect within one interval.
 const CtxCheckInterval = 1024
 
-// RunContext is Run with cancellation: the context is checked every
-// CtxCheckInterval cycles, and on cancellation the run stops with the
-// context's error (context.Canceled or context.DeadlineExceeded) and
-// the statistics accumulated so far. The machine stays consistent — a
-// cancelled run can be resumed with another RunContext call.
-func (p *Processor) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
-	for !p.halted && p.stats.Cycles < maxCycles {
+// Run clocks m until it halts or has simulated maxCycles cycles. It is
+// the one run loop every machine goes through. The context is polled
+// every CtxCheckInterval cycles; on cancellation Run returns the
+// context's error (context.Canceled or context.DeadlineExceeded) with
+// the machine consistent, so another Run resumes it. A budget that runs
+// out before the HALT returns an error wrapping ErrCycleLimit, which
+// with FFUs enabled indicates a simulator bug and with FFUs disabled is
+// the expected starvation outcome of the X4 ablation.
+func Run(ctx context.Context, m Clocked, maxCycles int) error {
+	for !m.Halted() && m.Cycles() < maxCycles {
 		if err := ctx.Err(); err != nil {
-			return p.Stats(), err
+			return err
 		}
-		limit := p.stats.Cycles + CtxCheckInterval
-		if limit > maxCycles {
-			limit = maxCycles
-		}
-		for !p.halted && p.stats.Cycles < limit {
-			p.Cycle()
+		for n := min(CtxCheckInterval, maxCycles-m.Cycles()); n > 0 && !m.Halted(); n-- {
+			m.Cycle()
 		}
 	}
-	if !p.halted {
-		return p.Stats(), fmt.Errorf("cpu: no HALT within %d cycles (retired %d): %w",
-			maxCycles, p.stats.Retired, ErrCycleLimit)
+	if !m.Halted() {
+		return fmt.Errorf("no HALT within %d cycles: %w", maxCycles, ErrCycleLimit)
 	}
-	return p.Stats(), nil
+	return nil
 }
 
 // retire commits the oldest complete instructions in order.

@@ -277,8 +277,8 @@ func TestPCEscapeStallsAndTimesOut(t *testing.T) {
 	if _, err := p.Run(500); err == nil {
 		t.Error("PC escape did not exhaust the budget")
 	}
-	if p.FetchUnit().StallCycles() == 0 {
-		t.Error("escaped PC produced no fetch stalls")
+	if p.Stats().CyclesFrontend == 0 {
+		t.Error("escaped PC produced no frontend-starved cycles")
 	}
 }
 

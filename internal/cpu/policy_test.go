@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/isa"
 	"repro/internal/predict"
@@ -140,107 +139,9 @@ func TestPrefetchHistoryCap(t *testing.T) {
 	}
 }
 
-// spinProgram never halts — the RunContext tests race it against a
-// deadline or cancellation.
-func spinProgram(t *testing.T) isa.Program {
-	t.Helper()
-	prog, err := isa.Assemble("loop: j loop\n")
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	return prog
-}
-
-func TestRunContextDeadline(t *testing.T) {
-	p := New(spinProgram(t), Params{})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	stats, err := p.RunContext(ctx, 1<<40)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if stats.Cycles == 0 {
-		t.Errorf("no cycles simulated before the deadline")
-	}
-	if p.Halted() {
-		t.Errorf("spin program halted")
-	}
-}
-
-func TestRunContextPreCancelled(t *testing.T) {
-	p := New(spinProgram(t), Params{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stats, err := p.RunContext(ctx, 1<<40)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	// The context is checked before each interval, so a pre-cancelled
-	// run stops within one CtxCheckInterval of cycles — here, before
-	// simulating anything at all.
-	if stats.Cycles != 0 {
-		t.Errorf("pre-cancelled run simulated %d cycles", stats.Cycles)
-	}
-}
-
-func TestRunContextResume(t *testing.T) {
-	// A cancelled run leaves the machine consistent: resuming it with a
-	// live context completes the program.
-	prog := isa.MustAssemble(`
-		li r1, 5
-		li r2, 7
-		add r3, r1, r2
-		halt
-	`)
-	p := New(prog, Params{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.RunContext(ctx, 1_000_000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("first run: err = %v, want Canceled", err)
-	}
-	stats, err := p.Run(1_000_000)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !p.Halted() || stats.Retired < 4 {
-		t.Errorf("resumed run did not complete: halted=%v retired=%d", p.Halted(), stats.Retired)
-	}
-	if got := p.Reg(3); got != 12 {
-		t.Errorf("r3 = %d, want 12", got)
-	}
-}
-
-func TestRunContextCancelBounded(t *testing.T) {
-	// Cancellation mid-run stops the simulation within one check
-	// interval: after the cancel is visible, at most CtxCheckInterval
-	// more cycles may elapse (the interval in flight when it landed).
-	p := New(spinProgram(t), Params{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var stats Stats
-	var err error
-	go func() {
-		defer close(done)
-		stats, err = p.RunContext(ctx, 1<<40)
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunContext did not return after cancellation")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	cyclesAtReturn := stats.Cycles
-	// The machine must not have advanced past the interval boundary the
-	// cancellation landed in: its final cycle count is what RunContext
-	// reported, aligned to the check interval.
-	if got := p.Stats().Cycles; got != cyclesAtReturn {
-		t.Errorf("machine advanced after return: %d != %d", got, cyclesAtReturn)
-	}
-	if cyclesAtReturn%CtxCheckInterval != 0 {
-		t.Errorf("stopped mid-interval at cycle %d (interval %d)", cyclesAtReturn, CtxCheckInterval)
-	}
+// Run is this package's tests' way to run a processor: the run loop
+// to maxCycles, then the statistics.
+func (p *Processor) Run(maxCycles int) (Stats, error) {
+	err := Run(context.Background(), p, maxCycles)
+	return p.Stats(), err
 }

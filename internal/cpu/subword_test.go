@@ -1,9 +1,9 @@
 package cpu
 
 import (
+	"math/bits"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/isa"
 )
 
@@ -170,31 +170,18 @@ func checkInvariantsDuringRun(t *testing.T, p *Processor) {
 	}
 }
 
-// checkFabricMasks checks that the fabric's packed timer masks, which
-// Idle, Reconfiguring and ReconfiguringSlots answer from, match its
-// per-slot busy and reconfiguration timers.
+// checkFabricMasks checks that the answers the processor and its
+// managers read off the fabric's packed timer masks (Idle,
+// ReconfiguringSlots, BusySlots) agree with the masks. FuzzFabric holds
+// the masks themselves to the per-slot timers.
 func checkFabricMasks(t *testing.T, p *Processor) {
 	t.Helper()
 	f := p.Fabric()
 	timers, _ := f.TimerMasks()
-	busy, reconfiguring := 0, 0
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if got := timers>>uint(s)&1 != 0; got != f.SlotBusy(s) {
-			t.Fatalf("cycle %d: busy mask bit %d = %v, timer says %v", p.Stats().Cycles, s, got, f.SlotBusy(s))
-		}
-		if got := timers>>uint(16+s)&1 != 0; got != f.SlotReconfiguring(s) {
-			t.Fatalf("cycle %d: reconfig mask bit %d = %v, timer says %v", p.Stats().Cycles, s, got, f.SlotReconfiguring(s))
-		}
-		if f.SlotBusy(s) {
-			busy++
-		}
-		if f.SlotReconfiguring(s) {
-			reconfiguring++
-		}
-	}
-	if f.Idle() != (busy+reconfiguring == 0) || f.Reconfiguring() != (reconfiguring > 0) ||
-		f.ReconfiguringSlots() != reconfiguring {
-		t.Fatalf("cycle %d: Idle/Reconfiguring/ReconfiguringSlots = %v/%v/%d, timers say %d busy, %d reconfiguring",
-			p.Stats().Cycles, f.Idle(), f.Reconfiguring(), f.ReconfiguringSlots(), busy, reconfiguring)
+	busy, reconfiguring := uint16(timers), uint16(timers>>16)
+	if f.Idle() != (timers == 0) || f.ReconfiguringSlots() != bits.OnesCount16(reconfiguring) ||
+		f.BusySlots()&busy != busy {
+		t.Fatalf("cycle %d: Idle/ReconfiguringSlots/BusySlots = %v/%d/%#x, timer masks %#x busy, %#x reconfiguring",
+			p.Stats().Cycles, f.Idle(), f.ReconfiguringSlots(), f.BusySlots(), busy, reconfiguring)
 	}
 }

@@ -353,8 +353,7 @@ func TestStudyOutputsWellFormed(t *testing.T) {
 func TestX14SteeringRemovesUnitBoundCycles(t *testing.T) {
 	prog := PhasedWorkload(7)
 	run := func(pol cpu.Policy) cpu.Stats {
-		p := buildMachine(prog, cpu.DefaultParams(), pol).Processor()
-		st, err := p.Run(MaxCycles)
+		st, err := buildMachine(prog, cpu.DefaultParams(), pol).Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,8 +402,7 @@ func TestX13TraceCacheHelpsTightLoops(t *testing.T) {
 	run := func(tcWidth int) float64 {
 		params := cpu.DefaultParams()
 		params.FetchWidthTC = tcWidth
-		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
-		st, err := p.Run(MaxCycles)
+		st, err := buildMachine(k.Program(), params, cpu.PolicySteering).Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,13 +420,13 @@ func TestX10LookaheadFixesSaxpy(t *testing.T) {
 	run := func(lookahead bool) float64 {
 		params := cpu.DefaultParams()
 		params.ManagerLookahead = lookahead
-		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
-		k.Setup(p.Memory(), p.SetReg)
-		st, err := p.Run(MaxCycles)
+		m := buildMachine(k.Program(), params, cpu.PolicySteering)
+		k.Setup(m.Processor().Memory(), m.SetReg)
+		st, err := m.Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := k.Validate(p.Reg, p.Memory()); err != nil {
+		if err := k.Validate(m.Reg, m.Processor().Memory()); err != nil {
 			t.Fatal(err)
 		}
 		return st.IPC()
@@ -444,16 +442,16 @@ func TestX10LookaheadFixesSaxpy(t *testing.T) {
 func TestX11ResidencyFixesSaxpy(t *testing.T) {
 	k := workload.KernelByName("saxpy")
 	run := func(res int) (float64, int) {
-		p := repro.NewMachine(k.Program(), repro.Options{Params: cpu.DefaultParams(), MinResidency: res}).Processor()
-		k.Setup(p.Memory(), p.SetReg)
-		st, err := p.Run(MaxCycles)
+		m := repro.NewMachine(k.Program(), repro.Options{Params: cpu.DefaultParams(), MinResidency: res})
+		k.Setup(m.Processor().Memory(), m.SetReg)
+		st, err := m.Run(MaxCycles)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := k.Validate(p.Reg, p.Memory()); err != nil {
+		if err := k.Validate(m.Reg, m.Processor().Memory()); err != nil {
 			t.Fatal(err)
 		}
-		return st.IPC(), p.Fabric().Reconfigurations()
+		return st.IPC(), m.Reconfigurations()
 	}
 	base, baseReconfigs := run(0)
 	damped, dampedReconfigs := run(4)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -120,16 +121,16 @@ func X1() string {
 	kernels := workload.Kernels()
 	kernelGrid := sweep.Grid(len(kernels), len(studyPolicies), 0, func(row, col int) string {
 		k := kernels[row]
-		p := buildMachine(k.Program(), params, studyPolicies[col]).Processor()
+		m := buildMachine(k.Program(), params, studyPolicies[col])
 		if k.Setup != nil {
-			k.Setup(p.Memory(), p.SetReg)
+			k.Setup(m.Processor().Memory(), m.SetReg)
 		}
-		st, err := p.Run(MaxCycles)
+		st, err := m.Run(MaxCycles)
 		if err != nil {
 			return "DNF"
 		}
 		if k.Validate != nil {
-			if err := k.Validate(p.Reg, p.Memory()); err != nil {
+			if err := k.Validate(m.Reg, m.Processor().Memory()); err != nil {
 				return "WRONG"
 			}
 		}
@@ -294,8 +295,7 @@ func X4() string {
 	for _, c := range cases {
 		params := cpu.DefaultParams()
 		params.DisableFFUs = c.disable
-		p := buildMachine(prog, params, c.policy).Processor()
-		st, err := p.Run(2_000_000)
+		st, err := buildMachine(prog, params, c.policy).Run(2_000_000)
 		if err != nil {
 			t.AddRow(c.name, "-", fmt.Sprintf("starved after %d retired", st.Retired))
 			continue
@@ -399,12 +399,11 @@ func X7() string {
 			m := core.NewDemandManager(p.Fabric())
 			m.Hysteresis = h
 			p.SetManager(m)
-			st, err := p.Run(MaxCycles)
-			if err != nil {
+			if err := cpu.Run(context.Background(), p, MaxCycles); err != nil {
 				row = append(row, "DNF")
 				continue
 			}
-			row = append(row, fmtIPC(st.IPC()))
+			row = append(row, fmtIPC(p.Stats().IPC()))
 		}
 		row = append(row, fmtIPC(ipcOf(w.prog, params, cpu.PolicyOracle)))
 		t.AddRow(row...)
@@ -517,15 +516,15 @@ func X10() string {
 	b.WriteString("X10 — manager demand source: instruction queue (§3.1) vs fetch pre-decode lookahead (§2)\n\n")
 	t := stats.NewTable("steering IPC",
 		"workload", "queue view", "lookahead view", "delta")
-	row := func(name string, prog isa.Program, setup func(p *cpu.Processor)) {
+	row := func(name string, prog isa.Program, setup func(m *repro.Machine)) {
 		run := func(lookahead bool) float64 {
 			params := cpu.DefaultParams()
 			params.ManagerLookahead = lookahead
-			p := buildMachine(prog, params, cpu.PolicySteering).Processor()
+			m := buildMachine(prog, params, cpu.PolicySteering)
 			if setup != nil {
-				setup(p)
+				setup(m)
 			}
-			st, err := p.Run(MaxCycles)
+			st, err := m.Run(MaxCycles)
 			if err != nil {
 				return -1
 			}
@@ -538,9 +537,9 @@ func X10() string {
 	row("fp-heavy", workload.Synthesize([]workload.Phase{{Mix: workload.MixFPHeavy, Instructions: 2500}}, workload.SynthParams{Seed: 9}), nil)
 	for _, name := range []string{"saxpy", "matmul", "dot"} {
 		k := workload.KernelByName(name)
-		row(name, k.Program(), func(p *cpu.Processor) {
+		row(name, k.Program(), func(m *repro.Machine) {
 			if k.Setup != nil {
-				k.Setup(p.Memory(), p.SetReg)
+				k.Setup(m.Processor().Memory(), m.SetReg)
 			}
 		})
 	}
@@ -640,11 +639,11 @@ func X13() string {
 		k := workload.KernelByName(kernelNames[r])
 		params := cpu.DefaultParams()
 		params.PredictorEntries = sizes[c]
-		p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
+		m := buildMachine(k.Program(), params, cpu.PolicySteering)
 		if k.Setup != nil {
-			k.Setup(p.Memory(), p.SetReg)
+			k.Setup(m.Processor().Memory(), m.SetReg)
 		}
-		st, err := p.Run(MaxCycles)
+		st, err := m.Run(MaxCycles)
 		if err != nil {
 			return "DNF"
 		}
@@ -668,11 +667,11 @@ func X13() string {
 		run := func(tcWidth int) float64 {
 			params := cpu.DefaultParams()
 			params.FetchWidthTC = tcWidth
-			p := buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
+			m := buildMachine(k.Program(), params, cpu.PolicySteering)
 			if k.Setup != nil {
-				k.Setup(p.Memory(), p.SetReg)
+				k.Setup(m.Processor().Memory(), m.SetReg)
 			}
-			st, err := p.Run(MaxCycles)
+			st, err := m.Run(MaxCycles)
 			if err != nil {
 				return -1
 			}
@@ -771,23 +770,23 @@ func X16() string {
 		for _, cfg := range configs {
 			params := cpu.DefaultParams()
 			params.GshareHistoryBits = cfg.bits
-			var p *cpu.Processor
+			var m *repro.Machine
 			if name == "branchy-synthetic" {
 				prog := workload.SynthesizeBranchy(200, workload.SynthParams{Seed: 5})
-				p = buildMachine(prog, params, cpu.PolicySteering).Processor()
+				m = buildMachine(prog, params, cpu.PolicySteering)
 			} else {
 				k := workload.KernelByName(name)
-				p = buildMachine(k.Program(), params, cpu.PolicySteering).Processor()
+				m = buildMachine(k.Program(), params, cpu.PolicySteering)
 				if k.Setup != nil {
-					k.Setup(p.Memory(), p.SetReg)
+					k.Setup(m.Processor().Memory(), m.SetReg)
 				}
 			}
-			st, err := p.Run(MaxCycles)
+			st, err := m.Run(MaxCycles)
 			if err != nil {
 				cells = append(cells, "DNF")
 				continue
 			}
-			acc, _ := p.Predictor().Accuracy()
+			acc, _ := m.Processor().Predictor().Accuracy()
 			cells = append(cells, fmt.Sprintf("%.3f (%.1f%%)", st.IPC(), 100*acc))
 		}
 		t.AddRow(cells...)
@@ -922,9 +921,9 @@ func X19() string {
 		params.FaultTransientRate = pt.rate
 		params.FaultPermanentRate = pt.rate / 10
 		params.FaultSeed = 55
-		p := buildMachine(prog, params, pt.policy).Processor()
-		st, err := p.Run(MaxCycles)
-		return outcome{st, err, p.Fabric().FaultStats()}
+		m := buildMachine(prog, params, pt.policy)
+		st, err := m.Run(MaxCycles)
+		return outcome{st, err, m.Processor().Fabric().FaultStats()}
 	})
 
 	t := stats.NewTable("IPC and fault pipeline vs upset rate",

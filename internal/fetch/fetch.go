@@ -216,9 +216,7 @@ type Unit struct {
 	MemWidth int  // fetch width on a trace-cache miss
 	TCWidth  int  // fetch width on a trace-cache hit
 
-	fetched  int
-	tcSupply int
-	stalled  int // cycles with no instruction supplied (PC out of range)
+	fetched int
 
 	// walked is the reusable per-cycle PC-run scratch for trace-cache
 	// fills (its capacity converges to the fetch width).
@@ -276,13 +274,11 @@ func (u *Unit) predictNext(pc uint32, in isa.Inst) (next uint32, taken bool) {
 // allocates nothing (the internal PC-run scratch is reused too).
 func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 	if u.parked {
-		u.stalled++
 		return dst
 	}
 	width := u.MemWidth
 	if _, ok := u.tc.Lookup(u.pc); ok {
 		width = u.TCWidth
-		u.tcSupply++
 	}
 
 	n := 0
@@ -290,7 +286,6 @@ func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 	pc := u.pc
 	for n < width {
 		if pc >= uint32(len(u.prog)) {
-			u.stalled++
 			break
 		}
 		in := u.prog[pc]
@@ -319,11 +314,3 @@ func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 
 // Fetched returns the total number of instructions supplied.
 func (u *Unit) Fetched() int { return u.fetched }
-
-// TraceSupplied returns the number of cycles the trace cache widened
-// fetch.
-func (u *Unit) TraceSupplied() int { return u.tcSupply }
-
-// StallCycles returns the number of fetch attempts cut short by the PC
-// leaving the program.
-func (u *Unit) StallCycles() int { return u.stalled }

@@ -131,11 +131,6 @@ func (j *Job) Status(withResults bool) api.JobStatus {
 	return st
 }
 
-// Results returns the completed per-point results in index order.
-func (j *Job) Results() []api.PointResult {
-	return j.Status(true).Points
-}
-
 // pendingIndexes returns the indexes without a durable result — the
 // points a resume must re-enqueue.
 func (j *Job) pendingIndexes() []int {

@@ -93,7 +93,7 @@ func TestCoordinatorCompletesJob(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitState(t, j, api.JobDone)
-	results := j.Results()
+	results := j.Status(true).Points
 	if len(results) != 5 {
 		t.Fatalf("got %d results, want 5", len(results))
 	}
@@ -200,7 +200,7 @@ func TestMaxAttemptsFailsPointAsData(t *testing.T) {
 
 	j, _ := c.Submit(testSpec(1), 0)
 	waitState(t, j, api.JobDone)
-	res := j.Results()
+	res := j.Status(true).Points
 	if len(res) != 1 || res[0].Error == nil || res[0].Error.Code != api.CodeWorkerUnavailable {
 		t.Fatalf("results = %+v, want one worker_unavailable error", res)
 	}
@@ -231,7 +231,7 @@ func TestMaxAttemptsFailsTwins(t *testing.T) {
 	}
 	j, _ := c.Submit(spec, 0)
 	waitState(t, j, api.JobDone)
-	res := j.Results()
+	res := j.Status(true).Points
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -280,7 +280,7 @@ func TestExecutorPanicFailsOnePoint(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitState(t, j, api.JobDone)
-	for i, r := range j.Results() {
+	for i, r := range j.Status(true).Points {
 		switch i {
 		case 1, 3, 4:
 			if r.Index != i || r.Error == nil || r.Error.Code != api.CodeInternal ||
@@ -302,7 +302,7 @@ func TestExecutorPanicFailsOnePoint(t *testing.T) {
 		t.Fatalf("Submit after panic: %v", err)
 	}
 	waitState(t, next, api.JobDone)
-	for i, r := range next.Results() {
+	for i, r := range next.Status(true).Points {
 		if i == 1 {
 			continue // MaxCycles 1 again: the same deterministic panic
 		}
@@ -350,7 +350,7 @@ func TestCoordinatorFoldsSeedReplicas(t *testing.T) {
 	if n := calls.Load(); n != 15 {
 		t.Errorf("Execute called %d times, want 15", n)
 	}
-	res := j.Results()
+	res := j.Status(true).Points
 	if len(res) != 60 {
 		t.Fatalf("got %d results, want 60", len(res))
 	}
@@ -383,7 +383,7 @@ func TestCoordinatorRunsEachRandomSeed(t *testing.T) {
 	if n := calls.Load(); n != 4 {
 		t.Errorf("Execute called %d times, want 4", n)
 	}
-	if n := len(j.Results()); n != 4 {
+	if n := len(j.Status(true).Points); n != 4 {
 		t.Errorf("got %d results, want 4", n)
 	}
 }
@@ -418,7 +418,7 @@ func TestResumeRegroupsTwins(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("Execute called %d times, want 1", n)
 	}
-	if n := len(j2.Results()); n != 4 {
+	if n := len(j2.Status(true).Points); n != 4 {
 		t.Errorf("got %d results, want 4", n)
 	}
 }
@@ -568,7 +568,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if j2.State() != api.JobDone {
 		t.Errorf("reloaded state = %s, want done", j2.State())
 	}
-	got, want := j2.Results(), j.Results()
+	got, want := j2.Status(true).Points, j.Status(true).Points
 	if len(got) != len(want) {
 		t.Fatalf("reloaded %d results, want %d", len(got), len(want))
 	}
@@ -700,7 +700,7 @@ func TestResumeAfterCoordinatorCrash(t *testing.T) {
 	}
 	waitState(t, j2, api.JobDone)
 
-	got, want := j2.Results(), baseJob.Results()
+	got, want := j2.Status(true).Points, baseJob.Status(true).Points
 	if len(got) != len(want) {
 		t.Fatalf("resumed run has %d results, want %d", len(got), len(want))
 	}

@@ -185,9 +185,6 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 
 	busySlots := f.BusySlots()
 	for s := 0; s < arch.NumRFUSlots; s++ {
-		if got, want := f.SlotUsable(s), refSlotUsable(f, s); got != want {
-			t.Fatalf("step %d: SlotUsable(%d) = %v, reference %v (layout %v)", step, s, got, want, f.alloc.Slots)
-		}
 		if got, want := f.Overlapping(1<<uint(s)), refOverlapping(f, s); got != want {
 			t.Fatalf("step %d: Overlapping(slot %d) = %v, reference %v (layout %v)", step, s, got, want, f.alloc.Slots)
 		}

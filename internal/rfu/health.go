@@ -141,15 +141,6 @@ func (f *Fabric) strike(s int, permanent bool) {
 // Health returns slot s's fault state.
 func (f *Fabric) Health(s int) SlotHealth { return f.health[s] }
 
-// SlotUsable reports whether slot s may serve work as (part of) a unit:
-// every slot of the covering unit's span (or the slot alone, when no
-// unit covers it) is healthy and not leased out. Without faults it is
-// always true.
-func (f *Fabric) SlotUsable(s int) bool {
-	m := uint16(1) << uint(s)
-	return (m|f.spans(m))&uint16(f.unavailMask) == 0
-}
-
 // HealthMasks returns the packed per-slot fault masks: unavail has a
 // bit set for every slot in a non-healthy state, dead for every
 // permanently retired slot. Slots leased to sibling cores (see

@@ -30,10 +30,10 @@ func TestFaultTransientLifecycle(t *testing.T) {
 	if got := f.Health(0); got != HealthCorrupt {
 		t.Fatalf("health after upset = %v, want corrupt", got)
 	}
-	if f.SlotUsable(0) {
+	if refSlotUsable(f, 0) {
 		t.Error("corrupt slot still usable")
 	}
-	if !f.SlotUsable(1) {
+	if !refSlotUsable(f, 1) {
 		t.Error("slot 1 unusable — corruption of slot 0 masked an unrelated unit")
 	}
 	// Slot 0 heads a 1-slot IntALU; exactly that unit must vanish from
@@ -60,7 +60,7 @@ func TestFaultTransientLifecycle(t *testing.T) {
 	if got := f.Health(0); got != HealthHealthy {
 		t.Fatalf("health after repair = %v, want healthy", got)
 	}
-	if !f.SlotUsable(0) {
+	if !refSlotUsable(f, 0) {
 		t.Error("repaired slot not usable")
 	}
 	st := f.FaultStats()
@@ -77,16 +77,17 @@ func TestFaultTransientLifecycle(t *testing.T) {
 	}
 }
 
-// TestSlotUsableAnswersForCoveringUnit: a fault on a multi-slot unit's
-// head makes every slot of its span unusable, continuations included,
-// and leaves the neighbouring unit usable.
+// TestSlotUsableAnswersForCoveringUnit: a fault on either slot of a
+// multi-slot unit's span, continuation included, takes the whole
+// covering unit out of service and leaves the neighbouring unit in it.
 func TestSlotUsableAnswersForCoveringUnit(t *testing.T) {
-	f := New(1)
-	f.Install(config.MustNew("t", arch.IntMDU, arch.LSU)) // IntMDU 0-1, LSU 2
-	f.InjectFault(0, false)
-	for s, want := range []bool{false, false, true, true} {
-		if got := f.SlotUsable(s); got != want {
-			t.Errorf("SlotUsable(%d) = %v, want %v", s, got, want)
+	for _, victim := range []int{0, 1} {
+		f := New(1)
+		f.Install(config.MustNew("t", arch.IntMDU, arch.LSU)) // IntMDU 0-1, LSU 2
+		f.InjectFault(victim, false)
+		got := f.EffectiveTotalCounts()
+		if got[arch.IntMDU] != 1 || got[arch.LSU] != 2 {
+			t.Errorf("fault on slot %d: units in service %v, want the IntMDU FFU alone and both LSUs", victim, got)
 		}
 	}
 }
@@ -117,7 +118,7 @@ func TestFaultPermanentRetiresSlot(t *testing.T) {
 	if !f.InjectFault(victim, true) {
 		t.Fatal("injection refused")
 	}
-	if f.SlotUsable(head) {
+	if refSlotUsable(f, head) {
 		t.Error("unit head usable while a span slot is corrupt")
 	}
 
@@ -187,7 +188,7 @@ func TestFaultHealedBySteeringLoad(t *testing.T) {
 	f.Install(config.DefaultBasis()[0])
 
 	f.InjectFault(0, false)
-	if f.SlotUsable(0) {
+	if refSlotUsable(f, 0) {
 		t.Fatal("corrupt slot usable")
 	}
 	if !f.CanReconfigure(arch.LSU, 0) {
@@ -252,7 +253,7 @@ func TestFaultDisabledPathUntouched(t *testing.T) {
 	if st := f.FaultStats(); st != (FaultStats{}) {
 		t.Errorf("stats accumulated without faults: %+v", st)
 	}
-	if got, want := f.EffectiveTotalCounts(), f.Allocation().TotalCounts(); got != want {
+	if got, want := f.EffectiveTotalCounts(), f.Allocation().RFUCounts().Add(config.FFUCounts()); got != want {
 		t.Errorf("EffectiveTotalCounts = %v, want %v", got, want)
 	}
 }
@@ -265,7 +266,7 @@ func TestEffectiveTotalCountsMasksFaultyUnits(t *testing.T) {
 	f.Install(config.DefaultBasis()[0])
 
 	full := f.EffectiveTotalCounts()
-	if total := f.Allocation().TotalCounts(); full != total {
+	if total := f.Allocation().RFUCounts().Add(config.FFUCounts()); full != total {
 		t.Fatalf("healthy fabric: effective %v != total %v", full, total)
 	}
 	// Corrupt the head of the first unit; its type count must drop.

@@ -367,22 +367,6 @@ func (f *Fabric) ExtendBusy(r UnitRef, extra int) {
 	f.busy[r.Idx] += extra
 }
 
-// Busy reports whether the referenced unit is still executing.
-func (f *Fabric) Busy(r UnitRef) bool {
-	if r.FFU {
-		return f.ffuBusy[r.Idx] > 0
-	}
-	return f.busy[r.Idx] > 0
-}
-
-// SlotBusy reports whether RFU slot s is executing. Busy is tracked at
-// unit head slots, so continuation slots of a busy unit report false.
-func (f *Fabric) SlotBusy(s int) bool { return f.busy[s] > 0 }
-
-// SlotReconfiguring reports whether RFU slot s is mid-reconfiguration
-// (a steering rewrite or a repair).
-func (f *Fabric) SlotReconfiguring(s int) bool { return f.reconfig[s] > 0 }
-
 // spanOf returns the slot span [start, start+n) a unit of type t would
 // occupy at head slot start.
 func spanOf(t arch.UnitType, start int) (int, int) {
@@ -563,9 +547,6 @@ func (f *Fabric) Tick() {
 // slot executing and none reconfiguring. The fixed units do not count —
 // they are never reconfigured.
 func (f *Fabric) Idle() bool { return f.busyMask|f.reconfigMask == 0 }
-
-// Reconfiguring reports whether any slot is mid-reconfiguration.
-func (f *Fabric) Reconfiguring() bool { return f.reconfigMask != 0 }
 
 // SetObserver installs the event stream receiving span rewrites and
 // fault transitions (nil disables; each site then costs one branch).

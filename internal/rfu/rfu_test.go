@@ -39,6 +39,14 @@ func availabilitySignals(f *Fabric) []bool {
 // available reads type t's line of the fabric's AvailableSet.
 func available(f *Fabric, t arch.UnitType) bool { return f.AvailableSet()&(1<<uint(t)) != 0 }
 
+// unitBusy reports whether the referenced unit is still executing.
+func unitBusy(f *Fabric, r UnitRef) bool {
+	if r.FFU {
+		return f.ffuBusy[r.Idx] > 0
+	}
+	return f.busy[r.Idx] > 0
+}
+
 // availableCount counts the units of type t that can accept work, by
 // the reference Eq. 1 over availabilitySignals.
 func availableCount(f *Fabric, t arch.UnitType) int {
@@ -88,18 +96,18 @@ func TestAcquirePrefersFFU(t *testing.T) {
 func TestAcquireBusyCountdown(t *testing.T) {
 	f := New(0)
 	ref, _ := f.Acquire(arch.FPMDU, 2)
-	if !f.Busy(ref) {
+	if !unitBusy(f, ref) {
 		t.Fatal("unit not busy after acquire")
 	}
 	if available(f, arch.FPMDU) {
 		t.Fatal("type available while its only unit is busy")
 	}
 	f.Tick()
-	if !f.Busy(ref) {
+	if !unitBusy(f, ref) {
 		t.Fatal("unit freed one cycle early")
 	}
 	f.Tick()
-	if f.Busy(ref) {
+	if unitBusy(f, ref) {
 		t.Fatal("unit still busy after its time")
 	}
 	if !available(f, arch.FPMDU) {
@@ -113,11 +121,11 @@ func TestExtendBusy(t *testing.T) {
 	f.ExtendBusy(ref, 2)
 	f.Tick()
 	f.Tick()
-	if !f.Busy(ref) {
+	if !unitBusy(f, ref) {
 		t.Fatal("extension not applied")
 	}
 	f.Tick()
-	if f.Busy(ref) {
+	if unitBusy(f, ref) {
 		t.Fatal("unit busy past extended time")
 	}
 }
@@ -138,7 +146,7 @@ func TestReconfigureInstallsAfterLatency(t *testing.T) {
 	if !f.Reconfigure(arch.IntMDU, 2) {
 		t.Fatal("reconfiguration refused on empty fabric")
 	}
-	if !f.Reconfiguring() {
+	if f.ReconfiguringSlots() == 0 {
 		t.Fatal("fabric not reconfiguring")
 	}
 	for i := 0; i < lat; i++ {
@@ -147,7 +155,7 @@ func TestReconfigureInstallsAfterLatency(t *testing.T) {
 		}
 		f.Tick()
 	}
-	if f.Reconfiguring() {
+	if f.ReconfiguringSlots() > 0 {
 		t.Fatal("still reconfiguring after latency elapsed")
 	}
 	v := f.Allocation()
@@ -294,7 +302,7 @@ func TestLoadFullConfiguration(t *testing.T) {
 		t.Errorf("loaded layout %v != configuration %v", f.Allocation().Slots, cfg.Layout)
 	}
 	want := cfg.Counts().Add(config.FFUCounts())
-	if got := f.Allocation().TotalCounts(); got != want {
+	if got := f.Allocation().RFUCounts().Add(config.FFUCounts()); got != want {
 		t.Errorf("TotalCounts = %v, want %v", got, want)
 	}
 }

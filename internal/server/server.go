@@ -111,7 +111,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 2 * time.Minute
 	}
 	if c.DefaultMaxCycles <= 0 {
-		c.DefaultMaxCycles = 50_000_000
+		c.DefaultMaxCycles = repro.DefaultMaxCycles
 	}
 	if c.MaxCyclesCap <= 0 {
 		c.MaxCyclesCap = 500_000_000

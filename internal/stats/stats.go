@@ -38,9 +38,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	cols := len(t.headers)
@@ -99,18 +96,6 @@ type Series struct {
 
 // Add appends a sample.
 func (s *Series) Add(v float64) { s.Values = append(s.Values, v) }
-
-// Mean returns the arithmetic mean (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
 
 // Min returns the smallest sample (+Inf for an empty series).
 func (s *Series) Min() float64 {

@@ -418,14 +418,6 @@ func (p *Probe) Registry() *Registry {
 	return p.reg
 }
 
-// Interval returns the sampling interval in cycles.
-func (p *Probe) Interval() int {
-	if p == nil {
-		return 0
-	}
-	return p.interval
-}
-
 // probeKinds are the events the probe consumes: the cycle end that
 // paces sampling and the occurrences it logs.
 var probeKinds = trace.Kinds(

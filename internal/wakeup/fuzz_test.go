@@ -130,14 +130,14 @@ func checkBoards(t *testing.T, a *Array, step int, circuitSet byte) {
 		if !a.Used(i) {
 			continue
 		}
-		if !a.Scheduled(i) {
+		if !scheduled(a, i) {
 			counts[a.Unit(i)]++
 		}
 		depNeed := make([]bool, a.size)
 		for j := range depNeed {
 			depNeed[j] = a.DependsOn(i, j)
 		}
-		got := CircuitRequest(oneHot(a.Unit(i)), avail, depNeed, depOK, a.Scheduled(i))
+		got := CircuitRequest(oneHot(a.Unit(i)), avail, depNeed, depOK, scheduled(a, i))
 		if got != (mask>>uint(i)&1 != 0) {
 			t.Fatalf("step %d: row %d CircuitRequest = %v, RequestMask bit = %v", step, i, got, !got)
 		}

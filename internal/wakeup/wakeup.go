@@ -301,9 +301,6 @@ func (a *Array) Release(i int) {
 // Used reports whether row i holds an instruction.
 func (a *Array) Used(i int) bool { return a.used>>uint(i)&1 != 0 }
 
-// Scheduled reports whether row i has been granted execution.
-func (a *Array) Scheduled(i int) bool { return a.scheduled>>uint(i)&1 != 0 }
-
 // ResultAvailable reports row i's result-available line.
 func (a *Array) ResultAvailable(i int) bool { return a.resultOK>>uint(i)&1 != 0 }
 
@@ -318,17 +315,6 @@ func (a *Array) DependsOn(i, j int) bool { return a.deps[i]>>uint(j)&1 != 0 }
 // the configuration selection unit (§3.1). Scheduled instructions already
 // hold units and are excluded.
 func (a *Array) RequiredCounts() arch.Counts { return a.pending }
-
-// ReadyCounts is RequiredCounts restricted to rows whose dependencies are
-// already satisfied.
-func (a *Array) ReadyCounts() arch.Counts {
-	var c arch.Counts
-	ready := a.ReadyMask()
-	for t := range a.typeMask {
-		c[t] = bits.OnesCount64(a.typeMask[t] & ready)
-	}
-	return c
-}
 
 // Dump renders the array in the matrix form of Fig. 5: one row per entry
 // with its one-hot execution-unit columns followed by the

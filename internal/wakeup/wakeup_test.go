@@ -17,6 +17,9 @@ func allAvail() [arch.NumUnitTypes]bool {
 	return a
 }
 
+// scheduled reports whether row i has been granted execution.
+func scheduled(a *Array, i int) bool { return a.scheduled>>uint(i)&1 != 0 }
+
 func TestNewPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -55,7 +58,7 @@ func TestAllocateReusesReleasedRows(t *testing.T) {
 	a.Grant(0)
 	a.Release(0)
 	a.Allocate(0, arch.FPALU, 1<<1, 3)
-	if a.Unit(0) != arch.FPALU || a.Scheduled(0) || a.ResultAvailable(0) || !a.DependsOn(0, 1) {
+	if a.Unit(0) != arch.FPALU || scheduled(a, 0) || a.ResultAvailable(0) || !a.DependsOn(0, 1) {
 		t.Error("reused row carries stale state")
 	}
 	if got := a.RequiredCounts(); got != (arch.Counts{arch.LSU: 1, arch.FPALU: 1}) {
@@ -198,7 +201,7 @@ func TestReschedule(t *testing.T) {
 		t.Fatal("setup: result should be available")
 	}
 	a.Reschedule(row)
-	if a.Scheduled(row) || a.ResultAvailable(row) {
+	if scheduled(a, row) || a.ResultAvailable(row) {
 		t.Error("reschedule did not reset scheduled/result state")
 	}
 	if !a.Request(row, allAvail()) {
@@ -278,9 +281,8 @@ func TestCountsViews(t *testing.T) {
 	if req != (arch.Counts{2, 0, 1, 0, 0}) {
 		t.Errorf("RequiredCounts = %v", req)
 	}
-	ready := a.ReadyCounts()
-	if ready != (arch.Counts{1, 0, 1, 0, 0}) {
-		t.Errorf("ReadyCounts = %v", ready)
+	if ready := a.ReadyMask(); ready != 1<<0|1<<2 {
+		t.Errorf("ReadyMask = %#b, want rows 0 and 2", ready)
 	}
 }
 
@@ -434,7 +436,7 @@ func TestNoRequestEverViolatesDependencies(t *testing.T) {
 			}
 		case 2: // retire a random completed row
 			for r := range live {
-				if a.Scheduled(r) && a.ResultAvailable(r) {
+				if scheduled(a, r) && a.ResultAvailable(r) {
 					a.Release(r)
 					delete(live, r)
 					break

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"repro/internal/arch"
@@ -575,13 +574,4 @@ func sample(rng *rand.Rand, m Mix) arch.UnitType {
 		}
 	}
 	return arch.FPMDU
-}
-
-// MixString names a mix for reports.
-func MixString(m Mix) string {
-	parts := make([]string, arch.NumUnitTypes)
-	for t, w := range m {
-		parts[t] = fmt.Sprintf("%s=%.0f%%", arch.UnitType(t), w*100)
-	}
-	return strings.Join(parts, " ")
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -41,7 +42,8 @@ func TestKernelsOnPipelinedSteeringMachine(t *testing.T) {
 			if k.Setup != nil {
 				k.Setup(p.Memory(), p.SetReg)
 			}
-			stats, err := p.Run(10_000_000)
+			err := cpu.Run(context.Background(), p, 10_000_000)
+			stats := p.Stats()
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -145,7 +147,8 @@ func TestSynthesizeRunsToCompletion(t *testing.T) {
 
 	p := cpu.New(prog, cpu.Params{MemBytes: 1 << 16})
 	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
-	stats, err := p.Run(10_000_000)
+	err = cpu.Run(context.Background(), p, 10_000_000)
+	stats := p.Stats()
 	if err != nil {
 		t.Fatalf("simulator: %v", err)
 	}
@@ -188,12 +191,5 @@ func TestSampleRejectsBadMixes(t *testing.T) {
 			}()
 			Synthesize([]Phase{{m, 1}}, SynthParams{Seed: 1})
 		}()
-	}
-}
-
-func TestMixString(t *testing.T) {
-	s := MixString(MixIntHeavy)
-	if s == "" || len(s) < 10 {
-		t.Errorf("MixString = %q", s)
 	}
 }

@@ -29,7 +29,7 @@ func TestObserverSinksAgree(t *testing.T) {
 	col := &telemetry.Collector{}
 	probe := m.EnableTelemetryExporter(col, 100)
 	rec := m.EnableSpans(SpanConfig{})
-	m.EnableTracing(1 << 17)
+	m.EnableTracingUntil(1<<17, -1)
 	stats, err := m.Run(5_000_000)
 	if err != nil {
 		t.Fatal(err)

@@ -180,8 +180,9 @@ func DefaultBasis() Basis { return config.DefaultBasis() }
 // packed into the eight slots in order.
 func ParseBasis(data []byte) (Basis, error) { return config.ParseBasis(data) }
 
-// MarshalBasis serialises a steering basis to indented JSON.
-func MarshalBasis(b Basis) ([]byte, error) { return config.MarshalBasis(b) }
+// DefaultMaxCycles is the cycle budget of a run spec whose MaxCycles is
+// 0.
+const DefaultMaxCycles = 50_000_000
 
 // Options is the run spec: the machine sizing, the configuration
 // policy and the run budget. The zero value selects the paper's
@@ -195,7 +196,8 @@ type Options struct {
 	// Params sizes the machine; zero fields take defaults.
 	Params Params `json:"params"`
 	// MaxCycles bounds the run. NewMachine ignores it; whoever drives
-	// the run passes it on (rssd reads 0 as its default budget).
+	// the run passes it on, and rsssim and rssd read 0 as their default
+	// budget, DefaultMaxCycles unless rssd -max-cycles names another.
 	MaxCycles int `json:"maxCycles,omitempty"`
 	// Seed feeds PolicyRandom; no other policy reads it, so under any
 	// other policy specs that differ only in Seed give the same run
@@ -357,11 +359,11 @@ func (m *Machine) Run(maxCycles int) (Stats, error) {
 // context.DeadlineExceeded). The machine stays consistent, so a
 // cancelled run may be resumed by calling RunContext again.
 func (m *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) {
-	stats, err := m.proc.RunContext(ctx, maxCycles)
+	err := cpu.Run(ctx, m.proc, maxCycles)
 	if ferr := m.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("telemetry: %w", ferr)
 	}
-	return stats, err
+	return m.proc.Stats(), err
 }
 
 // Flush ends a stretch of observation: it brings the telemetry counters
@@ -390,9 +392,6 @@ func (m *Machine) Stats() Stats { return m.proc.Stats() }
 
 // Reg reads integer register rN.
 func (m *Machine) Reg(n uint8) uint32 { return m.proc.Reg(n) }
-
-// FReg reads floating-point register fN.
-func (m *Machine) FReg(n uint8) uint32 { return m.proc.Reg(n + isa.FPBase) }
 
 // SetReg presets integer register rN before a run.
 func (m *Machine) SetReg(n uint8, v uint32) { m.proc.SetReg(n, v) }
@@ -708,20 +707,16 @@ func (m *Machine) EnableSpans(cfg SpanConfig) *span.Recorder {
 // is off.
 func (m *Machine) Spans() *span.Recorder { return m.spans }
 
-// EnableTracing records up to limit pipeline events (fetch, dispatch,
-// issue, retire, flush, reconfiguration) for Pipeview. Call before Run.
-// When the run produces more events than the limit, the oldest are
+// EnableTracingUntil records up to limit pipeline events (fetch,
+// dispatch, issue, retire, flush, reconfiguration) at or before
+// lastCycle for Pipeview, so the beginning of a long run survives the
+// buffer limit; a negative lastCycle records every cycle. Call before
+// Run. When the run produces more events than the limit, the oldest are
 // dropped. Each reconfiguration is one span rewrite.
-func (m *Machine) EnableTracing(limit int) {
-	m.tracer = trace.NewBuffer(limit)
-	m.Observer().Add(m.tracer)
-}
-
-// EnableTracingUntil is EnableTracing restricted to events at or before
-// lastCycle, so the beginning of a long run survives the buffer limit.
 func (m *Machine) EnableTracingUntil(limit, lastCycle int) {
-	m.EnableTracing(limit)
+	m.tracer = trace.NewBuffer(limit)
 	m.tracer.Until = int64(lastCycle)
+	m.Observer().Add(m.tracer)
 }
 
 // Pipeview renders the recorded events as a pipeline chart (one row per

@@ -8,6 +8,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/isa"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -102,7 +105,7 @@ func TestFRegAccessor(t *testing.T) {
 	if _, err := m.Run(10000); err != nil {
 		t.Fatal(err)
 	}
-	if m.FReg(2) == 0 {
+	if m.proc.Reg(2+isa.FPBase) == 0 {
 		t.Error("f2 still zero")
 	}
 }
@@ -368,7 +371,7 @@ func TestCustomBasisRoundTripAndUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := MarshalBasis(basis)
+	out, err := config.MarshalBasis(basis)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,8 @@ func runSteering(t *testing.T, prog isa.Program, params cpu.Params, basis [arch.
 	m.ExactCEM = exact
 	m.DisableCache = disableCache
 	p.SetManager(m)
-	st, err := p.Run(2_000_000)
+	err := cpu.Run(context.Background(), p, 2_000_000)
+	st := p.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,8 @@ func runPrefetch(t *testing.T, prog isa.Program, params cpu.Params, disableCache
 	m := predict.NewManager(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	m.Core().DisableCache = disableCache
 	p.SetManager(m)
-	st, err := p.Run(2_000_000)
+	err := cpu.Run(context.Background(), p, 2_000_000)
+	st := p.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,8 @@ func TestSteeringMemoEquivalence(t *testing.T) {
 			m.MinResidency = 24
 			m.DisableCache = disableCache
 			p.SetManager(m)
-			st, err := p.Run(2_000_000)
+			err := cpu.Run(context.Background(), p, 2_000_000)
+			st := p.Stats()
 			if err != nil {
 				t.Fatal(err)
 			}
