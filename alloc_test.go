@@ -7,7 +7,10 @@
 package repro_test
 
 import (
+	"context"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -249,6 +252,51 @@ func TestZeroAllocMachineCycle(t *testing.T) {
 		t.Fatal("workload halted during warm-up; steady-state cycles unmeasurable")
 	}
 	requireZeroAllocs(t, "steady-state Machine cycle", 2000, p.Cycle)
+}
+
+// divLoop is a loop whose divides each wait on the one before: once
+// the window fills, every cycle of a divide's latency but the last is
+// quiet, so cpu.Run jumps the clock over most of them (the cpu
+// package's TestSkipJumpsQuietStretches counts the jumps on the same
+// loop shape).
+const divLoop = `
+	li r1, 0
+	li r2, 100000000
+	li r3, 3
+	li r4, 1000000
+loop:
+	div r4, r4, r3
+	addi r1, r1, 1
+	blt r1, r2, loop
+	halt
+`
+
+// TestZeroAllocRunSkipping pins the run loop with its clock jump: a
+// warmed-up steering machine driven through cpu.Run across skipped
+// stretches makes no mallocs. Each call stops on a context poll
+// (pollLimit), which returns a preallocated error, so the window holds
+// only the run itself.
+func TestZeroAllocRunSkipping(t *testing.T) {
+	prog, err := isa.Assemble(divLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cpu.New(prog, cpu.DefaultParams())
+	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
+	ctx := &pollLimit{Context: context.Background()}
+	ctx.n = 40
+	if err := cpu.Run(ctx, p, math.MaxInt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("warm-up: err = %v, want the poll limit's cancellation", err)
+	}
+	requireZeroAllocs(t, "cpu.Run over quiet stretches", 5, func() {
+		ctx.n = 4
+		if err := cpu.Run(ctx, p, math.MaxInt); err != context.Canceled {
+			t.Fatal(err)
+		}
+	})
+	if p.Halted() {
+		t.Fatal("workload halted; the window did not run")
+	}
 }
 
 // TestZeroAllocMachineCycleWithFaults pins the fault-injection path:

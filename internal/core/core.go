@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/cem"
@@ -335,8 +336,10 @@ type Manager struct {
 	HoldTarget int
 
 	sinceLoad int
-	stats     Stats
-	obs       *trace.Observer
+	// deferred is the slots the latest Step's load deferred.
+	deferred int
+	stats    Stats
+	obs      *trace.Observer
 
 	// cache is the direct-mapped steering cache.
 	cache [steerCacheSize]steerEntry
@@ -650,14 +653,15 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 		m.stats.HybridCycles++
 	}
 	m.sinceLoad++
+	m.deferred = 0
 	if sel.Current() {
 		return sel
 	}
-	if m.sinceLoad <= m.MinResidency {
+	if m.suppressed() {
 		m.stats.SuppressedLoads++
 		return sel
 	}
-	if m.HoldTarget != 0 && sel.Choice != m.HoldTarget {
+	if m.held() {
 		// An active speculative prefetch holds the configuration: a
 		// claw-back load here would revert half-converted spans and
 		// freeze them for another full reconfiguration latency.
@@ -665,6 +669,7 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 		return sel
 	}
 	if hit && memo.deferred >= 0 && timers == memo.timers {
+		m.deferred = memo.deferred
 		m.stats.DeferredSlots += memo.deferred
 		return sel
 	}
@@ -672,10 +677,55 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 	if started > 0 {
 		m.sinceLoad = 0
 	} else {
+		m.deferred = deferred
 		memo.deferred, memo.timers = deferred, timers
 	}
 	return sel
 }
 
+// suppressed reports whether the residency timer holds back a load.
+func (m *Manager) suppressed() bool { return m.sinceLoad <= m.MinResidency }
+
+// held reports whether a speculative prefetch holds back a load toward
+// the latest selection.
+func (m *Manager) held() bool { return m.HoldTarget != 0 && m.sel.Choice != m.HoldTarget }
+
 // Manage runs one Step; it makes the manager a cpu.Manager.
 func (m *Manager) Manage(required arch.Counts) { m.Step(required) }
+
+// NextEvent returns how many Steps ahead the first one falls that may
+// not repeat the latest Step on the same demand and an unchanged
+// fabric: the one whose residency timer expires when the latest load
+// was suppressed, otherwise none (math.MaxInt). It makes the manager a
+// cpu.Skipper.
+func (m *Manager) NextEvent() int {
+	if m.sel.Current() || !m.suppressed() {
+		return math.MaxInt
+	}
+	return m.MinResidency - m.sinceLoad + 1
+}
+
+// Skip accounts for n repeats of the latest Step, on the same demand
+// and an unchanged fabric, all before NextEvent: each one selects what
+// it selected from the steering cache (or the CEM generators with the
+// cache off), and then keeps the configuration, is suppressed or held,
+// or defers the same slots.
+func (m *Manager) Skip(n int) {
+	if !m.DisableCache {
+		m.stats.CacheHits += n
+	}
+	m.stats.Selections[m.sel.Choice] += n
+	if m.view.hybrid {
+		m.stats.HybridCycles += n
+	}
+	switch {
+	case m.sel.Current():
+	case m.suppressed():
+		m.stats.SuppressedLoads += n
+	case m.held():
+		m.stats.HeldLoads += n
+	default:
+		m.stats.DeferredSlots += n * m.deferred
+	}
+	m.sinceLoad += n
+}

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -37,6 +38,11 @@ var (
 	// ErrCycleLimit is wrapped by Run when the cycle budget elapses
 	// before the program's HALT retires.
 	ErrCycleLimit = errors.New("cycle limit exceeded")
+	// ErrNoProgress is wrapped by Run when the machine reaches a fixed
+	// point: a quiet cycle with no timer, residency or other deadline
+	// ahead repeats forever, so the HALT can never retire. It wraps
+	// ErrCycleLimit, the outcome a longer run would reach.
+	ErrNoProgress = fmt.Errorf("no progress possible: %w", ErrCycleLimit)
 	// ErrInvalidParams is wrapped by Params.Validate failures.
 	ErrInvalidParams = errors.New("invalid machine parameters")
 )
@@ -512,6 +518,13 @@ type Processor struct {
 	// this cycle.
 	manageHook func(required arch.Counts) (arch.Counts, bool)
 
+	// quiet is set by a Cycle that changed nothing a later cycle can
+	// see beyond counters and running timers: no timer ended, nothing
+	// retired, requested issue, dispatched or fetched, and the manager
+	// started no reconfiguration. Until the next timer deadline every
+	// cycle repeats it; Run jumps the clock over them (skip).
+	quiet bool
+
 	// execShim is the speculative-memory adapter execute hands to
 	// isa.Exec, reused across cycles so the steady-state loop does not
 	// allocate (heap-resident so the interface value needs no boxing).
@@ -665,13 +678,15 @@ func (p *Processor) Cycle() {
 	}
 	p.stats.Cycles++
 	p.obs.SetCycle(p.stats.Cycles)
-	p.array.Tick()
-	p.fabric.Tick()
+	rose := p.array.Tick()
+	freed := p.fabric.Tick()
+	retired, seq, version := p.stats.Retired, p.seq, p.fabric.AllocVersion()
 	p.retire()
 	if p.halted {
 		// The final cycle retired the HALT; count it with the useful
 		// cycles so the bottleneck buckets partition the run exactly.
 		p.stats.CyclesIssued++
+		p.quiet = false
 		p.obs.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(p.stats.Retired)})
 		return
 	}
@@ -690,9 +705,11 @@ func (p *Processor) Cycle() {
 			p.manager.Manage(required)
 		}
 	}
-	p.issue()
+	requested := p.issue()
 	p.dispatch()
-	p.fill()
+	fetched := p.fill()
+	p.quiet = !rose && !freed && !requested && !fetched && p.stats.Retired == retired &&
+		p.seq == seq && p.fabric.AllocVersion() == version
 	p.obs.Emit(trace.Event{Kind: trace.KindCycleEnd, A: int32(p.stats.Retired)})
 }
 
@@ -720,19 +737,105 @@ const CtxCheckInterval = 1024
 // out before the HALT returns an error wrapping ErrCycleLimit, which
 // with FFUs enabled indicates a simulator bug and with FFUs disabled is
 // the expected starvation outcome of the X4 ablation.
+//
+// On a Processor that may skip (see skipper), every quiet cycle is
+// followed by a jump of the clock to the cycle before the next
+// deadline: its own timers, its manager's, the budget or the next
+// context poll. The result is the one clocking Cycle alone gives, bit
+// for bit. A quiet cycle with no deadline of its own ahead is a fixed
+// point, and Run returns an error wrapping ErrNoProgress at once.
 func Run(ctx context.Context, m Clocked, maxCycles int) error {
+	p, _ := m.(*Processor)
+	steer, skips := p.skipper()
 	for !m.Halted() && m.Cycles() < maxCycles {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for n := min(CtxCheckInterval, maxCycles-m.Cycles()); n > 0 && !m.Halted(); n-- {
+		end := min(m.Cycles()+CtxCheckInterval, maxCycles)
+		for n := end - m.Cycles(); n > 0 && !m.Halted(); n-- {
 			m.Cycle()
+			if skips && p.quiet {
+				skipped, err := p.skip(steer, end)
+				if err != nil {
+					return err
+				}
+				n -= skipped
+			}
 		}
 	}
 	if !m.Halted() {
 		return fmt.Errorf("no HALT within %d cycles: %w", maxCycles, ErrCycleLimit)
 	}
 	return nil
+}
+
+// skipper reports whether Run may jump p's clock over quiet cycles, and
+// under which manager. It is the one place the jump is switched off,
+// for machines whose quiet cycles do not repeat exactly or whose every
+// cycle is wanted:
+//   - an observer is attached (it sees every cycle's events);
+//   - a fault injector is armed (it draws once per slot every cycle);
+//   - a manage hook is set (the cluster's cores at K>1);
+//   - the manager is not a Skipper: the prefetch, demand, random and
+//     full-reconfig managers.
+//
+// With no manager (the ffu-only and static policies) or a Skipper
+// (core.Manager: steering and oracle) it is on. A nil p never skips.
+func (p *Processor) skipper() (Skipper, bool) {
+	if p == nil || p.obs != nil || p.fabric.FaultsEnabled() || p.manageHook != nil {
+		return nil, false
+	}
+	if p.manager == nil {
+		return nil, true
+	}
+	s, ok := p.manager.(Skipper)
+	return s, ok
+}
+
+// skip follows a quiet cycle: the cycles before the next deadline of
+// the wake-up array, the fabric or the manager repeat it exactly, so it
+// adds them, up to cycle limit, to the counters the quiet cycle moved
+// (Cycles, its bottleneck bucket, DispatchStallFull and the manager's)
+// and advances the timers' clocks without simulating them. The cycle
+// at the deadline then runs normally. It returns the cycles skipped.
+// With no deadline ahead the quiet cycle is a fixed point, reported as
+// ErrNoProgress.
+func (p *Processor) skip(steer Skipper, limit int) (int, error) {
+	next := min(p.array.NextEvent(), p.fabric.NextEvent())
+	if steer != nil {
+		next = min(next, steer.NextEvent())
+	}
+	if next == math.MaxInt {
+		return 0, p.noProgress()
+	}
+	n := min(next-1, limit-p.stats.Cycles)
+	if n <= 0 {
+		return 0, nil
+	}
+	p.stats.Cycles += n
+	*p.bucket(0) += n
+	if p.count == len(p.rob) && p.fetchHead < len(p.fetchBuf) {
+		p.stats.DispatchStallFull += n
+	}
+	p.array.Advance(n)
+	p.fabric.Advance(n)
+	if steer != nil {
+		steer.Skip(n)
+	}
+	return n, nil
+}
+
+// noProgress builds the fixed-point error, naming the unit type the
+// oldest waiting instruction needs.
+func (p *Processor) noProgress() error {
+	why := "the window is empty"
+	for i := 0; i < p.count; i++ {
+		if e := &p.rob[p.slotAt(i)]; !e.issued {
+			why = fmt.Sprintf("the oldest waiting instruction (pc %d) needs an %v unit", e.pc, e.inst.Unit())
+			break
+		}
+	}
+	return fmt.Errorf("no HALT: quiet from cycle %d with no event ahead, and %s: %w", p.stats.Cycles, why, ErrNoProgress)
 }
 
 // retire commits the oldest complete instructions in order.
@@ -784,7 +887,8 @@ func (p *Processor) commitStore(e *robEntry) {
 
 // issue grants execution to the requesting instructions that can claim a
 // unit, in the configured priority order, and executes them functionally.
-func (p *Processor) issue() {
+// It reports whether any instruction requested issue.
+func (p *Processor) issue() bool {
 	// Requests are computed combinationally at the start of the cycle —
 	// a grant this cycle cannot wake a consumer until the next cycle —
 	// then served in priority order. The request lines come back as one
@@ -792,8 +896,8 @@ func (p *Processor) issue() {
 	// the snapshot, matching the combinational semantics.
 	req := p.array.RequestMask(p.fabric.AvailableSet())
 	if req == 0 {
-		p.classifyCycle(0)
-		return
+		*p.bucket(0)++
+		return false
 	}
 	// Rotate the board so bit k is the k-th slot from start: the oldest
 	// slot for age priority, or the rotating arbiter's starting position
@@ -839,10 +943,11 @@ func (p *Processor) issue() {
 		p.stats.IssuedByType[e.inst.Unit()]++
 		p.execute(slot, ref)
 		if p.halted {
-			return
+			return true
 		}
 	}
-	p.classifyCycle(granted)
+	*p.bucket(granted)++
+	return true
 }
 
 // rotate returns the slot board m rotated right by start within the
@@ -852,22 +957,21 @@ func (p *Processor) rotate(m uint64, start int) uint64 {
 	return (m>>uint(start) | m<<(size-uint(start))) & (1<<size - 1)
 }
 
-// classifyCycle buckets the cycle by its bottleneck for the X14 study.
-func (p *Processor) classifyCycle(granted int) {
+// bucket returns the counter of the bottleneck a cycle that granted
+// granted instructions falls into, for the X14 study.
+func (p *Processor) bucket(granted int) *int {
 	switch {
 	case granted > 0:
-		p.stats.CyclesIssued++
+		return &p.stats.CyclesIssued
 	case p.count == 0:
-		p.stats.CyclesFrontend++
+		return &p.stats.CyclesFrontend
+	// Ready work blocked only by unit availability? Unissued entries
+	// are exactly the unscheduled rows (a pileup grant reschedules), so
+	// the ready bitboard answers this in one mask op.
+	case p.array.ReadyMask() != 0:
+		return &p.stats.CyclesUnits
 	default:
-		// Ready work blocked only by unit availability? Unissued entries
-		// are exactly the unscheduled rows (a pileup grant reschedules),
-		// so the ready bitboard answers this in one mask op.
-		if p.array.ReadyMask() != 0 {
-			p.stats.CyclesUnits++
-		} else {
-			p.stats.CyclesDeps++
-		}
+		return &p.stats.CyclesDeps
 	}
 }
 
@@ -1088,11 +1192,13 @@ func (p *Processor) dispatch() {
 }
 
 // fill tops up the fetch buffer from the front end, stamping each
-// fetched instruction with the cycle it left the front end.
-func (p *Processor) fill() {
+// fetched instruction with the cycle it left the front end. It reports
+// whether it asked a front end that is not parked, which changes its
+// state even when nothing comes back (a trace-cache lookup).
+func (p *Processor) fill() bool {
 	const bufCap = 16
-	if len(p.fetchBuf)-p.fetchHead >= bufCap {
-		return
+	if len(p.fetchBuf)-p.fetchHead >= bufCap || p.front.Parked() {
+		return false
 	}
 	if p.fetchHead > 0 {
 		// Compact the consumed prefix away so append reuses the backing
@@ -1106,6 +1212,7 @@ func (p *Processor) fill() {
 	for i := n; i < len(p.fetchBuf); i++ {
 		p.fetchBuf[i].Cycle = p.stats.Cycles
 	}
+	return true
 }
 
 // execMem adapts the processor's speculative memory view to

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -315,11 +317,86 @@ func TestFFUOnlyMachineStarvesWithoutPolicy(t *testing.T) {
 	prog := isa.MustAssemble("li r1, 1\nhalt")
 	params := Params{MemBytes: 1 << 12, DisableFFUs: true}
 	p := New(prog, params)
-	if _, err := p.Run(2000); err == nil {
-		t.Error("machine made progress with no units at all")
+	_, err := p.Run(2000)
+	if !errors.Is(err, ErrNoProgress) || !errors.Is(err, ErrCycleLimit) {
+		t.Fatalf("err = %v, want ErrNoProgress wrapping ErrCycleLimit", err)
+	}
+	if !strings.Contains(err.Error(), "needs an IntALU unit") {
+		t.Errorf("error %q does not name the waiting instruction's unit type", err)
 	}
 	if p.Stats().Retired != 0 {
 		t.Errorf("retired %d instructions with no units", p.Stats().Retired)
+	}
+	if c := p.Stats().Cycles; c >= 100 {
+		t.Errorf("the fixed point was reported at cycle %d, want within a few cycles", c)
+	}
+}
+
+// divChain is a loop whose divides each wait on the one before: once
+// the window fills, every cycle of a divide's latency but the last is
+// quiet.
+const divChain = `
+	li r1, 0
+	li r2, 300
+	li r3, 3
+	li r4, 1000000
+loop:
+	div r4, r4, r3
+	addi r1, r1, 1
+	blt r1, r2, loop
+	halt
+`
+
+// TestSkipJumpsQuietStretches drives Run's loop by hand over divChain
+// and checks that the clock jumps (most cycles are never simulated)
+// while the outcome stays the reference loop's, bit for bit, with no
+// manager and under steering with a residency timer.
+func TestSkipJumpsQuietStretches(t *testing.T) {
+	prog := isa.MustAssemble(divChain)
+	for _, residency := range []int{-1, 0, 5} {
+		build := func() (*Processor, *core.Manager) {
+			p := New(prog, Params{MemBytes: 1 << 12})
+			if residency < 0 {
+				return p, nil
+			}
+			m := core.NewManager(p.Fabric(), config.DefaultBasis())
+			m.MinResidency = residency
+			p.SetManager(m)
+			return p, m
+		}
+		p, mgr := build()
+		steer, ok := p.skipper()
+		if !ok {
+			t.Fatal("the machine does not skip")
+		}
+		calls := 0
+		for !p.Halted() {
+			p.Cycle()
+			calls++
+			if p.quiet {
+				if _, err := p.skip(steer, math.MaxInt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ref, refMgr := build()
+		want, err := ref.runCycles(1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Stats(); got != want {
+			t.Fatalf("residency %d: stats diverge:\n  skipping:  %+v\n  reference: %+v", residency, got, want)
+		}
+		if mgr != nil && mgr.Stats() != refMgr.Stats() {
+			t.Fatalf("residency %d: manager stats diverge:\n  skipping:  %+v\n  reference: %+v", residency, mgr.Stats(), refMgr.Stats())
+		}
+		if p.Fabric().BusyCycles() != ref.Fabric().BusyCycles() {
+			t.Fatalf("residency %d: busy cycles %d, reference %d", residency, p.Fabric().BusyCycles(), ref.Fabric().BusyCycles())
+		}
+		t.Logf("residency %d: %d Cycle calls for %d cycles", residency, calls, want.Cycles)
+		if 2*calls > want.Cycles {
+			t.Errorf("residency %d: %d Cycle calls for %d cycles, want most cycles skipped", residency, calls, want.Cycles)
+		}
 	}
 }
 

@@ -91,11 +91,16 @@ func TestDifferentialFuzzStraightline(t *testing.T) {
 // FuzzCycleModel is the cycle model's coverage-guided oracle. The input
 // drives SynthesizeBranchy's seed and size plus one machine draw
 // (drawMachine) that passes Params.Validate: policy, window, widths,
-// latencies, prefetch, predictor and caches. Two properties must hold.
-// The architectural state at HALT — registers, memory, retired count —
-// equals isa.Run's. And under the policies built on the steering
-// manager, a run with DisableCache gives bit-identical processor stats,
-// manager stats (bar the cache counters) and final fabric layout.
+// latencies, prefetch, predictor and caches. Three properties must
+// hold. The architectural state at HALT — registers, memory, retired
+// count — equals isa.Run's. Run, which jumps the clock over quiet
+// cycles, gives bit-identical processor stats, manager stats (cache
+// counters included), busy cycles, reconfigurations and final fabric
+// layout to the Cycle-only reference loop; a fixed point Run reports
+// (ErrNoProgress) must retire nothing in 100k more reference cycles.
+// And under the policies built on the steering manager, a run with
+// DisableCache gives bit-identical processor stats, manager stats (bar
+// the cache counters) and final fabric layout.
 func FuzzCycleModel(f *testing.F) {
 	f.Add(int64(0), uint8(20), []byte{})
 	f.Add(int64(1), uint8(12), []byte{1, 7, 4, 4, 4, 3, 1})
@@ -104,6 +109,9 @@ func FuzzCycleModel(f *testing.F) {
 	f.Add(int64(4), uint8(24), []byte{5, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1})
 	f.Add(int64(5), uint8(18), []byte{7, 16, 4, 4, 4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2})
 	f.Add(int64(6), uint8(27), []byte{7, 64, 8, 8, 8, 4, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1})
+	// Steering with a residency timer at latency 4: loads suppressed
+	// through quiet stretches.
+	f.Add(int64(1), uint8(19), []byte{4, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 20})
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, draw []byte) {
 		const memBytes = 1 << 16
 		// The generated programs retire at most a few hundred
@@ -123,7 +131,27 @@ func FuzzCycleModel(f *testing.F) {
 		}
 		p, mgr := m.build(prog, false)
 		stats, err := p.Run(maxCycles)
+		loop, loopMgr := m.build(prog, false)
+		loopStats, _ := loop.runCycles(stats.Cycles)
+		label := fmt.Sprintf("%s %+v", m.policy, m.params)
+		if loopStats != stats {
+			t.Fatalf("%s: stats diverge from the reference loop:\n  run:       %+v\n  reference: %+v", label, stats, loopStats)
+		}
+		if mgr != nil && mgr.Stats() != loopMgr.Stats() {
+			t.Fatalf("%s: manager stats diverge from the reference loop:\n  run:       %+v\n  reference: %+v", label, mgr.Stats(), loopMgr.Stats())
+		}
+		f, rf := p.Fabric(), loop.Fabric()
+		if f.BusyCycles() != rf.BusyCycles() || f.Reconfigurations() != rf.Reconfigurations() ||
+			f.Allocation().Slots != rf.Allocation().Slots {
+			t.Fatalf("%s: fabric diverges from the reference loop: busy %d/%d, reconfigurations %d/%d, layout %v/%v", label,
+				f.BusyCycles(), rf.BusyCycles(), f.Reconfigurations(), rf.Reconfigurations(), f.Allocation().Slots, rf.Allocation().Slots)
+		}
 		switch {
+		case errors.Is(err, ErrNoProgress) && m.params.DisableFFUs:
+			// A fixed point: the reference must not retire again.
+			if more, _ := loop.runCycles(stats.Cycles + 100_000); more.Retired != stats.Retired {
+				t.Fatalf("%s: %v, yet the reference loop retired %d more by cycle %d", label, err, more.Retired-stats.Retired, more.Cycles)
+			}
 		case errors.Is(err, ErrCycleLimit) && m.params.DisableFFUs:
 			// Without the FFUs a unit type the manager never configures
 			// starves the queue: Run's documented X4 outcome, with no
@@ -184,6 +212,8 @@ type fuzzMachine struct {
 	params Params
 	// hysteresis is the demand manager's eviction margin.
 	hysteresis int
+	// residency is the steering manager's MinResidency.
+	residency int
 }
 
 // fuzzPolicies are the configuration-management policies a draw picks
@@ -246,6 +276,10 @@ func drawMachine(draw []byte) fuzzMachine {
 	if m.policy == "demand" {
 		m.hysteresis = next(3)
 	}
+	switch m.policy {
+	case "steering", "exact", "prefetch":
+		m.residency = next(33)
+	}
 	return m
 }
 
@@ -281,6 +315,7 @@ func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *co
 	}
 	if mgr != nil {
 		mgr.DisableCache = disableCache
+		mgr.MinResidency = m.residency
 	}
 	return p, mgr
 }

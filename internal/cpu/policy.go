@@ -21,6 +21,23 @@ type Manager interface {
 	Manage(required arch.Counts)
 }
 
+// Skipper is a Manager whose Manage, called again with the same demand
+// on an unchanged fabric, repeats the last call exactly, counters
+// aside, until a deadline of its own. Run jumps the clock over quiet
+// cycles only under a Skipper or no manager. core.Manager (steering and
+// oracle) is one; the prefetch, demand, random and full-reconfig
+// managers are not.
+type Skipper interface {
+	Manager
+	// NextEvent returns how many cycles ahead the first Manage call
+	// falls that may not repeat the last one (1 is the next cycle's),
+	// or math.MaxInt when every one would.
+	NextEvent() int
+	// Skip accounts for n repeats of the last Manage call, all before
+	// NextEvent, without making them.
+	Skip(n int)
+}
+
 // Policy names a configuration-management strategy. It is the typed
 // identity of a strategy — the single place policy names live — as
 // opposed to Manager, which is a strategy's per-machine instance. The

@@ -145,3 +145,15 @@ func (p *Processor) Run(maxCycles int) (Stats, error) {
 	err := Run(context.Background(), p, maxCycles)
 	return p.Stats(), err
 }
+
+// runCycles is the no-skip reference for Run: it clocks the processor
+// with Cycle alone to HALT or maxCycles.
+func (p *Processor) runCycles(maxCycles int) (Stats, error) {
+	for !p.Halted() && p.Cycles() < maxCycles {
+		p.Cycle()
+	}
+	if !p.Halted() {
+		return p.Stats(), ErrCycleLimit
+	}
+	return p.Stats(), nil
+}

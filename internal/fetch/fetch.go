@@ -235,6 +235,10 @@ func NewUnit(prog isa.Program, pred *Predictor, tc *TraceCache) *Unit {
 // PC returns the next fetch address.
 func (u *Unit) PC() uint32 { return u.pc }
 
+// Parked reports whether fetch is stopped at a HALT: AppendFetch then
+// supplies nothing and changes nothing until a Redirect.
+func (u *Unit) Parked() bool { return u.parked }
+
 // Redirect steers fetch to pc — used at reset and on misprediction
 // recovery. It unparks a front end stopped at a HALT (the halt may have
 // been wrong-path).

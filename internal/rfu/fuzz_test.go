@@ -1,6 +1,7 @@
 package rfu
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -72,7 +73,7 @@ func refCanReconfigure(f *Fabric, t arch.UnitType, start int, extBusy uint16) bo
 		return false
 	}
 	for s := lo; s < hi; s++ {
-		if f.reconfig[s] > 0 || f.extUnavail&(1<<uint(s)) != 0 || extBusy&(1<<uint(s)) != 0 {
+		if f.reconfigLeft(s) > 0 || f.extUnavail&(1<<uint(s)) != 0 || extBusy&(1<<uint(s)) != 0 {
 			return false
 		}
 		if h := f.health[s]; h == HealthDetected || h == HealthRepairing || h == HealthDead {
@@ -82,12 +83,12 @@ func refCanReconfigure(f *Fabric, t arch.UnitType, start int, extBusy uint16) bo
 		if head < 0 {
 			continue
 		}
-		if f.busy[head] > 0 {
+		if f.busyLeft(head) > 0 {
 			return false
 		}
 		hlo, hhi := refSpan(f, head)
 		for k := hlo; k < hhi; k++ {
-			if f.reconfig[k] > 0 {
+			if f.reconfigLeft(k) > 0 {
 				return false
 			}
 		}
@@ -109,11 +110,11 @@ func refOverlapping(f *Fabric, s int) arch.Counts {
 
 // refSpanBusy reports whether the unit covering slot s is executing.
 func refSpanBusy(f *Fabric, s int) bool {
-	if f.busy[s] > 0 {
+	if f.busyLeft(s) > 0 {
 		return true
 	}
 	head := refHeadOf(f, s)
-	return head >= 0 && f.busy[head] > 0
+	return head >= 0 && f.busyLeft(head) > 0
 }
 
 // checkFabric compares every board-derived answer with the reference.
@@ -140,15 +141,15 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 		if f.health[s] == HealthDead || f.extDead&(1<<uint(s)) != 0 {
 			dead |= 1 << uint(s)
 		}
-		if f.busy[s] > 0 {
+		if f.busyLeft(s) > 0 {
 			busyT |= 1 << uint(s)
 		}
-		if f.reconfig[s] > 0 {
+		if f.reconfigLeft(s) > 0 {
 			reconfT |= 1 << uint(s)
 		}
 		if ty, ok := arch.DecodeUnit(f.alloc.Slots[s]); ok {
 			wantUnits[ty]++
-			if f.busy[s] > 0 {
+			if f.busyLeft(s) > 0 {
 				wantBusy[ty]++
 			}
 			if refSlotUsable(f, s) {
@@ -157,7 +158,7 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 		}
 	}
 	for i := 0; i < arch.NumFFUs; i++ {
-		if f.ffuBusy[i] > 0 {
+		if f.ffuLeft(i) > 0 {
 			wantFFU[i]++
 		}
 	}
@@ -200,13 +201,15 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 }
 
 // FuzzFabric drives a fabric through arbitrary Reconfigure, Load,
-// Acquire, ExtendBusy, Tick, InjectFault, SetExternalMasks,
+// Acquire, ExtendBusy, Tick, Advance, InjectFault, SetExternalMasks,
 // SetExternalSlotBusy, SetConfigBusWidth and SetFFUsEnabled sequences,
 // with random upsets armed on some inputs, and after every operation
 // checks the answers read from the head boards and masks against the
 // slot-walking reference above: availability (Eq. 1), usability,
 // effective counts, unit states, health and timer masks, the covering-
-// unit query, the busy spans and every CanReconfigure answer.
+// unit query, the busy spans and every CanReconfigure answer. It also
+// holds NextEvent to the nearest per-timer countdown and BusyCycles to
+// a count of the executing units over every cycle that passed.
 func FuzzFabric(f *testing.F) {
 	// A three-slot FPALU, a fault on its last slot, then rewrites over
 	// its head and across its span.
@@ -243,6 +246,22 @@ func FuzzFabric(f *testing.F) {
 		}
 		var extBusy uint16
 		checkFabric(t, -1, fab, extBusy)
+		busyCycles := 0
+		// executing counts the units whose busy countdown runs.
+		executing := func() int {
+			n := 0
+			for s := 0; s < arch.NumRFUSlots; s++ {
+				if fab.busyLeft(s) > 0 {
+					n++
+				}
+			}
+			for i := 0; i < arch.NumFFUs; i++ {
+				if fab.ffuLeft(i) > 0 {
+					n++
+				}
+			}
+			return n
+		}
 		for step := 0; len(data) > 0; step++ {
 			op, arg := next(), next()
 			switch op % 10 {
@@ -280,7 +299,14 @@ func FuzzFabric(f *testing.F) {
 					fab.ExtendBusy(UnitRef{Idx: bits.TrailingZeros16(m)}, int(next()%4))
 				}
 			case 4:
+				if next := fab.NextEvent(); arg&8 != 0 && next > 1 {
+					n := min(1+int(arg>>4), next-1)
+					busyCycles += n * executing()
+					fab.Advance(n)
+					break
+				}
 				for n := 1 + int(arg%3); n > 0; n-- {
+					busyCycles += executing()
 					fab.Tick()
 				}
 			case 5:
@@ -303,6 +329,28 @@ func FuzzFabric(f *testing.F) {
 				fab.SetFFUsEnabled(arg&1 == 0)
 			}
 			checkFabric(t, step, fab, extBusy)
+			if got := fab.BusyCycles(); got != busyCycles {
+				t.Fatalf("step %d: BusyCycles = %d, executing units counted over the cycles %d", step, got, busyCycles)
+			}
+			want := math.MaxInt
+			for s := 0; s < arch.NumRFUSlots; s++ {
+				for _, left := range []int{fab.busyLeft(s), fab.reconfigLeft(s)} {
+					if left > 0 {
+						want = min(want, left)
+					}
+				}
+			}
+			for i := 0; i < arch.NumFFUs; i++ {
+				if left := fab.ffuLeft(i); left > 0 {
+					want = min(want, left)
+				}
+			}
+			if fab.FaultsEnabled() {
+				want = 1
+			}
+			if got := fab.NextEvent(); got != want {
+				t.Fatalf("step %d: NextEvent = %d, nearest countdown %d", step, got, want)
+			}
 		}
 	})
 }

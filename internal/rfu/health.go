@@ -116,7 +116,7 @@ func (f *Fabric) InjectFault(s int, permanent bool) bool {
 		f.injector = fault.NewInjector(fault.Plan{})
 		f.scrubCountdown = f.injector.ScrubInterval()
 	}
-	if f.health[s] != HealthHealthy || f.reconfig[s] > 0 {
+	if f.health[s] != HealthHealthy || f.reconfigMask>>uint(s)&1 != 0 {
 		return false
 	}
 	f.strike(s, permanent)
@@ -277,7 +277,7 @@ func (f *Fabric) faultTick() {
 	// competes with steering loads for bus capacity and must wait for
 	// the covering unit to drain, exactly like a steering rewrite.
 	for s := range f.health {
-		if f.health[s] != HealthDetected || f.reconfig[s] > 0 {
+		if f.health[s] != HealthDetected || f.reconfigMask>>uint(s)&1 != 0 {
 			continue
 		}
 		m := uint16(1) << uint(s)
@@ -296,7 +296,7 @@ func (f *Fabric) faultTick() {
 			f.completeRepair(s)
 		} else {
 			f.health[s] = HealthRepairing
-			f.reconfig[s] = f.latency
+			f.file(reconfigTimer+s, f.now+f.latency)
 			f.reconfigMask |= 1 << uint(s)
 			f.target[s] = f.alloc.Slots[s] // restore the golden copy
 		}
@@ -339,7 +339,7 @@ func (f *Fabric) faultTick() {
 		if k == fault.None {
 			continue
 		}
-		if f.health[s] != HealthHealthy || f.reconfig[s] > 0 {
+		if f.health[s] != HealthHealthy || f.reconfigMask>>uint(s)&1 != 0 {
 			continue // already faulted, or frames mid-rewrite
 		}
 		if f.extUnavail&(1<<uint(s)) != 0 {

@@ -10,6 +10,7 @@ package rfu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/arch"
@@ -37,12 +38,7 @@ func (r UnitRef) String() string {
 type Fabric struct {
 	alloc config.AllocationVector
 
-	// Per reconfigurable slot.
-	busy     [arch.NumRFUSlots]int           // cycles of execution left, tracked at head slots
-	reconfig [arch.NumRFUSlots]int           // cycles of reconfiguration left
-	target   [arch.NumRFUSlots]arch.Encoding // encoding installed when reconfiguration finishes
-	// Per fixed unit.
-	ffuBusy [arch.NumFFUs]int
+	target [arch.NumRFUSlots]arch.Encoding // per slot, the encoding its reconfiguration installs
 
 	latency     int  // cycles to reconfigure one span
 	ffuDisabled bool // X4 ablation: hide the fixed units
@@ -53,7 +49,10 @@ type Fabric struct {
 	// Statistics.
 	reconfigurations int // spans rewritten
 	reconfigCycles   int // slot-cycles spent reconfiguring
-	busyCycles       int // slot+FFU cycles spent executing
+	// busyCycles is the slot+FFU cycles of execution claimed so far,
+	// the running timers' remainders included; BusyCycles subtracts
+	// those.
+	busyCycles int
 
 	// Packed hot-path masks, maintained incrementally at the (rare)
 	// mutation sites so the per-cycle availability, acquire and timer
@@ -76,6 +75,19 @@ type Fabric struct {
 	// layout is alloc.Slots packed by config.PackLayout, kept with the
 	// head boards so layout-keyed consumers read one word.
 	layout uint32
+
+	// due holds each timer's end as a tick of now's clock (see the
+	// timer indices): per reconfigurable slot the end of execution,
+	// tracked at head slots, and the end of reconfiguration; per fixed
+	// unit the end of execution. A timer runs while its bit is set in
+	// busyMask, reconfigMask or ffuBusyMask, and a running timer is
+	// filed under its end in wheel[end%wheelSize] (a mirror's
+	// reconfiguration timers belong to its master and are not filed).
+	// now counts Ticks; a deadline wheelSize or more ticks ahead shares
+	// its word with nearer ones and stays filed until its own tick.
+	due   [numTimers]int
+	wheel [wheelSize]uint32
+	now   int
 
 	obs *trace.Observer
 
@@ -114,6 +126,31 @@ func New(latency int) *Fabric {
 	f := &Fabric{alloc: config.NewAllocationVector(), latency: latency}
 	f.healthOKMask = 1<<arch.NumRFUSlots - 1
 	return f
+}
+
+// The fabric's timer indices, bit positions of the wheel words: slot
+// s's execution timer is busyTimer+s, its reconfiguration timer
+// reconfigTimer+s, and fixed unit t's execution timer ffuTimer+t.
+const (
+	busyTimer     = 0
+	reconfigTimer = busyTimer + arch.NumRFUSlots
+	ffuTimer      = reconfigTimer + arch.NumRFUSlots
+	numTimers     = ffuTimer + arch.NumFFUs
+)
+
+// wheelSize is the deadline wheel's length in ticks, a power of two
+// above every default execution latency.
+const wheelSize = 64
+
+// file starts timer k toward tick end, after now.
+func (f *Fabric) file(k, end int) {
+	f.due[k] = end
+	f.wheel[end&(wheelSize-1)] |= 1 << uint(k)
+}
+
+// unfile stops running timer k.
+func (f *Fabric) unfile(k int) {
+	f.wheel[f.due[k]&(wheelSize-1)] &^= 1 << uint(k)
 }
 
 // refreshAlloc rebuilds the per-type head boards and the packed layout
@@ -218,8 +255,9 @@ func (f *Fabric) SetConfigBusWidth(w int) {
 // compete for the same bus.
 func (f *Fabric) activeSpans() int {
 	n := 0
-	for s := 0; s < arch.NumRFUSlots; s++ {
-		if f.reconfig[s] > 0 && (f.target[s] != arch.EncCont || f.health[s] == HealthRepairing) {
+	for m := f.reconfigMask; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros16(m)
+		if f.target[s] != arch.EncCont || f.health[s] == HealthRepairing {
 			n++
 		}
 	}
@@ -264,8 +302,15 @@ func (f *Fabric) extBusy() uint16 {
 // advances its private execution (RFU busy, FFU) timers, but the
 // reconfiguration countdowns and the fault machinery belong to the
 // master fabric it reflects (see MirrorFrom). Merged-mode cluster
-// cores run on mirrors of core 0's fabric.
-func (f *Fabric) SetMirror(on bool) { f.mirror = on }
+// cores run on mirrors of core 0's fabric. Only a fabric's own
+// reconfiguration timers are filed, so the fabric must not be
+// reconfiguring (the cluster switches modes on idle fabrics).
+func (f *Fabric) SetMirror(on bool) {
+	if f.reconfigMask != 0 {
+		panic("rfu: SetMirror on a reconfiguring fabric")
+	}
+	f.mirror = on
+}
 
 // MirrorFrom copies the master fabric's configuration state — the
 // allocation vector and in-flight reconfiguration timers — into this
@@ -279,7 +324,11 @@ func (f *Fabric) MirrorFrom(src *Fabric) {
 			f.recomputeHealthOK()
 		}
 	}
-	f.reconfig = src.reconfig
+	// The master's deadlines are on its own clock; carry the
+	// countdowns over to this one's.
+	for k := reconfigTimer; k < reconfigTimer+arch.NumRFUSlots; k++ {
+		f.due[k] = src.due[k] - src.now + f.now
+	}
 	f.target = src.target
 	f.reconfigMask = src.reconfigMask
 }
@@ -334,14 +383,16 @@ func (f *Fabric) Acquire(t arch.UnitType, busyCycles int) (UnitRef, bool) {
 	if busyCycles < 1 {
 		panic("rfu: acquire with non-positive busy time")
 	}
-	if f.ffuBusy[t] == 0 && !f.ffuDisabled {
-		f.ffuBusy[t] = busyCycles
+	if f.ffuBusyMask>>uint(t)&1 == 0 && !f.ffuDisabled {
+		f.busyCycles += busyCycles
+		f.file(ffuTimer+int(t), f.now+busyCycles)
 		f.ffuBusyMask |= 1 << uint(t)
 		return UnitRef{FFU: true, Idx: int(t)}, true
 	}
 	if m := f.heads[t] & f.idleHeads(); m != 0 {
 		s := bits.TrailingZeros16(m)
-		f.busy[s] = busyCycles
+		f.busyCycles += busyCycles
+		f.file(busyTimer+s, f.now+busyCycles)
 		f.busyMask |= 1 << uint(s)
 		return UnitRef{Idx: s}, true
 	}
@@ -354,17 +405,16 @@ func (f *Fabric) ExtendBusy(r UnitRef, extra int) {
 	if extra < 0 {
 		panic("rfu: negative busy extension")
 	}
+	k, mask := busyTimer+r.Idx, uint(f.busyMask)
 	if r.FFU {
-		if f.ffuBusy[r.Idx] == 0 {
-			panic(fmt.Sprintf("rfu: ExtendBusy of idle %v", r))
-		}
-		f.ffuBusy[r.Idx] += extra
-		return
+		k, mask = ffuTimer+r.Idx, uint(f.ffuBusyMask)
 	}
-	if f.busy[r.Idx] == 0 {
+	if mask>>uint(r.Idx)&1 == 0 {
 		panic(fmt.Sprintf("rfu: ExtendBusy of idle %v", r))
 	}
-	f.busy[r.Idx] += extra
+	f.unfile(k)
+	f.file(k, f.due[k]+extra)
+	f.busyCycles += extra
 }
 
 // spanOf returns the slot span [start, start+n) a unit of type t would
@@ -445,8 +495,10 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 	// Install the new span.
 	for s := lo; s < hi; s++ {
 		f.alloc.Slots[s] = arch.EncEmpty
-		f.reconfig[s] = f.latency
 		f.target[s] = arch.EncCont
+		if f.latency > 0 {
+			f.file(reconfigTimer+s, f.now+f.latency)
+		}
 	}
 	if f.latency > 0 {
 		f.reconfigMask |= spanMask(lo, hi)
@@ -496,51 +548,80 @@ func (f *Fabric) Load(units []config.PlacedUnit) (started, loading, deferred int
 // Tick advances one cycle: execution busy timers and reconfiguration
 // timers count down, spans whose reconfiguration completes install
 // their new encodings, and — when a fault injector is armed — the fault
-// state machine runs (scrub, repair, salvage, new upsets). The timer
-// scans walk the packed masks, so an idle fabric ticks in a few branches.
-func (f *Fabric) Tick() {
-	for m := f.busyMask; m != 0; m &= m - 1 {
-		s := bits.TrailingZeros16(m)
-		f.busy[s]--
-		f.busyCycles++
-		if f.busy[s] == 0 {
-			f.busyMask &^= 1 << uint(s)
-		}
-	}
-	if !f.mirror {
-		installed := false
-		allocChanged := false
-		for m := f.reconfigMask; m != 0; m &= m - 1 {
-			s := bits.TrailingZeros16(m)
-			f.reconfig[s]--
-			if f.reconfig[s] == 0 {
-				f.reconfigMask &^= 1 << uint(s)
-				f.alloc.Slots[s] = f.target[s]
-				allocChanged = true
-				if f.injector != nil {
-					f.installHealth(s)
-					installed = true
-				}
+// state machine runs (scrub, repair, salvage, new upsets). It reports
+// whether any of that changed the fabric. The timers that end are the
+// ones filed in the new tick's wheel word whose deadline is not a whole
+// wheel turn or more away.
+func (f *Fabric) Tick() bool {
+	f.now++
+	var ended uint32
+	if w := &f.wheel[f.now&(wheelSize-1)]; *w != 0 {
+		for m := *w; m != 0; m &= m - 1 {
+			if k := bits.TrailingZeros32(m); f.due[k] <= f.now {
+				ended |= 1 << uint(k)
 			}
 		}
-		if allocChanged {
-			f.refreshAlloc()
-		}
-		if installed || (allocChanged && f.extUnavail != 0) {
-			f.recomputeHealthOK()
-		}
+		*w &^= ended
 	}
-	for m := f.ffuBusyMask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros8(m)
-		f.ffuBusy[i]--
-		f.busyCycles++
-		if f.ffuBusy[i] == 0 {
-			f.ffuBusyMask &^= 1 << uint(i)
+	if ended != 0 {
+		f.busyMask &^= uint16(ended >> busyTimer)
+		f.ffuBusyMask &^= uint8(ended >> ffuTimer)
+		if done := uint16(ended>>reconfigTimer) & f.reconfigMask; done != 0 {
+			f.complete(done)
 		}
 	}
 	if !f.mirror && f.injector != nil {
 		f.faultTick()
+		return true
 	}
+	return ended != 0
+}
+
+// complete installs the target encodings of the slots in done, whose
+// reconfiguration timers ended.
+func (f *Fabric) complete(done uint16) {
+	f.reconfigMask &^= done
+	installed := false
+	for m := done; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros16(m)
+		f.alloc.Slots[s] = f.target[s]
+		if f.injector != nil {
+			f.installHealth(s)
+			installed = true
+		}
+	}
+	f.refreshAlloc()
+	if installed || f.extUnavail != 0 {
+		f.recomputeHealthOK()
+	}
+}
+
+// NextEvent returns how many Ticks ahead the next timer ends (1 is the
+// next Tick), or math.MaxInt when none runs. With a fault injector
+// armed every Tick is an event.
+func (f *Fabric) NextEvent() int {
+	if f.injector != nil && !f.mirror {
+		return 1
+	}
+	running := uint32(f.busyMask)<<busyTimer | uint32(f.ffuBusyMask)<<ffuTimer
+	if !f.mirror {
+		running |= uint32(f.reconfigMask) << reconfigTimer
+	}
+	next := math.MaxInt
+	for m := running; m != 0; m &= m - 1 {
+		next = min(next, f.due[bits.TrailingZeros32(m)]-f.now)
+	}
+	return next
+}
+
+// Advance counts n Ticks in which no timer ends: n must be below
+// NextEvent. Executing units stay busy through them, so BusyCycles
+// grows by n for each.
+func (f *Fabric) Advance(n int) {
+	if next := f.NextEvent(); n >= next {
+		panic(fmt.Sprintf("rfu: Advance(%d) passes a deadline %d ticks ahead", n, next))
+	}
+	f.now += n
 }
 
 // Idle reports whether the whole reconfigurable fabric is quiescent: no
@@ -575,5 +656,12 @@ func (f *Fabric) Reconfigurations() int { return f.reconfigurations }
 // ReconfigurationCycles returns total slot-cycles spent reconfiguring.
 func (f *Fabric) ReconfigurationCycles() int { return f.reconfigCycles }
 
-// BusyCycles returns total unit-cycles spent executing.
-func (f *Fabric) BusyCycles() int { return f.busyCycles }
+// BusyCycles returns total unit-cycles spent executing: the cycles
+// claimed, less what the running timers have left.
+func (f *Fabric) BusyCycles() int {
+	n := f.busyCycles
+	for m := uint32(f.busyMask)<<busyTimer | uint32(f.ffuBusyMask)<<ffuTimer; m != 0; m &= m - 1 {
+		n -= f.due[bits.TrailingZeros32(m)] - f.now
+	}
+	return n
+}

@@ -20,7 +20,7 @@ func availabilitySignals(f *Fabric) []bool {
 	out := make([]bool, arch.NumRFUSlots+arch.NumFFUs)
 	for i, e := range f.alloc.Slots {
 		t, isUnit := arch.DecodeUnit(e)
-		if !isUnit || f.busy[i] > 0 || f.reconfig[i] > 0 {
+		if !isUnit || f.busyLeft(i) > 0 || f.reconfigLeft(i) > 0 {
 			continue
 		}
 		out[i] = true
@@ -31,10 +31,17 @@ func availabilitySignals(f *Fabric) []bool {
 		}
 	}
 	for i := 0; i < arch.NumFFUs; i++ {
-		out[arch.NumRFUSlots+i] = f.ffuBusy[i] == 0 && !f.ffuDisabled
+		out[arch.NumRFUSlots+i] = f.ffuLeft(i) == 0 && !f.ffuDisabled
 	}
 	return out
 }
+
+// busyLeft, reconfigLeft and ffuLeft are the countdowns the fabric's
+// deadlines encode: the cycles left on slot s's execution or
+// reconfiguration timer, or on fixed unit i's execution timer.
+func (f *Fabric) busyLeft(s int) int     { return max(f.due[busyTimer+s]-f.now, 0) }
+func (f *Fabric) reconfigLeft(s int) int { return max(f.due[reconfigTimer+s]-f.now, 0) }
+func (f *Fabric) ffuLeft(i int) int      { return max(f.due[ffuTimer+i]-f.now, 0) }
 
 // available reads type t's line of the fabric's AvailableSet.
 func available(f *Fabric, t arch.UnitType) bool { return f.AvailableSet()&(1<<uint(t)) != 0 }
@@ -42,9 +49,9 @@ func available(f *Fabric, t arch.UnitType) bool { return f.AvailableSet()&(1<<ui
 // unitBusy reports whether the referenced unit is still executing.
 func unitBusy(f *Fabric, r UnitRef) bool {
 	if r.FFU {
-		return f.ffuBusy[r.Idx] > 0
+		return f.ffuLeft(r.Idx) > 0
 	}
-	return f.busy[r.Idx] > 0
+	return f.busyLeft(r.Idx) > 0
 }
 
 // availableCount counts the units of type t that can accept work, by

@@ -332,9 +332,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // right before http.Server.Shutdown, which handles the actual waiting.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the sweep fabric: the coordinator cancels in-flight
 // points (they stay pending in the store for the next boot's resume)
 // and the store releases its file handles. Call it after the HTTP

@@ -525,7 +525,7 @@ func TestRunDeadline(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Workers: 3})
+	_, _, c := newTestServer(t, Config{Workers: 3})
 	h, err := c.Health(context.Background())
 	if err != nil {
 		t.Fatalf("health: %v", err)
@@ -533,20 +533,21 @@ func TestHealthz(t *testing.T) {
 	if h.Status != "ok" || h.Workers != 3 {
 		t.Errorf("healthz = %+v, want ok/3 workers", h)
 	}
-	if s.Draining() {
-		t.Errorf("fresh server reports draining")
-	}
 }
 
 func TestDrainRejectsNewJobs(t *testing.T) {
 	s, _, c := newTestServer(t, Config{})
-	s.StartDrain()
 	ctx := context.Background()
-
-	if _, err := c.Health(ctx); err == nil {
-		t.Errorf("healthz while draining returned no error")
+	if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz before the drain = %+v, %v; want ok", h, err)
 	}
-	_, err := c.Run(ctx, api.RunRequest{Source: haltingSource})
+	s.StartDrain()
+
+	_, err := c.Health(ctx)
+	if apiErr := apiError(t, err); apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeDraining {
+		t.Errorf("healthz while draining: status %d code %s, want 503 %s", apiErr.Status, apiErr.Code, api.CodeDraining)
+	}
+	_, err = c.Run(ctx, api.RunRequest{Source: haltingSource})
 	apiErr := apiError(t, err)
 	if apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("run while draining: status = %d, want 503 (%v)", apiErr.Status, apiErr)

@@ -1,6 +1,7 @@
 package wakeup
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -8,12 +9,14 @@ import (
 )
 
 // FuzzWakeupArray drives the array through arbitrary Allocate, Grant,
-// Reschedule, ExtendTimer, Tick and Release sequences and, after every
-// operation, checks the incrementally kept boards against a from-scratch
-// recomputation: RequestMask against Request row by row for every
-// unit-availability set and against the gate-level CircuitRequest (Fig.
-// 6) for one, ReadyMask against Request with every unit available, and
-// RequiredCounts against a count of the unscheduled rows.
+// Reschedule, ExtendTimer, Tick, Advance and Release sequences and,
+// after every operation, checks the incrementally kept boards against a
+// from-scratch recomputation: RequestMask against Request row by row for
+// every unit-availability set and against the gate-level CircuitRequest
+// (Fig. 6) for one, ReadyMask against Request with every unit
+// available, and RequiredCounts against a count of the unscheduled
+// rows. A per-row countdown model (§4.1: N-1 at grant, one per Tick)
+// holds the result-available lines and NextEvent to the deadline wheel.
 func FuzzWakeupArray(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 0, 1, 0, 1, 9, 2, 1, 0, 0, 4, 0, 5, 1, 0})
 	f.Add([]byte{63, 0, 63, 3, 7, 0, 0, 1, 1, 1, 0, 3, 0, 2, 4, 4, 4, 5, 0, 0})
@@ -53,9 +56,20 @@ func FuzzWakeupArray(f *testing.F) {
 			}
 			return bits.TrailingZeros64(m), true
 		}
+		// The countdown model: each row's latency, timer and line.
+		var lat, left [MaxSize]int
+		var up [MaxSize]bool
+		tick := func() {
+			for i := 0; i < a.size; i++ {
+				if a.Used(i) && scheduled(a, i) && !up[i] {
+					left[i] = max(left[i]-1, 0)
+					up[i] = left[i] == 0
+				}
+			}
+		}
 		for step := 0; len(data) > 0; step++ {
 			op, arg := next(), next()
-			switch op % 6 {
+			switch op % 7 {
 			case 0:
 				row, ok := pick(^a.used&(1<<uint(a.size)-1), arg)
 				if !ok {
@@ -66,7 +80,9 @@ func FuzzWakeupArray(f *testing.F) {
 				if arg&1 != 0 {
 					deps &= draw() // sparser
 				}
-				a.Allocate(row, arch.UnitType(next()%arch.NumUnitTypes), deps, 1+int(next()%8))
+				lat[row] = 1 + int(next()%8)
+				a.Allocate(row, arch.UnitType(next()%arch.NumUnitTypes), deps, lat[row])
+				left[row], up[row] = 0, false
 			case 1:
 				// The scheduler grants requesters; an odd argument grants
 				// any unscheduled row, which the array allows too.
@@ -76,21 +92,51 @@ func FuzzWakeupArray(f *testing.F) {
 				}
 				if row, ok := pick(m, arg>>1); ok {
 					a.Grant(row)
+					left[row] = lat[row] - 1
+					up[row] = left[row] == 0
 				}
 			case 2:
 				if row, ok := pick(a.used, arg); ok {
 					a.Reschedule(row)
+					left[row], up[row] = 0, false
 				}
 			case 3:
 				if row, ok := pick(a.used&a.scheduled, arg); ok {
-					a.ExtendTimer(row, int(next()%5))
+					extra := int(next() % 5)
+					a.ExtendTimer(row, extra)
+					left[row] += extra
+					up[row] = false
 				}
 			case 4:
 				a.Tick()
+				tick()
 			case 5:
 				if row, ok := pick(a.used, arg); ok {
 					a.Release(row)
+					left[row], up[row] = 0, false
 				}
+			case 6:
+				if n := min(int(arg%16), a.NextEvent()-1); n > 0 {
+					a.Advance(n)
+					for ; n > 0; n-- {
+						tick()
+					}
+				}
+			}
+			want := math.MaxInt
+			for i := 0; i < a.size; i++ {
+				if !a.Used(i) {
+					continue
+				}
+				if a.ResultAvailable(i) != up[i] {
+					t.Fatalf("step %d: row %d result line %v, countdown model %v", step, i, a.ResultAvailable(i), up[i])
+				}
+				if scheduled(a, i) && !up[i] {
+					want = min(want, max(left[i], 1))
+				}
+			}
+			if got := a.NextEvent(); got != want {
+				t.Fatalf("step %d: NextEvent = %d, countdown model %d", step, got, want)
 			}
 			checkBoards(t, a, step, next())
 		}

@@ -7,7 +7,10 @@
 // Countdown timers assert result-available lines at the moment a granted
 // instruction's result will be ready; retirement clears the entry's
 // column everywhere so later instructions never wait on a retired
-// producer.
+// producer. Each countdown is kept as the tick it ends on and filed
+// under that tick in a deadline wheel, so a Tick reads one wheel word
+// and touches only the rows whose lines rise then, and NextEvent
+// answers "when does the next line rise?".
 //
 // The array is select-free: it only raises execution *requests*.
 // Contention between requesters for the same unit type is resolved by the
@@ -31,6 +34,7 @@ package wakeup
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -57,9 +61,22 @@ type Array struct {
 	pending   arch.Counts // per type: used, unscheduled rows
 
 	unit    []arch.UnitType
-	timer   []int32 // countdown until the result-available line asserts
+	due     []int // tick on which the result-available line asserts
 	latency []int32
+
+	// now counts Ticks. A counting row (used, scheduled, line low) has
+	// a due tick, now+countdown, and its bit set in the wheel word of
+	// the Tick that raises it: wheel[due%wheelSize], or the next Tick's
+	// for a countdown of zero. A deadline wheelSize or more ticks ahead
+	// shares its word with nearer ones and stays filed until its own
+	// tick.
+	now   int
+	wheel [wheelSize]uint64
 }
+
+// wheelSize is the deadline wheel's length in ticks, a power of two
+// above every default execution latency.
+const wheelSize = 64
 
 // New returns an empty wake-up array with the given number of entries
 // (the paper's machine uses arch.QueueSize = 7). Sizes above MaxSize —
@@ -76,7 +93,7 @@ func New(size int) *Array {
 		deps:      make([]uint64, size),
 		consumers: make([]uint64, size),
 		unit:      make([]arch.UnitType, size),
-		timer:     make([]int32, size),
+		due:       make([]int, size),
 		latency:   make([]int32, size),
 	}
 }
@@ -117,7 +134,6 @@ func (a *Array) Allocate(row int, unit arch.UnitType, depMask uint64, latency in
 	a.typeMask[unit] |= bit
 	a.pending[unit]++
 	a.unit[row] = unit
-	a.timer[row] = 0
 	a.latency[row] = int32(latency)
 }
 
@@ -210,9 +226,28 @@ func (a *Array) Grant(i int) {
 	}
 	a.scheduled |= bit
 	a.pending[a.unit[i]]--
-	a.timer[i] = a.latency[i] - 1
-	if a.timer[i] == 0 {
+	if a.latency[i] == 1 {
 		a.raise(bit)
+		return
+	}
+	a.file(i, a.now+int(a.latency[i])-1)
+}
+
+// counting reports whether row i's timer runs: granted, line low.
+func (a *Array) counting(i int) bool {
+	return (a.scheduled&^a.resultOK)>>uint(i)&1 != 0
+}
+
+// file starts row i's countdown toward tick due, at least now.
+func (a *Array) file(i, due int) {
+	a.due[i] = due
+	a.wheel[max(due, a.now+1)&(wheelSize-1)] |= 1 << uint(i)
+}
+
+// unfile stops row i's countdown, if it runs.
+func (a *Array) unfile(i int) {
+	if a.counting(i) {
+		a.wheel[max(a.due[i], a.now+1)&(wheelSize-1)] &^= 1 << uint(i)
 	}
 }
 
@@ -224,12 +259,12 @@ func (a *Array) Reschedule(i int) {
 	if a.used&bit == 0 {
 		panic(fmt.Sprintf("wakeup: reschedule of unused row %d", i))
 	}
+	a.unfile(i)
 	if a.scheduled&bit != 0 {
 		a.scheduled &^= bit
 		a.pending[a.unit[i]]++
 	}
 	a.lower(i)
-	a.timer[i] = 0
 }
 
 // ExtendTimer adds extra cycles to a running countdown — the mechanism
@@ -240,28 +275,62 @@ func (a *Array) ExtendTimer(i, extra int) {
 	if a.used&bit == 0 || a.scheduled&bit == 0 || extra < 0 {
 		panic(fmt.Sprintf("wakeup: bad ExtendTimer(%d, %d)", i, extra))
 	}
+	left := 0 // a line already up counts the extension from now
+	if a.counting(i) {
+		left = a.due[i] - a.now
+		a.unfile(i)
+	}
 	a.lower(i)
-	a.timer[i] += int32(extra)
+	a.file(i, a.now+left+extra)
 }
 
-// Tick advances every countdown timer one cycle, asserting
-// result-available lines that reach zero. Only the rows that are
-// granted and still counting — used & scheduled &^ resultOK — carry
-// live timers, so the pass walks exactly those board bits.
-func (a *Array) Tick() {
+// Tick advances every countdown timer one cycle, asserting the
+// result-available lines whose countdown ends, and reports whether any
+// rose. It reads the wheel word of the new tick; a row filed there
+// rises unless its deadline is a whole wheel turn or more away.
+func (a *Array) Tick() bool {
+	a.now++
+	if a.wheel[a.now&(wheelSize-1)] == 0 {
+		return false // inlined: most Ticks end here
+	}
+	return a.tickDue()
+}
+
+// tickDue raises the rows filed in the current tick's wheel word whose
+// deadline has come.
+func (a *Array) tickDue() bool {
+	w := &a.wheel[a.now&(wheelSize-1)]
 	var risen uint64
-	for m := a.used & a.scheduled &^ a.resultOK; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if a.timer[i] > 0 {
-			a.timer[i]--
-		}
-		if a.timer[i] == 0 {
+	for m := *w; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); a.due[i] <= a.now {
 			risen |= 1 << uint(i)
 		}
 	}
-	if risen != 0 {
-		a.raise(risen)
+	if risen == 0 {
+		return false
 	}
+	*w &^= risen
+	a.raise(risen)
+	return true
+}
+
+// NextEvent returns how many Ticks ahead the next result-available line
+// rises (1 is the next Tick), or math.MaxInt when no timer counts.
+func (a *Array) NextEvent() int {
+	next := math.MaxInt
+	for m := a.used & a.scheduled &^ a.resultOK; m != 0; m &= m - 1 {
+		next = min(next, max(a.due[bits.TrailingZeros64(m)]-a.now, 1))
+	}
+	return next
+}
+
+// Advance counts n Ticks in which no line rises: n must be below
+// NextEvent. It is how a caller jumps the clock over quiet cycles.
+func (a *Array) Advance(n int) {
+	if next := a.NextEvent(); n >= next {
+		panic(fmt.Sprintf("wakeup: Advance(%d) passes a deadline %d ticks ahead", n, next))
+	}
+	a.now += n
 }
 
 // Release retires row i: the entry is cleared and its column is cleared
@@ -276,6 +345,7 @@ func (a *Array) Release(i int) {
 	if a.scheduled&bit == 0 {
 		a.pending[a.unit[i]]--
 	}
+	a.unfile(i)
 	for m := a.deps[i]; m != 0; m &= m - 1 {
 		a.consumers[bits.TrailingZeros64(m)] &^= bit
 	}
@@ -290,7 +360,6 @@ func (a *Array) Release(i int) {
 	a.typeMask[a.unit[i]] &^= bit
 	a.deps[i] = 0
 	a.consumers[i] = 0
-	a.timer[i] = 0
 	a.latency[i] = 0
 	a.unit[i] = 0
 	a.unblock(col & a.blocked)
