@@ -135,16 +135,17 @@ func TestZeroAllocManagerSelect(t *testing.T) {
 	})
 }
 
-// TestZeroAllocManagerStepMemo pins the Step memo's hit paths: with the
-// demand and the (unticked) fabric unchanged, each Step replays the
+// TestZeroAllocManagerStep pins the managers' steady Step paths: with
+// the demand and the (unticked) fabric unchanged, each Step repeats the
 // previous cycle — for the steering manager both a kept configuration
-// and a load whose spans are all still reconfiguring (replayed
-// deferrals), for the demand manager a synthesis that started nothing.
-func TestZeroAllocManagerStepMemo(t *testing.T) {
+// and a load whose spans are all still reconfiguring (deferrals), both
+// served by the steering cache, for the demand manager a synthesis read
+// from its tables that started nothing.
+func TestZeroAllocManagerStep(t *testing.T) {
 	kept := core.NewManager(rfu.New(0), config.DefaultBasis())
 	fp := arch.Counts{0, 0, 1, 3, 3}
 	kept.Step(fp) // installs the floating layout at once
-	requireZeroAllocs(t, "core.Manager.Step (memo hit, current)", 200, func() {
+	requireZeroAllocs(t, "core.Manager.Step (cache hit, current)", 200, func() {
 		kept.Step(fp)
 	})
 
@@ -152,17 +153,17 @@ func TestZeroAllocManagerStepMemo(t *testing.T) {
 	deferring.Step(fp) // starts the rewrites; without ticks they stay in flight
 	deferring.Step(arch.Counts{3, 1, 2, 0, 0})
 	before := deferring.Stats().DeferredSlots
-	requireZeroAllocs(t, "core.Manager.Step (memo hit, deferred load)", 200, func() {
+	requireZeroAllocs(t, "core.Manager.Step (cache hit, deferred load)", 200, func() {
 		deferring.Step(arch.Counts{3, 1, 2, 0, 0})
 	})
 	if deferring.Stats().DeferredSlots == before {
-		t.Error("no deferrals replayed; the deferred-load path was not exercised")
+		t.Error("no slots deferred; the deferred-load path was not exercised")
 	}
 
 	demand := core.NewDemandManager(rfu.New(8))
 	demand.Step(fp)
 	demand.Step(arch.Counts{3, 1, 2, 0, 0})
-	requireZeroAllocs(t, "core.DemandManager.Step (memo hit)", 200, func() {
+	requireZeroAllocs(t, "core.DemandManager.Step (table hit)", 200, func() {
 		demand.Step(arch.Counts{3, 1, 2, 0, 0})
 	})
 }

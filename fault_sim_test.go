@@ -156,7 +156,7 @@ func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
 			for !m.Halted() && cycles < 2_000_000 {
 				m.Cycle()
 				cycles++
-				timers, _ := fab.TimerMasks()
+				timers := fab.TimerMasks()
 				for s := 0; s < arch.NumRFUSlots; s++ {
 					busy := timers>>uint(s)&1 != 0
 					if busy && !prevBusy[s] {

@@ -348,10 +348,8 @@ type Manager struct {
 	basisUnits [3][]config.PlacedUnit
 
 	// sel is the latest selection pass, which Step fills and returns by
-	// reference; memo remembers the inputs and outcome of the Step that
-	// filled it.
-	sel  Selection
-	memo stepMemo
+	// reference.
+	sel Selection
 
 	// view is the selection unit's view of the fabric, rebuilt only
 	// when the allocation or the health masks change.
@@ -382,30 +380,6 @@ type fabricView struct {
 	// set when it is neither empty nor a predefined layout.
 	class  string
 	hybrid bool
-}
-
-// stepMemo is Step's one-entry memo. The selection unit and loader are
-// combinational: Select's outcome is a pure function of the clamped
-// demand and the allocation vector, and Load's of those plus the
-// fabric's timer masks. So a cycle whose packed demand and allocation
-// version equal the memo's would select exactly what the memo holds;
-// Step then replays the steering-cache hit (valid while the cache line
-// still holds the entry) instead of selecting. If a Load already ran on
-// those inputs and the same timer masks without starting a rewrite,
-// Step replays its deferrals too.
-type stepMemo struct {
-	valid   bool
-	demand  uint64 // packDemandKey of the demand
-	version uint64 // fabric allocation version
-	// line and tag locate the steering-cache entry the selection came
-	// from.
-	line int
-	tag  uint64
-	// deferred is what a Load on these inputs under fabric timer masks
-	// timers deferred without starting a rewrite, or -1 when no Load has
-	// run on them yet.
-	deferred int
-	timers   uint32
 }
 
 // NewManager binds a configuration manager to a fabric, steering with the
@@ -455,23 +429,20 @@ func (m *Manager) NotePrefetch(issued, confirmed, mispredicted, cancelled, waste
 // to each of the four configurations including the FFUs", §3.1).
 // The pass counts in Stats.Selections and becomes the LastSelection.
 func (m *Manager) Select(required arch.Counts) Selection {
-	m.memo.valid = false // m.sel no longer holds the memo's selection
 	m.selectInto(&m.sel, required, m.liveView())
 	m.stats.Selections[m.sel.Choice]++
 	return m.sel
 }
 
 // selectInto is Select writing into sel, over the current fabric view
-// v. With the steering cache on it returns the cache line that served
-// the selection and the tag the line now holds.
-func (m *Manager) selectInto(sel *Selection, required arch.Counts, v *fabricView) (line int, tag uint64) {
+// v.
+func (m *Manager) selectInto(sel *Selection, required arch.Counts, v *fabricView) {
 	if m.DisableCache {
 		m.score(sel, required, v)
-		return 0, 0
+		return
 	}
 	key := packDemandKey(required) | v.key
-	line = tableIndex(key, steerCacheBits)
-	e := &m.cache[line]
+	e := &m.cache[tableIndex(key, steerCacheBits)]
 	if e.key == key+1 {
 		m.stats.CacheHits++
 		sel.Required = required
@@ -480,7 +451,7 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts, v *fabricView
 			sel.Errors[i] = int(e.errs[i])
 		}
 		sel.Distances = v.dists
-		return line, e.key
+		return
 	}
 	m.stats.CacheMisses++
 	m.score(sel, required, v)
@@ -489,7 +460,6 @@ func (m *Manager) selectInto(sel *Selection, required arch.Counts, v *fabricView
 	for i := range sel.Errors {
 		e.errs[i] = uint8(sel.Errors[i])
 	}
-	return line, e.key
 }
 
 // liveView returns the fabric view, rebuilding it when the
@@ -624,29 +594,10 @@ func (m *Manager) ClassifyAllocation() string { return m.liveView().class }
 // requirements, select, and load (subject to the residency timer). It
 // returns the selection for tracing; the manager owns it, and the next
 // Step overwrites it.
-//
-// A cycle whose inputs equal the previous Step's (see stepMemo) skips
-// the selection unit and, when possible, the loader, replaying their
-// effects. The memo is off with the steering cache disabled and on a
-// fabric whose reconfiguration answers depend on more than the timer
-// masks (faults, cluster hooks), so uncached steering is its oracle.
 func (m *Manager) Step(required arch.Counts) *Selection {
 	sel := &m.sel
-	memo := &m.memo
 	v := m.liveView()
-	timers, plain := m.fabric.TimerMasks()
-	demand := packDemandKey(required)
-	hit := memo.valid && demand == memo.demand && v.version == memo.version && plain &&
-		!m.DisableCache && m.cache[memo.line].key == memo.tag
-	if hit {
-		m.stats.CacheHits++
-		sel.Required = required
-	} else {
-		memo.line, memo.tag = m.selectInto(sel, required, v)
-		memo.valid = plain && !m.DisableCache
-		memo.demand, memo.version = demand, v.version
-		memo.deferred = -1
-	}
+	m.selectInto(sel, required, v)
 	m.stats.Selections[sel.Choice]++
 	m.EmitSelection(sel)
 	if v.hybrid {
@@ -668,17 +619,11 @@ func (m *Manager) Step(required arch.Counts) *Selection {
 		m.stats.HeldLoads++
 		return sel
 	}
-	if hit && memo.deferred >= 0 && timers == memo.timers {
-		m.deferred = memo.deferred
-		m.stats.DeferredSlots += memo.deferred
-		return sel
-	}
 	started, deferred := m.Load(sel)
 	if started > 0 {
 		m.sinceLoad = 0
 	} else {
 		m.deferred = deferred
-		memo.deferred, memo.timers = deferred, timers
 	}
 	return sel
 }

@@ -39,12 +39,6 @@ type DemandManager struct {
 	kept         [arch.NumRFUSlots]bool
 	unitsScratch []config.PlacedUnit
 
-	// memo remembers the latest Step that started no rewrite: a cycle
-	// with the same demand, hysteresis, allocation version and fabric
-	// timer masks would synthesise the same target and defer the same
-	// slots, so Step replays those counts instead.
-	memo demandMemo
-
 	// plans and synths memoize the two pure functions a Step's target
 	// comes from: plan, keyed by the exact demand, and synthesize, keyed
 	// by the plan, the live layout and, under hysteresis, the demand.
@@ -121,16 +115,6 @@ func unpackPlan(w uint32) arch.Counts {
 		planned[t] = int(w >> (uint(t) * planFieldBits) & (1<<planFieldBits - 1))
 	}
 	return planned
-}
-
-// demandMemo is DemandManager.Step's one-entry memo.
-type demandMemo struct {
-	valid      bool
-	required   arch.Counts
-	hysteresis int
-	version    uint64 // fabric allocation version
-	timers     uint32 // fabric timer masks
-	deferred   int
 }
 
 // placeOrder lists unit types largest-span first so multi-slot spans
@@ -301,20 +285,9 @@ func (m *DemandManager) synthesizeUnits(planned, required arch.Counts) []config.
 }
 
 // Step performs one cycle of demand-driven management: synthesise a
-// target and partially load it (idle spans only). A cycle whose inputs
-// equal those of the latest Step that started no rewrite replays its
-// counts (see demandMemo); the memo is off on a fabric whose
-// reconfiguration answers depend on more than its timer masks.
+// target from the tables and partially load it (idle spans only).
 func (m *DemandManager) Step(required arch.Counts) {
 	if required.Total() == 0 {
-		return
-	}
-	timers, plain := m.fabric.TimerMasks()
-	version := m.fabric.AllocVersion()
-	if memo := &m.memo; memo.valid && plain && required == memo.required &&
-		m.Hysteresis == memo.hysteresis && version == memo.version && timers == memo.timers {
-		m.Syntheses++
-		m.DeferredSlots += memo.deferred
 		return
 	}
 	units := m.targetUnits(required)
@@ -322,10 +295,6 @@ func (m *DemandManager) Step(required arch.Counts) {
 	started, _, deferred := m.fabric.Load(units)
 	m.Reconfigurations += started
 	m.DeferredSlots += deferred
-	memo := &m.memo
-	memo.valid = plain && started == 0
-	memo.required, memo.hysteresis = required, m.Hysteresis
-	memo.version, memo.timers, memo.deferred = version, timers, deferred
 }
 
 // Manage adapts the manager to the cpu.Manager interface.

@@ -99,8 +99,8 @@ func survivingCounts(c config.Configuration, dead uint8) arch.Counts {
 	return n
 }
 
-// FuzzSteeringManager holds the steering manager's fabric view, cache
-// and Step memo to references. A shape byte picks the reconfiguration
+// FuzzSteeringManager holds the steering manager's fabric view and
+// cache to references. A shape byte picks the reconfiguration
 // latency, the configuration-bus width and ExactCEM. Each two-byte
 // operation then sets or clears a demand count, busies a unit, rewrites
 // a span behind the managers' backs, strikes a slot with a transient or
@@ -188,8 +188,8 @@ func FuzzSteeringManager(f *testing.F) {
 			if sm != sr {
 				t.Fatalf("step %d: stats %+v, uncached %+v", step, sm, sr)
 			}
-			tm, _ := fm.TimerMasks()
-			tr, _ := fr.TimerMasks()
+			tm := fm.TimerMasks()
+			tr := fr.TimerMasks()
 			if fm.Allocation() != fr.Allocation() || tm != tr {
 				t.Fatalf("step %d: allocation %v timers %#x, uncached %v timers %#x",
 					step, fm.Allocation().Slots, tm, fr.Allocation().Slots, tr)

@@ -272,16 +272,42 @@ func TestDifferentialAcrossMachineShapes(t *testing.T) {
 }
 
 // TestPCEscapeStallsAndTimesOut: a jump beyond the program parks fetch
-// forever; the machine makes no progress and the budget reports it.
+// forever. The machine reaches a fixed point, and a Run that may skip
+// reports ErrNoProgress long before the budget. With an observer
+// attached Run clocks every cycle to the budget, and the parked front
+// end looks nothing up in the trace cache while it does.
 func TestPCEscapeStallsAndTimesOut(t *testing.T) {
 	prog := isa.MustAssemble("jal r0, 100\nhalt")
 	p := New(prog, Params{MemBytes: 1 << 12})
-	if _, err := p.Run(500); err == nil {
-		t.Error("PC escape did not exhaust the budget")
+	_, err := p.Run(5_000_000)
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("PC escape: err = %v, want ErrNoProgress", err)
+	}
+	if c := p.Stats().Cycles; c >= 1000 {
+		t.Errorf("PC escape stopped at cycle %d, want a stop well before 1000", c)
 	}
 	if p.Stats().CyclesFrontend == 0 {
 		t.Error("escaped PC produced no frontend-starved cycles")
 	}
+
+	t.Run("observed", func(t *testing.T) {
+		p := New(prog, Params{MemBytes: 1 << 12})
+		traced(p, 16)
+		if _, err := p.Run(50); !errors.Is(err, ErrCycleLimit) {
+			t.Fatalf("first 50 cycles: err = %v, want ErrCycleLimit", err)
+		}
+		_, before := p.TraceCache().HitRate()
+		_, err := p.Run(5000)
+		if !errors.Is(err, ErrCycleLimit) || errors.Is(err, ErrNoProgress) {
+			t.Fatalf("observed PC escape: err = %v, want ErrCycleLimit without ErrNoProgress", err)
+		}
+		if c := p.Stats().Cycles; c != 5000 {
+			t.Errorf("observed run stopped at cycle %d, want the budget (5000)", c)
+		}
+		if _, after := p.TraceCache().HitRate(); after != before {
+			t.Errorf("trace-cache lookups grew from %d to %d while fetch was parked outside the program", before, after)
+		}
+	})
 }
 
 func TestRunReportsCycleBudgetExhaustion(t *testing.T) {

@@ -177,7 +177,7 @@ func checkInvariantsDuringRun(t *testing.T, p *Processor) {
 func checkFabricMasks(t *testing.T, p *Processor) {
 	t.Helper()
 	f := p.Fabric()
-	timers, _ := f.TimerMasks()
+	timers := f.TimerMasks()
 	busy, reconfiguring := uint16(timers), uint16(timers>>16)
 	if f.Idle() != (timers == 0) || f.ReconfiguringSlots() != bits.OnesCount16(reconfiguring) ||
 		f.BusySlots()&busy != busy {

@@ -235,9 +235,10 @@ func NewUnit(prog isa.Program, pred *Predictor, tc *TraceCache) *Unit {
 // PC returns the next fetch address.
 func (u *Unit) PC() uint32 { return u.pc }
 
-// Parked reports whether fetch is stopped at a HALT: AppendFetch then
-// supplies nothing and changes nothing until a Redirect.
-func (u *Unit) Parked() bool { return u.parked }
+// Parked reports whether fetch is stopped at a HALT or at a PC outside
+// the program: AppendFetch then supplies nothing and changes nothing
+// (no trace-cache lookup either) until a Redirect.
+func (u *Unit) Parked() bool { return u.parked || u.pc >= uint32(len(u.prog)) }
 
 // Redirect steers fetch to pc — used at reset and on misprediction
 // recovery. It unparks a front end stopped at a HALT (the halt may have
@@ -277,7 +278,7 @@ func (u *Unit) predictNext(pc uint32, in isa.Inst) (next uint32, taken bool) {
 // processor passes a reusable scratch slice so steady-state fetch
 // allocates nothing (the internal PC-run scratch is reused too).
 func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
-	if u.parked {
+	if u.Parked() {
 		return dst
 	}
 	width := u.MemWidth

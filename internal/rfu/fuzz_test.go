@@ -174,7 +174,7 @@ func checkFabric(t *testing.T, step int, f *Fabric, extBusy uint16) {
 	if got := f.MaskedSlots(); got != masked {
 		t.Fatalf("step %d: MaskedSlots = %d, reference %d", step, got, masked)
 	}
-	if got, _ := f.TimerMasks(); got != busyT|reconfT<<16 {
+	if got := f.TimerMasks(); got != busyT|reconfT<<16 {
 		t.Fatalf("step %d: TimerMasks = %#x, per-slot timers %#x", step, got, busyT|reconfT<<16)
 	}
 	if got, want := f.EffectiveTotalCounts(), wantEff.Add(config.FFUCounts()); got != want {

@@ -64,8 +64,7 @@ type Fabric struct {
 	// shifted over its slot cost; see overlap), and healthOKMask the
 	// slots whose covering unit may serve work. allocVersion counts
 	// allocation-vector rewrites so downstream consumers (core.Manager's
-	// fabric view and both managers' Step memos) can memoize derived
-	// views.
+	// fabric view) can memoize derived views.
 	busyMask     uint16
 	reconfigMask uint16
 	ffuBusyMask  uint8
@@ -221,16 +220,11 @@ func (f *Fabric) AllocVersion() uint64 { return f.allocVersion }
 func (f *Fabric) LayoutWord() uint32 { return f.layout }
 
 // TimerMasks packs the slots with running execution (low half) and
-// reconfiguration (high half) timers. Together with the allocation
-// vector they decide every CanReconfigure answer, so a configuration
-// manager can key a per-cycle memo on them. plain is false when other
-// state decides those answers too — an armed fault injector, external
-// lease masks, cluster bus-load or slot-busy hooks, or a mirror — and
-// the memo must not be used.
-func (f *Fabric) TimerMasks() (masks uint32, plain bool) {
-	plain = f.injector == nil && f.extUnavail == 0 && f.extDead == 0 &&
-		f.extBusLoad == nil && f.extSlotBusy == nil && !f.mirror
-	return uint32(f.busyMask) | uint32(f.reconfigMask)<<16, plain
+// reconfiguration (high half) timers. On a fabric without faults or
+// cluster hooks, they and the allocation vector decide every
+// CanReconfigure answer, so tests compare twin fabrics by them.
+func (f *Fabric) TimerMasks() uint32 {
+	return uint32(f.busyMask) | uint32(f.reconfigMask)<<16
 }
 
 // ReconfigLatency returns the per-span reconfiguration latency.

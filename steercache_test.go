@@ -268,11 +268,11 @@ func TestPrefetchInertMatchesSteering(t *testing.T) {
 	}
 }
 
-// TestSteeringMemoEquivalence covers the two gates core.Manager.Step
-// still evaluates live on a memo hit — the residency timer and a
-// prefetch hold — with the cache (and so the Step memo) on and off.
-// Each case must actually suppress or hold loads, or it tests nothing.
-func TestSteeringMemoEquivalence(t *testing.T) {
+// TestSteeringGateEquivalence covers the two gates core.Manager.Step
+// evaluates after a steering-cache hit — the residency timer and a
+// prefetch hold — with the cache on and off. Each case must actually
+// suppress or hold loads, or it tests nothing.
+func TestSteeringGateEquivalence(t *testing.T) {
 	type run struct {
 		cpu   cpu.Stats
 		mgr   core.Stats
