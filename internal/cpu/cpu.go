@@ -68,7 +68,6 @@ type Params struct {
 	PredictorEntries  int  // predictor / BTB entries (256)
 	GshareHistoryBits uint // >0 selects gshare indexing with this much history
 	TraceCacheLines   int  // trace cache lines (64)
-	TraceCacheLineLen int  // instructions per trace line (8)
 	FetchWidthMem     int  // fetch width from instruction memory (2)
 	FetchWidthTC      int  // fetch width on a trace cache hit (4)
 
@@ -144,21 +143,20 @@ type Params struct {
 // DefaultParams returns the reference machine of the experiments.
 func DefaultParams() Params {
 	return Params{
-		WindowSize:        arch.QueueSize,
-		DispatchWidth:     4,
-		IssueWidth:        4,
-		RetireWidth:       4,
-		ReconfigLatency:   8,
-		Latencies:         isa.DefaultLatencies(),
-		MemBytes:          mem.DefaultSize,
-		CacheSets:         64,
-		CacheLineBytes:    32,
-		CacheMissPenalty:  10,
-		PredictorEntries:  256,
-		TraceCacheLines:   64,
-		TraceCacheLineLen: 8,
-		FetchWidthMem:     2,
-		FetchWidthTC:      4,
+		WindowSize:       arch.QueueSize,
+		DispatchWidth:    4,
+		IssueWidth:       4,
+		RetireWidth:      4,
+		ReconfigLatency:  8,
+		Latencies:        isa.DefaultLatencies(),
+		MemBytes:         mem.DefaultSize,
+		CacheSets:        64,
+		CacheLineBytes:   32,
+		CacheMissPenalty: 10,
+		PredictorEntries: 256,
+		TraceCacheLines:  64,
+		FetchWidthMem:    2,
+		FetchWidthTC:     4,
 	}
 }
 
@@ -209,9 +207,6 @@ func (p Params) withDefaults() Params {
 	if p.TraceCacheLines == 0 {
 		p.TraceCacheLines = d.TraceCacheLines
 	}
-	if p.TraceCacheLineLen == 0 {
-		p.TraceCacheLineLen = d.TraceCacheLineLen
-	}
 	if p.FetchWidthMem == 0 {
 		p.FetchWidthMem = d.FetchWidthMem
 	}
@@ -250,7 +245,6 @@ func (p Params) Validate() error {
 		{"CacheMissPenalty", p.CacheMissPenalty},
 		{"PredictorEntries", p.PredictorEntries},
 		{"TraceCacheLines", p.TraceCacheLines},
-		{"TraceCacheLineLen", p.TraceCacheLineLen},
 		{"FetchWidthMem", p.FetchWidthMem},
 		{"FetchWidthTC", p.FetchWidthTC},
 		{"PrefetchHistoryDepth", p.PrefetchHistoryDepth},
@@ -401,8 +395,7 @@ type robEntry struct {
 	inst  isa.Inst
 	pc    uint32
 
-	predNext  uint32
-	predTaken bool
+	predNext uint32
 
 	// lat is the op's execution latency and src the in-flight producers
 	// of inst.Rs1 and inst.Rs2, both resolved at dispatch.
@@ -548,7 +541,7 @@ func New(prog isa.Program, params Params) *Processor {
 		memory: mem.NewMemory(params.MemBytes),
 		dcache: mem.NewCache(params.CacheSets, params.CacheLineBytes, params.CacheMissPenalty),
 		pred:   newPredictor(params),
-		tcache: fetch.NewTraceCache(params.TraceCacheLines, params.TraceCacheLineLen),
+		tcache: fetch.NewTraceCache(params.TraceCacheLines),
 		fabric: rfu.New(params.ReconfigLatency),
 		array:  wakeup.New(params.WindowSize),
 		rob:    make([]robEntry, params.WindowSize),
@@ -1176,7 +1169,6 @@ func (p *Processor) dispatch() {
 		e.inst = f.Inst
 		e.pc = f.PC
 		e.predNext = f.PredNext
-		e.predTaken = f.PredTaken
 		e.lat = latency
 		e.src = src
 		e.issued = false

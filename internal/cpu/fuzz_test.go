@@ -260,7 +260,7 @@ func drawMachine(draw []byte) fuzzMachine {
 	p.PredictorEntries = pow2(10)
 	p.GshareHistoryBits = uint(next(12))
 	p.TraceCacheLines = pow2(6)
-	p.TraceCacheLineLen = next(17)
+	_ = next(17) // drew the trace-cache line length, no longer a parameter; kept so the seeds still reach what they were added for
 	p.FetchWidthMem = next(5)
 	p.FetchWidthTC = next(9)
 	p.IssueOrder = IssueOrder(next(3))

@@ -53,6 +53,15 @@ func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *repro
 	return repro.NewMachine(prog, repro.Options{Policy: policy, Params: params, Seed: 1})
 }
 
+// withKernel presets kernel k's registers and memory on m, the setup a
+// kernel run needs before it starts (none for a nil k), and returns m.
+func withKernel(m *repro.Machine, k *workload.Kernel) *repro.Machine {
+	if k != nil && k.Setup != nil {
+		k.Setup(m.Processor().Memory(), m.SetReg)
+	}
+	return m
+}
+
 // ipcOf runs prog under the policy and returns its IPC, or -1 on DNF.
 func ipcOf(prog isa.Program, params cpu.Params, policy cpu.Policy) float64 {
 	st, err := buildMachine(prog, params, policy).Run(MaxCycles)
@@ -121,10 +130,7 @@ func X1() string {
 	kernels := workload.Kernels()
 	kernelGrid := sweep.Grid(len(kernels), len(studyPolicies), 0, func(row, col int) string {
 		k := kernels[row]
-		m := buildMachine(k.Program(), params, studyPolicies[col])
-		if k.Setup != nil {
-			k.Setup(m.Processor().Memory(), m.SetReg)
-		}
+		m := withKernel(buildMachine(k.Program(), params, studyPolicies[col]), k)
 		st, err := m.Run(MaxCycles)
 		if err != nil {
 			return "DNF"
@@ -516,15 +522,11 @@ func X10() string {
 	b.WriteString("X10 — manager demand source: instruction queue (§3.1) vs fetch pre-decode lookahead (§2)\n\n")
 	t := stats.NewTable("steering IPC",
 		"workload", "queue view", "lookahead view", "delta")
-	row := func(name string, prog isa.Program, setup func(m *repro.Machine)) {
+	row := func(name string, prog isa.Program, k *workload.Kernel) {
 		run := func(lookahead bool) float64 {
 			params := cpu.DefaultParams()
 			params.ManagerLookahead = lookahead
-			m := buildMachine(prog, params, cpu.PolicySteering)
-			if setup != nil {
-				setup(m)
-			}
-			st, err := m.Run(MaxCycles)
+			st, err := withKernel(buildMachine(prog, params, cpu.PolicySteering), k).Run(MaxCycles)
 			if err != nil {
 				return -1
 			}
@@ -537,11 +539,7 @@ func X10() string {
 	row("fp-heavy", workload.Synthesize([]workload.Phase{{Mix: workload.MixFPHeavy, Instructions: 2500}}, workload.SynthParams{Seed: 9}), nil)
 	for _, name := range []string{"saxpy", "matmul", "dot"} {
 		k := workload.KernelByName(name)
-		row(name, k.Program(), func(m *repro.Machine) {
-			if k.Setup != nil {
-				k.Setup(m.Processor().Memory(), m.SetReg)
-			}
-		})
+		row(name, k.Program(), k)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nLookahead widens the demand sample the CEM generators see, smoothing the\nper-cycle oscillation of narrow windows.\n")
@@ -554,25 +552,20 @@ func X10() string {
 func X11() string {
 	var b strings.Builder
 	b.WriteString("X11 — configuration residency timer (thrash damping)\n\n")
+	saxpy := workload.KernelByName("saxpy")
 	workloads := []struct {
-		name  string
-		prog  isa.Program
-		setup func(p *cpu.Processor)
+		name   string
+		prog   isa.Program
+		kernel *workload.Kernel
 	}{
-		{"saxpy", workload.KernelByName("saxpy").Program(), func(p *cpu.Processor) {
-			k := workload.KernelByName("saxpy")
-			k.Setup(p.Memory(), p.SetReg)
-		}},
+		{"saxpy", saxpy.Program(), saxpy},
 		{"phased", PhasedWorkload(7), nil},
 	}
 	for _, w := range workloads {
 		t := stats.NewTable(fmt.Sprintf("%s: IPC vs minimum residency", w.name),
 			"min residency (cycles)", "IPC", "reconfigs", "suppressed loads")
 		for _, res := range []int{0, 4, 8, 16, 32, 64, 128} {
-			m := repro.NewMachine(w.prog, repro.Options{Params: cpu.DefaultParams(), MinResidency: res})
-			if w.setup != nil {
-				w.setup(m.Processor())
-			}
+			m := withKernel(repro.NewMachine(w.prog, repro.Options{Params: cpu.DefaultParams(), MinResidency: res}), w.kernel)
 			st, err := m.Run(MaxCycles)
 			ipc := -1.0
 			if err == nil {
@@ -639,11 +632,7 @@ func X13() string {
 		k := workload.KernelByName(kernelNames[r])
 		params := cpu.DefaultParams()
 		params.PredictorEntries = sizes[c]
-		m := buildMachine(k.Program(), params, cpu.PolicySteering)
-		if k.Setup != nil {
-			k.Setup(m.Processor().Memory(), m.SetReg)
-		}
-		st, err := m.Run(MaxCycles)
+		st, err := withKernel(buildMachine(k.Program(), params, cpu.PolicySteering), k).Run(MaxCycles)
 		if err != nil {
 			return "DNF"
 		}
@@ -667,11 +656,7 @@ func X13() string {
 		run := func(tcWidth int) float64 {
 			params := cpu.DefaultParams()
 			params.FetchWidthTC = tcWidth
-			m := buildMachine(k.Program(), params, cpu.PolicySteering)
-			if k.Setup != nil {
-				k.Setup(m.Processor().Memory(), m.SetReg)
-			}
-			st, err := m.Run(MaxCycles)
+			st, err := withKernel(buildMachine(k.Program(), params, cpu.PolicySteering), k).Run(MaxCycles)
 			if err != nil {
 				return -1
 			}
@@ -776,10 +761,7 @@ func X16() string {
 				m = buildMachine(prog, params, cpu.PolicySteering)
 			} else {
 				k := workload.KernelByName(name)
-				m = buildMachine(k.Program(), params, cpu.PolicySteering)
-				if k.Setup != nil {
-					k.Setup(m.Processor().Memory(), m.SetReg)
-				}
+				m = withKernel(buildMachine(k.Program(), params, cpu.PolicySteering), k)
 			}
 			st, err := m.Run(MaxCycles)
 			if err != nil {

@@ -136,13 +136,12 @@ type Fetched struct {
 	Cycle int
 }
 
-// traceLine is one trace-cache entry: a run of instruction PCs recorded
-// along the predicted path. Decoded instructions are immutable, so a line
-// never goes stale; only the path can diverge, which fetch re-checks
-// against live predictions.
+// traceLine is one trace-cache entry: the fetch-start PC of the last
+// fill of its set. Line contents are not modelled: decoded instructions
+// are immutable and fetch walks the predicted path itself, so a hit only
+// widens fetch.
 type traceLine struct {
 	startPC uint32
-	pcs     []uint32
 	valid   bool
 }
 
@@ -150,45 +149,34 @@ type traceLine struct {
 // a hit (§2: "the trace cache is used to hold instructions that are
 // frequently executed").
 type TraceCache struct {
-	lines   []traceLine
-	lineLen int
-	mask    uint32
+	lines []traceLine
+	mask  uint32
 
 	hits, misses int
 }
 
-// NewTraceCache builds a trace cache with a power-of-two number of lines,
-// each holding up to lineLen instructions.
-func NewTraceCache(lines, lineLen int) *TraceCache {
-	if lines <= 0 || lines&(lines-1) != 0 || lineLen <= 0 {
-		panic(fmt.Sprintf("fetch: bad trace cache geometry lines=%d len=%d", lines, lineLen))
+// NewTraceCache builds a trace cache with a power-of-two number of lines.
+func NewTraceCache(lines int) *TraceCache {
+	if lines <= 0 || lines&(lines-1) != 0 {
+		panic(fmt.Sprintf("fetch: bad trace cache geometry lines=%d", lines))
 	}
-	return &TraceCache{lines: make([]traceLine, lines), lineLen: lineLen, mask: uint32(lines - 1)}
+	return &TraceCache{lines: make([]traceLine, lines), mask: uint32(lines - 1)}
 }
 
-// Lookup returns the cached PC run starting at pc, or ok=false.
-func (t *TraceCache) Lookup(pc uint32) ([]uint32, bool) {
+// Lookup reports whether a cached run starts at pc.
+func (t *TraceCache) Lookup(pc uint32) bool {
 	l := &t.lines[pc&t.mask]
 	if l.valid && l.startPC == pc {
 		t.hits++
-		return l.pcs, true
+		return true
 	}
 	t.misses++
-	return nil, false
+	return false
 }
 
-// Fill records a PC run starting at pc, truncated to the line length.
-func (t *TraceCache) Fill(pc uint32, pcs []uint32) {
-	if len(pcs) == 0 {
-		return
-	}
-	if len(pcs) > t.lineLen {
-		pcs = pcs[:t.lineLen]
-	}
-	l := &t.lines[pc&t.mask]
-	l.valid = true
-	l.startPC = pc
-	l.pcs = append(l.pcs[:0], pcs...)
+// Fill records a run starting at pc.
+func (t *TraceCache) Fill(pc uint32) {
+	t.lines[pc&t.mask] = traceLine{startPC: pc, valid: true}
 }
 
 // HitRate returns the fraction of lookups that hit, and the lookup count.
@@ -217,10 +205,6 @@ type Unit struct {
 	TCWidth  int  // fetch width on a trace-cache hit
 
 	fetched int
-
-	// walked is the reusable per-cycle PC-run scratch for trace-cache
-	// fills (its capacity converges to the fetch width).
-	walked []uint32
 }
 
 // NewUnit builds a fetch unit over a decoded program. pred and tc may not
@@ -273,22 +257,21 @@ func (u *Unit) predictNext(pc uint32, in isa.Inst) (next uint32, taken bool) {
 // AppendFetch supplies one cycle's fetch group along the predicted path,
 // appended to dst; it returns the extended slice. The group is cut at
 // the width limit, at HALT, and after a predicted-taken branch (the
-// redirect costs the rest of the group, as in a real front end). On a
-// trace-cache miss the walked run is filled into the cache. The
+// redirect costs the rest of the group, as in a real front end). Every
+// non-empty group is filled into the trace cache under its start PC. The
 // processor passes a reusable scratch slice so steady-state fetch
-// allocates nothing (the internal PC-run scratch is reused too).
+// allocates nothing.
 func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 	if u.Parked() {
 		return dst
 	}
 	width := u.MemWidth
-	if _, ok := u.tc.Lookup(u.pc); ok {
+	if u.tc.Lookup(u.pc) {
 		width = u.TCWidth
 	}
 
 	n := 0
-	u.walked = u.walked[:0]
-	pc := u.pc
+	start, pc := u.pc, u.pc
 	for n < width {
 		if pc >= uint32(len(u.prog)) {
 			break
@@ -297,7 +280,6 @@ func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 		next, taken := u.predictNext(pc, in)
 		dst = append(dst, Fetched{PC: pc, Inst: in, PredNext: next, PredTaken: taken})
 		n++
-		u.walked = append(u.walked, pc)
 		if in.Op == isa.HALT {
 			u.parked = true
 			pc = next
@@ -311,8 +293,8 @@ func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 	}
 	u.pc = pc
 	u.fetched += n
-	if len(u.walked) > 0 {
-		u.tc.Fill(u.walked[0], u.walked)
+	if n > 0 {
+		u.tc.Fill(start)
 	}
 	return dst
 }

@@ -8,7 +8,7 @@ import (
 
 func newTestUnit(src string) *Unit {
 	prog := isa.MustAssemble(src)
-	return NewUnit(prog, NewPredictor(64), NewTraceCache(16, 8))
+	return NewUnit(prog, NewPredictor(64), NewTraceCache(16))
 }
 
 func TestPredictorSaturatingCounters(t *testing.T) {
@@ -119,20 +119,20 @@ func TestPredictorRejectsBadSize(t *testing.T) {
 }
 
 func TestTraceCacheFillLookup(t *testing.T) {
-	tc := NewTraceCache(8, 4)
-	if _, ok := tc.Lookup(10); ok {
+	tc := NewTraceCache(8)
+	if tc.Lookup(10) {
 		t.Error("cold lookup hit")
 	}
-	tc.Fill(10, []uint32{10, 11, 12, 13, 14, 15})
-	pcs, ok := tc.Lookup(10)
-	if !ok {
+	tc.Fill(10)
+	if !tc.Lookup(10) {
 		t.Fatal("filled line missed")
 	}
-	if len(pcs) != 4 { // truncated to line length
-		t.Errorf("line length %d, want 4", len(pcs))
+	tc.Fill(18) // same set: replaces the line starting at 10
+	if tc.Lookup(10) {
+		t.Error("evicted line hit")
 	}
 	rate, n := tc.HitRate()
-	if n != 2 || rate != 0.5 {
+	if n != 3 || rate != 1.0/3 {
 		t.Errorf("hit rate %v over %d", rate, n)
 	}
 }

@@ -301,17 +301,24 @@ func parseMemOperand(s string) (imm int32, base string, err error) {
 	return imm, strings.TrimSpace(s[open+1 : len(s)-1]), nil
 }
 
-// checkClass verifies that a register operand is from the file the opcode
-// expects.
-func checkClass(op Opcode, operand string, fp, wantFP bool) error {
-	if fp != wantFP {
+// parseRegFor parses a register operand for field f of op and checks
+// that it is from the file the opcode expects there.
+func parseRegFor(op Opcode, f regField, s string) (uint8, error) {
+	idx, fp, err := parseReg(s)
+	if err != nil {
+		return 0, err
+	}
+	if wantFP := opTable[op].fp(f); fp != wantFP {
+		if op.Format() == FmtB {
+			return 0, fmt.Errorf("%s compares integer registers", op)
+		}
 		want := "integer"
 		if wantFP {
 			want = "floating-point"
 		}
-		return fmt.Errorf("%s: operand %q must be a %s register", op, operand, want)
+		return 0, fmt.Errorf("%s: operand %q must be a %s register", op, s, want)
 	}
-	return nil
+	return idx, nil
 }
 
 // parseInst parses a single source line (already label-free) into one or
@@ -392,159 +399,30 @@ func parseInst(text string, pc int, labels map[string]int) ([]Inst, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown mnemonic %q", mnem)
 	}
-	info := opTable[op]
-
-	need := map[Format]int{
-		FmtNone: 0, FmtR: 3, FmtR2: 2, FmtI: 3, FmtU: 2, FmtMem: 2, FmtStore: 2, FmtB: 3,
-	}[info.format]
-	if len(ops) != need {
-		return nil, fmt.Errorf("%s wants %d operands, got %d", op, need, len(ops))
+	operands := shapes[op.Format()].operands
+	if len(ops) != len(operands) {
+		return nil, fmt.Errorf("%s wants %d operands, got %d", op, len(operands), len(ops))
 	}
-
-	switch info.format {
-	case FmtNone:
-		return []Inst{New(op, 0, 0, 0, 0)}, nil
-
-	case FmtR:
-		rd, fpd, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, fp1, err := parseReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		rs2, fp2, err := parseReg(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fpd, info.rdFP); err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[1], fp1, info.rs1FP); err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[2], fp2, info.rs2FP); err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, rd, rs1, rs2, 0)}, nil
-
-	case FmtR2:
-		rd, fpd, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, fp1, err := parseReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fpd, info.rdFP); err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[1], fp1, info.rs1FP); err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, rd, rs1, 0, 0)}, nil
-
-	case FmtI:
-		rd, fpd, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, fp1, err := parseReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fpd, info.rdFP); err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[1], fp1, info.rs1FP); err != nil {
-			return nil, err
-		}
-		imm, err := parseConst(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, rd, rs1, 0, imm)}, nil
-
-	case FmtU:
-		rd, fpd, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fpd, info.rdFP); err != nil {
-			return nil, err
-		}
-		var imm int32
-		if op == JAL {
-			imm, err = parseTarget(ops[1], pc, labels)
-		} else {
-			imm, err = parseConst(ops[1])
+	var regs [3]uint8
+	var imm int32
+	for i, o := range operands {
+		var err error
+		switch {
+		case o.kind == opReg:
+			regs[o.reg], err = parseRegFor(op, o.reg, ops[i])
+		case o.kind == opTarget, o.kind == opConst && op == JAL: // JAL jumps to a target
+			imm, err = parseTarget(ops[i], pc, labels)
+		case o.kind == opConst:
+			imm, err = parseConst(ops[i])
+		case o.kind == opMem:
+			var base string
+			if imm, base, err = parseMemOperand(ops[i]); err == nil {
+				regs[o.reg], err = parseRegFor(op, o.reg, base)
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{New(op, rd, 0, 0, imm)}, nil
-
-	case FmtMem:
-		rd, fpd, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fpd, info.rdFP); err != nil {
-			return nil, err
-		}
-		imm, base, err := parseMemOperand(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, fp1, err := parseReg(base)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, base, fp1, false); err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, rd, rs1, 0, imm)}, nil
-
-	case FmtStore:
-		rs2, fp2, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, ops[0], fp2, info.rs2FP); err != nil {
-			return nil, err
-		}
-		imm, base, err := parseMemOperand(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		rs1, fp1, err := parseReg(base)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkClass(op, base, fp1, false); err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, 0, rs1, rs2, imm)}, nil
-
-	case FmtB:
-		rs1, fp1, err := parseReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs2, fp2, err := parseReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if fp1 || fp2 {
-			return nil, fmt.Errorf("%s compares integer registers", op)
-		}
-		off, err := parseTarget(ops[2], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return []Inst{New(op, 0, rs1, rs2, off)}, nil
 	}
-	return nil, fmt.Errorf("%s: unknown format", op)
+	return []Inst{New(op, regs[fieldRd], regs[fieldRs1], regs[fieldRs2], imm)}, nil
 }

@@ -3,18 +3,10 @@ package isa
 import "fmt"
 
 // Binary encoding. Instructions are 32-bit words with the opcode in the
-// top byte; the remaining 24 bits are laid out per format:
-//
-//	FmtNone:  op(8) | 0(24)
-//	FmtR:     op(8) | rd(5) | rs1(5) | rs2(5) | 0(9)
-//	FmtR2:    op(8) | rd(5) | rs1(5) | 0(14)
-//	FmtI/Mem: op(8) | rd(5) | rs1(5) | imm(14, signed)
-//	FmtStore: op(8) | rs1(5) | rs2(5) | imm(14, signed)
-//	FmtB:     op(8) | rs1(5) | rs2(5) | imm(14, signed word offset)
-//	FmtU:     op(8) | rd(5) | imm(19) — signed for JAL, unsigned for LUI
-//
-// Register fields hold raw 5-bit indices; whether a field addresses the
-// integer or FP register file is a static property of the opcode.
+// top byte; each format's shape (shapes, in isa.go) lays out the other
+// 24 bits: its registers as raw 5-bit fields, then its immediate in the
+// low bits. Whether a field addresses the integer or FP register file is
+// a static property of the opcode.
 const (
 	// ImmBits14 is the width of the I/Mem/Store/B immediate field.
 	ImmBits14 = 14
@@ -38,6 +30,16 @@ const (
 // 5-bit field value.
 func raw5(r uint8) uint32 { return uint32(r) & 0x1f }
 
+// immOf reads the low bits of an immediate field of op: sign-extended,
+// except LUI's, an unsigned upper-bits constant. An immediate fits its
+// field when reading back its low bits gives it unchanged.
+func immOf(op Opcode, field uint32, bits uint) int32 {
+	if op == LUI {
+		return int32(field)
+	}
+	return signExtend(field, bits)
+}
+
 // Encode serialises the instruction to its 32-bit binary form. It returns
 // an error when an immediate does not fit its field or the opcode is
 // undefined.
@@ -45,35 +47,22 @@ func Encode(in Inst) (uint32, error) {
 	if !in.Op.Valid() {
 		return 0, fmt.Errorf("isa: encode: invalid opcode %d", uint8(in.Op))
 	}
+	sh := &shapes[in.Op.Format()]
 	w := uint32(in.Op) << 24
-	switch in.Op.Format() {
-	case FmtNone:
-		return w, nil
-	case FmtR:
-		return w | raw5(in.Rd)<<19 | raw5(in.Rs1)<<14 | raw5(in.Rs2)<<9, nil
-	case FmtR2:
-		return w | raw5(in.Rd)<<19 | raw5(in.Rs1)<<14, nil
-	case FmtI, FmtMem:
-		if in.Imm < MinImm14 || in.Imm > MaxImm14 {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of 14-bit range", in.Op, in.Imm)
-		}
-		return w | raw5(in.Rd)<<19 | raw5(in.Rs1)<<14 | uint32(in.Imm)&(1<<ImmBits14-1), nil
-	case FmtStore, FmtB:
-		if in.Imm < MinImm14 || in.Imm > MaxImm14 {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of 14-bit range", in.Op, in.Imm)
-		}
-		return w | raw5(in.Rs1)<<19 | raw5(in.Rs2)<<14 | uint32(in.Imm)&(1<<ImmBits14-1), nil
-	case FmtU:
-		if in.Op == LUI {
-			if in.Imm < 0 || in.Imm > MaxLUI {
-				return 0, fmt.Errorf("isa: encode lui: immediate %d out of unsigned 19-bit range", in.Imm)
+	at := &sh.fieldAt
+	w |= raw5(in.Rd)<<at[fieldRd] | raw5(in.Rs1)<<at[fieldRs1] | raw5(in.Rs2)<<at[fieldRs2]
+	if sh.immBits > 0 {
+		field := uint32(in.Imm) & (1<<sh.immBits - 1)
+		if immOf(in.Op, field, sh.immBits) != in.Imm {
+			unsigned := ""
+			if in.Op == LUI {
+				unsigned = "unsigned "
 			}
-		} else if in.Imm < MinImm19 || in.Imm > MaxImm19 {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of 19-bit range", in.Op, in.Imm)
+			return 0, fmt.Errorf("isa: encode %s: immediate %d out of %s%d-bit range", in.Op, in.Imm, unsigned, sh.immBits)
 		}
-		return w | raw5(in.Rd)<<19 | uint32(in.Imm)&(1<<ImmBits19-1), nil
+		w |= field
 	}
-	return 0, fmt.Errorf("isa: encode %s: unknown format", in.Op)
+	return w, nil
 }
 
 // signExtend interprets the low bits of v as a signed bits-wide integer.
@@ -83,34 +72,20 @@ func signExtend(v uint32, bits uint) int32 {
 }
 
 // Decode parses a 32-bit binary instruction word. It is the inverse of
-// Encode for every encodable instruction.
+// Encode for every encodable instruction; bits outside the format's
+// fields are ignored.
 func Decode(w uint32) (Inst, error) {
 	op := Opcode(w >> 24)
 	if !op.Valid() {
 		return Inst{}, fmt.Errorf("isa: decode: invalid opcode byte %#x", w>>24)
 	}
-	f1 := uint8(w >> 19 & 0x1f)
-	f2 := uint8(w >> 14 & 0x1f)
-	f3 := uint8(w >> 9 & 0x1f)
-	switch op.Format() {
-	case FmtNone:
-		return New(op, 0, 0, 0, 0), nil
-	case FmtR:
-		return New(op, f1, f2, f3, 0), nil
-	case FmtR2:
-		return New(op, f1, f2, 0, 0), nil
-	case FmtI, FmtMem:
-		return New(op, f1, f2, 0, signExtend(w&(1<<ImmBits14-1), ImmBits14)), nil
-	case FmtStore, FmtB:
-		return New(op, 0, f1, f2, signExtend(w&(1<<ImmBits14-1), ImmBits14)), nil
-	case FmtU:
-		imm := w & (1<<ImmBits19 - 1)
-		if op == LUI {
-			return New(op, f1, 0, 0, int32(imm)), nil
-		}
-		return New(op, f1, 0, 0, signExtend(imm, ImmBits19)), nil
+	sh := &shapes[op.Format()]
+	field := func(f regField) uint8 { return uint8(w >> sh.fieldAt[f] & 0x1f) }
+	var imm int32
+	if sh.immBits > 0 {
+		imm = immOf(op, w&(1<<sh.immBits-1), sh.immBits)
 	}
-	return Inst{}, fmt.Errorf("isa: decode %s: unknown format", op)
+	return New(op, field(fieldRd), field(fieldRs1), field(fieldRs2), imm), nil
 }
 
 // EncodeProgram serialises a whole program.

@@ -12,6 +12,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/arch"
 )
@@ -95,7 +96,8 @@ const (
 	NumOpcodes
 )
 
-// Format describes the operand shape of an instruction.
+// Format describes the operand shape of an instruction; shapes holds
+// the one description of each.
 type Format uint8
 
 const (
@@ -109,14 +111,82 @@ const (
 	FmtB                   // rs1, rs2, imm — branches
 )
 
+// regField names one of Inst's register fields, Rd, Rs1 or Rs2.
+type regField uint8
+
+const (
+	fieldRd regField = iota
+	fieldRs1
+	fieldRs2
+)
+
+// operandKind is what one comma-separated source operand holds.
+type operandKind uint8
+
+const (
+	opReg    operandKind = iota // a register, its file taken from opTable
+	opConst                     // a constant (JAL's is a target instead)
+	opTarget                    // a label or numeric word offset, PC-relative
+	opMem                       // imm(base), base a register
+)
+
+// operand is one source operand: its kind and, for opReg and opMem, the
+// register field it names.
+type operand struct {
+	kind operandKind
+	reg  regField
+}
+
+// shape is the one description of a Format that the assembler,
+// Inst.String, Encode, Decode, SourceRegs and Dest all read.
+//
+// A word holds the opcode in its top byte, each register in the 5-bit
+// field whose lowest bit fieldAt gives, and immBits of immediate in the
+// low bits. Immediates are signed except LUI's, an unsigned upper-bits
+// constant.
+type shape struct {
+	operands []operand // source operands, in order
+	fieldAt  [3]uint   // by regField; noField where the format has no such register
+	immBits  uint
+}
+
+// noField places a register the format lacks past the 32-bit word, where
+// shifting it in or out gives 0.
+const noField = 32
+
+var (
+	rdOp     = operand{opReg, fieldRd}
+	rs1Op    = operand{opReg, fieldRs1}
+	rs2Op    = operand{opReg, fieldRs2}
+	constOp  = operand{kind: opConst}
+	targetOp = operand{kind: opTarget}
+	memOp    = operand{opMem, fieldRs1}
+)
+
+var shapes = [...]shape{
+	FmtNone:  {nil, [3]uint{noField, noField, noField}, 0},
+	FmtR:     {[]operand{rdOp, rs1Op, rs2Op}, [3]uint{19, 14, 9}, 0},
+	FmtR2:    {[]operand{rdOp, rs1Op}, [3]uint{19, 14, noField}, 0},
+	FmtI:     {[]operand{rdOp, rs1Op, constOp}, [3]uint{19, 14, noField}, ImmBits14},
+	FmtU:     {[]operand{rdOp, constOp}, [3]uint{19, noField, noField}, ImmBits19},
+	FmtMem:   {[]operand{rdOp, memOp}, [3]uint{19, 14, noField}, ImmBits14},
+	FmtStore: {[]operand{rs2Op, memOp}, [3]uint{noField, 19, 14}, ImmBits14},
+	FmtB:     {[]operand{rs1Op, rs2Op, targetOp}, [3]uint{noField, 19, 14}, ImmBits14},
+}
+
 // opInfo is the static description of one opcode.
 type opInfo struct {
 	name   string
 	unit   arch.UnitType
 	format Format
-	// Operand register classes: true means the operand indexes the FP
-	// register file. Meaning depends on format.
+	// Operand register classes: true means the field indexes the FP
+	// register file.
 	rdFP, rs1FP, rs2FP bool
+}
+
+// fp reports whether register field f of op indexes the FP file.
+func (info *opInfo) fp(f regField) bool {
+	return [...]bool{info.rdFP, info.rs1FP, info.rs2FP}[f]
 }
 
 var opTable = [NumOpcodes]opInfo{
@@ -185,6 +255,28 @@ var opTable = [NumOpcodes]opInfo{
 	FDIV:  {"fdiv", arch.FPMDU, FmtR, true, true, true},
 	FSQRT: {"fsqrt", arch.FPMDU, FmtR2, true, true, false},
 }
+
+// regUse holds, per opcode, what Dest and SourceRegs answer, filled
+// once from the opcode's shape so both are single table reads: whether
+// the opcode writes Rd, and how many of Rs1, Rs2 (in that order) it
+// reads.
+var regUse = func() (u [NumOpcodes]struct {
+	writes bool
+	nsrc   int
+}) {
+	for op, info := range opTable {
+		for _, o := range shapes[info.format].operands {
+			switch {
+			case o.kind != opReg && o.kind != opMem:
+			case o.reg == fieldRd:
+				u[op].writes = true
+			default:
+				u[op].nsrc++
+			}
+		}
+	}
+	return u
+}()
 
 // String returns the assembler mnemonic of the opcode.
 func (op Opcode) String() string {
@@ -289,57 +381,41 @@ func New(op Opcode, rd, rs1, rs2 uint8, imm int32) Inst {
 func (in Inst) Unit() arch.UnitType { return in.Op.Unit() }
 
 // SourceRegs returns the unified indices of the registers the
-// instruction reads, in operand order, in a fixed-size array plus the
-// count of valid entries, so dependence collection never heap-allocates.
+// instruction reads, Rs1 then Rs2, in a fixed-size array plus the count
+// of valid entries, so dependence collection never heap-allocates.
 // The zero register is included when named; it is always ready.
 func (in Inst) SourceRegs() (regs [2]uint8, n int) {
-	switch in.Op.Format() {
-	case FmtR, FmtB, FmtStore:
-		return [2]uint8{in.Rs1, in.Rs2}, 2
-	case FmtR2, FmtI, FmtMem:
-		return [2]uint8{in.Rs1}, 1
-	}
-	return [2]uint8{}, 0
+	return [2]uint8{in.Rs1, in.Rs2}, regUse[in.Op].nsrc
 }
 
 // Dest returns the unified index of the register the instruction writes
 // and ok=false when it writes none (stores, branches other than JAL/JALR,
-// NOP, HALT).
+// NOP, HALT) or names x0, whose writes are discarded.
 func (in Inst) Dest() (uint8, bool) {
-	switch in.Op.Format() {
-	case FmtR, FmtR2, FmtI, FmtMem, FmtU:
-		if in.Op == NOP || in.Op == HALT {
-			return 0, false
-		}
-		if in.Rd == RegZero {
-			return 0, false // writes to x0 are discarded
-		}
-		return in.Rd, true
-	}
-	return 0, false
+	return in.Rd, regUse[in.Op].writes && in.Rd != RegZero
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction in the operand order of its
+// shape, the form the assembler reads back.
 func (in Inst) String() string {
-	switch in.Op.Format() {
-	case FmtNone:
-		return in.Op.String()
-	case FmtR:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2))
-	case FmtR2:
-		return fmt.Sprintf("%s %s, %s", in.Op, RegName(in.Rd), RegName(in.Rs1))
-	case FmtI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, RegName(in.Rd), RegName(in.Rs1), in.Imm)
-	case FmtU:
-		return fmt.Sprintf("%s %s, %d", in.Op, RegName(in.Rd), in.Imm)
-	case FmtMem:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, RegName(in.Rd), in.Imm, RegName(in.Rs1))
-	case FmtStore:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, RegName(in.Rs2), in.Imm, RegName(in.Rs1))
-	case FmtB:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, RegName(in.Rs1), RegName(in.Rs2), in.Imm)
+	b := append(make([]byte, 0, 32), in.Op.String()...)
+	regs := [...]uint8{fieldRd: in.Rd, fieldRs1: in.Rs1, fieldRs2: in.Rs2}
+	for i, o := range shapes[in.Op.Format()].operands {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		switch o.kind {
+		case opReg:
+			b = append(b, RegName(regs[o.reg])...)
+		case opMem:
+			b = fmt.Appendf(b, "%d(%s)", in.Imm, RegName(regs[o.reg]))
+		default:
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		}
 	}
-	return fmt.Sprintf("%s <bad format>", in.Op)
+	return string(b)
 }
 
 // Program is a sequence of decoded instructions; the PC is an index into

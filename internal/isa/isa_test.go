@@ -547,22 +547,22 @@ func TestRunDetectsRunaway(t *testing.T) {
 }
 
 func TestAssembleErrors(t *testing.T) {
-	cases := []string{
-		"bogus r1, r2",
-		"add r1, r2",           // wrong operand count
-		"add f1, r2, r3",       // wrong register class
-		"fadd r1, f2, f3",      // wrong register class
-		"beq r1, r2, nowhere",  // unknown label
-		"lw r1, r2",            // bad memory operand
-		"li f1, 5",             // li needs integer destination
-		"addi r1, r2, notanum", // bad constant
-		"x: x: nop",            // duplicate label
-		"9bad: nop",            // bad label
-		"beq f1, f2, 0",        // FP operands on integer branch
+	cases := []struct{ src, want string }{
+		{"bogus r1, r2", `line 1: unknown mnemonic "bogus"`},
+		{"add r1, r2", "line 1: add wants 3 operands, got 2"},
+		{"add f1, r2, r3", `line 1: add: operand "f1" must be a integer register`},
+		{"fadd r1, f2, f3", `line 1: fadd: operand "r1" must be a floating-point register`},
+		{"beq r1, r2, nowhere", `line 1: unknown label or bad offset "nowhere"`},
+		{"lw r1, r2", `line 1: bad memory operand "r2"`},
+		{"li f1, 5", "line 1: li destination must be an integer register"},
+		{"addi r1, r2, notanum", `line 1: bad constant "notanum"`},
+		{"x: x: nop", `line 1: duplicate label "x"`},
+		{"9bad: nop", `line 1: bad label "9bad"`},
+		{"beq f1, f2, 0", "line 1: beq compares integer registers"},
 	}
-	for _, src := range cases {
-		if _, err := Assemble(src); err == nil {
-			t.Errorf("Assemble(%q) succeeded, want error", src)
+	for _, c := range cases {
+		if _, err := Assemble(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Assemble(%q) error = %v, want %q", c.src, err, c.want)
 		}
 	}
 }
@@ -666,13 +666,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	p := MustAssemble(src)
 	// Reassembling the disassembly must reproduce the program.
 	dis := Disassemble(p)
-	var cleaned []string
-	for _, line := range strings.Split(dis, "\n") {
-		if i := strings.Index(line, ":"); i >= 0 {
-			cleaned = append(cleaned, line[i+1:])
-		}
-	}
-	q, err := Assemble(strings.Join(cleaned, "\n"))
+	q, err := Assemble(stripIndices(dis))
 	if err != nil {
 		t.Fatalf("reassemble: %v\n%s", err, dis)
 	}

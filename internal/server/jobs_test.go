@@ -511,6 +511,33 @@ func TestJobReplayInvalidPointFails(t *testing.T) {
 	}
 }
 
+// TestJobReplayRemovedParamsField pins resume over a store whose job
+// spec names a params field the machine no longer has
+// (TraceCacheLineLen): the store's lenient decode drops it, and the job
+// runs to completion. A new request naming it is refused
+// (TestRunBadRequests).
+func TestJobReplayRemovedParamsField(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"id":"j1","spec":{"kind":"job","program":{"source":"halt\n"},` +
+		`"points":[{"policy":"steering","params":{"TraceCacheLineLen":8},"maxCycles":1000}]}}`
+	if err := os.WriteFile(filepath.Join(dir, "j1.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, JobDir: dir})
+	if err != nil {
+		t.Fatalf("New over the stored job: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	c := client.New(newHTTPServer(t, s), client.WithRetry(0, -1))
+	status, err := c.WaitJob(context.Background(), "j1", nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || status.Done != 1 || status.Failed != 0 {
+		t.Fatalf("replayed job = %+v, want done with no failed point", status)
+	}
+}
+
 // TestJobDedupMatchesRun is the "deduplicated ≡ individually run"
 // oracle: a job whose points repeat a canonical spec runs each distinct
 // spec once, and every point's report is byte-identical to POST /v1/run

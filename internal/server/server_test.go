@@ -297,6 +297,7 @@ func TestRunBadRequests(t *testing.T) {
 	}{
 		{"malformed JSON", `{"source": `, api.CodeInvalidRequest},
 		{"unknown field", `{"sauce": "halt"}`, api.CodeInvalidRequest},
+		{"removed params field", fmt.Sprintf(`{"source": %q, "params": {"TraceCacheLineLen": 8}}`, haltingSource), api.CodeInvalidRequest},
 		{"trailing data", fmt.Sprintf(`{"source": %q} junk`, haltingSource), api.CodeInvalidRequest},
 		{"no program", `{}`, api.CodeInvalidRequest},
 		{"source and words", fmt.Sprintf(`{"source": %q, "words": [1]}`, haltingSource), api.CodeInvalidRequest},
