@@ -13,13 +13,13 @@
 package baseline
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/rfu"
-	"repro/internal/trace"
 )
 
 // FullReconfig models the architecture of reference [7] without partial
@@ -34,12 +34,6 @@ type FullReconfig struct {
 	// several cycles when the configuration bus is narrow; selection is
 	// frozen until the swap completes.
 	pending *config.Configuration
-
-	// Swaps counts whole-fabric reconfigurations completed.
-	Swaps int
-	// Blocked counts cycles a wanted swap waited for the fabric to
-	// drain.
-	Blocked int
 
 	// unitsScratch is the reusable placement buffer for stream.
 	unitsScratch []config.PlacedUnit
@@ -66,7 +60,6 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 		return
 	}
 	if !f.fabric.Idle() {
-		f.Blocked++
 		return
 	}
 	diff := sel.Distances[sel.Choice]
@@ -79,9 +72,19 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 	f.stream()
 }
 
-// SetObserver forwards the event stream to the selection manager:
-// selections and whole-fabric swap decisions are logged (nil disables).
-func (f *FullReconfig) SetObserver(o *trace.Observer) { f.m.SetObserver(o) }
+// NextEvent reports that the policy has no deadline of its own
+// (math.MaxInt): a pending swap streams on the fabric's deadlines, and
+// otherwise a Manage call on the same demand and an unchanged fabric
+// repeats the selection pass and its outcome.
+func (f *FullReconfig) NextEvent() int { return math.MaxInt }
+
+// Skip accounts for n repeats of the latest Manage call: n selection
+// passes when no swap is pending, and nothing while one streams.
+func (f *FullReconfig) Skip(n int) {
+	if f.pending == nil {
+		f.m.SkipSelect(n)
+	}
+}
 
 // Manager returns the selection manager, whose counters and latest
 // selection describe the policy's selection passes.
@@ -95,19 +98,20 @@ func (f *FullReconfig) stream() {
 	f.fabric.Load(f.unitsScratch)
 	if f.fabric.Allocation().Slots == target.Layout {
 		f.pending = nil
-		f.Swaps++
 	}
 }
 
-// Random loads a random steering configuration every Period cycles — the
-// control showing that steering's wins come from matching, not from
-// reconfiguration activity itself.
+// randomPeriod is the number of cycles between the random policy's
+// loads.
+const randomPeriod = 64
+
+// Random loads a random steering configuration every randomPeriod
+// cycles — the control showing that steering's wins come from
+// matching, not from reconfiguration activity itself.
 type Random struct {
 	fabric *rfu.Fabric
 	basis  [3]config.Configuration
 	rng    *rand.Rand
-	// Period is the number of cycles between random loads (default 64).
-	Period int
 
 	cycle        int
 	unitsScratch []config.PlacedUnit
@@ -119,7 +123,6 @@ func NewRandom(fabric *rfu.Fabric, seed int64) *Random {
 		fabric: fabric,
 		basis:  config.DefaultBasis(),
 		rng:    rand.New(rand.NewSource(seed)),
-		Period: 64,
 	}
 }
 
@@ -128,10 +131,18 @@ func NewRandom(fabric *rfu.Fabric, seed int64) *Random {
 // without looking at the queue).
 func (r *Random) Manage(arch.Counts) {
 	r.cycle++
-	if r.Period <= 0 || r.cycle%r.Period != 0 {
+	if r.cycle%randomPeriod != 0 {
 		return
 	}
 	target := r.basis[r.rng.Intn(len(r.basis))]
 	r.unitsScratch = target.AppendUnits(r.unitsScratch[:0])
 	r.fabric.Load(r.unitsScratch)
 }
+
+// NextEvent returns how many Manage calls ahead the next period
+// boundary falls, the next call that draws and loads.
+func (r *Random) NextEvent() int { return randomPeriod - r.cycle%randomPeriod }
+
+// Skip accounts for n Manage calls that fall before the next period
+// boundary: they only count cycles.
+func (r *Random) Skip(n int) { r.cycle += n }

@@ -201,8 +201,6 @@ type Stats struct {
 	// Selections[i] counts selection passes (Step or Select) that
 	// candidate i won.
 	Selections [arch.NumConfigs]int
-	// Reconfigurations counts span rewrites the loader started.
-	Reconfigurations int
 	// DeferredSlots counts slot rewrites skipped because the span was
 	// busy — the partial-reconfiguration deferrals of §3.2.
 	DeferredSlots int
@@ -339,7 +337,6 @@ type Manager struct {
 	// deferred is the slots the latest Step's load deferred.
 	deferred int
 	stats    Stats
-	obs      *trace.Observer
 
 	// cache is the direct-mapped steering cache.
 	cache [steerCacheSize]steerEntry
@@ -398,10 +395,6 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration) *Manager {
 
 // Basis returns the manager's predefined steering configurations.
 func (m *Manager) Basis() [3]config.Configuration { return m.basis }
-
-// SetObserver installs the event stream receiving every selection pass
-// and a steering decision per configuration switch (nil disables).
-func (m *Manager) SetObserver(o *trace.Observer) { m.obs = o }
 
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -551,11 +544,10 @@ func (m *Manager) Load(sel *Selection) (started, deferred int) {
 		return 0, 0
 	}
 	from := ""
-	if m.obs.Wants(trace.KindDecision) {
+	if m.fabric.Observer().Wants(trace.KindDecision) {
 		from = m.ClassifyAllocation() // the pre-load allocation
 	}
 	started, loading, deferred := m.fabric.Load(m.basisUnits[sel.Choice-1])
-	m.stats.Reconfigurations += started
 	m.stats.DeferredSlots += deferred
 	if started > 0 {
 		m.EmitDecision(from, sel.Choice, sel.Distances[sel.Choice], started, loading, deferred)
@@ -570,7 +562,7 @@ func (m *Manager) Load(sel *Selection) (started, deferred int) {
 // they cover, deferred the busy slots skipped. The loading stall is
 // loading times the fabric's reconfiguration latency.
 func (m *Manager) EmitDecision(from string, choice, diff, spans, loading, deferred int) {
-	m.obs.Emit(trace.Event{Kind: trace.KindDecision, Str: from, A: int32(choice),
+	m.fabric.Observer().Emit(trace.Event{Kind: trace.KindDecision, Str: from, A: int32(choice),
 		B: trace.Pack4([4]int{diff, spans, loading, deferred}),
 		C: int32(loading * m.fabric.ReconfigLatency())})
 }
@@ -578,10 +570,9 @@ func (m *Manager) EmitDecision(from string, choice, diff, spans, loading, deferr
 // EmitSelection logs one selection-unit pass. The event is built only
 // when a sink wants it.
 func (m *Manager) EmitSelection(sel *Selection) {
-	if !m.obs.Wants(trace.KindSelection) {
-		return
+	if obs := m.fabric.Observer(); obs.Wants(trace.KindSelection) {
+		obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors)})
 	}
-	m.obs.Emit(trace.Event{Kind: trace.KindSelection, A: int32(sel.Choice), B: trace.Pack4(sel.Errors)})
 }
 
 // ClassifyAllocation names the live allocation as config.Classify
@@ -635,14 +626,14 @@ func (m *Manager) suppressed() bool { return m.sinceLoad <= m.MinResidency }
 // the latest selection.
 func (m *Manager) held() bool { return m.HoldTarget != 0 && m.sel.Choice != m.HoldTarget }
 
-// Manage runs one Step; it makes the manager a cpu.Manager.
+// Manage runs one Step; with NextEvent and Skip it makes the manager a
+// cpu.Manager.
 func (m *Manager) Manage(required arch.Counts) { m.Step(required) }
 
 // NextEvent returns how many Steps ahead the first one falls that may
 // not repeat the latest Step on the same demand and an unchanged
 // fabric: the one whose residency timer expires when the latest load
-// was suppressed, otherwise none (math.MaxInt). It makes the manager a
-// cpu.Skipper.
+// was suppressed, otherwise none (math.MaxInt).
 func (m *Manager) NextEvent() int {
 	if m.sel.Current() || !m.suppressed() {
 		return math.MaxInt
@@ -656,10 +647,7 @@ func (m *Manager) NextEvent() int {
 // cache off), and then keeps the configuration, is suppressed or held,
 // or defers the same slots.
 func (m *Manager) Skip(n int) {
-	if !m.DisableCache {
-		m.stats.CacheHits += n
-	}
-	m.stats.Selections[m.sel.Choice] += n
+	m.SkipSelect(n)
 	if m.view.hybrid {
 		m.stats.HybridCycles += n
 	}
@@ -673,4 +661,14 @@ func (m *Manager) Skip(n int) {
 		m.stats.DeferredSlots += n * m.deferred
 	}
 	m.sinceLoad += n
+}
+
+// SkipSelect accounts for n repeats of the latest selection pass, on
+// the same demand and an unchanged fabric: each one is a steering-cache
+// hit (with the cache on) won by the same candidate.
+func (m *Manager) SkipSelect(n int) {
+	if !m.DisableCache {
+		m.stats.CacheHits += n
+	}
+	m.stats.Selections[m.sel.Choice] += n
 }

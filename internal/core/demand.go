@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/rfu"
@@ -23,14 +25,6 @@ type DemandManager struct {
 	// needs before an existing, differently-typed unit is evicted
 	// (default 0: pure greedy).
 	Hysteresis int
-
-	// Syntheses counts cycles on which a non-trivial target was built.
-	Syntheses int
-	// Reconfigurations counts span rewrites started.
-	Reconfigurations int
-	// DeferredSlots counts slot rewrites skipped because spans were
-	// busy.
-	DeferredSlots int
 
 	// Per-cycle scratch buffers, reused across Steps so the hot path
 	// does not allocate: kept marks slots claimed by the synthesis pass,
@@ -290,12 +284,17 @@ func (m *DemandManager) Step(required arch.Counts) {
 	if required.Total() == 0 {
 		return
 	}
-	units := m.targetUnits(required)
-	m.Syntheses++
-	started, _, deferred := m.fabric.Load(units)
-	m.Reconfigurations += started
-	m.DeferredSlots += deferred
+	m.fabric.Load(m.targetUnits(required))
 }
 
 // Manage adapts the manager to the cpu.Manager interface.
 func (m *DemandManager) Manage(required arch.Counts) { m.Step(required) }
+
+// NextEvent reports that the manager has no deadline of its own
+// (math.MaxInt): a Step on the same demand and an unchanged fabric
+// reads the same target from its tables and loads nothing again.
+func (m *DemandManager) NextEvent() int { return math.MaxInt }
+
+// Skip accounts for n repeats of the latest Step, which move nothing
+// the manager keeps.
+func (m *DemandManager) Skip(int) {}

@@ -81,7 +81,7 @@ func TestDemandConvergesUnderConstantDemand(t *testing.T) {
 		arch.FPALU, arch.FPALU, arch.LSU, arch.IntALU, arch.IntALU,
 	})
 	m.Step(req)
-	after := m.Reconfigurations
+	after := f.Reconfigurations()
 	if after == 0 {
 		t.Fatal("first step configured nothing")
 	}
@@ -89,8 +89,8 @@ func TestDemandConvergesUnderConstantDemand(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Step(req)
 	}
-	if m.Reconfigurations != after {
-		t.Errorf("reconfigurations grew from %d to %d under constant demand", after, m.Reconfigurations)
+	if f.Reconfigurations() != after {
+		t.Errorf("reconfigurations grew from %d to %d under constant demand", after, f.Reconfigurations())
 	}
 	if f.Allocation().Slots != layout {
 		t.Error("layout changed under constant demand")
@@ -134,9 +134,6 @@ func TestDemandRespectsBusySpans(t *testing.T) {
 	if f.Allocation().Slots[busyHead] != arch.EncFPMDU {
 		t.Error("busy FPMDU was destroyed")
 	}
-	if m.DeferredSlots == 0 {
-		t.Error("deferred slots not counted")
-	}
 }
 
 // TestDemandHysteresisReducesChurn: alternating demand with hysteresis
@@ -155,7 +152,7 @@ func TestDemandHysteresisReducesChurn(t *testing.T) {
 				m.Step(b)
 			}
 		}
-		return m.Reconfigurations
+		return f.Reconfigurations()
 	}
 	if h2, h0 := run(2), run(0); h2 > h0 {
 		t.Errorf("hysteresis 2 caused more churn (%d) than none (%d)", h2, h0)
@@ -187,8 +184,9 @@ func TestDemandLayoutUsesWholeFabricUnderPressure(t *testing.T) {
 // and the hysteresis flipped at random, the fabric ticking every cycle
 // — next to a reference loop that runs Target and the
 // CanReconfigure/Reconfigure discipline on a twin fabric every cycle.
-// The counters and allocation must agree on every cycle, so the tables
-// yield exactly what a full synthesis would have done.
+// The span rewrites started and the allocation must agree on every
+// cycle, so the tables yield exactly what a full synthesis would have
+// done.
 func TestDemandStepMatchesReference(t *testing.T) {
 	for _, tc := range []struct{ latency, busWidth, hysteresis int }{
 		{0, 0, 0}, {4, 0, 0}, {8, 2, 1}, {16, 1, 2},
@@ -199,7 +197,7 @@ func TestDemandStepMatchesReference(t *testing.T) {
 			fr.SetConfigBusWidth(tc.busWidth)
 			m, ref := NewDemandManager(fm), NewDemandManager(fr)
 			m.Hysteresis, ref.Hysteresis = tc.hysteresis, tc.hysteresis
-			var syntheses, reconfigs, deferred int
+			var reconfigs, deferred int
 			rng := rand.New(rand.NewSource(int64(7 + tc.latency)))
 			var d arch.Counts
 			for cycle := 0; cycle < 20000; cycle++ {
@@ -223,7 +221,6 @@ func TestDemandStepMatchesReference(t *testing.T) {
 				}
 				m.Step(d)
 				if d.Total() > 0 {
-					syntheses++
 					for _, u := range ref.synthesize(ref.plan(d), d).AppendUnits(nil) {
 						switch {
 						case fr.Allocation().Slots[u.Slot] == arch.Encode(u.Type):
@@ -235,9 +232,8 @@ func TestDemandStepMatchesReference(t *testing.T) {
 					}
 				}
 
-				if m.Syntheses != syntheses || m.Reconfigurations != reconfigs || m.DeferredSlots != deferred {
-					t.Fatalf("cycle %d, demand %v: syntheses/reconfigurations/deferred = %d/%d/%d, reference %d/%d/%d",
-						cycle, d, m.Syntheses, m.Reconfigurations, m.DeferredSlots, syntheses, reconfigs, deferred)
+				if fm.Reconfigurations() != reconfigs {
+					t.Fatalf("cycle %d, demand %v: %d reconfigurations, reference %d", cycle, d, fm.Reconfigurations(), reconfigs)
 				}
 				if fm.Allocation() != fr.Allocation() {
 					t.Fatalf("cycle %d: allocation %v, reference %v", cycle, fm.Allocation().Slots, fr.Allocation().Slots)
@@ -258,10 +254,7 @@ func referenceStep(m *DemandManager, required arch.Counts) {
 	if required.Total() == 0 {
 		return
 	}
-	m.Syntheses++
-	started, _, deferred := m.fabric.Load(m.synthesize(m.plan(required), required).AppendUnits(nil))
-	m.Reconfigurations += started
-	m.DeferredSlots += deferred
+	m.fabric.Load(m.synthesize(m.plan(required), required).AppendUnits(nil))
 }
 
 // FuzzDemandManager holds DemandManager.Step, with its plan and
@@ -271,9 +264,9 @@ func referenceStep(m *DemandManager, required arch.Counts) {
 // window plus lookahead, or 300, past the tables' key range), clear the
 // demand, busy a unit, rewrite a span behind the manager's back, set
 // the hysteresis (0–2), or tick. A Step follows every operation. After
-// each, the Load outcome (allocation and timer masks), Syntheses,
-// Reconfigurations and DeferredSlots must agree, and so must the
-// tables' target for the same demand on the layout the Step left.
+// each, the Load outcome (allocation, timer masks and span rewrites
+// started) must agree, and so must the tables' target for the same
+// demand on the layout the Step left.
 func FuzzDemandManager(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 3, 6, 2, 12, 1, 30, 4, 5, 0, 0, 6, 5, 1})
 	f.Add(uint8(2), []byte{0, 7, 0, 7, 4, 2, 6, 9, 5, 3, 2, 5, 18, 40, 5, 0, 4, 1, 1, 0, 24, 80})
@@ -318,15 +311,11 @@ func FuzzDemandManager(f *testing.F) {
 			}
 			m.Step(d)
 			referenceStep(ref, d)
-			if m.Syntheses != ref.Syntheses || m.Reconfigurations != ref.Reconfigurations || m.DeferredSlots != ref.DeferredSlots {
-				t.Fatalf("step %d, demand %v: syntheses/reconfigurations/deferred = %d/%d/%d, reference %d/%d/%d",
-					step, d, m.Syntheses, m.Reconfigurations, m.DeferredSlots, ref.Syntheses, ref.Reconfigurations, ref.DeferredSlots)
-			}
 			tm := fm.TimerMasks()
 			tr := fr.TimerMasks()
-			if fm.Allocation() != fr.Allocation() || tm != tr {
-				t.Fatalf("step %d: allocation %v timers %#x, reference %v timers %#x",
-					step, fm.Allocation().Slots, tm, fr.Allocation().Slots, tr)
+			if fm.Allocation() != fr.Allocation() || tm != tr || fm.Reconfigurations() != fr.Reconfigurations() {
+				t.Fatalf("step %d: allocation %v timers %#x reconfigurations %d, reference %v timers %#x reconfigurations %d",
+					step, fm.Allocation().Slots, tm, fm.Reconfigurations(), fr.Allocation().Slots, tr, fr.Reconfigurations())
 			}
 			if got, want := m.targetUnits(d), ref.synthesize(ref.plan(d), d).AppendUnits(nil); !slices.Equal(got, want) {
 				t.Fatalf("step %d, demand %v, hysteresis %d: target %v, reference %v", step, d, m.Hysteresis, got, want)

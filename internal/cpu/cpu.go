@@ -576,19 +576,7 @@ func (p *Processor) Fabric() *rfu.Fabric { return p.fabric }
 //	p.SetManager(core.NewManager(p.Fabric(), config.DefaultBasis()))
 //
 // repro.NewMachine does this wiring for every Policy.
-func (p *Processor) SetManager(manager Manager) {
-	p.manager = manager
-	if p.obs != nil {
-		p.observeManager()
-	}
-}
-
-// observeManager hands the observer to a manager that emits events.
-func (p *Processor) observeManager() {
-	if m, ok := p.manager.(interface{ SetObserver(*trace.Observer) }); ok {
-		m.SetObserver(p.obs)
-	}
-}
+func (p *Processor) SetManager(manager Manager) { p.manager = manager }
 
 // SetManageHook installs an interceptor on the demand vector fed to the
 // configuration manager each cycle (nil disables, the default). The
@@ -601,13 +589,12 @@ func (p *Processor) SetManageHook(hook func(required arch.Counts) (arch.Counts, 
 }
 
 // SetObserver installs the machine's event stream (nil disables; each
-// instrumented site then costs one branch). It reaches the fabric and,
-// when it emits events, the configuration manager. Observers are pure:
+// instrumented site then costs one branch). It reaches the fabric, on
+// whose observer the configuration manager emits. Observers are pure:
 // runs are bit-identical with or without one.
 func (p *Processor) SetObserver(o *trace.Observer) {
 	p.obs = o
 	p.fabric.SetObserver(o)
-	p.observeManager()
 }
 
 // Memory exposes the data memory for input/output setup.
@@ -731,7 +718,7 @@ const CtxCheckInterval = 1024
 // with FFUs enabled indicates a simulator bug and with FFUs disabled is
 // the expected starvation outcome of the X4 ablation.
 //
-// On a Processor that may skip (see skipper), every quiet cycle is
+// On a Processor that may skip (see skips), every quiet cycle is
 // followed by a jump of the clock to the cycle before the next
 // deadline: its own timers, its manager's, the budget or the next
 // context poll. The result is the one clocking Cycle alone gives, bit
@@ -739,7 +726,7 @@ const CtxCheckInterval = 1024
 // point, and Run returns an error wrapping ErrNoProgress at once.
 func Run(ctx context.Context, m Clocked, maxCycles int) error {
 	p, _ := m.(*Processor)
-	steer, skips := p.skipper()
+	skips := p.skips()
 	for !m.Halted() && m.Cycles() < maxCycles {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -748,7 +735,7 @@ func Run(ctx context.Context, m Clocked, maxCycles int) error {
 		for n := end - m.Cycles(); n > 0 && !m.Halted(); n-- {
 			m.Cycle()
 			if skips && p.quiet {
-				skipped, err := p.skip(steer, end)
+				skipped, err := p.skip(end)
 				if err != nil {
 					return err
 				}
@@ -762,42 +749,36 @@ func Run(ctx context.Context, m Clocked, maxCycles int) error {
 	return nil
 }
 
-// skipper reports whether Run may jump p's clock over quiet cycles, and
-// under which manager. It is the one place the jump is switched off,
-// for machines whose quiet cycles do not repeat exactly or whose every
-// cycle is wanted:
+// skips reports whether Run may jump p's clock over quiet cycles. It is
+// the one place the jump is switched off, for machines whose quiet
+// cycles do not repeat exactly or whose every cycle is wanted:
 //   - an observer is attached (it sees every cycle's events);
 //   - a fault injector is armed (it draws once per slot every cycle);
-//   - a manage hook is set (the cluster's cores at K>1);
-//   - the manager is not a Skipper: the prefetch, demand, random and
-//     full-reconfig managers.
+//   - a manage hook is set (the cluster's cores at K>1).
 //
-// With no manager (the ffu-only and static policies) or a Skipper
-// (core.Manager: steering and oracle) it is on. A nil p never skips.
-func (p *Processor) skipper() (Skipper, bool) {
-	if p == nil || p.obs != nil || p.fabric.FaultsEnabled() || p.manageHook != nil {
-		return nil, false
-	}
-	if p.manager == nil {
-		return nil, true
-	}
-	s, ok := p.manager.(Skipper)
-	return s, ok
+// A manager that may not repeat its next call says so through
+// NextEvent (the prefetch policy's is always 1). A nil p never skips.
+func (p *Processor) skips() bool {
+	return p != nil && p.obs == nil && !p.fabric.FaultsEnabled() && p.manageHook == nil
 }
 
 // skip follows a quiet cycle: the cycles before the next deadline of
-// the wake-up array, the fabric or the manager repeat it exactly, so it
+// the manager, the wake-up array or the fabric repeat it exactly, so it
 // adds them, up to cycle limit, to the counters the quiet cycle moved
 // (Cycles, its bottleneck bucket, DispatchStallFull and the manager's)
 // and advances the timers' clocks without simulating them. The cycle
 // at the deadline then runs normally. It returns the cycles skipped.
-// With no deadline ahead the quiet cycle is a fixed point, reported as
-// ErrNoProgress.
-func (p *Processor) skip(steer Skipper, limit int) (int, error) {
-	next := min(p.array.NextEvent(), p.fabric.NextEvent())
-	if steer != nil {
-		next = min(next, steer.NextEvent())
+// The manager's deadline is read first, so a manager due next cycle
+// costs no scan of the other two. With no deadline ahead the quiet
+// cycle is a fixed point, reported as ErrNoProgress.
+func (p *Processor) skip(limit int) (int, error) {
+	next := math.MaxInt
+	if p.manager != nil {
+		if next = p.manager.NextEvent(); next <= 1 {
+			return 0, nil
+		}
 	}
+	next = min(next, p.array.NextEvent(), p.fabric.NextEvent())
 	if next == math.MaxInt {
 		return 0, p.noProgress()
 	}
@@ -812,8 +793,8 @@ func (p *Processor) skip(steer Skipper, limit int) (int, error) {
 	}
 	p.array.Advance(n)
 	p.fabric.Advance(n)
-	if steer != nil {
-		steer.Skip(n)
+	if p.manager != nil {
+		p.manager.Skip(n)
 	}
 	return n, nil
 }

@@ -391,8 +391,7 @@ func TestSkipJumpsQuietStretches(t *testing.T) {
 			return p, m
 		}
 		p, mgr := build()
-		steer, ok := p.skipper()
-		if !ok {
+		if !p.skips() {
 			t.Fatal("the machine does not skip")
 		}
 		calls := 0
@@ -400,7 +399,7 @@ func TestSkipJumpsQuietStretches(t *testing.T) {
 			p.Cycle()
 			calls++
 			if p.quiet {
-				if _, err := p.skip(steer, math.MaxInt); err != nil {
+				if _, err := p.skip(math.MaxInt); err != nil {
 					t.Fatal(err)
 				}
 			}

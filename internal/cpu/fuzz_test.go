@@ -152,11 +152,12 @@ func FuzzCycleModel(f *testing.F) {
 			if more, _ := loop.runCycles(stats.Cycles + 100_000); more.Retired != stats.Retired {
 				t.Fatalf("%s: %v, yet the reference loop retired %d more by cycle %d", label, err, more.Retired-stats.Retired, more.Cycles)
 			}
-		case errors.Is(err, ErrCycleLimit) && m.params.DisableFFUs:
+		case errors.Is(err, ErrCycleLimit) && m.params.DisableFFUs && m.policy == "prefetch":
 			// Without the FFUs a unit type the manager never configures
 			// starves the queue: Run's documented X4 outcome, with no
-			// HALT state to compare. Cached and uncached must still
-			// starve alike.
+			// HALT state to compare. Prefetch never skips, so its
+			// starvation runs to the budget rather than stopping at a
+			// fixed point. Cached and uncached must still starve alike.
 		case err != nil:
 			t.Fatalf("%s %+v: %v", m.policy, m.params, err)
 		default:
@@ -284,8 +285,9 @@ func drawMachine(draw []byte) fuzzMachine {
 }
 
 // build makes the draw's processor. For the policies built on the
-// steering manager it also returns that manager, its steering cache
-// switched off by disableCache; nil otherwise.
+// steering manager (full-reconfig's selection manager included) it
+// also returns that manager, its steering cache switched off by
+// disableCache; nil otherwise.
 func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *core.Manager) {
 	p := New(prog, m.params)
 	var mgr *core.Manager
@@ -296,7 +298,9 @@ func (m fuzzMachine) build(prog isa.Program, disableCache bool) (*Processor, *co
 	case "random":
 		p.SetManager(baseline.NewRandom(p.Fabric(), 1))
 	case "full-reconfig":
-		p.SetManager(baseline.NewFullReconfig(p.Fabric(), config.DefaultBasis()))
+		fr := baseline.NewFullReconfig(p.Fabric(), config.DefaultBasis())
+		mgr = fr.Manager()
+		p.SetManager(fr)
 	case "steering", "exact":
 		mgr = core.NewManager(p.Fabric(), config.DefaultBasis())
 		mgr.ExactCEM = m.policy == "exact"

@@ -15,20 +15,15 @@ import (
 // CEM), the demand-driven core.DemandManager, the prefetch policy
 // (predict.Manager) and package baseline's comparison strategies are
 // Managers, and they load through rfu.Fabric.Load (the prefetch
-// policy's speculative spans excepted). A nil Manager never
-// reconfigures (a purely static machine).
+// policy's speculative spans excepted) and emit on the fabric's
+// observer. A nil Manager never reconfigures (a purely static machine).
+//
+// A Manage call made again with the same demand on an unchanged fabric
+// repeats the last one exactly, counters aside, until a deadline of the
+// manager's own, which NextEvent names; Run jumps the clock over such
+// repeats and has Skip account for them.
 type Manager interface {
 	Manage(required arch.Counts)
-}
-
-// Skipper is a Manager whose Manage, called again with the same demand
-// on an unchanged fabric, repeats the last call exactly, counters
-// aside, until a deadline of its own. Run jumps the clock over quiet
-// cycles only under a Skipper or no manager. core.Manager (steering and
-// oracle) is one; the prefetch, demand, random and full-reconfig
-// managers are not.
-type Skipper interface {
-	Manager
 	// NextEvent returns how many cycles ahead the first Manage call
 	// falls that may not repeat the last one (1 is the next cycle's),
 	// or math.MaxInt when every one would.

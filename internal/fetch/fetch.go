@@ -127,10 +127,9 @@ func (p *Predictor) Accuracy() (float64, int) {
 
 // Fetched is one instruction leaving the front end.
 type Fetched struct {
-	PC        uint32
-	Inst      isa.Inst
-	PredNext  uint32 // predicted next PC (what fetch followed)
-	PredTaken bool   // prediction for conditional branches
+	PC       uint32
+	Inst     isa.Inst
+	PredNext uint32 // predicted next PC (what fetch followed)
 	// Cycle is the processor cycle the instruction left the front end;
 	// the fetch unit has no clock, so the processor stamps it.
 	Cycle int
@@ -278,7 +277,7 @@ func (u *Unit) AppendFetch(dst []Fetched) []Fetched {
 		}
 		in := u.prog[pc]
 		next, taken := u.predictNext(pc, in)
-		dst = append(dst, Fetched{PC: pc, Inst: in, PredNext: next, PredTaken: taken})
+		dst = append(dst, Fetched{PC: pc, Inst: in, PredNext: next})
 		n++
 		if in.Op == isa.HALT {
 			u.parked = true

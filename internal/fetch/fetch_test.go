@@ -191,8 +191,8 @@ func TestFetchFollowsJAL(t *testing.T) {
 	if len(group) != 1 {
 		t.Fatalf("group size %d, want 1 (cut at taken jump)", len(group))
 	}
-	if group[0].PredNext != 3 || !group[0].PredTaken {
-		t.Errorf("JAL prediction = %d,%v", group[0].PredNext, group[0].PredTaken)
+	if group[0].PredNext != 3 {
+		t.Errorf("JAL prediction = %d, want 3", group[0].PredNext)
 	}
 	if u.PC() != 3 {
 		t.Errorf("fetch pc after jump = %d, want 3", u.PC())
@@ -220,8 +220,8 @@ func TestFetchConditionalPrediction(t *testing.T) {
 	if len(group) != 2 {
 		t.Fatalf("trained group size %d", len(group))
 	}
-	if !group[1].PredTaken || group[1].PredNext != 0 {
-		t.Errorf("trained branch prediction = %v,%d", group[1].PredTaken, group[1].PredNext)
+	if group[1].PredNext != 0 {
+		t.Errorf("trained branch prediction = %d, want taken to 0", group[1].PredNext)
 	}
 	if u.PC() != 0 {
 		t.Errorf("fetch pc after predicted-taken = %d, want 0", u.PC())
@@ -236,15 +236,15 @@ func TestFetchJALRUsesBTB(t *testing.T) {
 	`)
 	// Cold BTB: fall through.
 	group := u.AppendFetch(nil)
-	if group[0].PredTaken {
-		t.Error("cold JALR predicted taken")
+	if group[0].PredNext != 1 {
+		t.Errorf("cold JALR predicted %d, want fall-through 1", group[0].PredNext)
 	}
 	// Train the BTB to target 2.
 	u.pred.UpdateTarget(0, 2)
 	u.Redirect(0)
 	group = u.AppendFetch(nil)
-	if !group[0].PredTaken || group[0].PredNext != 2 {
-		t.Errorf("JALR prediction = %v,%d want true,2", group[0].PredTaken, group[0].PredNext)
+	if group[0].PredNext != 2 {
+		t.Errorf("JALR prediction = %d, want 2", group[0].PredNext)
 	}
 	if u.PC() != 2 {
 		t.Errorf("pc = %d, want 2", u.PC())

@@ -312,11 +312,11 @@ func parseRegFor(op Opcode, f regField, s string) (uint8, error) {
 		if op.Format() == FmtB {
 			return 0, fmt.Errorf("%s compares integer registers", op)
 		}
-		want := "integer"
+		want := "an integer"
 		if wantFP {
-			want = "floating-point"
+			want = "a floating-point"
 		}
-		return 0, fmt.Errorf("%s: operand %q must be a %s register", op, s, want)
+		return 0, fmt.Errorf("%s: operand %q must be %s register", op, s, want)
 	}
 	return idx, nil
 }

@@ -550,7 +550,7 @@ func TestAssembleErrors(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"bogus r1, r2", `line 1: unknown mnemonic "bogus"`},
 		{"add r1, r2", "line 1: add wants 3 operands, got 2"},
-		{"add f1, r2, r3", `line 1: add: operand "f1" must be a integer register`},
+		{"add f1, r2, r3", `line 1: add: operand "f1" must be an integer register`},
 		{"fadd r1, f2, f3", `line 1: fadd: operand "r1" must be a floating-point register`},
 		{"beq r1, r2, nowhere", `line 1: unknown label or bad offset "nowhere"`},
 		{"lw r1, r2", `line 1: bad memory operand "r2"`},

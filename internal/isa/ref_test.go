@@ -127,11 +127,11 @@ func decodeRef(w uint32) (Inst, error) {
 // expects.
 func checkClass(op Opcode, operand string, fp, wantFP bool) error {
 	if fp != wantFP {
-		want := "integer"
+		want := "an integer"
 		if wantFP {
-			want = "floating-point"
+			want = "a floating-point"
 		}
-		return fmt.Errorf("%s: operand %q must be a %s register", op, operand, want)
+		return fmt.Errorf("%s: operand %q must be %s register", op, operand, want)
 	}
 	return nil
 }

@@ -207,8 +207,6 @@ type Manager struct {
 	// for a full reconfiguration latency).
 	specIssued [arch.NumRFUSlots]bool
 
-	obs *trace.Observer
-
 	// Reusable scratch buffers so Manage never allocates.
 	unitsScratch []config.PlacedUnit
 }
@@ -236,13 +234,6 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *
 // cache knobs, stats and reports).
 func (pm *Manager) Core() *core.Manager { return pm.m }
 
-// SetObserver installs the event stream on the predictor (phase and
-// speculation events) and the wrapped reactive manager (nil disables).
-func (pm *Manager) SetObserver(o *trace.Observer) {
-	pm.obs = o
-	pm.m.SetObserver(o)
-}
-
 // Manage runs one cycle of prediction-augmented configuration
 // management: record demand history, run the reactive selection/load
 // pass unchanged, learn the configuration transition it exposed, and
@@ -254,6 +245,14 @@ func (pm *Manager) Manage(required arch.Counts) {
 	pm.transition(sel)
 	pm.speculate(sel)
 }
+
+// NextEvent returns 1: every Manage call updates the demand history
+// and the phase detector, so the next one may not repeat it, and a
+// run under the prefetch policy jumps no cycles.
+func (pm *Manager) NextEvent() int { return 1 }
+
+// Skip has nothing to account for: NextEvent allows no skipped cycle.
+func (pm *Manager) Skip(int) {}
 
 // observe pushes the cycle's demand vector into the history ring,
 // updates the long-horizon EWMA and runs the phase-change detector.
@@ -361,7 +360,7 @@ func (pm *Manager) dominantClass() int {
 // fully successful speculation has.
 func (pm *Manager) phaseChange() {
 	pm.m.NotePrefetch(0, 0, 0, 0, 0, 1)
-	pm.obs.Emit(trace.Event{Kind: trace.KindPhaseChange})
+	pm.fabric.Observer().Emit(trace.Event{Kind: trace.KindPhaseChange})
 	pm.boundary()
 	if !pm.specActive {
 		return
@@ -496,7 +495,7 @@ func (pm *Manager) resolveSpec(outcome int32) {
 		wasted = pm.specSpans
 	}
 	pm.m.NotePrefetch(0, confirmed, mispredicted, cancelled, wasted, 0)
-	pm.obs.Emit(trace.Event{Kind: trace.KindSpecResolve, Str: pm.m.Basis()[pm.specTarget-1].Name,
+	pm.fabric.Observer().Emit(trace.Event{Kind: trace.KindSpecResolve, Str: pm.m.Basis()[pm.specTarget-1].Name,
 		A: int32(pm.specSpans), B: int32(pm.specConfPct), C: outcome})
 	pm.specActive = false
 	pm.specSpans = 0
@@ -530,7 +529,7 @@ func (pm *Manager) speculate(sel *core.Selection) {
 		pm.specHeldStreak = 0
 		pm.specOpens++
 		pm.specIssued = [arch.NumRFUSlots]bool{}
-		pm.obs.Emit(trace.Event{Kind: trace.KindSpecOpen, Str: pm.m.Basis()[next-1].Name, B: int32(confPct)})
+		pm.fabric.Observer().Emit(trace.Event{Kind: trace.KindSpecOpen, Str: pm.m.Basis()[next-1].Name, B: int32(confPct)})
 	}
 	pm.issueSpans()
 }
@@ -649,7 +648,7 @@ func (pm *Manager) issueSpans() {
 	}
 	if issued > 0 {
 		pm.m.NotePrefetch(issued, 0, 0, 0, 0, 0)
-		pm.obs.Emit(trace.Event{Kind: trace.KindPrefetchIssue, Str: target.Name,
+		pm.fabric.Observer().Emit(trace.Event{Kind: trace.KindPrefetchIssue, Str: target.Name,
 			A: int32(issued), B: int32(pm.specConfPct)})
 	}
 }

@@ -627,6 +627,11 @@ func (f *Fabric) Idle() bool { return f.busyMask|f.reconfigMask == 0 }
 // fault transitions (nil disables; each site then costs one branch).
 func (f *Fabric) SetObserver(o *trace.Observer) { f.obs = o }
 
+// Observer returns the installed event stream (nil when none): the
+// configuration managers bound to the fabric emit their selections,
+// decisions and speculations on it.
+func (f *Fabric) Observer() *trace.Observer { return f.obs }
+
 // ReconfiguringSlots counts slots currently mid-reconfiguration — the
 // sampler's in-flight reconfiguration gauge.
 func (f *Fabric) ReconfiguringSlots() int { return bits.OnesCount16(f.reconfigMask) }

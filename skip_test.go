@@ -57,12 +57,14 @@ func skipCase(t *testing.T, label string, prog repro.Program, opt repro.Options,
 // TestSkipMatchesCycleLoop holds the run loop's clock jump to the
 // Cycle-only reference on programs shaped like the sim-steady
 // benchmark's (integer and floating-point phases alternating every 500
-// instructions), under every policy that skips — steering (also with
-// the residency timer), oracle, ffu-only and static-integer — at
-// reconfiguration latencies 4, 8 and 16: the run reports must match
-// byte for byte. A run cut by its budget must stop at exactly the
-// budget, wherever the budget falls; the budgets sweep a range of
-// consecutive cycles, so some end inside quiet stretches.
+// instructions), under every policy — steering (also with the
+// residency timer), oracle, ffu-only, static-integer, demand, seeded
+// random, full-reconfig and prefetch (whose manager asks for every
+// cycle) — at reconfiguration latencies 4, 8 and 16: the run reports,
+// manager counters included, must match byte for byte. A run cut by
+// its budget must stop at exactly the budget, wherever the budget
+// falls; the budgets sweep a range of consecutive cycles, so some end
+// inside quiet stretches.
 func TestSkipMatchesCycleLoop(t *testing.T) {
 	n := 20_000
 	if testing.Short() {
@@ -74,6 +76,10 @@ func TestSkipMatchesCycleLoop(t *testing.T) {
 		{Policy: repro.PolicyOracle},
 		{Policy: repro.PolicyNone},
 		{Policy: repro.PolicyStaticInteger},
+		{Policy: repro.PolicyDemand},
+		{Policy: repro.PolicyRandom, Seed: 3},
+		{Policy: repro.PolicyFullReconfig},
+		{Policy: repro.PolicyPrefetch},
 	}
 	for i := 0; i < 8; i++ {
 		prog := repro.Synthesize(repro.AlternatingPhases(n, 500), 7_000+int64(i))
